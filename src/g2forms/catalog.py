@@ -18,17 +18,17 @@ Generator expectations:
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
 from .linalg import (charpoly, det, frac, identity, intersect_nullspaces,
                      inverse, mat, mat_mul, nullspace, solve, transpose)
 from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
-                     build_algebra, creal, diag_torus_su, invariant_3forms,
-                     invariant_dims, invariant_form_types, irreducible_dims,
-                     module_from_action, product_algebra, reductive_complement,
-                     _czero, _embed_block)
+                     build_algebra, creal, diag_torus_su, generator_v_matrix,
+                     invariant_3forms, invariant_dims, invariant_form_types,
+                     irreducible_dims, module_from_action, product_algebra,
+                     reductive_complement, sp_matrix, _czero, _embed_block)
 from .multilinear import pullback
 from .stable_forms import annihilator_g2
 
@@ -175,16 +175,6 @@ def _su2_group_real(q):
     return creal(re, im)
 
 
-def _rotation_conjugation(q):
-    """Image of a unit quaternion under the 2:1 map to SO(3) (exact)."""
-    a, b, c, d = [frac(x) for x in q]
-    return [
-        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
-        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
-    ]
-
-
 def _block_diag(blocks):
     total = sum(len(b) for b in blocks)
     out = [[Fraction(0)] * total for _ in range(total)]
@@ -227,36 +217,12 @@ def _a12_real():
     return creal(mat(A12_COMPLEX[0]), mat(A12_COMPLEX[1]))
 
 
-def _perm_matrix_signed(entries, n):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), v in entries.items():
-        m[i][j] = frac(v)
-    return m
-
-
 # ---------------------------------------------------------------------------
 # entry recipes
 # ---------------------------------------------------------------------------
 
 TETRAHEDRAL_QUATERNIONS = [(0, 1, 0, 0), (Fraction(1, 2), Fraction(1, 2),
                                           Fraction(1, 2), Fraction(1, 2))]
-
-
-def _sp2_assemble(are, aim, bre, bim):
-    """Real 8x8 sp(2) element from 2x2 blocks A = are + i aim, B = bre + i bim."""
-    m_re = [[Fraction(0)] * 4 for _ in range(4)]
-    m_im = [[Fraction(0)] * 4 for _ in range(4)]
-    for r in range(2):
-        for c in range(2):
-            m_re[r][c] = frac(are[r][c])
-            m_im[r][c] = frac(aim[r][c])
-            m_re[r][2 + c] = frac(bre[r][c])
-            m_im[r][2 + c] = frac(bim[r][c])
-            m_re[2 + r][c] = -frac(bre[r][c])
-            m_im[2 + r][c] = frac(bim[r][c])
-            m_re[2 + r][2 + c] = frac(are[r][c])
-            m_im[2 + r][2 + c] = -frac(aim[r][c])
-    return creal(m_re, m_im)
 
 
 def _sp1_slot_gens(p):
@@ -270,7 +236,7 @@ def _sp1_slot_gens(p):
             bre[p][p] = Fraction(1)
         else:
             bim[p][p] = Fraction(1)
-        out.append(_sp2_assemble(are, aim, bre, bim))
+        out.append(sp_matrix(are, aim, bre, bim))
     return out
 
 
@@ -329,29 +295,15 @@ def _case_2cii():
     su3 = build_algebra("su(3)")
     t2 = build_algebra("t(2)")
     g = product_algebra("su(3)+t(2)", [su3, t2])
-    h = []
-    for p in (([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], _czero(3)),
-              (_czero(3), [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-              (_czero(3), [[1, 0, 0], [0, -1, 0], [0, 0, 0]])):
-        h.append(_embed_block(creal(mat(p[0]), mat(p[1])), 10, 0))
-    return g, h, []
-
-
-def _su2_triple_gens():
-    return [creal(*p) for p in (
-        ([[0, 0], [0, 0]], [[1, 0], [0, -1]]),
-        ([[0, 1], [-1, 0]], [[0, 0], [0, 0]]),
-        ([[0, 0], [0, 0]], [[0, 1], [1, 0]]),
-    )]
+    return g, _su3_su2_block_gens(10), []
 
 
 def _case_2aiii():
     su2 = build_algebra("su(2)")
     g = product_algebra("3su(2)+u(1)",
                         [su2, su2, su2, build_algebra("u(1)")])
-    gens = _su2_triple_gens()
     h = []
-    for x in gens:
+    for x in _su2_quaternion_gens():
         m = [[Fraction(0)] * 14 for _ in range(14)]
         for blk in range(3):
             for i in range(4):
@@ -377,13 +329,13 @@ def _case_3bii(k, l):
     return g, h, []
 
 
-def _su3_su2_block_gens(size, off=0):
-    """su(2) embedded in the top-left block of su(3), real matrices."""
+def _su3_su2_block_gens(size):
+    """su(2) in the top-left block of su(3), real, padded to size x size."""
     out = []
     for p in (([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], _czero(3)),
               (_czero(3), [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
               (_czero(3), [[1, 0, 0], [0, -1, 0], [0, 0, 0]])):
-        out.append(_embed_block(creal(mat(p[0]), mat(p[1])), size, off))
+        out.append(_embed_block(creal(mat(p[0]), mat(p[1])), size, 0))
     return out
 
 
@@ -409,38 +361,13 @@ def _case_3biii(k, l):
 def _case_3aiii():
     su3 = build_algebra("su(3)")
     g = product_algebra("su(3)+so(3)", [su3, build_algebra("so(3)")])
-    su2_gens = [([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], _czero(3)),
-                (_czero(3), [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-                (_czero(3), [[1, 0, 0], [0, -1, 0], [0, 0, 0]])]
-    reals = [creal(mat(a), mat(b)) for a, b in su2_gens]
-    # adjoint images with matching structure constants, scaled rationally
-    base = [mat(x) for x in reals]
-    ads = _adjoint_images(base)
-    h = []
-    for x, ad in zip(reals, ads):
-        m = [[Fraction(0)] * 9 for _ in range(9)]
-        for i in range(6):
-            for j in range(6):
-                m[i][j] = frac(x[i][j])
-        for i in range(3):
-            for j in range(3):
-                m[6 + i][6 + j] = ad[i][j]
-        h.append(m)
-    xi1 = _embed_block(diag_torus_su(3, [1, 1, -2]), 9, 0)
-    h.append(xi1)
+    # each su(2) element paired with its ad-matrix, an so(3) element with
+    # the same structure constants
+    su2 = MatrixLieAlgebra("su(2)", _su3_su2_block_gens(6))
+    ads = [transpose(row) for row in su2.structure_constants()]
+    h = [_block_diag([x, ad]) for x, ad in zip(su2.basis, ads)]
+    h.append(_embed_block(diag_torus_su(3, [1, 1, -2]), 9, 0))
     return g, h, []
-
-
-def _adjoint_images(basis3):
-    """ad-matrices of a 3-dimensional algebra in its own basis."""
-    from .linalg import commutator
-
-    alg = MatrixLieAlgebra("tmp", basis3)
-    out = []
-    for b in basis3:
-        cols = [alg.coords(commutator(b, x)) for x in basis3]
-        out.append(transpose(cols))
-    return out
 
 
 def _case_4i():
@@ -590,13 +517,15 @@ def build_entry(case_id: str, params=()) -> IsotropyModule:
         return module_from_action("so3_7", so3_irrep(7))
     if case_id not in _BUILDERS:
         raise ValueError(f"unknown case id: {case_id!r}")
-    built = _BUILDERS[case_id](tuple(params))
-    g, h, gens = built[0], built[1], built[2]
-    accepted = [(n, m) for n, m, expect in gens if expect == "accepted"]
+    g, h, gens = _BUILDERS[case_id](tuple(params))
     label = case_id if not params else f"{case_id}{tuple(params)}"
-    mod = reductive_complement(g, h, accepted, label=label)
-    mod.pending_generators = [(n, m, e) for n, m, e in gens
-                              if e != "accepted"]
+    mod = reductive_complement(g, h, label=label)
+    accepted = tuple(
+        (n, generator_v_matrix(g, mod.h_coords, mod.V_coords, f))
+        for n, f, expect in gens if expect == "accepted")
+    mod = replace(mod, generators=accepted,
+                  pending_generators=tuple(x for x in gens
+                                           if x[2] != "accepted"))
     if mod.dimV != 7:
         raise AssertionError(f"{label}: complement has dimension {mod.dimV}")
     return mod
@@ -652,20 +581,9 @@ def catalog_hash():
 
 def candidate_module(mod: IsotropyModule, name, fmat) -> IsotropyModule:
     """The module with one extra candidate generator adjoined."""
-    from .liealg import generator_v_matrix
-
-    g = mod.ambient
-    hmat = [g.coords(x) for x in _h_ambient(mod)]
-    vvecs = mod.V_coords
-    vmat = generator_v_matrix(g, hmat, vvecs, fmat)
-    out = IsotropyModule(label=f"{mod.label}+{name}", dimV=mod.dimV,
-                         action=list(mod.action), gram=mod.gram,
-                         generators=list(mod.generators) + [(name, vmat)],
-                         brackets=mod.brackets, h_dim=mod.h_dim,
-                         ambient=mod.ambient, V_ambient=mod.V_ambient)
-    out.h_ambient = _h_ambient(mod)
-    out.V_coords = mod.V_coords
-    return out
+    vmat = generator_v_matrix(mod.ambient, mod.h_coords, mod.V_coords, fmat)
+    return replace(mod, label=f"{mod.label}+{name}",
+                   generators=(*mod.generators, (name, vmat)))
 
 
 def generator_compatibility_report(mod: IsotropyModule, name, fmat, scan=None):
@@ -720,11 +638,6 @@ def _rational_spectrum(cp):
     return sorted(out)
 
 
-def _h_ambient(mod):
-    # reconstruct ambient h elements: stored implicitly through the action
-    return getattr(mod, "h_ambient", [])
-
-
 def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
     """Recompute an entry's invariants and compare with its expectations."""
     case = entry["case"]
@@ -744,7 +657,7 @@ def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
     rep.add("has definite", exp["has_definite"], types["has_definite"])
     rep.add("has indefinite", exp["has_indefinite"], types["has_indefinite"])
     spectra = entry.get("generator_spectra", {})
-    for name, fmat, expect in getattr(mod, "pending_generators", []):
+    for name, fmat, expect in mod.pending_generators:
         crep = generator_compatibility_report(mod, name, fmat)
         if expect == "rejected":
             rep.add(f"generator {name} rejected (no indefinite fixed form)",
@@ -767,12 +680,7 @@ def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
                     _rational_spectrum(charpoly(vmat)))
     if mod.generators:
         # accepted generators: fix the algebra-invariant family setwise
-        plain = IsotropyModule(label=mod.label, dimV=7,
-                               action=list(mod.action), gram=mod.gram,
-                               generators=[], brackets=mod.brackets,
-                               h_dim=mod.h_dim, ambient=mod.ambient,
-                               V_ambient=mod.V_ambient)
-        big = invariant_3forms(plain)
+        big = invariant_3forms(replace(mod, generators=()))
         bigmat = transpose(mat([f.coefficient_vector() for f in big]))
         for name, vmat in mod.generators:
             setwise = all(
@@ -780,8 +688,3 @@ def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
                 for f in big)
             rep.add(f"generator {name} fixes family setwise", True, setwise)
     return rep
-
-
-def verify_all(entries=None, scan_config=None):
-    entries = entries if entries is not None else load_catalog()
-    return [verify_entry(e, scan_config) for e in entries]

@@ -112,20 +112,28 @@ def _scan_config(args):
 
 
 def _select_entries(args):
+    """The shipped entries selected by --case and --params.
+
+    Raises ValueError for an unknown case or a parameter instance that is
+    not shipped: its expectations are unknown, and those of another
+    instance do not apply.
+    """
     entries = load_catalog()
-    if getattr(args, "case", None):
+    if args.case:
         entries = [e for e in entries if e["case"] == args.case]
         if not entries:
-            return None
-        if getattr(args, "params", None):
-            chosen = [e for e in entries
-                      if tuple(e.get("params", ())) == args.params]
-            if chosen:
-                entries = chosen
-            else:
-                # parameter instance outside the shipped defaults: verify
-                # against the shipped expectations of the same case
-                entries = [dict(entries[0], params=list(args.params))]
+            raise ValueError(f"unknown case {args.case!r}")
+        if args.params:
+            shipped = [tuple(e.get("params", ())) for e in entries]
+            if args.params not in shipped:
+                listed = "; ".join(",".join(map(str, p)) or "none"
+                                   for p in shipped)
+                raise ValueError(
+                    f"case {args.case!r} ships no instance with params "
+                    f"{','.join(map(str, args.params))}; shipped params: "
+                    f"{listed}")
+            entries = [e for e, p in zip(entries, shipped)
+                       if p == args.params]
     return entries
 
 
@@ -142,9 +150,10 @@ def cmd_catalog(args):
              "table": e["table"], "expected": e["expected"]}
             for e in entries]}
         return emit(report, args)
-    entries = _select_entries(args)
-    if entries is None:
-        print(f"error: unknown case {args.case!r}", file=sys.stderr)
+    try:
+        entries = _select_entries(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     config = _scan_config(args)
     try:
@@ -282,8 +291,6 @@ def make_parser():
     p.add_argument("action", choices=("list", "verify"))
     p.add_argument("--case")
     p.add_argument("--params", type=_parse_params, default=())
-    p.add_argument("--all", action="store_true",
-                   help="verify every entry (default when no case is given)")
     p.add_argument("--grid", type=int, default=10_000)
     p.add_argument("--random", type=int, default=1_000)
     _add_common(p)

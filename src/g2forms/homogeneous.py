@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import identity, intersect_nullspaces, mat, mat_sub, nullspace, \
-    rank, solve, transpose, trace, mat_mul, commutator
-from .liealg import (IsotropyModule, MatrixLieAlgebra,
-                     lambda_k_pullback_matrix)
+from .linalg import identity, mat, mat_mul, nullspace, rank, solve, transpose
+from .liealg import IsotropyModule, MatrixLieAlgebra, invariant_kforms
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .stable_forms import (KFormF, Orbit3Class, classify3, hodge_star,
                            metric_from_3form, star_euclidean)
@@ -29,32 +27,16 @@ from .stable_forms import (KFormF, Orbit3Class, classify3, hodge_star,
 def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
     """The h = 0 module of a Lie algebra: V = g, full form complex.
 
-    Unlike `reductive_complement` this never touches the trace form, so it
-    also accepts noncompact realizations (used for rank cross-checks).
+    Unlike `reductive_complement` this does not need a definite trace form,
+    so it also accepts noncompact realizations (used for rank cross-checks);
+    `gram` is the trace form, indefinite on those.
     """
     struct = alg.structure_constants()
     brackets = {(i, j): struct[i][j]
                 for i in range(alg.dim) for j in range(i + 1, alg.dim)}
     return IsotropyModule(label=label or alg.name, dimV=alg.dim, action=[],
-                          gram=identity(alg.dim), brackets=brackets,
-                          h_dim=0, ambient=alg, V_ambient=list(alg.basis))
-
-
-def _d_one_forms(m: IsotropyModule):
-    """d(e^l) as 2-forms on V, l = 1..dimV (cached on the module)."""
-    cached = getattr(m, "_de1_cache", None)
-    if cached is not None:
-        return cached
-    n = m.dimV
-    out = []
-    for l in range(n):
-        items = []
-        for (i, j), c in m.brackets.items():
-            if c[l] != 0:
-                items.append(((i + 1, j + 1), -c[l]))
-        out.append(KForm.make(n, 2, items))
-    m._de1_cache = out
-    return out
+                          gram=alg.trace_form(), brackets=brackets,
+                          V_coords=identity(alg.dim), ambient=alg)
 
 
 def _diff_terms(terms, de1):
@@ -95,7 +77,7 @@ def ce_differential(m: IsotropyModule, a):
     Exact KForm input must be invariant (checked); float input (downstream
     of the Hodge star) is differentiated without the invariance assertion.
     """
-    de1 = _d_one_forms(m)
+    de1 = m.d_one_forms
     if isinstance(a, KForm):
         if not is_invariant(m, a):
             raise ValueError("form is not invariant; differential undefined")
@@ -107,55 +89,21 @@ def ce_differential(m: IsotropyModule, a):
                   {k: float(v) for k, v in terms.items() if float(v) != 0.0})
 
 
-def cartan_3form(alg: MatrixLieAlgebra) -> KForm:
-    """The 3-form <X, [Y, Z]> of a Lie algebra, in its basis coordinates."""
-    n = alg.dim
-    items = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = -trace(mat_mul(alg.basis[i],
-                                   commutator(alg.basis[j], alg.basis[k])))
-                if v != 0:
-                    items.append(((i + 1, j + 1, k + 1), v))
-    return KForm.make(n, 3, items)
+def cartan_3form(m: IsotropyModule) -> KForm:
+    """The 3-form <X, [Y, Z]> on V, in the V-basis.
 
-
-def cartan_3form_restricted(m: IsotropyModule) -> KForm:
-    """Restriction of the ambient Cartan 3-form to the complement V."""
+    On a bare complex this is the Cartan 3-form of the algebra; on a
+    reductive complement it is the restriction of the ambient one, where only
+    the V-part of [Y, Z] pairs with X because V is orthogonal to h.
+    """
     n = m.dimV
     items = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = -trace(mat_mul(m.V_ambient[i],
-                                   commutator(m.V_ambient[j], m.V_ambient[k])))
-                if v != 0:
-                    items.append(((i + 1, j + 1, k + 1), v))
+    for i, j, k in combinations(range(n), 3):
+        c = m.brackets[(j, k)]
+        v = sum((m.gram[i][l] * c[l] for l in range(n) if c[l]), Fraction(0))
+        if v != 0:
+            items.append(((i + 1, j + 1, k + 1), v))
     return KForm.make(n, 3, items)
-
-
-def _lambda_k_action_matrix(a, k, dim):
-    idxs = list(combinations(range(1, dim + 1), k))
-    cols = [algebra_action(a, KForm.basis(dim, *idx)).coefficient_vector()
-            for idx in idxs]
-    return transpose(cols)
-
-
-def invariant_kforms(m: IsotropyModule, k):
-    """Exact basis of invariant k-forms on V."""
-    n = m.dimV
-    if k == 0:
-        return [KForm.make(n, 0, [((), 1)])]
-    mats = [_lambda_k_action_matrix(a, k, n) for a in m.action]
-    for _, f in m.generators:
-        p = lambda_k_pullback_matrix(f, k, n)
-        mats.append(mat_sub(p, identity(len(p))))
-    if not mats:
-        idxs = list(combinations(range(1, n + 1), k))
-        return [KForm.basis(n, *idx) for idx in idxs]
-    vecs = intersect_nullspaces(mats)
-    return [KForm.from_coefficient_vector(n, k, v) for v in vecs]
 
 
 @dataclass

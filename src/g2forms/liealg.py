@@ -1,11 +1,16 @@
-"""Matrix Lie algebras with exact structure constants and isotropy modules.
+"""Lie algebras as exact structure constants, and their isotropy modules.
 
-Algebras are lists of rational ambient matrices.  The invariant inner
-product is <X, Y> = -trace(XY), which is definite on every compact
+A Lie algebra is its structure constants c^k_ij on a fixed ordered basis,
+with the invariant inner product <X, Y> = -trace(XY).  Rational ambient
+matrices only build it: `MatrixLieAlgebra` reads coordinates, the structure
+constants and the trace form off its basis matrices, the latter two once,
+and every later step (brackets, complements, isotropy actions) works on
+coordinate vectors.  The trace form is definite on every compact
 realization used here (abelian factors are realized as rotation blocks, so
 the same formula covers them).  A reductive complement V of a subalgebra h
-gives an isotropy module: the h-action matrices on V, the V-part of the
-bracket, the restricted inner product, and any finite component generators.
+gives an isotropy module, a frozen value: the h-action matrices on V,
+the V-part of the bracket, the restricted inner product, h and V in
+g-coordinates, and any finite component generators.
 
 Everything through `invariant_dims` is exact.  `invariant_form_types`
 classifies rational sample forms exactly but can only report "not found at
@@ -16,15 +21,17 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import sympy
 
 from .linalg import (commutator, frac, identity, intersect_nullspaces,
                      inverse, mat, mat_mul, mat_sub, mat_vec, nullspace,
-                     rank, rref, solve, transpose, trace)
-from .multilinear import KForm, algebra_action, pullback
-from .stable_forms import Orbit3Class, classify_coeffs
+                     rank, rref, solve, transpose)
+from .multilinear import (KForm, lambda_k_action_matrix,
+                          lambda_k_pullback_matrix)
+from .stable_forms import Orbit3Class, classify_coeffs, primitive_int_vector
 
 
 def _flatten(m):
@@ -33,14 +40,15 @@ def _flatten(m):
 
 @dataclass
 class MatrixLieAlgebra:
-    """A Lie algebra of rational matrices with a fixed ordered basis."""
+    """A Lie algebra built from rational matrices with a fixed ordered basis.
+
+    The basis matrices are read only for coordinates (`coords`), the
+    structure constants and the trace form, the latter two computed once;
+    `bracket` then works on coordinate vectors.
+    """
 
     name: str
     basis: list
-
-    def __post_init__(self):
-        self._solver = None
-        self._struct = None
 
     @property
     def dim(self):
@@ -50,23 +58,22 @@ class MatrixLieAlgebra:
     def size(self):
         return len(self.basis[0]) if self.basis else 0
 
+    @cached_property
     def _coord_solver(self):
         # pivot-row submatrix inverse; coords are then one small mat-vec plus
         # an exact full-length consistency check
-        if self._solver is None:
-            flat = [_flatten(b) for b in self.basis]
-            _, pivots = rref(flat)
-            if len(pivots) != self.dim:
-                raise ValueError(f"{self.name}: basis is linearly dependent")
-            sub = [[flat[r][p] for r in range(self.dim)] for p in pivots]
-            self._solver = (flat, pivots, inverse(sub))
-        return self._solver
+        flat = [_flatten(b) for b in self.basis]
+        _, pivots = rref(flat)
+        if len(pivots) != self.dim:
+            raise ValueError(f"{self.name}: basis is linearly dependent")
+        sub = [[flat[r][p] for r in range(self.dim)] for p in pivots]
+        return flat, pivots, inverse(sub)
 
     def coords(self, x):
         """Coordinates of an ambient matrix in the basis; None if outside."""
         if not self.basis:
             return None
-        flat, pivots, inv = self._coord_solver()
+        flat, pivots, inv = self._coord_solver
         xf = _flatten(x)
         c = mat_vec(inv, [xf[p] for p in pivots])
         # exact membership check
@@ -75,61 +82,75 @@ class MatrixLieAlgebra:
                 return None
         return c
 
-    def element(self, coeffs):
-        n = self.size
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for c, b in zip(coeffs, self.basis):
-            c = frac(c)
-            if c == 0:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += c * b[i][j]
-        return out
+    @cached_property
+    def _structure_constants(self):
+        d = self.dim
+        table = [[None] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                c = self.coords(commutator(self.basis[i], self.basis[j]))
+                if c is None:
+                    raise ValueError(
+                        f"{self.name}: bracket [b{i}, b{j}] leaves the span")
+                table[i][j] = c
+                table[j][i] = [-x for x in c]
+            table[i][i] = [Fraction(0)] * d
+        return table
 
     def structure_constants(self):
         """c[i][j] = coordinates of [b_i, b_j]; raises if not closed."""
-        if self._struct is None:
-            d = self.dim
-            table = [[None] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(i + 1, d):
-                    c = self.coords(commutator(self.basis[i], self.basis[j]))
-                    if c is None:
-                        raise ValueError(
-                            f"{self.name}: bracket [b{i}, b{j}] leaves the span")
-                    table[i][j] = c
-                    table[j][i] = [-x for x in c]
-                zero = [Fraction(0)] * d
-                table[i][i] = zero
-            self._struct = table
-        return self._struct
+        return self._structure_constants
+
+    def bracket(self, x, y):
+        """Coordinates of [x, y] for x, y given in coordinates."""
+        struct = self.structure_constants()
+        out = [Fraction(0)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            row = struct[i]
+            for j, yj in ys:
+                s = xi * yj
+                for k, c in enumerate(row[j]):
+                    if c:
+                        out[k] += s * c
+        return out
 
     def check_jacobi(self):
-        """Exact Jacobi residual check on all basis triples."""
-        d = self.dim
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    a, b, c = self.basis[i], self.basis[j], self.basis[k]
-                    s = mat_sub(commutator(commutator(a, b), c),
-                                mat_sub(commutator(a, commutator(b, c)),
-                                        commutator(b, commutator(a, c))))
-                    if any(x != 0 for row in s for x in row):
-                        raise AssertionError(
-                            f"{self.name}: Jacobi fails on triple {i},{j},{k}")
+        """Exact Jacobi identity of the structure constants on all triples.
+
+        Every matrix commutator satisfies Jacobi, so the check is made on the
+        extracted constants, where it tests the coordinate extraction.
+        """
+        struct = self.structure_constants()
+        unit = identity(self.dim)
+        for i, j, k in combinations(range(self.dim), 3):
+            s = [a + b + c for a, b, c in zip(
+                self.bracket(struct[i][j], unit[k]),
+                self.bracket(struct[j][k], unit[i]),
+                self.bracket(struct[k][i], unit[j]))]
+            if any(s):
+                raise AssertionError(
+                    f"{self.name}: Jacobi fails on triple {i},{j},{k}")
         return True
 
-    def trace_form(self):
-        """Gram matrix of <X, Y> = -tr(XY) on the basis."""
-        d = self.dim
+    @cached_property
+    def _trace_form(self):
+        d, n = self.dim, self.size
         g = [[Fraction(0)] * d for _ in range(d)]
-        for i in range(d):
+        for i, x in enumerate(self.basis):
             for j in range(i, d):
-                v = -trace(mat_mul(self.basis[i], self.basis[j]))
+                y = self.basis[j]
+                v = -sum((xa[b] * y[b][a] for a, xa in enumerate(x)
+                          for b in range(n) if xa[b]), Fraction(0))
                 g[i][j] = v
                 g[j][i] = v
         return g
+
+    def trace_form(self):
+        """Gram matrix of <X, Y> = -tr(XY) on the basis."""
+        return self._trace_form
 
 
 # ---------------------------------------------------------------------------
@@ -211,48 +232,53 @@ def diag_torus_su(n, weights):
     return creal(_czero(n), b)
 
 
+def sp_matrix(a_re, a_im, b_re, b_im):
+    """Real 4n x 4n element [[A, B], [-conj B, conj A]] of sp(n).
+
+    A = a_re + i a_im and B = b_re + i b_im are n x n; the 2n x 2n complex
+    matrix is assembled, then expanded by `creal`.
+    """
+    n = len(a_re)
+    m_re = _czero(2 * n)
+    m_im = _czero(2 * n)
+    for p in range(n):
+        for q in range(n):
+            m_re[p][q] = a_re[p][q]
+            m_im[p][q] = a_im[p][q]
+            m_re[p][n + q] = b_re[p][q]
+            m_im[p][n + q] = b_im[p][q]
+            m_re[n + p][q] = -b_re[p][q]
+            m_im[n + p][q] = b_im[p][q]
+            m_re[n + p][n + q] = a_re[p][q]
+            m_im[n + p][n + q] = -a_im[p][q]
+    return creal(m_re, m_im)
+
+
 def sp_basis(n):
     """Real 4n x 4n basis of sp(n) in the form [[A, B], [-conj B, conj A]].
 
     A runs over u(n), B over complex symmetric matrices; dim = n(2n + 1).
     """
     out = []
-
-    def emit(a_re, a_im, b_re, b_im):
-        # assemble the 2n x 2n complex matrix, then expand
-        m_re = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-        m_im = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-        for p in range(n):
-            for q in range(n):
-                m_re[p][q] = a_re[p][q]
-                m_im[p][q] = a_im[p][q]
-                m_re[p][n + q] = b_re[p][q]
-                m_im[p][n + q] = b_im[p][q]
-                m_re[n + p][q] = -b_re[p][q]
-                m_im[n + p][q] = b_im[p][q]
-                m_re[n + p][n + q] = a_re[p][q]
-                m_im[n + p][n + q] = -a_im[p][q]
-        out.append(creal(m_re, m_im))
-
     z = _czero(n)
     for p in range(n):
         d = _czero(n)
         d[p][p] = Fraction(1)
-        emit(z, d, z, z)      # i a_p diagonal
-        emit(z, z, d, z)      # B = E_pp
-        emit(z, z, z, d)      # B = i E_pp
+        out.append(sp_matrix(z, d, z, z))      # i a_p diagonal
+        out.append(sp_matrix(z, z, d, z))      # B = E_pp
+        out.append(sp_matrix(z, z, z, d))      # B = i E_pp
     for p in range(n):
         for q in range(p + 1, n):
             a = _czero(n)
             a[p][q] = Fraction(1)
             a[q][p] = Fraction(-1)
-            emit(a, z, z, z)
+            out.append(sp_matrix(a, z, z, z))
             b = _czero(n)
             b[p][q] = Fraction(1)
             b[q][p] = Fraction(1)
-            emit(z, b, z, z)
-            emit(z, z, b, z)
-            emit(z, z, z, b)
+            out.append(sp_matrix(z, b, z, z))
+            out.append(sp_matrix(z, z, b, z))
+            out.append(sp_matrix(z, z, z, b))
     return out
 
 
@@ -270,18 +296,14 @@ def torus_basis(k):
 
 def product_algebra(name, factors):
     """Block-diagonal product; basis order follows the factor order."""
-    sizes = [f.size for f in factors]
-    total = sum(sizes)
+    total = sum(f.size for f in factors)
     basis = []
     off = 0
     for f in factors:
         for b in f.basis:
             basis.append(_embed_block(b, total, off))
         off += f.size
-    alg = MatrixLieAlgebra(name=name, basis=basis)
-    alg.factor_sizes = sizes
-    alg.factor_dims = [f.dim for f in factors]
-    return alg
+    return MatrixLieAlgebra(name=name, basis=basis)
 
 
 def structure_dump(alg: MatrixLieAlgebra) -> dict:
@@ -341,24 +363,44 @@ def build_algebra(name: str) -> MatrixLieAlgebra:
 # isotropy modules
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class IsotropyModule:
     """h-action on the reductive complement V, with finite generators.
 
-    `action[k]` is the matrix of ad(h_k) on V in the V-basis; `gram` is the
-    restricted invariant inner product; `brackets[(i, j)]` is the V-part of
-    [v_i, v_j] (the structure constants of the invariant complex).
+    A frozen value: no field is reassigned, and the matrices the fields
+    hold are shared, never mutated.  `action[k]` is the matrix of ad(h_k) on
+    V in the V-basis; `gram` is the restricted invariant inner product;
+    `brackets[(i, j)]` is the V-part of [v_i, v_j] (the structure constants
+    of the invariant complex).  `h_coords` and `V_coords` are the bases of h
+    and V in the coordinates of the ambient algebra, which is None (and both
+    bases empty) for representation-level entries.  `generators` holds the
+    accepted (name, V-matrix) pairs, `pending_generators` the
+    (name, ambient matrix, expectation) triples that are checked, not
+    included.
     """
 
     label: str
     dimV: int
     action: list
     gram: list
-    generators: list = field(default_factory=list)  # (name, matrix) accepted
     brackets: dict = field(default_factory=dict)
-    h_dim: int = 0
-    ambient: object = None
-    V_ambient: list = field(default_factory=list)
+    h_coords: list = field(default_factory=list)
+    V_coords: list = field(default_factory=list)
+    generators: tuple = ()
+    pending_generators: tuple = ()
+    ambient: MatrixLieAlgebra = None
+
+    @property
+    def h_dim(self):
+        return len(self.action)
+
+    @cached_property
+    def d_one_forms(self):
+        """d(e^l) = -sum_{i<j} c^l_ij e^i ^ e^j as 2-forms, l = 1..dimV."""
+        return [KForm.make(self.dimV, 2,
+                           [((i + 1, j + 1), -c[l])
+                            for (i, j), c in self.brackets.items() if c[l]])
+                for l in range(self.dimV)]
 
     def kernel_dim(self):
         """dim of {X in h : ad(X)|V = 0} -- must be 0 for effective entries."""
@@ -368,80 +410,67 @@ class IsotropyModule:
         return len(nullspace(transpose(mat(cols))))
 
 
-def reductive_complement(g: MatrixLieAlgebra, h_elements, generators=(),
+def reductive_complement(g: MatrixLieAlgebra, h_elements,
                          label="") -> IsotropyModule:
     """Split g = h + V orthogonally for -tr(XY) and assemble the module.
 
-    Raises when the trace form is not definite, when h is not a subalgebra,
-    or when a generator fails to normalize the pair; [h, V] subset V is
-    asserted exactly.
+    Only the coordinates of the h elements are read from ambient matrices;
+    every bracket comes from the structure constants.  Raises when the trace
+    form is not definite or h is not a subalgebra; [h, V] subset V and the
+    representation property of the action are asserted exactly.
     """
     gram_g = g.trace_form()
-    minors = _definite_check(gram_g)
-    if not minors:
+    if not _definite_check(gram_g):
         raise ValueError(f"{g.name}: invariant trace form is not definite")
     hmat = [g.coords(x) for x in h_elements]
     if any(c is None for c in hmat):
         raise ValueError("subalgebra element outside the ambient algebra")
     if hmat and rank(hmat) != len(hmat):
         raise ValueError("subalgebra basis is linearly dependent")
-    for i in range(len(h_elements)):
-        for j in range(i + 1, len(h_elements)):
-            br = commutator(h_elements[i], h_elements[j])
-            if not in_span_matrices(h_elements, br):
-                raise ValueError("h is not closed under the bracket")
     # V = trace-form orthogonal complement of h
-    if hmat:
-        vvecs = nullspace(mat_mul(hmat, gram_g))
-    else:
-        vvecs = [row[:] for row in identity(g.dim)]
+    vvecs = nullspace(mat_mul(hmat, gram_g)) if hmat else identity(g.dim)
     dimv = len(vvecs)
-    v_ambient = [g.element(v) for v in vvecs]
-    # change of basis g-coords -> (h | V) components
-    cb = inverse(transpose(mat(hmat + vvecs))) if hmat else \
-        inverse(transpose(mat(vvecs)))
     hdim = len(hmat)
+    # change of basis g-coords -> (h | V) components
+    cb = inverse(transpose(mat(hmat + vvecs)))
 
-    def split(xcoords):
-        y = mat_vec(cb, xcoords)
-        return y[:hdim], y[hdim:]
+    def split(x, y):
+        z = mat_vec(cb, g.bracket(x, y))
+        return z[:hdim], z[hdim:]
 
+    h_brackets = {}
+    for i in range(hdim):
+        for j in range(i + 1, hdim):
+            hpart, vpart = split(hmat[i], hmat[j])
+            if any(vpart):
+                raise ValueError("h is not closed under the bracket")
+            h_brackets[(i, j)] = hpart
     action = []
-    for he in h_elements:
+    for x in hmat:
         cols = []
-        for ve in v_ambient:
-            hpart, vpart = split(g.coords(commutator(he, ve)))
-            if any(x != 0 for x in hpart):
+        for v in vvecs:
+            hpart, vpart = split(x, v)
+            if any(hpart):
                 raise AssertionError("[h, V] escaped V; trace form broken?")
             cols.append(vpart)
         action.append(transpose(cols))
-    brackets = {}
-    for i in range(dimv):
-        for j in range(i + 1, dimv):
-            _, vpart = split(g.coords(commutator(v_ambient[i], v_ambient[j])))
-            brackets[(i, j)] = vpart
+    brackets = {(i, j): split(vvecs[i], vvecs[j])[1]
+                for i in range(dimv) for j in range(i + 1, dimv)}
     gram_v = [[sum(vvecs[i][a] * gram_g[a][b] * vvecs[j][b]
                    for a in range(g.dim) for b in range(g.dim))
                for j in range(dimv)] for i in range(dimv)]
-    mod = IsotropyModule(label=label, dimV=dimv, action=action, gram=gram_v,
-                         brackets=brackets, h_dim=hdim, ambient=g,
-                         V_ambient=v_ambient)
-    mod.h_ambient = list(h_elements)
-    mod.V_coords = vvecs
-    for name, fmat in generators:
-        mod.generators.append((name, generator_v_matrix(g, hmat, vvecs, fmat)))
-    # representation property of the isotropy action
-    _check_rep_property(h_elements, action, g)
-    return mod
-
-
-def in_span_matrices(mats, x):
-    a = transpose([_flatten(m) for m in mats])
-    return solve(a, _flatten(x)) is not None
+    _check_rep_property(action, h_brackets)
+    return IsotropyModule(label=label, dimV=dimv, action=action, gram=gram_v,
+                          brackets=brackets, h_coords=hmat, V_coords=vvecs,
+                          ambient=g)
 
 
 def generator_v_matrix(g, hmat, vvecs, fmat):
-    """V-matrix of Ad_F for an ambient group element F; exact, validated."""
+    """V-matrix of Ad_F for an ambient group element F; exact, validated.
+
+    F exists only as an ambient matrix, so Ad_F is read off the conjugated
+    basis matrices.
+    """
     finv = inverse(mat(fmat))
     imgs = []
     for b in g.basis:
@@ -468,22 +497,18 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
     return transpose(cols)
 
 
-def _check_rep_property(h_elements, action, g):
-    n = len(h_elements)
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = commutator(h_elements[i], h_elements[j])
-            coeffs = solve(transpose([_flatten(x) for x in h_elements]),
-                           _flatten(br))
-            lhs = mat_sub(mat_mul(action[i], action[j]),
-                          mat_mul(action[j], action[i]))
-            rhs = [[Fraction(0)] * len(lhs) for _ in range(len(lhs))]
-            for c, a in zip(coeffs, action):
-                if c:
-                    rhs = [[r + c * x for r, x in zip(rr, aa)]
-                           for rr, aa in zip(rhs, a)]
-            if lhs != rhs:
-                raise AssertionError("isotropy action violates the brackets")
+def _check_rep_property(action, h_brackets):
+    """[rho(h_i), rho(h_j)] = rho([h_i, h_j]) from each bracket's h-coords."""
+    for (i, j), coeffs in h_brackets.items():
+        lhs = mat_sub(mat_mul(action[i], action[j]),
+                      mat_mul(action[j], action[i]))
+        rhs = [[Fraction(0)] * len(lhs) for _ in range(len(lhs))]
+        for c, a in zip(coeffs, action):
+            if c:
+                rhs = [[r + c * x for r, x in zip(rr, aa)]
+                       for rr, aa in zip(rhs, a)]
+        if lhs != rhs:
+            raise AssertionError("isotropy action violates the brackets")
 
 
 def _definite_check(gram):
@@ -507,8 +532,7 @@ def module_from_action(label, action, gram=None) -> IsotropyModule:
         gram = sols[0]
         d = gram[0][0]
         gram = [[x / d for x in row] for row in gram]
-    return IsotropyModule(label=label, dimV=dimv, action=action, gram=gram,
-                          h_dim=len(action))
+    return IsotropyModule(label=label, dimV=dimv, action=action, gram=gram)
 
 
 # ---------------------------------------------------------------------------
@@ -570,33 +594,27 @@ def _invariant_symmetric_forms(action, generators, n=None):
     return out
 
 
-def lambda3_action_matrix(a, dim=7):
-    """Matrix of the infinitesimal action on Lambda^3 coefficients."""
-    idxs = list(combinations(range(1, dim + 1), 3))
-    cols = [algebra_action(a, KForm.basis(dim, *idx)).coefficient_vector()
-            for idx in idxs]
-    return transpose(cols)
-
-
-def lambda_k_pullback_matrix(f, k, dim=7):
-    idxs = list(combinations(range(1, dim + 1), k))
-    cols = [pullback(f, KForm.basis(dim, *idx)).coefficient_vector()
-            for idx in idxs]
-    return transpose(cols)
+def invariant_kforms(m: IsotropyModule, k):
+    """Exact basis of the invariant k-forms on V."""
+    n = m.dimV
+    if k == 0:
+        return [KForm.make(n, 0, [((), 1)])]
+    mats = [lambda_k_action_matrix(a, k, n) for a in m.action]
+    for _, f in m.generators:
+        p = lambda_k_pullback_matrix(f, k, n)
+        mats.append(mat_sub(p, identity(len(p))))
+    if not mats:
+        return [KForm.basis(n, *idx)
+                for idx in combinations(range(1, n + 1), k)]
+    vecs = intersect_nullspaces(mats)
+    return [KForm.from_coefficient_vector(n, k, v) for v in vecs]
 
 
 def invariant_3forms(m: IsotropyModule):
     """Exact basis of the invariant 3-forms on V (as KForms, dim 7)."""
     if m.dimV != 7:
         raise ValueError("invariant 3-forms require dim V = 7")
-    mats = [lambda3_action_matrix(a) for a in m.action]
-    for _, f in m.generators:
-        p = lambda_k_pullback_matrix(f, 3)
-        mats.append(mat_sub(p, identity(35)))
-    vecs = intersect_nullspaces(mats) if mats else \
-        [[Fraction(1) if t == s else Fraction(0) for t in range(35)]
-         for s in range(35)]
-    return [KForm.from_coefficient_vector(7, 3, v) for v in vecs]
+    return invariant_kforms(m, 3)
 
 
 def invariant_dims(m: IsotropyModule) -> InvariantDims:
@@ -807,18 +825,6 @@ class ScanConfig:
     seed: int = 0
 
 
-def _primitive_int_vector(vec):
-    denl = 1
-    for c in vec:
-        c = frac(c)
-        denl = denl * c.denominator // math.gcd(denl, c.denominator)
-    ints = [int(frac(c) * denl) for c in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    return [x // g for x in ints] if g > 1 else ints
-
-
 def _ray_grid(d, budget):
     """Deterministic projective grid of integer direction vectors."""
     if d == 1:
@@ -882,7 +888,7 @@ def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
         report.update(has_definite=True, has_indefinite=True, samples=2,
                       note="full family; reference forms are witnesses")
         return report
-    bvecs = [_primitive_int_vector(f.coefficient_vector()) for f in basis]
+    bvecs = [primitive_int_vector(f.coefficient_vector()) for f in basis]
 
     def sample_vec(coeffs):
         return [sum(c * bv[k] for c, bv in zip(coeffs, bvecs))

@@ -24,25 +24,12 @@ def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def zeros(r, c):
-    return [[ZERO] * c for _ in range(r)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    c = frac(c)
-    return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -56,10 +43,6 @@ def mat_vec(a, v):
 
 def trace(a):
     return sum(a[i][i] for i in range(len(a)))
-
-
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
 
 
 def commutator(a, b):
@@ -127,18 +110,6 @@ def solve(a, b):
     for i, pc in enumerate(pivots):
         x[pc] = r[i][cols]
     return x
-
-
-def solve_matrix(a, bs):
-    """Solve a x = b for each column b of bs; None if any is inconsistent."""
-    cols_b = len(bs[0])
-    sols = []
-    for j in range(cols_b):
-        x = solve(a, [row[j] for row in bs])
-        if x is None:
-            return None
-        sols.append(x)
-    return transpose(sols)
 
 
 def inverse(a):
@@ -238,14 +209,6 @@ def leading_principal_minors(b):
                 m[i][j] = num // prev if exact_int else num / prev
         prev = piv
     return minors
-
-
-def in_span(vectors, v):
-    """Is v in the span of `vectors` (each a rational vector)?"""
-    if not vectors:
-        return all(x == 0 for x in v)
-    a = transpose(mat(vectors))
-    return solve(a, v) is not None
 
 
 def span_basis(vectors):

@@ -1,8 +1,8 @@
 """Exact exterior algebra on R^n for small n (n <= 8 in practice).
 
 A k-form is stored sparsely as a map from strictly increasing 1-based index
-tuples to rational coefficients.  All operations are pure and exact; values
-are immutable by convention (never mutate ``terms`` after construction).
+tuples to rational coefficients.  All operations are pure and exact; forms
+are immutable and hashable (``terms`` is a read-only view).
 
 The top exterior power is identified with scalars through the basis form
 e^1 ^ ... ^ e^n, so "volume-valued" quantities are returned as the
@@ -12,9 +12,9 @@ coefficient with respect to that form.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-import json
+from types import MappingProxyType
 
-from .linalg import frac, mat
+from .linalg import frac, mat, transpose
 
 
 def sort_index(idx):
@@ -43,6 +43,8 @@ class KForm:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # the dict handed in becomes the form's own; callers build it fresh
+        object.__setattr__(self, "terms", MappingProxyType(self.terms))
         if self.degree < 0 or (self.degree > self.dim and self.terms):
             # the zero form of degree > dim is tolerated as a wedge result
             raise ValueError(f"degree {self.degree} out of range for dim {self.dim}")
@@ -94,7 +96,7 @@ class KForm:
 
     def __add__(self, other):
         self._check_match(other)
-        terms = dict(self.terms)
+        terms = self.terms.copy()
         for k, v in other.terms.items():
             acc = terms.get(k, Fraction(0)) + v
             if acc == 0:
@@ -125,8 +127,12 @@ class KForm:
         return (isinstance(other, KForm) and self.dim == other.dim
                 and self.degree == other.degree and self.terms == other.terms)
 
-    def norm1(self):
-        return sum(abs(c) for c in self.terms.values())
+    def __hash__(self):
+        return hash((self.dim, self.degree, frozenset(self.terms.items())))
+
+    def __reduce__(self):
+        # the read-only view does not pickle; rebuild from a plain dict
+        return KForm, (self.dim, self.degree, self.terms.copy())
 
     def dot(self, other):
         """Coefficient dot product in the sorted-tuple basis."""
@@ -181,14 +187,6 @@ def wedge(a: KForm, b: KForm) -> KForm:
             else:
                 out[key] = acc
     return KForm(a.dim, deg, out)
-
-
-def wedge_all(forms):
-    it = iter(forms)
-    acc = next(it)
-    for f in it:
-        acc = wedge(acc, f)
-    return acc
 
 
 def interior(v, a: KForm) -> KForm:
@@ -293,6 +291,20 @@ def algebra_action(m, a: KForm) -> KForm:
     return KForm(n, a.degree, out)
 
 
+def lambda_k_action_matrix(a, k, dim=7):
+    """Matrix of the infinitesimal action of a on Lambda^k coefficients."""
+    cols = [algebra_action(a, KForm.basis(dim, *idx)).coefficient_vector()
+            for idx in combinations(range(1, dim + 1), k)]
+    return transpose(cols)
+
+
+def lambda_k_pullback_matrix(f, k, dim=7):
+    """Matrix of the pullback along f on Lambda^k coefficients."""
+    cols = [pullback(f, KForm.basis(dim, *idx)).coefficient_vector()
+            for idx in combinations(range(1, dim + 1), k)]
+    return transpose(cols)
+
+
 def form_to_json(a: KForm) -> dict:
     """JSON object for a form: exact rational coefficient strings."""
     return {
@@ -312,8 +324,3 @@ def form_from_json(obj) -> KForm:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed form object: {exc}") from exc
     return KForm.make(dim, degree, items)
-
-
-def load_form(path) -> KForm:
-    with open(path) as fh:
-        return form_from_json(json.load(fh))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .linalg import frac, inverse, mat_mul, nullspace
-from .multilinear import KForm, algebra_action
+from .multilinear import KForm, lambda_k_action_matrix
 from .stable_forms import PHI, PHITILDE
 
 _QTABLE = {
@@ -160,13 +160,7 @@ def invariant_3form_ray(derivations):
     """The 3-form ray annihilated by every derivation (normalized)."""
     mats = []
     for d in derivations:
-        cols = []
-        from itertools import combinations
-
-        for idx in combinations(range(1, 8), 3):
-            cols.append(algebra_action(d, KForm.basis(7, *idx)).coefficient_vector())
-        # action matrix: 35x35, columns indexed by source basis form
-        mats.extend([[cols[u][e] for u in range(35)] for e in range(35)])
+        mats.extend(lambda_k_action_matrix(d, 3, 7))
     forms = nullspace(mats)
     if len(forms) != 1:
         raise AssertionError(f"invariant ray is {len(forms)}-dimensional")

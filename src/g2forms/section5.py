@@ -17,10 +17,11 @@ from .homogeneous import (bare_complex, build_complex,
                           invariant_2form_analysis, nearly_parallel_check,
                           nearly_parallel_rays)
 from .liealg import (IsotropyModule, MatrixLieAlgebra, build_algebra,
-                     invariant_3forms, product_algebra, _embed_block)
-from .linalg import nullspace, transpose
-from .multilinear import KForm, algebra_action, form_to_json
-from .stable_forms import (PHI, PHITILDE, Orbit3Class, annihilator_g2,
+                     invariant_3forms, invariant_kforms, module_from_action,
+                     product_algebra, _embed_block)
+from .linalg import identity, transpose
+from .multilinear import KForm, form_to_json
+from .stable_forms import (PHI, PHITILDE, Orbit3Class, annihilator_of_form,
                            classify3, metric_from_4form, star_euclidean)
 
 
@@ -279,23 +280,9 @@ def _coclosed_grid(mod, basis, grid):
 
 def _so4_module() -> IsotropyModule:
     """The joint annihilator of both reference forms acting on R^7."""
-    g2 = annihilator_g2()
-    rows = []
-    for target in (PHI, PHITILDE):
-        cols = []
-        for r in range(7):
-            for c in range(7):
-                unit = [[Fraction(0)] * 7 for _ in range(7)]
-                unit[r][c] = Fraction(1)
-                cols.append(algebra_action(unit, target).coefficient_vector())
-        rows.extend([[cols[u][e] for u in range(49)] for e in range(35)])
-    basis = nullspace(rows)
-    mats = [[[v[7 * r + c] for c in range(7)] for r in range(7)]
-            for v in basis]
-    from .linalg import identity
-
-    return IsotropyModule(label="so(4) block stabilizer", dimV=7,
-                          action=mats, gram=identity(7), h_dim=len(mats))
+    return module_from_action("so(4) block stabilizer",
+                              annihilator_of_form(PHI, PHITILDE),
+                              gram=identity(7))
 
 
 def example_429_report(npoints=20, seed=0) -> dict:
@@ -317,8 +304,6 @@ def example_429_report(npoints=20, seed=0) -> dict:
     claims.append(_claim("block stabilizer dimension", 6, mod.h_dim))
     inv3 = invariant_3forms(mod)
     claims.append(_claim("invariant 3-form family dimension", 2, len(inv3)))
-    from .homogeneous import invariant_kforms
-
     inv4 = invariant_kforms(mod, 4)
     claims.append(_claim("invariant 4-form family dimension", 2, len(inv4)))
     psi1 = KForm.basis(7, 4, 5, 6, 7)

@@ -149,12 +149,16 @@ def hitchin_bilinear(t: KForm) -> HitchinData:
     return HitchinData(B=bq, detB=det(bq), signature=symmetric_signature(bq))
 
 
-def _integerize(coeffs):
-    denlcm = 1
-    for c in coeffs:
-        c = frac(c)
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    return [int(frac(c) * denlcm) for c in coeffs]
+def primitive_int_vector(vec):
+    """The primitive integer vector on the ray of a rational vector.
+
+    Clears denominators and divides out the content; the positive scaling
+    changes neither a classification nor the ray a scan sample lies on.
+    """
+    den = math.lcm(*(c.denominator for c in vec))
+    ints = [c.numerator * (den // c.denominator) for c in vec]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def classify_coeffs(coeffs) -> Orbit3Class:
@@ -165,7 +169,7 @@ def classify_coeffs(coeffs) -> Orbit3Class:
     that is not definite lies in the indefinite orbit, there being exactly
     two open orbits.
     """
-    ints = _integerize(coeffs)
+    ints = primitive_int_vector(coeffs)
     if all(c == 0 for c in ints):
         return Orbit3Class.DEGENERATE
     b = hitchin_matrix(ints)
@@ -385,19 +389,21 @@ def classification_report(t: KForm) -> dict:
 # module decompositions under the annihilator algebra of PHI
 # ---------------------------------------------------------------------------
 
-def annihilator_of_form(t: KForm):
-    """Basis of {A in gl(R^n) : algebra_action(A, t) = 0}, exact."""
-    from .linalg import nullspace
+def annihilator_of_form(*forms: KForm):
+    """Basis of {A in gl(R^n) : algebra_action(A, t) = 0 for all t}, exact."""
+    from .linalg import nullspace, transpose
     from .multilinear import algebra_action
 
-    n = t.dim
-    cols = []
-    for r in range(n):
-        for c in range(n):
-            unit = [[Fraction(0)] * n for _ in range(n)]
-            unit[r][c] = Fraction(1)
-            cols.append(algebra_action(unit, t).coefficient_vector())
-    rows = [[cols[u][e] for u in range(n * n)] for e in range(len(cols[0]))]
+    n = forms[0].dim
+    rows = []
+    for t in forms:
+        cols = []
+        for r in range(n):
+            for c in range(n):
+                unit = [[Fraction(0)] * n for _ in range(n)]
+                unit[r][c] = Fraction(1)
+                cols.append(algebra_action(unit, t).coefficient_vector())
+        rows.extend(transpose(cols))
     basis = nullspace(rows)
     return [[[v[n * r + c] for c in range(n)] for r in range(n)]
             for v in basis]

@@ -68,6 +68,15 @@ def test_catalog_verify_with_params():
     assert code == 0
 
 
+def test_catalog_verify_refuses_unshipped_params():
+    # another instance's expectations do not apply to (2, 3)
+    code, out, err = run_cli("catalog", "verify", "--case", "3biii",
+                             "--params", "2,3")
+    assert code == 2
+    assert out == ""
+    assert "shipped params: 1,3; 1,-3" in err
+
+
 def test_catalog_unknown_case_exit_2():
     code, _, err = run_cli("catalog", "verify", "--case", "A9")
     assert code == 2

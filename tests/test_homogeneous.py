@@ -5,7 +5,7 @@ import pytest
 from g2forms import section5
 from g2forms.catalog import build_entry
 from g2forms.homogeneous import (bare_complex, build_complex, cartan_3form,
-                                 cartan_3form_restricted, ce_differential,
+                                 ce_differential,
                                  coclosed_check, coclosed_stable_family_dim,
                                  complex_ranks, closed_stable_scan,
                                  exact_primitive, invariant_2form_analysis,
@@ -50,23 +50,40 @@ def test_closed_one_forms(su2t4):
 def test_cartan_3form_closed_and_alternating():
     for name in ("su(2)", "su(3)"):
         alg = build_algebra(name)
-        om = cartan_3form(alg)
+        mod = bare_complex(alg)
+        om = cartan_3form(mod)
         assert not om.is_zero()
         comp = build_complex(bare_complex(alg)) if alg.dim <= 8 else None
-        mod = bare_complex(alg)
         assert ce_differential(mod, om).is_zero()
     t4 = build_algebra("t(4)")
-    assert cartan_3form(t4).is_zero()
+    assert cartan_3form(bare_complex(t4)).is_zero()
 
 
 def test_su2_cartan_is_volume_multiple():
-    om = cartan_3form(build_algebra("su(2)"))
+    om = cartan_3form(bare_complex(build_algebra("su(2)")))
     assert list(om.terms) == [(1, 2, 3)]
 
 
 def test_case1_cartan_restriction_nonzero():
     mod = build_entry("1")
-    assert not cartan_3form_restricted(mod).is_zero()
+    assert not cartan_3form(mod).is_zero()
+
+
+def test_cartan_3form_is_the_ambient_trace_form():
+    # <X, [Y, Z]> = -tr(X [Y, Z]) on the ambient matrices spanning V
+    from itertools import combinations
+
+    from g2forms.linalg import commutator, mat_mul, trace
+
+    mod = build_entry("1")
+    g = mod.ambient
+    vs = [[[sum(c * b[r][s] for c, b in zip(v, g.basis))
+            for s in range(g.size)] for r in range(g.size)]
+          for v in mod.V_coords]
+    om = cartan_3form(mod)
+    for i, j, k in combinations(range(mod.dimV), 3):
+        assert om.coeff(i + 1, j + 1, k + 1) == \
+            -trace(mat_mul(vs[i], commutator(vs[j], vs[k])))
 
 
 def test_rank_chain_exact(su2t4):
@@ -191,7 +208,7 @@ def test_d_image_of_the_family_is_two_dimensional():
     basis = invariant_3forms(mod)
     assert rank([ce_differential(mod, f).coefficient_vector()
                  for f in basis]) == 2
-    om = cartan_3form_restricted(mod)
+    om = cartan_3form(mod)
     assert not ce_differential(mod, om).is_zero()
 
 

@@ -36,6 +36,16 @@ def test_jacobi_exact(name):
     build_algebra(name).check_jacobi()
 
 
+def test_jacobi_detects_a_corrupted_structure_constant():
+    alg = build_algebra("su(3)")
+    struct = alg.structure_constants()
+    k = next(k for k, c in enumerate(struct[0][1]) if c)
+    struct[0][1][k] += 1
+    struct[1][0][k] -= 1
+    with pytest.raises(AssertionError, match="Jacobi fails"):
+        alg.check_jacobi()
+
+
 @pytest.mark.parametrize("name", ["su(3)", "sp(2)"])
 def test_trace_form_invariance(name):
     alg = build_algebra(name)
@@ -46,6 +56,17 @@ def test_trace_form_invariance(name):
         # <[X,Y], Z> + <Y, [X,Z]> = 0 for <A,B> = -tr(AB)
         assert trace(mat_mul(commutator(x, y), z)) \
             + trace(mat_mul(y, commutator(x, z))) == 0
+
+
+def test_built_module_is_frozen():
+    import dataclasses
+
+    mod = build_entry("2ai")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mod.label = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mod.pending_generators = ()
+    assert mod.h_dim == len(mod.action) == len(mod.h_coords) == 3
 
 
 def test_trivial_complement():

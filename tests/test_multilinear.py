@@ -159,6 +159,19 @@ def test_make_normalizes_order_and_sign():
     assert b.is_zero()
 
 
+def test_forms_are_hashable_values():
+    a = KForm.make(7, 3, [((3, 1, 2), 2), ((4, 5, 6), Fraction(1, 3))])
+    b = KForm.make(7, 3, [((4, 5, 6), Fraction(1, 3)), ((1, 2, 3), 2)])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, 2 * w(7, 1, 2, 3)}) == 2
+    assert hash(KForm.make(7, 3, [((1, 2, 3), 1)])) == hash(w(7, 1, 2, 3))
+    with pytest.raises(TypeError):
+        a.terms[(1, 2, 3)] = 0
+    import pickle
+
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
 def test_wedge_commutativity_hypothesis(s1, s2):
