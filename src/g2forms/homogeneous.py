@@ -9,7 +9,8 @@ d^2 = 0 holds on invariant forms and is asserted, not assumed.
 Ranks and kernels are exact.  Anything that passes through the Hodge star
 of an induced metric (nearly-parallel residuals, coclosedness) is float
 with a 1e-9 relative tolerance, except when the induced metric is exactly
-the identity, where the exact star is used instead.
+the identity, where the exact star is used instead.  That test is exact:
+g = I holds exactly when the Hitchin matrix is B = +-6 I.
 """
 
 import math
@@ -20,8 +21,8 @@ from itertools import combinations
 from .linalg import identity, mat, mat_mul, nullspace, rank, solve, transpose
 from .liealg import IsotropyModule, MatrixLieAlgebra, invariant_kforms
 from .multilinear import KForm, algebra_action, pullback, sort_index
-from .stable_forms import (KFormF, Orbit3Class, classify3, hodge_star,
-                           metric_from_3form, star_euclidean)
+from .stable_forms import (_METRIC_CONST, Orbit3Class, classify3,
+                           hitchin_matrix, hodge_star, star_euclidean)
 
 
 def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
@@ -71,22 +72,12 @@ def is_invariant(m: IsotropyModule, a: KForm) -> bool:
     return True
 
 
-def ce_differential(m: IsotropyModule, a):
-    """Exterior differential of an invariant form on V.
-
-    Exact KForm input must be invariant (checked); float input (downstream
-    of the Hodge star) is differentiated without the invariance assertion.
-    """
-    de1 = m.d_one_forms
-    if isinstance(a, KForm):
-        if not is_invariant(m, a):
-            raise ValueError("form is not invariant; differential undefined")
-        terms = _diff_terms(a.terms, de1)
-        return KForm(m.dimV, a.degree + 1,
-                     {k: v for k, v in terms.items() if v != 0})
-    terms = _diff_terms(a.terms, de1)
-    return KFormF(a.dim, a.degree + 1,
-                  {k: float(v) for k, v in terms.items() if float(v) != 0.0})
+def ce_differential(m: IsotropyModule, a: KForm) -> KForm:
+    """Exterior differential of an invariant form on V (exact; invariance
+    is checked)."""
+    if not is_invariant(m, a):
+        raise ValueError("form is not invariant; differential undefined")
+    return KForm(m.dimV, a.degree + 1, _diff_terms(a.terms, m.d_one_forms))
 
 
 def cartan_3form(m: IsotropyModule) -> KForm:
@@ -185,6 +176,8 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
     Flat input (d t = 0) reports torsion-free, never nearly parallel: the
     defining equation requires lambda != 0.
     """
+    import numpy as np
+
     orbit = classify3(t)
     if orbit is Orbit3Class.DEGENERATE:
         raise ValueError("nearly-parallel check needs a stable form")
@@ -194,9 +187,9 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
                                     is_nearly_parallel=False,
                                     torsion_free=True, orbit=orbit.value)
     st = hodge_star(t, t)
-    dtf = KFormF.from_exact(dt)
-    lam = dtf.dot(st) / st.dot(st)
-    res = dtf.minus(st.scaled(lam)).norm() / dtf.norm()
+    dtv = np.array(dt.coefficient_vector(), dtype=float)
+    lam = float(dtv @ st / (st @ st))
+    res = float(np.linalg.norm(dtv - lam * st) / np.linalg.norm(dtv))
     return NearlyParallelResult(
         lam=lam, residual=res,
         is_nearly_parallel=bool(res <= NEARLY_PARALLEL_TOL and abs(lam) > NEARLY_PARALLEL_TOL),
@@ -204,21 +197,30 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
 
 
 def _metric_is_identity(t: KForm) -> bool:
-    g, _ = metric_from_3form(t)
-    return max(abs(g[i][j] - (1.0 if i == j else 0.0))
-               for i in range(len(g)) for j in range(len(g))) < 1e-12
+    """g = I exactly: g = sign(det B) B / (6^(2/9) |det B|^(1/9)) is the
+    identity exactly when B = +-6 I."""
+    b = hitchin_matrix(t.coefficient_vector())
+    c = b[0][0]
+    return c in (_METRIC_CONST, -_METRIC_CONST) and all(
+        b[i][j] == (c if i == j else 0) for i in range(7) for j in range(7))
 
 
 def coclosed_check(m: IsotropyModule, t: KForm) -> bool:
-    """Is d(star t) = 0?  Exact when the induced metric is the identity."""
+    """Is d(star t) = 0?  Exact when the induced metric is the identity.
+
+    Otherwise the float star is differentiated as a sparse terms map; the
+    exact `ce_differential` does not take float input.
+    """
+    import numpy as np
+
     if classify3(t) is Orbit3Class.DEGENERATE:
         raise ValueError("coclosedness needs a stable form")
     if m.dimV == 7 and _metric_is_identity(t):
         return ce_differential(m, star_euclidean(t)).is_zero()
     st = hodge_star(t, t)
-    dst = ce_differential(m, st)
-    scale = max(1.0, st.norm())
-    return dst.norm() <= 1e-9 * scale
+    terms = {idx: c for idx, c in zip(combinations(range(1, 8), 4), st) if c}
+    dst = list(_diff_terms(terms, m.d_one_forms).values())
+    return bool(np.linalg.norm(dst) <= 1e-9 * max(1.0, np.linalg.norm(st)))
 
 
 def invariant_2form_analysis(m: IsotropyModule):
@@ -313,6 +315,8 @@ def nearly_parallel_rays(m: IsotropyModule, grid=720):
     rational rays; residual minima are then refined by golden section.
     Returns a list of dicts (coefficients, lambda, residual).
     """
+    import numpy as np
+
     from .liealg import invariant_3forms
 
     basis = invariant_3forms(m)
@@ -323,11 +327,8 @@ def nearly_parallel_rays(m: IsotropyModule, grid=720):
     if len(basis) != 2:
         raise ValueError("ray search implemented for families of dim 1 and 2")
     f1, f2 = basis
-    df1, df2 = ce_differential(m, f1), ce_differential(m, f2)
-    f1f = KFormF.from_exact(f1)
-    f2f = KFormF.from_exact(f2)
-    df1f = KFormF.from_exact(df1)
-    df2f = KFormF.from_exact(df2)
+    df1, df2 = (np.array(ce_differential(m, f).coefficient_vector(),
+                         dtype=float) for f in basis)
 
     def is_definite(theta, digits=9):
         a, b = math.cos(theta), math.sin(theta)
@@ -342,16 +343,16 @@ def nearly_parallel_rays(m: IsotropyModule, grid=720):
         fa = Fraction(round(a * 10 ** 15), 10 ** 15)
         fb = Fraction(round(b * 10 ** 15), 10 ** 15)
         t = fa * f1 + fb * f2
-        dt = KFormF(7, 4, {k: a * df1f.terms.get(k, 0.0) + b * df2f.terms.get(k, 0.0)
-                           for k in set(df1f.terms) | set(df2f.terms)})
-        if dt.norm() == 0.0:
+        dt = a * df1 + b * df2
+        ndt = np.linalg.norm(dt)
+        if ndt == 0.0:
             return 0.0, 0.0
         try:
             st = hodge_star(t, t)
         except ValueError:
             return None
-        lam = dt.dot(st) / st.dot(st)
-        return dt.minus(st.scaled(lam)).norm() / dt.norm(), lam
+        lam = float(dt @ st / (st @ st))
+        return float(np.linalg.norm(dt - lam * st) / ndt), lam
 
     found = []
     thetas = [math.pi * k / grid for k in range(grid)]

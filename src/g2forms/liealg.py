@@ -19,10 +19,12 @@ this resolution" for a negative.
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 
 import sympy
 
@@ -36,6 +38,10 @@ from .stable_forms import Orbit3Class, classify_coeffs, primitive_int_vector
 
 def _flatten(m):
     return [x for row in m for x in row]
+
+
+def _frozen_matrix(m):
+    return tuple(tuple(row) for row in m)
 
 
 @dataclass
@@ -367,28 +373,42 @@ def build_algebra(name: str) -> MatrixLieAlgebra:
 class IsotropyModule:
     """h-action on the reductive complement V, with finite generators.
 
-    A frozen value: no field is reassigned, and the matrices the fields
-    hold are shared, never mutated.  `action[k]` is the matrix of ad(h_k) on
-    V in the V-basis; `gram` is the restricted invariant inner product;
-    `brackets[(i, j)]` is the V-part of [v_i, v_j] (the structure constants
-    of the invariant complex).  `h_coords` and `V_coords` are the bases of h
-    and V in the coordinates of the ambient algebra, which is None (and both
-    bases empty) for representation-level entries.  `generators` holds the
-    accepted (name, V-matrix) pairs, `pending_generators` the
-    (name, ambient matrix, expectation) triples that are checked, not
-    included.
+    A frozen value all the way down: every matrix, generator matrices
+    included, is stored as a tuple of tuples and `brackets` as a read-only
+    mapping of tuples, so neither a field nor what it holds can change.
+    `action[k]` is the matrix of ad(h_k) on V in the V-basis; `gram` is the
+    restricted invariant inner product; `brackets[(i, j)]` is the V-part of
+    [v_i, v_j] (the structure constants of the invariant complex).
+    `h_coords` and `V_coords` are the bases of h and V in the coordinates of
+    the ambient algebra, which is None (and both bases empty) for
+    representation-level entries.  `generators` holds the accepted
+    (name, V-matrix) pairs, `pending_generators` the (name, ambient matrix,
+    expectation) triples that are checked, not included.
     """
 
     label: str
     dimV: int
-    action: list
-    gram: list
-    brackets: dict = field(default_factory=dict)
-    h_coords: list = field(default_factory=list)
-    V_coords: list = field(default_factory=list)
+    action: tuple
+    gram: tuple
+    brackets: Mapping = field(default_factory=dict)
+    h_coords: tuple = ()
+    V_coords: tuple = ()
     generators: tuple = ()
     pending_generators: tuple = ()
     ambient: MatrixLieAlgebra = None
+
+    def __post_init__(self):
+        freeze = object.__setattr__
+        freeze(self, "action", tuple(_frozen_matrix(a) for a in self.action))
+        for name in ("gram", "h_coords", "V_coords"):
+            freeze(self, name, _frozen_matrix(getattr(self, name)))
+        freeze(self, "brackets", MappingProxyType(
+            {ij: tuple(c) for ij, c in self.brackets.items()}))
+        freeze(self, "generators", tuple(
+            (name, _frozen_matrix(f)) for name, f in self.generators))
+        freeze(self, "pending_generators", tuple(
+            (name, _frozen_matrix(f), expect)
+            for name, f, expect in self.pending_generators))
 
     @property
     def h_dim(self):
@@ -397,10 +417,10 @@ class IsotropyModule:
     @cached_property
     def d_one_forms(self):
         """d(e^l) = -sum_{i<j} c^l_ij e^i ^ e^j as 2-forms, l = 1..dimV."""
-        return [KForm.make(self.dimV, 2,
-                           [((i + 1, j + 1), -c[l])
-                            for (i, j), c in self.brackets.items() if c[l]])
-                for l in range(self.dimV)]
+        return tuple(KForm.make(self.dimV, 2,
+                                [((i + 1, j + 1), -c[l])
+                                 for (i, j), c in self.brackets.items() if c[l]])
+                     for l in range(self.dimV))
 
     def kernel_dim(self):
         """dim of {X in h : ad(X)|V = 0} -- must be 0 for effective entries."""

@@ -195,118 +195,50 @@ _METRIC_CONST = 6  # pinned by the phi -> identity-metric oracle
 
 
 def metric_from_3form(t: KForm):
-    """Metric and volume of a stable 3-form (floats; ninth roots appear).
+    """Metric (numpy array) and volume of a stable 3-form; ninth roots appear.
 
-    Normalized so the definite reference form yields the identity metric;
-    the indefinite case is signed so p < q, i.e. signature (3, 4).
+    g = sign(det B) B / (6^(2/9) |det B|^(1/9)), so the definite reference
+    yields the identity metric.  B has signature (7,0), (0,7), (4,3) or
+    (3,4), and det B < 0 exactly for (0,7) and (4,3): the sign makes the
+    definite metric positive and gives the indefinite one signature (3, 4).
     """
-    data = hitchin_bilinear(t)
-    if data.detB == 0:
+    import numpy as np
+
+    b = hitchin_matrix(_coeffs3(t))
+    detb = det(b)
+    if detb == 0:
         raise ValueError("degenerate 3-form has no metric")
-    scale = float(_METRIC_CONST) ** (2.0 / 9.0) * float(abs(data.detB)) ** (1.0 / 9.0)
-    g = [[float(x) / scale for x in row] for row in data.B]
-    if data.signature in ((0, 7), (4, 3)):
-        g = [[-x for x in row] for row in g]
-    volume = math.sqrt(abs(_float_det(g)))
-    return g, volume
-
-
-def _float_det(m):
-    import numpy as np
-
-    return float(np.linalg.det(np.array(m, dtype=float)))
-
-
-def _float_inv(m):
-    import numpy as np
-
-    return np.linalg.inv(np.array(m, dtype=float)).tolist()
-
-
-def _star_with_metric(a: KForm, ginv, volume):
-    """Hodge star of a w.r.t. an inverse metric and volume factor.
-
-    Coefficients come back as floats; pure sign bookkeeping otherwise.
-    star(e^I) = vol * sum_{I'} det(ginv[I, I']) eps(I', comp I') e^{comp I'}.
-    """
-    n = a.dim
-    k = a.degree
-    out = {}
-    ksets = list(combinations(range(1, n + 1), k))
-    full = set(range(1, n + 1))
-    for I, c in a.terms.items():
-        for I2 in ksets:
-            d = _float_minor(ginv, I, I2)
-            if d == 0.0:
-                continue
-            comp = tuple(sorted(full - set(I2)))
-            s = _perm_sign(I2 + comp)
-            key = comp
-            out[key] = out.get(key, 0.0) + float(c) * d * s * volume
-    terms = {kk: vv for kk, vv in out.items() if vv != 0.0}
-    return KFormF(n, n - k, terms)
-
-
-def _float_minor(g, rows, cols):
-    k = len(rows)
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return g[rows[0] - 1][cols[0] - 1]
-    import numpy as np
-
-    sub = [[g[r - 1][c - 1] for c in cols] for r in rows]
-    return float(np.linalg.det(np.array(sub)))
-
-
-class KFormF:
-    """Float-coefficient k-form; same sparse layout as KForm.
-
-    Used only downstream of the Hodge star, where exactness is lost anyway.
-    """
-
-    def __init__(self, dim, degree, terms):
-        self.dim = dim
-        self.degree = degree
-        self.terms = dict(terms)
-
-    def coefficient_vector(self):
-        return [self.terms.get(idx, 0.0)
-                for idx in combinations(range(1, self.dim + 1), self.degree)]
-
-    def norm(self):
-        return math.sqrt(sum(float(c) ** 2 for c in self.terms.values()))
-
-    def dot(self, other):
-        keys = set(self.terms) | set(other.terms)
-        return sum(float(self.terms.get(k, 0.0)) * float(other.terms.get(k, 0.0))
-                   for k in keys)
-
-    def scaled(self, s):
-        return KFormF(self.dim, self.degree, {k: s * v for k, v in self.terms.items()})
-
-    def minus(self, other):
-        keys = set(self.terms) | set(other.terms)
-        return KFormF(self.dim, self.degree,
-                      {k: float(self.terms.get(k, 0.0)) - float(other.terms.get(k, 0.0))
-                       for k in keys})
-
-    @staticmethod
-    def from_exact(a: KForm):
-        return KFormF(a.dim, a.degree, {k: float(v) for k, v in a.terms.items()})
+    scale = float(_METRIC_CONST) ** (2.0 / 9.0) * float(abs(detb)) ** (1.0 / 9.0)
+    g = np.array(b, dtype=float) / scale
+    if detb < 0:
+        g = -g
+    return g, math.sqrt(abs(np.linalg.det(g)))
 
 
 def hodge_star(a: KForm, t: KForm):
     """Hodge star of a w.r.t. the metric and orientation of the stable form t.
 
-    Float coefficients; assertions that depend on this should use a relative
-    tolerance around 1e-9.
+    Returns a float numpy vector over the sorted (7-k)-subset basis:
+    vol * x @ Lambda^k(g^-1), the compound matrix of k-minors, followed by
+    the complement map e^J -> eps(J, comp J) e^{comp J}.  Complementing
+    reverses the lexicographic order of the subsets.  Assertions that depend
+    on this should use a relative tolerance around 1e-9.
     """
+    import numpy as np
+
+    if not isinstance(a, KForm):
+        raise TypeError("hodge_star expects an exact KForm input")
     g, volume = metric_from_3form(t)
-    ginv = _float_inv(g)
-    if isinstance(a, KForm):
-        return _star_with_metric(a, ginv, volume)
-    raise TypeError("hodge_star expects an exact KForm input")
+    k = a.degree
+    ksets = list(combinations(range(1, DIM + 1), k))
+    idx = np.array(ksets, dtype=int).reshape(len(ksets), k) - 1
+    ginv = np.linalg.inv(g)
+    compound = np.linalg.det(ginv[idx[:, None, :, None], idx[None, :, None, :]])
+    full = set(range(1, DIM + 1))
+    signs = np.array([_perm_sign(J + tuple(sorted(full - set(J))))
+                      for J in ksets], dtype=float)
+    x = np.array(a.coefficient_vector(), dtype=float)
+    return (volume * (x @ compound) * signs)[::-1]
 
 
 def star_euclidean(a: KForm) -> KForm:

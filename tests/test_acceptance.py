@@ -130,8 +130,16 @@ def _nonzero_quad(rng):
 
 
 @pytest.fixture(scope="module")
-def sweep_reports():
-    return [(e, verify_entry(e, DEFAULT_SCAN)) for e in load_catalog()]
+def catalog_modules():
+    """Every catalog entry with its module, built once for the whole suite."""
+    return [(e, build_entry(e["case"], tuple(e.get("params", ()))))
+            for e in load_catalog()]
+
+
+@pytest.fixture(scope="module")
+def sweep_reports(catalog_modules):
+    return [(e, verify_entry(e, DEFAULT_SCAN, module=mod))
+            for e, mod in catalog_modules]
 
 
 def test_criterion_05_table_sweep(sweep_reports):
@@ -146,15 +154,15 @@ def test_criterion_05_table_sweep(sweep_reports):
                   f"definite-only rows" + (f"; failures: {bad}" if bad else ""))
 
 
-def test_criterion_06_rigidity_extremes(sweep_reports):
+def test_criterion_06_rigidity_extremes(catalog_modules):
     ok = True
-    for e, _ in sweep_reports:
-        mod = build_entry(e["case"], tuple(e.get("params", ())))
+    for _, mod in catalog_modules:
         full = invariant_dims(mod).d3 == 35
         trivial = mod.h_dim == 0 and not mod.generators
         ok &= (full == trivial)
+    modules = {e["case"]: mod for e, mod in catalog_modules}
     for case in ("1", "3aiii"):
-        ok &= invariant_dims(build_entry(case)).d3 == 2
+        ok &= invariant_dims(modules[case]).d3 == 2
     report(6, ok, "d3 = 35 exactly for trivial isotropy with no component "
                   "generators; d3 = 2 for the two rigid rows (exact)")
 
@@ -194,19 +202,19 @@ def test_criterion_07_published_values(rank_chain):
     assert rank_chain["kernels"][4] == 19
 
 
-def test_criterion_08_nearly_parallel():
+def test_criterion_08_nearly_parallel(catalog_modules):
+    modules = {e["case"]: mod for e, mod in catalog_modules}
     ok = True
     for case in ("2d", "7"):
-        mod = build_entry(case)
+        mod = modules[case]
         res = nearly_parallel_check(mod, invariant_3forms(mod)[0])
         ok &= res.is_nearly_parallel and abs(res.lam) > 1e-9 \
             and res.residual <= 1e-9
-    rays = nearly_parallel_rays(build_entry("1"), grid=360)
+    rays = nearly_parallel_rays(modules["1"], grid=360)
     unique = len(rays) == 1 and rays[0]["residual"] <= 1e-9 \
         and abs(rays[0]["lambda"]) > 1e-9
     coclosed = all(
-        section5._coclosed_grid(build_entry(c),
-                                invariant_3forms(build_entry(c)), 200)
+        section5._coclosed_grid(modules[c], invariant_3forms(modules[c]), 200)
         for c in ("1", "2ci", "3aiii"))
     ok = ok and unique and coclosed
     report(8, ok, "rigid rows satisfy the defining equation with nonzero "
@@ -254,15 +262,14 @@ def test_criterion_10_finite_generator_shadows():
                    "pattern, swap rejection, negative determinant (exact)")
 
 
-def test_criterion_11_property_suites():
+def test_criterion_11_property_suites(catalog_modules):
     # d^2 = 0 on every catalog complex plus the bare variants
-    for e in load_catalog():
-        build_complex(build_entry(e["case"], tuple(e.get("params", ()))))
+    for _, mod in catalog_modules:
+        build_complex(mod)
     build_complex(bare_complex(section5.su2_t4_printed_constants()))
     # closure and Jacobi on every distinct ambient algebra
     seen = {}
-    for e in load_catalog():
-        mod = build_entry(e["case"], tuple(e.get("params", ())))
+    for _, mod in catalog_modules:
         alg = mod.ambient
         if alg is not None and alg.name not in seen:
             seen[alg.name] = alg

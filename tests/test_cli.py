@@ -141,3 +141,18 @@ def test_csv_format():
     assert code == 0
     header = out.splitlines()[0]
     assert header == "name,expected,computed,pass"
+
+
+def test_importing_the_package_does_not_load_numpy():
+    # numpy is imported lazily, inside the float metric and star code
+    code = ("import importlib, pkgutil, sys, g2forms\n"
+            "names = [m.name for m in pkgutil.iter_modules(g2forms.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('g2forms.' + name)\n"
+            "print(' '.join(sorted(names)), 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "catalog", "cli", "homogeneous", "liealg", "linalg", "multilinear",
+        "octonion", "section5", "stable_forms", "False"]

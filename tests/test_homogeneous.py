@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2forms import section5
+from g2forms import homogeneous, section5
 from g2forms.catalog import build_entry
 from g2forms.homogeneous import (bare_complex, build_complex, cartan_3form,
                                  ce_differential,
@@ -14,7 +14,7 @@ from g2forms.homogeneous import (bare_complex, build_complex, cartan_3form,
 from g2forms.liealg import build_algebra, invariant_3forms
 from g2forms.linalg import rank
 from g2forms.multilinear import KForm, pullback
-from g2forms.stable_forms import PHI, star_euclidean
+from g2forms.stable_forms import PHI, PHITILDE, hodge_star, star_euclidean
 
 w = KForm.basis
 
@@ -124,6 +124,24 @@ def test_coclosed_family_dims(su2t4, t7):
     assert coclosed_stable_family_dim(t7, PHI) == 35
     with pytest.raises(ValueError):
         coclosed_stable_family_dim(su2t4, w(7, 1, 2, 3))
+
+
+@pytest.mark.parametrize("t", [PHI, -1 * PHI])
+def test_coclosed_check_exact_branch_agrees_with_float_star(
+        su2t4, monkeypatch, t):
+    assert homogeneous._metric_is_identity(t)
+    assert not homogeneous._metric_is_identity(2 * t)
+    assert not homogeneous._metric_is_identity(PHITILDE)
+    st = hodge_star(t, t)
+    exact = star_euclidean(t).coefficient_vector()
+    assert max(abs(x - float(y)) for x, y in zip(st, exact)) < 1e-9
+    mods = [su2t4.module, bare_complex(section5.two_su2_u1())]
+    exact_answers = [coclosed_check(m, t) for m in mods]
+    monkeypatch.setattr(homogeneous, "_metric_is_identity", lambda t: False)
+    float_answers = [coclosed_check(m, t) for m in mods]
+    assert float_answers == exact_answers
+    assert all(type(x) is bool for x in float_answers)  # reports emit JSON
+    assert exact_answers == [True, False]
 
 
 def test_star_duals_of_references_are_closed_exactly(su2t4):

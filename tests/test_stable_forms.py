@@ -4,15 +4,18 @@ from itertools import combinations
 
 import pytest
 
-from g2forms.linalg import det, mat, mat_mul, rank, transpose
+from g2forms.linalg import (det, mat, mat_mul, rank, symmetric_signature,
+                            transpose)
 from g2forms.multilinear import (KForm, algebra_action, basis_vector,
-                                 interior, pullback, wedge)
+                                 interior, pullback, sort_index, wedge)
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   annihilator_g2, classify3,
                                   decompose2, decompose3, four_form_volume,
-                                  hitchin_bilinear, hodge_star,
-                                  metric_from_3form, metric_from_4form,
-                                  star_euclidean, traceless_to_27)
+                                  hitchin_bilinear, hitchin_matrix,
+                                  hodge_star, metric_from_3form,
+                                  metric_from_4form,
+                                  primitive_int_vector, star_euclidean,
+                                  traceless_to_27)
 
 w = KForm.basis
 
@@ -125,6 +128,35 @@ def test_metric_scaling(s):
         assert abs(g[i][i] - expect) < 1e-9 * expect
 
 
+def _unimodular(rng):
+    # a GL(7, Z) element: random elementary row operations and sign flips
+    m = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
+    for _ in range(8):
+        i, j = rng.sample(range(7), 2)
+        c = rng.choice((-1, 1))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    k = rng.randrange(7)
+    m[k] = [-x for x in m[k]]
+    return m
+
+
+def test_det_sign_matches_the_descartes_signature():
+    # the metric takes its sign from det B; Descartes' rule is the reference
+    rng = random.Random(11)
+    checked = set()
+    for ref in (PHI, -1 * PHI, PHITILDE, -1 * PHITILDE):
+        forms = [ref] + [pullback(_unimodular(rng), ref) for _ in range(50)]
+        for t in forms:
+            # a positive rescaling to integers keeps det B's sign and B's
+            # signature
+            b = hitchin_matrix(primitive_int_vector(t.coefficient_vector()))
+            detb, signature = det(b), symmetric_signature(b)
+            assert detb != 0
+            assert (detb < 0) == (signature in ((0, 7), (4, 3)))
+            checked.add(signature)
+    assert checked == {(7, 0), (0, 7), (4, 3), (3, 4)}
+
+
 def test_metric_degenerate_raises():
     with pytest.raises(ValueError):
         metric_from_3form(w(7, 1, 2, 3))
@@ -133,29 +165,54 @@ def test_metric_degenerate_raises():
 def test_star_unit_and_involution():
     one = KForm.make(7, 0, [((), 1)])
     s = hodge_star(one, PHI)
-    assert abs(s.terms.get((1, 2, 3, 4, 5, 6, 7), 0.0) - 1.0) < 1e-12
+    assert abs(s[0] - 1.0) < 1e-12  # the only 7-subset is (1, ..., 7)
     a = w(7, 1, 2)
-    back = _star_float(hodge_star(a, PHI), PHI)
-    vec = back.coefficient_vector()
+    back = _star_float(hodge_star(a, PHI), 5, PHI)
     want = a.coefficient_vector()
-    assert max(abs(float(x) - float(y)) for x, y in zip(vec, want)) < 1e-9
+    assert max(abs(float(x) - float(y)) for x, y in zip(back, want)) < 1e-9
 
 
-def _star_float(f, t):
+def _star_float(f, degree, t):
     # star of a float form: rebuild through the same public entry point by
     # rounding coefficients to exact rationals (safe well inside the orbit)
-    items = [(idx, Fraction(round(c * 10 ** 12), 10 ** 12))
-             for idx, c in f.terms.items()]
-    return hodge_star(KForm.make(f.dim, f.degree, items), t)
+    coeffs = [Fraction(round(c * 10 ** 12), 10 ** 12) for c in f]
+    return hodge_star(KForm.from_coefficient_vector(7, degree, coeffs), t)
 
 
 def test_star_of_reference_matches_exact_dual():
     st = hodge_star(PHI, PHI)
     exact = star_euclidean(PHI)
-    for idx in combinations(range(1, 8), 4):
-        got = st.terms.get(idx, 0.0)
+    for pos, idx in enumerate(combinations(range(1, 8), 4)):
+        got = st[pos]
         want = float(exact.terms.get(idx, Fraction(0)))
         assert abs(got - want) < 1e-9
+
+
+def test_star_matches_the_minor_by_minor_formula():
+    # reference: star(e^I) = vol sum_J det(ginv[I, J]) eps(J, J^c) e^{J^c},
+    # one determinant per minor, accumulated in a dict
+    import numpy as np
+
+    rng = random.Random(5)
+    for t in (pullback(rand_invertible(1), PHI),
+              pullback(rand_invertible(2), PHITILDE)):
+        g, vol = metric_from_3form(t)
+        ginv = np.linalg.inv(g)
+        for k in range(8):
+            a = KForm.make(7, k, [(idx, rng.randint(-3, 3))
+                                  for idx in combinations(range(1, 8), k)])
+            want = {}
+            for idx, c in a.terms.items():
+                for jdx in combinations(range(1, 8), k):
+                    rows, cols = [i - 1 for i in idx], [j - 1 for j in jdx]
+                    minor = np.linalg.det(ginv[np.ix_(rows, cols)]) if k else 1.0
+                    comp = tuple(sorted(set(range(1, 8)) - set(jdx)))
+                    _, s = sort_index(jdx + comp)
+                    want[comp] = want.get(comp, 0.0) + float(c) * minor * s * vol
+            got = hodge_star(a, t)
+            scale = max([1.0] + [abs(v) for v in want.values()])
+            for pos, comp in enumerate(combinations(range(1, 8), 7 - k)):
+                assert abs(got[pos] - want.get(comp, 0.0)) < 1e-12 * scale
 
 
 def test_exact_dual_reference_value():
