@@ -658,7 +658,7 @@ def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
     rep.add("has indefinite", exp["has_indefinite"], types["has_indefinite"])
     spectra = entry.get("generator_spectra", {})
     for name, fmat, expect in mod.pending_generators:
-        crep = generator_compatibility_report(mod, name, fmat)
+        crep = generator_compatibility_report(mod, name, fmat, scan_config)
         if expect == "rejected":
             rep.add(f"generator {name} rejected (no indefinite fixed form)",
                     False, crep["has_indefinite"])

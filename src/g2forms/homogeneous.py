@@ -22,6 +22,7 @@ from .linalg import identity, mat, mat_mul, nullspace, rank, solve, transpose
 from .liealg import IsotropyModule, MatrixLieAlgebra, invariant_kforms
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .stable_forms import (_METRIC_CONST, Orbit3Class, classify3,
+                           classify_hitchin, family_hitchin_map,
                            hitchin_matrix, hodge_star, star_euclidean)
 
 
@@ -247,11 +248,11 @@ def closed_stable_scan(c: InvariantComplex, samples=10_000, seed=0):
     """Classify random rational points of the closed invariant 3-forms.
 
     Misses are evidence at this sample size, not nonexistence proofs; the
-    report says which orbit classes were hit.
+    report says which orbit classes were hit.  The closed basis is scaled to
+    integers by one common denominator, so each sample keeps its ray, and
+    every sample is classified through the family Hitchin map.
     """
     import random as _random
-
-    from .stable_forms import classify_coeffs
 
     basis3 = c.bases[3]
     d3mat = c.diffs[3]
@@ -266,17 +267,16 @@ def closed_stable_scan(c: InvariantComplex, samples=10_000, seed=0):
             if co != 0:
                 v = [x + co * y for x, y in zip(v, bv)]
         closed_vecs.append(v)
+    den = math.lcm(*(x.denominator for v in closed_vecs for x in v))
+    hitchin = family_hitchin_map([[(x * den).numerator for x in v]
+                                  for v in closed_vecs])
     rng = _random.Random(seed)
     counts = {k.value: 0 for k in Orbit3Class}
     n = len(closed_vecs)
     for _ in range(samples if n else 0):
         coeffs = [rng.randint(-9, 9) for _ in range(n)]
-        vec = [sum(co * cv[k] for co, cv in zip(coeffs, closed_vecs))
-               for k in range(len(closed_vecs[0]))]
-        if all(x == 0 for x in vec):
-            counts[Orbit3Class.DEGENERATE.value] += 1
-            continue
-        counts[classify_coeffs(vec).value] += 1
+        # the zero sample has B = 0 and counts as degenerate
+        counts[classify_hitchin(hitchin(coeffs)).value] += 1
     return {
         "closed_dim": n,
         "samples": samples,

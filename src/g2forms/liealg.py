@@ -28,12 +28,13 @@ from types import MappingProxyType
 
 import sympy
 
-from .linalg import (commutator, frac, identity, intersect_nullspaces,
-                     inverse, mat, mat_mul, mat_sub, mat_vec, nullspace,
-                     rank, rref, solve, transpose)
+from .linalg import (frac, identity, intersect_nullspaces, inverse, mat,
+                     mat_mul, mat_sub, mat_vec, nullspace, rank, rref, solve,
+                     transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
-from .stable_forms import Orbit3Class, classify_coeffs, primitive_int_vector
+from .stable_forms import (Orbit3Class, classify_hitchin, family_hitchin_map,
+                           primitive_int_vector)
 
 
 def _flatten(m):
@@ -42,6 +43,31 @@ def _flatten(m):
 
 def _frozen_matrix(m):
     return tuple(tuple(row) for row in m)
+
+
+def _sparse(m):
+    """The nonzero entries of a matrix as {(r, c): v}; integral values as int."""
+    return {(r, c): v.numerator if v.denominator == 1 else v
+            for r, row in enumerate(m) for c, v in enumerate(map(frac, row))
+            if v}
+
+
+def _sparse_mul(a, b):
+    """Product of two sparse matrices {(r, c): v}; zero entries dropped."""
+    brows = {}
+    for (k, c), v in b.items():
+        brows.setdefault(k, []).append((c, v))
+    out = {}
+    for (r, k), v in a.items():
+        for c, w in brows.get(k, ()):
+            out[r, c] = out.get((r, c), 0) + v * w
+    return {rc: v for rc, v in out.items() if v}
+
+
+def _sparse_commutator(a, b):
+    ab, ba = _sparse_mul(a, b), _sparse_mul(b, a)
+    out = {rc: ab.get(rc, 0) - ba.get(rc, 0) for rc in ab.keys() | ba.keys()}
+    return {rc: v for rc, v in out.items() if v}
 
 
 @dataclass
@@ -66,35 +92,49 @@ class MatrixLieAlgebra:
 
     @cached_property
     def _coord_solver(self):
-        # pivot-row submatrix inverse; coords are then one small mat-vec plus
-        # an exact full-length consistency check
+        # pivot cells and the inverse of the pivot-row submatrix; coords are
+        # then a product with the nonzero pivot entries plus an exact
+        # membership check
         flat = [_flatten(b) for b in self.basis]
         _, pivots = rref(flat)
         if len(pivots) != self.dim:
             raise ValueError(f"{self.name}: basis is linearly dependent")
         sub = [[flat[r][p] for r in range(self.dim)] for p in pivots]
-        return flat, pivots, inverse(sub)
+        return [divmod(p, self.size) for p in pivots], inverse(sub)
+
+    @cached_property
+    def _sparse_basis(self):
+        return [_sparse(b) for b in self.basis]
 
     def coords(self, x):
         """Coordinates of an ambient matrix in the basis; None if outside."""
+        return self._sparse_coords(_sparse(x))
+
+    def _sparse_coords(self, x):
+        """Coordinates of a sparse ambient matrix {(r, c): v}; None if outside."""
         if not self.basis:
             return None
-        flat, pivots, inv = self._coord_solver
-        xf = _flatten(x)
-        c = mat_vec(inv, [xf[p] for p in pivots])
+        cells, inv = self._coord_solver
+        xp = [(k, x[rc]) for k, rc in enumerate(cells) if rc in x]
+        c = [sum((row[k] * v for k, v in xp), Fraction(0)) for row in inv]
         # exact membership check
-        for k in range(len(xf)):
-            if sum(ci * flat[i][k] for i, ci in enumerate(c) if ci) != xf[k]:
-                return None
+        span = {}
+        for ci, b in zip(c, self._sparse_basis):
+            if ci:
+                for rc, v in b.items():
+                    span[rc] = span.get(rc, 0) + ci * v
+        if {rc: v for rc, v in span.items() if v} != x:
+            return None
         return c
 
     @cached_property
     def _structure_constants(self):
         d = self.dim
+        basis = self._sparse_basis
         table = [[None] * d for _ in range(d)]
         for i in range(d):
             for j in range(i + 1, d):
-                c = self.coords(commutator(self.basis[i], self.basis[j]))
+                c = self._sparse_coords(_sparse_commutator(basis[i], basis[j]))
                 if c is None:
                     raise ValueError(
                         f"{self.name}: bracket [b{i}, b{j}] leaves the span")
@@ -491,11 +531,11 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
     F exists only as an ambient matrix, so Ad_F is read off the conjugated
     basis matrices.
     """
-    finv = inverse(mat(fmat))
+    f = _sparse(fmat)
+    finv = _sparse(inverse(mat(fmat)))
     imgs = []
-    for b in g.basis:
-        img = mat_mul(mat_mul(mat(fmat), b), finv)
-        c = g.coords(img)
+    for b in g._sparse_basis:
+        c = g._sparse_coords(_sparse_mul(_sparse_mul(f, b), finv))
         if c is None:
             raise ValueError("generator does not normalize the algebra")
         imgs.append(c)
@@ -908,12 +948,8 @@ def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
         report.update(has_definite=True, has_indefinite=True, samples=2,
                       note="full family; reference forms are witnesses")
         return report
-    bvecs = [primitive_int_vector(f.coefficient_vector()) for f in basis]
-
-    def sample_vec(coeffs):
-        return [sum(c * bv[k] for c, bv in zip(coeffs, bvecs))
-                for k in range(35)]
-
+    hitchin = family_hitchin_map(
+        [primitive_int_vector(f.coefficient_vector()) for f in basis])
     rng = random.Random(config.seed)
     samples = list(_ray_grid(d, config.grid))
     for _ in range(config.random):
@@ -923,7 +959,7 @@ def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
         if all(c == 0 for c in coeffs):
             continue
         seen += 1
-        cls = classify_coeffs(sample_vec(coeffs))
+        cls = classify_hitchin(hitchin(coeffs))
         if cls is Orbit3Class.DEFINITE and not report["has_definite"]:
             report["has_definite"] = True
             report["definite_witness"] = list(coeffs)

@@ -122,25 +122,31 @@ def inverse(a):
 
 
 def det(a):
-    """Determinant by fraction-free Bareiss elimination."""
+    """Determinant by fraction-free Bareiss elimination.
+
+    Integer input stays integer (exact divisions) and returns an int;
+    anything else runs over Fractions.
+    """
     n = len(a)
     if n == 0:
         return ONE
-    m = [[frac(x) for x in row] for row in a]
+    exact_int = all(isinstance(x, int) for row in a for x in row)
+    m = [list(row) for row in a] if exact_int else mat(a)
     sign = 1
-    prev = ONE
+    prev = 1 if exact_int else ONE
     for k in range(n - 1):
         if m[k][k] == 0:
             pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if pr is None:
-                return ZERO
+                return 0 if exact_int else ZERO
             m[k], m[pr] = m[pr], m[k]
             sign = -sign
+        piv = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = ZERO
-        prev = m[k][k]
+                num = m[i][j] * piv - m[i][k] * m[k][j]
+                m[i][j] = num // prev if exact_int else num / prev
+        prev = piv
     return sign * m[n - 1][n - 1]
 
 

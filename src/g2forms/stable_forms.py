@@ -161,22 +161,60 @@ def primitive_int_vector(vec):
     return [x // g for x in ints] if g > 1 else ints
 
 
-def classify_coeffs(coeffs) -> Orbit3Class:
-    """Exact three-way classification from a dense coefficient vector.
+def family_hitchin_map(bvecs):
+    """B of the family sum_a x_a bvecs[a] as 28 integer cubics in x.
 
-    Scaling to integers is harmless (B is homogeneous of degree 3).  The
-    leading-principal-minor chain decides definiteness; a nondegenerate B
-    that is not definite lies in the indefinite orbit, there being exactly
-    two open orbits.
+    `bvecs` are integer 35-vectors.  Walking the contraction table over
+    their nonzero entries expands each B_ij (i <= j) into monomials
+    x_a x_b x_c (a <= b <= c).  Returns a function from an integer
+    coefficient tuple x to the exact integer B of sum_a x_a bvecs[a]; a
+    sample costs one product per monomial, and monomials with a zero
+    factor are skipped.
     """
-    ints = primitive_int_vector(coeffs)
-    if all(c == 0 for c in ints):
-        return Orbit3Class.DEGENERATE
-    b = hitchin_matrix(ints)
+    table = _hitchin_table()
+    support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
+               for p in range(len(IDX3))]
+    cubics = {}
+    for e, ij in enumerate(table):
+        for pi, pj, pk, s in table[ij]:
+            for a, ca in support[pi]:
+                for b, cb in support[pj]:
+                    for c, cc in support[pk]:
+                        terms = cubics.setdefault(tuple(sorted((a, b, c))), {})
+                        terms[e] = terms.get(e, 0) + s * ca * cb * cc
+    monomials = []
+    for (a, b, c), terms in sorted(cubics.items()):
+        terms = tuple((e, v) for e, v in terms.items() if v)
+        if terms:
+            monomials.append((a, b, c, terms))
+    cells = [(i - 1, j - 1) for i, j in table]
+
+    def matrix(x):
+        flat = [0] * len(cells)
+        for a, b, c, terms in monomials:
+            v = x[a] * x[b] * x[c]
+            if v:
+                for e, coef in terms:
+                    flat[e] += coef * v
+        m = [[0] * DIM for _ in range(DIM)]
+        for (i, j), v in zip(cells, flat):
+            m[i][j] = m[j][i] = v
+        return m
+
+    return matrix
+
+
+def classify_hitchin(b) -> Orbit3Class:
+    """Exact three-way classification from an integer Hitchin matrix B.
+
+    The leading-principal-minor chain decides definiteness; a nondegenerate
+    B that is not definite lies in the indefinite orbit, there being exactly
+    two open orbits.  Only signs are read, so any positive multiple of a
+    form (B scales by its cube) gets the same class.
+    """
     minors = leading_principal_minors(b)
     if minors is None:
-        bd = det(mat(b))
-        return Orbit3Class.DEGENERATE if bd == 0 else Orbit3Class.INDEFINITE
+        return Orbit3Class.DEGENERATE if det(b) == 0 else Orbit3Class.INDEFINITE
     if minors[-1] == 0:
         return Orbit3Class.DEGENERATE
     if all(m > 0 for m in minors):
@@ -184,6 +222,14 @@ def classify_coeffs(coeffs) -> Orbit3Class:
     if all((m > 0) == (k % 2 == 1) for k, m in enumerate(minors)):
         return Orbit3Class.DEFINITE  # negative definite: signs -, +, -, ...
     return Orbit3Class.INDEFINITE
+
+
+def classify_coeffs(coeffs) -> Orbit3Class:
+    """Exact three-way classification from a dense coefficient vector.
+
+    Scaling to integers is harmless (B is homogeneous of degree 3).
+    """
+    return classify_hitchin(hitchin_matrix(primitive_int_vector(coeffs)))
 
 
 def classify3(t: KForm) -> Orbit3Class:

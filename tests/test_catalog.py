@@ -141,6 +141,29 @@ def test_rotation_generator_shadows_for_trivial_isotropy():
         assert rep["has_indefinite"]
 
 
+def test_verify_entry_passes_its_scan_config_to_the_generator_scans(
+        monkeypatch):
+    from g2forms import catalog
+
+    seen = []
+    scan = catalog.invariant_form_types
+
+    def spy(mod, config=None):
+        seen.append((mod.label, config))
+        return scan(mod, config)
+
+    monkeypatch.setattr(catalog, "invariant_form_types", spy)
+    config = ScanConfig(grid=300, random=50, seed=3)
+    for case, params in (("4ii", [0, 0]), ("6ii", [])):
+        entry = next(e for e in load_catalog()
+                     if e["case"] == case and e["params"] == params)
+        seen.clear()
+        verify_entry(entry, config)
+        generator_scans = [label for label, _ in seen if "+" in label]
+        assert generator_scans, case
+        assert all(c is config for _, c in seen), seen
+
+
 def test_auxiliary_entry_is_not_a_table_row():
     entries = load_catalog()
     aux = [e for e in entries if e["table"] == "auxiliary"]

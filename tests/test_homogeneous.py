@@ -12,9 +12,10 @@ from g2forms.homogeneous import (bare_complex, build_complex, cartan_3form,
                                  invariant_kforms,
                                  nearly_parallel_check, nearly_parallel_rays)
 from g2forms.liealg import build_algebra, invariant_3forms
-from g2forms.linalg import rank
+from g2forms.linalg import nullspace, rank
 from g2forms.multilinear import KForm, pullback
-from g2forms.stable_forms import PHI, PHITILDE, hodge_star, star_euclidean
+from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify_coeffs,
+                                  hodge_star, star_euclidean)
 
 w = KForm.basis
 
@@ -167,6 +168,45 @@ def test_closed_stable_scan(su2t4, t7):
     rep7 = closed_stable_scan(t7, samples=50, seed=0)
     assert rep7["closed_dim"] == 35
     assert rep7["stable_found"]
+
+
+def _classify_coeffs_counts(closed, samples, seed):
+    """closed_stable_scan's sample loop, one classify_coeffs call a sample."""
+    import random
+
+    rng = random.Random(seed)
+    counts = {k.value: 0 for k in Orbit3Class}
+    for _ in range(samples):
+        coeffs = [rng.randint(-9, 9) for _ in range(len(closed))]
+        vec = [sum(co * cv[k] for co, cv in zip(coeffs, closed))
+               for k in range(35)]
+        counts[classify_coeffs(vec).value] += 1
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_closed_stable_scan_matches_a_classify_coeffs_loop(su2t4, t7, seed):
+    """The family-map scan counts what classify_coeffs counts per sample."""
+    for comp in (su2t4, t7):
+        basis = [f.coefficient_vector() for f in comp.bases[3]]
+        closed = [[sum(co * bv[k] for co, bv in zip(cc, basis))
+                   for k in range(35)] for cc in nullspace(comp.diffs[3])]
+        rep = closed_stable_scan(comp, samples=300, seed=seed)
+        assert rep["counts"] == _classify_coeffs_counts(closed, 300, seed)
+
+
+def test_closed_stable_scan_keeps_each_sample_on_its_ray():
+    # closed vectors with different denominators: scaling each one to a
+    # primitive integer vector on its own would move the samples' rays
+    from types import SimpleNamespace
+
+    basis = [Fraction(1, 2) * PHI, Fraction(-1, 3) * PHITILDE,
+             KForm.make(7, 3, [((1, 2, 4), Fraction(5, 7))])]
+    comp = SimpleNamespace(bases={3: basis}, diffs={3: []})
+    closed = [f.coefficient_vector() for f in basis]
+    rep = closed_stable_scan(comp, samples=300, seed=0)
+    assert rep["counts"] == _classify_coeffs_counts(closed, 300, 0)
+    assert rep["counts"]["definite"] and rep["counts"]["indefinite"]
 
 
 def test_exploratory_scan_regression():

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from g2forms.catalog import build_entry
-from g2forms.liealg import (ScanConfig, build_algebra, invariant_3forms,
-                            invariant_dims, invariant_form_types,
-                            irreducible_dims, product_algebra,
-                            reductive_complement)
+from g2forms.catalog import _BUILDERS, build_entry
+from g2forms.liealg import (MatrixLieAlgebra, ScanConfig, _ray_grid,
+                            build_algebra, invariant_3forms, invariant_dims,
+                            invariant_form_types, irreducible_dims,
+                            product_algebra, reductive_complement)
 from g2forms.linalg import commutator, trace, mat_mul
-from g2forms.stable_forms import Orbit3Class, classify3
+from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
+                                  classify_hitchin, family_hitchin_map,
+                                  hitchin_matrix, primitive_int_vector)
 
 SMALL_SCAN = ScanConfig(grid=400, random=100)
 
@@ -245,3 +248,120 @@ def test_representation_property_is_enforced():
     bad = [g.basis[0], g.basis[1]]  # not closed: [b0, b1] = b2-direction
     with pytest.raises(ValueError):
         reductive_complement(g, bad)
+
+
+# ---------------------------------------------------------------------------
+# the family Hitchin map against the per-sample classifier
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def scanned_families():
+    """(label, module, integer basis) of every shipped family with
+    1 <= d < 35 and of the 4ii and 6ii candidate-generator families."""
+    from g2forms.catalog import candidate_module, load_catalog
+
+    mods = []
+    for e in load_catalog():
+        mod = build_entry(e["case"], tuple(e["params"]))
+        mods.append(mod)
+        if e["case"] in ("4ii", "6ii"):
+            mods += [candidate_module(mod, name, fmat)
+                     for name, fmat, _ in mod.pending_generators]
+    out = []
+    for mod in mods:
+        basis = invariant_3forms(mod)
+        if 1 <= len(basis) < 35:
+            out.append((mod.label, mod, [primitive_int_vector(
+                f.coefficient_vector()) for f in basis]))
+    assert {label for label, _, _ in out} >= {
+        "4ii(0, 0)+B23-swap", "6ii+R5-fixing-rotation"}
+    return out
+
+
+def _scan_samples(d, config):
+    """The sample order of invariant_form_types."""
+    rng = random.Random(config.seed)
+    return list(_ray_grid(d, config.grid)) + [
+        tuple(rng.randint(-9, 9) for _ in range(d))
+        for _ in range(config.random)]
+
+
+def _sample_vec(coeffs, bvecs):
+    return [sum(c * bv[k] for c, bv in zip(coeffs, bvecs)) for k in range(35)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_family_map_matches_hitchin_matrix_and_classify_coeffs(
+        scanned_families, seed):
+    config = ScanConfig(grid=300, random=100, seed=seed)
+    for label, _, bvecs in scanned_families:
+        hitchin = family_hitchin_map(bvecs)
+        for coeffs in _scan_samples(len(bvecs), config):
+            vec = _sample_vec(coeffs, bvecs)
+            b = hitchin(coeffs)
+            assert b == hitchin_matrix(vec), (label, coeffs)
+            assert classify_hitchin(b) is classify_coeffs(vec), (label, coeffs)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_invariant_form_types_matches_a_classify_coeffs_loop(
+        scanned_families, seed):
+    config = ScanConfig(grid=300, random=100, seed=seed)
+    for label, mod, bvecs in scanned_families:
+        ref = {"has_definite": False, "has_indefinite": False, "samples": 0,
+               "definite_witness": None, "indefinite_witness": None}
+        for coeffs in _scan_samples(len(bvecs), config):
+            if not any(coeffs):
+                continue
+            ref["samples"] += 1
+            cls = classify_coeffs(_sample_vec(coeffs, bvecs))
+            if cls is Orbit3Class.DEFINITE and not ref["has_definite"]:
+                ref.update(has_definite=True, definite_witness=list(coeffs))
+            elif cls is Orbit3Class.INDEFINITE and not ref["has_indefinite"]:
+                ref.update(has_indefinite=True, indefinite_witness=list(coeffs))
+            if ref["has_definite"] and ref["has_indefinite"]:
+                break
+        rep = invariant_form_types(mod, config)
+        assert {k: rep[k] for k in ref} == ref, label
+
+
+# ---------------------------------------------------------------------------
+# sparse structure constants against dense commutators
+# ---------------------------------------------------------------------------
+
+ALGEBRA_NAMES = ([f"so({n})" for n in range(2, 8)]
+                 + [f"su({n})" for n in range(2, 5)]
+                 + [f"u({n})" for n in range(1, 5)]
+                 + ["sp(1)", "sp(2)"] + [f"t({k})" for k in range(1, 8)])
+
+
+def _assert_dense_structure_constants(alg):
+    struct = alg.structure_constants()
+    for i, j in combinations(range(alg.dim), 2):
+        assert struct[i][j] == alg.coords(
+            commutator(alg.basis[i], alg.basis[j])), (alg.name, i, j)
+        assert struct[j][i] == [-c for c in struct[i][j]]
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_structure_constants_match_dense_commutators(name):
+    _assert_dense_structure_constants(build_algebra(name))
+
+
+@pytest.mark.parametrize("case", sorted(_BUILDERS))
+def test_builder_structure_constants_match_dense_commutators(case):
+    from g2forms.catalog import load_catalog
+
+    params = next(tuple(e["params"]) for e in load_catalog()
+                  if e["case"] == case)
+    g, _, _ = _BUILDERS[case](params)
+    _assert_dense_structure_constants(g)
+
+
+def test_unclosed_basis_leaves_the_span():
+    e12 = [[0, 1], [0, 0]]
+    e21 = [[0, 0], [1, 0]]
+    alg = MatrixLieAlgebra("e12+e21", [e12, e21])
+    assert alg.coords([[1, 0], [0, -1]]) is None
+    with pytest.raises(ValueError, match="leaves the span"):
+        alg.structure_constants()

@@ -114,3 +114,30 @@ def test_leading_minors_bareiss_int():
 def test_rank_rectangular():
     assert rank(mat([[1, 0, 1], [0, 1, 1]])) == 2
     assert rank([[Fraction(0)] * 3]) == 0
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [1, 2]],
+    [[0, 1, 2], [3, 4, 5], [6, 7, 9]],  # zero first pivot: row swap
+    [[1, 2, 3], [2, 4, 7], [1, 5, 2]],  # zero pivot after one step: swap
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # singular
+    [[0, 0, 1], [0, 2, 3], [0, 4, 5]],  # singular, zero column
+    [[-7]],
+])
+def test_det_of_integer_matrices_is_an_exact_int(rows):
+    d = det(rows)
+    assert type(d) is int
+    assert d == det(mat(rows))
+    assert isinstance(det(mat(rows)), Fraction)
+
+
+def test_integer_det_agrees_with_fraction_det_on_random_matrices():
+    import random
+
+    rng = random.Random(5)
+    for n in range(1, 8):
+        for _ in range(20):
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 9)) for _ in range(n)]
+                    for _ in range(n)]
+            d = det(rows)
+            assert type(d) is int and d == det(mat(rows))
