@@ -23,8 +23,9 @@ from fractions import Fraction
 from importlib import resources
 
 from .linalg import (charpoly, det, frac, identity, intersect_nullspaces,
-                     inverse, mat, mat_mul, nullspace, solve, transpose)
-from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
+                     inverse, mat, mat_mul, mat_vec, nullspace, solve,
+                     transpose)
+from .liealg import (IsotropyModule, MatrixLieAlgebra,
                      build_algebra, creal, diag_torus_su, generator_v_matrix,
                      invariant_3forms, invariant_dims, invariant_form_types,
                      irreducible_dims, module_from_action, product_algebra,
@@ -113,14 +114,9 @@ def so3_irrep(dim):
     hmat = transpose(mat(harm))
     restricted = []
     for a in acts:
-        cols = []
-        for h in harm:
-            img = [sum(a[r][c] * h[c] for c in range(len(monos)))
-                   for r in range(len(monos))]
-            co = solve(hmat, img)
-            if co is None:
-                raise AssertionError("rotation action leaves harmonics")
-            cols.append(co)
+        cols = solve(hmat, [mat_vec(a, h) for h in harm])
+        if cols is None:
+            raise AssertionError("rotation action leaves harmonics")
         restricted.append(transpose(cols))
     return restricted
 
@@ -598,8 +594,7 @@ def generator_compatibility_report(mod: IsotropyModule, name, fmat, scan=None):
     """
     cand = candidate_module(mod, name, fmat)
     vmat = cand.generators[-1][1]
-    cfg = scan or ScanConfig(grid=2000, random=500)
-    rep = invariant_form_types(cand, cfg)
+    rep = invariant_form_types(cand, scan)
     kill = list(mod.action)
     block_eigs = None
     if kill:
@@ -683,8 +678,7 @@ def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
         big = invariant_3forms(replace(mod, generators=()))
         bigmat = transpose(mat([f.coefficient_vector() for f in big]))
         for name, vmat in mod.generators:
-            setwise = all(
-                solve(bigmat, pullback(vmat, f).coefficient_vector()) is not None
-                for f in big)
+            setwise = solve(bigmat, [pullback(vmat, f).coefficient_vector()
+                                     for f in big]) is not None
             rep.add(f"generator {name} fixes family setwise", True, setwise)
     return rep

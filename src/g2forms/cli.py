@@ -191,19 +191,13 @@ def cmd_invariants(args):
 
 def cmd_complex_ranks(args):
     from .homogeneous import bare_complex, build_complex, complex_ranks
-    from .liealg import build_algebra
-    from . import section5
+    from .section5 import NAMED_ALGEBRAS
 
     if args.algebra:
-        named = {
-            "su2+t4": section5.su2_t4_compact,
-            "t7": lambda: build_algebra("t(7)"),
-            "2su2+u1": section5.two_su2_u1,
-        }
-        if args.algebra not in named:
+        if args.algebra not in NAMED_ALGEBRAS:
             print(f"error: unknown algebra {args.algebra!r}", file=sys.stderr)
             return 2
-        mod = bare_complex(named[args.algebra]())
+        mod = bare_complex(NAMED_ALGEBRAS[args.algebra]())
         label = args.algebra
     else:
         try:

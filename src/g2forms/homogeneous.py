@@ -126,12 +126,10 @@ def build_complex(m: IsotropyModule) -> InvariantComplex:
             diffs.append([[Fraction(0)] * len(src) for _ in range(len(tgt))])
             continue
         tmat = transpose(mat([f.coefficient_vector() for f in tgt]))
-        cols = []
-        for f in src:
-            c = solve(tmat, ce_differential(m, f).coefficient_vector())
-            if c is None:
-                raise AssertionError("d of an invariant form is not invariant")
-            cols.append(c)
+        cols = solve(tmat, [ce_differential(m, f).coefficient_vector()
+                            for f in src])
+        if cols is None:
+            raise AssertionError("d of an invariant form is not invariant")
         diffs.append(transpose(cols))
     _assert_d_squared_zero(diffs)
     return InvariantComplex(module=m, bases=bases, diffs=diffs)
@@ -290,15 +288,14 @@ def exact_primitive(c: InvariantComplex, target: KForm):
     """Some invariant k-form with d = target, or None (degree of target - 1)."""
     k = target.degree - 1
     rows_next = [f.coefficient_vector() for f in c.bases[k + 1]]
-    tcoeff = solve(transpose(mat(rows_next)), target.coefficient_vector())
+    tcoeff = solve(transpose(mat(rows_next)), [target.coefficient_vector()])
     if tcoeff is None:
         return None
-    d = c.diffs[k]
-    x = solve(d, tcoeff)
+    x = solve(c.diffs[k], tcoeff)
     if x is None:
         return None
     out = KForm.zero(c.module.dimV, k)
-    for co, f in zip(x, c.bases[k]):
+    for co, f in zip(x[0], c.bases[k]):
         out = out + co * f
     return out
 

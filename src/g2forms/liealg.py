@@ -462,6 +462,11 @@ class IsotropyModule:
                                  for (i, j), c in self.brackets.items() if c[l]])
                      for l in range(self.dimV))
 
+    @cached_property
+    def _invariant_kforms(self):
+        # k -> tuple of basis forms, filled by `invariant_kforms`
+        return {}
+
     def kernel_dim(self):
         """dim of {X in h : ad(X)|V = 0} -- must be 0 for effective entries."""
         if not self.action:
@@ -491,31 +496,31 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
     vvecs = nullspace(mat_mul(hmat, gram_g)) if hmat else identity(g.dim)
     dimv = len(vvecs)
     hdim = len(hmat)
-    # change of basis g-coords -> (h | V) components
-    cb = inverse(transpose(mat(hmat + vvecs)))
-
-    def split(x, y):
-        z = mat_vec(cb, g.bracket(x, y))
-        return z[:hdim], z[hdim:]
+    # (h | V) components of the bracket of every pair of basis vectors, from
+    # one solve against the basis h + V of g
+    basis = hmat + vvecs
+    pairs = list(combinations(range(len(basis)), 2))
+    comps = solve(transpose(basis),
+                  [g.bracket(basis[i], basis[j]) for i, j in pairs])
+    split = {ij: (z[:hdim], z[hdim:]) for ij, z in zip(pairs, comps)}
 
     h_brackets = {}
-    for i in range(hdim):
-        for j in range(i + 1, hdim):
-            hpart, vpart = split(hmat[i], hmat[j])
-            if any(vpart):
-                raise ValueError("h is not closed under the bracket")
-            h_brackets[(i, j)] = hpart
+    for i, j in combinations(range(hdim), 2):
+        hpart, vpart = split[(i, j)]
+        if any(vpart):
+            raise ValueError("h is not closed under the bracket")
+        h_brackets[(i, j)] = hpart
     action = []
-    for x in hmat:
+    for i in range(hdim):
         cols = []
-        for v in vvecs:
-            hpart, vpart = split(x, v)
+        for j in range(hdim, hdim + dimv):
+            hpart, vpart = split[(i, j)]
             if any(hpart):
                 raise AssertionError("[h, V] escaped V; trace form broken?")
             cols.append(vpart)
         action.append(transpose(cols))
-    brackets = {(i, j): split(vvecs[i], vvecs[j])[1]
-                for i in range(dimv) for j in range(i + 1, dimv)}
+    brackets = {(i, j): split[(hdim + i, hdim + j)][1]
+                for i, j in combinations(range(dimv), 2)}
     gram_v = [[sum(vvecs[i][a] * gram_g[a][b] * vvecs[j][b]
                    for a in range(g.dim) for b in range(g.dim))
                for j in range(dimv)] for i in range(dimv)]
@@ -541,19 +546,13 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
         imgs.append(c)
     # Ad_F in g-coords: columns are images of basis vectors
     adf = transpose(imgs)
-    # h must be preserved
-    for hrow in hmat:
-        img = mat_vec(adf, hrow)
-        if solve(transpose(mat(hmat)), img) is None:
-            raise ValueError("generator does not normalize the subalgebra")
-    vmat_rows = mat(vvecs)
-    cols = []
-    for v in vvecs:
-        img = mat_vec(adf, v)
-        coeff = solve(transpose(vmat_rows), img)
-        if coeff is None:
-            raise ValueError("generator does not preserve the complement")
-        cols.append(coeff)
+    # h must be preserved (nothing to check when h = 0)
+    if hmat and solve(transpose(hmat),
+                      [mat_vec(adf, h) for h in hmat]) is None:
+        raise ValueError("generator does not normalize the subalgebra")
+    cols = solve(transpose(vvecs), [mat_vec(adf, v) for v in vvecs])
+    if cols is None:
+        raise ValueError("generator does not preserve the complement")
     return transpose(cols)
 
 
@@ -655,7 +654,17 @@ def _invariant_symmetric_forms(action, generators, n=None):
 
 
 def invariant_kforms(m: IsotropyModule, k):
-    """Exact basis of the invariant k-forms on V."""
+    """Exact basis of the invariant k-forms on V, a fresh list per call.
+
+    The basis is computed once per module and k and kept on the module.
+    """
+    cache = m._invariant_kforms
+    if k not in cache:
+        cache[k] = tuple(_invariant_kform_basis(m, k))
+    return list(cache[k])
+
+
+def _invariant_kform_basis(m, k):
     n = m.dimV
     if k == 0:
         return [KForm.make(n, 0, [((), 1)])]
@@ -733,13 +742,9 @@ def _restrict(mats, basis_vecs):
     bt = transpose(mat(basis_vecs))
     out = []
     for a in mats:
-        cols = []
-        for v in basis_vecs:
-            img = mat_vec(a, v)
-            c = solve(bt, img)
-            if c is None:
-                raise AssertionError("subspace is not invariant")
-            cols.append(c)
+        cols = solve(bt, [mat_vec(a, v) for v in basis_vecs])
+        if cols is None:
+            raise AssertionError("subspace is not invariant")
         out.append(transpose(cols))
     return out
 

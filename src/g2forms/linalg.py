@@ -98,27 +98,61 @@ def nullspace(a):
     return basis
 
 
-def solve(a, b):
-    """One solution x of a x = b, or None if inconsistent."""
+def solve(a, bs):
+    """One solution x of a x = b for each right-hand side b in bs.
+
+    [a | b_1 ... b_m] is reduced once; free variables are set to zero.
+    Returns the list of solutions, or None if any b is inconsistent.
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [frac(b[i])] for i in range(rows)]
+    aug = [list(a[i]) + [frac(b[i]) for b in bs] for i in range(rows)]
     r, pivots = rref(aug)
-    if cols in pivots:
+    if pivots and pivots[-1] >= cols:
         return None
-    x = [ZERO] * cols
+    xs = [[ZERO] * cols for _ in bs]
     for i, pc in enumerate(pivots):
-        x[pc] = r[i][cols]
-    return x
+        for x, v in zip(xs, r[i][cols:]):
+            x[pc] = v
+    return xs
 
 
 def inverse(a):
-    n = len(a)
-    aug = [list(a[i]) + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
+    x = solve(a, identity(len(a)))
+    if x is None:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    return transpose(x)
+
+
+def _bareiss(a, swap):
+    """Fraction-free (Bareiss) elimination of a square matrix: (pivots, sign).
+
+    The pivots run up to the first zero one.  Without swaps pivot k is the
+    leading principal minor of order k + 1; with them a zero pivot is swapped
+    for a lower nonzero entry and sign * last pivot is the determinant.
+    """
+    n = len(a)
+    exact_int = all(isinstance(x, int) for row in a for x in row)
+    m = [list(row) for row in a] if exact_int else mat(a)
+    sign = 1
+    prev = 1 if exact_int else ONE
+    pivots = []
+    for k in range(n):
+        if swap and m[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pr is not None:
+                m[k], m[pr] = m[pr], m[k]
+                sign = -sign
+        piv = m[k][k]
+        pivots.append(piv)
+        if piv == 0:
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * piv - m[i][k] * m[k][j]
+                m[i][j] = num // prev if exact_int else num / prev
+        prev = piv
+    return pivots, sign
 
 
 def det(a):
@@ -127,27 +161,10 @@ def det(a):
     Integer input stays integer (exact divisions) and returns an int;
     anything else runs over Fractions.
     """
-    n = len(a)
-    if n == 0:
+    if not a:
         return ONE
-    exact_int = all(isinstance(x, int) for row in a for x in row)
-    m = [list(row) for row in a] if exact_int else mat(a)
-    sign = 1
-    prev = 1 if exact_int else ONE
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pr is None:
-                return 0 if exact_int else ZERO
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * piv - m[i][k] * m[k][j]
-                m[i][j] = num // prev if exact_int else num / prev
-        prev = piv
-    return sign * m[n - 1][n - 1]
+    pivots, sign = _bareiss(a, swap=True)
+    return sign * pivots[-1]
 
 
 def charpoly(a):
@@ -199,22 +216,8 @@ def leading_principal_minors(b):
     Integer input stays integer (exact divisions), anything else runs over
     Fractions.
     """
-    n = len(b)
-    exact_int = all(isinstance(x, int) for row in b for x in row)
-    m = [list(row) for row in b] if exact_int else mat(b)
-    minors = []
-    prev = 1 if exact_int else ONE
-    for k in range(n):
-        piv = m[k][k]
-        minors.append(piv)
-        if piv == 0:
-            return None if k < n - 1 else minors
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * piv - m[i][k] * m[k][j]
-                m[i][j] = num // prev if exact_int else num / prev
-        prev = piv
-    return minors
+    minors, _ = _bareiss(b, swap=False)
+    return minors if len(minors) == len(b) else None
 
 
 def span_basis(vectors):

@@ -19,7 +19,7 @@ from .homogeneous import (bare_complex, build_complex,
 from .liealg import (IsotropyModule, MatrixLieAlgebra, build_algebra,
                      invariant_3forms, invariant_kforms, module_from_action,
                      product_algebra, _embed_block)
-from .linalg import identity, transpose
+from .linalg import identity, solve, transpose
 from .multilinear import KForm, form_to_json
 from .stable_forms import (PHI, PHITILDE, Orbit3Class, annihilator_of_form,
                            classify3, metric_from_4form, star_euclidean)
@@ -63,6 +63,14 @@ def two_su2_u1() -> MatrixLieAlgebra:
     return product_algebra("2su(2)+u(1)",
                            [build_algebra("su(2)"), build_algebra("su(2)"),
                             build_algebra("u(1)")])
+
+
+#: the trivial-isotropy complexes that can be named on the command line
+NAMED_ALGEBRAS = {
+    "su2+t4": su2_t4_compact,
+    "t7": lambda: build_algebra("t(7)"),
+    "2su2+u1": two_su2_u1,
+}
 
 
 def _chain(ranks):
@@ -182,14 +190,10 @@ def coclosed_family_report() -> dict:
 
 
 def closed_scan_report(algebra="su2+t4", samples=10_000, seed=0) -> dict:
-    algs = {
-        "su2+t4": su2_t4_compact,
-        "t7": lambda: build_algebra("t(7)"),
-        "2su2+u1": two_su2_u1,
-    }
-    if algebra not in algs:
-        raise ValueError(f"unknown algebra {algebra!r}; options {sorted(algs)}")
-    comp = build_complex(bare_complex(algs[algebra]()))
+    if algebra not in NAMED_ALGEBRAS:
+        raise ValueError(
+            f"unknown algebra {algebra!r}; options {sorted(NAMED_ALGEBRAS)}")
+    comp = build_complex(bare_complex(NAMED_ALGEBRAS[algebra]()))
     rep = closed_stable_scan(comp, samples=samples, seed=seed)
     rep["algebra"] = algebra
     if algebra == "su2+t4":
@@ -309,17 +313,16 @@ def example_429_report(npoints=20, seed=0) -> dict:
     psi1 = KForm.basis(7, 4, 5, 6, 7)
     psi2 = star_euclidean(PHI)
     span = transpose([f.coefficient_vector() for f in inv4])
-    from .linalg import solve
-
-    in_family = all(solve(span, p.coefficient_vector()) is not None
-                    for p in (psi1, psi2))
+    in_family = solve(span, [psi1.coefficient_vector(),
+                             psi2.coefficient_vector()]) is not None
     claims.append(_claim("w4567 and the dual reference span the family",
                          True, in_family))
     printed_psi2 = KForm.make(7, 4, [
         ((4, 5, 6, 7), 1), ((2, 3, 6, 7), 1), ((2, 3, 4, 5), 1),
         ((1, 3, 5, 7), 1), ((1, 3, 4, 6), -1), ((2, 3, 5, 6), -1),
         ((1, 2, 4, 7), -1)])
-    printed_invariant = solve(span, printed_psi2.coefficient_vector()) is not None
+    printed_invariant = solve(
+        span, [printed_psi2.coefficient_vector()]) is not None
     claims.append(_claim("printed second generator is invariant",
                          False, printed_invariant))
     big_psi2 = psi2 + Fraction(-1, 3) * psi1

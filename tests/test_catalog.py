@@ -153,15 +153,16 @@ def test_verify_entry_passes_its_scan_config_to_the_generator_scans(
         return scan(mod, config)
 
     monkeypatch.setattr(catalog, "invariant_form_types", spy)
-    config = ScanConfig(grid=300, random=50, seed=3)
-    for case, params in (("4ii", [0, 0]), ("6ii", [])):
-        entry = next(e for e in load_catalog()
-                     if e["case"] == case and e["params"] == params)
-        seen.clear()
-        verify_entry(entry, config)
-        generator_scans = [label for label, _ in seen if "+" in label]
-        assert generator_scans, case
-        assert all(c is config for _, c in seen), seen
+    # with no config, the module and generator scans share the same default
+    for config in (ScanConfig(grid=300, random=50, seed=3), None):
+        for case, params in (("4ii", [0, 0]), ("6ii", [])):
+            entry = next(e for e in load_catalog()
+                         if e["case"] == case and e["params"] == params)
+            seen.clear()
+            verify_entry(entry, config)
+            generator_scans = [label for label, _ in seen if "+" in label]
+            assert generator_scans, case
+            assert all(c is config for _, c in seen), seen
 
 
 def test_auxiliary_entry_is_not_a_table_row():

@@ -7,9 +7,11 @@ import pytest
 from g2forms.catalog import _BUILDERS, build_entry
 from g2forms.liealg import (MatrixLieAlgebra, ScanConfig, _ray_grid,
                             build_algebra, invariant_3forms, invariant_dims,
-                            invariant_form_types, irreducible_dims,
-                            product_algebra, reductive_complement)
-from g2forms.linalg import commutator, trace, mat_mul
+                            invariant_form_types, invariant_kforms,
+                            irreducible_dims, product_algebra,
+                            reductive_complement)
+from g2forms.linalg import (commutator, inverse, mat, mat_mul, mat_vec,
+                            trace, transpose)
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
                                   classify_hitchin, family_hitchin_map,
                                   hitchin_matrix, primitive_int_vector)
@@ -87,6 +89,60 @@ def test_built_module_is_a_deep_value():
     gens = build_entry("2ai").generators
     with pytest.raises(TypeError):
         gens[0][1][0][0] = 1
+
+
+def test_invariant_kforms_are_computed_once_per_module(monkeypatch):
+    import dataclasses
+
+    from g2forms import liealg
+
+    calls = []
+    compute = liealg._invariant_kform_basis
+
+    def counting(m, k):
+        calls.append(k)
+        return compute(m, k)
+
+    monkeypatch.setattr(liealg, "_invariant_kform_basis", counting)
+    mod = build_entry("2d")
+    first = invariant_kforms(mod, 3)
+    expected = list(first)
+    first.append(first[0])
+    first.pop(0)
+    second = invariant_kforms(mod, 3)
+    assert second == expected and second is not first
+    assert invariant_3forms(mod) == expected
+    assert calls == [3]
+    invariant_kforms(mod, 2)
+    assert calls == [3, 2]
+    # a copy is a new module with an empty cache
+    assert invariant_kforms(dataclasses.replace(mod), 3) == expected
+    assert calls == [3, 2, 3]
+
+
+@pytest.mark.parametrize("case", ["7", "1"])
+def test_reductive_complement_matches_an_inverse_projection(case):
+    mod = build_entry(case)
+    g, hmat, vvecs = mod.ambient, list(mod.h_coords), list(mod.V_coords)
+    hdim = len(hmat)
+    # reference: invert the change of basis g -> (h | V) and project
+    cb = inverse(transpose(mat(hmat + vvecs)))
+
+    def split(x, y):
+        z = mat_vec(cb, g.bracket(x, y))
+        return z[:hdim], z[hdim:]
+
+    action = []
+    for x in hmat:
+        parts = [split(x, v) for v in vvecs]
+        assert all(not any(hpart) for hpart, _ in parts)
+        action.append(tuple(zip(*(vpart for _, vpart in parts))))
+    assert mod.action == tuple(action)
+    brackets = {(i, j): tuple(split(vvecs[i], vvecs[j])[1])
+                for i, j in combinations(range(len(vvecs)), 2)}
+    assert dict(mod.brackets) == brackets
+    for i, j in combinations(range(hdim), 2):
+        assert not any(split(hmat[i], hmat[j])[1])
 
 
 def test_trivial_complement():

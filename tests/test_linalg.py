@@ -31,7 +31,67 @@ def test_nullspace_known():
 
 
 def test_solve_inconsistent():
-    assert solve(mat([[1, 1], [1, 1]]), [1, 2]) is None
+    assert solve(mat([[1, 1], [1, 1]]), [[1, 2]]) is None
+
+
+def _solve_one(a, b):
+    """Reference: reduce [a | b] for a single right-hand side."""
+    cols = len(a[0])
+    r, pivots = rref([row + [Fraction(x)] for row, x in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i][cols]
+    return x
+
+
+def _random_system(rng, rows, cols, rnk):
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    left = [[entry() for _ in range(rnk)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(rnk)]
+    return mat_mul(left, right) if rnk else mat([[0] * cols] * rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_solve_matches_a_per_vector_loop(seed):
+    import random
+
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(25):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        rnk = rng.randint(0, min(rows, cols))
+        a = _random_system(rng, rows, cols, rnk)
+        # consistent right-hand sides a x, then arbitrary ones, which are
+        # inconsistent whenever they leave the column space
+        consistent = [[sum(row[j] * x[j] for j in range(cols)) for row in a]
+                      for x in ([rng.randint(-3, 3) for _ in range(cols)]
+                                for _ in range(rng.randint(1, 4)))]
+        arbitrary = [[rng.randint(-3, 3) for _ in range(rows)]
+                     for _ in range(rng.randint(1, 3))]
+        assert _solve_one(a, consistent[0]) is not None
+        for bs in (consistent, arbitrary, consistent + arbitrary):
+            expected = [_solve_one(a, b) for b in bs]
+            got = solve(a, bs)
+            if any(x is None for x in expected):
+                seen.add("inconsistent")
+                assert got is None
+            else:
+                seen.add("singular" if rnk < cols else "unique")
+                assert got == expected
+                assert all(type(v) is Fraction for x in got for v in x)
+        assert solve(a, []) == []
+    assert seen == {"inconsistent", "singular", "unique"}
+
+
+def test_inverse_raises_on_a_singular_matrix():
+    with pytest.raises(ValueError, match="singular"):
+        inverse(mat([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="singular"):
+        inverse(mat([[0, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_det_known():
@@ -109,6 +169,19 @@ def test_signature_congruence_invariant(rows):
 def test_leading_minors_bareiss_int():
     m = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
     assert leading_principal_minors(m) == [2, 3, 4]
+
+
+def test_leading_minors_keep_the_input_type_and_stop_at_a_zero_pivot():
+    m = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    assert [type(x) for x in leading_principal_minors(m)] == [int] * 3
+    fr = leading_principal_minors(mat(m))
+    assert fr == [2, 3, 4] and all(type(x) is Fraction for x in fr)
+    # a zero leading minor before the last one: None, not a row swap
+    assert leading_principal_minors([[0, 1], [1, 0]]) is None
+    assert leading_principal_minors([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) is None
+    # a vanishing last minor is returned
+    assert leading_principal_minors([[1, 1], [1, 1]]) == [1, 0]
+    assert leading_principal_minors([]) == []
 
 
 def test_rank_rectangular():
