@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import identity, mat, mat_mul, nullspace, rank, solve, transpose
+from .linalg import identity, mat, nullspace, rank, solve, transpose
 from .liealg import IsotropyModule, MatrixLieAlgebra, invariant_kforms
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .stable_forms import (_METRIC_CONST, Orbit3Class, classify3,
-                           classify_hitchin, family_hitchin_map,
-                           hitchin_matrix, hodge_star, star_euclidean)
+                           classify_hitchin, family_hitchin_map, hitchin_ray,
+                           hodge_star, star_euclidean)
 
 
 def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
@@ -136,13 +136,21 @@ def build_complex(m: IsotropyModule) -> InvariantComplex:
 
 
 def _assert_d_squared_zero(diffs):
+    """Exact d_{k+1} d_k = 0 for every k; the product skips zero entries."""
     for k in range(len(diffs) - 1):
         a, b = diffs[k + 1], diffs[k]
         if not a or not b or not a[0] or not b[0]:
             continue
-        prod = mat_mul(a, b)
-        if any(x != 0 for row in prod for x in row):
-            raise AssertionError(f"d^2 != 0 between degrees {k} and {k + 2}")
+        b_rows = [{c: x for c, x in enumerate(row) if x} for row in b]
+        for row in a:
+            acc = {}
+            for j, x in enumerate(row):
+                if x:
+                    for c, y in b_rows[j].items():
+                        acc[c] = acc.get(c, 0) + x * y
+            if any(acc.values()):
+                raise AssertionError(
+                    f"d^2 != 0 between degrees {k} and {k + 2}")
 
 
 def complex_ranks(c: InvariantComplex):
@@ -195,31 +203,41 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
         torsion_free=False, orbit=orbit.value)
 
 
-def _metric_is_identity(t: KForm) -> bool:
+def _metric_is_identity(bx, scale) -> bool:
     """g = I exactly: g = sign(det B) B / (6^(2/9) |det B|^(1/9)) is the
-    identity exactly when B = +-6 I."""
-    b = hitchin_matrix(t.coefficient_vector())
-    c = b[0][0]
-    return c in (_METRIC_CONST, -_METRIC_CONST) and all(
-        b[i][j] == (c if i == j else 0) for i in range(7) for j in range(7))
+    identity exactly when B = scale^3 Bx (see `hitchin_ray`) is +-6 I."""
+    c = bx[0][0]
+    return scale ** 3 * c in (_METRIC_CONST, -_METRIC_CONST) and all(
+        bx[i][j] == (c if i == j else 0) for i in range(7) for j in range(7))
 
 
-def coclosed_check(m: IsotropyModule, t: KForm) -> bool:
-    """Is d(star t) = 0?  Exact when the induced metric is the identity.
+def coclosed_if_stable(m: IsotropyModule, t: KForm):
+    """Is d(star t) = 0?  None when t is degenerate.
 
+    One integer Hitchin matrix gives the class and the exact identity-metric
+    test; when the induced metric is the identity the exact star is used.
     Otherwise the float star is differentiated as a sparse terms map; the
     exact `ce_differential` does not take float input.
     """
     import numpy as np
 
-    if classify3(t) is Orbit3Class.DEGENERATE:
-        raise ValueError("coclosedness needs a stable form")
-    if m.dimV == 7 and _metric_is_identity(t):
+    bx, scale = hitchin_ray(t)
+    if classify_hitchin(bx) is Orbit3Class.DEGENERATE:
+        return None
+    if m.dimV == 7 and _metric_is_identity(bx, scale):
         return ce_differential(m, star_euclidean(t)).is_zero()
     st = hodge_star(t, t)
     terms = {idx: c for idx, c in zip(combinations(range(1, 8), 4), st) if c}
     dst = list(_diff_terms(terms, m.d_one_forms).values())
     return bool(np.linalg.norm(dst) <= 1e-9 * max(1.0, np.linalg.norm(st)))
+
+
+def coclosed_check(m: IsotropyModule, t: KForm) -> bool:
+    """Is d(star t) = 0 for the stable form t?  See `coclosed_if_stable`."""
+    coclosed = coclosed_if_stable(m, t)
+    if coclosed is None:
+        raise ValueError("coclosedness needs a stable form")
+    return coclosed
 
 
 def invariant_2form_analysis(m: IsotropyModule):

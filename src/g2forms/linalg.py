@@ -1,6 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction (plain ints are promoted on entry).
+Matrices are lists of lists of Fraction (`mat` promotes plain ints).  The
+fraction-free routines `det`, `leading_principal_minors` and `charpoly`
+instead keep an all-int matrix integer, dividing exactly with `//`, and
+return ints; any other input runs over Fractions.
 All routines are deterministic: pivots are chosen by position, never by
 magnitude, so repeated runs produce identical bases.  No floating point.
 """
@@ -170,18 +173,26 @@ def det(a):
 def charpoly(a):
     """Coefficients [c_0, ..., c_n] of det(xI - a) = sum c_k x^k (c_n = 1).
 
-    Faddeev-LeVerrier recursion; exact over the rationals.
+    Faddeev-LeVerrier recursion; exact over the rationals.  The coefficients
+    of an integer matrix are integers, so integer input stays integer (the
+    division by k is exact) and returns ints; anything else runs over
+    Fractions.
     """
     n = len(a)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    m = identity(n)
+    exact_int = all(isinstance(x, int) for row in a for x in row)
+    one, zero = (1, 0) if exact_int else (ONE, ZERO)
+    coeffs = [zero] * (n + 1)
+    coeffs[n] = one
+    m = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         if k > 1:
             m = mat_mul(a, m)
             for i in range(n):
                 m[i][i] += c
-        c = -trace(mat_mul(a, m)) / k if k > 1 else -trace(a)
+            tr = -trace(mat_mul(a, m))
+            c = tr // k if exact_int else tr / k
+        else:
+            c = -trace(a)
         coeffs[n - k] = c
     return coeffs
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .catalog import build_entry
 from .homogeneous import (bare_complex, build_complex,
-                          ce_differential, coclosed_check,
+                          ce_differential, coclosed_check, coclosed_if_stable,
                           coclosed_stable_family_dim, complex_ranks,
                           closed_stable_scan, exact_primitive,
                           invariant_2form_analysis, nearly_parallel_check,
@@ -21,8 +21,8 @@ from .liealg import (IsotropyModule, MatrixLieAlgebra, build_algebra,
                      product_algebra, _embed_block)
 from .linalg import identity, solve, transpose
 from .multilinear import KForm, form_to_json
-from .stable_forms import (PHI, PHITILDE, Orbit3Class, annihilator_of_form,
-                           classify3, metric_from_4form, star_euclidean)
+from .stable_forms import (PHI, PHITILDE, annihilator_of_form, classify3,
+                           metric_from_4form, star_euclidean)
 
 
 def _claim(name, expected, computed):
@@ -270,10 +270,7 @@ def _coclosed_grid(mod, basis, grid):
         th = math.pi * k / grid
         fa = Fraction(round(math.cos(th) * 10 ** 6), 10 ** 6)
         fb = Fraction(round(math.sin(th) * 10 ** 6), 10 ** 6)
-        t = fa * f1 + fb * f2
-        if classify3(t) is Orbit3Class.DEGENERATE:
-            continue
-        if not coclosed_check(mod, t):
+        if coclosed_if_stable(mod, fa * f1 + fb * f2) is False:
             return False
     return True
 

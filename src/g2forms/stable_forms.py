@@ -45,11 +45,17 @@ class Orbit3Class(Enum):
 
 @dataclass(frozen=True)
 class HitchinData:
-    """Exact bilinear-form data of a 3-form: B, det B, and the signature."""
+    """Exact bilinear-form data of a 3-form: B, det B, and the signature.
+
+    Everything is read off one integer matrix: for t = scale * x with x the
+    primitive integer vector on the ray of t, Bx = hitchin_matrix(x),
+    B = scale^3 Bx and det B = scale^21 det Bx.
+    """
 
     B: list
     detB: Fraction
     signature: tuple
+    Bx: list
 
 
 @dataclass(frozen=True)
@@ -141,24 +147,51 @@ def hitchin_matrix(coeffs):
     return b
 
 
-def hitchin_bilinear(t: KForm) -> HitchinData:
-    """Exact Hitchin data of a degree-3 form on R^7."""
-    coeffs = _coeffs3(t)
-    b = hitchin_matrix(coeffs)
-    bq = mat(b)
-    return HitchinData(B=bq, detB=det(bq), signature=symmetric_signature(bq))
+def primitive_ray(vec):
+    """(x, scale) with vec = scale * x and x the primitive integer vector.
 
-
-def primitive_int_vector(vec):
-    """The primitive integer vector on the ray of a rational vector.
-
-    Clears denominators and divides out the content; the positive scaling
-    changes neither a classification nor the ray a scan sample lies on.
+    Clears denominators and divides out the content.  The scale is positive
+    (0 for the zero vector), so it changes neither a classification nor the
+    ray a scan sample lies on.
     """
     den = math.lcm(*(c.denominator for c in vec))
     ints = [c.numerator * (den // c.denominator) for c in vec]
     g = math.gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    return ([x // g for x in ints] if g > 1 else ints), Fraction(g, den)
+
+
+def primitive_int_vector(vec):
+    """The primitive integer vector on the ray of a rational vector."""
+    return primitive_ray(vec)[0]
+
+
+def hitchin_ray(t: KForm):
+    """(Bx, scale): the integer Hitchin matrix of t's primitive ray.
+
+    t = scale * x with x primitive integer and Bx = hitchin_matrix(x); B is
+    homogeneous of degree 3, so B(t) = scale^3 Bx exactly.
+    """
+    x, scale = primitive_ray(_coeffs3(t))
+    return hitchin_matrix(x), scale
+
+
+def _rescale(bx, scale):
+    """Exact B = scale^3 Bx and det B = scale^21 det Bx (integer Bareiss)."""
+    s3 = scale ** 3
+    return [[s3 * v for v in row] for row in bx], scale ** 21 * det(bx)
+
+
+def hitchin_bilinear(t: KForm) -> HitchinData:
+    """Exact Hitchin data of a degree-3 form on R^7.
+
+    B is built once, on the integer vector of t's ray; det and the Descartes
+    signature run on that integer matrix (a positive scale keeps the
+    signature), and only B and det B are rescaled to t.
+    """
+    bx, scale = hitchin_ray(t)
+    b, detb = _rescale(bx, scale)
+    return HitchinData(B=b, detB=detb, signature=symmetric_signature(bx),
+                       Bx=bx)
 
 
 def family_hitchin_map(bvecs):
@@ -247,11 +280,12 @@ def metric_from_3form(t: KForm):
     yields the identity metric.  B has signature (7,0), (0,7), (4,3) or
     (3,4), and det B < 0 exactly for (0,7) and (4,3): the sign makes the
     definite metric positive and gives the indefinite one signature (3, 4).
+    B and det B are exact rescalings of the integer matrix of t's ray, so
+    each float is the correctly rounded value of the exact rational.
     """
     import numpy as np
 
-    b = hitchin_matrix(_coeffs3(t))
-    detb = det(b)
+    b, detb = _rescale(*hitchin_ray(t))
     if detb == 0:
         raise ValueError("degenerate 3-form has no metric")
     scale = float(_METRIC_CONST) ** (2.0 / 9.0) * float(abs(detb)) ** (1.0 / 9.0)
@@ -353,11 +387,14 @@ def four_form_volume(p: KForm) -> float:
 
 
 def classification_report(t: KForm) -> dict:
-    """CLI-facing classification record with exact rational det B."""
+    """CLI-facing classification record with exact rational det B.
+
+    One Hitchin build: the class comes from the same integer matrix as det B
+    and the signature.
+    """
     data = hitchin_bilinear(t)
-    cls = classify3(t)
     return {
-        "class": cls.value,
+        "class": classify_hitchin(data.Bx).value,
         "detB": str(data.detB),
         "signature": list(data.signature),
     }

@@ -15,7 +15,7 @@ from g2forms.liealg import build_algebra, invariant_3forms
 from g2forms.linalg import nullspace, rank
 from g2forms.multilinear import KForm, pullback
 from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify_coeffs,
-                                  hodge_star, star_euclidean)
+                                  hitchin_ray, hodge_star, star_euclidean)
 
 w = KForm.basis
 
@@ -130,15 +130,16 @@ def test_coclosed_family_dims(su2t4, t7):
 @pytest.mark.parametrize("t", [PHI, -1 * PHI])
 def test_coclosed_check_exact_branch_agrees_with_float_star(
         su2t4, monkeypatch, t):
-    assert homogeneous._metric_is_identity(t)
-    assert not homogeneous._metric_is_identity(2 * t)
-    assert not homogeneous._metric_is_identity(PHITILDE)
+    assert homogeneous._metric_is_identity(*hitchin_ray(t))
+    assert not homogeneous._metric_is_identity(*hitchin_ray(2 * t))
+    assert not homogeneous._metric_is_identity(*hitchin_ray(PHITILDE))
     st = hodge_star(t, t)
     exact = star_euclidean(t).coefficient_vector()
     assert max(abs(x - float(y)) for x, y in zip(st, exact)) < 1e-9
     mods = [su2t4.module, bare_complex(section5.two_su2_u1())]
     exact_answers = [coclosed_check(m, t) for m in mods]
-    monkeypatch.setattr(homogeneous, "_metric_is_identity", lambda t: False)
+    monkeypatch.setattr(homogeneous, "_metric_is_identity",
+                        lambda bx, scale: False)
     float_answers = [coclosed_check(m, t) for m in mods]
     assert float_answers == exact_answers
     assert all(type(x) is bool for x in float_answers)  # reports emit JSON
@@ -296,3 +297,56 @@ def test_ce_differential_commutes_with_generator_pullback():
 def test_d_squared_zero_on_case_complexes():
     for case in ("1", "3aiii", "2d"):
         build_complex(build_entry(case))  # asserts d^2 = 0 internally
+
+
+def test_d_squared_check_raises_on_a_corrupted_differential(su2t4):
+    diffs = su2t4.diffs
+    homogeneous._assert_d_squared_zero(diffs)
+    corrupted = 0
+    for k in range(len(diffs) - 1):
+        a = diffs[k + 1]
+        hit = next(((i, j) for i, row in enumerate(a)
+                    for j, x in enumerate(row) if x), None)
+        if hit is None or not diffs[k] or not diffs[k][0]:
+            continue
+        # d_{k+1} d_k = 0 before; one more unit in row j of d_k puts the
+        # nonzero column j of d_{k+1} into the product
+        bad = [row[:] for row in diffs[k]]
+        bad[hit[1]][0] += 1
+        with pytest.raises(AssertionError, match=r"d\^2 != 0 between"):
+            homogeneous._assert_d_squared_zero(
+                diffs[:k] + [bad] + diffs[k + 1:])
+        # alone with d_{k+1} (empty differentials are skipped), the
+        # corrupted d_k fails the pair of degrees k and k + 2
+        with pytest.raises(AssertionError,
+                           match=rf"d\^2 != 0 between degrees {k} and {k + 2}"):
+            homogeneous._assert_d_squared_zero([[]] * k + [bad, a])
+        corrupted += 1
+    assert corrupted >= 4
+
+
+def test_coclosed_grid_forms_build_b_at_most_twice(monkeypatch):
+    from g2forms import stable_forms
+
+    mod = build_entry("2ci")
+    f1, f2 = invariant_3forms(mod)
+    calls = []
+    real = stable_forms.hitchin_matrix
+    monkeypatch.setattr(stable_forms, "hitchin_matrix",
+                        lambda coeffs: calls.append(1) or real(coeffs))
+    seen = set()
+    for a, b in ((1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5)),
+                 (Fraction(-1, 2), Fraction(7, 10 ** 6))):
+        t = a * f1 + b * f2
+        del calls[:]
+        coclosed = homogeneous.coclosed_if_stable(mod, t)
+        assert len(calls) == (1 if coclosed is None else 2)
+        seen.add(coclosed)
+    assert seen == {None, True}
+    # the exact identity-metric branch builds B once and needs no metric
+    su2t4_module = bare_complex(section5.su2_t4_compact())
+    del calls[:]
+    assert coclosed_check(su2t4_module, PHI)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="coclosedness needs a stable form"):
+        coclosed_check(su2t4_module, w(7, 1, 2, 3))

@@ -135,6 +135,30 @@ def test_charpoly_evaluates_to_zero(rows):
     assert all(x == 0 for row in acc for x in row)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_charpoly_is_the_fraction_charpoly_in_ints(seed):
+    import random
+
+    rng = random.Random(seed)
+    singular = 0
+    for n in range(1, 8):
+        for _ in range(8):
+            rows = [[rng.choice((0, 0, 1, -1, 2, -3, 7, -12, -10 ** 9))
+                     for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                rows[-1] = [-2 * x for x in rows[0]]
+            cs = charpoly(rows)
+            assert all(type(c) is int for c in cs)
+            ref = charpoly(mat(rows))
+            assert all(type(c) is Fraction for c in ref)
+            assert cs == ref
+            assert cs[0] == (-1) ** n * det(rows)
+            singular += cs[0] == 0
+    assert singular > 0
+    assert charpoly([[2, 1], [1, 2]]) == [3, -4, 1]
+    assert charpoly([[-5]]) == [5, 1]
+
+
 def test_charpoly_det_consistency():
     a = mat([[1, 2], [3, 4]])
     cs = charpoly(a)

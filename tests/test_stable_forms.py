@@ -9,7 +9,8 @@ from g2forms.linalg import (det, mat, mat_mul, rank, symmetric_signature,
 from g2forms.multilinear import (KForm, algebra_action, basis_vector,
                                  interior, pullback, sort_index, wedge)
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
-                                  annihilator_g2, classify3,
+                                  annihilator_g2, classification_report,
+                                  classify3,
                                   decompose2, decompose3, four_form_volume,
                                   hitchin_bilinear, hitchin_matrix,
                                   hodge_star, metric_from_3form,
@@ -388,3 +389,107 @@ def test_fast_classifier_agrees_with_signature_route(seed):
         assert data.signature in ((4, 3), (3, 4))
         expected = Orbit3Class.INDEFINITE
     assert classify3(t) is expected
+
+
+# --- the integer Hitchin path against a Fraction reference ------------------
+
+def _fraction_hitchin(t):
+    """B from the raw Fraction coefficients, its Fraction det, the Descartes
+    signature of the Fraction matrix, and the class they imply."""
+    b = mat(hitchin_matrix(t.coefficient_vector()))
+    detb, signature = det(b), symmetric_signature(b)
+    if detb == 0:
+        cls = Orbit3Class.DEGENERATE
+    elif signature in ((7, 0), (0, 7)):
+        cls = Orbit3Class.DEFINITE
+    else:
+        cls = Orbit3Class.INDEFINITE
+    return b, detb, signature, cls
+
+
+def _fraction_metric(t):
+    """metric_from_3form's float formula applied to the Fraction-built B."""
+    import math
+
+    import numpy as np
+
+    b = hitchin_matrix(t.coefficient_vector())
+    detb = det(mat(b))
+    scale = 6.0 ** (2.0 / 9.0) * float(abs(detb)) ** (1.0 / 9.0)
+    g = np.array(b, dtype=float) / scale
+    if detb < 0:
+        g = -g
+    return g, math.sqrt(abs(np.linalg.det(g)))
+
+
+def _truncated_phi(k):
+    # the first k terms of PHI; k = 1, 3, 5, 6 give degenerate forms whose
+    # B has rank 0, 1, 2 and 4
+    return KForm.make(7, 3, sorted(PHI.terms.items())[:k])
+
+
+def _equivalence_forms(seed):
+    """Integer, large-denominator, negative and degenerate 3-forms."""
+    rng = random.Random(seed)
+    forms = [KForm.zero(7, 3), w(7, 1, 2, 3)]
+    for ref in (PHI, PHITILDE, *(_truncated_phi(k) for k in (1, 3, 5, 6))):
+        t = pullback(_unimodular(rng), ref)
+        forms.append(t)
+        for den in (1, 7, 10 ** 6, 10 ** 15):
+            c = Fraction(rng.randint(1, 10 ** 9), rng.randint(1, den))
+            forms.append(c * t)
+            forms.append(-c * t)
+    for den in (1, 10 ** 6, 10 ** 15):
+        for _ in range(4):
+            terms = [(idx, Fraction(rng.randint(-10 ** 8, 10 ** 8),
+                                    rng.randint(1, den)))
+                     for idx in rng.sample(list(combinations(range(1, 8), 3)),
+                                           rng.choice((4, 9, 20, 35)))]
+            forms.append(KForm.make(7, 3, terms))
+    return forms
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_hitchin_data_and_report_match_a_fraction_reference(seed):
+    classes, degenerate_ranks = set(), set()
+    for t in _equivalence_forms(seed):
+        b, detb, signature, cls = _fraction_hitchin(t)
+        data = hitchin_bilinear(t)
+        assert data.B == b
+        assert all(type(x) is Fraction for row in data.B for x in row)
+        assert data.detB == detb and type(data.detB) is Fraction
+        assert data.signature == signature
+        assert all(type(x) is int for row in data.Bx for x in row)
+        assert classification_report(t) == {
+            "class": cls.value, "detB": str(detb),
+            "signature": list(signature)}
+        classes.add(cls)
+        if cls is Orbit3Class.DEGENERATE:
+            degenerate_ranks.add(rank(b))
+    assert classes == set(Orbit3Class)
+    assert degenerate_ranks == {0, 1, 2, 4}
+
+
+@pytest.mark.parametrize("den", [10 ** 6, 10 ** 15])
+def test_integer_metric_is_bit_identical_to_the_fraction_metric(den):
+    import math
+
+    import numpy as np
+
+    rng = random.Random(den)
+    f1 = pullback(_unimodular(rng), PHI)
+    f2 = pullback(_unimodular(rng), PHITILDE)
+    checked = 0
+    for k in range(24):
+        th = math.pi * k / 24
+        fa = Fraction(round(math.cos(th) * den), den)
+        fb = Fraction(round(math.sin(th) * den), den)
+        for t in (fa * f1 + fb * f2, fa * PHI + fb * f1, -fa * f2 + fb * PHI):
+            if classify3(t) is Orbit3Class.DEGENERATE:
+                continue
+            g, vol = metric_from_3form(t)
+            g_ref, vol_ref = _fraction_metric(t)
+            assert np.array_equal(g, g_ref)
+            assert vol == vol_ref
+            checked += 1
+    assert checked >= 60
