@@ -64,6 +64,15 @@ def _sparse_mul(a, b):
     return {rc: v for rc, v in out.items() if v}
 
 
+def _vec_mat(v, m, n):
+    """The row vector v times a sparse matrix {(r, c): x} with n columns."""
+    out = [Fraction(0)] * n
+    for (r, c), x in m.items():
+        if v[r]:
+            out[c] += v[r] * x
+    return out
+
+
 def _sparse_commutator(a, b):
     ab, ba = _sparse_mul(a, b), _sparse_mul(b, a)
     out = {rc: ab.get(rc, 0) - ba.get(rc, 0) for rc in ab.keys() | ba.keys()}
@@ -493,7 +502,9 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
     if hmat and rank(hmat) != len(hmat):
         raise ValueError("subalgebra basis is linearly dependent")
     # V = trace-form orthogonal complement of h
-    vvecs = nullspace(mat_mul(hmat, gram_g)) if hmat else identity(g.dim)
+    gram_sparse = _sparse(gram_g)
+    vvecs = (nullspace([_vec_mat(h, gram_sparse, g.dim) for h in hmat])
+             if hmat else identity(g.dim))
     dimv = len(vvecs)
     hdim = len(hmat)
     # (h | V) components of the bracket of every pair of basis vectors, from
@@ -521,9 +532,7 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
         action.append(transpose(cols))
     brackets = {(i, j): split[(hdim + i, hdim + j)][1]
                 for i, j in combinations(range(dimv), 2)}
-    gram_v = [[sum(vvecs[i][a] * gram_g[a][b] * vvecs[j][b]
-                   for a in range(g.dim) for b in range(g.dim))
-               for j in range(dimv)] for i in range(dimv)]
+    gram_v = _gram_restrict(gram_g, vvecs)
     _check_rep_property(action, h_brackets)
     return IsotropyModule(label=label, dimV=dimv, action=action, gram=gram_v,
                           brackets=brackets, h_coords=hmat, V_coords=vvecs,
@@ -558,15 +567,15 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
 
 def _check_rep_property(action, h_brackets):
     """[rho(h_i), rho(h_j)] = rho([h_i, h_j]) from each bracket's h-coords."""
+    rho = [_sparse(a) for a in action]
     for (i, j), coeffs in h_brackets.items():
-        lhs = mat_sub(mat_mul(action[i], action[j]),
-                      mat_mul(action[j], action[i]))
-        rhs = [[Fraction(0)] * len(lhs) for _ in range(len(lhs))]
-        for c, a in zip(coeffs, action):
+        rhs = {}
+        for c, a in zip(coeffs, rho):
             if c:
-                rhs = [[r + c * x for r, x in zip(rr, aa)]
-                       for rr, aa in zip(rhs, a)]
-        if lhs != rhs:
+                for rc, x in a.items():
+                    rhs[rc] = rhs.get(rc, 0) + c * x
+        if _sparse_commutator(rho[i], rho[j]) != {rc: v for rc, v
+                                                  in rhs.items() if v}:
             raise AssertionError("isotropy action violates the brackets")
 
 
@@ -873,10 +882,18 @@ def _restrict_vectors(basis_vecs, coeff_vecs):
 
 
 def _gram_restrict(gram, basis_vecs):
-    k = len(basis_vecs)
-    return [[sum(basis_vecs[i][a] * gram[a][b] * basis_vecs[j][b]
-                 for a in range(len(gram)) for b in range(len(gram)))
-             for j in range(k)] for i in range(k)]
+    """The symmetric gram restricted to the span of basis_vecs: entry (i, j)
+    is w_i . v_j with w_i = v_i G, summed over the nonzeros of w_i."""
+    k, n = len(basis_vecs), len(gram)
+    gram_sparse = _sparse(gram)
+    out = [[None] * k for _ in range(k)]
+    for i, vi in enumerate(basis_vecs):
+        w = [(b, x) for b, x in enumerate(_vec_mat(vi, gram_sparse, n)) if x]
+        for j in range(i, k):
+            vj = basis_vecs[j]
+            out[i][j] = out[j][i] = sum((x * vj[b] for b, x in w),
+                                        Fraction(0))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction (`mat` promotes plain ints).  The
-fraction-free routines `det`, `leading_principal_minors` and `charpoly`
-instead keep an all-int matrix integer, dividing exactly with `//`, and
-return ints; any other input runs over Fractions.
-All routines are deterministic: pivots are chosen by position, never by
-magnitude, so repeated runs produce identical bases.  No floating point.
+Matrices are lists of lists of rationals (Fraction or int; `mat` promotes
+to Fraction).  `rref`, the one elimination under `rank`, `nullspace`,
+`solve`, `span_basis` and `intersect_nullspaces`, eliminates fraction-free
+on sparse integer rows and returns Fractions; its output is deterministic
+because the reduced row echelon form is unique, whatever the pivot order.
+The fraction-free routines `det`, `leading_principal_minors` and `charpoly`
+keep an all-int matrix integer, dividing exactly with `//`, and return
+ints; any other input runs over Fractions.  No floating point.
 """
 
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -52,29 +55,72 @@ def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
+def _primitive(row):
+    """A sparse integer row {col: v} divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _int_row(row):
+    """The ray of a rational row as a primitive sparse integer row."""
+    nz = {c: x for c, x in enumerate(row) if x}
+    if not nz:
+        return nz
+    den = math.lcm(*(x.denominator for x in nz.values()))
+    return _primitive({c: x.numerator * (den // x.denominator)
+                       for c, x in nz.items()})
+
+
+def _eliminate(row, piv, c):
+    """row * p - f * piv, f and p the column-c entries; made primitive."""
+    f, p = row[c], piv[c]
+    g = math.gcd(f, p)
+    f, p = f // g, p // g
+    out = {k: v * p for k, v in row.items()} if p != 1 else dict(row)
+    for k, w in piv.items():
+        v = out.get(k, 0) - f * w
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return _primitive(out) if out else out
+
+
 def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Fraction-free Gauss-Jordan on sparse integer rows: each input row is
+    scaled to a primitive integer row, and each column step replaces a row
+    by row * p - f * pivot_row divided by its content.  The sparsest
+    candidate row becomes the pivot row; the RREF is unique, so this choice
+    does not show in the output.  Fractions are formed only for the final
+    normalized rows; every entry of R is a Fraction, and R keeps the row
+    count of a, padded with zero rows.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pending = [r for r in map(_int_row, a) if r]
+    done = []
+    for c in range(ncols):
+        if not pending:
             break
-    return m, pivots
+        cands = [i for i, r in enumerate(pending) if c in r]
+        if not cands:
+            continue
+        piv = pending.pop(min(cands, key=lambda i: len(pending[i])))
+        pending = [_eliminate(r, piv, c) if c in r else r for r in pending]
+        pending = [r for r in pending if r]
+        done = [(k, _eliminate(r, piv, c) if c in r else r) for k, r in done]
+        done.append((c, piv))
+    out = []
+    for c, r in done:
+        p = r[c]
+        row = [ZERO] * ncols
+        for k, v in r.items():
+            row[k] = Fraction(v, p)
+        out.append(row)
+    out += [[ZERO] * ncols for _ in range(nrows - len(done))]
+    return out, [c for c, _ in done]
 
 
 def rank(a):

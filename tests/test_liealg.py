@@ -5,13 +5,14 @@ from itertools import combinations
 import pytest
 
 from g2forms.catalog import _BUILDERS, build_entry
-from g2forms.liealg import (MatrixLieAlgebra, ScanConfig, _ray_grid,
-                            build_algebra, invariant_3forms, invariant_dims,
+from g2forms.liealg import (MatrixLieAlgebra, ScanConfig,
+                            _check_rep_property, _ray_grid, build_algebra,
+                            invariant_3forms, invariant_dims,
                             invariant_form_types, invariant_kforms,
                             irreducible_dims, product_algebra,
                             reductive_complement)
 from g2forms.linalg import (commutator, inverse, mat, mat_mul, mat_vec,
-                            trace, transpose)
+                            solve, trace, transpose)
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
                                   classify_hitchin, family_hitchin_map,
                                   hitchin_matrix, primitive_int_vector)
@@ -143,6 +144,19 @@ def test_reductive_complement_matches_an_inverse_projection(case):
     assert dict(mod.brackets) == brackets
     for i, j in combinations(range(hdim), 2):
         assert not any(split(hmat[i], hmat[j])[1])
+
+
+@pytest.mark.parametrize("case", ["7", "1", "6i"])
+def test_module_gram_is_the_restricted_trace_form(case):
+    mod = build_entry(case)
+    gram_g, vvecs = mod.ambient.trace_form(), mod.V_coords
+    n = len(gram_g)
+    expected = [[sum(vi[a] * gram_g[a][b] * vj[b]
+                     for a in range(n) for b in range(n)) for vj in vvecs]
+                for vi in vvecs]
+    assert [list(row) for row in mod.gram] == expected
+    assert all(type(x) is Fraction for row in mod.gram for x in row)
+    assert any(x == 0 for row in mod.gram for x in row)
 
 
 def test_trivial_complement():
@@ -304,6 +318,26 @@ def test_representation_property_is_enforced():
     bad = [g.basis[0], g.basis[1]]  # not closed: [b0, b1] = b2-direction
     with pytest.raises(ValueError):
         reductive_complement(g, bad)
+
+
+def test_rep_property_check_raises_on_a_corrupted_action():
+    mod = build_entry("1")
+    g, hmat = mod.ambient, [list(h) for h in mod.h_coords]
+    pairs = list(combinations(range(len(hmat)), 2))
+    h_brackets = dict(zip(pairs, solve(
+        transpose(hmat), [g.bracket(hmat[i], hmat[j]) for i, j in pairs])))
+    assert any(any(c) for c in h_brackets.values())
+    action = [mat(a) for a in mod.action]
+    _check_rep_property(action, h_brackets)
+    # one entry of one action matrix off by one breaks some bracket
+    for k in range(len(action)):
+        for r in range(mod.dimV):
+            for c in range(mod.dimV):
+                bad = [[row[:] for row in a] for a in action]
+                bad[k][r][c] += 1
+                with pytest.raises(AssertionError,
+                                   match="isotropy action violates"):
+                    _check_rep_property(bad, h_brackets)
 
 
 # ---------------------------------------------------------------------------

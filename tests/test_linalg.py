@@ -22,6 +22,108 @@ def test_rref_identity():
     assert pivots == [0, 1, 2]
 
 
+def _dense_rref(a):
+    """Reference: dense Gauss-Jordan over Fractions, pivots by position."""
+    m = mat(a)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def _assert_rref_matches_the_dense_reference(a):
+    before = [list(row) for row in a]
+    r, pivots = rref(a)
+    ref_r, ref_pivots = _dense_rref(a)
+    assert pivots == ref_pivots
+    assert len(r) == len(ref_r) == len(a)
+    assert r == ref_r
+    assert all(type(x) is Fraction for row in r for x in row)
+    assert [list(row) for row in a] == before
+
+
+def _seeded_entry(rng, kind):
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return rng.randint(-9, 9)
+    den = rng.choice((1, 2, 7, 10 ** 6, 10 ** 15, rng.randint(1, 10 ** 15)))
+    return Fraction(rng.randint(-10 ** 3, 10 ** 3), den)
+
+
+def _seeded_matrix(rng, rows, cols, rnk, kind):
+    """A rows x cols matrix of rank rnk (left * right), zeros sprinkled in
+    the factors, with int, Fraction or mixed entries."""
+    def factor(n, m):
+        return [[_seeded_entry(rng, kind) if rng.random() < 0.6 else 0
+                 for _ in range(m)] for _ in range(n)]
+
+    if not rnk:
+        return [[0] * cols for _ in range(rows)]
+    left, right = factor(rows, rnk), factor(rnk, cols)
+    out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+           for row in left]
+    if kind == "mixed":
+        # an integral Fraction may come back as an int
+        out = [[int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+                for x in row] for row in out]
+    return out
+
+
+@pytest.mark.parametrize("a", [
+    [], [[]], [[], []], [[0]], [[Fraction(0)]], [[5]],
+    [[Fraction(-3, 10 ** 15)]],
+    [[0, 0, 0]], [[0, 3, Fraction(1, 2), 0]], [[0], [0], [0]],
+    [[0], [Fraction(2, 3)], [-4]], [[Fraction(0)] * 4] * 3,
+    [[1, 2], [-1, -2], [1, 2]], [[0, 1], [1, 0]],
+], ids=lambda a: f"{len(a)}x{len(a[0]) if a else 0}")
+def test_rref_matches_the_dense_reference_on_edge_cases(a):
+    _assert_rref_matches_the_dense_reference(a)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+@pytest.mark.parametrize("seed", range(3))
+def test_rref_matches_the_dense_reference_on_seeded_matrices(seed, kind):
+    import random
+
+    rng = random.Random(seed)
+    seen = set()
+    for rows, cols in [(1, 6), (6, 1), (3, 3), (5, 5), (8, 3), (3, 8),
+                       (9, 6), (6, 9), (12, 12)]:
+        for rnk in sorted({0, 1, min(rows, cols) // 2, min(rows, cols)}):
+            a = _seeded_matrix(rng, rows, cols, rnk, kind)
+            _assert_rref_matches_the_dense_reference(a)
+            seen.add("full" if rnk == min(rows, cols) else "deficient")
+            # duplicated and negated rows, shuffled in
+            more = a + [list(row) for row in rng.sample(a, len(a) // 2 + 1)] \
+                + [[-x for x in row] for row in rng.sample(a, len(a) // 2 + 1)]
+            rng.shuffle(more)
+            _assert_rref_matches_the_dense_reference(more)
+    assert seen == {"full", "deficient"}
+
+
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(rationals, st.integers(-5, 5)), min_size=cols,
+             max_size=cols), min_size=1, max_size=7)))
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_the_dense_reference_on_random_rationals(a):
+    _assert_rref_matches_the_dense_reference(a)
+
+
 def test_nullspace_known():
     a = mat([[1, 2, 3], [2, 4, 6]])
     ns = nullspace(a)
