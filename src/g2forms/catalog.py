@@ -22,14 +22,14 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
-from .linalg import (charpoly, det, frac, identity, intersect_nullspaces,
-                     inverse, mat, mat_mul, mat_vec, nullspace, solve,
-                     transpose)
+from .linalg import (charpoly, det, frac, identity, inverse, mat, mat_mul,
+                     nullspace, solve, transpose)
 from .liealg import (IsotropyModule, MatrixLieAlgebra,
                      build_algebra, creal, diag_torus_su, generator_v_matrix,
                      invariant_3forms, invariant_dims, invariant_form_types,
                      irreducible_dims, module_from_action, product_algebra,
-                     reductive_complement, sp_matrix, _czero, _embed_block)
+                     reductive_complement, sp_matrix, _czero, _embed_block,
+                     _restrict)
 from .multilinear import pullback
 from .stable_forms import annihilator_g2
 
@@ -106,19 +106,10 @@ def so3_irrep(dim):
                 e = list(m)
                 e[ax] -= 2
                 lap[tpos[tuple(e)]][col] += Fraction(m[ax] * (m[ax] - 1))
-    harm = nullspace(lap) if tgt else \
-        [[Fraction(1) if i == j else Fraction(0) for j in range(len(monos))]
-         for i in range(len(monos))]
+    harm = nullspace(lap) if tgt else identity(len(monos))
     if len(harm) != dim:
         raise AssertionError("harmonic space has unexpected dimension")
-    hmat = transpose(mat(harm))
-    restricted = []
-    for a in acts:
-        cols = solve(hmat, [mat_vec(a, h) for h in harm])
-        if cols is None:
-            raise AssertionError("rotation action leaves harmonics")
-        restricted.append(transpose(cols))
-    return restricted
+    return _restrict(acts, harm)
 
 
 def orthogonal_algebra_of_form(d):
@@ -191,10 +182,7 @@ def _sp2_unit_quaternion_block2(q):
     [[a+bi, c+di], [-c+di, a-bi]].
     """
     a, b, c, d = [frac(x) for x in q]
-    re = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    im = [[0] * 4 for _ in range(4)]
-    re = mat(re)
-    im = mat(im)
+    re, im = identity(4), _czero(4)
     re[1][1] = a
     im[1][1] = b
     re[1][3] = c
@@ -250,20 +238,9 @@ def _case1():
     sp1 = build_algebra("su(2)")
     g = product_algebra("sp(2)+sp(1)", [sp2, sp1])
     h = [_embed_block(x, 12, 0) for x in _sp1_slot_gens(0)]
-    h += [_pair_embed(x, y)
+    h += [_block_diag([x, y])
           for x, y in zip(_sp1_slot_gens(1), _su2_quaternion_gens())]
     return g, h, []
-
-
-def _pair_embed(x8, y4):
-    out = [[Fraction(0)] * 12 for _ in range(12)]
-    for i in range(8):
-        for j in range(8):
-            out[i][j] = frac(x8[i][j])
-    for i in range(4):
-        for j in range(4):
-            out[8 + i][8 + j] = frac(y4[i][j])
-    return out
 
 
 def _case_2ai():
@@ -588,49 +565,66 @@ def generator_compatibility_report(mod: IsotropyModule, name, fmat, scan=None):
     The candidate must normalize the pair (raises otherwise).  Compatibility
     with the indefinite classification table means the candidate-fixed part
     of the invariant family still contains an indefinite member; a miss at
-    scan resolution is reported as a rejection.  The restriction of the
-    candidate to the trivial isotypic block is reported when its spectrum is
-    rational (the swap rejections are recognized by that spectrum).
+    scan resolution is reported as a rejection.
     """
     cand = candidate_module(mod, name, fmat)
     vmat = cand.generators[-1][1]
     rep = invariant_form_types(cand, scan)
-    kill = list(mod.action)
-    block_eigs = None
-    if kill:
-        triv = intersect_nullspaces(kill)
-        if triv:
-            from .liealg import _restrict
-
-            sub = _restrict([vmat], triv)[0]
-            block_eigs = _rational_spectrum(charpoly(sub))
     return {
         "name": name,
         "fixed_family_dim": rep["dim"],
         "has_definite": rep["has_definite"],
         "has_indefinite": rep["has_indefinite"],
         "samples": rep["samples"],
-        "trivial_block_spectrum": block_eigs,
         "det_on_V": str(det(vmat)),
     }
 
 
-def _rational_spectrum(cp):
-    """Rational roots (with multiplicity) of a monic charpoly, or None."""
-    import sympy
+def _divide_root(poly, r):
+    """Synthetic division of poly (lowest degree first) by x - r.
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * x ** k
-                          for k, c in enumerate(cp)), x)
-    roots = sympy.roots(poly)
-    out = []
-    for r, mult in roots.items():
-        if not r.is_rational:
-            return None
-        out.extend([Fraction(str(r))] * mult)
-    if len(out) != poly.degree():
-        return None
-    return sorted(out)
+    Returns (quotient, remainder); the remainder is poly(r).
+    """
+    acc, out = 0, []
+    for c in reversed(poly):
+        acc = acc * r + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return set(small) | {n // d for d in small}
+
+
+def _rational_spectrum(cp):
+    """Rational roots (with multiplicity) of a monic charpoly, or None.
+
+    Rational-root theorem: after the zero roots, a rational root p/q of the
+    integer-cleared polynomial has p | a_0 and q | a_n.  Each root found is
+    divided out by synthetic division, so a repeated root is found again;
+    None as soon as what is left has no rational root.
+    """
+    poly = [frac(c) for c in cp]
+    roots = []
+    while len(poly) > 1:
+        if poly[0] == 0:
+            root = Fraction(0)
+        else:
+            den = math.lcm(*(c.denominator for c in poly))
+            a0, an = poly[0] * den, poly[-1] * den
+            root = next((s * Fraction(p, q)
+                         for p in _divisors(a0.numerator)
+                         for q in _divisors(an.numerator) for s in (1, -1)
+                         if _divide_root(poly, s * Fraction(p, q))[1] == 0),
+                        None)
+            if root is None:
+                return None
+        poly, _ = _divide_root(poly, root)
+        roots.append(root)
+    return sorted(roots)
 
 
 def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:

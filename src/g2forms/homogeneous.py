@@ -273,8 +273,7 @@ def closed_stable_scan(c: InvariantComplex, samples=10_000, seed=0):
     basis3 = c.bases[3]
     d3mat = c.diffs[3]
     closed_coeff = nullspace(d3mat) if d3mat and d3mat[0] else \
-        [[Fraction(1) if i == j else Fraction(0) for j in range(len(basis3))]
-         for i in range(len(basis3))]
+        identity(len(basis3))
     basis_vecs = [f.coefficient_vector() for f in basis3]
     closed_vecs = []
     for cc in closed_coeff:

@@ -12,7 +12,11 @@ gives an isotropy module, a frozen value: the h-action matrices on V,
 the V-part of the bracket, the restricted inner product, h and V in
 g-coordinates, and any finite component generators.
 
-Everything through `invariant_dims` is exact.  `invariant_form_types`
+Everything through `invariant_dims` is exact.  `irreducible_dims` is
+certified: a random self-adjoint commutant element splits V into its
+eigenspaces, whose dimensions are the root multiplicities of its
+characteristic polynomial, and the split is accepted only when a commutant
+dimension count proves every eigenspace irreducible.  `invariant_form_types`
 classifies rational sample forms exactly but can only report "not found at
 this resolution" for a negative.
 """
@@ -26,11 +30,9 @@ from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 
-import sympy
-
-from .linalg import (frac, identity, intersect_nullspaces, inverse, mat,
-                     mat_mul, mat_sub, mat_vec, nullspace, rank, rref, solve,
-                     transpose)
+from .linalg import (charpoly, frac, identity, intersect_nullspaces, inverse,
+                     mat, mat_mul, mat_sub, mat_vec, nullspace, rank,
+                     root_multiplicities, rref, solve, transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
 from .stable_forms import (Orbit3Class, classify_hitchin, family_hitchin_map,
@@ -653,9 +655,7 @@ def _invariant_symmetric_forms(action, generators, n=None):
                 row[pos[(i, j)]] -= 1
                 if any(x != 0 for x in row):
                     rows.append(row)
-    sols = nullspace(rows) if rows else [
-        [Fraction(1) if t == s else Fraction(0) for t in range(len(pairs))]
-        for s in range(len(pairs))]
+    sols = nullspace(rows) if rows else identity(len(pairs))
     out = []
     for vec in sols:
         out.append([[sym_get(vec, i, j) for j in range(n)] for i in range(n)])
@@ -747,138 +747,77 @@ def _commutant_selfadjoint(action, gram):
 
 
 def _restrict(mats, basis_vecs):
-    """Restrict operators to an invariant subspace given by coordinate rows."""
-    bt = transpose(mat(basis_vecs))
-    out = []
-    for a in mats:
-        cols = solve(bt, [mat_vec(a, v) for v in basis_vecs])
-        if cols is None:
-            raise AssertionError("subspace is not invariant")
-        out.append(transpose(cols))
-    return out
+    """Restrict operators to an invariant subspace given by coordinate rows.
+
+    One batched `solve` against the subspace basis serves every operator.
+    """
+    k = len(basis_vecs)
+    cols = solve(transpose(mat(basis_vecs)),
+                 [mat_vec(a, v) for a in mats for v in basis_vecs])
+    if cols is None:
+        raise AssertionError("subspace is not invariant")
+    return [transpose(cols[i * k:(i + 1) * k]) for i in range(len(mats))]
 
 
-def _poly_factors(matrix):
-    """Distinct irreducible factors over Q of the characteristic polynomial."""
-    from .linalg import charpoly
-
-    coeffs = charpoly(matrix)
-    x = sympy.Symbol("x")
-    poly = sum(sympy.Rational(c.numerator, c.denominator) * x ** k
-               for k, c in enumerate(coeffs))
-    factors = sympy.factor_list(sympy.Poly(poly, x))[1]
-    return [f for f, _ in factors]
+#: splitter draws before `irreducible_dims` gives up with an AssertionError
+_SPLITTER_DRAWS = 40
 
 
-def _eval_poly(fpoly, matrix):
-    x = sympy.Symbol("x")
-    coeffs = [Fraction(str(c)) for c in reversed(sympy.Poly(fpoly, x).all_coeffs())]
-    n = len(matrix)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    power = identity(n)
-    for c in coeffs:
-        if c != 0:
-            acc = [[a + c * p for a, p in zip(ra, rp)]
-                   for ra, rp in zip(acc, power)]
-        power = mat_mul(power, matrix)
-    return acc
+def _draw_splitter(sa, rng):
+    """A random integer combination of the self-adjoint commutant basis sa,
+    scaled to an integer matrix (scaling keeps eigenspaces and commutant)."""
+    coeffs = [rng.randint(-9, 9) for _ in sa]
+    n = len(sa[0])
+    c = [[sum(cf * s[i][j] for cf, s in zip(coeffs, sa)) for j in range(n)]
+         for i in range(n)]
+    den = math.lcm(*(x.denominator for row in c for x in row))
+    return [[int(x * den) for x in row] for row in c]
 
 
 def irreducible_dims(m: IsotropyModule, seed=0):
-    """Multiset of real-irreducible dimensions of the h-action on V.
+    """Multiset of real-irreducible dimensions of the h-action on V; certified.
 
     Finite generators are ignored.  The trivial isotypic part is the joint
-    kernel of the action (rational); the rest is split with generic
-    self-adjoint commutant elements.  Self-adjointness forces real
-    eigenvalues, and an irreducible degree-d factor of the splitter's
-    characteristic polynomial signals d Galois-conjugate irreducible pieces
-    of equal dimension (counted, not exhibited).
+    kernel of the action and gives the 1s.  Its gram-orthogonal complement
+    W is split by one self-adjoint commutant element C: self-adjoint for a
+    definite form, C is diagonalizable with real eigenvalues, and its
+    eigenspaces E_j are invariant.  Their dimensions, the root
+    multiplicities of charpoly(C), are read by squarefree counting
+    (`root_multiplicities`), with no factoring.  The split is accepted only
+    when the self-adjoint commutant of the action together with C has
+    dimension equal to the number of eigenvalues: that dimension is the sum
+    over j of dim A_sa(E_j) >= 1, and A_sa(E_j) is the scalars exactly when
+    E_j is irreducible.  A one-dimensional commutant of W proves W
+    irreducible outright.  C is drawn from `random.Random(seed)`; if no draw
+    in `_SPLITTER_DRAWS` certifies, an AssertionError is raised, never a
+    coarser answer.
     """
-    triv = intersect_nullspaces(m.action) if m.action else \
-        [[Fraction(1) if i == j else Fraction(0) for j in range(m.dimV)]
-         for i in range(m.dimV)]
+    triv = intersect_nullspaces(m.action) if m.action else identity(m.dimV)
+    rest = nullspace(mat_mul(mat(triv), m.gram)) if triv else identity(m.dimV)
     dims = [1] * len(triv)
-    if triv:
-        rest = nullspace(mat_mul(mat(triv), m.gram))
-    else:
-        rest = [[Fraction(1) if i == j else Fraction(0) for j in range(m.dimV)]
-                for i in range(m.dimV)]
-    dims += _split_dims(m.action, m.gram, rest, seed)
+    if rest:
+        acts = _restrict(m.action, rest)
+        gram = _gram_restrict(m.gram, rest)
+        dims += _certified_split(acts, gram, seed)
     dims.sort()
     if sum(dims) != m.dimV:
         raise AssertionError("irreducible dimensions do not add up")
     return dims
 
 
-def _splitter_candidates(k, seed, tries):
-    """Deterministic stream of small integer coefficient vectors."""
+def _certified_split(acts, gram, seed):
+    """Irreducible dimensions of an action with no trivial summand."""
+    sa = _commutant_selfadjoint(acts, gram)
+    if len(sa) == 1:
+        return [len(gram)]
     rng = random.Random(seed)
-    for _ in range(tries):
-        yield [rng.randint(-9, 9) for _ in range(k)]
-    if k <= 4:
-        from itertools import product as iproduct
-
-        for vec in iproduct(range(-4, 5), repeat=k):
-            if any(vec):
-                yield list(vec)
-
-
-def _split_dims(action, gram, basis_vecs, seed):
-    dim = len(basis_vecs)
-    if dim == 0:
-        return []
-    acts = _restrict(action, basis_vecs)
-    gsub = _gram_restrict(gram, basis_vecs)
-    sa = _commutant_selfadjoint(acts, gsub)
-    if len(sa) <= 1:
-        return [dim]
-    for attempt, coeffs in enumerate(_splitter_candidates(len(sa), seed, 40)):
-        c = [[sum(frac(cf) * s[i][j] for cf, s in zip(coeffs, sa))
-              for j in range(dim)] for i in range(dim)]
-        factors = _poly_factors(c)
-        if len(factors) == 1:
-            deg = int(sympy.degree(factors[0]))
-            if deg == 1:
-                continue  # scalar draw; retry
-            # whole space with an irreducible splitter: d conjugate pieces
-            # exactly when the self-adjoint commutant is the field itself
-            if len(sa) == deg and dim % deg == 0:
-                return [dim // deg] * deg
-            continue
-        pieces = []
-        ok = True
-        for f in factors:
-            ker = nullspace(_eval_poly(f, c))
-            if not ker:
-                ok = False
-                break
-            sub = _restrict_vectors(basis_vecs, ker)
-            deg = int(sympy.degree(f))
-            inner = _split_dims(action, gram, sub, seed + attempt + 1)
-            if deg == 1:
-                pieces.extend(inner)
-            elif len(inner) == 1:
-                if len(ker) % deg:
-                    ok = False
-                    break
-                pieces.extend([len(ker) // deg] * deg)
-            else:
-                pieces.extend(inner)
-        if ok and sum(pieces) == dim:
-            return pieces
-    return [dim]
-
-
-def _restrict_vectors(basis_vecs, coeff_vecs):
-    """Turn coefficient vectors w.r.t. basis_vecs into ambient-coordinate rows."""
-    out = []
-    for cv in coeff_vecs:
-        vec = [Fraction(0)] * len(basis_vecs[0])
-        for c, b in zip(cv, basis_vecs):
-            if c != 0:
-                vec = [x + c * y for x, y in zip(vec, b)]
-        out.append(vec)
-    return out
+    for _ in range(_SPLITTER_DRAWS):
+        c = _draw_splitter(sa, rng)
+        mults = root_multiplicities(charpoly(c))
+        if len(_commutant_selfadjoint(acts + [c], gram)) == len(mults):
+            return mults
+    raise AssertionError(
+        f"no certified split in {_SPLITTER_DRAWS} splitter draws")
 
 
 def _gram_restrict(gram, basis_vecs):

@@ -243,6 +243,49 @@ def charpoly(a):
     return coeffs
 
 
+def _poly_trim(p):
+    """p (lowest degree first) without its zero leading coefficients."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_gcd(a, b):
+    """Monic gcd of two polynomials, coefficient lists lowest degree first.
+
+    Euclid over the rationals; not both may be zero.
+    """
+    a, b = _poly_trim(map(frac, a)), _poly_trim(map(frac, b))
+    while b:
+        # a <- a mod b
+        while len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] -= q * y
+            a = _poly_trim(a)
+        a, b = b, a
+    return [x / a[-1] for x in a]
+
+
+def root_multiplicities(coeffs):
+    """Sorted multiplicities of the distinct complex roots of a polynomial.
+
+    Squarefree counting in the style of Yun, with no factoring: for
+    g_0 = f and g_k = gcd(g_(k-1), g_(k-1)'), deg g_(k-1) - deg g_k is the
+    number of roots of multiplicity at least k.
+    """
+    g = _poly_trim(coeffs)
+    at_least = []
+    while len(g) > 1:
+        h = poly_gcd(g, [k * c for k, c in enumerate(g)][1:])
+        at_least.append(len(g) - len(h))
+        g = h
+    at_least.append(0)
+    return [k for k in range(1, len(at_least))
+            for _ in range(at_least[k - 1] - at_least[k])]
+
+
 def _sign_changes(seq):
     signs = [1 if x > 0 else -1 for x in seq if x != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)

@@ -171,3 +171,26 @@ def test_auxiliary_entry_is_not_a_table_row():
     assert [e["case"] for e in aux] == ["so3_7"]
     dims = invariant_dims(build_entry("so3_7"))
     assert (dims.d1, dims.d2, dims.d3) == (0, 1, 1)
+
+
+def test_rational_spectrum_finds_zero_fractional_and_repeated_roots():
+    from g2forms.catalog import _rational_spectrum
+
+    # x^2 (x - 1/2)^3 (x + 3) = x^6 + (3/2) x^5 - (15/4) x^4 + (17/8) x^3
+    #                           - (3/8) x^2
+    cp = [0, 0, Fraction(-3, 8), Fraction(17, 8), Fraction(-15, 4),
+          Fraction(3, 2), 1]
+    assert _rational_spectrum(cp) == \
+        [Fraction(-3), 0, 0] + [Fraction(1, 2)] * 3
+    assert _rational_spectrum(charpoly([[0] * 3] * 3)) == [0, 0, 0]
+    assert _rational_spectrum([1]) == []
+
+
+def test_rational_spectrum_refuses_irrational_and_complex_roots():
+    from g2forms.catalog import _rational_spectrum
+
+    assert _rational_spectrum([-2, 0, 1]) is None          # +-sqrt(2)
+    assert _rational_spectrum([1, 0, 1]) is None           # +-i
+    # (x - 1)(x^2 + 1): one rational root, then none
+    assert _rational_spectrum([-1, 1, -1, 1]) is None
+

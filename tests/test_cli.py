@@ -156,3 +156,21 @@ def test_importing_the_package_does_not_load_numpy():
     assert proc.stdout.split() == [
         "catalog", "cli", "homogeneous", "liealg", "linalg", "multilinear",
         "octonion", "section5", "stable_forms", "False"]
+
+
+def test_no_module_loads_sympy():
+    # the certified split and the rational spectra need no computer algebra
+    code = ("import importlib, pkgutil, sys, g2forms\n"
+            "for m in pkgutil.iter_modules(g2forms.__path__):\n"
+            "    importlib.import_module('g2forms.' + m.name)\n"
+            "from g2forms.catalog import load_catalog, verify_entry\n"
+            "from g2forms.liealg import ScanConfig\n"
+            "entry = next(e for e in load_catalog()\n"
+            "             if e['case'] == '4ii' and e['params'] == [0, 0])\n"
+            "rep = verify_entry(entry, ScanConfig(grid=400, random=100))\n"
+            "print(rep.passed, 'sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+

@@ -296,6 +296,37 @@ def test_irreducible_dims_stable_across_seeds(case, params):
         assert irreducible_dims(mod, seed=seed) == dims
 
 
+def test_irreducible_dims_raises_when_no_draw_certifies(monkeypatch):
+    # a splitter that is always a scalar never splits W = 3 + 4 of case 1:
+    # the split must fail loudly, not return the coarse [7]
+    from g2forms import liealg
+    from g2forms.linalg import identity
+
+    mod = build_entry("1")
+    draws = []
+
+    def scalar(sa, rng):
+        draws.append(1)
+        return identity(len(sa[0]))
+
+    monkeypatch.setattr(liealg, "_draw_splitter", scalar)
+    with pytest.raises(AssertionError, match="no certified split"):
+        irreducible_dims(mod)
+    assert len(draws) == liealg._SPLITTER_DRAWS
+
+
+def test_irreducible_dims_of_an_irreducible_action_needs_no_draw(
+        monkeypatch):
+    # a one-dimensional self-adjoint commutant proves irreducibility
+    from g2forms import liealg
+
+    def fail(sa, rng):
+        raise AssertionError("drew a splitter")
+
+    monkeypatch.setattr(liealg, "_draw_splitter", fail)
+    assert irreducible_dims(build_entry("2d")) == [7]
+
+
 def test_structure_dump_roundtrip():
     import json
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from g2forms.linalg import (charpoly, det, identity, inverse,
                             leading_principal_minors, mat, mat_mul, nullspace,
-                            rank, rref, solve, symmetric_signature, transpose)
+                            poly_gcd, rank, root_multiplicities, rref, solve,
+                            symmetric_signature, transpose)
 
 rationals = st.fractions(min_value=-5, max_value=5,
                          max_denominator=6).map(Fraction)
@@ -340,3 +341,46 @@ def test_integer_det_agrees_with_fraction_det_on_random_matrices():
                     for _ in range(n)]
             d = det(rows)
             assert type(d) is int and d == det(mat(rows))
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_root_multiplicities_of_seeded_products(seed):
+    # prod (x - r_i)^(m_i) * (x^2 - 2)^k: distinct rational r_i, and the
+    # irrational pair +-sqrt(2) counted with multiplicity k each
+    import random
+
+    rng = random.Random(seed)
+    roots = {Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(rng.randint(0, 4))}
+    mults = [rng.randint(1, 3) for _ in roots]
+    k = rng.randint(0, 2)
+    poly = [Fraction(rng.choice((-3, -1, 2, 5)))]
+    for r, m in zip(roots, mults):
+        for _ in range(m):
+            poly = _poly_mul(poly, [-r, 1])
+    for _ in range(k):
+        poly = _poly_mul(poly, [-2, 0, 1])
+    assert root_multiplicities(poly) == sorted(mults + [k, k] * (k > 0))
+
+
+def test_root_multiplicities_edge_cases():
+    assert root_multiplicities([5]) == []
+    assert root_multiplicities([0, 0, 0, 1]) == [3]
+    assert root_multiplicities([1, 0, 1]) == [1, 1]        # +-i
+    assert root_multiplicities([1, 0, 2, 0, 1]) == [2, 2]  # (x^2 + 1)^2
+    assert root_multiplicities(charpoly(identity(4))) == [4]
+
+
+def test_poly_gcd_is_monic():
+    # (x - 1)(x - 2) and 3 (x - 1)(x + 5)
+    assert poly_gcd([2, -3, 1], [-15, 12, 3]) == [-1, 1]
+    assert poly_gcd([2, -3, 1], [7]) == [1]
+
