@@ -568,7 +568,6 @@ def generator_compatibility_report(mod: IsotropyModule, name, fmat, scan=None):
     scan resolution is reported as a rejection.
     """
     cand = candidate_module(mod, name, fmat)
-    vmat = cand.generators[-1][1]
     rep = invariant_form_types(cand, scan)
     return {
         "name": name,
@@ -576,7 +575,7 @@ def generator_compatibility_report(mod: IsotropyModule, name, fmat, scan=None):
         "has_definite": rep["has_definite"],
         "has_indefinite": rep["has_indefinite"],
         "samples": rep["samples"],
-        "det_on_V": str(det(vmat)),
+        "det_on_V": str(det(cand.generators[-1][1])),
     }
 
 
@@ -645,24 +644,24 @@ def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
     types = invariant_form_types(mod, scan_config)
     rep.add("has definite", exp["has_definite"], types["has_definite"])
     rep.add("has indefinite", exp["has_indefinite"], types["has_indefinite"])
-    spectra = entry.get("generator_spectra", {})
+    pending = []
     for name, fmat, expect in mod.pending_generators:
-        crep = generator_compatibility_report(mod, name, fmat, scan_config)
-        if expect == "rejected":
-            rep.add(f"generator {name} rejected (no indefinite fixed form)",
-                    False, crep["has_indefinite"])
-        elif expect == "detneg":
-            rep.add(f"generator {name} det < 0 on V", True,
-                    Fraction(crep["det_on_V"]) < 0)
-        elif expect == "admits-indefinite":
-            rep.add(f"generator {name} admits an indefinite fixed form",
-                    True, crep["has_indefinite"])
-        if name in spectra:
-            vmat = candidate_module(mod, name, fmat).generators[-1][1]
-            rep.add(f"generator {name} V-spectrum",
-                    sorted(Fraction(x) for x in spectra[name]),
-                    _rational_spectrum(charpoly(vmat)))
-    for name, vmat in mod.generators:
+        cand = candidate_module(mod, name, fmat)
+        vmat = cand.generators[-1][1]
+        pending.append((name, vmat))
+        if expect == "detneg":
+            rep.add(f"generator {name} det < 0 on V", True, det(vmat) < 0)
+        else:
+            indefinite = invariant_form_types(cand, scan_config)[
+                "has_indefinite"]
+            if expect == "rejected":
+                rep.add(f"generator {name} rejected (no indefinite fixed "
+                        "form)", False, indefinite)
+            elif expect == "admits-indefinite":
+                rep.add(f"generator {name} admits an indefinite fixed form",
+                        True, indefinite)
+    spectra = entry.get("generator_spectra", {})
+    for name, vmat in pending + list(mod.generators):
         if name in spectra:
             rep.add(f"generator {name} V-spectrum",
                     sorted(Fraction(x) for x in spectra[name]),

@@ -46,14 +46,10 @@ def emit(report, args, exit_code=0):
 
 def _iter_claims(report):
     if isinstance(report, dict):
-        for c in report.get("claims", []):
-            yield c
-        for key in ("entries", "reports"):
-            for sub in report.get(key, []):
-                yield from _iter_claims(sub)
-        if "checks" in report:
-            for c in report["checks"]:
-                yield c
+        yield from report.get("claims", [])
+        for sub in report.get("entries", []):
+            yield from _iter_claims(sub)
+        yield from report.get("checks", [])
 
 
 def _emit_csv(report):
@@ -264,9 +260,6 @@ def _add_common(p):
                    default="json")
     p.add_argument("--emit-config", action="store_true",
                    help="embed the effective configuration in the report")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for entry verification")
 
 
 def make_parser():
@@ -287,6 +280,9 @@ def make_parser():
     p.add_argument("--params", type=_parse_params, default=())
     p.add_argument("--grid", type=int, default=10_000)
     p.add_argument("--random", type=int, default=1_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for entry verification")
     _add_common(p)
     p.set_defaults(func=cmd_catalog)
 
@@ -312,6 +308,7 @@ def make_parser():
     p.add_argument("--case")
     p.add_argument("--algebra")
     p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_section5)
 

@@ -6,11 +6,10 @@ formula through the V-part of the bracket,
 so d(e^l) = -sum_{i<j} c^l_{ij} e^i ^ e^j extended as an antiderivation.
 d^2 = 0 holds on invariant forms and is asserted, not assumed.
 
-Ranks and kernels are exact.  Anything that passes through the Hodge star
-of an induced metric (nearly-parallel residuals, coclosedness) is float
-with a 1e-9 relative tolerance, except when the induced metric is exactly
-the identity, where the exact star is used instead.  That test is exact:
-g = I holds exactly when the Hitchin matrix is B = +-6 I.
+Ranks, kernels and every yes/no answer are exact.  Coclosedness and the
+nearly parallel test read the exact `dual_ray`, a positive multiple of the
+Hodge dual; only the reported lambda and residual, and the two-parameter
+ray search, use the float `hodge_star` (1e-9 relative tolerance).
 """
 
 import math
@@ -21,9 +20,8 @@ from itertools import combinations
 from .linalg import identity, mat, nullspace, rank, solve, transpose
 from .liealg import IsotropyModule, MatrixLieAlgebra, invariant_kforms
 from .multilinear import KForm, algebra_action, pullback, sort_index
-from .stable_forms import (_METRIC_CONST, Orbit3Class, classify3,
-                           classify_hitchin, family_hitchin_map, hitchin_ray,
-                           hodge_star, star_euclidean)
+from .stable_forms import (Orbit3Class, classify3, classify_hitchin,
+                           dual_ray, family_hitchin_map, hodge_star)
 
 
 def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
@@ -178,10 +176,10 @@ NEARLY_PARALLEL_TOL = 1e-9
 
 
 def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
-    """Best lambda for d t = lambda * star t and the relative residual.
+    """Is d t = lambda * star t, lambda != 0?  Decided exactly on `dual_ray`.
 
-    Flat input (d t = 0) reports torsion-free, never nearly parallel: the
-    defining equation requires lambda != 0.
+    lambda and the residual are reported from the float star.  Flat input
+    (d t = 0) is torsion-free, never nearly parallel: lambda must be nonzero.
     """
     import numpy as np
 
@@ -193,43 +191,28 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
         return NearlyParallelResult(lam=0.0, residual=0.0,
                                     is_nearly_parallel=False,
                                     torsion_free=True, orbit=orbit.value)
+    dual = dual_ray(t)
     st = hodge_star(t, t)
     dtv = np.array(dt.coefficient_vector(), dtype=float)
     lam = float(dtv @ st / (st @ st))
     res = float(np.linalg.norm(dtv - lam * st) / np.linalg.norm(dtv))
     return NearlyParallelResult(
         lam=lam, residual=res,
-        is_nearly_parallel=bool(res <= NEARLY_PARALLEL_TOL and abs(lam) > NEARLY_PARALLEL_TOL),
+        is_nearly_parallel=rank([dt.coefficient_vector(),
+                                 dual.coefficient_vector()]) == 1,
         torsion_free=False, orbit=orbit.value)
-
-
-def _metric_is_identity(bx, scale) -> bool:
-    """g = I exactly: g = sign(det B) B / (6^(2/9) |det B|^(1/9)) is the
-    identity exactly when B = scale^3 Bx (see `hitchin_ray`) is +-6 I."""
-    c = bx[0][0]
-    return scale ** 3 * c in (_METRIC_CONST, -_METRIC_CONST) and all(
-        bx[i][j] == (c if i == j else 0) for i in range(7) for j in range(7))
 
 
 def coclosed_if_stable(m: IsotropyModule, t: KForm):
     """Is d(star t) = 0?  None when t is degenerate.
 
-    One integer Hitchin matrix gives the class and the exact identity-metric
-    test; when the induced metric is the identity the exact star is used.
-    Otherwise the float star is differentiated as a sparse terms map; the
-    exact `ce_differential` does not take float input.
+    Exact, on `dual_ray` (one B build); the dual of an invariant t is
+    invariant, so it skips the invariance check of `ce_differential`.
     """
-    import numpy as np
-
-    bx, scale = hitchin_ray(t)
-    if classify_hitchin(bx) is Orbit3Class.DEGENERATE:
+    dual = dual_ray(t)
+    if dual is None:
         return None
-    if m.dimV == 7 and _metric_is_identity(bx, scale):
-        return ce_differential(m, star_euclidean(t)).is_zero()
-    st = hodge_star(t, t)
-    terms = {idx: c for idx, c in zip(combinations(range(1, 8), 4), st) if c}
-    dst = list(_diff_terms(terms, m.d_one_forms).values())
-    return bool(np.linalg.norm(dst) <= 1e-9 * max(1.0, np.linalg.norm(st)))
+    return not _diff_terms(dual.terms, m.d_one_forms)
 
 
 def coclosed_check(m: IsotropyModule, t: KForm) -> bool:

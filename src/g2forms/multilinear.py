@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 
-from .linalg import frac, mat, transpose
+from .linalg import frac, transpose
 
 
 def sort_index(idx):
@@ -237,20 +237,19 @@ def _minor_det(m, rows, cols):
 
 
 def pullback(m, a: KForm) -> KForm:
-    """Pullback of a along the linear map m: (m* a)(v...) = a(m v...)."""
+    """Pullback along an int or Fraction map m: (m* a)(v...) = a(m v...)."""
     n = a.dim
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError("pullback: map shape mismatch")
     if a.degree == 0:
         return a
-    mm = mat(m)
     out = {}
     for jdx in combinations(range(1, n + 1), a.degree):
         cols = [j - 1 for j in jdx]
         total = Fraction(0)
         for idx, c in a.terms.items():
             rows = [i - 1 for i in idx]
-            d = _minor_det(mm, rows, cols)
+            d = _minor_det(m, rows, cols)
             if d != 0:
                 total += c * d
         if total != 0:

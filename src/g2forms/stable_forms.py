@@ -15,9 +15,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (det, frac, leading_principal_minors, mat,
+from .linalg import (det, frac, inverse, leading_principal_minors, mat,
                      symmetric_signature)
-from .multilinear import KForm, basis_vector, interior, sort_index, wedge
+from .multilinear import (KForm, basis_vector, interior, pullback, sort_index,
+                          wedge)
 
 DIM = 7
 
@@ -339,6 +340,25 @@ def star_euclidean(a: KForm) -> KForm:
 
 #: exact dual 4-form of the definite reference (identity metric)
 PSI4 = star_euclidean(PHI)
+
+
+def dual_ray(t: KForm):
+    """An exact 4-form on the ray of star t (`hodge_star`); None if degenerate.
+
+    star t = vol C(t @ Lambda^3(g^-1)) with vol > 0, C the signed complement
+    of `star_euclidean`, g^-1 = 6^(2/9) |det B|^(1/9) s B^-1 and s = sign det B
+    (`metric_from_3form`).  With t = scale x (`hitchin_ray`), s B^-1 is
+    adj(Bx) / (scale^3 |det Bx|) and Lambda^3 is cubic, so star t is
+    c star_euclidean(pullback(M, t)), c > 0, M the primitive integer matrix
+    on the ray of adj(Bx).  The ninth roots sit in c alone.
+    """
+    bx, _ = hitchin_ray(t)
+    detbx = det(bx)
+    if detbx == 0:
+        return None
+    adj, _ = primitive_ray([detbx * x for row in inverse(bx) for x in row])
+    return star_euclidean(pullback([adj[i:i + DIM]
+                                    for i in range(0, DIM * DIM, DIM)], t))
 
 
 def metric_from_4form(p: KForm) -> Metric4Data:

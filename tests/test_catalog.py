@@ -165,6 +165,34 @@ def test_verify_entry_passes_its_scan_config_to_the_generator_scans(
             assert all(c is config for _, c in seen), seen
 
 
+def test_verify_entry_builds_each_pending_v_matrix_once(monkeypatch):
+    from g2forms import catalog
+
+    mod = build_entry("4ii", (0, 0))
+    entry = next(e for e in load_catalog()
+                 if e["case"] == "4ii" and e["params"] == [0, 0])
+    calls = []
+    real = catalog.generator_v_matrix
+    monkeypatch.setattr(catalog, "generator_v_matrix",
+                        lambda *a: calls.append(1) or real(*a))
+    assert verify_entry(entry, SMALL_SCAN, module=mod).passed
+    assert len(calls) == len(mod.pending_generators) == 1
+
+
+def test_detneg_generator_runs_no_scan(monkeypatch):
+    from g2forms import catalog
+
+    labels = []
+    scan = catalog.invariant_form_types
+    monkeypatch.setattr(catalog, "invariant_form_types",
+                        lambda mod, config=None: labels.append(mod.label)
+                        or scan(mod, config))
+    entry = next(e for e in load_catalog() if e["case"] == "8-g2xR")
+    rep = verify_entry(entry, SMALL_SCAN)
+    assert ("generator D7 det < 0 on V", True, True, True) in rep.checks
+    assert labels == ["8-g2xR"]
+
+
 def test_auxiliary_entry_is_not_a_table_row():
     entries = load_catalog()
     aux = [e for e in entries if e["table"] == "auxiliary"]

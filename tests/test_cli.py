@@ -46,6 +46,13 @@ def test_classify_malformed_input(tmp_path):
     assert code == 2
 
 
+def test_classify_refuses_the_catalog_only_flags(tmp_path):
+    path = write_form(tmp_path, "f", PHI)
+    for flag in ("--jobs", "--seed"):
+        code, out, err = run_cli("classify", path, flag, "2")
+        assert code == 2 and out == "" and "unrecognized" in err
+
+
 def test_catalog_list():
     code, out, _ = run_cli("catalog", "list")
     assert code == 0

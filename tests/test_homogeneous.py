@@ -1,4 +1,7 @@
+import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,8 +17,8 @@ from g2forms.homogeneous import (bare_complex, build_complex, cartan_3form,
 from g2forms.liealg import build_algebra, invariant_3forms
 from g2forms.linalg import nullspace, rank
 from g2forms.multilinear import KForm, pullback
-from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify_coeffs,
-                                  hitchin_ray, hodge_star, star_euclidean)
+from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify3,
+                                  classify_coeffs, hodge_star, star_euclidean)
 
 w = KForm.basis
 
@@ -127,23 +130,61 @@ def test_coclosed_family_dims(su2t4, t7):
         coclosed_stable_family_dim(su2t4, w(7, 1, 2, 3))
 
 
-@pytest.mark.parametrize("t", [PHI, -1 * PHI])
-def test_coclosed_check_exact_branch_agrees_with_float_star(
-        su2t4, monkeypatch, t):
-    assert homogeneous._metric_is_identity(*hitchin_ray(t))
-    assert not homogeneous._metric_is_identity(*hitchin_ray(2 * t))
-    assert not homogeneous._metric_is_identity(*hitchin_ray(PHITILDE))
+def _float_coclosed(m, t):
+    """Reference: the differential of the float star is 0 to 1e-9."""
+    import numpy as np
+
     st = hodge_star(t, t)
-    exact = star_euclidean(t).coefficient_vector()
-    assert max(abs(x - float(y)) for x, y in zip(st, exact)) < 1e-9
-    mods = [su2t4.module, bare_complex(section5.two_su2_u1())]
-    exact_answers = [coclosed_check(m, t) for m in mods]
-    monkeypatch.setattr(homogeneous, "_metric_is_identity",
-                        lambda bx, scale: False)
-    float_answers = [coclosed_check(m, t) for m in mods]
-    assert float_answers == exact_answers
-    assert all(type(x) is bool for x in float_answers)  # reports emit JSON
-    assert exact_answers == [True, False]
+    terms = {idx: c for idx, c in zip(combinations(range(1, 8), 4), st) if c}
+    dst = list(homogeneous._diff_terms(terms, m.d_one_forms).values())
+    return bool(np.linalg.norm(dst) <= 1e-9 * max(1.0, np.linalg.norm(st)))
+
+
+def _coclosed_against_float_star(m, t):
+    """`coclosed_if_stable`, asserted equal to the float reference."""
+    exact = homogeneous.coclosed_if_stable(m, t)
+    if classify3(t) is Orbit3Class.DEGENERATE:
+        assert exact is None
+    else:
+        assert type(exact) is bool and exact == _float_coclosed(m, t)
+    return exact
+
+
+@pytest.mark.parametrize("algebra", ["su2+t4", "2su2+u1"])
+def test_coclosed_check_agrees_with_float_star(algebra):
+    m = bare_complex(section5.NAMED_ALGEBRAS[algebra]())
+    rng = random.Random(23)
+    phim = PHI - 2 * w(7, 1, 2, 3)
+    forms = [PHI, -1 * PHI, phim, PHITILDE, w(7, 1, 2, 3) + w(7, 4, 5, 6)]
+    for _ in range(5):
+        # an automorphism of su(2) + t(4): GL(4, Z) on the torus block
+        f = [[int(i == j) for j in range(7)] for i in range(7)]
+        for _ in range(6):
+            i, j = rng.sample(range(3, 7), 2)
+            f[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(f[i], f[j])]
+        forms += [pullback(f, PHI), pullback(f, phim)]
+    forms += [KForm.make(7, 3, [(idx, rng.randint(-3, 3))
+                                for idx in combinations(range(1, 8), 3)
+                                if rng.random() < 0.4]) for _ in range(10)]
+    answers = [_coclosed_against_float_star(m, t) for t in forms]
+    if algebra == "su2+t4":
+        assert answers[:5] == [True, True, True, True, None]
+        assert answers[5:15] == [True] * 10
+    else:
+        assert answers[:5] == [False, False, False, False, None]
+    assert False in answers[15:]
+
+
+def test_coclosed_grid_agrees_with_float_star_on_2ci():
+    mod = build_entry("2ci")
+    f1, f2 = invariant_3forms(mod)
+    answers = []
+    for k in range(200):
+        th = math.pi * k / 200
+        t = (Fraction(round(math.cos(th) * 10 ** 6), 10 ** 6) * f1
+             + Fraction(round(math.sin(th) * 10 ** 6), 10 ** 6) * f2)
+        answers.append(_coclosed_against_float_star(mod, t))
+    assert (answers.count(True), answers.count(None)) == (198, 2)
 
 
 def test_star_duals_of_references_are_closed_exactly(su2t4):
@@ -251,6 +292,19 @@ def test_case1_unique_nearly_parallel_ray():
     assert abs(a / b + 1.25) < 1e-8
 
 
+@pytest.mark.parametrize("case, ray", [("1", (-5, 4)), ("2ci", (-1, 5)),
+                                       ("3aiii", (10, 9))])
+def test_nearly_parallel_check_is_exact(case, ray):
+    mod = build_entry(case)
+    f1, f2 = invariant_3forms(mod)
+    t = ray[0] * f1 + ray[1] * f2
+    assert nearly_parallel_check(mod, t).is_nearly_parallel is True
+    # dt != 0 is not parallel to star t, though the float residual is tiny
+    off = nearly_parallel_check(mod, t + Fraction(1, 10 ** 12) * f1)
+    assert not off.torsion_free and off.residual < 1e-9
+    assert off.is_nearly_parallel is False
+
+
 def test_invariant_2form_analysis_cases():
     assert invariant_2form_analysis(build_entry("1")) == (0, True)
     dim, closed = invariant_2form_analysis(build_entry("3aiii"))
@@ -325,7 +379,7 @@ def test_d_squared_check_raises_on_a_corrupted_differential(su2t4):
     assert corrupted >= 4
 
 
-def test_coclosed_grid_forms_build_b_at_most_twice(monkeypatch):
+def test_coclosed_grid_forms_build_b_once(monkeypatch):
     from g2forms import stable_forms
 
     mod = build_entry("2ci")
@@ -335,18 +389,15 @@ def test_coclosed_grid_forms_build_b_at_most_twice(monkeypatch):
     monkeypatch.setattr(stable_forms, "hitchin_matrix",
                         lambda coeffs: calls.append(1) or real(coeffs))
     seen = set()
-    for a, b in ((1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5)),
-                 (Fraction(-1, 2), Fraction(7, 10 ** 6))):
-        t = a * f1 + b * f2
-        del calls[:]
-        coclosed = homogeneous.coclosed_if_stable(mod, t)
-        assert len(calls) == (1 if coclosed is None else 2)
-        seen.add(coclosed)
-    assert seen == {None, True}
-    # the exact identity-metric branch builds B once and needs no metric
     su2t4_module = bare_complex(section5.su2_t4_compact())
-    del calls[:]
+    cases = [(mod, a * f1 + b * f2) for a, b in (
+        (1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5)),
+        (Fraction(-1, 2), Fraction(7, 10 ** 6)))]
+    for m, t in cases + [(su2t4_module, PHI)]:
+        del calls[:]
+        seen.add(homogeneous.coclosed_if_stable(m, t))
+        assert len(calls) == 1
+    assert seen == {None, True}
     assert coclosed_check(su2t4_module, PHI)
-    assert len(calls) == 1
     with pytest.raises(ValueError, match="coclosedness needs a stable form"):
         coclosed_check(su2t4_module, w(7, 1, 2, 3))

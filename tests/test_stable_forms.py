@@ -11,7 +11,8 @@ from g2forms.multilinear import (KForm, algebra_action, basis_vector,
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   annihilator_g2, classification_report,
                                   classify3,
-                                  decompose2, decompose3, four_form_volume,
+                                  decompose2, decompose3, dual_ray,
+                                  four_form_volume,
                                   hitchin_bilinear, hitchin_matrix,
                                   hodge_star, metric_from_3form,
                                   metric_from_4form,
@@ -214,6 +215,29 @@ def test_star_matches_the_minor_by_minor_formula():
             scale = max([1.0] + [abs(v) for v in want.values()])
             for pos, comp in enumerate(combinations(range(1, 8), 7 - k)):
                 assert abs(got[pos] - want.get(comp, 0.0)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("ref", [PHI, PHITILDE])
+def test_dual_ray_is_a_positive_multiple_of_the_float_star(ref):
+    import numpy as np
+
+    rng = random.Random(17)
+    for _ in range(5):
+        t = pullback(_unimodular(rng), ref)
+        for c in (1, Fraction(-3, 7), Fraction(10 ** 15 + 1, 10 ** 15),
+                  Fraction(-2, 10 ** 15 - 1)):
+            ct = c * t
+            dual = np.array(dual_ray(ct).coefficient_vector(), dtype=float)
+            st = hodge_star(ct, ct)
+            lam = dual @ st / (dual @ dual)
+            assert lam > 0
+            assert np.linalg.norm(st - lam * dual) <= 1e-9 * np.linalg.norm(st)
+
+
+def test_dual_ray_of_a_degenerate_form_is_none():
+    assert dual_ray(w(7, 1, 2, 3)) is None
+    assert dual_ray(KForm.zero(7, 3)) is None
+    assert dual_ray(w(7, 1, 2, 3) + w(7, 1, 4, 5) + w(7, 1, 6, 7)) is None
 
 
 def test_exact_dual_reference_value():
