@@ -12,7 +12,9 @@ Generator expectations:
   accepted  -- included in the module; must normalize the pair and preserve
                an indefinite member of the invariant family
   rejected  -- must normalize the pair but fail the indefinite-compatibility
-               check (scan evidence), e.g. a torus-coordinate swap
+               check, e.g. a torus-coordinate swap; both shipped rejections
+               are exact: the candidate-fixed family has a common kernel,
+               so every member is degenerate
   detneg    -- shadow check only: det of the V-action is negative
 """
 
@@ -560,12 +562,14 @@ def candidate_module(mod: IsotropyModule, name, fmat) -> IsotropyModule:
 
 
 def generator_compatibility_report(mod: IsotropyModule, name, fmat, scan=None):
-    """Evidence report for a candidate component generator.
+    """Compatibility report for a candidate component generator.
 
     The candidate must normalize the pair (raises otherwise).  Compatibility
     with the indefinite classification table means the candidate-fixed part
-    of the invariant family still contains an indefinite member; a miss at
-    scan resolution is reported as a rejection.
+    of the invariant family still contains an indefinite member.  A
+    rejection is exact when `certificate` (passed through from
+    `invariant_form_types`) excludes the indefinite class, and only "not
+    found at this resolution" otherwise.
     """
     cand = candidate_module(mod, name, fmat)
     rep = invariant_form_types(cand, scan)
@@ -575,6 +579,7 @@ def generator_compatibility_report(mod: IsotropyModule, name, fmat, scan=None):
         "has_definite": rep["has_definite"],
         "has_indefinite": rep["has_indefinite"],
         "samples": rep["samples"],
+        "certificate": rep["certificate"],
         "det_on_V": str(det(cand.generators[-1][1])),
     }
 

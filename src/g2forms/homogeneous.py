@@ -21,7 +21,8 @@ from .linalg import identity, mat, nullspace, rank, solve, transpose
 from .liealg import IsotropyModule, MatrixLieAlgebra, invariant_kforms
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .stable_forms import (Orbit3Class, classify3, classify_hitchin,
-                           dual_ray, family_hitchin_map, hodge_star)
+                           dual_ray, family_hitchin_map, hitchin_ray,
+                           hodge_star)
 
 
 def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
@@ -180,10 +181,12 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
 
     lambda and the residual are reported from the float star.  Flat input
     (d t = 0) is torsion-free, never nearly parallel: lambda must be nonzero.
+    One `hitchin_ray` build feeds the class, the exact dual and the metric.
     """
     import numpy as np
 
-    orbit = classify3(t)
+    ray = hitchin_ray(t)
+    orbit = classify_hitchin(ray[0])
     if orbit is Orbit3Class.DEGENERATE:
         raise ValueError("nearly-parallel check needs a stable form")
     dt = ce_differential(m, t)
@@ -191,8 +194,8 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
         return NearlyParallelResult(lam=0.0, residual=0.0,
                                     is_nearly_parallel=False,
                                     torsion_free=True, orbit=orbit.value)
-    dual = dual_ray(t)
-    st = hodge_star(t, t)
+    dual = dual_ray(t, ray)
+    st = hodge_star(t, t, ray)
     dtv = np.array(dt.coefficient_vector(), dtype=float)
     lam = float(dtv @ st / (st @ st))
     res = float(np.linalg.norm(dtv - lam * st) / np.linalg.norm(dtv))

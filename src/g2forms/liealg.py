@@ -17,8 +17,12 @@ certified: a random self-adjoint commutant element splits V into its
 eigenspaces, whose dimensions are the root multiplicities of its
 characteristic polynomial, and the split is accepted only when a commutant
 dimension count proves every eigenspace irreducible.  `invariant_form_types`
-classifies rational sample forms exactly but can only report "not found at
-this resolution" for a negative.
+classifies rational sample forms exactly, and a negative is exact when a
+certificate excludes the class: a common kernel of the family's monomial
+Hitchin matrices (every member degenerate) or the Schur obstruction on the
+irreducible dimensions (no member indefinite).  The scan only looks for
+witnesses of the classes left; a miss there is "not found at this
+resolution".
 """
 
 import math
@@ -35,7 +39,7 @@ from .linalg import (charpoly, frac, identity, intersect_nullspaces, inverse,
                      root_multiplicities, rref, solve, transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
-from .stable_forms import (Orbit3Class, classify_hitchin, family_hitchin_map,
+from .stable_forms import (classify_hitchin, family_hitchin_map,
                            primitive_int_vector)
 
 
@@ -478,6 +482,11 @@ class IsotropyModule:
         # k -> tuple of basis forms, filled by `invariant_kforms`
         return {}
 
+    @cached_property
+    def _irreducible_dims(self):
+        # seed -> tuple of dimensions, filled by `irreducible_dims`
+        return {}
+
     def kernel_dim(self):
         """dim of {X in h : ad(X)|V = 0} -- must be 0 for effective entries."""
         if not self.action:
@@ -790,8 +799,16 @@ def irreducible_dims(m: IsotropyModule, seed=0):
     E_j is irreducible.  A one-dimensional commutant of W proves W
     irreducible outright.  C is drawn from `random.Random(seed)`; if no draw
     in `_SPLITTER_DRAWS` certifies, an AssertionError is raised, never a
-    coarser answer.
+    coarser answer.  The result is computed once per module and seed and
+    kept on the module; a fresh list is returned per call.
     """
+    cache = m._irreducible_dims
+    if seed not in cache:
+        cache[seed] = tuple(_irreducible_dims(m, seed))
+    return list(cache[seed])
+
+
+def _irreducible_dims(m, seed):
     triv = intersect_nullspaces(m.action) if m.action else identity(m.dimV)
     rest = nullspace(mat_mul(mat(triv), m.gram)) if triv else identity(m.dimV)
     dims = [1] * len(triv)
@@ -847,23 +864,22 @@ class ScanConfig:
 
 
 def _ray_grid(d, budget):
-    """Deterministic projective grid of integer direction vectors."""
+    """Deterministic projective grid of integer direction vectors, lazily."""
     if d == 1:
-        return [(1,)]
+        yield (1,)
+        return
     if d == 2:
         n = max(1, int(math.isqrt(budget) // 2) * 2)
-        out = []
         for q in range(0, n + 1):
             for p in range(-n, n + 1):
                 if (p, q) == (0, 0) or (q == 0 and p < 0):
                     continue
                 if math.gcd(abs(p), q) > 1:
                     continue
-                out.append((p, q))
-        return out
+                yield (p, q)
+        return
     if d == 3:
         n = max(1, round(budget ** (1 / 3) / 2) * 2)
-        out = []
         for r in range(0, n + 1):
             for q in range(-n, n + 1):
                 for p in range(-n, n + 1):
@@ -873,35 +889,84 @@ def _ray_grid(d, budget):
                         continue
                     if math.gcd(math.gcd(abs(p), abs(q)), r) > 1:
                         continue
-                    out.append((p, q, r))
-        return out
+                    yield (p, q, r)
+        return
     # high-dimensional families: basis directions and signed pairs only
-    out = []
     for i in range(d):
         v = [0] * d
         v[i] = 1
-        out.append(tuple(v))
+        yield tuple(v)
     for i in range(d):
         for j in range(i + 1, d):
             for s in (1, -1):
                 v = [0] * d
                 v[i] = 1
                 v[j] = s
-                out.append(tuple(v))
-    return out
+                yield tuple(v)
+
+
+def _scan_samples(d, config):
+    """The grid rays, then `config.random` seeded draws from [-9, 9]^d."""
+    yield from _ray_grid(d, config.grid)
+    rng = random.Random(config.seed)
+    for _ in range(config.random):
+        yield tuple(rng.randint(-9, 9) for _ in range(d))
+
+
+def kernel_exclusion(hitchin):
+    """Certificate that every member of a family is degenerate, or None.
+
+    A nonzero v with M v = 0 for every monomial matrix M of the family
+    Hitchin map (`FamilyHitchinMap.common_kernel`) has B(x) v = 0 for every
+    x.  The vector is accepted only after an exact re-check of the products
+    (`FamilyHitchinMap.kills`).
+    """
+    kernel = hitchin.common_kernel()
+    if not kernel or not any(kernel[0]) or not hitchin.kills(kernel[0]):
+        return None
+    return {"kind": "common kernel", "kernel_vector": kernel[0],
+            "kernel_dim": len(kernel)}
+
+
+def schur_exclusion(m: IsotropyModule):
+    """Certificate that no invariant 3-form is indefinite, or None.
+
+    For an invariant t, B(t) is h-invariant (the action is gram-skew, so
+    traceless, and Lambda^7 is trivial), so S = gram^-1 B(t) commutes with
+    the action and is gram-self-adjoint.  Its positive eigenspace is then
+    invariant, a sum of irreducibles, and B(t) has signature (p, 7 - p)
+    with p a sub-multiset sum of the certified `irreducible_dims`.  An
+    indefinite t needs p = 3 or 4.  The argument needs a definite gram.
+    """
+    if not _definite_check(m.gram):
+        return None
+    dims = irreducible_dims(m)
+    sums = {0}
+    for k in dims:
+        sums |= {s + k for s in sums}
+    if sums & {3, 4}:
+        return None
+    return {"kind": "schur", "irreducible_dims": dims}
 
 
 def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
     """Scan the invariant 3-form family for definite and indefinite members.
 
-    Every sample is classified exactly; a miss is only "not found at this
-    resolution", never a nonexistence proof.  Returns a report dict.
+    Before the scan, two exact exclusions are tried: a common kernel of the
+    family's monomial matrices (`kernel_exclusion`: every member is
+    degenerate) and the Schur obstruction (`schur_exclusion`: no member is
+    indefinite).  `certificate` maps each excluded class to its
+    certificate.  The scan then classifies every sample exactly and stops
+    once each class is witnessed or excluded, without a sample when both
+    are excluded.  A miss with no certificate is only "not found at this
+    resolution".  Returns a report dict.
     """
     config = config or ScanConfig()
     basis = invariant_3forms(m)
     d = len(basis)
     report = {"dim": d, "has_definite": False, "has_indefinite": False,
-              "samples": 0, "definite_witness": None, "indefinite_witness": None}
+              "samples": 0, "definite_witness": None, "indefinite_witness": None,
+              "certificate": {}}
     if d == 0:
         return report
     if d == 35:
@@ -911,23 +976,26 @@ def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
         return report
     hitchin = family_hitchin_map(
         [primitive_int_vector(f.coefficient_vector()) for f in basis])
-    rng = random.Random(config.seed)
-    samples = list(_ray_grid(d, config.grid))
-    for _ in range(config.random):
-        samples.append(tuple(rng.randint(-9, 9) for _ in range(d)))
+    certificate = report["certificate"]
+    kernel = kernel_exclusion(hitchin)
+    if kernel is not None:
+        certificate.update(definite=kernel, indefinite=kernel)
+    else:
+        schur = schur_exclusion(m)
+        if schur is not None:
+            certificate["indefinite"] = schur
+    done = set(certificate)
     seen = 0
-    for coeffs in samples:
-        if all(c == 0 for c in coeffs):
+    for coeffs in _scan_samples(d, config):
+        if len(done) == 2:
+            break
+        if not any(coeffs):
             continue
         seen += 1
-        cls = classify_hitchin(hitchin(coeffs))
-        if cls is Orbit3Class.DEFINITE and not report["has_definite"]:
-            report["has_definite"] = True
-            report["definite_witness"] = list(coeffs)
-        elif cls is Orbit3Class.INDEFINITE and not report["has_indefinite"]:
-            report["has_indefinite"] = True
-            report["indefinite_witness"] = list(coeffs)
-        if report["has_definite"] and report["has_indefinite"]:
-            break
+        cls = classify_hitchin(hitchin(coeffs)).value
+        if cls != "degenerate" and cls not in done:
+            done.add(cls)
+            report[f"has_{cls}"] = True
+            report[f"{cls}_witness"] = list(coeffs)
     report["samples"] = seen
     return report

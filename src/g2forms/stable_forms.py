@@ -15,8 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (det, frac, inverse, leading_principal_minors, mat,
-                     symmetric_signature)
+from .linalg import (det, frac, identity, inverse, leading_principal_minors,
+                     mat, mat_vec, nullspace, symmetric_signature)
 from .multilinear import (KForm, basis_vector, interior, pullback, sort_index,
                           wedge)
 
@@ -195,15 +195,66 @@ def hitchin_bilinear(t: KForm) -> HitchinData:
                        Bx=bx)
 
 
-def family_hitchin_map(bvecs):
+@dataclass(frozen=True)
+class FamilyHitchinMap:
+    """B of a linear family of 3-forms, expanded in the family coordinates.
+
+    B(x) = sum over monomials x_a x_b x_c of an integer symmetric matrix
+    M_abc.  `monomials` holds (a, b, c, terms) with a <= b <= c and terms
+    the nonzero (cell, coefficient) pairs of M_abc over the upper-triangular
+    `cells`.  Calling the map on an integer coefficient tuple x returns the
+    exact integer B(x); a sample costs one product per monomial, and
+    monomials with a zero factor are skipped.
+    """
+
+    monomials: tuple
+    cells: tuple
+
+    def __call__(self, x):
+        flat = [0] * len(self.cells)
+        for a, b, c, terms in self.monomials:
+            v = x[a] * x[b] * x[c]
+            if v:
+                for e, coef in terms:
+                    flat[e] += coef * v
+        m = [[0] * DIM for _ in range(DIM)]
+        for (i, j), v in zip(self.cells, flat):
+            m[i][j] = m[j][i] = v
+        return m
+
+    def monomial_matrices(self):
+        """The integer matrices M_abc, one per monomial, in monomial order."""
+        out = []
+        for *_, terms in self.monomials:
+            m = [[0] * DIM for _ in range(DIM)]
+            for e, coef in terms:
+                i, j = self.cells[e]
+                m[i][j] = m[j][i] = coef
+            out.append(m)
+        return out
+
+    def kills(self, v):
+        """Is M_abc v = 0 for every monomial?  Exact integer products.
+
+        Such a v != 0 lies in the kernel of B(x) for every x, so it proves
+        every member of the family degenerate.
+        """
+        return not any(any(mat_vec(m, v)) for m in self.monomial_matrices())
+
+    def common_kernel(self):
+        """Primitive integer basis of the joint kernel of the M_abc."""
+        rows = {tuple(row) for m in self.monomial_matrices() for row in m
+                if any(row)}
+        vecs = nullspace([list(r) for r in rows]) if rows else identity(DIM)
+        return [primitive_int_vector(v) for v in vecs]
+
+
+def family_hitchin_map(bvecs) -> FamilyHitchinMap:
     """B of the family sum_a x_a bvecs[a] as 28 integer cubics in x.
 
     `bvecs` are integer 35-vectors.  Walking the contraction table over
     their nonzero entries expands each B_ij (i <= j) into monomials
-    x_a x_b x_c (a <= b <= c).  Returns a function from an integer
-    coefficient tuple x to the exact integer B of sum_a x_a bvecs[a]; a
-    sample costs one product per monomial, and monomials with a zero
-    factor are skipped.
+    x_a x_b x_c (a <= b <= c), once per family.
     """
     table = _hitchin_table()
     support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
@@ -221,21 +272,8 @@ def family_hitchin_map(bvecs):
         terms = tuple((e, v) for e, v in terms.items() if v)
         if terms:
             monomials.append((a, b, c, terms))
-    cells = [(i - 1, j - 1) for i, j in table]
-
-    def matrix(x):
-        flat = [0] * len(cells)
-        for a, b, c, terms in monomials:
-            v = x[a] * x[b] * x[c]
-            if v:
-                for e, coef in terms:
-                    flat[e] += coef * v
-        m = [[0] * DIM for _ in range(DIM)]
-        for (i, j), v in zip(cells, flat):
-            m[i][j] = m[j][i] = v
-        return m
-
-    return matrix
+    return FamilyHitchinMap(monomials=tuple(monomials),
+                            cells=tuple((i - 1, j - 1) for i, j in table))
 
 
 def classify_hitchin(b) -> Orbit3Class:
@@ -274,7 +312,7 @@ def classify3(t: KForm) -> Orbit3Class:
 _METRIC_CONST = 6  # pinned by the phi -> identity-metric oracle
 
 
-def metric_from_3form(t: KForm):
+def metric_from_3form(t: KForm, ray=None):
     """Metric (numpy array) and volume of a stable 3-form; ninth roots appear.
 
     g = sign(det B) B / (6^(2/9) |det B|^(1/9)), so the definite reference
@@ -282,11 +320,12 @@ def metric_from_3form(t: KForm):
     (3,4), and det B < 0 exactly for (0,7) and (4,3): the sign makes the
     definite metric positive and gives the indefinite one signature (3, 4).
     B and det B are exact rescalings of the integer matrix of t's ray, so
-    each float is the correctly rounded value of the exact rational.
+    each float is the correctly rounded value of the exact rational.  `ray`
+    is t's `hitchin_ray` when the caller already has it.
     """
     import numpy as np
 
-    b, detb = _rescale(*hitchin_ray(t))
+    b, detb = _rescale(*(ray or hitchin_ray(t)))
     if detb == 0:
         raise ValueError("degenerate 3-form has no metric")
     scale = float(_METRIC_CONST) ** (2.0 / 9.0) * float(abs(detb)) ** (1.0 / 9.0)
@@ -296,20 +335,21 @@ def metric_from_3form(t: KForm):
     return g, math.sqrt(abs(np.linalg.det(g)))
 
 
-def hodge_star(a: KForm, t: KForm):
+def hodge_star(a: KForm, t: KForm, ray=None):
     """Hodge star of a w.r.t. the metric and orientation of the stable form t.
 
     Returns a float numpy vector over the sorted (7-k)-subset basis:
     vol * x @ Lambda^k(g^-1), the compound matrix of k-minors, followed by
     the complement map e^J -> eps(J, comp J) e^{comp J}.  Complementing
     reverses the lexicographic order of the subsets.  Assertions that depend
-    on this should use a relative tolerance around 1e-9.
+    on this should use a relative tolerance around 1e-9.  `ray` is passed
+    on to `metric_from_3form`.
     """
     import numpy as np
 
     if not isinstance(a, KForm):
         raise TypeError("hodge_star expects an exact KForm input")
-    g, volume = metric_from_3form(t)
+    g, volume = metric_from_3form(t, ray)
     k = a.degree
     ksets = list(combinations(range(1, DIM + 1), k))
     idx = np.array(ksets, dtype=int).reshape(len(ksets), k) - 1
@@ -342,7 +382,7 @@ def star_euclidean(a: KForm) -> KForm:
 PSI4 = star_euclidean(PHI)
 
 
-def dual_ray(t: KForm):
+def dual_ray(t: KForm, ray=None):
     """An exact 4-form on the ray of star t (`hodge_star`); None if degenerate.
 
     star t = vol C(t @ Lambda^3(g^-1)) with vol > 0, C the signed complement
@@ -350,9 +390,10 @@ def dual_ray(t: KForm):
     (`metric_from_3form`).  With t = scale x (`hitchin_ray`), s B^-1 is
     adj(Bx) / (scale^3 |det Bx|) and Lambda^3 is cubic, so star t is
     c star_euclidean(pullback(M, t)), c > 0, M the primitive integer matrix
-    on the ray of adj(Bx).  The ninth roots sit in c alone.
+    on the ray of adj(Bx).  The ninth roots sit in c alone.  `ray` is t's
+    `hitchin_ray` when the caller already has it.
     """
-    bx, _ = hitchin_ray(t)
+    bx, _ = ray or hitchin_ray(t)
     detbx = det(bx)
     if detbx == 0:
         return None
@@ -426,7 +467,7 @@ def classification_report(t: KForm) -> dict:
 
 def annihilator_of_form(*forms: KForm):
     """Basis of {A in gl(R^n) : algebra_action(A, t) = 0 for all t}, exact."""
-    from .linalg import nullspace, transpose
+    from .linalg import transpose
     from .multilinear import algebra_action
 
     n = forms[0].dim
@@ -496,8 +537,6 @@ def decompose2(a: KForm):
     if a.dim != DIM or a.degree != 2:
         raise ValueError("expected a 2-form on R^7")
     basis14, basis7, minv = _decomp2_setup()
-    from .linalg import mat_vec
-
     x = mat_vec(minv, a.coefficient_vector())
     part14 = KForm.zero(7, 2)
     for c, f in zip(x[:14], basis14):
@@ -509,7 +548,7 @@ def decompose2(a: KForm):
 def _decomp3_setup():
     global _DECOMP3
     if _DECOMP3 is None:
-        from .linalg import inverse, nullspace, transpose
+        from .linalg import inverse, transpose
 
         basis1 = [PHI]
         basis7 = [star_euclidean(wedge(PHI, KForm.basis(7, i)))
@@ -528,8 +567,6 @@ def decompose3(a: KForm):
     if a.dim != DIM or a.degree != 3:
         raise ValueError("expected a 3-form on R^7")
     basis1, basis7, basis27, minv = _decomp3_setup()
-    from .linalg import mat_vec
-
     x = mat_vec(minv, a.coefficient_vector())
     part1 = x[0] * PHI
     part7 = KForm.zero(7, 3)

@@ -141,6 +141,31 @@ def test_rotation_generator_shadows_for_trivial_isotropy():
         assert rep["has_indefinite"]
 
 
+@pytest.mark.parametrize("case, params, kernel_dim", [
+    ("4ii", (0, 0), 3), ("6ii", (), 2)])
+def test_rejected_generators_rest_on_a_kernel_certificate(case, params,
+                                                          kernel_dim):
+    # both "rejected" verdicts are exact: the fixed family's monomial
+    # Hitchin matrices share a kernel vector, so no sample is needed
+    from g2forms.liealg import invariant_3forms
+    from g2forms.stable_forms import family_hitchin_map, primitive_int_vector
+
+    mod = build_entry(case, params)
+    (name, fmat, expect), = mod.pending_generators
+    assert expect == "rejected"
+    rep = generator_compatibility_report(mod, name, fmat)
+    assert not rep["has_definite"] and not rep["has_indefinite"]
+    assert rep["samples"] == 0
+    cert = rep["certificate"]["indefinite"]
+    assert rep["certificate"]["definite"] == cert
+    assert cert["kind"] == "common kernel"
+    assert cert["kernel_dim"] == kernel_dim
+    cand = candidate_module(mod, name, fmat)
+    hitchin = family_hitchin_map([primitive_int_vector(f.coefficient_vector())
+                                  for f in invariant_3forms(cand)])
+    assert any(cert["kernel_vector"]) and hitchin.kills(cert["kernel_vector"])
+
+
 def test_verify_entry_passes_its_scan_config_to_the_generator_scans(
         monkeypatch):
     from g2forms import catalog

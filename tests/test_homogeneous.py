@@ -401,3 +401,30 @@ def test_coclosed_grid_forms_build_b_once(monkeypatch):
     assert coclosed_check(su2t4_module, PHI)
     with pytest.raises(ValueError, match="coclosedness needs a stable form"):
         coclosed_check(su2t4_module, w(7, 1, 2, 3))
+
+
+@pytest.mark.parametrize("case, ray", [("2d", (1,)), ("7", (1,)),
+                                       ("2ci", (-1, 5)),
+                                       ("1", (Fraction(3, 7), -2))])
+def test_nearly_parallel_check_builds_b_once(case, ray, monkeypatch):
+    # one Hitchin build feeds the class, the exact dual and the float star;
+    # lambda is bit-identical to that of a separate `hodge_star` call
+    import numpy as np
+
+    from g2forms import stable_forms
+
+    mod = build_entry(case)
+    t = KForm.zero(7, 3)
+    for c, f in zip(ray, invariant_3forms(mod)):
+        t = t + c * f
+    st = hodge_star(t, t)
+    dtv = np.array(homogeneous.ce_differential(mod, t).coefficient_vector(),
+                   dtype=float)
+    lam = float(dtv @ st / (st @ st))
+    calls = []
+    real = stable_forms.hitchin_matrix
+    monkeypatch.setattr(stable_forms, "hitchin_matrix",
+                        lambda coeffs: calls.append(1) or real(coeffs))
+    res = nearly_parallel_check(mod, t)
+    assert len(calls) == 1
+    assert res.lam == lam and res.orbit == classify3(t).value

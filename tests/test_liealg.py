@@ -9,8 +9,9 @@ from g2forms.liealg import (MatrixLieAlgebra, ScanConfig,
                             _check_rep_property, _ray_grid, build_algebra,
                             invariant_3forms, invariant_dims,
                             invariant_form_types, invariant_kforms,
-                            irreducible_dims, product_algebra,
-                            reductive_complement)
+                            irreducible_dims, kernel_exclusion,
+                            product_algebra, reductive_complement,
+                            schur_exclusion)
 from g2forms.linalg import (commutator, inverse, mat, mat_mul, mat_vec,
                             solve, trace, transpose)
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
@@ -427,23 +428,222 @@ def test_family_map_matches_hitchin_matrix_and_classify_coeffs(
 @pytest.mark.parametrize("seed", [0, 1])
 def test_invariant_form_types_matches_a_classify_coeffs_loop(
         scanned_families, seed):
+    # the reference loop applies the scan's stop rule: it ends once each
+    # class is witnessed or excluded by one of the report's certificates
     config = ScanConfig(grid=300, random=100, seed=seed)
     for label, mod, bvecs in scanned_families:
+        rep = invariant_form_types(mod, config)
+        done = set(rep["certificate"])
         ref = {"has_definite": False, "has_indefinite": False, "samples": 0,
                "definite_witness": None, "indefinite_witness": None}
         for coeffs in _scan_samples(len(bvecs), config):
+            if len(done) == 2:
+                break
             if not any(coeffs):
                 continue
             ref["samples"] += 1
             cls = classify_coeffs(_sample_vec(coeffs, bvecs))
-            if cls is Orbit3Class.DEFINITE and not ref["has_definite"]:
+            if cls is Orbit3Class.DEFINITE and "definite" not in done:
+                done.add("definite")
                 ref.update(has_definite=True, definite_witness=list(coeffs))
-            elif cls is Orbit3Class.INDEFINITE and not ref["has_indefinite"]:
+            elif cls is Orbit3Class.INDEFINITE and "indefinite" not in done:
+                done.add("indefinite")
                 ref.update(has_indefinite=True, indefinite_witness=list(coeffs))
-            if ref["has_definite"] and ref["has_indefinite"]:
-                break
-        rep = invariant_form_types(mod, config)
         assert {k: rep[k] for k in ref} == ref, label
+
+
+# ---------------------------------------------------------------------------
+# exact exclusions: the Schur obstruction and a common kernel
+# ---------------------------------------------------------------------------
+
+DEFINITE_ONLY = {"2d": [7], "7": [7], "so3_7": [7], "8-g2xR": [1, 6],
+                 "8-su4": [1, 6]}
+
+
+@pytest.mark.parametrize("case", sorted(DEFINITE_ONLY))
+def test_schur_exclusion_fires_on_the_definite_only_rows(case):
+    mod = build_entry(case)
+    cert = {"kind": "schur", "irreducible_dims": DEFINITE_ONLY[case]}
+    assert schur_exclusion(mod) == cert
+    rep = invariant_form_types(mod, SMALL_SCAN)
+    assert rep["certificate"] == {"indefinite": cert}
+    assert rep["has_definite"] and not rep["has_indefinite"]
+
+
+def test_schur_exclusion_does_not_fire_on_case1():
+    mod = build_entry("1")
+    assert irreducible_dims(mod) == [3, 4]
+    assert schur_exclusion(mod) is None
+    rep = invariant_form_types(mod, SMALL_SCAN)
+    assert rep["certificate"] == {}
+    assert rep["has_definite"] and rep["has_indefinite"]
+
+
+def test_schur_exclusion_needs_a_definite_gram():
+    import dataclasses
+
+    mod = build_entry("2d")
+    flipped = dataclasses.replace(
+        mod, gram=[[-x for x in row] for row in mod.gram])
+    assert schur_exclusion(mod) is not None
+    assert schur_exclusion(flipped) is None
+
+
+def test_a_finer_split_gets_no_certificate_and_the_full_scan(monkeypatch):
+    # with [1, 2, 4] a sub-multiset sums to 3, so the obstruction is gone
+    # and the scan runs to its end
+    from g2forms import liealg
+
+    monkeypatch.setattr(liealg, "irreducible_dims",
+                        lambda m, seed=0: [1, 2, 4])
+    config = ScanConfig(seed=1)
+    rep = invariant_form_types(build_entry("8-g2xR"), config)
+    assert rep["certificate"] == {}
+    assert rep["has_definite"] and not rep["has_indefinite"]
+    assert rep["samples"] == sum(
+        1 for c in _scan_samples(rep["dim"], config) if any(c)) == 38_440
+
+
+def _family(mod):
+    return family_hitchin_map([primitive_int_vector(f.coefficient_vector())
+                               for f in invariant_3forms(mod)])
+
+
+@pytest.fixture(scope="module")
+def degenerate_families():
+    """label -> (module, family map, monomials, kernel dim) of the families
+    whose members are all degenerate."""
+    from g2forms.catalog import candidate_module
+
+    out = {}
+    for case, params, n_monomials, kernel_dim in (
+            ("4ii", (0, 0), 1, 3), ("6ii", (), 75, 2),
+            ("3biii", (1, 1), 1, 6)):
+        mod = build_entry(case, params)
+        for name, fmat, expect in mod.pending_generators:
+            assert expect == "rejected"
+            mod = candidate_module(mod, name, fmat)
+        out[mod.label] = (mod, _family(mod), n_monomials, kernel_dim)
+    return out
+
+
+def test_kernel_certificate_fires_on_the_degenerate_families(
+        degenerate_families):
+    assert set(degenerate_families) == {
+        "4ii(0, 0)+B23-swap", "6ii+R5-fixing-rotation", "3biii(1, 1)"}
+    rng = random.Random(7)
+    for label, (mod, hitchin, n_monomials, kernel_dim) in \
+            degenerate_families.items():
+        assert len(hitchin.monomials) == n_monomials, label
+        assert len(hitchin.common_kernel()) == kernel_dim, label
+        rep = invariant_form_types(mod)
+        cert = rep["certificate"]["indefinite"]
+        assert rep["certificate"]["definite"] == cert, label
+        assert cert["kind"] == "common kernel"
+        assert cert["kernel_dim"] == kernel_dim
+        assert rep["samples"] == 0
+        assert not rep["has_definite"] and not rep["has_indefinite"]
+        # independently of the monomial expansion: B v = 0 on seeded forms
+        v = cert["kernel_vector"]
+        bvecs = [primitive_int_vector(f.coefficient_vector())
+                 for f in invariant_3forms(mod)]
+        for _ in range(5):
+            x = [rng.randint(-9, 9) for _ in bvecs]
+            b = hitchin_matrix(_sample_vec(x, bvecs))
+            assert any(map(any, b)), label
+            assert mat_vec(b, v) == [0] * 7, label
+            # the monomial matrices add up to B(x)
+            total = [[0] * 7 for _ in range(7)]
+            for (a, bb, c, _), m in zip(hitchin.monomials,
+                                        hitchin.monomial_matrices()):
+                w = x[a] * x[bb] * x[c]
+                total = [[t + w * y for t, y in zip(tr, mr)]
+                         for tr, mr in zip(total, m)]
+            assert total == b == hitchin(x), label
+
+
+def test_a_corrupted_kernel_vector_fails_the_exact_recheck(
+        degenerate_families, monkeypatch):
+    import dataclasses
+
+    from g2forms import stable_forms
+
+    mod, hitchin, _, _ = degenerate_families["4ii(0, 0)+B23-swap"]
+    units = [[int(i == j) for j in range(7)] for i in range(7)]
+    for _, fam, _, _ in degenerate_families.values():
+        v = fam.common_kernel()[0]
+        assert fam.kills(v)
+        # every off-kernel unit vector spoils it
+        spoilers = [e for e in units if not fam.kills(e)]
+        assert spoilers
+        for e in spoilers:
+            assert not fam.kills([a + b for a, b in zip(v, e)])
+    # both halves of a symmetric monomial matrix are filled
+    e01 = hitchin.cells.index((0, 1))
+    off = dataclasses.replace(hitchin, monomials=((0, 0, 0, ((e01, 1),)),))
+    assert [off.kills(e) for e in units] == [False, False] + [True] * 5
+    # a corrupted vector handed to the certificate is refused, and the scan
+    # falls back to the uncertified full scan
+    v = hitchin.common_kernel()[0]
+    bad = [a + b for a, b in zip(v, [1, 0, 0, 0, 0, 0, 0])]
+    assert not hitchin.kills(bad)
+    monkeypatch.setattr(stable_forms.FamilyHitchinMap, "common_kernel",
+                        lambda self: [bad])
+    assert kernel_exclusion(hitchin) is None
+    rep = invariant_form_types(mod, SMALL_SCAN)
+    assert rep["certificate"] == {}
+    assert rep["samples"] == sum(
+        1 for c in _scan_samples(rep["dim"], SMALL_SCAN) if any(c))
+    assert not rep["has_definite"] and not rep["has_indefinite"]
+
+
+def test_certified_exclusions_hold_on_a_full_default_scan(
+        scanned_families):
+    # every exclusion on the shipped catalog and its rejected generators,
+    # against the full default scan with no early stop
+    config = ScanConfig()
+    excluded = {}
+    for label, mod, bvecs in scanned_families:
+        rep = invariant_form_types(mod, config)
+        if not rep["certificate"]:
+            continue
+        excluded[label] = set(rep["certificate"])
+        hitchin = family_hitchin_map(bvecs)
+        for coeffs in _scan_samples(len(bvecs), config):
+            if any(coeffs):
+                cls = classify_hitchin(hitchin(coeffs)).value
+                assert cls not in excluded[label], (label, coeffs)
+    both = {"definite", "indefinite"}
+    assert excluded == {
+        "2d": {"indefinite"}, "7": {"indefinite"}, "so3_7": {"indefinite"},
+        "8-su4": {"indefinite"}, "8-g2xR": {"indefinite"},
+        "4ii(0, 0)+B23-swap": both, "6ii+R5-fixing-rotation": both}
+
+
+def test_irreducible_dims_are_computed_once_per_module_and_seed(monkeypatch):
+    import dataclasses
+
+    from g2forms import liealg
+
+    calls = []
+    compute = liealg._irreducible_dims
+
+    def counting(m, seed):
+        calls.append(seed)
+        return compute(m, seed)
+
+    monkeypatch.setattr(liealg, "_irreducible_dims", counting)
+    mod = build_entry("8-g2xR")
+    first = irreducible_dims(mod)
+    first.append(99)
+    assert irreducible_dims(mod) == [1, 6]
+    invariant_form_types(mod, SMALL_SCAN)
+    assert calls == [0]
+    assert irreducible_dims(mod, seed=1) == [1, 6]
+    assert calls == [0, 1]
+    # a copy is a new module with an empty cache
+    assert irreducible_dims(dataclasses.replace(mod)) == [1, 6]
+    assert calls == [0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
