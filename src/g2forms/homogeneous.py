@@ -8,21 +8,24 @@ d^2 = 0 holds on invariant forms and is asserted, not assumed.
 
 Ranks, kernels and every yes/no answer are exact.  Coclosedness and the
 nearly parallel test read the exact `dual_ray`, a positive multiple of the
-Hodge dual; only the reported lambda and residual, and the two-parameter
-ray search, use the float `hodge_star` (1e-9 relative tolerance).
+Hodge dual, and the rays of a two-parameter family come from an exact
+pencil certificate; only the reported lambda and residual use the float
+`hodge_star` (1e-9 relative tolerance).
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
-from .linalg import identity, mat, nullspace, rank, solve, transpose
-from .liealg import IsotropyModule, MatrixLieAlgebra, invariant_kforms
+from .linalg import adjugate, identity, mat, nullspace, rank, solve, transpose
+from .liealg import (IsotropyModule, MatrixLieAlgebra, invariant_3forms,
+                     invariant_kforms)
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .stable_forms import (Orbit3Class, classify3, classify_hitchin,
-                           dual_ray, family_hitchin_map, hitchin_ray,
-                           hodge_star)
+                           dual_ray, family_hitchin_map, hitchin_matrix,
+                           hitchin_ray, hodge_star, star_euclidean)
 
 
 def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
@@ -173,9 +176,6 @@ class NearlyParallelResult:
     orbit: str
 
 
-NEARLY_PARALLEL_TOL = 1e-9
-
-
 def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
     """Is d t = lambda * star t, lambda != 0?  Decided exactly on `dual_ray`.
 
@@ -304,99 +304,279 @@ def exact_primitive(c: InvariantComplex, target: KForm):
 
 
 # ---------------------------------------------------------------------------
-# nearly-parallel ray search over a two-parameter invariant family
+# nearly parallel rays of a two-parameter invariant family: an exact pencil
+# certificate from integer evaluations
 # ---------------------------------------------------------------------------
 
-def nearly_parallel_rays(m: IsotropyModule, grid=720):
+#: degrees in the slope s along t(s) = f1 + s f2 (see `certify_pencil`)
+Q_DEGREE = 55
+MINOR_DEGREE = 56
+#: nonsingular slopes evaluated: one more than the largest degree
+PENCIL_SLOPES = MINOR_DEGREE + 1
+
+
+class CertificateRefused(ValueError):
+    """An exact certificate failed one of its checks."""
+
+
+class PencilEvaluations(NamedTuple):
+    """The pencil t(s) = f1 + s f2 at integer slopes with det B(s) != 0.
+
+    f1 and f2 (`basis`) are cleared to integer vectors x1, x2 by one common
+    denominator, so t(s) = x1 + s x2 is an integer 3-form on the same ray;
+    `d1`, `d2` are d x1 and d x2 cleared by another.  At each slope, q holds
+    the integer coefficients of Q(s) = star_euclidean(pullback(adj B(s),
+    t(s))), with adj B = det B * B^-1 the integer adjugate, and dq the terms
+    of d Q(s).
+    """
+
+    basis: tuple
+    d1: tuple
+    d2: tuple
+    slopes: tuple
+    q: tuple
+    dq: tuple
+
+
+def _slope_order():
+    """0, 1, -1, 2, -2, ...: distinct integer slopes, smallest first."""
+    yield 0
+    k = 1
+    while True:
+        yield k
+        yield -k
+        k += 1
+
+
+def _cleared(vecs):
+    den = math.lcm(*(x.denominator for v in vecs for x in v))
+    return [tuple(x.numerator * (den // x.denominator) for x in v)
+            for v in vecs]
+
+
+def pencil_evaluations(m: IsotropyModule):
+    """Evaluate the pencil of the two invariant 3-forms at 57 slopes.
+
+    Slopes run 0, 1, -1, 2, ..., skipping those with det B(s) = 0.  Every
+    value is an integer computation: B(s) = hitchin_matrix(x1 + s x2), one
+    fraction-free `adjugate`, an integer-boundary `pullback`.
+    """
+    basis = tuple(invariant_3forms(m))
+    if len(basis) != 2:
+        raise ValueError("the pencil needs a two-parameter family")
+    x1, x2 = _cleared([f.coefficient_vector() for f in basis])
+    d1, d2 = _cleared([ce_differential(m, KForm.from_coefficient_vector(
+        7, 3, x)).coefficient_vector() for x in (x1, x2)])
+    slopes, qs, dqs = [], [], []
+    for s in _slope_order():
+        x = [a + s * b for a, b in zip(x1, x2)]
+        detb, adj = adjugate(hitchin_matrix(x))
+        if detb == 0:
+            continue
+        q = star_euclidean(pullback(adj, KForm.from_coefficient_vector(
+            7, 3, x)))
+        slopes.append(s)
+        qs.append(tuple(c.numerator for c in q.coefficient_vector()))
+        dqs.append(_diff_terms(q.terms, m.d_one_forms))
+        if len(slopes) == PENCIL_SLOPES:
+            break
+    return PencilEvaluations(basis=basis, d1=d1, d2=d2,
+                             slopes=tuple(slopes), q=tuple(qs),
+                             dq=tuple(dqs))
+
+
+def _fits(slopes, vals, m, c, r):
+    """Is vals[j] = c s_j^m (s_j - r) at every slope?"""
+    return all(v == c * s ** m * (s - r) for s, v in zip(slopes, vals))
+
+
+def _fit_reference(slopes, vals):
+    """(m, c, r) with vals = c s^m (s - r) at every slope, c != 0, or None.
+
+    Candidates come from three nonzero slopes, where vals / s^m must be
+    linear; only the check at every slope accepts one.
+    """
+    pts = [(s, v) for s, v in zip(slopes, vals) if s][:3]
+    for m in range(MINOR_DEGREE):
+        (sa, ua), (sb, ub), (sc, uc) = [(s, Fraction(v, s ** m))
+                                        for s, v in pts]
+        c = (ub - ua) / (sb - sa)
+        if c == 0 or (uc - ub) / (sc - sb) != c:
+            continue
+        r = sa - ua / c
+        if _fits(slopes, vals, m, c, r):
+            return m, c, r
+    return None
+
+
+def _fit_minor(slopes, vals, r):
+    """(m, c) with vals = c s^m (s - r) at every slope, m < MINOR_DEGREE.
+
+    m is read from the ratio at two slopes of distinct size; only the check
+    at every slope accepts it.
+    """
+    if not any(vals):
+        return 0, Fraction(0)
+    pts = ((s, Fraction(v) / (s - r)) for s, v in zip(slopes, vals)
+           if s and s != r)
+    sa, wa = next(pts)
+    sb, wb = next(p for p in pts if abs(p[0]) != abs(sa))
+    if wa == 0:
+        return None
+    ratio, step, power = wb / wa, Fraction(sb, sa), Fraction(1)
+    for m in range(MINOR_DEGREE):
+        if power == ratio:
+            c = wa / Fraction(sa) ** m
+            return (m, c) if _fits(slopes, vals, m, c, r) else None
+        power *= step
+    return None
+
+
+class PencilCertificate(NamedTuple):
+    """Exact nearly-parallel and coclosed verdicts on a two-parameter family.
+
+    `minors` holds (i, m_i, c_i): p_i(s) = c_i s^m_i (s - r) for the 4-form
+    index i.  `special` holds (slope, orbit, nearly parallel) for each ray
+    checked one by one; the slope None is the ray of f2.  `rays` lists the
+    nearly parallel stable rays in the shape of `nearly_parallel_rays`.
+    """
+
+    slopes: tuple
+    pivot: int
+    r: Fraction
+    minors: tuple
+    special: tuple
+    coclosed: bool
+    rays: tuple
+
+    def nearly_parallel_count(self, orbit=None):
+        return sum(1 for _, o, npar in self.special
+                   if npar and orbit in (None, o))
+
+    def to_json(self):
+        idx4 = list(combinations(range(1, 8), 4))
+        return {
+            "degree_bounds": {"Q": Q_DEGREE, "minor": MINOR_DEGREE,
+                              "dQ": Q_DEGREE},
+            "slopes": list(self.slopes),
+            "pivot": list(idx4[self.pivot]),
+            "r": str(self.r),
+            "minors": [{"index": list(idx4[i]), "m": m, "c": str(c)}
+                       for i, m, c in self.minors],
+            "special_rays": [
+                {"slope": "infinity" if s is None else str(s),
+                 "orbit": o, "nearly_parallel": npar}
+                for s, o, npar in self.special],
+            "coclosed_identity": self.coclosed,
+        }
+
+
+def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
+    """Prove which stable rays of t(s) = f1 + s f2 are nearly parallel.
+
+    Q(s) and d Q(s) have degree at most 55 in s, and each minor
+    p_i = dt_i0 Q_i - dt_i Q_i0 of [dt, Q] at most 56 (derived in
+    `nearly_parallel_rays`).  For det B(s) != 0, Q(s) is a positive multiple of star t(s)
+    (`dual_ray`).  Where dt_i0(s) != 0, t(s) is nearly parallel exactly
+    when every p_i(s) = 0.  The check p_i(s) = c_i s^m_i (s - r) at the 57
+    slopes, with m_i <= 55, is therefore a polynomial identity, and with
+    some c_i != 0 the only stable candidates are s = r and s = 0.  The rays
+    left out, s = 0, r, the zero of dt_i0 and the ray of f2, each get one
+    exact `nearly_parallel_check` (or an exact degenerate class).  Likewise
+    d Q vanishing at 57 slopes is the identity d Q = 0, so every stable ray
+    with a finite slope is coclosed; f2 is checked on its own.  A failed
+    check raises `CertificateRefused`; r may come from anywhere, only the
+    checks prove.
+    """
+    if len(set(ev.slopes)) < PENCIL_SLOPES:
+        raise CertificateRefused(
+            f"{len(set(ev.slopes))} distinct slopes; the degree bound "
+            f"needs {PENCIL_SLOPES}")
+    n = len(ev.d1)
+    i0 = next((i for i in range(n) if ev.d1[i] or ev.d2[i]), None)
+    if i0 is None:
+        raise CertificateRefused("d vanishes on the whole family")
+    dts = [[a + s * b for a, b in zip(ev.d1, ev.d2)] for s in ev.slopes]
+    minors = {i: [dt[i0] * q[i] - dt[i] * q[i0] for dt, q in zip(dts, ev.q)]
+              for i in range(n) if i != i0}
+    ref = next((i for i, v in minors.items() if any(v)), None)
+    fit = None if ref is None else _fit_reference(ev.slopes, minors[ref])
+    if fit is None:
+        raise CertificateRefused(
+            "no minor has the form c s^m (s - r) at every slope")
+    r = fit[2]
+    terms = []
+    for i, vals in minors.items():
+        mc = _fit_minor(ev.slopes, vals, r)
+        if mc is None:
+            raise CertificateRefused(
+                f"minor {i} is not c s^m (s - {r}) at every slope")
+        if mc[1]:
+            terms.append((i, *mc))
+    f1, f2 = ev.basis
+    a, b = ev.d1[i0], ev.d2[i0]
+    candidates = [Fraction(0), r] + ([Fraction(-a, b)] if b else []) + [None]
+    special, rays = [], []
+    for s in dict.fromkeys(candidates):
+        t = f2 if s is None else f1 + s * f2
+        orbit = classify3(t)
+        if orbit is Orbit3Class.DEGENERATE:
+            special.append((s, orbit.value, False))
+            continue
+        res = nearly_parallel_check(m, t)
+        special.append((s, res.orbit, res.is_nearly_parallel))
+        if res.is_nearly_parallel:
+            rays.append(_unit_ray(s, res))
+    coclosed = not any(ev.dq) and coclosed_if_stable(m, f2) is not False
+    return PencilCertificate(slopes=ev.slopes, pivot=i0, r=r,
+                             minors=tuple(terms), special=tuple(special),
+                             coclosed=coclosed, rays=tuple(rays))
+
+
+def _unit_ray(s, res):
+    """The ray dict of t = f1 + s f2 (s None: f2) at unit coefficients.
+
+    Coefficients (cos th, sin th), 0 <= th < pi, as a unit vector on the
+    ray; lambda scales as |t|^(-1/3), so lambda at t is multiplied by
+    (1 + s^2)^(1/6).
+    """
+    a, b = (0.0, 1.0) if s is None else (1.0, float(s))
+    norm = math.hypot(a, b)
+    sign = -1.0 if b < 0 else 1.0
+    return {"slope": s, "orbit": res.orbit,
+            "coeffs": [sign * a / norm, sign * b / norm],
+            "lambda": res.lam * norm ** (1.0 / 3.0),
+            "residual": res.residual}
+
+
+def pencil_certificate(m: IsotropyModule) -> PencilCertificate:
+    """`certify_pencil` on the 57 evaluations of `pencil_evaluations`."""
+    return certify_pencil(m, pencil_evaluations(m))
+
+
+def nearly_parallel_rays(m: IsotropyModule):
     """Rays of the invariant family satisfying d t = lambda star t, lambda != 0.
 
-    For a 1-dimensional family this is a single check.  For 2-dimensional
-    families the definite cone is located exactly on an angular grid of
-    rational rays; residual minima are then refined by golden section.
-    Returns a list of dicts (coefficients, lambda, residual).
+    For a 1-dimensional family this is a single check.  For a 2-dimensional
+    family the rays come from `pencil_certificate`, which proves that no
+    other stable ray is nearly parallel.  Returns a list of dicts
+    (coefficients, lambda, residual) with float lambda and residual.
+
+    Degree bounds of the certificate, along t(s) = f1 + s f2: the entries
+    of B(s) are cubic in t, so cubic in s, and those of adj B(s), its 6 x 6
+    minors, have degree 6 * 3 = 18.  A 3-form pulls back through the 3 x 3
+    minors of adj B, degree 3 * 18 = 54, each times a linear coefficient of
+    t(s), so Q(s) = star_euclidean(pullback(adj B(s), t(s))) has degree at
+    most 55, and so has d Q(s), d being linear with constant coefficients.
+    dt(s) is linear, so each minor dt_i0 Q_i - dt_i Q_i0 has degree at
+    most 56: 57 distinct slopes decide an identity between such
+    polynomials.
     """
-    import numpy as np
-
-    from .liealg import invariant_3forms
-
     basis = invariant_3forms(m)
     if len(basis) == 1:
         r = nearly_parallel_check(m, basis[0])
         return [{"coeffs": [1.0], "lambda": r.lam, "residual": r.residual}] \
             if r.is_nearly_parallel else []
     if len(basis) != 2:
-        raise ValueError("ray search implemented for families of dim 1 and 2")
-    f1, f2 = basis
-    df1, df2 = (np.array(ce_differential(m, f).coefficient_vector(),
-                         dtype=float) for f in basis)
-
-    def is_definite(theta, digits=9):
-        a, b = math.cos(theta), math.sin(theta)
-        fa = Fraction(round(a * 10 ** digits), 10 ** digits)
-        fb = Fraction(round(b * 10 ** digits), 10 ** digits)
-        return classify3(fa * f1 + fb * f2) is Orbit3Class.DEFINITE
-
-    def residual(theta):
-        # float path: valid in the open definite cone, where the metric and
-        # star vary smoothly; definiteness is certified separately
-        a, b = math.cos(theta), math.sin(theta)
-        fa = Fraction(round(a * 10 ** 15), 10 ** 15)
-        fb = Fraction(round(b * 10 ** 15), 10 ** 15)
-        t = fa * f1 + fb * f2
-        dt = a * df1 + b * df2
-        ndt = np.linalg.norm(dt)
-        if ndt == 0.0:
-            return 0.0, 0.0
-        try:
-            st = hodge_star(t, t)
-        except ValueError:
-            return None
-        lam = float(dt @ st / (st @ st))
-        return float(np.linalg.norm(dt - lam * st) / ndt), lam
-
-    found = []
-    thetas = [math.pi * k / grid for k in range(grid)]
-    vals = []
-    for th in thetas:
-        r = residual(th) if is_definite(th, digits=6) else None
-        vals.append(None if r is None else r[0])
-    for i, v in enumerate(vals):
-        if v is None:
-            continue
-        lo, hi = vals[i - 1] if i > 0 else vals[-1], vals[(i + 1) % grid]
-        if lo is None or hi is None or lo < v or hi < v:
-            continue
-        a = thetas[i] - math.pi / grid
-        b = thetas[i] + math.pi / grid
-        th, val, lam = _golden(residual, a, b)
-        if val is not None and val <= NEARLY_PARALLEL_TOL \
-                and abs(lam) > NEARLY_PARALLEL_TOL and is_definite(th):
-            if not any(abs(th - f["theta"]) < 1e-6 for f in found):
-                found.append({"theta": th,
-                              "coeffs": [math.cos(th), math.sin(th)],
-                              "lambda": lam, "residual": val})
-    return found
-
-
-def _golden(fun, a, b, iters=80):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    best = (None, None, None)
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        v1 = f1[0] if f1 is not None else float("inf")
-        v2 = f2[0] if f2 is not None else float("inf")
-        if v1 < v2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = fun(x2)
-    cand = [(f, x) for f, x in ((f1, x1), (f2, x2)) if f is not None]
-    if not cand:
-        return None, None, None
-    (fv, lam), x = min(((f, x) for f, x in cand), key=lambda t: t[0][0])
-    return x, fv, lam
+        raise ValueError("nearly parallel rays need a family of dim 1 or 2")
+    return list(pencil_certificate(m).rays)

@@ -173,18 +173,23 @@ def inverse(a):
     return transpose(x)
 
 
-def _bareiss(a, swap):
+def _all_int(a):
+    return all(isinstance(x, int) for row in a for x in row)
+
+
+def _bareiss(a, swap, integer):
     """Fraction-free (Bareiss) elimination of a square matrix: (pivots, sign).
 
     The pivots run up to the first zero one.  Without swaps pivot k is the
     leading principal minor of order k + 1; with them a zero pivot is swapped
     for a lower nonzero entry and sign * last pivot is the determinant.
+    The caller says whether a is all int (exact `//` divisions) or not (the
+    elimination then runs over Fractions); nothing here inspects the entries.
     """
     n = len(a)
-    exact_int = all(isinstance(x, int) for row in a for x in row)
-    m = [list(row) for row in a] if exact_int else mat(a)
+    m = [list(row) for row in a] if integer else mat(a)
     sign = 1
-    prev = 1 if exact_int else ONE
+    prev = 1 if integer else ONE
     pivots = []
     for k in range(n):
         if swap and m[k][k] == 0:
@@ -199,21 +204,56 @@ def _bareiss(a, swap):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * piv - m[i][k] * m[k][j]
-                m[i][j] = num // prev if exact_int else num / prev
+                m[i][j] = num // prev if integer else num / prev
         prev = piv
     return pivots, sign
 
 
-def det(a):
+def det(a, integer=None):
     """Determinant by fraction-free Bareiss elimination.
 
     Integer input stays integer (exact divisions) and returns an int;
-    anything else runs over Fractions.
+    anything else runs over Fractions.  `integer` is True when the caller
+    knows a is all int, False to run over Fractions; None inspects a once.
     """
     if not a:
         return ONE
-    pivots, sign = _bareiss(a, swap=True)
+    if integer is None:
+        integer = _all_int(a)
+    pivots, sign = _bareiss(a, swap=True, integer=integer)
     return sign * pivots[-1]
+
+
+def adjugate(b):
+    """(det b, adj b) of an int matrix; (0, None) when b is singular.
+
+    One fraction-free Gauss-Jordan on [b | I]: each step replaces every
+    other row by (p * row - f * pivot_row) / previous pivot, an exact
+    division.  The row operations R bring b to d I, d = +-det b (the sign
+    of the row swaps), so R = d b^-1 = +-adj b.  Integer in, integer out.
+    """
+    n = len(b)
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(b)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pr is None:
+                return 0, None
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        pk = m[k]
+        piv = pk[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            m[i] = [(x * piv - f * y) // prev for x, y in zip(row, pk)]
+        prev = piv
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def charpoly(a):
@@ -225,7 +265,7 @@ def charpoly(a):
     Fractions.
     """
     n = len(a)
-    exact_int = all(isinstance(x, int) for row in a for x in row)
+    exact_int = _all_int(a)
     one, zero = (1, 0) if exact_int else (ONE, ZERO)
     coeffs = [zero] * (n + 1)
     coeffs[n] = one
@@ -308,15 +348,17 @@ def symmetric_signature(b):
     return p, q
 
 
-def leading_principal_minors(b):
+def leading_principal_minors(b, integer=None):
     """Leading principal minors d_1..d_n by Bareiss, or None on a zero pivot.
 
     A None return means some leading minor vanishes before the last one; the
     matrix is then certainly not definite, but det must be obtained elsewhere.
     Integer input stays integer (exact divisions), anything else runs over
-    Fractions.
+    Fractions; `integer` is as for `det`.
     """
-    minors, _ = _bareiss(b, swap=False)
+    if integer is None:
+        integer = _all_int(b)
+    minors, _ = _bareiss(b, swap=False, integer=integer)
     return minors if len(minors) == len(b) else None
 
 

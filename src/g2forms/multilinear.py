@@ -9,6 +9,7 @@ e^1 ^ ... ^ e^n, so "volume-valued" quantities are returned as the
 coefficient with respect to that form.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -229,7 +230,7 @@ def _minor_det(m, rows, cols):
                 - m[a][e] * (m[b][d] * m[c][f] - m[b][f] * m[c][d])
                 + m[a][f] * (m[b][d] * m[c][e] - m[b][e] * m[c][d]))
     # general fallback (Laplace along the first row)
-    total = Fraction(0)
+    total = 0
     for p, col in enumerate(cols):
         sub = _minor_det(m, rows[1:], cols[:p] + cols[p + 1:])
         total += (-1) ** p * m[rows[0]][col] * sub
@@ -237,23 +238,34 @@ def _minor_det(m, rows, cols):
 
 
 def pullback(m, a: KForm) -> KForm:
-    """Pullback along an int or Fraction map m: (m* a)(v...) = a(m v...)."""
+    """Pullback along an int or Fraction map m: (m* a)(v...) = a(m v...).
+
+    Integer boundary: the map is cleared to the integer matrix L m and the
+    form to the integer form D a, the k x k minors are accumulated as
+    ints, and each output coefficient leaves as one Fraction
+    total / (L^k D).
+    """
     n = a.dim
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError("pullback: map shape mismatch")
     if a.degree == 0:
         return a
+    lm = math.lcm(*(x.denominator for row in m for x in row))
+    im = [[x.numerator * (lm // x.denominator) for x in row] for row in m]
+    da = math.lcm(*(c.denominator for c in a.terms.values()))
+    terms = [([i - 1 for i in idx], c.numerator * (da // c.denominator))
+             for idx, c in a.terms.items()]
+    den = lm ** a.degree * da
     out = {}
     for jdx in combinations(range(1, n + 1), a.degree):
         cols = [j - 1 for j in jdx]
-        total = Fraction(0)
-        for idx, c in a.terms.items():
-            rows = [i - 1 for i in idx]
-            d = _minor_det(m, rows, cols)
-            if d != 0:
+        total = 0
+        for rows, c in terms:
+            d = _minor_det(im, rows, cols)
+            if d:
                 total += c * d
-        if total != 0:
-            out[jdx] = total
+        if total:
+            out[jdx] = Fraction(total, den)
     return KForm(n, a.degree, out)
 
 

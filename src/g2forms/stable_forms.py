@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (det, frac, identity, inverse, leading_principal_minors,
+from .linalg import (adjugate, det, frac, identity, leading_principal_minors,
                      mat, mat_vec, nullspace, symmetric_signature)
 from .multilinear import (KForm, basis_vector, interior, pullback, sort_index,
                           wedge)
@@ -179,7 +179,8 @@ def hitchin_ray(t: KForm):
 def _rescale(bx, scale):
     """Exact B = scale^3 Bx and det B = scale^21 det Bx (integer Bareiss)."""
     s3 = scale ** 3
-    return [[s3 * v for v in row] for row in bx], scale ** 21 * det(bx)
+    return ([[s3 * v for v in row] for row in bx],
+            scale ** 21 * det(bx, integer=True))
 
 
 def hitchin_bilinear(t: KForm) -> HitchinData:
@@ -284,9 +285,10 @@ def classify_hitchin(b) -> Orbit3Class:
     two open orbits.  Only signs are read, so any positive multiple of a
     form (B scales by its cube) gets the same class.
     """
-    minors = leading_principal_minors(b)
+    minors = leading_principal_minors(b, integer=True)
     if minors is None:
-        return Orbit3Class.DEGENERATE if det(b) == 0 else Orbit3Class.INDEFINITE
+        return Orbit3Class.DEGENERATE if det(b, integer=True) == 0 \
+            else Orbit3Class.INDEFINITE
     if minors[-1] == 0:
         return Orbit3Class.DEGENERATE
     if all(m > 0 for m in minors):
@@ -390,14 +392,15 @@ def dual_ray(t: KForm, ray=None):
     (`metric_from_3form`).  With t = scale x (`hitchin_ray`), s B^-1 is
     adj(Bx) / (scale^3 |det Bx|) and Lambda^3 is cubic, so star t is
     c star_euclidean(pullback(M, t)), c > 0, M the primitive integer matrix
-    on the ray of adj(Bx).  The ninth roots sit in c alone.  `ray` is t's
-    `hitchin_ray` when the caller already has it.
+    on the ray of adj(Bx) (`linalg.adjugate`, one integer elimination).
+    The ninth roots sit in c alone.  `ray` is t's `hitchin_ray` when the
+    caller already has it.
     """
     bx, _ = ray or hitchin_ray(t)
-    detbx = det(bx)
+    detbx, adj = adjugate(bx)
     if detbx == 0:
         return None
-    adj, _ = primitive_ray([detbx * x for row in inverse(bx) for x in row])
+    adj, _ = primitive_ray([x for row in adj for x in row])
     return star_euclidean(pullback([adj[i:i + DIM]
                                     for i in range(0, DIM * DIM, DIM)], t))
 

@@ -283,7 +283,7 @@ def test_nearly_parallel_torus_is_torsion_free():
 
 
 def test_case1_unique_nearly_parallel_ray():
-    rays = nearly_parallel_rays(build_entry("1"), grid=240)
+    rays = nearly_parallel_rays(build_entry("1"))
     assert len(rays) == 1
     assert abs(rays[0]["lambda"]) > 1e-9
     assert rays[0]["residual"] <= 1e-9
@@ -428,3 +428,88 @@ def test_nearly_parallel_check_builds_b_once(case, ray, monkeypatch):
     res = nearly_parallel_check(mod, t)
     assert len(calls) == 1
     assert res.lam == lam and res.orbit == classify3(t).value
+
+
+PENCIL_SLOPES = {"1": Fraction(-4, 5), "2ci": Fraction(-5),
+                 "3aiii": Fraction(9, 10)}
+
+
+@pytest.fixture(scope="module")
+def pencils():
+    out = {}
+    for case in PENCIL_SLOPES:
+        mod = build_entry(case)
+        out[case] = (mod, homogeneous.pencil_evaluations(mod))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
+def test_pencil_certificate_finds_the_exact_ray(pencils, case):
+    mod, ev = pencils[case]
+    cert = homogeneous.certify_pencil(mod, ev)
+    assert cert.r == PENCIL_SLOPES[case]
+    assert len(set(cert.slopes)) == homogeneous.PENCIL_SLOPES == 57
+    assert cert.minors and all(c != 0 and m + 1 <= 56
+                               for _, m, c in cert.minors)
+    # s = 0 is degenerate; r is the one nearly parallel stable ray
+    assert cert.special[0] == (0, "degenerate", False)
+    assert cert.special[1] == (cert.r, "definite", True)
+    assert cert.nearly_parallel_count() == 1
+    assert cert.nearly_parallel_count("definite") == 1
+    assert cert.coclosed is True
+    (ray,) = cert.rays
+    f1, f2 = invariant_3forms(mod)
+    assert nearly_parallel_check(mod, f1 + cert.r * f2).is_nearly_parallel
+    assert ray["slope"] == cert.r and ray["coeffs"][1] >= 0
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
+def test_pencil_certificate_refuses_a_corrupted_q(pencils, case):
+    mod, ev = pencils[case]
+    for j in (3, 40):
+        for i in range(35):
+            q = [list(v) for v in ev.q]
+            q[j][i] += 1
+            bad = ev._replace(q=tuple(map(tuple, q)))
+            with pytest.raises(homogeneous.CertificateRefused):
+                homogeneous.certify_pencil(mod, bad)
+    # too few slopes for the degree bound
+    short = ev._replace(slopes=ev.slopes[:56], q=ev.q[:56], dq=ev.dq[:56])
+    with pytest.raises(homogeneous.CertificateRefused, match="56 distinct"):
+        homogeneous.certify_pencil(mod, short)
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
+def test_pencil_certificate_reports_a_corrupted_dq(pencils, case,
+                                                   monkeypatch):
+    mod, ev = pencils[case]
+    dq = list(ev.dq)
+    dq[17] = {(1, 2, 3, 4, 5): Fraction(1)}
+    bad = ev._replace(dq=tuple(dq))
+    assert homogeneous.certify_pencil(mod, bad).coclosed is False
+    monkeypatch.setattr(homogeneous, "pencil_evaluations", lambda m: bad)
+    claims = {c["name"]: c for c in
+              section5.nearly_parallel_report(case)["claims"]}
+    for name in ("every stable ray is coclosed",
+                 "all stable rays on a 200-point grid are coclosed"):
+        assert claims[name]["computed"] is False
+        assert claims[name]["pass"] is False
+
+
+def test_nearly_parallel_claims_do_not_read_the_float_star(monkeypatch):
+    from g2forms import stable_forms
+
+    def claims(case):
+        return [(c["name"], c["computed"], c["pass"]) for c in
+                section5.nearly_parallel_report(case)["claims"]]
+
+    cases = section5.NEARLY_PARALLEL_CASES
+    assert set(cases) == {"2d", "7", "1", "2ci", "3aiii"}
+    before = {case: claims(case) for case in cases}
+    real = stable_forms.hodge_star
+    scaled = lambda *args, **kw: 3 * real(*args, **kw)  # noqa: E731
+    monkeypatch.setattr(stable_forms, "hodge_star", scaled)
+    monkeypatch.setattr(homogeneous, "hodge_star", scaled)
+    lam = section5.nearly_parallel_report("2ci")["rays"][0]["lambda"]
+    assert lam == pytest.approx(-4.130856733660279 / 3, rel=1e-9)
+    assert {case: claims(case) for case in cases} == before

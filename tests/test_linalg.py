@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forms.linalg import (charpoly, det, identity, inverse,
+from g2forms.linalg import (adjugate, charpoly, det, identity, inverse,
                             leading_principal_minors, mat, mat_mul, nullspace,
                             poly_gcd, rank, root_multiplicities, rref, solve,
                             symmetric_signature, transpose)
@@ -384,3 +384,55 @@ def test_poly_gcd_is_monic():
     assert poly_gcd([2, -3, 1], [-15, 12, 3]) == [-1, 1]
     assert poly_gcd([2, -3, 1], [7]) == [1]
 
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [1, 2]],
+    [[0, 1, 2], [3, 4, 5], [6, 7, 9]],  # zero first pivot: row swap
+    [[1, 2, 3], [2, 4, 7], [1, 5, 2]],  # zero pivot after one step: swap
+    [[0, 1], [1, 0]],
+    [[-7]],
+])
+def test_adjugate_is_det_times_inverse(rows):
+    d, adj = adjugate(rows)
+    assert type(d) is int and d == det(rows)
+    assert all(type(x) is int for row in adj for x in row)
+    assert adj == [[d * x for x in row] for row in inverse(mat(rows))]
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    [[0, 0, 1], [0, 2, 3], [0, 4, 5]],
+    [[0]],
+])
+def test_adjugate_of_a_singular_matrix(rows):
+    assert adjugate(rows) == (0, None)
+
+
+def test_adjugate_agrees_with_det_and_inverse_on_random_matrices():
+    import random
+
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for _ in range(20):
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 9, 10 ** 30))
+                     for _ in range(n)] for _ in range(n)]
+            d, adj = adjugate(rows)
+            assert d == det(rows)
+            if d:
+                # a adj(a) = det(a) I, in exact integers
+                assert mat_mul(rows, adj) == [[d * (i == j) for j in range(n)]
+                                              for i in range(n)]
+            else:
+                assert adj is None
+
+
+def test_callers_decide_the_arithmetic_of_bareiss():
+    rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+    assert type(det(rows, integer=True)) is int
+    assert type(det(rows, integer=False)) is Fraction
+    assert det(rows, integer=True) == det(rows, integer=False) == det(rows)
+    m = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    assert leading_principal_minors(m, integer=True) == [2, 3, 4]
+    fr = leading_principal_minors(m, integer=False)
+    assert fr == [2, 3, 4] and all(type(x) is Fraction for x in fr)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from g2forms.linalg import identity, mat_mul
 from g2forms.multilinear import (KForm, algebra_action, basis_vector,
                                  form_from_json, form_to_json, interior,
-                                 pullback, wedge)
+                                 pullback, sort_index, wedge)
 
 w = KForm.basis
 
@@ -178,3 +178,63 @@ def test_wedge_commutativity_hypothesis(s1, s2):
     a = sparse_form(7, 2, s1)
     b = sparse_form(7, 3, s2)
     assert wedge(a, b) == wedge(b, a)  # (-1)^(2*3) = 1
+
+
+def _pullback_reference(m, a):
+    """The Fraction-minor pullback: a Leibniz k x k minor of m for every
+    source and target index set, accumulated in Fractions."""
+    from itertools import combinations, permutations
+
+    out = {}
+    for jdx in combinations(range(1, a.dim + 1), a.degree):
+        total = Fraction(0)
+        for idx, c in a.terms.items():
+            minor = Fraction(0)
+            for perm in permutations(range(a.degree)):
+                _, sign = sort_index(perm)
+                prod = Fraction(sign)
+                for i, p in zip(idx, perm):
+                    prod *= Fraction(m[i - 1][jdx[p] - 1])
+                minor += prod
+            total += c * minor
+        if total:
+            out[jdx] = total
+    return KForm(a.dim, a.degree, out)
+
+
+def _seeded_map(rng, kind):
+    n = 7
+    if kind == "int":
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    else:
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+              for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.4:
+        # singular: one row a combination of two others, or a zero column
+        i, j, k = rng.sample(range(n), 3)
+        if rng.random() < 0.5:
+            m[i] = [x - 2 * y for x, y in zip(m[j], m[k])]
+        else:
+            for row in m:
+                row[i] = 0
+    return m
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pullback_matches_the_fraction_minor_reference(seed):
+    rng = random.Random(seed)
+    for degree in (1, 2, 3, 4):
+        a = sparse_form(7, degree, rng.randint(0, 10 ** 6),
+                        terms=rng.randint(1, 8))
+        for kind in ("int", "fraction"):
+            m = _seeded_map(rng, kind)
+            got = pullback(m, a)
+            assert got == _pullback_reference(m, a), (seed, degree, kind)
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_pullback_of_an_integer_coefficient_form():
+    # KForm may hold plain ints; the integer boundary clears them as well
+    a = KForm(7, 3, {(1, 2, 3): 2, (1, 4, 5): -3})
+    m = _seeded_map(random.Random(1), "fraction")
+    assert pullback(m, a) == _pullback_reference(m, a)
