@@ -246,6 +246,13 @@ def coclosed_stable_family_dim(c: InvariantComplex, t: KForm) -> int:
     return ranks[4][2]
 
 
+def _cleared(vecs):
+    """Rational vectors as integer tuples, by one common denominator."""
+    den = math.lcm(*(x.denominator for v in vecs for x in v))
+    return [tuple(x.numerator * (den // x.denominator) for x in v)
+            for v in vecs]
+
+
 def closed_stable_scan(c: InvariantComplex, samples=10_000, seed=0):
     """Classify random rational points of the closed invariant 3-forms.
 
@@ -268,9 +275,7 @@ def closed_stable_scan(c: InvariantComplex, samples=10_000, seed=0):
             if co != 0:
                 v = [x + co * y for x, y in zip(v, bv)]
         closed_vecs.append(v)
-    den = math.lcm(*(x.denominator for v in closed_vecs for x in v))
-    hitchin = family_hitchin_map([[(x * den).numerator for x in v]
-                                  for v in closed_vecs])
+    hitchin = family_hitchin_map(_cleared(closed_vecs))
     rng = _random.Random(seed)
     counts = {k.value: 0 for k in Orbit3Class}
     n = len(closed_vecs)
@@ -309,6 +314,7 @@ def exact_primitive(c: InvariantComplex, target: KForm):
 # ---------------------------------------------------------------------------
 
 #: degrees in the slope s along t(s) = f1 + s f2 (see `certify_pencil`)
+DET_DEGREE = 21
 Q_DEGREE = 55
 MINOR_DEGREE = 56
 #: nonsingular slopes evaluated: one more than the largest degree
@@ -327,13 +333,14 @@ class PencilEvaluations(NamedTuple):
     `d1`, `d2` are d x1 and d x2 cleared by another.  At each slope, q holds
     the integer coefficients of Q(s) = star_euclidean(pullback(adj B(s),
     t(s))), with adj B = det B * B^-1 the integer adjugate, and dq the terms
-    of d Q(s).
+    of d Q(s).  `singular` lists the slopes skipped for det B(s) = 0.
     """
 
     basis: tuple
     d1: tuple
     d2: tuple
     slopes: tuple
+    singular: tuple
     q: tuple
     dq: tuple
 
@@ -348,18 +355,15 @@ def _slope_order():
         k += 1
 
 
-def _cleared(vecs):
-    den = math.lcm(*(x.denominator for v in vecs for x in v))
-    return [tuple(x.numerator * (den // x.denominator) for x in v)
-            for v in vecs]
-
-
 def pencil_evaluations(m: IsotropyModule):
     """Evaluate the pencil of the two invariant 3-forms at 57 slopes.
 
     Slopes run 0, 1, -1, 2, ..., skipping those with det B(s) = 0.  Every
     value is an integer computation: B(s) = hitchin_matrix(x1 + s x2), one
-    fraction-free `adjugate`, an integer-boundary `pullback`.
+    fraction-free `adjugate`, an integer-boundary `pullback`.  det B(s) has
+    degree at most 21 in s, so unless it is identically 0 at most 21 slopes
+    are skipped; the loop stops at the 22nd singular slope, which proves
+    det B(s) = 0 and leaves no nonsingular slope.
     """
     basis = tuple(invariant_3forms(m))
     if len(basis) != 2:
@@ -367,11 +371,14 @@ def pencil_evaluations(m: IsotropyModule):
     x1, x2 = _cleared([f.coefficient_vector() for f in basis])
     d1, d2 = _cleared([ce_differential(m, KForm.from_coefficient_vector(
         7, 3, x)).coefficient_vector() for x in (x1, x2)])
-    slopes, qs, dqs = [], [], []
+    slopes, singular, qs, dqs = [], [], [], []
     for s in _slope_order():
         x = [a + s * b for a, b in zip(x1, x2)]
         detb, adj = adjugate(hitchin_matrix(x))
         if detb == 0:
+            singular.append(s)
+            if len(singular) > DET_DEGREE:
+                break
             continue
         q = star_euclidean(pullback(adj, KForm.from_coefficient_vector(
             7, 3, x)))
@@ -381,8 +388,8 @@ def pencil_evaluations(m: IsotropyModule):
         if len(slopes) == PENCIL_SLOPES:
             break
     return PencilEvaluations(basis=basis, d1=d1, d2=d2,
-                             slopes=tuple(slopes), q=tuple(qs),
-                             dq=tuple(dqs))
+                             slopes=tuple(slopes), singular=tuple(singular),
+                             q=tuple(qs), dq=tuple(dqs))
 
 
 def _fits(slopes, vals, m, c, r):
@@ -438,7 +445,9 @@ class PencilCertificate(NamedTuple):
     `minors` holds (i, m_i, c_i): p_i(s) = c_i s^m_i (s - r) for the 4-form
     index i.  `special` holds (slope, orbit, nearly parallel) for each ray
     checked one by one; the slope None is the ray of f2.  `rays` lists the
-    nearly parallel stable rays in the shape of `nearly_parallel_rays`.
+    nearly parallel rays in the definite cone, in the shape of
+    `nearly_parallel_rays`.  A family with det B identically 0 has no
+    slopes, pivot or r, and no stable ray.
     """
 
     slopes: tuple
@@ -459,8 +468,8 @@ class PencilCertificate(NamedTuple):
             "degree_bounds": {"Q": Q_DEGREE, "minor": MINOR_DEGREE,
                               "dQ": Q_DEGREE},
             "slopes": list(self.slopes),
-            "pivot": list(idx4[self.pivot]),
-            "r": str(self.r),
+            "pivot": None if self.pivot is None else list(idx4[self.pivot]),
+            "r": None if self.r is None else str(self.r),
             "minors": [{"index": list(idx4[i]), "m": m, "c": str(c)}
                        for i, m, c in self.minors],
             "special_rays": [
@@ -486,8 +495,14 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     d Q vanishing at 57 slopes is the identity d Q = 0, so every stable ray
     with a finite slope is coclosed; f2 is checked on its own.  A failed
     check raises `CertificateRefused`; r may come from anywhere, only the
-    checks prove.
+    checks prove.  More than 21 singular slopes prove det B(s) = 0 (it has
+    degree at most 21), and then det B(f2) = 0 too, as the limit of
+    det B(f1 + s f2) / s^21: every member is degenerate and no ray is
+    stable, so the certificate lists none.
     """
+    if len(set(ev.singular)) > DET_DEGREE:
+        return PencilCertificate(slopes=(), pivot=None, r=None, minors=(),
+                                 special=(), coclosed=True, rays=())
     if len(set(ev.slopes)) < PENCIL_SLOPES:
         raise CertificateRefused(
             f"{len(set(ev.slopes))} distinct slopes; the degree bound "
@@ -525,7 +540,7 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
             continue
         res = nearly_parallel_check(m, t)
         special.append((s, res.orbit, res.is_nearly_parallel))
-        if res.is_nearly_parallel:
+        if res.is_nearly_parallel and orbit is Orbit3Class.DEFINITE:
             rays.append(_unit_ray(s, res))
     coclosed = not any(ev.dq) and coclosed_if_stable(m, f2) is not False
     return PencilCertificate(slopes=ev.slopes, pivot=i0, r=r,
@@ -558,9 +573,10 @@ def nearly_parallel_rays(m: IsotropyModule):
     """Rays of the invariant family satisfying d t = lambda star t, lambda != 0.
 
     For a 1-dimensional family this is a single check.  For a 2-dimensional
-    family the rays come from `pencil_certificate`, which proves that no
-    other stable ray is nearly parallel.  Returns a list of dicts
-    (coefficients, lambda, residual) with float lambda and residual.
+    family the rays are those of `pencil_certificate` in the definite cone;
+    the certificate proves that no other stable ray is nearly parallel, and
+    a family whose members are all degenerate has none.  Returns a list of
+    dicts (coefficients, lambda, residual) with float lambda and residual.
 
     Degree bounds of the certificate, along t(s) = f1 + s f2: the entries
     of B(s) are cubic in t, so cubic in s, and those of adj B(s), its 6 x 6

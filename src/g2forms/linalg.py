@@ -173,23 +173,18 @@ def inverse(a):
     return transpose(x)
 
 
-def _all_int(a):
-    return all(isinstance(x, int) for row in a for x in row)
-
-
-def _bareiss(a, swap, integer):
+def _bareiss(a, swap):
     """Fraction-free (Bareiss) elimination of a square matrix: (pivots, sign).
 
     The pivots run up to the first zero one.  Without swaps pivot k is the
     leading principal minor of order k + 1; with them a zero pivot is swapped
     for a lower nonzero entry and sign * last pivot is the determinant.
-    The caller says whether a is all int (exact `//` divisions) or not (the
-    elimination then runs over Fractions); nothing here inspects the entries.
     """
     n = len(a)
-    m = [list(row) for row in a] if integer else mat(a)
+    exact_int = all(isinstance(x, int) for row in a for x in row)
+    m = [list(row) for row in a] if exact_int else mat(a)
     sign = 1
-    prev = 1 if integer else ONE
+    prev = 1 if exact_int else ONE
     pivots = []
     for k in range(n):
         if swap and m[k][k] == 0:
@@ -204,23 +199,20 @@ def _bareiss(a, swap, integer):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * piv - m[i][k] * m[k][j]
-                m[i][j] = num // prev if integer else num / prev
+                m[i][j] = num // prev if exact_int else num / prev
         prev = piv
     return pivots, sign
 
 
-def det(a, integer=None):
+def det(a):
     """Determinant by fraction-free Bareiss elimination.
 
     Integer input stays integer (exact divisions) and returns an int;
-    anything else runs over Fractions.  `integer` is True when the caller
-    knows a is all int, False to run over Fractions; None inspects a once.
+    anything else runs over Fractions.
     """
     if not a:
         return ONE
-    if integer is None:
-        integer = _all_int(a)
-    pivots, sign = _bareiss(a, swap=True, integer=integer)
+    pivots, sign = _bareiss(a, swap=True)
     return sign * pivots[-1]
 
 
@@ -265,7 +257,7 @@ def charpoly(a):
     Fractions.
     """
     n = len(a)
-    exact_int = _all_int(a)
+    exact_int = all(isinstance(x, int) for row in a for x in row)
     one, zero = (1, 0) if exact_int else (ONE, ZERO)
     coeffs = [zero] * (n + 1)
     coeffs[n] = one
@@ -348,17 +340,15 @@ def symmetric_signature(b):
     return p, q
 
 
-def leading_principal_minors(b, integer=None):
+def leading_principal_minors(b):
     """Leading principal minors d_1..d_n by Bareiss, or None on a zero pivot.
 
     A None return means some leading minor vanishes before the last one; the
     matrix is then certainly not definite, but det must be obtained elsewhere.
     Integer input stays integer (exact divisions), anything else runs over
-    Fractions; `integer` is as for `det`.
+    Fractions.
     """
-    if integer is None:
-        integer = _all_int(b)
-    minors, _ = _bareiss(b, swap=False, integer=integer)
+    minors, _ = _bareiss(b, swap=False)
     return minors if len(minors) == len(b) else None
 
 

@@ -179,8 +179,7 @@ def hitchin_ray(t: KForm):
 def _rescale(bx, scale):
     """Exact B = scale^3 Bx and det B = scale^21 det Bx (integer Bareiss)."""
     s3 = scale ** 3
-    return ([[s3 * v for v in row] for row in bx],
-            scale ** 21 * det(bx, integer=True))
+    return [[s3 * v for v in row] for row in bx], scale ** 21 * det(bx)
 
 
 def hitchin_bilinear(t: KForm) -> HitchinData:
@@ -285,10 +284,9 @@ def classify_hitchin(b) -> Orbit3Class:
     two open orbits.  Only signs are read, so any positive multiple of a
     form (B scales by its cube) gets the same class.
     """
-    minors = leading_principal_minors(b, integer=True)
+    minors = leading_principal_minors(b)
     if minors is None:
-        return Orbit3Class.DEGENERATE if det(b, integer=True) == 0 \
-            else Orbit3Class.INDEFINITE
+        return Orbit3Class.DEGENERATE if det(b) == 0 else Orbit3Class.INDEFINITE
     if minors[-1] == 0:
         return Orbit3Class.DEGENERATE
     if all(m > 0 for m in minors):

@@ -463,6 +463,23 @@ def test_pencil_certificate_finds_the_exact_ray(pencils, case):
     assert ray["slope"] == cert.r and ray["coeffs"][1] >= 0
 
 
+
+def test_pencil_of_degenerate_forms_has_no_rays(monkeypatch):
+    # a e123 + b e124 = e12 ^ (a e3 + b e4) is decomposable: det B(s) = 0
+    # at every slope, and the search must stop with no ray (on t(7) every
+    # form is invariant)
+    mod = bare_complex(build_algebra("t(7)"))
+    family = [KForm(7, 3, {(1, 2, 3): Fraction(1)}),
+              KForm(7, 3, {(1, 2, 4): Fraction(1)})]
+    monkeypatch.setattr(homogeneous, "invariant_3forms", lambda m: family)
+    ev = homogeneous.pencil_evaluations(mod)
+    assert ev.slopes == ()
+    assert len(set(ev.singular)) == homogeneous.DET_DEGREE + 1
+    cert = homogeneous.certify_pencil(mod, ev)
+    assert cert.rays == () and cert.nearly_parallel_count() == 0
+    assert cert.to_json()["r"] is None
+    assert homogeneous.nearly_parallel_rays(mod) == []
+
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
 def test_pencil_certificate_refuses_a_corrupted_q(pencils, case):
     mod, ev = pencils[case]

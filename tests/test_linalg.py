@@ -426,13 +426,3 @@ def test_adjugate_agrees_with_det_and_inverse_on_random_matrices():
             else:
                 assert adj is None
 
-
-def test_callers_decide_the_arithmetic_of_bareiss():
-    rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
-    assert type(det(rows, integer=True)) is int
-    assert type(det(rows, integer=False)) is Fraction
-    assert det(rows, integer=True) == det(rows, integer=False) == det(rows)
-    m = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
-    assert leading_principal_minors(m, integer=True) == [2, 3, 4]
-    fr = leading_principal_minors(m, integer=False)
-    assert fr == [2, 3, 4] and all(type(x) is Fraction for x in fr)
