@@ -514,23 +514,37 @@ def build_entry(case_id: str, params=()) -> IsotropyModule:
 class VerificationReport:
     case: str
     params: tuple
-    checks: list = field(default_factory=list)  # (name, expected, computed, ok)
+    checks: list = field(default_factory=list)  # claim dicts
 
     @property
     def passed(self):
-        return all(ok for _, _, _, ok in self.checks)
+        return all(c["pass"] for c in self.checks)
 
     def add(self, name, expected, computed):
-        self.checks.append((name, expected, computed, expected == computed))
+        self.checks.append(claim(name, expected, computed))
 
     def to_dict(self):
         return {
             "case": self.case,
             "params": list(self.params),
             "pass": self.passed,
-            "checks": [{"name": n, "expected": _plain(e), "computed": _plain(c),
-                        "pass": ok} for n, e, c, ok in self.checks],
+            "checks": self.checks,
         }
+
+
+def claim(name, expected, computed, published=False):
+    """One checked claim: the JSON record every report lists.
+
+    `pass` compares the raw values, so an int and an equal Fraction agree;
+    `expected` and `computed` are then made JSON-plain.  A published claim
+    compares against a published value: a pass = false there records a
+    discrepancy with the paper, and it does not count as a failure.
+    """
+    out = {"name": name, "expected": _plain(expected),
+           "computed": _plain(computed), "pass": expected == computed}
+    if published:
+        out["published"] = True
+    return out
 
 
 def _plain(x):

@@ -1,9 +1,10 @@
 """Command-line interface: classification, catalog checks, rigidity reports.
 
-Exit codes: 0 on success, the number of failed checks (capped at 125) for
-verification commands, 2 for malformed input or usage errors.  All
-configuration comes through flags; with a fixed seed the JSON output is
-byte-identical across runs.
+Exit codes: 2 for malformed input or usage errors; otherwise every command
+exits with the number of failed claims in its report (capped at 125),
+published-value claims not counted, so 0 on success.  All configuration
+comes through flags; with a fixed seed the JSON output is byte-identical
+across runs.
 """
 
 import argparse
@@ -11,7 +12,8 @@ import json
 import sys
 
 from . import __version__
-from .catalog import build_entry, catalog_hash, load_catalog, verify_entry
+from .catalog import (build_entry, catalog_hash, claim, load_catalog,
+                      verify_entry)
 from .liealg import ScanConfig, invariant_dims
 from .multilinear import form_from_json
 from .stable_forms import classification_report
@@ -26,7 +28,8 @@ def _config_dict(args):
     return out
 
 
-def emit(report, args, exit_code=0):
+def emit(report, args):
+    """Print the report in the chosen format; return the exit code."""
     payload = {
         "version": __version__,
         "catalog": catalog_hash(),
@@ -41,15 +44,23 @@ def emit(report, args, exit_code=0):
         _emit_csv(report)
     else:
         _emit_human(report)
-    return exit_code
+    # published-value discrepancies are annotated, not failures
+    failed = sum(1 for c in _iter_claims(report)
+                 if not c["pass"] and not c.get("published", False))
+    return min(failed, 125)
 
 
 def _iter_claims(report):
+    """The claims of every `claims` and `checks` list, at any depth."""
     if isinstance(report, dict):
-        yield from report.get("claims", [])
-        for sub in report.get("entries", []):
-            yield from _iter_claims(sub)
-        yield from report.get("checks", [])
+        for key, val in report.items():
+            if key in ("claims", "checks"):
+                yield from val
+            else:
+                yield from _iter_claims(val)
+    elif isinstance(report, list):
+        for val in report:
+            yield from _iter_claims(val)
 
 
 def _emit_csv(report):
@@ -58,26 +69,19 @@ def _emit_csv(report):
     w = csv.writer(sys.stdout)
     w.writerow(["name", "expected", "computed", "pass"])
     for c in _iter_claims(report):
-        w.writerow([c.get("name"), c.get("expected"), c.get("computed"),
-                    c.get("pass")])
+        w.writerow([c["name"], c["expected"], c["computed"], c["pass"]])
 
 
 def _emit_human(report):
     claims = list(_iter_claims(report))
     for c in claims:
-        status = "ok " if c.get("pass") else "FAIL"
-        print(f"[{status}] {c.get('name')}: expected {c.get('expected')}, "
-              f"computed {c.get('computed')}")
+        status = "ok " if c["pass"] else "FAIL"
+        print(f"[{status}] {c['name']}: expected {c['expected']}, "
+              f"computed {c['computed']}")
     if not claims and isinstance(report, dict):
         for key, val in report.items():
             if isinstance(val, (str, int, float, bool, list)):
                 print(f"{key}: {val}")
-
-
-def _count_failures(report):
-    """Failed claims, not counting annotated published-value discrepancies."""
-    return sum(1 for c in _iter_claims(report)
-               if not c.get("pass", True) and not c.get("published", False))
 
 
 def cmd_classify(args):
@@ -165,9 +169,7 @@ def cmd_catalog(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {"entries": [r.to_dict() for r in reports]}
-    failures = sum(1 for r in reports if not r.passed)
-    return emit(report, args, exit_code=min(failures, 125))
+    return emit({"entries": [r.to_dict() for r in reports]}, args)
 
 
 def cmd_invariants(args):
@@ -179,10 +181,8 @@ def cmd_invariants(args):
     dims = invariant_dims(mod)
     report = {"case": args.case, "params": list(args.params),
               "d1": dims.d1, "d2": dims.d2, "d3": dims.d3,
-              "claims": [{"name": "d3 = d1 + d2", "expected": dims.d1 + dims.d2,
-                          "computed": dims.d3,
-                          "pass": dims.d3 == dims.d1 + dims.d2}]}
-    return emit(report, args, exit_code=_count_failures(report))
+              "claims": [claim("d3 = d1 + d2", dims.d1 + dims.d2, dims.d3)]}
+    return emit(report, args)
 
 
 def cmd_complex_ranks(args):
@@ -232,27 +232,20 @@ def cmd_section5(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return emit(report, args, exit_code=min(_count_failures(report), 125))
+    return emit(report, args)
 
 
 def cmd_octonion_alignment(args):
     from .octonion import derive_alignment, _FROZEN_ALIGNMENTS
 
     report = {}
-    ok = True
     for kind in ("split", "compact"):
         sigma, signs = derive_alignment(kind)
-        frozen = _FROZEN_ALIGNMENTS[kind]
-        match = (tuple(sigma), tuple(signs)) == tuple(map(tuple, frozen))
-        ok = ok and match
         report[kind] = {"sigma": list(sigma), "signs": list(signs),
-                        "claims": [{"name": f"{kind} alignment matches the "
-                                            "frozen constant",
-                                    "expected": [list(frozen[0]),
-                                                 list(frozen[1])],
-                                    "computed": [list(sigma), list(signs)],
-                                    "pass": match}]}
-    return emit(report, args, exit_code=0 if ok else 1)
+                        "claims": [claim(
+                            f"{kind} alignment matches the frozen constant",
+                            _FROZEN_ALIGNMENTS[kind], (sigma, signs))]}
+    return emit(report, args)
 
 
 def _add_common(p):

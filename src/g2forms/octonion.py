@@ -13,6 +13,7 @@ scratch and the CLI exposes that as a subcommand.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -226,19 +227,15 @@ def _realign_table(table, sigma, signs):
     return tuple(tuple(row) for row in new)
 
 
-_ALGEBRAS = {}
-
-
+@cache
 def octonion_algebra(kind: str) -> OctonionAlgebra:
     """The compact or split octonions in the reference-form-aligned basis."""
     if kind not in ("compact", "split"):
         raise ValueError(f"unknown octonion algebra kind: {kind!r}")
-    if kind not in _ALGEBRAS:
-        gamma = 1 if kind == "split" else -1
-        sigma, signs = _FROZEN_ALIGNMENTS[kind]
-        _ALGEBRAS[kind] = OctonionAlgebra(
-            kind=kind, table=_realign_table(_raw_table(gamma), sigma, signs))
-    return _ALGEBRAS[kind]
+    gamma = 1 if kind == "split" else -1
+    sigma, signs = _FROZEN_ALIGNMENTS[kind]
+    return OctonionAlgebra(
+        kind=kind, table=_realign_table(_raw_table(gamma), sigma, signs))
 
 
 def is_automorphism(alg: OctonionAlgebra, m) -> bool:

@@ -1,15 +1,15 @@
 """High- and low-rigidity analyses: rank chains, coclosed families, scans.
 
 Each function returns a JSON-ready report dict with a `claims` list of
-{name, expected, computed, pass} records.  `expected` carries the published
-value whenever there is one; a claim with pass = false therefore documents a
-discrepancy between the published number and the exact computation, not a
-computational failure.  The reports spell those out in `notes`.
+`catalog.claim` records.  A published claim's `expected` is the published
+value; with pass = false it documents a discrepancy between the published
+number and the exact computation, not a computational failure.  The reports
+spell those out in `notes`.
 """
 
 from fractions import Fraction
 
-from .catalog import build_entry
+from .catalog import build_entry, claim
 from .homogeneous import (bare_complex, build_complex,
                           ce_differential, coclosed_check,
                           coclosed_stable_family_dim, complex_ranks,
@@ -23,23 +23,6 @@ from .linalg import identity, rank, solve, transpose
 from .multilinear import KForm, form_to_json
 from .stable_forms import (PHI, PHITILDE, annihilator_of_form, classify3,
                            metric_from_4form, star_euclidean)
-
-
-def _claim(name, expected, computed):
-    return {"name": name, "expected": expected, "computed": computed,
-            "pass": expected == computed}
-
-
-def _published(name, expected, computed):
-    """A comparison against a published value; informational, never fatal.
-
-    A pass = false here records a discrepancy between the published number
-    and the exact computation (annotated in the report notes); it does not
-    flip the process exit code.
-    """
-    out = _claim(name, expected, computed)
-    out["published"] = True
-    return out
 
 
 def su2_t4_compact() -> MatrixLieAlgebra:
@@ -121,18 +104,19 @@ def rank_chain_report() -> dict:
     prim_ok = prim is not None and \
         ce_differential(comp.module, prim) == target
     claims = [
-        _claim("dim d(Omega^1)", 3, chain[0]),
-        _published("published dim ker d|Omega^2", 5, chain[1]),
-        _published("published dim d(Omega^3)", 14, chain[4]),
-        _published("published coclosed family dimension", 19, ranks[4][2]),
-        _claim("identical ranks under both su(2) conventions",
-               list(chain), list(chain_split)),
-        _claim("cohomology matches the product formula", kunneth, betti),
-        _claim("exact chain", [3, 9, 12, 17, 18], list(chain)),
-        _claim("exact coclosed family dimension (ker d|Omega^4)",
-               ranks[3][1] + kunneth[4], ranks[4][2]),
-        _claim("dual 4-form of the reference has an exact primitive",
-               True, prim_ok),
+        claim("dim d(Omega^1)", 3, chain[0]),
+        claim("published dim ker d|Omega^2", 5, chain[1], published=True),
+        claim("published dim d(Omega^3)", 14, chain[4], published=True),
+        claim("published coclosed family dimension", 19, ranks[4][2],
+              published=True),
+        claim("identical ranks under both su(2) conventions",
+              list(chain), list(chain_split)),
+        claim("cohomology matches the product formula", kunneth, betti),
+        claim("exact chain", [3, 9, 12, 17, 18], list(chain)),
+        claim("exact coclosed family dimension (ker d|Omega^4)",
+              ranks[3][1] + kunneth[4], ranks[4][2]),
+        claim("dual 4-form of the reference has an exact primitive",
+              True, prim_ok),
     ]
     return {
         "dims": [r[0] for r in ranks],
@@ -171,15 +155,15 @@ def coclosed_family_report() -> dict:
         "orbit": "definite",
     }
     claims = [
-        _claim("phi+ is coclosed", True, dims["phi+"]["coclosed"]),
-        _claim("phi- is coclosed", True, dims["phi-"]["coclosed"]),
-        _claim("family dimensions agree for phi+ and phi-",
-               dims["phi+"]["family_dim"], dims["phi-"]["family_dim"]),
-        _published("published family dimension", 19,
-                   dims["phi+"]["family_dim"]),
-        _claim("exact family dimension", 23, dims["phi+"]["family_dim"]),
-        _claim("torus family is the whole space", 35,
-               dims["torus"]["family_dim"]),
+        claim("phi+ is coclosed", True, dims["phi+"]["coclosed"]),
+        claim("phi- is coclosed", True, dims["phi-"]["coclosed"]),
+        claim("family dimensions agree for phi+ and phi-",
+              dims["phi+"]["family_dim"], dims["phi-"]["family_dim"]),
+        claim("published family dimension", 19,
+              dims["phi+"]["family_dim"], published=True),
+        claim("exact family dimension", 23, dims["phi+"]["family_dim"]),
+        claim("torus family is the whole space", 35,
+              dims["torus"]["family_dim"]),
     ]
     return {"families": dims, "claims": claims, "notes": [
         "the split 23 = 18 + 5 matches exact-forms plus the degree-4 "
@@ -198,11 +182,11 @@ def closed_scan_report(algebra="su2+t4", samples=10_000, seed=0) -> dict:
     rep["algebra"] = algebra
     if algebra == "su2+t4":
         rep["claims"] = [
-            _claim("no stable closed sample found", False, rep["stable_found"]),
+            claim("no stable closed sample found", False, rep["stable_found"]),
         ]
     elif algebra == "t7":
         rep["claims"] = [
-            _claim("stable closed samples abound", True, rep["stable_found"]),
+            claim("stable closed samples abound", True, rep["stable_found"]),
         ]
     else:
         rep["claims"] = []
@@ -226,10 +210,10 @@ def nearly_parallel_report(case="2d") -> dict:
             "lambda": res.lam, "residual": res.residual,
             "orbit": res.orbit,
             "claims": [
-                _claim("ray is nearly parallel", True, res.is_nearly_parallel),
+                claim("ray is nearly parallel", True, res.is_nearly_parallel),
                 # exact: on a nearly parallel ray dt = lambda star t != 0
-                _claim("lambda is nonzero", True, not res.torsion_free),
-                _claim("no invariant 2-form", 0, two[0]),
+                claim("lambda is nonzero", True, not res.torsion_free),
+                claim("no invariant 2-form", 0, two[0]),
             ],
         })
         return report
@@ -241,16 +225,16 @@ def nearly_parallel_report(case="2d") -> dict:
                   "residual": r["residual"]} for r in cert.rays],
         "certificate": cert.to_json(),
         "claims": [
-            _claim("exactly one nearly parallel ray in the definite cone",
-                   1, cert.nearly_parallel_count("definite")),
+            claim("exactly one nearly parallel ray in the definite cone",
+                  1, cert.nearly_parallel_count("definite")),
             # the grid's stable rays are stable rays: the identity decides
-            _claim("all stable rays on a 200-point grid are coclosed",
-                   True, cert.coclosed),
-            _published("published dim of the d-image of the family",
-                       1, d_family_dim),
-            _claim("exactly one nearly parallel ray among the stable rays",
-                   1, cert.nearly_parallel_count()),
-            _claim("every stable ray is coclosed", True, cert.coclosed),
+            claim("all stable rays on a 200-point grid are coclosed",
+                  True, cert.coclosed),
+            claim("published dim of the d-image of the family",
+                  1, d_family_dim, published=True),
+            claim("exactly one nearly parallel ray among the stable rays",
+                  1, cert.nearly_parallel_count()),
+            claim("every stable ray is coclosed", True, cert.coclosed),
         ],
         "notes": [
             "the published uniqueness argument reduces to the d-image of "
@@ -293,26 +277,26 @@ def example_429_report(npoints=20, seed=0) -> dict:
 
     mod = _so4_module()
     claims = []
-    claims.append(_claim("block stabilizer dimension", 6, mod.h_dim))
+    claims.append(claim("block stabilizer dimension", 6, mod.h_dim))
     inv3 = invariant_3forms(mod)
-    claims.append(_claim("invariant 3-form family dimension", 2, len(inv3)))
+    claims.append(claim("invariant 3-form family dimension", 2, len(inv3)))
     inv4 = invariant_kforms(mod, 4)
-    claims.append(_claim("invariant 4-form family dimension", 2, len(inv4)))
+    claims.append(claim("invariant 4-form family dimension", 2, len(inv4)))
     psi1 = KForm.basis(7, 4, 5, 6, 7)
     psi2 = star_euclidean(PHI)
     span = transpose([f.coefficient_vector() for f in inv4])
     in_family = solve(span, [psi1.coefficient_vector(),
                              psi2.coefficient_vector()]) is not None
-    claims.append(_claim("w4567 and the dual reference span the family",
-                         True, in_family))
+    claims.append(claim("w4567 and the dual reference span the family",
+                        True, in_family))
     printed_psi2 = KForm.make(7, 4, [
         ((4, 5, 6, 7), 1), ((2, 3, 6, 7), 1), ((2, 3, 4, 5), 1),
         ((1, 3, 5, 7), 1), ((1, 3, 4, 6), -1), ((2, 3, 5, 6), -1),
         ((1, 2, 4, 7), -1)])
     printed_invariant = solve(
         span, [printed_psi2.coefficient_vector()]) is not None
-    claims.append(_claim("printed second generator is invariant",
-                         False, printed_invariant))
+    claims.append(claim("printed second generator is invariant",
+                        False, printed_invariant))
     big_psi2 = psi2 + Fraction(-1, 3) * psi1
     rng = _random.Random(seed)
     display_ok = True
@@ -336,11 +320,11 @@ def example_429_report(npoints=20, seed=0) -> dict:
         display_ok = display_ok and ok
         expected_det = (2 ** 7) * 81 * a ** 18 * (2 * a + 3 * b) ** 3
         locus_ok = locus_ok and (m.det == expected_det)
-    claims.append(_claim(
+    claims.append(claim(
         "metric display holds at sample points (factor 2, roles swapped)",
         True, display_ok))
-    claims.append(_claim("det vanishes exactly on a(2a+3b) = 0",
-                         True, locus_ok))
+    claims.append(claim("det vanishes exactly on a(2a+3b) = 0",
+                        True, locus_ok))
     # stability boundary probes on the two lines
     on_line = [(0, 1), (3, -2)]
     off_line = [(1, 1), (1, -1), (2, 1)]
@@ -349,13 +333,13 @@ def example_429_report(npoints=20, seed=0) -> dict:
     interior_ok = all(metric_from_4form(
         Fraction(a) * big_psi2 + Fraction(b) * psi1).det != 0
         for a, b in off_line)
-    claims.append(_claim("degenerate exactly on the two lines", True,
-                         boundary_ok and interior_ok))
+    claims.append(claim("degenerate exactly on the two lines", True,
+                        boundary_ok and interior_ok))
     sig_pos = _gdual_signature(big_psi2 + psi1)          # a(2a+3b) = 5 > 0
     sig_neg = _gdual_signature(big_psi2 - psi1)          # a(2a+3b) = -1 < 0
-    claims.append(_claim("positive side is definite", [7, 0], sig_pos))
-    claims.append(_claim("negative side has split signature {3, 4}",
-                         [3, 4], sorted(sig_neg)))
+    claims.append(claim("positive side is definite", [7, 0], sig_pos))
+    claims.append(claim("negative side has split signature {3, 4}",
+                        [3, 4], sorted(sig_neg)))
     return {
         "claims": claims,
         "resolved_assignment": {

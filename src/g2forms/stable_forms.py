@@ -11,6 +11,7 @@ the induced metric and Hodge star (ninth roots are irrational).
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -72,9 +73,7 @@ def _perm_sign(seq):
     return sign
 
 
-_HITCHIN_TABLE = None
-
-
+@cache
 def _hitchin_table():
     """Contraction table for B_ij = sum sign * t_I t_J t_K over triples.
 
@@ -82,9 +81,6 @@ def _hitchin_table():
     K the complement of (I\\i) u (J\\j); built once, reused for every
     evaluation (the classification scans hit this hard).
     """
-    global _HITCHIN_TABLE
-    if _HITCHIN_TABLE is not None:
-        return _HITCHIN_TABLE
     table = {}
     full = set(range(1, 8))
     for i in range(1, 8):
@@ -115,7 +111,6 @@ def _hitchin_table():
                     entries.append((IDX3_POS[I], IDX3_POS[J], IDX3_POS[K],
                                     si * sj * s))
             table[(i, j)] = entries
-    _HITCHIN_TABLE = table
     return table
 
 
@@ -486,19 +481,14 @@ def annihilator_of_form(*forms: KForm):
             for v in basis]
 
 
-_G2_BASIS = None
-
-
+@cache
 def annihilator_g2():
     """Basis of {A in gl(R^7) : algebra_action(A, PHI) = 0} (14 matrices).
 
     Exact null-space computation; the result is the compact stabilizer
     algebra of the definite reference form, contained in so(7).
     """
-    global _G2_BASIS
-    if _G2_BASIS is None:
-        _G2_BASIS = annihilator_of_form(PHI)
-    return _G2_BASIS
+    return annihilator_of_form(PHI)
 
 
 def _two_form_of_matrix(a):
@@ -512,21 +502,15 @@ def _two_form_of_matrix(a):
     return KForm.make(7, 2, items)
 
 
-_DECOMP2 = None
-_DECOMP3 = None
-
-
+@cache
 def _decomp2_setup():
-    global _DECOMP2
-    if _DECOMP2 is None:
-        from .linalg import inverse, transpose
+    from .linalg import inverse, transpose
 
-        basis14 = [_two_form_of_matrix(a) for a in annihilator_g2()]
-        basis7 = [interior(basis_vector(7, i), PHI) for i in range(1, 8)]
-        cols = [f.coefficient_vector() for f in basis14 + basis7]
-        minv = inverse(transpose(mat(cols)))
-        _DECOMP2 = (basis14, basis7, minv)
-    return _DECOMP2
+    basis14 = [_two_form_of_matrix(a) for a in annihilator_g2()]
+    basis7 = [interior(basis_vector(7, i), PHI) for i in range(1, 8)]
+    cols = [f.coefficient_vector() for f in basis14 + basis7]
+    minv = inverse(transpose(mat(cols)))
+    return basis14, basis7, minv
 
 
 def decompose2(a: KForm):
@@ -546,21 +530,19 @@ def decompose2(a: KForm):
     return part14, part7
 
 
+@cache
 def _decomp3_setup():
-    global _DECOMP3
-    if _DECOMP3 is None:
-        from .linalg import inverse, transpose
+    from .linalg import inverse, transpose
 
-        basis1 = [PHI]
-        basis7 = [star_euclidean(wedge(PHI, KForm.basis(7, i)))
-                  for i in range(1, 8)]
-        span8 = [f.coefficient_vector() for f in basis1 + basis7]
-        basis27_vecs = nullspace(span8)  # orthocomplement via coefficient dot
-        basis27 = [KForm.from_coefficient_vector(7, 3, v) for v in basis27_vecs]
-        cols = [f.coefficient_vector() for f in basis1 + basis7 + basis27]
-        minv = inverse(transpose(mat(cols)))
-        _DECOMP3 = (basis1, basis7, basis27, minv)
-    return _DECOMP3
+    basis1 = [PHI]
+    basis7 = [star_euclidean(wedge(PHI, KForm.basis(7, i)))
+              for i in range(1, 8)]
+    span8 = [f.coefficient_vector() for f in basis1 + basis7]
+    basis27_vecs = nullspace(span8)  # orthocomplement via coefficient dot
+    basis27 = [KForm.from_coefficient_vector(7, 3, v) for v in basis27_vecs]
+    cols = [f.coefficient_vector() for f in basis1 + basis7 + basis27]
+    minv = inverse(transpose(mat(cols)))
+    return basis1, basis7, basis27, minv
 
 
 def decompose3(a: KForm):

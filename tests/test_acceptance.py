@@ -144,7 +144,7 @@ def sweep_reports(catalog_modules):
 
 
 def test_criterion_05_table_sweep(sweep_reports):
-    bad = [(r.case, r.params, [c for c in r.checks if not c[3]])
+    bad = [(r.case, r.params, [c for c in r.checks if not c["pass"]])
            for _, r in sweep_reports if not r.passed]
     pinned = {"2d": 1, "7": 1, "8-su4": 3, "8-g2xR": 3}
     d3s = {e["case"]: e["expected"]["d3"] for e, _ in sweep_reports}

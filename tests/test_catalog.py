@@ -69,7 +69,7 @@ def test_so3_irreps():
                          ids=lambda e: f"{e['case']}{tuple(e.get('params', ()))}")
 def test_verify_catalog_entry(entry):
     report = verify_entry(entry, SMALL_SCAN)
-    failed = [c for c in report.checks if not c[3]]
+    failed = [c for c in report.checks if not c["pass"]]
     assert not failed, failed
 
 
@@ -214,7 +214,8 @@ def test_detneg_generator_runs_no_scan(monkeypatch):
                         or scan(mod, config))
     entry = next(e for e in load_catalog() if e["case"] == "8-g2xR")
     rep = verify_entry(entry, SMALL_SCAN)
-    assert ("generator D7 det < 0 on V", True, True, True) in rep.checks
+    assert {"name": "generator D7 det < 0 on V", "expected": True,
+            "computed": True, "pass": True} in rep.checks
     assert labels == ["8-g2xR"]
 
 

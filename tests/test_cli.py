@@ -1,9 +1,15 @@
+import argparse
+import csv
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from g2forms import cli
+from g2forms.catalog import claim, load_catalog
 from g2forms.multilinear import KForm, form_to_json
 from g2forms.stable_forms import PHI, PHITILDE
 
@@ -181,3 +187,96 @@ def test_no_module_loads_sympy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "False"]
 
+
+
+#: a run of every command whose report carries claims
+CLAIM_COMMANDS = [
+    ("section5", "rank-chain"),
+    ("section5", "coclosed-family"),
+    ("section5", "example-429"),
+    *[("section5", "nearly-parallel", "--case", case)
+      for case in ("2d", "7", "1", "2ci", "3aiii")],
+    *[("section5", "closed-scan", "--algebra", alg, "--samples", "200",
+       "--seed", "3") for alg in ("su2+t4", "t7", "2su2+u1")],
+    ("catalog", "verify", "--case", "4ii", "--grid", "200", "--random", "50"),
+    ("catalog", "verify", "--case", "8-g2xR", "--grid", "200",
+     "--random", "50"),
+    ("invariants", "--case", "2d"),
+    ("octonion-alignment",),
+]
+
+
+def run_main(capsys, *args):
+    code = cli.main(list(args))
+    return code, capsys.readouterr().out
+
+
+def claims_in(report):
+    """The records of every `claims` or `checks` list, at any depth."""
+    if isinstance(report, dict):
+        for key, val in report.items():
+            if key in ("claims", "checks"):
+                yield from val
+            else:
+                yield from claims_in(val)
+    elif isinstance(report, list):
+        for val in report:
+            yield from claims_in(val)
+
+
+@pytest.mark.parametrize("args", CLAIM_COMMANDS, ids=" ".join)
+def test_every_claim_is_one_record_and_one_csv_row(capsys, args):
+    code, out = run_main(capsys, *args)
+    assert code == 0
+    claims = list(claims_in(json.loads(out)["report"]))
+    for c in claims:
+        assert set(c) - {"published"} == {"name", "expected", "computed",
+                                          "pass"}, c
+        # every published-value comparison, and only those, is flagged
+        assert c.get("published") is (True if c["name"].startswith(
+            "published") else None), c
+    _, out = run_main(capsys, *args, "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name", "expected", "computed", "pass"]
+    # the JSON sorts its keys, the report keeps their order
+    assert sorted(r[0] for r in rows[1:]) == sorted(c["name"] for c in claims)
+    _, out = run_main(capsys, *args, "--format", "human")
+    if claims:
+        assert len(out.splitlines()) == len(claims)
+
+
+def test_exit_code_counts_failed_claims_but_not_published_ones(capsys):
+    args = argparse.Namespace(format="human")
+    report = {"a": {"claims": [claim("x", 1, 2), claim("y", 1, 1),
+                               claim("z", 1, 2, published=True)]},
+              "b": [{"checks": [claim("w", Fraction(2, 2), 1),
+                                claim("v", 0, 1)]}]}
+    assert cli.emit(report, args) == 2
+    assert cli.emit({"claims": [claim(str(i), 0, 1) for i in range(200)]},
+                    args) == 125
+    capsys.readouterr()
+
+
+def test_catalog_verify_exits_with_the_failed_check_count(monkeypatch,
+                                                          capsys):
+    # one entry failing two checks exits 2, not 1 per failed entry
+    entry = next(e for e in load_catalog() if e["case"] == "2d")
+    wrong = {**entry, "expected": {**entry["expected"], "d1": 1, "d2": 0}}
+    monkeypatch.setattr(cli, "load_catalog", lambda: [wrong])
+    code, out = run_main(capsys, "catalog", "verify", "--case", "2d",
+                         "--grid", "200", "--random", "50")
+    checks = json.loads(out)["report"]["entries"][0]["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == ["d1", "d2"]
+    assert code == 2
+
+
+def test_catalog_verify_jobs_gives_the_same_bytes(monkeypatch, capsys):
+    rows = [e for e in load_catalog() if e["case"] in ("2d", "4ii")]
+    assert len(rows) == 3
+    monkeypatch.setattr(cli, "load_catalog", lambda: rows)
+    runs = [run_main(capsys, "catalog", "verify", "--jobs", jobs,
+                     "--grid", "200", "--random", "50")
+            for jobs in ("1", "2")]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    assert len(json.loads(runs[0][1])["report"]["entries"]) == 3

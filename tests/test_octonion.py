@@ -79,6 +79,12 @@ def test_identity_is_automorphism_and_reflection_is_not():
     assert not is_automorphism(split, refl)
 
 
+def test_octonion_algebra_is_built_once_and_refuses_unknown_kinds():
+    assert octonion_algebra("split") is octonion_algebra("split")
+    with pytest.raises(ValueError):
+        octonion_algebra("quaternion")
+
+
 def test_unit_quaternion_validation():
     with pytest.raises(ValueError):
         UnitQuaternion((Fraction(1), Fraction(1), Fraction(0), Fraction(0)))

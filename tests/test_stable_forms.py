@@ -296,6 +296,14 @@ def test_annihilator_dimension_and_ambient():
         assert algebra_action(a, PHI).is_zero()
 
 
+def test_constant_tables_are_built_once():
+    from g2forms import stable_forms
+
+    for build in (stable_forms._hitchin_table, annihilator_g2,
+                  stable_forms._decomp2_setup, stable_forms._decomp3_setup):
+        assert build() is build()
+
+
 def test_decompose2_dims_and_projector():
     zero2 = KForm.zero(7, 2)
     assert decompose2(zero2) == (zero2, zero2)
