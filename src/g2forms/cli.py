@@ -107,6 +107,15 @@ def _parse_params(text):
         raise argparse.ArgumentTypeError(f"bad parameter list: {text!r}")
 
 
+def _count(text):
+    """A non-negative sample count; anything else is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _scan_config(args):
     return ScanConfig(grid=args.grid, random=args.random, seed=args.seed)
 
@@ -271,8 +280,8 @@ def make_parser():
     p.add_argument("action", choices=("list", "verify"))
     p.add_argument("--case")
     p.add_argument("--params", type=_parse_params, default=())
-    p.add_argument("--grid", type=int, default=10_000)
-    p.add_argument("--random", type=int, default=1_000)
+    p.add_argument("--grid", type=_count, default=10_000)
+    p.add_argument("--random", type=_count, default=1_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for entry verification")
@@ -300,7 +309,10 @@ def make_parser():
                                         "example-429"))
     p.add_argument("--case")
     p.add_argument("--algebra")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_count, default=10_000,
+                   help="closed-scan witness budget: random draws after "
+                        "the grid rays; the scan stops once each class is "
+                        "witnessed or excluded")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_section5)

@@ -20,8 +20,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .linalg import adjugate, identity, mat, nullspace, rank, solve, transpose
-from .liealg import (IsotropyModule, MatrixLieAlgebra, invariant_3forms,
-                     invariant_kforms)
+from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
+                     invariant_3forms, invariant_kforms, scan_family)
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .stable_forms import (Orbit3Class, classify3, classify_hitchin,
                            dual_ray, family_hitchin_map, hitchin_matrix,
@@ -253,16 +253,14 @@ def _cleared(vecs):
             for v in vecs]
 
 
-def closed_stable_scan(c: InvariantComplex, samples=10_000, seed=0):
-    """Classify random rational points of the closed invariant 3-forms.
+def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
+    """Which stable classes the closed invariant 3-forms of c hold.
 
-    Misses are evidence at this sample size, not nonexistence proofs; the
-    report says which orbit classes were hit.  The closed basis is scaled to
-    integers by one common denominator, so each sample keeps its ray, and
-    every sample is classified through the family Hitchin map.
+    The closed basis is scaled to integers by one common denominator, so
+    each sample keeps its ray, and the family goes through `scan_family`
+    (exact exclusions, then a witness scan at `config`).  The report adds
+    `closed_dim` and `stable_found` to the scan report.
     """
-    import random as _random
-
     basis3 = c.bases[3]
     d3mat = c.diffs[3]
     closed_coeff = nullspace(d3mat) if d3mat and d3mat[0] else \
@@ -275,21 +273,10 @@ def closed_stable_scan(c: InvariantComplex, samples=10_000, seed=0):
             if co != 0:
                 v = [x + co * y for x, y in zip(v, bv)]
         closed_vecs.append(v)
-    hitchin = family_hitchin_map(_cleared(closed_vecs))
-    rng = _random.Random(seed)
-    counts = {k.value: 0 for k in Orbit3Class}
-    n = len(closed_vecs)
-    for _ in range(samples if n else 0):
-        coeffs = [rng.randint(-9, 9) for _ in range(n)]
-        # the zero sample has B = 0 and counts as degenerate
-        counts[classify_hitchin(hitchin(coeffs)).value] += 1
-    return {
-        "closed_dim": n,
-        "samples": samples,
-        "counts": counts,
-        "stable_found": counts["definite"] + counts["indefinite"] > 0,
-        "note": "sampling evidence only; not a nonexistence proof",
-    }
+    rep = scan_family(family_hitchin_map(_cleared(closed_vecs)), config)
+    rep.update(closed_dim=len(closed_vecs),
+               stable_found=rep["has_definite"] or rep["has_indefinite"])
+    return rep
 
 
 def exact_primitive(c: InvariantComplex, target: KForm):

@@ -16,13 +16,15 @@ Everything through `invariant_dims` is exact.  `irreducible_dims` is
 certified: a random self-adjoint commutant element splits V into its
 eigenspaces, whose dimensions are the root multiplicities of its
 characteristic polynomial, and the split is accepted only when a commutant
-dimension count proves every eigenspace irreducible.  `invariant_form_types`
-classifies rational sample forms exactly, and a negative is exact when a
-certificate excludes the class: a common kernel of the family's monomial
-Hitchin matrices (every member degenerate) or the Schur obstruction on the
-irreducible dimensions (no member indefinite).  The scan only looks for
-witnesses of the classes left; a miss there is "not found at this
-resolution".
+dimension count proves every eigenspace irreducible.  `scan_family`, the one
+scan of a linear family of 3-forms (`invariant_form_types` runs it on the
+invariant family), classifies rational sample forms exactly, and a negative
+is exact when a certificate excludes the class: a common kernel of the
+family's monomial Hitchin matrices (every member degenerate), a common
+isotropic coordinate subspace (no member definite; none stable when it has
+dimension >= 4) or the Schur obstruction on the irreducible dimensions (no
+member indefinite).  The scan only looks for witnesses of the classes left;
+a miss there is "not found at this resolution".
 """
 
 import math
@@ -858,13 +860,22 @@ def _gram_restrict(gram, basis_vecs):
 
 @dataclass
 class ScanConfig:
+    """The samples of a family scan: `grid` rays of `_ray_grid` (a budget
+    read only for families of dimension 2 or 3; a family of dimension >= 4
+    gets its basis directions and signed pairs whatever `grid` says), then
+    `random` draws from [-9, 9]^d seeded with `seed`."""
+
     grid: int = 10_000
     random: int = 1_000
     seed: int = 0
 
 
 def _ray_grid(d, budget):
-    """Deterministic projective grid of integer direction vectors, lazily."""
+    """Deterministic projective grid of integer direction vectors, lazily.
+
+    About `budget` rays for d = 2 or 3.  For d >= 4 `budget` is ignored:
+    the d basis directions and the d(d - 1) signed pairs e_i +- e_j.
+    """
     if d == 1:
         yield (1,)
         return
@@ -913,19 +924,42 @@ def _scan_samples(d, config):
         yield tuple(rng.randint(-9, 9) for _ in range(d))
 
 
-def kernel_exclusion(hitchin):
+def kernel_exclusion(hitchin, kernel=None):
     """Certificate that every member of a family is degenerate, or None.
 
     A nonzero v with M v = 0 for every monomial matrix M of the family
-    Hitchin map (`FamilyHitchinMap.common_kernel`) has B(x) v = 0 for every
-    x.  The vector is accepted only after an exact re-check of the products
-    (`FamilyHitchinMap.kills`).
+    Hitchin map (`FamilyHitchinMap.common_kernel`, or the given `kernel`)
+    has B(x) v = 0 for every x.  The vector is accepted only after an exact
+    re-check of the products (`FamilyHitchinMap.kills`).
     """
-    kernel = hitchin.common_kernel()
+    if kernel is None:
+        kernel = hitchin.common_kernel()
     if not kernel or not any(kernel[0]) or not hitchin.kills(kernel[0]):
         return None
     return {"kind": "common kernel", "kernel_vector": kernel[0],
             "kernel_dim": len(kernel)}
+
+
+def isotropic_exclusion(hitchin):
+    """Certificate that no member of a family is definite, or None.
+
+    If w^T M w' = 0 for every monomial matrix M of the family Hitchin map
+    and all w, w' in a subspace W, then B(x) vanishes on W x W for every x.
+    A nondegenerate B of signature (p, q) has isotropic subspaces of
+    dimension at most min(p, q) <= 3, so dim W >= 1 excludes definite
+    members and dim W >= 4 excludes every stable member.  W is searched
+    among the coordinate subspaces (`FamilyHitchinMap.isotropic_coordinates`),
+    a heuristic: what it finds is accepted only after the exact re-check
+    `FamilyHitchinMap.isotropic` on the unit vectors of W, and a miss only
+    means "no certificate".  `indices` are the 0-based coordinates of W
+    (e_{i+1} for index i); `monomials` counts the matrices checked.
+    """
+    indices = hitchin.isotropic_coordinates()
+    units = [[int(i == j) for j in range(7)] for i in indices]
+    if not indices or not hitchin.isotropic(units):
+        return None
+    return {"kind": "isotropic subspace", "indices": list(indices),
+            "monomials": len(hitchin.monomials)}
 
 
 def schur_exclusion(m: IsotropyModule):
@@ -949,21 +983,26 @@ def schur_exclusion(m: IsotropyModule):
     return {"kind": "schur", "irreducible_dims": dims}
 
 
-def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
-    """Scan the invariant 3-form family for definite and indefinite members.
+def scan_family(hitchin, config: ScanConfig = None, module=None):
+    """Decide which stable classes a linear family of 3-forms holds.
 
-    Before the scan, two exact exclusions are tried: a common kernel of the
-    family's monomial matrices (`kernel_exclusion`: every member is
-    degenerate) and the Schur obstruction (`schur_exclusion`: no member is
-    indefinite).  `certificate` maps each excluded class to its
-    certificate.  The scan then classifies every sample exactly and stops
-    once each class is witnessed or excluded, without a sample when both
-    are excluded.  A miss with no certificate is only "not found at this
-    resolution".  Returns a report dict.
+    `hitchin` is the family's `FamilyHitchinMap`.  The empty family and the
+    whole space (d = 35, where PHI and PHITILDE are witnesses) are decided
+    at once.  Otherwise the exact exclusions are tried in turn: a common
+    kernel (`kernel_exclusion`: every member degenerate); when the joint
+    kernel is zero, a common isotropic coordinate subspace
+    (`isotropic_exclusion`: no member definite, and no member stable once
+    its dimension is >= 4); and, when an isotropy `module` is given and
+    indefinite members are still open, the Schur obstruction
+    (`schur_exclusion`: no member indefinite).  `certificate` maps each
+    excluded class to its certificate.  The scan then classifies the
+    samples of `config` exactly and stops once each class is witnessed or
+    excluded, without a sample when both are excluded.  A miss with no
+    certificate is only "not found at this resolution".  Returns a report
+    dict; `samples` counts the samples classified.
     """
     config = config or ScanConfig()
-    basis = invariant_3forms(m)
-    d = len(basis)
+    d = hitchin.dim
     report = {"dim": d, "has_definite": False, "has_indefinite": False,
               "samples": 0, "definite_witness": None, "indefinite_witness": None,
               "certificate": {}}
@@ -974,14 +1013,22 @@ def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
         report.update(has_definite=True, has_indefinite=True, samples=2,
                       note="full family; reference forms are witnesses")
         return report
-    hitchin = family_hitchin_map(
-        [primitive_int_vector(f.coefficient_vector()) for f in basis])
     certificate = report["certificate"]
-    kernel = kernel_exclusion(hitchin)
-    if kernel is not None:
-        certificate.update(definite=kernel, indefinite=kernel)
+    kernel = hitchin.common_kernel()
+    if kernel:
+        # the radical is isotropic: a nonzero joint kernel is the whole
+        # certificate, or none when its re-check refuses it
+        exclusion = kernel_exclusion(hitchin, kernel)
+        if exclusion is not None:
+            certificate.update(definite=exclusion, indefinite=exclusion)
     else:
-        schur = schur_exclusion(m)
+        exclusion = isotropic_exclusion(hitchin)
+        if exclusion is not None:
+            certificate["definite"] = exclusion
+            if len(exclusion["indices"]) >= 4:
+                certificate["indefinite"] = exclusion
+    if "indefinite" not in certificate and module is not None:
+        schur = schur_exclusion(module)
         if schur is not None:
             certificate["indefinite"] = schur
     done = set(certificate)
@@ -999,3 +1046,14 @@ def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
             report[f"{cls}_witness"] = list(coeffs)
     report["samples"] = seen
     return report
+
+
+def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
+    """Scan the invariant 3-form family of m for definite and indefinite
+    members: `scan_family` on its Hitchin map, with the Schur obstruction
+    of m.  Returns the scan's report dict.
+    """
+    hitchin = family_hitchin_map(
+        [primitive_int_vector(f.coefficient_vector())
+         for f in invariant_3forms(m)])
+    return scan_family(hitchin, config, module=m)

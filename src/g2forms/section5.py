@@ -16,9 +16,9 @@ from .homogeneous import (bare_complex, build_complex,
                           closed_stable_scan, exact_primitive,
                           invariant_2form_analysis, nearly_parallel_check,
                           pencil_certificate)
-from .liealg import (IsotropyModule, MatrixLieAlgebra, build_algebra,
-                     invariant_3forms, invariant_kforms, module_from_action,
-                     product_algebra, _embed_block)
+from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
+                     build_algebra, invariant_3forms, invariant_kforms,
+                     module_from_action, product_algebra, _embed_block)
 from .linalg import identity, rank, solve, transpose
 from .multilinear import KForm, form_to_json
 from .stable_forms import (PHI, PHITILDE, annihilator_of_form, classify3,
@@ -174,22 +174,47 @@ def coclosed_family_report() -> dict:
 
 
 def closed_scan_report(algebra="su2+t4", samples=10_000, seed=0) -> dict:
+    """Which stable classes the closed invariant 3-forms of a trivial-
+    isotropy complex hold: `closed_stable_scan` with `samples` random draws
+    at `seed` after the grid rays, stopping at witnesses or exclusions.
+
+    On su2+t4 = s + r (s = su(2), r = t4 = span(e4..e7)) the negative is
+    exact.  d is injective on s* (x) Lambda^2 r*, because d: s* ->
+    Lambda^2 s* is an isomorphism, and zero on the other parts, so the
+    closed forms are Lambda^3 s* + Lambda^2 s* (x) r* + Lambda^3 r*
+    (17 = 1 + 12 + 4).  Write t = alpha + beta + gamma in these parts.  For
+    v in r, v -| t = (v -| beta) + (v -| gamma), and the only top-degree
+    part of (v -| t)^2 ^ t is (v -| gamma)^2 ^ alpha, so
+    B(v, v) = (v -| gamma)^2 ^ alpha = 0: gamma is a 3-form on the
+    4-dimensional r, hence decomposable, and so is v -| gamma.  r is then
+    isotropic for every B(t), of dimension 4 > 3, and every closed
+    invariant 3-form is degenerate; the isotropic certificate finds r as
+    the coordinates e4..e7 of all 72 monomial matrices.  On 2su2+u1 the
+    certificate finds e7 isotropic, so no closed invariant 3-form is
+    definite, and the scan stops at its first indefinite witness.
+    """
     if algebra not in NAMED_ALGEBRAS:
         raise ValueError(
             f"unknown algebra {algebra!r}; options {sorted(NAMED_ALGEBRAS)}")
     comp = build_complex(bare_complex(NAMED_ALGEBRAS[algebra]()))
-    rep = closed_stable_scan(comp, samples=samples, seed=seed)
+    rep = closed_stable_scan(comp, ScanConfig(random=samples, seed=seed))
     rep["algebra"] = algebra
+    excluded = set(rep["certificate"])
     if algebra == "su2+t4":
         rep["claims"] = [
             claim("no stable closed sample found", False, rep["stable_found"]),
+            claim("every closed invariant 3-form is degenerate", True,
+                  excluded == {"definite", "indefinite"}),
         ]
     elif algebra == "t7":
         rep["claims"] = [
             claim("stable closed samples abound", True, rep["stable_found"]),
         ]
     else:
-        rep["claims"] = []
+        rep["claims"] = [
+            claim("no closed invariant 3-form is definite", True,
+                  "definite" in excluded),
+        ]
     return rep
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .linalg import (adjugate, det, frac, identity, leading_principal_minors,
                      mat, mat_vec, nullspace, symmetric_signature)
@@ -197,13 +197,15 @@ class FamilyHitchinMap:
     B(x) = sum over monomials x_a x_b x_c of an integer symmetric matrix
     M_abc.  `monomials` holds (a, b, c, terms) with a <= b <= c and terms
     the nonzero (cell, coefficient) pairs of M_abc over the upper-triangular
-    `cells`.  Calling the map on an integer coefficient tuple x returns the
-    exact integer B(x); a sample costs one product per monomial, and
-    monomials with a zero factor are skipped.
+    `cells`; `dim` is the number of family coordinates.  Calling the map on
+    an integer coefficient tuple x returns the exact integer B(x); a sample
+    costs one product per monomial, and monomials with a zero factor are
+    skipped.  The exact checks below read the sparse terms directly.
     """
 
     monomials: tuple
     cells: tuple
+    dim: int
 
     def __call__(self, x):
         flat = [0] * len(self.cells)
@@ -217,16 +219,14 @@ class FamilyHitchinMap:
             m[i][j] = m[j][i] = v
         return m
 
-    def monomial_matrices(self):
-        """The integer matrices M_abc, one per monomial, in monomial order."""
-        out = []
-        for *_, terms in self.monomials:
-            m = [[0] * DIM for _ in range(DIM)]
-            for e, coef in terms:
-                i, j = self.cells[e]
-                m[i][j] = m[j][i] = coef
-            out.append(m)
-        return out
+    def _rows(self, terms):
+        """The nonzero rows of one M_abc, by row index."""
+        rows = {}
+        for e, coef in terms:
+            i, j = self.cells[e]
+            rows.setdefault(i, [0] * DIM)[j] = coef
+            rows.setdefault(j, [0] * DIM)[i] = coef
+        return rows
 
     def kills(self, v):
         """Is M_abc v = 0 for every monomial?  Exact integer products.
@@ -234,14 +234,45 @@ class FamilyHitchinMap:
         Such a v != 0 lies in the kernel of B(x) for every x, so it proves
         every member of the family degenerate.
         """
-        return not any(any(mat_vec(m, v)) for m in self.monomial_matrices())
+        return not any(sum(x * y for x, y in zip(row, v))
+                       for *_, terms in self.monomials
+                       for row in self._rows(terms).values())
+
+    def isotropic(self, vecs):
+        """Is w^T M_abc w' = 0 for every monomial and all w, w' in vecs?
+
+        Then B(x) vanishes on span(vecs) x span(vecs) for every x.
+        """
+        pairs = [(w, u) for k, w in enumerate(vecs) for u in vecs[k:]]
+        for *_, terms in self.monomials:
+            rows = self._rows(terms)
+            if any(sum(w[i] * sum(x * y for x, y in zip(row, u))
+                       for i, row in rows.items()) for w, u in pairs):
+                return False
+        return True
 
     def common_kernel(self):
         """Primitive integer basis of the joint kernel of the M_abc."""
-        rows = {tuple(row) for m in self.monomial_matrices() for row in m
-                if any(row)}
+        rows = {tuple(row) for *_, terms in self.monomials
+                for row in self._rows(terms).values()}
         vecs = nullspace([list(r) for r in rows]) if rows else identity(DIM)
         return [primitive_int_vector(v) for v in vecs]
+
+    def isotropic_coordinates(self):
+        """A largest set of coordinates whose span is isotropic for every
+        M_abc, as a sorted tuple (the first in lexicographic order), or ().
+
+        A support test: no monomial may have a term on a cell (i, j) with i
+        and j both in the set.
+        """
+        support = {self.cells[e] for *_, terms in self.monomials
+                   for e, _ in terms}
+        for k in range(DIM, 0, -1):
+            for s in combinations(range(DIM), k):
+                if not support.intersection(
+                        combinations_with_replacement(s, 2)):
+                    return s
+        return ()
 
 
 def family_hitchin_map(bvecs) -> FamilyHitchinMap:
@@ -268,7 +299,8 @@ def family_hitchin_map(bvecs) -> FamilyHitchinMap:
         if terms:
             monomials.append((a, b, c, terms))
     return FamilyHitchinMap(monomials=tuple(monomials),
-                            cells=tuple((i - 1, j - 1) for i, j in table))
+                            cells=tuple((i - 1, j - 1) for i, j in table),
+                            dim=len(bvecs))
 
 
 def classify_hitchin(b) -> Orbit3Class:

@@ -124,6 +124,34 @@ def test_section5_unknown_analysis():
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("section5", "closed-scan", "--samples", "-5"),
+    ("catalog", "verify", "--case", "2d", "--grid", "-1"),
+    ("catalog", "verify", "--case", "2d", "--random", "-1"),
+])
+def test_negative_sample_counts_are_usage_errors(args):
+    code, out, err = run_cli(*args)
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
+def test_closed_scan_reports_its_exact_claims():
+    code, out, _ = run_cli("section5", "closed-scan", "--algebra", "su2+t4")
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["samples"] == 0 and "counts" not in rep
+    assert {c["name"]: c["computed"] for c in rep["claims"]} == {
+        "no stable closed sample found": False,
+        "every closed invariant 3-form is degenerate": True}
+    code, out, _ = run_cli("section5", "closed-scan", "--algebra", "2su2+u1")
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["certificate"]["definite"]["indices"] == [6]
+    assert [c["name"] for c in rep["claims"]] == [
+        "no closed invariant 3-form is definite"]
+
+
 def test_octonion_alignment_command():
     code, out, _ = run_cli("octonion-alignment")
     assert code == 0

@@ -14,11 +14,14 @@ from g2forms.homogeneous import (bare_complex, build_complex, cartan_3form,
                                  exact_primitive, invariant_2form_analysis,
                                  invariant_kforms,
                                  nearly_parallel_check, nearly_parallel_rays)
-from g2forms.liealg import build_algebra, invariant_3forms
+from g2forms.liealg import (ScanConfig, _ray_grid, build_algebra,
+                            invariant_3forms, isotropic_exclusion,
+                            scan_family)
 from g2forms.linalg import nullspace, rank
 from g2forms.multilinear import KForm, pullback
 from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify3,
-                                  classify_coeffs, hodge_star, star_euclidean)
+                                  classify_coeffs, family_hitchin_map,
+                                  hodge_star, star_euclidean)
 
 w = KForm.basis
 
@@ -203,19 +206,38 @@ def test_exact_primitive_of_dual(su2t4):
     assert prim == Fraction(-1, 2) * (PHI - w(7, 1, 2, 3))
 
 
+@pytest.fixture(scope="module")
+def su2u1():
+    return build_complex(bare_complex(section5.two_su2_u1()))
+
+
+def _closed(comp):
+    """The closed invariant 3-forms of comp, as Fraction 35-vectors."""
+    basis = [f.coefficient_vector() for f in comp.bases[3]]
+    return [[sum(co * bv[k] for co, bv in zip(cc, basis)) for k in range(35)]
+            for cc in nullspace(comp.diffs[3])]
+
+
+def _closed_map(comp):
+    return family_hitchin_map(homogeneous._cleared(_closed(comp)))
+
+
+SMALL_SCAN = ScanConfig(grid=400, random=100)
+
+
 def test_closed_stable_scan(su2t4, t7):
-    rep = closed_stable_scan(su2t4, samples=800, seed=0)
+    rep = closed_stable_scan(su2t4, ScanConfig(random=800))
     assert rep["closed_dim"] == 17
     assert not rep["stable_found"]
-    rep7 = closed_stable_scan(t7, samples=50, seed=0)
+    rep7 = closed_stable_scan(t7, ScanConfig(random=50))
     assert rep7["closed_dim"] == 35
     assert rep7["stable_found"]
+    # the whole space: the reference forms are the witnesses
+    assert rep7["samples"] == 2 and rep7["certificate"] == {}
 
 
 def _classify_coeffs_counts(closed, samples, seed):
-    """closed_stable_scan's sample loop, one classify_coeffs call a sample."""
-    import random
-
+    """A plain seeded sample loop, one classify_coeffs call a sample."""
     rng = random.Random(seed)
     counts = {k.value: 0 for k in Orbit3Class}
     for _ in range(samples):
@@ -226,15 +248,43 @@ def _classify_coeffs_counts(closed, samples, seed):
     return counts
 
 
+def _stop_rule_reference(closed, config, done):
+    """The scan's samples and stop rule, one classify_coeffs call a sample
+    on the rational closed vectors themselves; `done` holds the classes
+    the scan's certificates exclude."""
+    rng = random.Random(config.seed)
+    samples = list(_ray_grid(len(closed), config.grid)) + [
+        [rng.randint(-9, 9) for _ in closed] for _ in range(config.random)]
+    done = set(done)
+    ref = {"has_definite": False, "has_indefinite": False, "samples": 0,
+           "definite_witness": None, "indefinite_witness": None}
+    for coeffs in samples:
+        if len(done) == 2:
+            break
+        if not any(coeffs):
+            continue
+        ref["samples"] += 1
+        vec = [sum(co * cv[k] for co, cv in zip(coeffs, closed))
+               for k in range(35)]
+        cls = classify_coeffs(vec).value
+        if cls != "degenerate" and cls not in done:
+            done.add(cls)
+            ref[f"has_{cls}"] = True
+            ref[f"{cls}_witness"] = list(coeffs)
+    return ref
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_closed_stable_scan_matches_a_classify_coeffs_loop(su2t4, t7, seed):
-    """The family-map scan counts what classify_coeffs counts per sample."""
-    for comp in (su2t4, t7):
-        basis = [f.coefficient_vector() for f in comp.bases[3]]
-        closed = [[sum(co * bv[k] for co, bv in zip(cc, basis))
-                   for k in range(35)] for cc in nullspace(comp.diffs[3])]
-        rep = closed_stable_scan(comp, samples=300, seed=seed)
-        assert rep["counts"] == _classify_coeffs_counts(closed, 300, seed)
+def test_closed_stable_scan_matches_a_classify_coeffs_loop(su2t4, su2u1,
+                                                           seed):
+    """The family-map scan finds the witnesses, after the same number of
+    samples, that classify_coeffs finds on the rational closed forms."""
+    config = ScanConfig(random=300, seed=seed)
+    for comp in (su2t4, su2u1):
+        rep = closed_stable_scan(comp, config)
+        ref = _stop_rule_reference(_closed(comp), config, rep["certificate"])
+        assert {k: rep[k] for k in ref} == ref
+    assert rep["has_indefinite"] and rep["samples"] > 0
 
 
 def test_closed_stable_scan_keeps_each_sample_on_its_ray():
@@ -246,20 +296,112 @@ def test_closed_stable_scan_keeps_each_sample_on_its_ray():
              KForm.make(7, 3, [((1, 2, 4), Fraction(5, 7))])]
     comp = SimpleNamespace(bases={3: basis}, diffs={3: []})
     closed = [f.coefficient_vector() for f in basis]
-    rep = closed_stable_scan(comp, samples=300, seed=0)
-    assert rep["counts"] == _classify_coeffs_counts(closed, 300, 0)
-    assert rep["counts"]["definite"] and rep["counts"]["indefinite"]
+    config = ScanConfig(random=300, seed=0)
+    rep = closed_stable_scan(comp, config)
+    assert rep["certificate"] == {}
+    assert {k: rep[k] for k in ("has_definite", "has_indefinite", "samples",
+                                "definite_witness", "indefinite_witness")
+            } == _stop_rule_reference(closed, config, ())
+    assert rep["has_definite"] and rep["has_indefinite"]
 
 
-def test_exploratory_scan_regression():
-    comp = build_complex(bare_complex(section5.two_su2_u1()))
-    rep = closed_stable_scan(comp, samples=500, seed=0)
-    # baseline recorded from the first run: this closed family does contain
-    # stable members, all of them indefinite on this sample
+def test_exploratory_scan_regression(su2u1):
+    config = ScanConfig(random=500, seed=0)
+    rep = closed_stable_scan(su2u1, config)
+    # this closed family contains stable members, all of them indefinite:
+    # e7 is isotropic for every member, and the scan stops at the first
+    # indefinite witness, the first random draw after the 17^2 grid rays
     assert rep["closed_dim"] == 17
     assert rep["stable_found"]
-    assert rep["counts"]["indefinite"] > 0
-    assert rep["counts"]["definite"] == 0
+    assert rep["certificate"] == {"definite": {
+        "kind": "isotropic subspace", "indices": [6], "monomials": 234}}
+    ref = _stop_rule_reference(_closed(su2u1), config, {"definite"})
+    assert {k: rep[k] for k in ref} == ref
+    assert rep["has_indefinite"] and not rep["has_definite"]
+    assert rep["samples"] == 17 ** 2 + 1
+
+
+# ---------------------------------------------------------------------------
+# the isotropic certificate on the closed families
+# ---------------------------------------------------------------------------
+
+def test_isotropic_certificate_on_the_closed_families(su2t4, su2u1, t7):
+    e4_e7 = {"kind": "isotropic subspace", "indices": [3, 4, 5, 6],
+             "monomials": 72}
+    assert isotropic_exclusion(_closed_map(su2t4)) == e4_e7
+    rep = closed_stable_scan(su2t4)
+    assert rep["certificate"] == {"definite": e4_e7, "indefinite": e4_e7}
+    assert rep["samples"] == 0 and not rep["stable_found"]
+    assert isotropic_exclusion(_closed_map(su2u1)) == {
+        "kind": "isotropic subspace", "indices": [6], "monomials": 234}
+    # PHI and PHITILDE are in the t7 family, so no subspace is isotropic
+    t7_map = _closed_map(t7)
+    assert t7_map.isotropic_coordinates() == ()
+    assert isotropic_exclusion(t7_map) is None
+
+
+def test_a_corrupted_monomial_entry_on_w_loses_the_certificate(su2t4):
+    import dataclasses
+
+    hitchin = _closed_map(su2t4)
+    units = [[int(i == j) for j in range(7)] for i in range(7)]
+    w = [units[i] for i in (3, 4, 5, 6)]
+    assert hitchin.isotropic(w)
+    # one more term on the cell (e4, e5) of the first monomial matrix
+    a, b, c, terms = hitchin.monomials[0]
+    e45 = hitchin.cells.index((3, 4))
+    assert e45 not in dict(terms)
+    bad = dataclasses.replace(hitchin, monomials=(
+        (a, b, c, terms + ((e45, 1),)),) + hitchin.monomials[1:])
+    assert not bad.isotropic(w)
+    assert not bad.isotropic(w[:2])
+    cert = isotropic_exclusion(bad)
+    # a 3-dimensional subspace is left: it excludes definite members only
+    assert cert is not None and len(cert["indices"]) == 3
+    assert not {3, 4} <= set(cert["indices"])
+    assert bad.isotropic([units[i] for i in cert["indices"]])
+    rep = scan_family(bad, SMALL_SCAN)
+    assert set(rep["certificate"]) == {"definite"}
+
+
+def test_a_corrupted_isotropic_subspace_fails_the_exact_recheck(
+        su2t4, monkeypatch):
+    from g2forms import stable_forms
+
+    hitchin = _closed_map(su2t4)
+    units = [[int(i == j) for j in range(7)] for i in range(7)]
+    # B pairs s = span(e1..e3) with r = span(e4..e7) only: e3 and e4 are
+    # each isotropic, their span is not, and no subspace holding it is
+    assert hitchin.isotropic([units[2]]) and hitchin.isotropic([units[3]])
+    assert not hitchin.isotropic([units[2], units[3]])
+    monkeypatch.setattr(stable_forms.FamilyHitchinMap,
+                        "isotropic_coordinates",
+                        lambda self: (2, 3, 4, 5, 6))
+    assert isotropic_exclusion(hitchin) is None
+    # the scan falls back to the uncertified scan, to its end
+    rep = closed_stable_scan(su2t4, SMALL_SCAN)
+    assert rep["certificate"] == {}
+    rng = random.Random(SMALL_SCAN.seed)
+    assert rep["samples"] == sum(1 for c in _ray_grid(17, SMALL_SCAN.grid)
+                                 if any(c)) + sum(
+        1 for _ in range(SMALL_SCAN.random)
+        if any(rng.randint(-9, 9) for _ in range(17)))
+    assert not rep["stable_found"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("algebra", ["su2+t4", "2su2+u1"])
+def test_a_full_length_loop_finds_no_excluded_class(algebra, seed):
+    # the classes the certificates exclude never show up in 10,000 plain
+    # seeded draws, classified one by one through classify_coeffs
+    comp = build_complex(bare_complex(section5.NAMED_ALGEBRAS[algebra]()))
+    excluded = set(closed_stable_scan(comp)["certificate"])
+    assert excluded == ({"definite", "indefinite"} if algebra == "su2+t4"
+                        else {"definite"})
+    counts = _classify_coeffs_counts(
+        homogeneous._cleared(_closed(comp)), 10_000, seed)
+    assert all(counts[cls] == 0 for cls in excluded), counts
+    assert sum(counts.values()) == 10_000
 
 
 def test_nearly_parallel_d3_one_cases():

@@ -504,6 +504,44 @@ def test_a_finer_split_gets_no_certificate_and_the_full_scan(monkeypatch):
         1 for c in _scan_samples(rep["dim"], config) if any(c)) == 38_440
 
 
+def _monomial_matrices(hitchin):
+    """The dense integer matrices M_abc of a family map, in monomial order."""
+    out = []
+    for *_, terms in hitchin.monomials:
+        m = [[0] * 7 for _ in range(7)]
+        for e, coef in terms:
+            i, j = hitchin.cells[e]
+            m[i][j] = m[j][i] = coef
+        out.append(m)
+    return out
+
+
+def test_sparse_rechecks_match_the_dense_monomial_matrices(
+        scanned_families, degenerate_families):
+    # kills and isotropic read the sparse terms; the dense products decide
+    # the same on seeded small vectors, unit vectors and the certificates
+    rng = random.Random(5)
+    units = [[int(i == j) for j in range(7)] for i in range(7)]
+    maps = [family_hitchin_map(bvecs) for _, _, bvecs in scanned_families]
+    maps += [hitchin for _, hitchin, _, _ in degenerate_families.values()]
+    for hitchin in maps:
+        mats = _monomial_matrices(hitchin)
+        vecs = units + [[rng.randint(-1, 1) for _ in range(7)]
+                        for _ in range(20)]
+        vecs += hitchin.common_kernel()
+        for v in vecs:
+            assert hitchin.kills(v) == all(
+                mat_vec(m, v) == [0] * 7 for m in mats)
+        # w^T M u for every monomial, on the units and six seeded vectors
+        ws = vecs[:13]
+        zero = [[all(sum(x * y for x, y in zip(w, mat_vec(m, u))) == 0
+                     for m in mats) for u in ws] for w in ws]
+        for k in range(1, 4):
+            for sub in combinations(range(len(ws)), k):
+                assert hitchin.isotropic([ws[a] for a in sub]) == all(
+                    zero[a][b] for a in sub for b in sub)
+
+
 def _family(mod):
     return family_hitchin_map([primitive_int_vector(f.coefficient_vector())
                                for f in invariant_3forms(mod)])
@@ -555,7 +593,7 @@ def test_kernel_certificate_fires_on_the_degenerate_families(
             # the monomial matrices add up to B(x)
             total = [[0] * 7 for _ in range(7)]
             for (a, bb, c, _), m in zip(hitchin.monomials,
-                                        hitchin.monomial_matrices()):
+                                        _monomial_matrices(hitchin)):
                 w = x[a] * x[bb] * x[c]
                 total = [[t + w * y for t, y in zip(tr, mr)]
                          for tr, mr in zip(total, m)]
