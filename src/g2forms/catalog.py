@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
-from .linalg import (charpoly, det, frac, identity, inverse, mat, mat_mul,
-                     nullspace, solve, transpose)
+from .linalg import (charpoly, cleared, det, frac, identity, inverse, mat,
+                     mat_mul, nullspace, solve, transpose)
 from .liealg import (IsotropyModule, MatrixLieAlgebra,
                      build_algebra, creal, diag_torus_su, generator_v_matrix,
                      invariant_3forms, invariant_dims, invariant_form_types,
@@ -631,11 +631,10 @@ def _rational_spectrum(cp):
         if poly[0] == 0:
             root = Fraction(0)
         else:
-            den = math.lcm(*(c.denominator for c in poly))
-            a0, an = poly[0] * den, poly[-1] * den
+            (ints,), _ = cleared([poly])
             root = next((s * Fraction(p, q)
-                         for p in _divisors(a0.numerator)
-                         for q in _divisors(an.numerator) for s in (1, -1)
+                         for p in _divisors(ints[0])
+                         for q in _divisors(ints[-1]) for s in (1, -1)
                          if _divide_root(poly, s * Fraction(p, q))[1] == 0),
                         None)
             if root is None:

@@ -219,9 +219,24 @@ def cmd_complex_ranks(args):
     return emit(report, args)
 
 
+#: the section5 options each analysis reads; any other analysis given one
+#: is a usage error (--seed is shared and left out)
+_SECTION5_OPTIONS = {"closed-scan": ("algebra", "samples"),
+                     "nearly-parallel": ("case",)}
+
+
 def cmd_section5(args):
     from . import section5
 
+    allowed = _SECTION5_OPTIONS.get(args.analysis, ())
+    for opt in ("case", "algebra", "samples"):
+        if getattr(args, opt) is not None and opt not in allowed:
+            print(f"error: --{opt} does not apply to {args.analysis}",
+                  file=sys.stderr)
+            return 2
+    # the default is filled in after the check, so --emit-config prints it
+    if args.samples is None:
+        args.samples = 10_000
     try:
         if args.analysis == "rank-chain":
             report = section5.rank_chain_report()
@@ -309,10 +324,10 @@ def make_parser():
                                         "example-429"))
     p.add_argument("--case")
     p.add_argument("--algebra")
-    p.add_argument("--samples", type=_count, default=10_000,
-                   help="closed-scan witness budget: random draws after "
-                        "the grid rays; the scan stops once each class is "
-                        "witnessed or excluded")
+    p.add_argument("--samples", type=_count,
+                   help="closed-scan witness budget (default 10000): random "
+                        "draws after the grid rays; the scan stops once "
+                        "each class is witnessed or excluded")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_section5)

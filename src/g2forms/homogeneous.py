@@ -19,7 +19,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .linalg import adjugate, identity, mat, nullspace, rank, solve, transpose
+from .linalg import (adjugate, cleared, identity, mat, nullspace, rank, solve,
+                     transpose)
 from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
                      invariant_3forms, invariant_kforms, scan_family)
 from .multilinear import KForm, algebra_action, pullback, sort_index
@@ -246,13 +247,6 @@ def coclosed_stable_family_dim(c: InvariantComplex, t: KForm) -> int:
     return ranks[4][2]
 
 
-def _cleared(vecs):
-    """Rational vectors as integer tuples, by one common denominator."""
-    den = math.lcm(*(x.denominator for v in vecs for x in v))
-    return [tuple(x.numerator * (den // x.denominator) for x in v)
-            for v in vecs]
-
-
 def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
     """Which stable classes the closed invariant 3-forms of c hold.
 
@@ -273,7 +267,7 @@ def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
             if co != 0:
                 v = [x + co * y for x, y in zip(v, bv)]
         closed_vecs.append(v)
-    rep = scan_family(family_hitchin_map(_cleared(closed_vecs)), config)
+    rep = scan_family(family_hitchin_map(cleared(closed_vecs)[0]), config)
     rep.update(closed_dim=len(closed_vecs),
                stable_found=rep["has_definite"] or rep["has_indefinite"])
     return rep
@@ -355,8 +349,8 @@ def pencil_evaluations(m: IsotropyModule):
     basis = tuple(invariant_3forms(m))
     if len(basis) != 2:
         raise ValueError("the pencil needs a two-parameter family")
-    x1, x2 = _cleared([f.coefficient_vector() for f in basis])
-    d1, d2 = _cleared([ce_differential(m, KForm.from_coefficient_vector(
+    (x1, x2), _ = cleared([f.coefficient_vector() for f in basis])
+    (d1, d2), _ = cleared([ce_differential(m, KForm.from_coefficient_vector(
         7, 3, x)).coefficient_vector() for x in (x1, x2)])
     slopes, singular, qs, dqs = [], [], [], []
     for s in _slope_order():
@@ -374,7 +368,7 @@ def pencil_evaluations(m: IsotropyModule):
         dqs.append(_diff_terms(q.terms, m.d_one_forms))
         if len(slopes) == PENCIL_SLOPES:
             break
-    return PencilEvaluations(basis=basis, d1=d1, d2=d2,
+    return PencilEvaluations(basis=basis, d1=tuple(d1), d2=tuple(d2),
                              slopes=tuple(slopes), singular=tuple(singular),
                              q=tuple(qs), dq=tuple(dqs))
 

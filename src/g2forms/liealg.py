@@ -36,8 +36,8 @@ from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 
-from .linalg import (charpoly, frac, identity, intersect_nullspaces, inverse,
-                     mat, mat_mul, mat_sub, mat_vec, nullspace, rank,
+from .linalg import (charpoly, cleared, frac, identity, intersect_nullspaces,
+                     inverse, mat, mat_mul, mat_sub, mat_vec, nullspace, rank,
                      root_multiplicities, rref, solve, transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
@@ -632,7 +632,12 @@ def _sym_index(n):
 
 
 def _invariant_symmetric_forms(action, generators, n=None):
-    """Basis of symmetric S with rho(X)^T S + S rho(X) = 0, F^T S F = S."""
+    """Basis of symmetric S with rho(X)^T S + S rho(X) = 0, F^T S F = S.
+
+    The rows are integer: each action matrix is cleared to L A, which
+    scales its block of equations, and each generator to L F, whose block
+    becomes (L F)^T S (L F) = L^2 S.
+    """
     if n is None:
         n = len(action[0]) if action else len(generators[0])
     pairs = _sym_index(n)
@@ -642,10 +647,10 @@ def _invariant_symmetric_forms(action, generators, n=None):
         return vec[pos[(i, j)]] if i <= j else vec[pos[(j, i)]]
 
     rows = []
-    for a in action:
+    for a, _ in map(cleared, action):
         for i in range(n):
             for j in range(i, n):
-                row = [Fraction(0)] * len(pairs)
+                row = [0] * len(pairs)
                 for k in range(n):
                     # (A^T S)_{ij} = sum_k A_{ki} S_{kj}; (S A)_{ij} = S_{ik} A_{kj}
                     if a[k][i] != 0:
@@ -654,16 +659,16 @@ def _invariant_symmetric_forms(action, generators, n=None):
                         row[pos[(min(i, k), max(i, k))]] += a[k][j]
                 if any(x != 0 for x in row):
                     rows.append(row)
-    for f in generators:
+    for f, den in map(cleared, generators):
         for i in range(n):
             for j in range(i, n):
-                row = [Fraction(0)] * len(pairs)
+                row = [0] * len(pairs)
                 for k in range(n):
                     for l in range(n):
                         c = f[k][i] * f[l][j]
                         if c != 0:
                             row[pos[(min(k, l), max(k, l))]] += c
-                row[pos[(i, j)]] -= 1
+                row[pos[(i, j)]] -= den * den
                 if any(x != 0 for x in row):
                     rows.append(row)
     sols = nullspace(rows) if rows else identity(len(pairs))
@@ -685,13 +690,19 @@ def invariant_kforms(m: IsotropyModule, k):
 
 
 def _invariant_kform_basis(m, k):
+    """The joint kernel of integer systems: each action matrix cleared to
+    L A gives L times its Lambda^k matrix, and each generator cleared to
+    L F gives P - L^k 1 for the pullback matrix P of L F."""
     n = m.dimV
     if k == 0:
         return [KForm.make(n, 0, [((), 1)])]
-    mats = [lambda_k_action_matrix(a, k, n) for a in m.action]
+    mats = [lambda_k_action_matrix(cleared(a)[0], k, n) for a in m.action]
     for _, f in m.generators:
+        f, den = cleared(f)
         p = lambda_k_pullback_matrix(f, k, n)
-        mats.append(mat_sub(p, identity(len(p))))
+        for r, row in enumerate(p):
+            row[r] -= den ** k
+        mats.append(p)
     if not mats:
         return [KForm.basis(n, *idx)
                 for idx in combinations(range(1, n + 1), k)]
@@ -728,13 +739,17 @@ def invariant_dims(m: IsotropyModule) -> InvariantDims:
 # ---------------------------------------------------------------------------
 
 def _commutant_selfadjoint(action, gram):
-    """Basis of {C : [C, rho] = 0, C self-adjoint w.r.t. gram}."""
+    """Basis of {C : [C, rho] = 0, C self-adjoint w.r.t. gram}.
+
+    Each action matrix and the gram are cleared to integers first; that
+    scales each block of equations and keeps the kernel.
+    """
     n = len(gram)
     rows = []
-    for a in action:
+    for a, _ in map(cleared, action):
         for i in range(n):
             for j in range(n):
-                row = [Fraction(0)] * (n * n)
+                row = [0] * (n * n)
                 for k in range(n):
                     if a[i][k] != 0:
                         row[k * n + j] += a[i][k]
@@ -743,9 +758,10 @@ def _commutant_selfadjoint(action, gram):
                 if any(x != 0 for x in row):
                     rows.append(row)
     # self-adjointness: (G C)^T = G C
+    gram, _ = cleared(gram)
     for i in range(n):
         for j in range(i + 1, n):
-            row = [Fraction(0)] * (n * n)
+            row = [0] * (n * n)
             for k in range(n):
                 if gram[i][k] != 0:
                     row[k * n + j] += gram[i][k]
@@ -781,8 +797,7 @@ def _draw_splitter(sa, rng):
     n = len(sa[0])
     c = [[sum(cf * s[i][j] for cf, s in zip(coeffs, sa)) for j in range(n)]
          for i in range(n)]
-    den = math.lcm(*(x.denominator for row in c for x in row))
-    return [[int(x * den) for x in row] for row in c]
+    return cleared(c)[0]
 
 
 def irreducible_dims(m: IsotropyModule, seed=0):

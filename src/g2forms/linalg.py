@@ -55,6 +55,14 @@ def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
+def cleared(rows):
+    """Rational rows as integer rows and one common denominator den, with
+    rows[i][j] == ints[i][j] / den; int rows come back with den 1."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in rows], den
+
+
 def _primitive(row):
     """A sparse integer row {col: v} divided by the gcd of its entries."""
     g = math.gcd(*row.values())

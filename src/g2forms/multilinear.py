@@ -9,13 +9,13 @@ e^1 ^ ... ^ e^n, so "volume-valued" quantities are returned as the
 coefficient with respect to that form.
 """
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 
-from .linalg import frac, transpose
+from .linalg import cleared, frac
 
 
 def sort_index(idx):
@@ -229,6 +229,8 @@ def _minor_det(m, rows, cols):
         return (m[a][d] * (m[b][e] * m[c][f] - m[b][f] * m[c][e])
                 - m[a][e] * (m[b][d] * m[c][f] - m[b][f] * m[c][d])
                 + m[a][f] * (m[b][d] * m[c][e] - m[b][e] * m[c][d]))
+    if k == 0:
+        return 1
     # general fallback (Laplace along the first row)
     total = 0
     for p, col in enumerate(cols):
@@ -250,11 +252,9 @@ def pullback(m, a: KForm) -> KForm:
         raise ValueError("pullback: map shape mismatch")
     if a.degree == 0:
         return a
-    lm = math.lcm(*(x.denominator for row in m for x in row))
-    im = [[x.numerator * (lm // x.denominator) for x in row] for row in m]
-    da = math.lcm(*(c.denominator for c in a.terms.values()))
-    terms = [([i - 1 for i in idx], c.numerator * (da // c.denominator))
-             for idx, c in a.terms.items()]
+    im, lm = cleared(m)
+    (coeffs,), da = cleared([list(a.terms.values())])
+    terms = [([i - 1 for i in idx], c) for idx, c in zip(a.terms, coeffs)]
     den = lm ** a.degree * da
     out = {}
     for jdx in combinations(range(1, n + 1), a.degree):
@@ -303,17 +303,47 @@ def algebra_action(m, a: KForm) -> KForm:
 
 
 def lambda_k_action_matrix(a, k, dim=7):
-    """Matrix of the infinitesimal action of a on Lambda^k coefficients."""
-    cols = [algebra_action(a, KForm.basis(dim, *idx)).coefficient_vector()
-            for idx in combinations(range(1, dim + 1), k)]
-    return transpose(cols)
+    """Matrix of the infinitesimal action of a on Lambda^k coefficients.
+
+    Column I is algebra_action(a, e^I), built by index arithmetic: slot p
+    of I, holding i, is replaced by each j outside I with a[i][j] != 0, and
+    entry (J, I) gains -a[i][j] times (-1)^(p - q), q the slot of j in the
+    sorted J.  The entries keep the arithmetic of a: an int matrix gives an
+    int matrix.
+    """
+    idxs = list(combinations(range(dim), k))
+    pos = {idx: r for r, idx in enumerate(idxs)}
+    support = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    out = [[0] * len(idxs) for _ in idxs]
+    for c, idx in enumerate(idxs):
+        for p, i in enumerate(idx):
+            rest = idx[:p] + idx[p + 1:]
+            for j, x in support[i]:
+                q = bisect_left(rest, j)
+                if q < len(rest) and rest[q] == j:
+                    continue
+                r = pos[rest[:q] + (j,) + rest[q:]]
+                out[r][c] += x if (p - q) % 2 else -x
+    return out
 
 
 def lambda_k_pullback_matrix(f, k, dim=7):
-    """Matrix of the pullback along f on Lambda^k coefficients."""
-    cols = [pullback(f, KForm.basis(dim, *idx)).coefficient_vector()
-            for idx in combinations(range(1, dim + 1), k)]
-    return transpose(cols)
+    """Matrix of the pullback along f on Lambda^k coefficients.
+
+    Column I is pullback(f, e^I), so entry (J, I) is the minor det f[I, J]
+    (rows I, columns J).  The minors are taken on the cleared integer map
+    L f and leave as one Fraction det / L^k each; an integral f (L = 1)
+    gives an int matrix.
+    """
+    im, den = cleared(f)
+    scale = den ** k
+    idxs = list(combinations(range(dim), k))
+    out = []
+    for cols in idxs:
+        minors = [_minor_det(im, rows, cols) for rows in idxs]
+        out.append(minors if scale == 1
+                   else [Fraction(d, scale) for d in minors])
+    return out
 
 
 def form_to_json(a: KForm) -> dict:

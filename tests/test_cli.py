@@ -136,6 +136,22 @@ def test_negative_sample_counts_are_usage_errors(args):
     assert "non-negative" in err
 
 
+@pytest.mark.parametrize("args", [
+    ("example-429", "--samples", "3"),
+    ("rank-chain", "--samples", "10000"),
+    ("coclosed-family", "--algebra", "su2+t4"),
+    ("nearly-parallel", "--case", "2d", "--algebra", "t7"),
+    ("closed-scan", "--case", "2d"),
+    ("example-429", "--case", "1"),
+])
+def test_section5_options_of_another_analysis_are_usage_errors(args):
+    # an option the analysis does not read is refused, not ignored
+    code, out, err = run_cli("section5", *args)
+    assert code == 2
+    assert out == ""
+    assert "does not apply to " + args[0] in err
+
+
 def test_closed_scan_reports_its_exact_claims():
     code, out, _ = run_cli("section5", "closed-scan", "--algebra", "su2+t4")
     assert code == 0

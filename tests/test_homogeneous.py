@@ -17,7 +17,7 @@ from g2forms.homogeneous import (bare_complex, build_complex, cartan_3form,
 from g2forms.liealg import (ScanConfig, _ray_grid, build_algebra,
                             invariant_3forms, isotropic_exclusion,
                             scan_family)
-from g2forms.linalg import nullspace, rank
+from g2forms.linalg import cleared, nullspace, rank
 from g2forms.multilinear import KForm, pullback
 from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify3,
                                   classify_coeffs, family_hitchin_map,
@@ -219,7 +219,7 @@ def _closed(comp):
 
 
 def _closed_map(comp):
-    return family_hitchin_map(homogeneous._cleared(_closed(comp)))
+    return family_hitchin_map(cleared(_closed(comp))[0])
 
 
 SMALL_SCAN = ScanConfig(grid=400, random=100)
@@ -399,7 +399,7 @@ def test_a_full_length_loop_finds_no_excluded_class(algebra, seed):
     assert excluded == ({"definite", "indefinite"} if algebra == "su2+t4"
                         else {"definite"})
     counts = _classify_coeffs_counts(
-        homogeneous._cleared(_closed(comp)), 10_000, seed)
+        cleared(_closed(comp))[0], 10_000, seed)
     assert all(counts[cls] == 0 for cls in excluded), counts
     assert sum(counts.values()) == 10_000
 

@@ -4,16 +4,20 @@ from itertools import combinations
 
 import pytest
 
-from g2forms.catalog import _BUILDERS, build_entry
-from g2forms.liealg import (MatrixLieAlgebra, ScanConfig,
-                            _check_rep_property, _ray_grid, build_algebra,
-                            invariant_3forms, invariant_dims,
+from g2forms.catalog import (_BUILDERS, build_entry, load_catalog,
+                             orthogonal_algebra_of_form)
+from g2forms.liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
+                            _check_rep_property, _commutant_selfadjoint,
+                            _invariant_symmetric_forms, _ray_grid,
+                            build_algebra, invariant_3forms, invariant_dims,
                             invariant_form_types, invariant_kforms,
                             irreducible_dims, kernel_exclusion,
                             product_algebra, reductive_complement,
                             schur_exclusion)
-from g2forms.linalg import (commutator, inverse, mat, mat_mul, mat_vec,
-                            solve, trace, transpose)
+from g2forms.linalg import (commutator, identity, intersect_nullspaces,
+                            inverse, mat, mat_mul, mat_sub, mat_vec,
+                            nullspace, solve, trace, transpose)
+from g2forms.multilinear import KForm, algebra_action, pullback
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
                                   classify_hitchin, family_hitchin_map,
                                   hitchin_matrix, primitive_int_vector)
@@ -370,6 +374,183 @@ def test_rep_property_check_raises_on_a_corrupted_action():
                 with pytest.raises(AssertionError,
                                    match="isotropy action violates"):
                     _check_rep_property(bad, h_brackets)
+
+
+# ---------------------------------------------------------------------------
+# the integer invariant-theory systems against Fraction references
+# ---------------------------------------------------------------------------
+
+def _commutant_reference(action, gram):
+    """{C : A C - C A = 0, G C symmetric} with Fraction rows: the column of
+    unknown C_kl is the image of the unit matrix E_kl."""
+    n = len(gram)
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cols = []
+    for kl in range(n * n):
+        e = [[Fraction(0)] * n for _ in range(n)]
+        e[kl // n][kl % n] = Fraction(1)
+        col = [x for a in action
+               for row in mat_sub(mat_mul(mat(a), e), mat_mul(e, mat(a)))
+               for x in row]
+        ge = mat_mul(mat(gram), e)
+        cols.append(col + [ge[j][i] - ge[i][j] for i, j in upper])
+    return [[[v[i * n + j] for j in range(n)] for i in range(n)]
+            for v in nullspace(transpose(cols))]
+
+
+def _symmetric_forms_reference(action, generators, n):
+    """{S = S^T : A^T S + S A = 0, F^T S F = S} with Fraction rows: the
+    column of unknown s_kl (k <= l) is the image of the symmetric unit."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    cols = []
+    for k, l in pairs:
+        e = [[Fraction(0)] * n for _ in range(n)]
+        e[k][l] = e[l][k] = Fraction(1)
+        col = []
+        for a in map(mat, action):
+            img = mat_mul(transpose(a), e)
+            col += [img[i][j] + img[j][i] for i, j in pairs]
+        for f in map(mat, generators):
+            img = mat_sub(mat_mul(mat_mul(transpose(f), e), f), e)
+            col += [img[i][j] for i, j in pairs]
+        cols.append(col)
+    vecs = nullspace(transpose(cols))
+    return [[[v[pairs.index((min(i, j), max(i, j)))] for j in range(n)]
+             for i in range(n)] for v in vecs]
+
+
+def _rational_form(n):
+    """A definite rational form with denominators everywhere."""
+    return [[Fraction(i + 2) if i == j else Fraction(1, i + j + 2)
+             for j in range(n)] for i in range(n)]
+
+
+def _block_sum(a, b):
+    n, m = len(a), len(b)
+    return ([list(row) + [Fraction(0)] * m for row in a]
+            + [[Fraction(0)] * n + list(row) for row in b])
+
+
+def _so_form_actions():
+    """(label, action, gram): the so(n; D) realization on R^n for a
+    rational D, scaled copies, and reducible sums with commutants of
+    dimension > 1."""
+    out = []
+    for n in (3, 4, 5):
+        d = _rational_form(n)
+        basis = orthogonal_algebra_of_form(d).basis
+        out.append((f"so({n};form)", basis, d))
+        scales = [Fraction(3 * k + 2, 7 - k % 5) for k in range(len(basis))]
+        out.append((f"so({n};form) scaled",
+                    [[[c * x for x in row] for row in a]
+                     for c, a in zip(scales, basis)],
+                    [[Fraction(5, 3) * x for x in row] for row in d]))
+    d = _rational_form(3)
+    basis = orthogonal_algebra_of_form(d).basis
+    zero = [[Fraction(0)] * 2 for _ in range(2)]
+    out.append(("3+3", [_block_sum(a, a) for a in basis],
+                _block_sum(d, [[2 * x for x in row] for row in d])))
+    out.append(("3+1+1", [_block_sum(a, zero) for a in basis],
+                _block_sum(d, [[Fraction(1, 2), Fraction(1, 3)],
+                               [Fraction(1, 3), Fraction(1)]])))
+    return out
+
+
+SO_FORM_ACTIONS = _so_form_actions()
+
+
+@pytest.mark.parametrize("label,action,gram", SO_FORM_ACTIONS,
+                         ids=[c[0] for c in SO_FORM_ACTIONS])
+def test_commutant_matches_a_fraction_reference(label, action, gram):
+    assert any(x.denominator > 1 for a in action for row in a for x in row)
+    got = _commutant_selfadjoint(action, gram)
+    assert got == _commutant_reference(action, gram)
+    assert len(got) == {"3+3": 3, "3+1+1": 4}.get(label, 1)
+
+
+def _conjugated_generators(n):
+    """Rational rotations (3/5, 4/5) in two coordinate planes and a signed
+    swap, conjugated by a rational triangular P: denominators in every
+    generator, and a nonzero fixed space."""
+    p = [[Fraction(1) if i == j else Fraction(1, 2 + i + j) if i < j
+          else Fraction(0) for j in range(n)] for i in range(n)]
+    pinv = inverse(p)
+    rot = identity(n)
+    rot[0][0] = rot[1][1] = Fraction(3, 5)
+    rot[0][1], rot[1][0] = Fraction(-4, 5), Fraction(4, 5)
+    swap = identity(n)
+    swap[n - 2][n - 2] = swap[n - 1][n - 1] = Fraction(0)
+    swap[n - 2][n - 1], swap[n - 1][n - 2] = Fraction(1), Fraction(-1)
+    return [mat_mul(mat_mul(p, f), pinv) for f in (rot, swap)], p, pinv
+
+
+@pytest.mark.parametrize("label,action,gram", SO_FORM_ACTIONS,
+                         ids=[c[0] for c in SO_FORM_ACTIONS])
+def test_invariant_symmetric_forms_match_a_fraction_reference(
+        label, action, gram):
+    n = len(gram)
+    got = _invariant_symmetric_forms(action, [])
+    assert got == _symmetric_forms_reference(action, [], n)
+    assert len(got) == {"3+3": 3, "3+1+1": 4}.get(label, 1)
+    # generators alone, and with the action conjugated alike
+    gens, p, pinv = _conjugated_generators(n)
+    conj = [mat_mul(mat_mul(p, a), pinv) for a in action]
+    got = _invariant_symmetric_forms([], gens, n=n)
+    assert got == _symmetric_forms_reference([], gens, n)
+    assert got
+    got = _invariant_symmetric_forms(conj, gens, n=n)
+    assert got == _symmetric_forms_reference(conj, gens, n)
+
+
+def _kform_reference(m, k):
+    """The invariant k-forms from Fraction systems built one basis k-form
+    at a time with `algebra_action` and `pullback`."""
+    n = m.dimV
+    if k == 0:
+        return [KForm.make(n, 0, [((), 1)])]
+    idxs = list(combinations(range(1, n + 1), k))
+
+    def matrix(op, f):
+        return transpose([op(f, KForm.basis(n, *idx)).coefficient_vector()
+                          for idx in idxs])
+
+    mats = [matrix(algebra_action, a) for a in m.action]
+    mats += [mat_sub(matrix(pullback, f), identity(len(idxs)))
+             for _, f in m.generators]
+    if not mats:
+        return [KForm.basis(n, *idx) for idx in idxs]
+    return [KForm.from_coefficient_vector(n, k, v)
+            for v in intersect_nullspaces(mats)]
+
+
+CATALOG_ROWS = [(e["case"], tuple(e["params"])) for e in load_catalog()]
+
+
+@pytest.mark.parametrize("case,params", CATALOG_ROWS,
+                         ids=[f"{c}{list(p) or ''}" for c, p in CATALOG_ROWS])
+def test_invariant_kforms_match_the_per_form_reference(case, params):
+    mod = build_entry(case, params)
+    for k in range(mod.dimV + 1):
+        assert invariant_kforms(mod, k) == _kform_reference(mod, k), k
+
+
+def test_invariant_kforms_under_rational_generators_match_the_reference():
+    # one rotation generator of the (1, 2)-plane and rational rotations of
+    # it and of the (6, 7)-plane, all conjugated by P: denominators in the
+    # action and in each generator
+    gens, p, pinv = _conjugated_generators(7)
+    rot = [[Fraction(0)] * 7 for _ in range(7)]
+    rot[0][1], rot[1][0] = Fraction(-1), Fraction(1)
+    mod = IsotropyModule(label="rational", dimV=7,
+                         action=[mat_mul(mat_mul(p, rot), pinv)],
+                         gram=identity(7),
+                         generators=[("rot", gens[0]), ("swap", gens[1])])
+    assert any(x.denominator > 1 for _, f in mod.generators
+               for row in f for x in row)
+    for k in range(8):
+        got = invariant_kforms(mod, k)
+        assert got == _kform_reference(mod, k), k
+        assert got
 
 
 # ---------------------------------------------------------------------------

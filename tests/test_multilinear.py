@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forms.linalg import identity, mat_mul
+from g2forms.linalg import identity, mat_mul, transpose
 from g2forms.multilinear import (KForm, algebra_action, basis_vector,
                                  form_from_json, form_to_json, interior,
-                                 pullback, sort_index, wedge)
+                                 lambda_k_action_matrix,
+                                 lambda_k_pullback_matrix, pullback,
+                                 sort_index, wedge)
 
 w = KForm.basis
 
@@ -238,3 +241,52 @@ def test_pullback_of_an_integer_coefficient_form():
     a = KForm(7, 3, {(1, 2, 3): 2, (1, 4, 5): -3})
     m = _seeded_map(random.Random(1), "fraction")
     assert pullback(m, a) == _pullback_reference(m, a)
+
+
+def _per_form_matrix(op, m, k, dim):
+    """The Lambda^k matrix of op(m, .) column by column: one KForm per basis
+    k-form, read back as its coefficient vector."""
+    return transpose([op(m, w(dim, *idx)).coefficient_vector()
+                      for idx in combinations(range(1, dim + 1), k)])
+
+
+def _seeded_square(rng, dim, kind, density):
+    """A dim x dim matrix with about `density` of its entries nonzero: ints
+    in [-4, 4], or Fractions with denominators up to 6."""
+    def entry():
+        if rng.random() > density:
+            return 0 if kind == "int" else Fraction(0)
+        if kind == "int":
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    return [[entry() for _ in range(dim)] for _ in range(dim)]
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_lambda_k_action_matrix_matches_the_per_form_action(dim):
+    rng = random.Random(100 + dim)
+    for k in range(dim + 1):
+        for kind in ("int", "fraction"):
+            for density in (0.3, 1.0):
+                a = _seeded_square(rng, dim, kind, density)
+                got = lambda_k_action_matrix(a, k, dim)
+                assert got == _per_form_matrix(algebra_action, a, k, dim), (
+                    dim, k, kind, density)
+                if kind == "int":
+                    assert all(type(x) is int for row in got for x in row)
+                else:
+                    assert all(type(x) is Fraction
+                               for row in got for x in row if x)
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_lambda_k_pullback_matrix_matches_the_per_form_pullback(dim):
+    rng = random.Random(200 + dim)
+    for k in range(dim + 1):
+        for kind in ("int", "fraction"):
+            f = _seeded_square(rng, dim, kind, 0.5 if dim == 8 else 0.8)
+            got = lambda_k_pullback_matrix(f, k, dim)
+            assert got == _per_form_matrix(pullback, f, k, dim), (
+                dim, k, kind)
+            if kind == "int":
+                assert all(type(x) is int for row in got for x in row)
