@@ -25,13 +25,13 @@ from fractions import Fraction
 from importlib import resources
 
 from .linalg import (charpoly, cleared, det, frac, identity, inverse, mat,
-                     mat_mul, nullspace, solve, transpose)
+                     mat_mul, mat_vec, nullspace, solve, transpose)
 from .liealg import (IsotropyModule, MatrixLieAlgebra,
                      build_algebra, creal, diag_torus_su, generator_v_matrix,
                      invariant_3forms, invariant_dims, invariant_form_types,
-                     irreducible_dims, module_from_action, product_algebra,
-                     reductive_complement, sp_matrix, _czero, _embed_block,
-                     _restrict)
+                     invariant_inner_product, irreducible_dims,
+                     module_from_action, product_algebra,
+                     reductive_complement, sp_matrix, _czero, _embed_block)
 from .multilinear import pullback
 from .stable_forms import annihilator_g2
 
@@ -64,6 +64,19 @@ def compute_su3_in_g2():
                         m[i][j] += x * b[i][j]
         out.append(m)
     return out
+
+
+def _restrict(mats, basis_vecs):
+    """Restrict operators to an invariant subspace given by coordinate rows.
+
+    One batched `solve` against the subspace basis serves every operator.
+    """
+    k = len(basis_vecs)
+    cols = solve(transpose(mat(basis_vecs)),
+                 [mat_vec(a, v) for a in mats for v in basis_vecs])
+    if cols is None:
+        raise AssertionError("subspace is not invariant")
+    return [transpose(cols[i * k:(i + 1) * k]) for i in range(len(mats))]
 
 
 def so3_irrep(dim):
@@ -131,25 +144,6 @@ def orthogonal_algebra_of_form(d):
             a[j][i] = Fraction(-1)
             basis.append(mat_mul(dinv, a))
     return MatrixLieAlgebra(f"so({n};form)", basis)
-
-
-def _invariant_form(action):
-    """The definite invariant symmetric form of an irreducible action."""
-    from .liealg import _invariant_symmetric_forms
-    from .linalg import leading_principal_minors
-
-    sols = _invariant_symmetric_forms(action, [])
-    if len(sols) != 1:
-        raise AssertionError("invariant form is not unique")
-    gram = sols[0]
-    minors = leading_principal_minors(gram)
-    if minors and all(m < 0 if k % 2 == 0 else m > 0
-                      for k, m in enumerate(minors)):
-        gram = [[-x for x in row] for row in gram]
-        minors = leading_principal_minors(gram)
-    if not (minors and all(m > 0 for m in minors)):
-        raise AssertionError("invariant form is not definite")
-    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +391,7 @@ def _case_5ii(k, l, m_par):
 
 def _case_2d():
     action = so3_irrep(5)
-    dform = _invariant_form(action)
+    dform = invariant_inner_product(action)
     g = orthogonal_algebra_of_form(dform)
     h = [mat(a) for a in action]
     return g, h, []

@@ -220,8 +220,9 @@ def cmd_complex_ranks(args):
 
 
 #: the section5 options each analysis reads; any other analysis given one
-#: is a usage error (--seed is shared and left out)
-_SECTION5_OPTIONS = {"closed-scan": ("algebra", "samples"),
+#: is a usage error
+_SECTION5_OPTIONS = {"closed-scan": ("algebra", "samples", "seed"),
+                     "example-429": ("seed",),
                      "nearly-parallel": ("case",)}
 
 
@@ -229,14 +230,16 @@ def cmd_section5(args):
     from . import section5
 
     allowed = _SECTION5_OPTIONS.get(args.analysis, ())
-    for opt in ("case", "algebra", "samples"):
+    for opt in ("case", "algebra", "samples", "seed"):
         if getattr(args, opt) is not None and opt not in allowed:
             print(f"error: --{opt} does not apply to {args.analysis}",
                   file=sys.stderr)
             return 2
-    # the default is filled in after the check, so --emit-config prints it
+    # the defaults are filled in after the check, so --emit-config prints them
     if args.samples is None:
         args.samples = 10_000
+    if args.seed is None:
+        args.seed = 0
     try:
         if args.analysis == "rank-chain":
             report = section5.rank_chain_report()
@@ -328,7 +331,8 @@ def make_parser():
                    help="closed-scan witness budget (default 10000): random "
                         "draws after the grid rays; the scan stops once "
                         "each class is witnessed or excluded")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="closed-scan and example-429 sample seed (default 0)")
     _add_common(p)
     p.set_defaults(func=cmd_section5)
 

@@ -13,10 +13,11 @@ the V-part of the bracket, the restricted inner product, h and V in
 g-coordinates, and any finite component generators.
 
 Everything through `invariant_dims` is exact.  `irreducible_dims` is
-certified: a random self-adjoint commutant element splits V into its
-eigenspaces, whose dimensions are the root multiplicities of its
-characteristic polynomial, and the split is accepted only when a commutant
-dimension count proves every eigenspace irreducible.  `scan_family`, the one
+certified: a random self-adjoint commutant element, the gram's inverse
+times an invariant symmetric form, splits V into its eigenspaces, whose
+dimensions are the root multiplicities of its characteristic polynomial,
+and the split is accepted only when a commutant dimension count proves
+every eigenspace irreducible.  `scan_family`, the one
 scan of a linear family of 3-forms (`invariant_form_types` runs it on the
 invariant family), classifies rational sample forms exactly, and a negative
 is exact when a certificate excludes the class: a common kernel of the
@@ -37,8 +38,9 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .linalg import (charpoly, cleared, frac, identity, intersect_nullspaces,
-                     inverse, mat, mat_mul, mat_sub, mat_vec, nullspace, rank,
-                     root_multiplicities, rref, solve, transpose)
+                     inverse, leading_principal_minors, mat, mat_mul, mat_sub,
+                     mat_vec, nullspace, rank, root_multiplicities, rref,
+                     solve, transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
 from .stable_forms import (classify_hitchin, family_hitchin_map,
@@ -593,26 +595,36 @@ def _check_rep_property(action, h_brackets):
 
 
 def _definite_check(gram):
-    from .linalg import leading_principal_minors
-
-    minors = leading_principal_minors(gram)
+    minors = leading_principal_minors(cleared(gram)[0])
     return minors is not None and all(m > 0 for m in minors)
+
+
+def invariant_inner_product(action):
+    """The unique invariant symmetric form, positive definite.
+
+    Negated when its (0, 0) entry is negative; a ValueError when the form
+    is not unique or not definite.
+    """
+    forms = _invariant_symmetric_forms(action, [])
+    if len(forms) != 1:
+        raise ValueError("invariant inner product is not unique")
+    gram = forms[0]
+    if gram[0][0] < 0:
+        gram = [[-x for x in row] for row in gram]
+    if not _definite_check(gram):
+        raise ValueError("invariant inner product is not definite")
+    return gram
 
 
 def module_from_action(label, action, gram=None) -> IsotropyModule:
     """Module directly from h-action matrices (no ambient pair).
 
     Used for representation-level entries; if no invariant inner product is
-    supplied, one is computed as the unique invariant symmetric form.
+    supplied, `invariant_inner_product` computes it.
     """
     dimv = len(action[0]) if action else 0
     if gram is None:
-        sols = _invariant_symmetric_forms(action, [])
-        if len(sols) != 1:
-            raise ValueError("invariant inner product is not unique")
-        gram = sols[0]
-        d = gram[0][0]
-        gram = [[x / d for x in row] for row in gram]
+        gram = invariant_inner_product(action)
     return IsotropyModule(label=label, dimV=dimv, action=action, gram=gram)
 
 
@@ -738,83 +750,41 @@ def invariant_dims(m: IsotropyModule) -> InvariantDims:
 # irreducible decomposition dimensions
 # ---------------------------------------------------------------------------
 
-def _commutant_selfadjoint(action, gram):
-    """Basis of {C : [C, rho] = 0, C self-adjoint w.r.t. gram}.
-
-    Each action matrix and the gram are cleared to integers first; that
-    scales each block of equations and keeps the kernel.
-    """
-    n = len(gram)
-    rows = []
-    for a, _ in map(cleared, action):
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    if a[i][k] != 0:
-                        row[k * n + j] += a[i][k]
-                    if a[k][j] != 0:
-                        row[i * n + k] -= a[k][j]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    # self-adjointness: (G C)^T = G C
-    gram, _ = cleared(gram)
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [0] * (n * n)
-            for k in range(n):
-                if gram[i][k] != 0:
-                    row[k * n + j] += gram[i][k]
-                if gram[j][k] != 0:
-                    row[k * n + i] -= gram[j][k]
-            if any(x != 0 for x in row):
-                rows.append(row)
-    vecs = nullspace(rows) if rows else []
-    return [[[v[i * n + j] for j in range(n)] for i in range(n)] for v in vecs]
-
-
-def _restrict(mats, basis_vecs):
-    """Restrict operators to an invariant subspace given by coordinate rows.
-
-    One batched `solve` against the subspace basis serves every operator.
-    """
-    k = len(basis_vecs)
-    cols = solve(transpose(mat(basis_vecs)),
-                 [mat_vec(a, v) for a in mats for v in basis_vecs])
-    if cols is None:
-        raise AssertionError("subspace is not invariant")
-    return [transpose(cols[i * k:(i + 1) * k]) for i in range(len(mats))]
-
-
 #: splitter draws before `irreducible_dims` gives up with an AssertionError
 _SPLITTER_DRAWS = 40
 
 
-def _draw_splitter(sa, rng):
-    """A random integer combination of the self-adjoint commutant basis sa,
-    scaled to an integer matrix (scaling keeps eigenspaces and commutant)."""
-    coeffs = [rng.randint(-9, 9) for _ in sa]
-    n = len(sa[0])
-    c = [[sum(cf * s[i][j] for cf, s in zip(coeffs, sa)) for j in range(n)]
+def _draw_splitter(forms, ginv, rng):
+    """G^-1 times a random integer combination of the invariant symmetric
+    forms, an integer matrix: `ginv` is G^-1 cleared to integers, and the
+    scale keeps eigenspaces and commutant."""
+    coeffs = [rng.randint(-9, 9) for _ in forms]
+    n = len(ginv)
+    s = [[sum(cf * f[i][j] for cf, f in zip(coeffs, forms)) for j in range(n)]
          for i in range(n)]
-    return cleared(c)[0]
+    return mat_mul(ginv, s)
 
 
 def irreducible_dims(m: IsotropyModule, seed=0):
     """Multiset of real-irreducible dimensions of the h-action on V; certified.
 
-    Finite generators are ignored.  The trivial isotypic part is the joint
-    kernel of the action and gives the 1s.  Its gram-orthogonal complement
-    W is split by one self-adjoint commutant element C: self-adjoint for a
-    definite form, C is diagonalizable with real eigenvalues, and its
-    eigenspaces E_j are invariant.  Their dimensions, the root
-    multiplicities of charpoly(C), are read by squarefree counting
-    (`root_multiplicities`), with no factoring.  The split is accepted only
-    when the self-adjoint commutant of the action together with C has
+    Finite generators are ignored.  For the invariant definite gram G, X is
+    G-self-adjoint and commutes with the action exactly when S = G X is an
+    invariant symmetric form, so the self-adjoint commutant is G^-1 times
+    `_invariant_symmetric_forms`; that invariance, A^T G + G A = 0 for
+    every action matrix, is checked exactly first (AssertionError
+    otherwise).  One form proves V irreducible.  Otherwise V is split by one
+    commutant element C = G^-1 S, S a random integer combination of the
+    forms: self-adjoint for a definite form, C is diagonalizable with real
+    eigenvalues, and its eigenspaces E_j are invariant.  A generic C has
+    distinct eigenvalues on the trivial isotypic part too, so the same draw
+    splits it into 1s.  The dimensions of the E_j, the root multiplicities
+    of charpoly(C), are read by squarefree counting (`root_multiplicities`),
+    with no factoring.  The split is accepted only when the commutant
+    elements that also commute with C, the G^-1 S' with S' C symmetric, have
     dimension equal to the number of eigenvalues: that dimension is the sum
     over j of dim A_sa(E_j) >= 1, and A_sa(E_j) is the scalars exactly when
-    E_j is irreducible.  A one-dimensional commutant of W proves W
-    irreducible outright.  C is drawn from `random.Random(seed)`; if no draw
+    E_j is irreducible.  C is drawn from `random.Random(seed)`; if no draw
     in `_SPLITTER_DRAWS` certifies, an AssertionError is raised, never a
     coarser answer.  The result is computed once per module and seed and
     kept on the module; a fresh list is returned per call.
@@ -826,29 +796,34 @@ def irreducible_dims(m: IsotropyModule, seed=0):
 
 
 def _irreducible_dims(m, seed):
-    triv = intersect_nullspaces(m.action) if m.action else identity(m.dimV)
-    rest = nullspace(mat_mul(mat(triv), m.gram)) if triv else identity(m.dimV)
-    dims = [1] * len(triv)
-    if rest:
-        acts = _restrict(m.action, rest)
-        gram = _gram_restrict(m.gram, rest)
-        dims += _certified_split(acts, gram, seed)
-    dims.sort()
-    if sum(dims) != m.dimV:
+    n = m.dimV
+    gram, _ = cleared(m.gram)
+    for a, _ in map(cleared, m.action):
+        if any(x + y for r, s in zip(mat_mul(transpose(a), gram),
+                                     mat_mul(gram, a))
+               for x, y in zip(r, s)):
+            raise AssertionError("gram is not invariant under the action")
+    forms = [cleared(s)[0]
+             for s in _invariant_symmetric_forms(m.action, [], n=n)]
+    dims = ([n] if len(forms) == 1 else
+            _certified_split(forms, cleared(inverse(m.gram))[0], seed))
+    if sum(dims) != n:
         raise AssertionError("irreducible dimensions do not add up")
     return dims
 
 
-def _certified_split(acts, gram, seed):
-    """Irreducible dimensions of an action with no trivial summand."""
-    sa = _commutant_selfadjoint(acts, gram)
-    if len(sa) == 1:
-        return [len(gram)]
+def _certified_split(forms, ginv, seed):
+    """The sorted eigenspace dimensions of the first certified splitter."""
+    n = len(ginv)
     rng = random.Random(seed)
     for _ in range(_SPLITTER_DRAWS):
-        c = _draw_splitter(sa, rng)
+        c = _draw_splitter(forms, ginv, rng)
         mults = root_multiplicities(charpoly(c))
-        if len(_commutant_selfadjoint(acts + [c], gram)) == len(mults):
+        # G^-1 S' commutes with C exactly when S' C is symmetric
+        products = [mat_mul(f, c) for f in forms]
+        rows = [[p[i][j] - p[j][i] for p in products]
+                for i in range(n) for j in range(i + 1, n)]
+        if len(forms) - rank(rows) == len(mults):
             return mults
     raise AssertionError(
         f"no certified split in {_SPLITTER_DRAWS} splitter draws")

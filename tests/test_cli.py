@@ -143,6 +143,9 @@ def test_negative_sample_counts_are_usage_errors(args):
     ("nearly-parallel", "--case", "2d", "--algebra", "t7"),
     ("closed-scan", "--case", "2d"),
     ("example-429", "--case", "1"),
+    ("rank-chain", "--seed", "5"),
+    ("coclosed-family", "--seed", "0"),
+    ("nearly-parallel", "--case", "2d", "--seed", "5"),
 ])
 def test_section5_options_of_another_analysis_are_usage_errors(args):
     # an option the analysis does not read is refused, not ignored
@@ -189,6 +192,15 @@ def test_emit_config_and_version_header():
     assert payload["version"]
     assert payload["catalog"]
     assert payload["config"]["case"] == "7"
+
+
+def test_section5_emit_config_prints_the_filled_in_defaults():
+    # --seed and --samples default to None for the usage check and are
+    # filled in before the report, so the effective values are printed
+    code, out, _ = run_cli("section5", "rank-chain", "--emit-config")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["seed"], config["samples"]) == (0, 10_000)
 
 
 def test_csv_format():

@@ -7,22 +7,26 @@ import pytest
 from g2forms.catalog import (_BUILDERS, build_entry, load_catalog,
                              orthogonal_algebra_of_form)
 from g2forms.liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
-                            _check_rep_property, _commutant_selfadjoint,
-                            _invariant_symmetric_forms, _ray_grid,
-                            build_algebra, invariant_3forms, invariant_dims,
-                            invariant_form_types, invariant_kforms,
+                            _check_rep_property, _invariant_symmetric_forms,
+                            _ray_grid, build_algebra, invariant_3forms,
+                            invariant_dims, invariant_form_types,
+                            invariant_inner_product, invariant_kforms,
                             irreducible_dims, kernel_exclusion,
-                            product_algebra, reductive_complement,
-                            schur_exclusion)
+                            module_from_action, product_algebra,
+                            reductive_complement, schur_exclusion)
 from g2forms.linalg import (commutator, identity, intersect_nullspaces,
                             inverse, mat, mat_mul, mat_sub, mat_vec,
-                            nullspace, solve, trace, transpose)
+                            nullspace, rank, solve, trace, transpose)
 from g2forms.multilinear import KForm, algebra_action, pullback
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
                                   classify_hitchin, family_hitchin_map,
                                   hitchin_matrix, primitive_int_vector)
 
 SMALL_SCAN = ScanConfig(grid=400, random=100)
+
+CATALOG = load_catalog()
+CATALOG_ROWS = [(e["case"], tuple(e["params"])) for e in CATALOG]
+CATALOG_IDS = [f"{c}{list(p) or ''}" for c, p in CATALOG_ROWS]
 
 
 @pytest.mark.parametrize("name,dim", [
@@ -291,14 +295,12 @@ def test_3biii_incompatible_weights_fail_the_dimension_law():
     assert not rep["has_definite"] and not rep["has_indefinite"]
 
 
-@pytest.mark.parametrize("case,params", [
-    ("1", ()), ("2ai", ()), ("2aiii", ()), ("4ii", (0, 0)), ("8-su4", ()),
-])
-def test_irreducible_dims_stable_across_seeds(case, params):
-    mod = build_entry(case, params)
-    dims = irreducible_dims(mod, seed=0)
-    for seed in (1, 2):
-        assert irreducible_dims(mod, seed=seed) == dims
+@pytest.mark.parametrize("entry", CATALOG, ids=CATALOG_IDS)
+def test_irreducible_dims_stable_across_seeds(entry):
+    # every shipped row gives its recorded fingerprint at every seed
+    mod = build_entry(entry["case"], tuple(entry["params"]))
+    for seed in range(4):
+        assert irreducible_dims(mod, seed=seed) == entry["expected"]["irr"]
 
 
 def test_irreducible_dims_raises_when_no_draw_certifies(monkeypatch):
@@ -310,9 +312,9 @@ def test_irreducible_dims_raises_when_no_draw_certifies(monkeypatch):
     mod = build_entry("1")
     draws = []
 
-    def scalar(sa, rng):
+    def scalar(forms, ginv, rng):
         draws.append(1)
-        return identity(len(sa[0]))
+        return identity(len(ginv))
 
     monkeypatch.setattr(liealg, "_draw_splitter", scalar)
     with pytest.raises(AssertionError, match="no certified split"):
@@ -325,7 +327,7 @@ def test_irreducible_dims_of_an_irreducible_action_needs_no_draw(
     # a one-dimensional self-adjoint commutant proves irreducibility
     from g2forms import liealg
 
-    def fail(sa, rng):
+    def fail(forms, ginv, rng):
         raise AssertionError("drew a splitter")
 
     monkeypatch.setattr(liealg, "_draw_splitter", fail)
@@ -462,10 +464,63 @@ SO_FORM_ACTIONS = _so_form_actions()
 @pytest.mark.parametrize("label,action,gram", SO_FORM_ACTIONS,
                          ids=[c[0] for c in SO_FORM_ACTIONS])
 def test_commutant_matches_a_fraction_reference(label, action, gram):
+    # for an invariant definite gram G, G^-1 times the invariant symmetric
+    # forms spans the self-adjoint commutant
     assert any(x.denominator > 1 for a in action for row in a for x in row)
-    got = _commutant_selfadjoint(action, gram)
-    assert got == _commutant_reference(action, gram)
-    assert len(got) == {"3+3": 3, "3+1+1": 4}.get(label, 1)
+    ginv = inverse(gram)
+    got = [mat_mul(ginv, s) for s in _invariant_symmetric_forms(action, [])]
+    ref = _commutant_reference(action, gram)
+    assert len(got) == len(ref) == {"3+3": 3, "3+1+1": 4}.get(label, 1)
+    flat = [[x for row in c for x in row] for c in got + ref]
+    assert rank(flat) == rank(flat[:len(got)]) == len(ref)
+
+
+@pytest.mark.parametrize("label,action,gram", SO_FORM_ACTIONS,
+                         ids=[c[0] for c in SO_FORM_ACTIONS])
+def test_irreducible_dims_of_the_so_form_actions(label, action, gram):
+    mod = module_from_action(label, action, gram=gram)
+    assert irreducible_dims(mod) == {"3+3": [3, 3], "3+1+1": [1, 1, 3]}.get(
+        label, [len(gram)])
+
+
+def test_irreducible_dims_of_a_zero_action_are_all_ones():
+    # the whole of V is trivial: one draw splits it into lines
+    zero = [[Fraction(0)] * 4 for _ in range(4)]
+    mod = module_from_action("zero", [zero], gram=_rational_form(4))
+    assert irreducible_dims(mod) == [1, 1, 1, 1]
+
+
+def test_irreducible_dims_refuse_a_gram_that_is_not_invariant():
+    # so(3; D) preserves D, not the (definite) identity
+    label, action, gram = SO_FORM_ACTIONS[0]
+    assert label == "so(3;form)"
+    mod = module_from_action("not invariant", action, gram=identity(3))
+    with pytest.raises(AssertionError, match="gram is not invariant"):
+        irreducible_dims(mod)
+
+
+def test_invariant_inner_product_is_the_positive_unique_form(monkeypatch):
+    from g2forms import liealg
+
+    for label, action, gram in SO_FORM_ACTIONS:
+        if label in ("3+3", "3+1+1"):
+            with pytest.raises(ValueError, match="not unique"):
+                invariant_inner_product(action)
+            continue
+        got = invariant_inner_product(action)
+        scale = got[0][0] / gram[0][0]
+        assert scale > 0
+        assert got == [[scale * x for x in row] for row in gram]
+    # a boost of R^(1,1) keeps only the indefinite diag(1, -1)
+    boost = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    with pytest.raises(ValueError, match="not definite"):
+        invariant_inner_product([boost])
+    # a negative definite solution comes back negated
+    d = _rational_form(3)
+    monkeypatch.setattr(liealg, "_invariant_symmetric_forms",
+                        lambda action, generators: [
+                            [[-x for x in row] for row in d]])
+    assert invariant_inner_product([]) == d
 
 
 def _conjugated_generators(n):
@@ -523,11 +578,7 @@ def _kform_reference(m, k):
             for v in intersect_nullspaces(mats)]
 
 
-CATALOG_ROWS = [(e["case"], tuple(e["params"])) for e in load_catalog()]
-
-
-@pytest.mark.parametrize("case,params", CATALOG_ROWS,
-                         ids=[f"{c}{list(p) or ''}" for c, p in CATALOG_ROWS])
+@pytest.mark.parametrize("case,params", CATALOG_ROWS, ids=CATALOG_IDS)
 def test_invariant_kforms_match_the_per_form_reference(case, params):
     mod = build_entry(case, params)
     for k in range(mod.dimV + 1):
