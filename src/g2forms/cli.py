@@ -1,10 +1,11 @@
 """Command-line interface: classification, catalog checks, rigidity reports.
 
-Exit codes: 2 for malformed input or usage errors; otherwise every command
-exits with the number of failed claims in its report (capped at 125),
-published-value claims not counted, so 0 on success.  All configuration
-comes through flags; with a fixed seed the JSON output is byte-identical
-across runs.
+Each leaf command (`catalog verify`, `section5 rank-chain`, ...) has its own
+parser, which declares exactly the options the leaf reads, and a function
+from its arguments to its report.  Exit codes: 2 for a usage error or a
+refusal (any ValueError); otherwise the number of failed claims in the
+report (capped at 125), published-value claims not counted, so 0 on
+success.  With a fixed seed the JSON output is byte-identical across runs.
 """
 
 import argparse
@@ -19,13 +20,8 @@ from .multilinear import form_from_json
 from .stable_forms import classification_report
 
 
-def _config_dict(args):
-    out = {}
-    for key in ("case", "params", "grid", "random", "seed", "samples",
-                "algebra", "analysis", "format", "jobs"):
-        if hasattr(args, key):
-            out[key] = getattr(args, key)
-    return out
+#: namespace fields that route a command rather than configure it
+_ROUTING = ("command", "action", "report", "emit_config")
 
 
 def emit(report, args):
@@ -36,7 +32,8 @@ def emit(report, args):
         "report": report,
     }
     if getattr(args, "emit_config", False):
-        payload["config"] = _config_dict(args)
+        payload["config"] = {k: v for k, v in vars(args).items()
+                             if k not in _ROUTING}
     fmt = getattr(args, "format", "json")
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2, default=str))
@@ -87,15 +84,12 @@ def _emit_human(report):
 def cmd_classify(args):
     try:
         with open(args.form) as fh:
-            obj = json.load(fh)
-        form = form_from_json(obj)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read form: {exc}", file=sys.stderr)
-        return 2
+            form = form_from_json(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read form: {exc}") from exc
     if form.dim != 7 or form.degree != 3:
-        print("error: classification needs a 3-form on R^7", file=sys.stderr)
-        return 2
-    return emit(classification_report(form), args)
+        raise ValueError("classification needs a 3-form on R^7")
+    return classification_report(form)
 
 
 def _parse_params(text):
@@ -107,26 +101,26 @@ def _parse_params(text):
         raise argparse.ArgumentTypeError(f"bad parameter list: {text!r}")
 
 
-def _count(text):
-    """A non-negative sample count; anything else is a usage error."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _scan_config(args):
-    return ScanConfig(grid=args.grid, random=args.random, seed=args.seed)
+def _at_least(least, what):
+    """The argparse type of an integer count >= `least`."""
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected {what} integer, got {text!r}")
+        return value
+    return count
 
 
 def _select_entries(args):
     """The shipped entries selected by --case and --params.
 
-    Raises ValueError for an unknown case or a parameter instance that is
-    not shipped: its expectations are unknown, and those of another
-    instance do not apply.
+    Raises ValueError for an unknown case, for --params without --case, or
+    for a parameter instance that is not shipped: its expectations are
+    unknown, and those of another instance do not apply.
     """
+    if args.params and not args.case:
+        raise ValueError("--params needs --case")
     entries = load_catalog()
     if args.case:
         entries = [e for e in entries if e["case"] == args.case]
@@ -151,115 +145,53 @@ def _verify_one(payload):
     return verify_entry(entry, config)
 
 
-def cmd_catalog(args):
-    if args.action == "list":
-        entries = load_catalog()
-        report = {"entries": [
-            {"case": e["case"], "params": e.get("params", []),
-             "table": e["table"], "expected": e["expected"]}
-            for e in entries]}
-        return emit(report, args)
-    try:
-        entries = _select_entries(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = _scan_config(args)
-    try:
-        if args.jobs > 1 and len(entries) > 1:
-            import concurrent.futures as cf
+def cmd_catalog_list(args):
+    return {"entries": [
+        {"case": e["case"], "params": e.get("params", []),
+         "table": e["table"], "expected": e["expected"]}
+        for e in load_catalog()]}
 
-            with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                # ordered map keeps the report deterministic
-                reports = list(pool.map(_verify_one,
-                                        [(e, config) for e in entries]))
-        else:
-            reports = [verify_entry(e, config) for e in entries]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return emit({"entries": [r.to_dict() for r in reports]}, args)
+
+def cmd_catalog_verify(args):
+    entries = _select_entries(args)
+    config = ScanConfig(grid=args.grid, random=args.random, seed=args.seed)
+    if args.jobs > 1 and len(entries) > 1:
+        import concurrent.futures as cf
+
+        with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # ordered map keeps the report deterministic
+            reports = list(pool.map(_verify_one,
+                                    [(e, config) for e in entries]))
+    else:
+        reports = [verify_entry(e, config) for e in entries]
+    return {"entries": [r.to_dict() for r in reports]}
 
 
 def cmd_invariants(args):
-    try:
-        mod = build_entry(args.case, args.params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    dims = invariant_dims(mod)
-    report = {"case": args.case, "params": list(args.params),
-              "d1": dims.d1, "d2": dims.d2, "d3": dims.d3,
-              "claims": [claim("d3 = d1 + d2", dims.d1 + dims.d2, dims.d3)]}
-    return emit(report, args)
+    dims = invariant_dims(build_entry(args.case, args.params))
+    return {"case": args.case, "params": list(args.params),
+            "d1": dims.d1, "d2": dims.d2, "d3": dims.d3,
+            "claims": [claim("d3 = d1 + d2", dims.d1 + dims.d2, dims.d3)]}
 
 
 def cmd_complex_ranks(args):
     from .homogeneous import bare_complex, build_complex, complex_ranks
     from .section5 import NAMED_ALGEBRAS
 
-    if args.algebra:
-        if args.algebra not in NAMED_ALGEBRAS:
-            print(f"error: unknown algebra {args.algebra!r}", file=sys.stderr)
-            return 2
+    if args.case is not None:
+        mod, label = build_entry(args.case, args.params), args.case
+    elif args.params:
+        raise ValueError("--params needs --case")
+    elif args.algebra not in NAMED_ALGEBRAS:
+        raise ValueError(f"unknown algebra {args.algebra!r}")
+    else:
         mod = bare_complex(NAMED_ALGEBRAS[args.algebra]())
         label = args.algebra
-    else:
-        try:
-            mod = build_entry(args.case, args.params)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        label = args.case
     ranks = complex_ranks(build_complex(mod))
-    report = {"complex": label,
-              "dims": [r[0] for r in ranks],
-              "ranks": [r[1] for r in ranks],
-              "kernels": [r[2] for r in ranks]}
-    return emit(report, args)
-
-
-#: the section5 options each analysis reads; any other analysis given one
-#: is a usage error
-_SECTION5_OPTIONS = {"closed-scan": ("algebra", "samples", "seed"),
-                     "example-429": ("seed",),
-                     "nearly-parallel": ("case",)}
-
-
-def cmd_section5(args):
-    from . import section5
-
-    allowed = _SECTION5_OPTIONS.get(args.analysis, ())
-    for opt in ("case", "algebra", "samples", "seed"):
-        if getattr(args, opt) is not None and opt not in allowed:
-            print(f"error: --{opt} does not apply to {args.analysis}",
-                  file=sys.stderr)
-            return 2
-    # the defaults are filled in after the check, so --emit-config prints them
-    if args.samples is None:
-        args.samples = 10_000
-    if args.seed is None:
-        args.seed = 0
-    try:
-        if args.analysis == "rank-chain":
-            report = section5.rank_chain_report()
-        elif args.analysis == "coclosed-family":
-            report = section5.coclosed_family_report()
-        elif args.analysis == "closed-scan":
-            report = section5.closed_scan_report(
-                algebra=args.algebra or "su2+t4",
-                samples=args.samples, seed=args.seed)
-        elif args.analysis == "nearly-parallel":
-            report = section5.nearly_parallel_report(args.case or "2d")
-        elif args.analysis == "example-429":
-            report = section5.example_429_report(seed=args.seed)
-        else:
-            print(f"error: unknown analysis {args.analysis!r}", file=sys.stderr)
-            return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return emit(report, args)
+    return {"complex": label,
+            "dims": [r[0] for r in ranks],
+            "ranks": [r[1] for r in ranks],
+            "kernels": [r[2] for r in ranks]}
 
 
 def cmd_octonion_alignment(args):
@@ -272,14 +204,30 @@ def cmd_octonion_alignment(args):
                         "claims": [claim(
                             f"{kind} alignment matches the frozen constant",
                             _FROZEN_ALIGNMENTS[kind], (sigma, signs))]}
-    return emit(report, args)
+    return report
 
 
-def _add_common(p):
+def _section5(name, *options):
+    """The report function of a section5 analysis: `section5.<name>` called
+    with the options the analysis declares, as keyword arguments."""
+    def report(args):
+        from . import section5
+
+        return getattr(section5, name)(
+            **{opt: getattr(args, opt) for opt in options})
+    return report
+
+
+def _leaf(sub, name, report, help=None):
+    """The parser of a leaf command, with the output options and `report`,
+    the function from its parsed arguments to its report."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--format", choices=("json", "csv", "human"),
                    default="json")
     p.add_argument("--emit-config", action="store_true",
                    help="embed the effective configuration in the report")
+    p.set_defaults(report=report)
+    return p
 
 
 def make_parser():
@@ -288,64 +236,68 @@ def make_parser():
         description="Exact classification of stable 3-forms on R^7 and "
                     "verification of the invariant-form catalog")
     sub = ap.add_subparsers(dest="command", required=True)
+    count, workers = _at_least(0, "a non-negative"), _at_least(1, "a positive")
 
-    p = sub.add_parser("classify", help="classify a 3-form from a JSON file")
+    p = _leaf(sub, "classify", cmd_classify,
+              help="classify a 3-form from a JSON file")
     p.add_argument("form")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("catalog", help="list or verify catalog entries")
-    p.add_argument("action", choices=("list", "verify"))
+    catalog = sub.add_parser("catalog", help="list or verify catalog entries")
+    actions = catalog.add_subparsers(dest="action", required=True)
+    _leaf(actions, "list", cmd_catalog_list, help="the shipped table")
+    p = _leaf(actions, "verify", cmd_catalog_verify,
+              help="recompute the invariants of the shipped entries")
     p.add_argument("--case")
     p.add_argument("--params", type=_parse_params, default=())
-    p.add_argument("--grid", type=_count, default=10_000)
-    p.add_argument("--random", type=_count, default=1_000)
+    p.add_argument("--grid", type=count, default=10_000)
+    p.add_argument("--random", type=count, default=1_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=workers, default=1,
                    help="worker processes for entry verification")
-    _add_common(p)
-    p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("invariants",
-                       help="print the invariant dimensions of a case")
+    p = _leaf(sub, "invariants", cmd_invariants,
+              help="print the invariant dimensions of a case")
     p.add_argument("--case", required=True)
     p.add_argument("--params", type=_parse_params, default=())
-    _add_common(p)
-    p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("complex-ranks",
-                       help="exact rank data of an invariant complex")
-    p.add_argument("--case")
+    p = _leaf(sub, "complex-ranks", cmd_complex_ranks,
+              help="exact rank data of an invariant complex")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--case")
+    which.add_argument("--algebra", help="named trivial-isotropy complex")
     p.add_argument("--params", type=_parse_params, default=())
-    p.add_argument("--algebra", help="named trivial-isotropy complex")
-    _add_common(p)
-    p.set_defaults(func=cmd_complex_ranks)
 
-    p = sub.add_parser("section5", help="rigidity analyses")
-    p.add_argument("analysis", choices=("nearly-parallel", "coclosed-family",
-                                        "rank-chain", "closed-scan",
-                                        "example-429"))
-    p.add_argument("--case")
-    p.add_argument("--algebra")
-    p.add_argument("--samples", type=_count,
-                   help="closed-scan witness budget (default 10000): random "
-                        "draws after the grid rays; the scan stops once "
-                        "each class is witnessed or excluded")
-    p.add_argument("--seed", type=int,
-                   help="closed-scan and example-429 sample seed (default 0)")
-    _add_common(p)
-    p.set_defaults(func=cmd_section5)
+    rigidity = sub.add_parser("section5", help="rigidity analyses")
+    analyses = rigidity.add_subparsers(dest="analysis", required=True)
+    _leaf(analyses, "rank-chain", _section5("rank_chain_report"))
+    _leaf(analyses, "coclosed-family", _section5("coclosed_family_report"))
+    p = _leaf(analyses, "closed-scan", _section5(
+        "closed_scan_report", "algebra", "samples", "seed"))
+    p.add_argument("--algebra", default="su2+t4")
+    p.add_argument("--samples", type=count, default=10_000,
+                   help="witness budget: random draws after the grid rays; "
+                        "the scan stops once each class is witnessed or "
+                        "excluded")
+    p.add_argument("--seed", type=int, default=0)
+    p = _leaf(analyses, "nearly-parallel",
+              _section5("nearly_parallel_report", "case"))
+    p.add_argument("--case", default="2d")
+    p = _leaf(analyses, "example-429", _section5("example_429_report", "seed"))
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("octonion-alignment",
-                       help="re-derive the octonion basis alignment")
-    _add_common(p)
-    p.set_defaults(func=cmd_octonion_alignment)
+    _leaf(sub, "octonion-alignment", cmd_octonion_alignment,
+          help="re-derive the octonion basis alignment")
     return ap
 
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        report = args.report(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return emit(report, args)
 
 
 if __name__ == "__main__":

@@ -491,6 +491,13 @@ class IsotropyModule:
         # seed -> tuple of dimensions, filled by `irreducible_dims`
         return {}
 
+    @cached_property
+    def _action_symmetric_forms(self):
+        # the invariant symmetric forms of the action alone, read by
+        # `irreducible_dims` and, without generators, by `invariant_dims`
+        return tuple(_frozen_matrix(s) for s in
+                     _invariant_symmetric_forms(self.action, [], n=self.dimV))
+
     def kernel_dim(self):
         """dim of {X in h : ad(X)|V = 0} -- must be 0 for effective entries."""
         if not self.action:
@@ -741,7 +748,8 @@ def invariant_dims(m: IsotropyModule) -> InvariantDims:
         kill.append(mat_sub(mat(f), identity(m.dimV)))
     d1 = len(intersect_nullspaces(kill)) if kill else m.dimV
     d2 = len(_invariant_symmetric_forms(m.action, [f for _, f in m.generators],
-                                        n=m.dimV))
+                                        n=m.dimV)
+             if m.generators else m._action_symmetric_forms)
     d3 = len(invariant_3forms(m)) if m.dimV == 7 else None
     return InvariantDims(d1=d1, d2=d2, d3=d3)
 
@@ -803,8 +811,7 @@ def _irreducible_dims(m, seed):
                                      mat_mul(gram, a))
                for x, y in zip(r, s)):
             raise AssertionError("gram is not invariant under the action")
-    forms = [cleared(s)[0]
-             for s in _invariant_symmetric_forms(m.action, [], n=n)]
+    forms = [cleared(s)[0] for s in m._action_symmetric_forms]
     dims = ([n] if len(forms) == 1 else
             _certified_split(forms, cleared(inverse(m.gram))[0], seed))
     if sum(dims) != n:

@@ -152,7 +152,7 @@ def test_section5_options_of_another_analysis_are_usage_errors(args):
     code, out, err = run_cli("section5", *args)
     assert code == 2
     assert out == ""
-    assert "does not apply to " + args[0] in err
+    assert "unrecognized arguments" in err
 
 
 def test_closed_scan_reports_its_exact_claims():
@@ -194,13 +194,97 @@ def test_emit_config_and_version_header():
     assert payload["config"]["case"] == "7"
 
 
-def test_section5_emit_config_prints_the_filled_in_defaults():
-    # --seed and --samples default to None for the usage check and are
-    # filled in before the report, so the effective values are printed
-    code, out, _ = run_cli("section5", "rank-chain", "--emit-config")
-    assert code == 0
-    config = json.loads(out)["config"]
-    assert (config["seed"], config["samples"]) == (0, 10_000)
+def test_section5_emit_config_prints_the_filled_in_defaults(capsys):
+    # each analysis prints the defaults of the options it reads, and only
+    # those
+    configs = {}
+    for analysis in ("closed-scan", "example-429", "rank-chain"):
+        code, out = run_main(capsys, "section5", analysis, "--emit-config")
+        assert code == 0
+        configs[analysis] = json.loads(out)["config"]
+    assert (configs["closed-scan"]["samples"],
+            configs["closed-scan"]["seed"]) == (10_000, 0)
+    assert configs["example-429"]["seed"] == 0
+    assert "samples" not in configs["example-429"]
+    assert not {"samples", "seed"} & set(configs["rank-chain"])
+
+
+#: arguments a leaf command needs before it parses
+REQUIRED_ARGS = {"classify": ["form.json"], "invariants": ["--case", "2d"],
+                 "complex-ranks": ["--case", "2d"]}
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) of every leaf of the command tree."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_emit_config_prints_exactly_the_options_a_leaf_declares(capsys):
+    # the config is the parsed namespace, so it cannot drift from the parser
+    leaves = list(_leaves(cli.make_parser()))
+    assert [" ".join(path) for path, _ in leaves] == [
+        "classify", "catalog list", "catalog verify", "invariants",
+        "complex-ranks", "section5 rank-chain", "section5 coclosed-family",
+        "section5 closed-scan", "section5 nearly-parallel",
+        "section5 example-429", "octonion-alignment"]
+    for path, leaf in leaves:
+        argv = [*path, *REQUIRED_ARGS.get(path[0], []), "--emit-config"]
+        args = cli.make_parser().parse_args(argv)
+        cli.emit({}, args)
+        config = json.loads(capsys.readouterr().out)["config"]
+        declared = {a.dest for a in leaf._actions
+                    if a.dest not in ("help", "emit_config")}
+        if path[0] == "section5":
+            declared.add("analysis")
+        assert set(config) == declared, path
+        assert "format" in config
+
+
+def usage_error(capsys, *args):
+    """stderr of a command that argparse refuses with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(args))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    return err
+
+
+def test_catalog_verify_refuses_params_without_case():
+    # the parameters of no case would select nothing, not every row
+    code, out, err = run_cli("catalog", "verify", "--params", "1,3")
+    assert (code, out) == (2, "")
+    assert "--params needs --case" in err
+
+
+def test_catalog_list_refuses_every_verify_option(capsys):
+    for option in ("--case 1", "--params 1,3", "--grid 5", "--random 5",
+                   "--seed 3", "--jobs 2"):
+        err = usage_error(capsys, "catalog", "list", *option.split())
+        assert "unrecognized arguments" in err
+
+
+def test_complex_ranks_takes_one_of_case_and_algebra(capsys):
+    err = usage_error(capsys, "complex-ranks")
+    assert "one of the arguments --case --algebra is required" in err
+    err = usage_error(capsys, "complex-ranks", "--algebra", "su2+t4",
+                      "--case", "1")
+    assert "not allowed with" in err
+    code, out, err = run_cli("complex-ranks", "--algebra", "su2+t4",
+                             "--params", "9,9")
+    assert (code, out) == (2, "")
+    assert "--params needs --case" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_catalog_verify_jobs_must_be_positive(capsys, jobs):
+    err = usage_error(capsys, "catalog", "verify", "--jobs", jobs)
+    assert "expected a positive integer" in err
 
 
 def test_csv_format():
