@@ -159,11 +159,14 @@ def solve(a, bs):
     """One solution x of a x = b for each right-hand side b in bs.
 
     [a | b_1 ... b_m] is reduced once; free variables are set to zero.
-    Returns the list of solutions, or None if any b is inconsistent.
+    Entries of a and of the b are taken as they are, int or Fraction:
+    `rref` clears each row to integers, so an int right-hand side needs
+    no promotion.  Returns the list of solutions (Fractions), or None if
+    any b is inconsistent.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [frac(b[i]) for b in bs] for i in range(rows)]
+    aug = [list(a[i]) + [b[i] for b in bs] for i in range(rows)]
     r, pivots = rref(aug)
     if pivots and pivots[-1] >= cols:
         return None

@@ -1,10 +1,12 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -420,3 +422,26 @@ def test_catalog_verify_jobs_gives_the_same_bytes(monkeypatch, capsys):
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
     assert len(json.loads(runs[0][1])["report"]["entries"]) == 3
+
+
+#: `catalog verify --format json` over all 23 rows at the default scan, as
+#: stdout; a fixture, regenerated only by a change meant to alter the report
+VERIFY_FIXTURE = Path(__file__).parent / "data" / "catalog_verify_default.json"
+
+
+@pytest.fixture(scope="module")
+def default_verify():
+    """(exit code, stdout) of the default `catalog verify`, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["catalog", "verify", "--format", "json"])
+    return code, out.getvalue()
+
+
+def test_catalog_verify_prints_the_committed_report_byte_for_byte(
+        default_verify):
+    assert default_verify[1].encode() == VERIFY_FIXTURE.read_bytes()
+
+
+def test_catalog_verify_of_every_row_exits_0(default_verify):
+    assert default_verify[0] == 0

@@ -1,22 +1,25 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from g2forms.catalog import (_BUILDERS, build_entry, load_catalog,
-                             orthogonal_algebra_of_form)
+from g2forms.catalog import (_BUILDERS, build_entry, candidate_module,
+                             load_catalog, orthogonal_algebra_of_form)
 from g2forms.liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
                             _check_rep_property, _invariant_symmetric_forms,
-                            _ray_grid, build_algebra, invariant_3forms,
-                            invariant_dims, invariant_form_types,
-                            invariant_inner_product, invariant_kforms,
-                            irreducible_dims, kernel_exclusion,
-                            module_from_action, product_algebra,
-                            reductive_complement, schur_exclusion)
+                            _ray_grid, build_algebra, generator_v_matrix,
+                            invariant_3forms, invariant_dims,
+                            invariant_form_types, invariant_inner_product,
+                            invariant_kforms, irreducible_dims,
+                            kernel_exclusion, module_from_action,
+                            product_algebra, reductive_complement,
+                            schur_exclusion)
 from g2forms.linalg import (commutator, identity, intersect_nullspaces,
                             inverse, mat, mat_mul, mat_sub, mat_vec,
-                            nullspace, rank, solve, trace, transpose)
+                            nullspace, rank, rref, solve, trace,
+                            transpose)
 from g2forms.multilinear import KForm, algebra_action, pullback
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
                                   classify_hitchin, family_hitchin_map,
@@ -956,3 +959,251 @@ def test_unclosed_basis_leaves_the_span():
     assert alg.coords([[1, 0], [0, -1]]) is None
     with pytest.raises(ValueError, match="leaves the span"):
         alg.structure_constants()
+
+
+# ---------------------------------------------------------------------------
+# the height-ordered witness grid
+# ---------------------------------------------------------------------------
+
+def _row_grid(d, budget):
+    """The row-by-row walk of the same box: the last coordinate from 0
+    upward, then the next to last, the first varying fastest."""
+    if d == 2:
+        n = max(1, int(math.isqrt(budget) // 2) * 2)
+        return [(p, q) for q in range(0, n + 1) for p in range(-n, n + 1)
+                if (p, q) != (0, 0) and not (q == 0 and p < 0)
+                and math.gcd(abs(p), q) == 1]
+    n = max(1, round(budget ** (1 / 3) / 2) * 2)
+    return [(p, q, r) for r in range(0, n + 1) for q in range(-n, n + 1)
+            for p in range(-n, n + 1)
+            if (p, q, r) != (0, 0, 0)
+            and not (r == 0 and (q < 0 or (q == 0 and p < 0)))
+            and math.gcd(math.gcd(abs(p), abs(q)), r) == 1]
+
+
+def _pair_grid(d):
+    """The d basis directions, then the signed pairs e_i +- e_j."""
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    pairs = [tuple(a + s * b for a, b in zip(units[i], units[j]))
+             for i in range(d) for j in range(i + 1, d) for s in (1, -1)]
+    return units + pairs
+
+
+def _height(v):
+    return max(map(abs, v))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 8, 100, 10_000])
+@pytest.mark.parametrize("d", [2, 3])
+def test_ray_grid_walks_the_row_box_by_height(d, budget):
+    rays = list(_ray_grid(d, budget))
+    assert len(set(rays)) == len(rays)
+    assert set(rays) == set(_row_grid(d, budget))
+    for v in rays:
+        assert math.gcd(*v) == 1, v
+        assert next(x for x in reversed(v) if x) > 0, v
+    heights = [_height(v) for v in rays]
+    assert heights == sorted(heights)
+    # the height-1 shell comes first, whatever the budget
+    assert heights.count(1) == {2: 4, 3: 13}[d]
+    if budget in (0, 10_000):
+        assert len(rays) == {0: {2: 4, 3: 13},
+                             10_000: {2: 12_176, 3: 37_441}}[budget][d]
+
+
+@pytest.mark.parametrize("budget", [0, 100, 10_000])
+@pytest.mark.parametrize("d", [1, 4, 5, 13, 17])
+def test_ray_grid_keeps_its_sequence_off_dimensions_2_and_3(d, budget):
+    expected = [(1,)] if d == 1 else _pair_grid(d)
+    assert list(_ray_grid(d, budget)) == expected
+
+
+def test_every_small_family_is_witnessed_in_the_height_one_shell():
+    # every family of dimension 2 or 3 of the shipped table, candidate
+    # modules included: at the default scan each class left open has a
+    # height-1 witness, found within the height-1 shell
+    shell = {2: 4, 3: 13}
+    seen = set()
+    for e in CATALOG:
+        mod = build_entry(e["case"], tuple(e["params"]))
+        for m in [mod] + [candidate_module(mod, name, fmat)
+                          for name, fmat, _ in mod.pending_generators]:
+            if len(invariant_3forms(m)) not in shell:
+                continue
+            seen.add(m.label)
+            rep = invariant_form_types(m, ScanConfig())
+            assert rep["samples"] <= shell[rep["dim"]], m.label
+            for cls in {"definite", "indefinite"} - set(rep["certificate"]):
+                assert rep[f"has_{cls}"], (m.label, cls)
+                assert _height(rep[f"{cls}_witness"]) == 1, (m.label, cls)
+    assert seen == {"1", "2ai", "2ci", "3aiii", "8-su4", "8-g2xR",
+                    "4ii(0, 0)+B23-swap"}
+
+
+# ---------------------------------------------------------------------------
+# the integer Lie-algebra build against the Fraction reference
+# ---------------------------------------------------------------------------
+
+def _ref_sparse(m):
+    return {(r, c): Fraction(v) for r, row in enumerate(m)
+            for c, v in enumerate(row) if v}
+
+
+def _ref_sparse_mul(a, b):
+    out = {}
+    for (r, k), v in a.items():
+        for (k2, c), w in b.items():
+            if k == k2:
+                out[r, c] = out.get((r, c), 0) + v * w
+    return {rc: v for rc, v in out.items() if v}
+
+
+def _ref_sparse_commutator(a, b):
+    ab, ba = _ref_sparse_mul(a, b), _ref_sparse_mul(b, a)
+    out = {rc: ab.get(rc, 0) - ba.get(rc, 0) for rc in ab.keys() | ba.keys()}
+    return {rc: v for rc, v in out.items() if v}
+
+
+class _FractionAlgebra:
+    """The Fraction build: coordinates through the inverse of the pivot
+    submatrix and an exact span check, the structure constants one
+    coordinate read per commutator, the trace form -tr(b_i b_j) and the
+    bracket on Fraction coordinate vectors."""
+
+    def __init__(self, alg):
+        self.dim, n = alg.dim, alg.size
+        self.basis = [_ref_sparse(b) for b in alg.basis]
+        flat = [[x for row in b for x in row] for b in alg.basis]
+        _, pivots = rref(flat)
+        self.cells = [divmod(p, n) for p in pivots]
+        self.inv = inverse([[flat[r][p] for r in range(self.dim)]
+                            for p in pivots])
+        self.struct = [[None] * self.dim for _ in range(self.dim)]
+        for i in range(self.dim):
+            self.struct[i][i] = [Fraction(0)] * self.dim
+            for j in range(i + 1, self.dim):
+                c = self.coords(_ref_sparse_commutator(self.basis[i],
+                                                       self.basis[j]))
+                self.struct[i][j] = c
+                self.struct[j][i] = [-x for x in c]
+        self.gram = [[-sum((x[r, c] * y.get((c, r), 0) for r, c in x),
+                           Fraction(0)) for y in self.basis]
+                     for x in self.basis]
+
+    def coords(self, x):
+        xp = [(k, x[rc]) for k, rc in enumerate(self.cells) if rc in x]
+        c = [sum((row[k] * v for k, v in xp), Fraction(0)) for row in self.inv]
+        span = {}
+        for ci, b in zip(c, self.basis):
+            for rc, v in b.items():
+                span[rc] = span.get(rc, 0) + ci * v
+        return c if {rc: v for rc, v in span.items() if v} == x else None
+
+    def bracket(self, x, y):
+        out = [Fraction(0)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            for j, yj in ys:
+                s = xi * yj
+                for k, c in enumerate(self.struct[i][j]):
+                    if c:
+                        out[k] += s * c
+        return out
+
+    def complement(self, h_elements):
+        """(action, gram, brackets, h_coords, V_coords) of the split."""
+        hmat = [self.coords(_ref_sparse(x)) for x in h_elements]
+        vvecs = (nullspace([mat_vec(transpose(self.gram), h) for h in hmat])
+                 if hmat else identity(self.dim))
+        hdim, dimv = len(hmat), len(vvecs)
+        basis = hmat + vvecs
+        pairs = list(combinations(range(len(basis)), 2))
+        comps = solve(transpose(basis),
+                      [self.bracket(basis[i], basis[j]) for i, j in pairs])
+        split = dict(zip(pairs, comps))
+        action = [transpose([split[i, j][hdim:]
+                             for j in range(hdim, hdim + dimv)])
+                  for i in range(hdim)]
+        brackets = {(i, j): split[hdim + i, hdim + j][hdim:]
+                    for i, j in combinations(range(dimv), 2)}
+        gram = [[sum(a * b for a, b in zip(mat_vec(self.gram, v), w))
+                 for w in vvecs] for v in vvecs]
+        return action, gram, brackets, hmat, vvecs
+
+    def generator(self, hmat, vvecs, fmat):
+        f = _ref_sparse(fmat)
+        finv = _ref_sparse(inverse(mat(fmat)))
+        adf = transpose([self.coords(_ref_sparse_mul(_ref_sparse_mul(f, b),
+                                                     finv))
+                         for b in self.basis])
+        if hmat:
+            assert solve(transpose(hmat),
+                         [mat_vec(adf, h) for h in hmat]) is not None
+        return transpose(solve(transpose(vvecs),
+                               [mat_vec(adf, v) for v in vvecs]))
+
+
+def _frozen(m):
+    return tuple(tuple(row) for row in m)
+
+
+def _assert_module_matches_the_reference(mod, ref, h_elements, gens):
+    action, gram, brackets, hmat, vvecs = ref.complement(h_elements)
+    assert mod.action == tuple(map(_frozen, action)), mod.label
+    assert mod.gram == _frozen(gram), mod.label
+    assert dict(mod.brackets) == {ij: tuple(c) for ij, c in brackets.items()}
+    assert mod.h_coords == _frozen(hmat) and mod.V_coords == _frozen(vvecs)
+    for name, fmat in gens:
+        vmat = generator_v_matrix(mod.ambient, mod.h_coords, mod.V_coords,
+                                  fmat)
+        assert _frozen(vmat) == _frozen(ref.generator(hmat, vvecs, fmat)), (
+            mod.label, name)
+
+
+@pytest.mark.parametrize("case,params", [
+    r for r in CATALOG_ROWS if r[0] != "so3_7"],
+    ids=[i for i, (c, _) in zip(CATALOG_IDS, CATALOG_ROWS) if c != "so3_7"])
+def test_integer_build_matches_the_fraction_reference(case, params):
+    # the ambient algebra, the module and every generator, accepted or
+    # pending, against the Fraction build
+    g, h, gens = _BUILDERS[case](params)
+    mod = build_entry(case, params)
+    ref = _FractionAlgebra(g)
+    assert mod.ambient.structure_constants() == ref.struct
+    assert mod.ambient.trace_form() == ref.gram
+    assert all(type(x) is Fraction for row in mod.ambient.trace_form()
+               for x in row)
+    assert [mod.ambient.coords(x) for x in h] == [
+        ref.coords(_ref_sparse(x)) for x in h]
+    _assert_module_matches_the_reference(
+        mod, ref, h, [(name, f) for name, f, _ in gens])
+    for name, fmat, _ in mod.pending_generators:
+        cand = candidate_module(mod, name, fmat)
+        assert cand.generators[-1][1] == _frozen(
+            ref.generator(list(mod.h_coords), list(mod.V_coords), fmat))
+
+
+def test_integer_build_of_a_rescaled_basis_matches_the_fraction_reference():
+    # denominators in the basis, in h and in the generator: su(3) with
+    # each basis matrix scaled by its own rational, h = su(2) with each
+    # element rescaled, and a rotation by (3/5, 4/5) of the third complex
+    # coordinate
+    rng = random.Random(3)
+    su3 = build_algebra("su(3)")
+    scales = [Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 7]))
+              for _ in su3.basis]
+    g = MatrixLieAlgebra("scaled su(3)", [
+        [[s * x for x in row] for row in b] for s, b in zip(scales, su3.basis)])
+    h = [[[Fraction(k + 2, 3) * x for x in row] for row in su3.basis[i]]
+         for k, i in enumerate((0, 1, 6))]
+    mod = reductive_complement(g, h, label="scaled")
+    ref = _FractionAlgebra(g)
+    assert g._int_basis[1] > 1
+    assert g.structure_constants() == ref.struct
+    assert g.trace_form() == ref.gram
+    rot = identity(6)
+    rot[4][4] = rot[5][5] = Fraction(3, 5)
+    rot[4][5], rot[5][4] = Fraction(-4, 5), Fraction(4, 5)
+    _assert_module_matches_the_reference(mod, ref, h, [("rot", rot)])

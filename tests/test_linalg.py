@@ -190,6 +190,27 @@ def test_batched_solve_matches_a_per_vector_loop(seed):
     assert seen == {"inconsistent", "singular", "unique"}
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_gives_the_same_fractions_for_int_and_fraction_sides(seed):
+    # int right-hand sides go into the elimination as they are
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        xs = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(2)]
+        bs = [[sum(r * x for r, x in zip(row, xv)) for row in a] for xv in xs]
+        bs += [[rng.randint(-6, 6) for _ in range(rows)]]
+        for sides in (bs[:2], bs):
+            want = solve(mat(a), [[Fraction(x) for x in b] for b in sides])
+            for left in (a, mat(a)):
+                got = solve(left, sides)
+                assert got == want
+                if got is not None:
+                    assert all(type(v) is Fraction for x in got for v in x)
+
+
 def test_inverse_raises_on_a_singular_matrix():
     with pytest.raises(ValueError, match="singular"):
         inverse(mat([[1, 2], [2, 4]]))
