@@ -1163,8 +1163,8 @@ def _assert_module_matches_the_reference(mod, ref, h_elements, gens):
 
 
 @pytest.mark.parametrize("case,params", [
-    r for r in CATALOG_ROWS if r[0] != "so3_7"],
-    ids=[i for i, (c, _) in zip(CATALOG_IDS, CATALOG_ROWS) if c != "so3_7"])
+    pytest.param(c, p, id=i) for (c, p), i in zip(CATALOG_ROWS, CATALOG_IDS)
+    if c != "so3_7"])
 def test_integer_build_matches_the_fraction_reference(case, params):
     # the ambient algebra, the module and every generator, accepted or
     # pending, against the Fraction build
