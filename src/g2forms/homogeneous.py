@@ -25,7 +25,7 @@ from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
                      invariant_3forms, invariant_kforms, scan_family)
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .stable_forms import (Orbit3Class, classify3, classify_hitchin,
-                           dual_ray, family_hitchin_map, hitchin_matrix,
+                           dual_ray, hitchin_matrix,
                            hitchin_ray, hodge_star, star_euclidean)
 
 
@@ -267,7 +267,7 @@ def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
             if co != 0:
                 v = [x + co * y for x, y in zip(v, bv)]
         closed_vecs.append(v)
-    rep = scan_family(family_hitchin_map(cleared(closed_vecs)[0]), config)
+    rep = scan_family(cleared(closed_vecs)[0], config)
     rep.update(closed_dim=len(closed_vecs),
                stable_found=rep["has_definite"] or rep["has_indefinite"])
     return rep
@@ -382,7 +382,9 @@ def _fit_reference(slopes, vals):
     """(m, c, r) with vals = c s^m (s - r) at every slope, c != 0, or None.
 
     Candidates come from three nonzero slopes, where vals / s^m must be
-    linear; only the check at every slope accepts one.
+    linear; only the check at every slope accepts one.  Two such forms of
+    degree <= 56 that agree at the 57 slopes are equal, so the fit is
+    unique.
     """
     pts = [(s, v) for s, v in zip(slopes, vals) if s][:3]
     for m in range(MINOR_DEGREE):
@@ -394,29 +396,6 @@ def _fit_reference(slopes, vals):
         r = sa - ua / c
         if _fits(slopes, vals, m, c, r):
             return m, c, r
-    return None
-
-
-def _fit_minor(slopes, vals, r):
-    """(m, c) with vals = c s^m (s - r) at every slope, m < MINOR_DEGREE.
-
-    m is read from the ratio at two slopes of distinct size; only the check
-    at every slope accepts it.
-    """
-    if not any(vals):
-        return 0, Fraction(0)
-    pts = ((s, Fraction(v) / (s - r)) for s, v in zip(slopes, vals)
-           if s and s != r)
-    sa, wa = next(pts)
-    sb, wb = next(p for p in pts if abs(p[0]) != abs(sa))
-    if wa == 0:
-        return None
-    ratio, step, power = wb / wa, Fraction(sb, sa), Fraction(1)
-    for m in range(MINOR_DEGREE):
-        if power == ratio:
-            c = wa / Fraction(sa) ** m
-            return (m, c) if _fits(slopes, vals, m, c, r) else None
-        power *= step
     return None
 
 
@@ -495,20 +474,23 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     dts = [[a + s * b for a, b in zip(ev.d1, ev.d2)] for s in ev.slopes]
     minors = {i: [dt[i0] * q[i] - dt[i] * q[i0] for dt, q in zip(dts, ev.q)]
               for i in range(n) if i != i0}
-    ref = next((i for i, v in minors.items() if any(v)), None)
-    fit = None if ref is None else _fit_reference(ev.slopes, minors[ref])
-    if fit is None:
+    # the first nonzero minor sets r; every other one must share it
+    terms, r = [], None
+    for i, vals in minors.items():
+        if not any(vals):
+            continue
+        fit = _fit_reference(ev.slopes, vals)
+        if fit is None:
+            raise CertificateRefused(
+                f"minor {i} is not c s^m (s - r) at every slope")
+        if r is not None and fit[2] != r:
+            raise CertificateRefused(
+                f"minor {i} has the root {fit[2]}, not r = {r}")
+        *mc, r = fit
+        terms.append((i, *mc))
+    if r is None:
         raise CertificateRefused(
             "no minor has the form c s^m (s - r) at every slope")
-    r = fit[2]
-    terms = []
-    for i, vals in minors.items():
-        mc = _fit_minor(ev.slopes, vals, r)
-        if mc is None:
-            raise CertificateRefused(
-                f"minor {i} is not c s^m (s - {r}) at every slope")
-        if mc[1]:
-            terms.append((i, *mc))
     f1, f2 = ev.basis
     a, b = ev.d1[i0], ev.d2[i0]
     candidates = [Fraction(0), r] + ([Fraction(-a, b)] if b else []) + [None]

@@ -1084,12 +1084,13 @@ def schur_exclusion(m: IsotropyModule):
     return {"kind": "schur", "irreducible_dims": dims}
 
 
-def scan_family(hitchin, config: ScanConfig = None, module=None):
+def scan_family(bvecs, config: ScanConfig = None, module=None):
     """Decide which stable classes a linear family of 3-forms holds.
 
-    `hitchin` is the family's `FamilyHitchinMap`.  The empty family and the
-    whole space (d = 35, where PHI and PHITILDE are witnesses) are decided
-    at once.  Otherwise the exact exclusions are tried in turn: a common
+    `bvecs` are the family's basis vectors, integer 35-vectors.  The empty
+    family and the whole space (d = 35, where PHI and PHITILDE are
+    witnesses) are decided at once, before the family's `FamilyHitchinMap`
+    is built.  Otherwise the exact exclusions are tried in turn: a common
     kernel (`kernel_exclusion`: every member degenerate); when the joint
     kernel is zero, a common isotropic coordinate subspace
     (`isotropic_exclusion`: no member definite, and no member stable once
@@ -1103,7 +1104,7 @@ def scan_family(hitchin, config: ScanConfig = None, module=None):
     dict; `samples` counts the samples classified.
     """
     config = config or ScanConfig()
-    d = hitchin.dim
+    d = len(bvecs)
     report = {"dim": d, "has_definite": False, "has_indefinite": False,
               "samples": 0, "definite_witness": None, "indefinite_witness": None,
               "certificate": {}}
@@ -1114,6 +1115,7 @@ def scan_family(hitchin, config: ScanConfig = None, module=None):
         report.update(has_definite=True, has_indefinite=True, samples=2,
                       note="full family; reference forms are witnesses")
         return report
+    hitchin = family_hitchin_map(bvecs)
     certificate = report["certificate"]
     kernel = hitchin.common_kernel()
     if kernel:
@@ -1151,10 +1153,8 @@ def scan_family(hitchin, config: ScanConfig = None, module=None):
 
 def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
     """Scan the invariant 3-form family of m for definite and indefinite
-    members: `scan_family` on its Hitchin map, with the Schur obstruction
-    of m.  Returns the scan's report dict.
+    members: `scan_family` on its primitive integer basis vectors, with the
+    Schur obstruction of m.  Returns the scan's report dict.
     """
-    hitchin = family_hitchin_map(
-        [primitive_int_vector(f.coefficient_vector())
-         for f in invariant_3forms(m)])
-    return scan_family(hitchin, config, module=m)
+    return scan_family([primitive_int_vector(f.coefficient_vector())
+                        for f in invariant_3forms(m)], config, module=m)

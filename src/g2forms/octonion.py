@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .linalg import frac, inverse, mat_mul, nullspace
-from .multilinear import KForm, lambda_k_action_matrix
+from .multilinear import KForm, lambda_k_action_matrix, pullback
 from .stable_forms import PHI, PHITILDE
 
 _QTABLE = {
@@ -104,23 +104,6 @@ def multiply(alg: OctonionAlgebra, x, y):
     return alg.multiply(x, y)
 
 
-def signed_perm_pullback(sigma, signs, form: KForm) -> KForm:
-    """Pullback of a form along T e_a = signs[a] * e_{sigma[a]} (fast path).
-
-    (T* f)_{a b c} = s_a s_b s_c f_{sigma(a) sigma(b) sigma(c)}; agrees with
-    multilinear.pullback of the corresponding signed permutation matrix.
-    """
-    pos = {sigma[a]: a + 1 for a in range(len(sigma))}
-    items = []
-    for idx, c in form.terms.items():
-        new = tuple(pos[i] for i in idx)
-        s = 1
-        for a in new:
-            s *= signs[a - 1]
-        items.append((new, c * s))
-    return KForm.make(form.dim, form.degree, items)
-
-
 def derivation_algebra(table):
     """Exact basis of derivations of the 7-dimensional imaginary part.
 
@@ -185,7 +168,8 @@ def _search_alignment(table, target: KForm):
             for s3 in product((1, -1), repeat=3):
                 for s4 in product((1, -1), repeat=4):
                     signs = s3 + s4
-                    if signed_perm_pullback(sigma, signs, ray) == target:
+                    if pullback(_signed_perm_matrix(sigma, signs),
+                                ray) == target:
                         return sigma, signs
     raise AssertionError("no block signed permutation aligns the tables")
 

@@ -7,6 +7,8 @@ number and the exact computation, not a computational failure.  The reports
 spell those out in `notes`.
 """
 
+import math
+import random
 from fractions import Fraction
 
 from .catalog import build_entry, claim
@@ -295,11 +297,20 @@ def example_429_report(npoints=20, seed=0) -> dict:
     rescaled generator PSI2 = psi2 - w4567/3 and the roles of (a, b) swapped
     relative to the printed basis order, the metric display is reproduced
     exactly up to the overall factor 2:
-        g(a PSI2 + b psi1) = 2 [a^2 (2a+3b) g3 + 3 a^3 g4] vol^2
-    and det g vanishes exactly on a (2a + 3b) = 0.
-    """
-    import random as _random
+        g(a PSI2 + b psi1) = 2 [a^2 (2a+3b) g3 + 3 a^3 g4] vol^2.
 
+    The display is proved once, by degree.  gdual is cubic in the 4-form,
+    so each entry of gdual(a PSI2 + b psi1) is a binary cubic in (a, b).
+    At `npoints` seeded samples, all with a != 0, gdual is compared exactly
+    with diag(2a^2(2a+3b) x3, 6a^3 x4); an entry minus its display entry is
+    a^3 times a polynomial of degree <= 3 in b/a, so agreement at 4 distinct
+    slopes b/a makes the display an identity.  Every other claim is read
+    off the proved display, never off a sample: det gdual is the product of
+    the diagonal, 2^7 81 a^18 (2a+3b)^3, which vanishes exactly on the two
+    lines a = 0 and 2a + 3b = 0, and the signatures are the signs of the
+    diagonal at (a, b) = (1, 1) and (1, -1).  Fewer than 4 slopes, or one
+    entry off its display, fails the display and every claim read off it.
+    """
     mod = _so4_module()
     claims = []
     claims.append(claim("block stabilizer dimension", 6, mod.h_dim))
@@ -323,48 +334,33 @@ def example_429_report(npoints=20, seed=0) -> dict:
     claims.append(claim("printed second generator is invariant",
                         False, printed_invariant))
     big_psi2 = psi2 + Fraction(-1, 3) * psi1
-    rng = _random.Random(seed)
     display_ok = True
-    locus_ok = True
-    samples = []
-    seen = set()
-    while len(samples) < npoints:
-        a = Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9))
-        ab = (a[0], a[1] if rng.random() < 0.5 else -a[1])
-        if ab in seen or ab[0] == 0:
-            continue
-        seen.add(ab)
-        samples.append(ab)
-    for a, b in samples:
-        m = metric_from_4form(a * big_psi2 + b * psi1)
-        alpha = 2 * a * a * (2 * a + 3 * b)
-        beta = 6 * a ** 3
-        ok = all(m.gdual[i][i] == (alpha if i < 3 else beta) for i in range(7))
-        ok = ok and all(m.gdual[i][j] == 0
-                        for i in range(7) for j in range(7) if i != j)
-        display_ok = display_ok and ok
-        expected_det = (2 ** 7) * 81 * a ** 18 * (2 * a + 3 * b) ** 3
-        locus_ok = locus_ok and (m.det == expected_det)
+    slopes = set()
+    for a, b in _example_429_samples(npoints, seed):
+        g = metric_from_4form(a * big_psi2 + b * psi1).gdual
+        diag = _display_429(a, b)
+        display_ok = display_ok and all(
+            g[i][j] == (diag[i] if i == j else 0)
+            for i in range(7) for j in range(7))
+        slopes.add(b / a)
+    proved = display_ok and len(slopes) >= 4
     claims.append(claim(
         "metric display holds at sample points (factor 2, roles swapped)",
-        True, display_ok))
+        True, proved))
+    # the determinant of the diagonal display is c a^i (2a+3b)^j, with c the
+    # product of the entries' constants and i, j the sums of their powers
+    consts, a_powers, line_powers = zip(*_DISPLAY_429)
+    det_ok = proved and (math.prod(consts), sum(a_powers),
+                         sum(line_powers)) == (2 ** 7 * 81, 18, 3)
     claims.append(claim("det vanishes exactly on a(2a+3b) = 0",
-                        True, locus_ok))
-    # stability boundary probes on the two lines
-    on_line = [(0, 1), (3, -2)]
-    off_line = [(1, 1), (1, -1), (2, 1)]
-    boundary_ok = all(metric_from_4form(a * big_psi2 + b * psi1).det == 0
-                      for a, b in on_line)
-    interior_ok = all(metric_from_4form(
-        Fraction(a) * big_psi2 + Fraction(b) * psi1).det != 0
-        for a, b in off_line)
-    claims.append(claim("degenerate exactly on the two lines", True,
-                        boundary_ok and interior_ok))
-    sig_pos = _gdual_signature(big_psi2 + psi1)          # a(2a+3b) = 5 > 0
-    sig_neg = _gdual_signature(big_psi2 - psi1)          # a(2a+3b) = -1 < 0
+                        True, det_ok))
+    claims.append(claim("degenerate exactly on the two lines", True, det_ok))
+    # a(2a+3b) is 5 at (1, 1) and -1 at (1, -1)
+    sig_pos = _display_signature(1, 1) if proved else None
+    sig_neg = sorted(_display_signature(1, -1)) if proved else None
     claims.append(claim("positive side is definite", [7, 0], sig_pos))
     claims.append(claim("negative side has split signature {3, 4}",
-                        [3, 4], sorted(sig_neg)))
+                        [3, 4], sig_neg))
     return {
         "claims": claims,
         "resolved_assignment": {
@@ -389,8 +385,31 @@ def example_429_report(npoints=20, seed=0) -> dict:
     }
 
 
-def _gdual_signature(p):
-    from .linalg import symmetric_signature
+#: the diagonal of the display, entry by entry, as c a^i (2a + 3b)^j
+_DISPLAY_429 = ((2, 2, 1),) * 3 + ((6, 3, 0),) * 4
 
-    m = metric_from_4form(p)
-    return list(symmetric_signature(m.gdual))
+
+def _display_429(a, b):
+    return [c * a ** i * (2 * a + 3 * b) ** j for c, i, j in _DISPLAY_429]
+
+
+def _display_signature(a, b):
+    diag = _display_429(a, b)
+    return [sum(x > 0 for x in diag), sum(x < 0 for x in diag)]
+
+
+def _example_429_samples(npoints, seed):
+    """`npoints` distinct rational (a, b) with a != 0, drawn from
+    random.Random(seed): a from [-9, 9], |b| from [1, 9] with a random
+    sign."""
+    rng = random.Random(seed)
+    samples = []
+    seen = set()
+    while len(samples) < npoints:
+        a, b = Fraction(rng.randint(-9, 9)), Fraction(rng.randint(1, 9))
+        ab = (a, b if rng.random() < 0.5 else -b)
+        if ab in seen or a == 0:
+            continue
+        seen.add(ab)
+        samples.append(ab)
+    return samples

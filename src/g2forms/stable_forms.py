@@ -11,7 +11,7 @@ the induced metric and Hodge star (ninth roots are irrational).
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -62,10 +62,16 @@ class HitchinData:
 
 @dataclass(frozen=True)
 class Metric4Data:
-    """Bilinear form on covectors induced by a 4-form, in (w^{1..7})^2 units."""
+    """Bilinear form on covectors induced by a 4-form, in (w^{1..7})^2 units.
+
+    `det` is computed on first read and kept.
+    """
 
     gdual: list
-    det: Fraction
+
+    @cached_property
+    def det(self) -> Fraction:
+        return det(self.gdual)
 
 
 def _perm_sign(seq):
@@ -464,7 +470,7 @@ def metric_from_4form(p: KForm) -> Metric4Data:
                     acc += c * c2 * s * p.terms.get(key, Fraction(0))
             g[i][j] = acc
             g[j][i] = acc
-    return Metric4Data(gdual=g, det=det(g))
+    return Metric4Data(gdual=g)
 
 
 def four_form_volume(p: KForm) -> float:

@@ -445,3 +445,29 @@ def test_catalog_verify_prints_the_committed_report_byte_for_byte(
 
 def test_catalog_verify_of_every_row_exits_0(default_verify):
     assert default_verify[0] == 0
+
+
+#: the float-free reports pinned byte for byte: fixture name -> arguments.
+#: Each fixture is the stdout of `g2forms <arguments> --format json`,
+#: regenerated only by a change meant to alter that report.
+EXACT_REPORTS = {
+    "section5_rank-chain": ("section5", "rank-chain"),
+    "section5_coclosed-family": ("section5", "coclosed-family"),
+    "section5_example-429": ("section5", "example-429", "--seed", "0"),
+    "section5_closed-scan_su2+t4": ("section5", "closed-scan", "--algebra",
+                                    "su2+t4"),
+    "section5_closed-scan_2su2+u1": ("section5", "closed-scan", "--algebra",
+                                     "2su2+u1"),
+    "section5_closed-scan_t7": ("section5", "closed-scan", "--algebra", "t7"),
+    "octonion-alignment": ("octonion-alignment",),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_REPORTS))
+def test_exact_report_prints_the_committed_json_byte_for_byte(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*EXACT_REPORTS[name], "--format", "json"])
+    assert code == 0
+    fixture = Path(__file__).parent / "data" / f"{name}.json"
+    assert out.getvalue().encode() == fixture.read_bytes()

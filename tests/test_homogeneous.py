@@ -340,8 +340,11 @@ def test_isotropic_certificate_on_the_closed_families(su2t4, su2u1, t7):
     assert isotropic_exclusion(t7_map) is None
 
 
-def test_a_corrupted_monomial_entry_on_w_loses_the_certificate(su2t4):
+def test_a_corrupted_monomial_entry_on_w_loses_the_certificate(
+        su2t4, monkeypatch):
     import dataclasses
+
+    from g2forms import liealg
 
     hitchin = _closed_map(su2t4)
     units = [[int(i == j) for j in range(7)] for i in range(7)]
@@ -360,7 +363,8 @@ def test_a_corrupted_monomial_entry_on_w_loses_the_certificate(su2t4):
     assert cert is not None and len(cert["indices"]) == 3
     assert not {3, 4} <= set(cert["indices"])
     assert bad.isotropic([units[i] for i in cert["indices"]])
-    rep = scan_family(bad, SMALL_SCAN)
+    monkeypatch.setattr(liealg, "family_hitchin_map", lambda bvecs: bad)
+    rep = scan_family(cleared(_closed(su2t4))[0], SMALL_SCAN)
     assert set(rep["certificate"]) == {"definite"}
 
 
@@ -636,6 +640,24 @@ def test_pencil_certificate_refuses_a_corrupted_q(pencils, case):
     short = ev._replace(slopes=ev.slopes[:56], q=ev.q[:56], dq=ev.dq[:56])
     with pytest.raises(homogeneous.CertificateRefused, match="56 distinct"):
         homogeneous.certify_pencil(mod, short)
+
+
+@pytest.mark.parametrize("case", ["1", "3aiii"])
+def test_pencil_certificate_refuses_minors_with_two_roots(pencils, case):
+    # dt_i0 is a nonzero constant a on these families, and d vanishes on
+    # 4-form coordinate i, so Q_i(s) = s - 3 makes the minor a (s - 3): of
+    # the form c s^m (s - r) at every slope, with the root 3 != r
+    mod, ev = pencils[case]
+    i0 = next(i for i, (a, b) in enumerate(zip(ev.d1, ev.d2)) if a or b)
+    assert ev.d1[i0] and not ev.d2[i0]
+    i = next(i for i, (a, b) in enumerate(zip(ev.d1, ev.d2))
+             if not a and not b)
+    q = [list(v) for v in ev.q]
+    for qs, s in zip(q, ev.slopes):
+        qs[i] = s - 3
+    bad = ev._replace(q=tuple(map(tuple, q)))
+    with pytest.raises(homogeneous.CertificateRefused, match="not r = "):
+        homogeneous.certify_pencil(mod, bad)
 
 
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))

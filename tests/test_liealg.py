@@ -209,6 +209,20 @@ def test_trivial_isotropy_dims():
     assert len(invariant_3forms(mod)) == 35
 
 
+def test_scan_builds_no_hitchin_map_for_the_empty_or_whole_family(
+        monkeypatch):
+    from g2forms import liealg
+
+    def unused(bvecs):
+        raise AssertionError("the family Hitchin map was built")
+
+    monkeypatch.setattr(liealg, "family_hitchin_map", unused)
+    assert liealg.scan_family([])["samples"] == 0
+    whole = invariant_form_types(build_entry("6i"))
+    assert whole["has_definite"] and whole["has_indefinite"]
+    assert whole["samples"] == 2
+
+
 @pytest.mark.parametrize("case,params,expected", [
     ("1", (), [3, 4]),
     ("2ai", (), [1, 3, 3]),
