@@ -9,8 +9,8 @@ d^2 = 0 holds on invariant forms and is asserted, not assumed.
 Ranks, kernels and every yes/no answer are exact.  Coclosedness and the
 nearly parallel test read the exact `dual_ray`, a positive multiple of the
 Hodge dual, and the rays of a two-parameter family come from an exact
-pencil certificate; only the reported lambda and residual use the float
-`hodge_star` (1e-9 relative tolerance).
+pencil certificate; lambda is reported by its exact, rational ninth power
+beside its real ninth root as a float.  No float star is computed.
 """
 
 import math
@@ -24,9 +24,9 @@ from .linalg import (adjugate, cleared, identity, mat, nullspace, rank, solve,
 from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
                      invariant_3forms, invariant_kforms, scan_family)
 from .multilinear import KForm, algebra_action, pullback, sort_index
-from .stable_forms import (Orbit3Class, classify3, classify_hitchin,
-                           dual_ray, hitchin_matrix,
-                           hitchin_ray, hodge_star, star_euclidean)
+from .stable_forms import (Orbit3Class, _star_on_dual_ray, classify3,
+                           classify_hitchin, dual_ray, hitchin_matrix,
+                           hitchin_ray, star_euclidean)
 
 
 def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
@@ -171,39 +171,51 @@ def complex_ranks(c: InvariantComplex):
 @dataclass(frozen=True)
 class NearlyParallelResult:
     lam: float
+    lam9: Fraction
     residual: float
     is_nearly_parallel: bool
     torsion_free: bool
     orbit: str
 
 
+def _root9(x: Fraction) -> float:
+    """The real ninth root of x, exact when x is a rational's ninth power."""
+    roots = []
+    for n in (abs(x.numerator), x.denominator):  # floor roots, by Newton
+        r = 1 << (n.bit_length() // 9 + 1)
+        while r and (y := (8 * r + n // r ** 8) // 9) < r:
+            r = y
+        roots.append(r)
+    if Fraction(*roots) ** 9 == abs(x):
+        return math.copysign(roots[0] / roots[1], x)
+    return math.copysign(float(abs(x)) ** (1 / 9), x)
+
+
 def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
-    """Is d t = lambda * star t, lambda != 0?  Decided exactly on `dual_ray`.
+    """Is d t = lambda * star t, lambda != 0?  Exact, on star t = kappa Q.
 
-    lambda and the residual are reported from the float star.  Flat input
-    (d t = 0) is torsion-free, never nearly parallel: lambda must be nonzero.
-    One `hitchin_ray` build feeds the class, the exact dual and the metric.
+    With dq = dt.Q, qq = Q.Q, dd = dt.dt, lambda = dq / (kappa qq) has the
+    rational ninth power `lam9` (`_star_on_dual_ray`), the residual
+    |dt - lambda star t| / |dt| is sqrt(1 - dq^2 / (dd qq)), and t is nearly
+    parallel iff dq^2 = dd qq.  Flat input (d t = 0) is torsion-free, never
+    nearly parallel.  One `hitchin_ray` feeds the minor chain and adjugate.
     """
-    import numpy as np
-
     ray = hitchin_ray(t)
     orbit = classify_hitchin(ray[0])
     if orbit is Orbit3Class.DEGENERATE:
         raise ValueError("nearly-parallel check needs a stable form")
     dt = ce_differential(m, t)
     if dt.is_zero():
-        return NearlyParallelResult(lam=0.0, residual=0.0,
+        return NearlyParallelResult(lam=0.0, lam9=Fraction(0), residual=0.0,
                                     is_nearly_parallel=False,
                                     torsion_free=True, orbit=orbit.value)
-    dual = dual_ray(t, ray)
-    st = hodge_star(t, t, ray)
-    dtv = np.array(dt.coefficient_vector(), dtype=float)
-    lam = float(dtv @ st / (st @ st))
-    res = float(np.linalg.norm(dtv - lam * st) / np.linalg.norm(dtv))
+    q, kappa9 = _star_on_dual_ray(t, ray)
+    dq, qq, dd = dt.dot(q), q.dot(q), dt.dot(dt)
+    lam9 = (dq / qq) ** 9 / kappa9
     return NearlyParallelResult(
-        lam=lam, residual=res,
-        is_nearly_parallel=rank([dt.coefficient_vector(),
-                                 dual.coefficient_vector()]) == 1,
+        lam=_root9(lam9), lam9=lam9,
+        residual=math.sqrt(1 - dq * dq / (dd * qq)),
+        is_nearly_parallel=dq * dq == dd * qq,
         torsion_free=False, orbit=orbit.value)
 
 
@@ -516,14 +528,14 @@ def _unit_ray(s, res):
 
     Coefficients (cos th, sin th), 0 <= th < pi, as a unit vector on the
     ray; lambda scales as |t|^(-1/3), so lambda at t is multiplied by
-    (1 + s^2)^(1/6).
+    (1 + s^2)^(1/6).  `lambda9` is the exact lambda^9 at t itself.
     """
     a, b = (0.0, 1.0) if s is None else (1.0, float(s))
     norm = math.hypot(a, b)
     sign = -1.0 if b < 0 else 1.0
     return {"slope": s, "orbit": res.orbit,
             "coeffs": [sign * a / norm, sign * b / norm],
-            "lambda": res.lam * norm ** (1.0 / 3.0),
+            "lambda": res.lam * norm ** (1.0 / 3.0), "lambda9": res.lam9,
             "residual": res.residual}
 
 
@@ -539,7 +551,7 @@ def nearly_parallel_rays(m: IsotropyModule):
     family the rays are those of `pencil_certificate` in the definite cone;
     the certificate proves that no other stable ray is nearly parallel, and
     a family whose members are all degenerate has none.  Returns a list of
-    dicts (coefficients, lambda, residual) with float lambda and residual.
+    dicts (coefficients, float lambda, its exact power lambda9, residual 0).
 
     Degree bounds of the certificate, along t(s) = f1 + s f2: the entries
     of B(s) are cubic in t, so cubic in s, and those of adj B(s), its 6 x 6
@@ -554,8 +566,8 @@ def nearly_parallel_rays(m: IsotropyModule):
     basis = invariant_3forms(m)
     if len(basis) == 1:
         r = nearly_parallel_check(m, basis[0])
-        return [{"coeffs": [1.0], "lambda": r.lam, "residual": r.residual}] \
-            if r.is_nearly_parallel else []
+        return [{"coeffs": [1.0], "lambda": r.lam, "lambda9": r.lam9,
+                 "residual": r.residual}] if r.is_nearly_parallel else []
     if len(basis) != 2:
         raise ValueError("nearly parallel rays need a family of dim 1 or 2")
     return list(pencil_certificate(m).rays)

@@ -234,8 +234,8 @@ def nearly_parallel_report(case="2d") -> dict:
         res = nearly_parallel_check(mod, basis[0])
         two = invariant_2form_analysis(mod)
         report.update({
-            "lambda": res.lam, "residual": res.residual,
-            "orbit": res.orbit,
+            "lambda": res.lam, "lambda9": str(res.lam9),
+            "residual": res.residual, "orbit": res.orbit,
             "claims": [
                 claim("ray is nearly parallel", True, res.is_nearly_parallel),
                 # exact: on a nearly parallel ray dt = lambda star t != 0
@@ -249,7 +249,9 @@ def nearly_parallel_report(case="2d") -> dict:
                          for f in basis])
     report.update({
         "rays": [{"coeffs": r["coeffs"], "lambda": r["lambda"],
-                  "residual": r["residual"]} for r in cert.rays],
+                  "lambda9": str(r["lambda9"]), "residual": r["residual"],
+                  "slope": "infinity" if r["slope"] is None
+                  else str(r["slope"])} for r in cert.rays],
         "certificate": cert.to_json(),
         "claims": [
             claim("exactly one nearly parallel ray in the definite cone",
@@ -401,7 +403,9 @@ def _display_signature(a, b):
 def _example_429_samples(npoints, seed):
     """`npoints` distinct rational (a, b) with a != 0, drawn from
     random.Random(seed): a from [-9, 9], |b| from [1, 9] with a random
-    sign."""
+    sign.  There are 18 * 18 such pairs, so 1 <= npoints <= 324."""
+    if not 1 <= npoints <= 18 * 18:
+        raise ValueError(f"npoints {npoints} is not in [1, 324]")
     rng = random.Random(seed)
     samples = []
     seen = set()

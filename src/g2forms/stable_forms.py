@@ -6,7 +6,7 @@ A 3-form t is stable when the symmetric bilinear form
 is nondegenerate.  Its signature separates the two open GL(R^7)-orbits:
 (7,0)/(0,7) for the definite orbit, (4,3)/(3,4) for the indefinite one.
 All classification decisions here are exact; floating point only enters
-the induced metric and Hodge star (ninth roots are irrational).
+the float metric and Hodge star, kept as references for the exact dual.
 """
 
 import math
@@ -345,7 +345,7 @@ def classify3(t: KForm) -> Orbit3Class:
 _METRIC_CONST = 6  # pinned by the phi -> identity-metric oracle
 
 
-def metric_from_3form(t: KForm, ray=None):
+def metric_from_3form(t: KForm):
     """Metric (numpy array) and volume of a stable 3-form; ninth roots appear.
 
     g = sign(det B) B / (6^(2/9) |det B|^(1/9)), so the definite reference
@@ -353,12 +353,12 @@ def metric_from_3form(t: KForm, ray=None):
     (3,4), and det B < 0 exactly for (0,7) and (4,3): the sign makes the
     definite metric positive and gives the indefinite one signature (3, 4).
     B and det B are exact rescalings of the integer matrix of t's ray, so
-    each float is the correctly rounded value of the exact rational.  `ray`
-    is t's `hitchin_ray` when the caller already has it.
+    each float is the correctly rounded value of the exact rational.  Kept
+    as the float reference for `_star_on_dual_ray`.
     """
     import numpy as np
 
-    b, detb = _rescale(*(ray or hitchin_ray(t)))
+    b, detb = _rescale(*hitchin_ray(t))
     if detb == 0:
         raise ValueError("degenerate 3-form has no metric")
     scale = float(_METRIC_CONST) ** (2.0 / 9.0) * float(abs(detb)) ** (1.0 / 9.0)
@@ -368,21 +368,20 @@ def metric_from_3form(t: KForm, ray=None):
     return g, math.sqrt(abs(np.linalg.det(g)))
 
 
-def hodge_star(a: KForm, t: KForm, ray=None):
+def hodge_star(a: KForm, t: KForm):
     """Hodge star of a w.r.t. the metric and orientation of the stable form t.
 
     Returns a float numpy vector over the sorted (7-k)-subset basis:
     vol * x @ Lambda^k(g^-1), the compound matrix of k-minors, followed by
     the complement map e^J -> eps(J, comp J) e^{comp J}.  Complementing
     reverses the lexicographic order of the subsets.  Assertions that depend
-    on this should use a relative tolerance around 1e-9.  `ray` is passed
-    on to `metric_from_3form`.
+    on this should use a relative tolerance around 1e-9.
     """
     import numpy as np
 
     if not isinstance(a, KForm):
         raise TypeError("hodge_star expects an exact KForm input")
-    g, volume = metric_from_3form(t, ray)
+    g, volume = metric_from_3form(t)
     k = a.degree
     ksets = list(combinations(range(1, DIM + 1), k))
     idx = np.array(ksets, dtype=int).reshape(len(ksets), k) - 1
@@ -415,25 +414,30 @@ def star_euclidean(a: KForm) -> KForm:
 PSI4 = star_euclidean(PHI)
 
 
-def dual_ray(t: KForm, ray=None):
-    """An exact 4-form on the ray of star t (`hodge_star`); None if degenerate.
+def _star_on_dual_ray(t: KForm, ray=None):
+    """(Q, kappa^9) with star t = kappa Q, kappa > 0; None if degenerate.
 
-    star t = vol C(t @ Lambda^3(g^-1)) with vol > 0, C the signed complement
-    of `star_euclidean`, g^-1 = 6^(2/9) |det B|^(1/9) s B^-1 and s = sign det B
-    (`metric_from_3form`).  With t = scale x (`hitchin_ray`), s B^-1 is
-    adj(Bx) / (scale^3 |det Bx|) and Lambda^3 is cubic, so star t is
-    c star_euclidean(pullback(M, t)), c > 0, M the primitive integer matrix
-    on the ray of adj(Bx) (`linalg.adjugate`, one integer elimination).
-    The ninth roots sit in c alone.  `ray` is t's `hitchin_ray` when the
-    caller already has it.
+    star t = vol C(t @ Lambda^3(g^-1)), vol > 0, C the signed complement of
+    `star_euclidean` and g^-1 = 6^(2/9) |det B|^(1/9) sign(det B) B^-1
+    (`metric_from_3form`).  With t = scale x (`hitchin_ray`) and
+    adj(Bx) = c M, M primitive (one integer `adjugate`), this gives
+    Q = star_euclidean(pullback(M, t)) and the rational
+    kappa^9 = scale^3 c^27 / (6 |det Bx|^23).  `ray`: t's `hitchin_ray`.
     """
-    bx, _ = ray or hitchin_ray(t)
+    bx, scale = ray or hitchin_ray(t)
     detbx, adj = adjugate(bx)
     if detbx == 0:
         return None
-    adj, _ = primitive_ray([x for row in adj for x in row])
-    return star_euclidean(pullback([adj[i:i + DIM]
-                                    for i in range(0, DIM * DIM, DIM)], t))
+    adj, c = primitive_ray([x for row in adj for x in row])
+    q = star_euclidean(pullback([adj[i:i + DIM]
+                                 for i in range(0, DIM * DIM, DIM)], t))
+    return q, scale ** 3 * c ** 27 / (_METRIC_CONST * abs(detbx) ** 23)
+
+
+def dual_ray(t: KForm):
+    """The exact Q on the ray of star t (`_star_on_dual_ray`), or None."""
+    star = _star_on_dual_ray(t)
+    return None if star is None else star[0]
 
 
 def metric_from_4form(p: KForm) -> Metric4Data:

@@ -348,6 +348,29 @@ CLAIM_COMMANDS = [
 ]
 
 
+def test_every_claim_command_runs_without_numpy():
+    # no claim rests on float linear algebra: with numpy blocked, every
+    # command exits as it does with numpy (0; see the test below)
+    code = ("import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from g2forms import cli\n"
+            "codes = []\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            codes.append(cli.main(args))\n"
+            "        except ImportError as exc:\n"
+            "            codes.append(repr(exc))\n"
+            "print(json.dumps(codes))\n")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           json.dumps(CLAIM_COMMANDS)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert dict(zip(map(" ".join, CLAIM_COMMANDS),
+                    json.loads(proc.stdout))) == \
+        {" ".join(args): 0 for args in CLAIM_COMMANDS}
+
+
 def run_main(capsys, *args):
     code = cli.main(list(args))
     return code, capsys.readouterr().out
@@ -459,6 +482,9 @@ EXACT_REPORTS = {
     "section5_closed-scan_2su2+u1": ("section5", "closed-scan", "--algebra",
                                      "2su2+u1"),
     "section5_closed-scan_t7": ("section5", "closed-scan", "--algebra", "t7"),
+    **{f"section5_nearly-parallel_{case}": ("section5", "nearly-parallel",
+                                           "--case", case)
+       for case in ("2d", "7", "1", "2ci", "3aiii")},
     "octonion-alignment": ("octonion-alignment",),
 }
 

@@ -1,3 +1,6 @@
+import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -75,3 +78,36 @@ def test_example_429_det_formula_is_the_determinant_of_gdual():
     for a, b in _fractions([(1, 1), (1, -1), (2, -7), (3, -2), (0, 1)]):
         m = metric_from_4form(a * big_psi2 + b * psi1)
         assert m.det == 2 ** 7 * 81 * a ** 18 * (2 * a + 3 * b) ** 3
+
+
+@pytest.mark.parametrize("case", ["1", "2ci", "3aiii"])
+def test_pencil_ray_lambda_is_read_off_its_slope_and_lambda9(case):
+    # lambda9 is that of t = f1 + s f2; at unit coefficients lambda picks up
+    # (1 + s^2)^(1/6), since lambda scales as |t|^(-1/3)
+    (ray,) = section5.nearly_parallel_report(case)["rays"]
+    lam9 = Fraction(ray["lambda9"])
+    root = math.copysign(float(abs(lam9)) ** (1 / 9), lam9)
+    norm2 = 1 if ray["slope"] == "infinity" else \
+        1 + Fraction(ray["slope"]) ** 2
+    assert ray["lambda"] == pytest.approx(root * float(norm2) ** (1 / 6),
+                                          rel=1e-12)
+    assert ray["residual"] == 0.0
+
+
+def test_example_429_refuses_more_points_than_distinct_pairs():
+    # a from [-9, 9] \ {0} and b from +-[1, 9] give 18 * 18 = 324 pairs; a
+    # draw of more could never end, so the refusal runs under a timeout in
+    # its own process
+    code = ("from g2forms import section5\n"
+            "try:\n"
+            "    section5.example_429_report(npoints=325)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "325" in proc.stdout
+    with pytest.raises(ValueError):
+        section5._example_429_samples(0, 0)
+    samples = section5._example_429_samples(324, 0)
+    assert len(set(samples)) == 324 and all(a != 0 for a, _ in samples)
