@@ -4,9 +4,10 @@ Each entry names a pair (g, h) with dim g - dim h = 7, default integer
 parameters where the family has them, finite component generators, and the
 expected invariants: (d1, d2, d3), the real-irreducible dimension
 fingerprint, and whether the invariant 3-form family contains definite and
-indefinite members.  Entries live in data/catalog.json; `build_entry`
-interprets the recipes, `verify_entry` recomputes everything exactly and
-compares.
+indefinite members.  Entries live in data/catalog.json; each case's
+builder in `_BUILDERS` takes its parameters and assembles the pair from
+the liealg constructors, `build_entry` turns it into the isotropy module,
+and `verify_entry` recomputes everything exactly and compares.
 
 Generator expectations:
   accepted  -- included in the module; must normalize the pair and preserve
@@ -18,6 +19,7 @@ Generator expectations:
   detneg    -- shadow check only: det of the V-action is negative
 """
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -31,7 +33,8 @@ from .liealg import (IsotropyModule, MatrixLieAlgebra,
                      invariant_3forms, invariant_dims, invariant_form_types,
                      invariant_inner_product, irreducible_dims,
                      module_from_action, product_algebra,
-                     reductive_complement, sp_matrix, _czero, _embed_block)
+                     reductive_complement, rotation_block, so_basis, sp_basis,
+                     sp_matrix, su_basis, _czero, _embed_block)
 from .multilinear import pullback
 from .stable_forms import annihilator_g2
 
@@ -42,28 +45,27 @@ from .stable_forms import annihilator_g2
 
 def compute_g2_algebra() -> MatrixLieAlgebra:
     """The 14-dimensional annihilator of the definite reference form."""
-    alg = MatrixLieAlgebra("g2", [mat(b) for b in annihilator_g2()])
-    return alg
+    return MatrixLieAlgebra("g2", [mat(b) for b in annihilator_g2()])
 
 
 def compute_su3_in_g2():
     """Basis of the annihilator elements killing e_1: an su(3), dimension 8."""
     g2 = annihilator_g2()
-    cols = []
-    for b in g2:
-        cols.append([b[i][0] for i in range(7)] + [b[0][j] for j in range(7)])
-    rows = transpose(cols)
-    coeffs = nullspace(rows)
-    out = []
-    for c in coeffs:
-        m = [[Fraction(0)] * 7 for _ in range(7)]
-        for x, b in zip(c, g2):
-            if x:
-                for i in range(7):
-                    for j in range(7):
-                        m[i][j] += x * b[i][j]
-        out.append(m)
-    return out
+    rows = transpose([[b[i][0] for i in range(7)] + list(b[0]) for b in g2])
+    return [_combination(c, g2) for c in nullspace(rows)]
+
+
+def su2_t4_compact() -> MatrixLieAlgebra:
+    """su(2) + t(4): the ambient algebra of 6ii, and section5's su2+t4."""
+    return product_algebra("su(2)+t(4)",
+                           [build_algebra("su(2)"), build_algebra("t(4)")])
+
+
+def two_su2_u1() -> MatrixLieAlgebra:
+    """2su(2) + u(1): the ambient algebra of 6iii, and section5's 2su2+u1."""
+    return product_algebra("2su(2)+u(1)",
+                           [build_algebra("su(2)"), build_algebra("su(2)"),
+                            build_algebra("u(1)")])
 
 
 def _restrict(mats, basis_vecs):
@@ -170,31 +172,22 @@ def _block_diag(blocks):
     return out
 
 
+def _combination(coeffs, mats):
+    """The matrix sum of c m over the paired coefficients and matrices."""
+    n = len(mats[0])
+    return [[sum(c * m[i][j] for c, m in zip(coeffs, mats)) for j in range(n)]
+            for i in range(n)]
+
+
 def _sp2_unit_quaternion_block2(q):
     """Sp(2) element: identity on the first quaternion slot, q on the second.
 
-    In the complex realization [[A, B], [-conj B, conj A]] the second slot is
-    the index pair (2, 4); a unit quaternion a+bi+cj+dk acts there as
-    [[a+bi, c+di], [-c+di, a-bi]].
+    A unit quaternion a+bi+cj+dk on the second slot is A = diag(1, a+bi),
+    B = diag(0, c+di) in the realization [[A, B], [-conj B, conj A]].
     """
-    a, b, c, d = [frac(x) for x in q]
-    re, im = identity(4), _czero(4)
-    re[1][1] = a
-    im[1][1] = b
-    re[1][3] = c
-    im[1][3] = d
-    re[3][1] = -c
-    im[3][1] = d
-    re[3][3] = a
-    im[3][3] = -b
-    return creal(re, im)
-
-
-A12_COMPLEX = ([[0, 0], [0, 0]], [[0, 1], [1, 0]])  # [[0, i], [i, 0]]
-
-
-def _a12_real():
-    return creal(mat(A12_COMPLEX[0]), mat(A12_COMPLEX[1]))
+    a, b, c, d = q
+    return sp_matrix([[1, 0], [0, a]], [[0, 0], [0, b]],
+                     [[0, 0], [0, c]], [[0, 0], [0, d]])
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +200,21 @@ TETRAHEDRAL_QUATERNIONS = [(0, 1, 0, 0), (Fraction(1, 2), Fraction(1, 2),
 
 def _sp1_slot_gens(p):
     """The sp(1) summand on quaternion slot p of sp(2), basis (i, j, k)."""
-    out = []
-    for kind in ("i", "j", "k"):
-        are, aim, bre, bim = _czero(2), _czero(2), _czero(2), _czero(2)
-        if kind == "i":
-            aim[p][p] = Fraction(1)
-        elif kind == "j":
-            bre[p][p] = Fraction(1)
-        else:
-            bim[p][p] = Fraction(1)
-        out.append(sp_matrix(are, aim, bre, bim))
-    return out
+    return sp_basis(2)[3 * p:3 * p + 3]
 
 
 def _su2_quaternion_gens():
     """su(2) basis matching (i, j, k) of _sp1_slot_gens, real 4x4."""
-    return [creal(*p) for p in (
-        ([[0, 0], [0, 0]], [[1, 0], [0, -1]]),   # i
-        ([[0, 1], [-1, 0]], [[0, 0], [0, 0]]),   # j
-        ([[0, 0], [0, 0]], [[0, 1], [1, 0]]),    # k
-    )]
+    j, k, i = su_basis(2)
+    return [i, j, k]
 
 
-def _case1():
+def _su3_su2_block_gens(size):
+    """su(2) in the top-left block of su(3), real, padded to size x size."""
+    return [_embed_block(x, size, 0) for x in su_basis(2)]
+
+
+def _case_1():
     sp2 = build_algebra("sp(2)")
     sp1 = build_algebra("su(2)")
     g = product_algebra("sp(2)+sp(1)", [sp2, sp1])
@@ -242,12 +227,7 @@ def _case1():
 def _case_2ai():
     g = build_algebra("so(5)")
     # so(3) on coordinates {3,4,5}
-    h = []
-    for (i, j) in ((2, 3), (2, 4), (3, 4)):
-        m = _czero(5)
-        m[i][j] = Fraction(1)
-        m[j][i] = Fraction(-1)
-        h.append(m)
+    h = [_embed_block(x, 5, 2) for x in so_basis(3)]
     d14 = [[frac(1 if i == j and i == 0 else (-1 if i == j else 0))
             for j in range(5)] for i in range(5)]
     return g, h, [("D14", d14, "accepted")]
@@ -271,14 +251,7 @@ def _case_2aiii():
     su2 = build_algebra("su(2)")
     g = product_algebra("3su(2)+u(1)",
                         [su2, su2, su2, build_algebra("u(1)")])
-    h = []
-    for x in _su2_quaternion_gens():
-        m = [[Fraction(0)] * 14 for _ in range(14)]
-        for blk in range(3):
-            for i in range(4):
-                for j in range(4):
-                    m[4 * blk + i][4 * blk + j] = x[i][j]
-        h.append(m)
+    h = [_block_diag([x, x, x, _czero(2)]) for x in _su2_quaternion_gens()]
     return g, h, []
 
 
@@ -290,22 +263,9 @@ def _case_3bii(k, l):
     h = [_embed_block(x, 10, 0) for x in _sp1_slot_gens(0)]
     # xi1: quaternion i on the second slot; xi2: the external circle
     xi1 = _embed_block(_sp1_slot_gens(1)[0], 10, 0)
-    xi2 = [[Fraction(0)] * 10 for _ in range(10)]
-    xi2[8][9] = Fraction(-1)
-    xi2[9][8] = Fraction(1)
-    h.append([[k * a + l * b for a, b in zip(r1, r2)]
-              for r1, r2 in zip(xi1, xi2)])
+    xi2 = _embed_block(rotation_block(), 10, 8)
+    h.append(_combination((k, l), (xi1, xi2)))
     return g, h, []
-
-
-def _su3_su2_block_gens(size):
-    """su(2) in the top-left block of su(3), real, padded to size x size."""
-    out = []
-    for p in (([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], _czero(3)),
-              (_czero(3), [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-              (_czero(3), [[1, 0, 0], [0, -1, 0], [0, 0, 0]])):
-        out.append(_embed_block(creal(mat(p[0]), mat(p[1])), size, 0))
-    return out
 
 
 def _case_3biii(k, l):
@@ -321,9 +281,8 @@ def _case_3biii(k, l):
     g = product_algebra("su(3)+su(2)", [su3, su2])
     h = _su3_su2_block_gens(10)
     xi1 = _embed_block(diag_torus_su(3, [1, 1, -2]), 10, 0)
-    xi2 = _embed_block(creal(_czero(2), [[1, 0], [0, -1]]), 10, 6)
-    h.append([[k * a + l * b for a, b in zip(r1, r2)]
-              for r1, r2 in zip(xi1, xi2)])
+    xi2 = _embed_block(diag_torus_su(2, [1, -1]), 10, 6)
+    h.append(_combination((k, l), (xi1, xi2)))
     return g, h, []
 
 
@@ -342,29 +301,19 @@ def _case_3aiii():
 def _case_4i():
     su2 = build_algebra("su(2)")
     g = product_algebra("3su(2)", [su2, su2, su2])
-    xi = creal(_czero(2), [[1, 0], [0, -1]])
-    def torus(a, b, c):
-        m = [[Fraction(0)] * 12 for _ in range(12)]
-        for blk, w in enumerate((a, b, c)):
-            for i in range(4):
-                for j in range(4):
-                    m[4 * blk + i][4 * blk + j] += w * xi[i][j]
-        return m
-    h = [torus(0, 1, -1), torus(1, 0, -1)]
-    a12 = _a12_real()
-    triple = _block_diag([a12, a12, a12])
-    return g, h, [("A12-triple", triple, "accepted")]
+    h = [_block_diag([diag_torus_su(2, [w, -w]) for w in weights])
+         for weights in ((0, 1, -1), (1, 0, -1))]
+    a12 = creal(_czero(2), [[0, 1], [1, 0]])  # [[0, i], [i, 0]]
+    return g, h, [("A12-triple", _block_diag([a12] * 3), "accepted")]
 
 
 def _case_4ii(k, m_par):
-    u3 = build_algebra("u(3)")
-    g = u3
+    g = build_algebra("u(3)")
     h = [diag_torus_su(3, [k, k, k + 1]),
          diag_torus_su(3, [m_par, m_par + 1, m_par + 1])]
     gens = []
     coords = (-(m_par + 1), m_par - k, k)
-    singular = len({coords[0], coords[1], coords[2]}) < 3
-    if singular:
+    if len(set(coords)) < 3:
         b23 = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
         gens.append(("B23-swap", creal(mat(b23), _czero(3)), "rejected"))
     return g, h, gens
@@ -373,9 +322,8 @@ def _case_4ii(k, m_par):
 def _case_5i(k, l):
     u2 = build_algebra("u(2)")
     g = product_algebra("u(2)+u(2)", [u2, u2])
-    h = [[a + b for a, b in zip(r1, r2)]
-         for r1, r2 in zip(_embed_block(diag_torus_su(2, [k, k + 1]), 8, 0),
-                           _embed_block(diag_torus_su(2, [l, l + 1]), 8, 4))]
+    h = _block_diag([diag_torus_su(2, [k, k + 1]),
+                     diag_torus_su(2, [l, l + 1])])
     return g, [h], []
 
 
@@ -404,24 +352,9 @@ def _case_7():
 
 
 def _case_8su4():
-    g = build_algebra("su(4)")
-    h = []
-    for p in (([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], _czero(3)),
-              ([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], _czero(3)),
-              ([[0, 0, 0], [0, 0, 1], [0, -1, 0]], _czero(3)),
-              (_czero(3), [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-              (_czero(3), [[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
-              (_czero(3), [[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-              (_czero(3), [[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
-              (_czero(3), [[0, 0, 0], [0, 1, 0], [0, 0, -1]])):
-        a = _czero(4)
-        b = _czero(4)
-        for i in range(3):
-            for j in range(3):
-                a[i][j] = frac(p[0][i][j])
-                b[i][j] = frac(p[1][i][j])
-        h.append(creal(a, b))
-    return g, h, []
+    # su(3) in the top-left block of su(4)
+    return build_algebra("su(4)"), [_embed_block(x, 8, 0)
+                                    for x in su_basis(3)], []
 
 
 def _case_8g2r():
@@ -434,60 +367,58 @@ def _case_8g2r():
     return g, h, [("D7", shadow, "detneg")]
 
 
-def _case_6(which):
-    if which == "6i":
-        return build_algebra("t(7)"), [], []
-    if which == "6ii":
-        g = product_algebra("su(2)+t(4)",
-                            [build_algebra("su(2)"), build_algebra("t(4)")])
-        u = _su2_group_real((0, 1, 0, 0))  # quaternion i: fixes an R^5
-        gen = _block_diag([u, identity(8)])
-        return g, [], [("R5-fixing-rotation", gen, "rejected")]
-    if which == "6iii":
-        g = product_algebra("2su(2)+u(1)",
-                            [build_algebra("su(2)"), build_algebra("su(2)"),
-                             build_algebra("u(1)")])
-        q = (Fraction(3, 5), Fraction(4, 5), 0, 0)
-        qinv = (Fraction(3, 5), Fraction(-4, 5), 0, 0)
-        u, ui = _su2_group_real(q), _su2_group_real(qinv)
-        diag = _block_diag([u, u, identity(2)])
-        cyc = _block_diag([u, ui, identity(2)])
-        return g, [], [("diagonal-rotation", diag, "admits-indefinite"),
-                       ("cyclic-pair-rotation", cyc, "admits-indefinite")]
-    raise ValueError(which)
+def _case_6i():
+    return build_algebra("t(7)"), [], []
 
 
+def _case_6ii():
+    u = _su2_group_real((0, 1, 0, 0))  # quaternion i: fixes an R^5
+    gen = _block_diag([u, identity(8)])
+    return su2_t4_compact(), [], [("R5-fixing-rotation", gen, "rejected")]
+
+
+def _case_6iii():
+    u = _su2_group_real((Fraction(3, 5), Fraction(4, 5), 0, 0))
+    ui = _su2_group_real((Fraction(3, 5), Fraction(-4, 5), 0, 0))
+    diag = _block_diag([u, u, identity(2)])
+    cyc = _block_diag([u, ui, identity(2)])
+    return two_su2_u1(), [], [
+        ("diagonal-rotation", diag, "admits-indefinite"),
+        ("cyclic-pair-rotation", cyc, "admits-indefinite")]
+
+
+#: case -> builder; the builder takes the case's parameters as arguments and
+#: returns (g, h, generators), each generator a (name, matrix, expectation)
 _BUILDERS = {
-    "1": lambda params: _case1(),
-    "2ai": lambda params: _case_2ai(),
-    "2ci": lambda params: _case_2ci(),
-    "2cii": lambda params: _case_2cii(),
-    "2aiii": lambda params: _case_2aiii(),
-    "3bii": lambda params: _case_3bii(*params),
-    "3biii": lambda params: _case_3biii(*params),
-    "3aiii": lambda params: _case_3aiii(),
-    "4i": lambda params: _case_4i(),
-    "4ii": lambda params: _case_4ii(*params),
-    "5i": lambda params: _case_5i(*params),
-    "5ii": lambda params: _case_5ii(*params),
-    "2d": lambda params: _case_2d(),
-    "7": lambda params: _case_7(),
-    "8-su4": lambda params: _case_8su4(),
-    "8-g2xR": lambda params: _case_8g2r(),
-    "6i": lambda params: _case_6("6i"),
-    "6ii": lambda params: _case_6("6ii"),
-    "6iii": lambda params: _case_6("6iii"),
+    "1": _case_1, "2ai": _case_2ai, "2ci": _case_2ci, "2cii": _case_2cii,
+    "2aiii": _case_2aiii, "3bii": _case_3bii, "3biii": _case_3biii,
+    "3aiii": _case_3aiii, "4i": _case_4i, "4ii": _case_4ii, "5i": _case_5i,
+    "5ii": _case_5ii, "2d": _case_2d, "7": _case_7, "8-su4": _case_8su4,
+    "8-g2xR": _case_8g2r, "6i": _case_6i, "6ii": _case_6ii,
+    "6iii": _case_6iii,
 }
 
 
 def build_entry(case_id: str, params=()) -> IsotropyModule:
-    """Isotropy module for a catalog case; accepted generators included."""
+    """Isotropy module for a catalog case; accepted generators included.
+
+    Refuses (ValueError) an unknown case and a parameter list whose length
+    is not the case's parameter count.
+    """
+    params = tuple(params)
+    if case_id == "so3_7":
+        count = 0
+    elif case_id in _BUILDERS:
+        count = len(inspect.signature(_BUILDERS[case_id]).parameters)
+    else:
+        raise ValueError(f"unknown case id: {case_id!r}")
+    if len(params) != count:
+        raise ValueError(f"case {case_id!r} takes {count} parameters, "
+                         f"got {len(params)}")
     if case_id == "so3_7":
         return module_from_action("so3_7", so3_irrep(7))
-    if case_id not in _BUILDERS:
-        raise ValueError(f"unknown case id: {case_id!r}")
-    g, h, gens = _BUILDERS[case_id](tuple(params))
-    label = case_id if not params else f"{case_id}{tuple(params)}"
+    g, h, gens = _BUILDERS[case_id](*params)
+    label = case_id if not params else f"{case_id}{params}"
     mod = reductive_complement(g, h, label=label)
     accepted = tuple(
         (n, generator_v_matrix(g, mod.h_coords, mod.V_coords, f))

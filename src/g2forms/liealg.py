@@ -121,7 +121,8 @@ class MatrixLieAlgebra:
         # columns of adj of the pivot submatrix P (both negated when
         # det P < 0): y = adj x_p solves sum_k y_k B_k = det x for every x
         # in the span, which the exact span check then confirms
-        flat, _ = cleared([_flatten(b) for b in self.basis])
+        cells = [divmod(i, self.size) for i in range(self.size ** 2)]
+        flat = [[b.get(rc, 0) for rc in cells] for b in self._int_basis[0]]
         _, pivots = rref(flat)
         if len(pivots) != self.dim:
             raise ValueError(f"{self.name}: basis is linearly dependent")
@@ -129,7 +130,7 @@ class MatrixLieAlgebra:
         sign = 1 if d > 0 else -1
         cols = [[(r, sign * row[k]) for r, row in enumerate(adj) if row[k]]
                 for k in range(self.dim)]
-        return [divmod(p, self.size) for p in pivots], sign * d, cols
+        return [cells[p] for p in pivots], sign * d, cols
 
     def coords(self, x):
         """Coordinates of an ambient matrix in the basis; None if outside."""

@@ -6,8 +6,9 @@ to Fraction).  `rref`, the one elimination under `rank`, `nullspace`,
 on sparse integer rows and returns Fractions; its output is deterministic
 because the reduced row echelon form is unique, whatever the pivot order.
 The fraction-free routines `det`, `leading_principal_minors` and `charpoly`
-keep an all-int matrix integer, dividing exactly with `//`, and return
-ints; any other input runs over Fractions.  No floating point.
+run one integer recursion each, dividing exactly with `//`: an all-int
+matrix is read as it is and gives ints, and a rational one is cleared once
+to L a and gives the rescaled Fractions.  No floating point.
 """
 
 import math
@@ -184,18 +185,26 @@ def inverse(a):
     return transpose(x)
 
 
+def _integral(a):
+    """(A, L) with a == A / L, A integer: an all-int matrix as it is, with
+    L None; any other cleared once."""
+    if all(isinstance(x, int) for row in a for x in row):
+        return a, None
+    return cleared(a)
+
+
 def _bareiss(a, swap):
-    """Fraction-free (Bareiss) elimination of a square matrix: (pivots, sign).
+    """Fraction-free (Bareiss) elimination of a square int matrix:
+    (pivots, sign), on a working copy of a, every division exact.
 
     The pivots run up to the first zero one.  Without swaps pivot k is the
     leading principal minor of order k + 1; with them a zero pivot is swapped
     for a lower nonzero entry and sign * last pivot is the determinant.
     """
     n = len(a)
-    exact_int = all(isinstance(x, int) for row in a for x in row)
-    m = [list(row) for row in a] if exact_int else mat(a)
+    m = [list(row) for row in a]
     sign = 1
-    prev = 1 if exact_int else ONE
+    prev = 1
     pivots = []
     for k in range(n):
         if swap and m[k][k] == 0:
@@ -209,8 +218,7 @@ def _bareiss(a, swap):
             break
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[i][j] * piv - m[i][k] * m[k][j]
-                m[i][j] = num // prev if exact_int else num / prev
+                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
         prev = piv
     return pivots, sign
 
@@ -218,13 +226,15 @@ def _bareiss(a, swap):
 def det(a):
     """Determinant by fraction-free Bareiss elimination.
 
-    Integer input stays integer (exact divisions) and returns an int;
-    anything else runs over Fractions.
+    Integer input returns an int; a rational a = A / L returns the Fraction
+    det A / L^n.
     """
     if not a:
         return ONE
-    pivots, sign = _bareiss(a, swap=True)
-    return sign * pivots[-1]
+    ints, den = _integral(a)
+    pivots, sign = _bareiss(ints, swap=True)
+    d = sign * pivots[-1]
+    return d if den is None else Fraction(d, den ** len(a))
 
 
 def adjugate(b):
@@ -262,28 +272,28 @@ def adjugate(b):
 def charpoly(a):
     """Coefficients [c_0, ..., c_n] of det(xI - a) = sum c_k x^k (c_n = 1).
 
-    Faddeev-LeVerrier recursion; exact over the rationals.  The coefficients
-    of an integer matrix are integers, so integer input stays integer (the
-    division by k is exact) and returns ints; anything else runs over
-    Fractions.
+    Faddeev-LeVerrier recursion on integers: the coefficients of an integer
+    matrix are integers, so the division by k is exact.  Integer input
+    returns ints; a rational a = A / L returns the Fractions c_k / L^(n-k),
+    c_k the coefficients of A.
     """
     n = len(a)
-    exact_int = all(isinstance(x, int) for row in a for x in row)
-    one, zero = (1, 0) if exact_int else (ONE, ZERO)
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = one
-    m = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    ints, den = _integral(a)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         if k > 1:
-            m = mat_mul(a, m)
+            m = mat_mul(ints, m)
             for i in range(n):
                 m[i][i] += c
-            tr = -trace(mat_mul(a, m))
-            c = tr // k if exact_int else tr / k
+            c = -trace(mat_mul(ints, m)) // k
         else:
-            c = -trace(a)
+            c = -trace(ints)
         coeffs[n - k] = c
-    return coeffs
+    if den is None:
+        return coeffs
+    return [Fraction(c, den ** (n - k)) for k, c in enumerate(coeffs)]
 
 
 def _poly_trim(p):
@@ -356,11 +366,16 @@ def leading_principal_minors(b):
 
     A None return means some leading minor vanishes before the last one; the
     matrix is then certainly not definite, but det must be obtained elsewhere.
-    Integer input stays integer (exact divisions), anything else runs over
-    Fractions.
+    Integer input returns ints; a rational b = B / L returns the Fractions
+    d_k(B) / L^k.
     """
-    minors, _ = _bareiss(b, swap=False)
-    return minors if len(minors) == len(b) else None
+    ints, den = _integral(b)
+    minors, _ = _bareiss(ints, swap=False)
+    if len(minors) != len(b):
+        return None
+    if den is None:
+        return minors
+    return [Fraction(d, den ** k) for k, d in enumerate(minors, 1)]
 
 
 def span_basis(vectors):

@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from .catalog import build_entry, claim
+from .catalog import build_entry, claim, su2_t4_compact, two_su2_u1
 from .homogeneous import (bare_complex, build_complex,
                           ce_differential, coclosed_check,
                           coclosed_stable_family_dim, complex_ranks,
@@ -20,16 +20,11 @@ from .homogeneous import (bare_complex, build_complex,
                           pencil_certificate)
 from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
                      build_algebra, invariant_3forms, invariant_kforms,
-                     module_from_action, product_algebra, _embed_block)
+                     module_from_action, _embed_block)
 from .linalg import identity, rank, solve, transpose
 from .multilinear import KForm, form_to_json
 from .stable_forms import (PHI, PHITILDE, annihilator_of_form, classify3,
                            metric_from_4form, star_euclidean)
-
-
-def su2_t4_compact() -> MatrixLieAlgebra:
-    return product_algebra("su(2)+t(4)",
-                           [build_algebra("su(2)"), build_algebra("t(4)")])
 
 
 def su2_t4_printed_constants() -> MatrixLieAlgebra:
@@ -42,12 +37,6 @@ def su2_t4_printed_constants() -> MatrixLieAlgebra:
     basis = [_embed_block(b, 10, 0) for b in sl2]
     basis += [_embed_block(b, 10, 2) for b in build_algebra("t(4)").basis]
     return MatrixLieAlgebra("sl(2,R)+t(4)", basis)
-
-
-def two_su2_u1() -> MatrixLieAlgebra:
-    return product_algebra("2su(2)+u(1)",
-                           [build_algebra("su(2)"), build_algebra("su(2)"),
-                            build_algebra("u(1)")])
 
 
 #: the trivial-isotropy complexes that can be named on the command line

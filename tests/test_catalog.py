@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from g2forms.catalog import (build_entry, candidate_module, catalog_hash,
-                             compute_g2_algebra, compute_su3_in_g2,
-                             generator_compatibility_report, load_catalog,
-                             so3_irrep, verify_entry)
+from g2forms.catalog import (_BUILDERS, build_entry, candidate_module,
+                             catalog_hash, compute_g2_algebra,
+                             compute_su3_in_g2, generator_compatibility_report,
+                             load_catalog, so3_irrep, verify_entry)
 from g2forms.liealg import ScanConfig, invariant_dims
 from g2forms.linalg import charpoly, commutator, identity, mat_mul
 
@@ -22,6 +22,18 @@ def test_catalog_case_ids_are_closed():
     entries = load_catalog()
     assert {e["case"] for e in entries} == KNOWN_CASES
     assert len(entries) == 23
+
+
+def test_the_json_generator_list_is_the_one_the_builder_returns():
+    # nothing else reads the list in data/catalog.json, so hold it here to
+    # the (name, expectation) pairs of the builders, in order
+    for e in load_catalog():
+        listed = [(g["name"], g["expect"]) for g in e.get("generators", [])]
+        built = []
+        if e["case"] in _BUILDERS:
+            _, _, gens = _BUILDERS[e["case"]](*e.get("params", ()))
+            built = [(name, expect) for name, _, expect in gens]
+        assert listed == built, (e["case"], e.get("params"))
 
 
 def test_catalog_hash_is_stable_len():

@@ -97,6 +97,21 @@ def test_catalog_unknown_case_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    ("invariants --case 3bii", "case '3bii' takes 2 parameters, got 0"),
+    ("complex-ranks --case 4ii", "case '4ii' takes 2 parameters, got 0"),
+    ("invariants --case 1 --params 5", "case '1' takes 0 parameters, got 1"),
+    ("invariants --case so3_7 --params 3",
+     "case 'so3_7' takes 0 parameters, got 1"),
+])
+def test_a_parameter_list_of_another_length_is_refused(args, message):
+    # too few parameters must not end in a traceback, and superfluous ones
+    # must not be ignored under the label of an unshipped instance
+    code, out, err = run_cli(*args.split())
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_invariants_command():
     code, out, _ = run_cli("invariants", "--case", "2d")
     assert code == 0

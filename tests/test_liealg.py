@@ -962,7 +962,7 @@ def test_builder_structure_constants_match_dense_commutators(case):
 
     params = next(tuple(e["params"]) for e in load_catalog()
                   if e["case"] == case)
-    g, _, _ = _BUILDERS[case](params)
+    g, _, _ = _BUILDERS[case](*params)
     _assert_dense_structure_constants(g)
 
 
@@ -1182,7 +1182,7 @@ def _assert_module_matches_the_reference(mod, ref, h_elements, gens):
 def test_integer_build_matches_the_fraction_reference(case, params):
     # the ambient algebra, the module and every generator, accepted or
     # pending, against the Fraction build
-    g, h, gens = _BUILDERS[case](params)
+    g, h, gens = _BUILDERS[case](*params)
     mod = build_entry(case, params)
     ref = _FractionAlgebra(g)
     assert mod.ambient.structure_constants() == ref.struct

@@ -364,6 +364,67 @@ def test_integer_det_agrees_with_fraction_det_on_random_matrices():
             assert type(d) is int and d == det(mat(rows))
 
 
+def _leibniz_det(rows):
+    """det by the permutation expansion: an independent integer reference."""
+    from itertools import permutations
+    from math import prod
+
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rational_input_is_the_rescaled_integer_recursion(seed):
+    # a = B / L with B integer: det a = det B / L^n, d_k(a) = d_k(B) / L^k
+    # and c_k(a) = c_k(B) / L^(n - k); each B quantity from the permutation
+    # expansion, each result a Fraction
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    big = [[rng.randint(-9, 9) + 40 * (i == j) * rng.choice((1, -1))
+            for j in range(n)] for i in range(n)]
+    den = rng.choice((2, 6, 35, 10 ** 6))
+    a = [[Fraction(x, den) for x in row] for row in big]
+    d = det(a)
+    assert type(d) is Fraction and d == Fraction(_leibniz_det(big), den ** n)
+    minors = leading_principal_minors(a)
+    assert all(type(x) is Fraction for x in minors)
+    assert minors == [Fraction(_leibniz_det([row[:k] for row in big[:k]]),
+                               den ** k) for k in range(1, n + 1)]
+    cs = charpoly(a)
+    assert all(type(c) is Fraction for c in cs)
+    # det(t I - a) = det(t L I - B) / L^n at n + 1 points fixes the charpoly
+    for t in range(n + 1):
+        shifted = [[t * den * (i == j) - v for j, v in enumerate(row)]
+                   for i, row in enumerate(big)]
+        assert sum(c * t ** k for k, c in enumerate(cs)) == Fraction(
+            _leibniz_det(shifted), den ** n)
+
+
+def test_an_int_matrix_is_not_cleared_nor_written_and_gives_ints(
+        monkeypatch):
+    from g2forms import linalg
+
+    def no_clearing(rows):
+        raise AssertionError("an int matrix was cleared")
+
+    monkeypatch.setattr(linalg, "cleared", no_clearing)
+    rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]  # zero first pivot: row swap
+    frozen = [list(r) for r in rows]
+    assert det(rows) == _leibniz_det(rows) == -3
+    assert leading_principal_minors(rows) is None
+    assert charpoly(rows)[0] == 3
+    assert rows == frozen
+    tuples = tuple(map(tuple, frozen))
+    assert type(det(tuples)) is int and det(tuples) == -3
+
+
 def _poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
