@@ -179,16 +179,17 @@ def cmd_complex_ranks(args):
     from .section5 import NAMED_ALGEBRAS
 
     if args.case is not None:
-        mod, label = build_entry(args.case, args.params), args.case
+        mod = build_entry(args.case, args.params)
+        label = {"complex": args.case, "params": list(args.params)}
     elif args.params:
         raise ValueError("--params needs --case")
     elif args.algebra not in NAMED_ALGEBRAS:
         raise ValueError(f"unknown algebra {args.algebra!r}")
     else:
         mod = bare_complex(NAMED_ALGEBRAS[args.algebra]())
-        label = args.algebra
+        label = {"complex": args.algebra}
     ranks = complex_ranks(build_complex(mod))
-    return {"complex": label,
+    return {**label,
             "dims": [r[0] for r in ranks],
             "ranks": [r[1] for r in ranks],
             "kernels": [r[2] for r in ranks]}
@@ -275,9 +276,10 @@ def make_parser():
         "closed_scan_report", "algebra", "samples", "seed"))
     p.add_argument("--algebra", default="su2+t4")
     p.add_argument("--samples", type=count, default=10_000,
-                   help="witness budget: random draws after the grid rays; "
-                        "the scan stops once each class is witnessed or "
-                        "excluded")
+                   help="witness budget: random draws after the 10000 "
+                        "rays of the default grid order (by height, then "
+                        "support size); the scan stops once each class is "
+                        "witnessed or excluded")
     p.add_argument("--seed", type=int, default=0)
     p = _leaf(analyses, "nearly-parallel",
               _section5("nearly_parallel_report", "case"))

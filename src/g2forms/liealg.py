@@ -38,7 +38,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 from types import MappingProxyType
 
 from .linalg import (adjugate, charpoly, cleared, frac, identity,
@@ -955,13 +955,10 @@ def _certified_split(forms, ginv, seed):
 
 @dataclass
 class ScanConfig:
-    """The samples of a family scan: the rays of `_ray_grid`, then `random`
-    draws from [-9, 9]^d seeded with `seed`.  `grid` sets the box of rays,
-    walked by height, only for families of dimension 2 or 3 (see
-    `_ray_grid`): 12,176 rays for d = 2 and 37,441 for d = 3 at the
-    default, and a grid of 0 still gives the 4 and 13 rays of height 1.  A
-    family of dimension >= 4 gets its basis directions and signed pairs
-    whatever `grid` says."""
+    """The samples of a family scan: the first `grid` rays of `_ray_grid`,
+    then `random` draws from [-9, 9]^d seeded with `seed`.  The rays come
+    in one order in every dimension, so a witness among them does not
+    depend on `seed`; a grid of 0 gives no rays."""
 
     grid: int = 10_000
     random: int = 1_000
@@ -969,53 +966,38 @@ class ScanConfig:
 
 
 def _ray_grid(d, budget):
-    """Deterministic projective grid of primitive integer rays, lazily.
+    """The first `budget` rays of one deterministic walk of the primitive
+    integer vectors of length d, lazily.
 
-    For d = 2 or 3 `budget` sets the half-width n of a box: n is
-    2 floor(sqrt(budget) / 2) for d = 2 and 2 round(budget^(1/3) / 2) for
-    d = 3, at least 1.  The grid is every primitive integer vector with
-    max |coeff| <= n whose last nonzero coordinate is positive (a ray and
-    its negative have the same class), walked by height shells,
-    max |coeff| = 1, 2, ..., n (`_height_shell`).  At the default 10,000,
-    n is 100 for d = 2 (12,176 rays) and 22 for d = 3 (37,441 rays); a
-    budget of 0 still walks the height-1 shell, 4 rays for d = 2 and 13 for
-    d = 3.  For d = 1 the one ray (1,).  For d >= 4 `budget` is ignored:
-    the d basis directions and the d(d - 1) signed pairs e_i +- e_j.
+    A ray and its negative have the same class, so each ray is taken with
+    its last nonzero coordinate positive.  The walk visits the height
+    shells max |coeff| = h = 1, 2, ... in turn.  Inside a shell the rays go
+    by support size, from d down to 1, so the full-support sign vectors
+    come first; inside one support size the supports come in `combinations`
+    order and the entries in `product` order over the nonzero values of
+    [-h, h], the last entry running over 1..h and varying fastest.  A shell
+    with no ray ends the walk, which for d = 1 leaves the one ray (1,).
     """
-    if d == 1:
-        yield (1,)
-        return
-    if d in (2, 3):
-        n = (math.isqrt(budget) // 2 if d == 2
-             else round(budget ** (1 / 3) / 2)) * 2
-        for h in range(1, max(1, n) + 1):
-            yield from _height_shell(d, h)
-        return
-    # high-dimensional families: basis directions and signed pairs only
-    for i in range(d):
-        v = [0] * d
-        v[i] = 1
-        yield tuple(v)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for s in (1, -1):
-                v = [0] * d
-                v[i] = 1
-                v[j] = s
-                yield tuple(v)
-
-
-def _height_shell(d, h):
-    """The primitive integer vectors of height max |coeff| = h whose last
-    nonzero coordinate is positive, row by row: the last coordinate from 0
-    upward, then the next to last, the first coordinate varying fastest."""
-    full = range(-h, h + 1)
-    for row in product(range(h + 1), *[full] * (d - 2)):
-        firsts = full if h in map(abs, row) else (-h, h)
-        for p in firsts:
-            v = (p, *reversed(row))
-            if next(x for x in reversed(v) if x) > 0 and math.gcd(*v) == 1:
-                yield v
+    def walk():
+        for h in count(1):
+            nonzero = [x for x in range(-h, h + 1) if x]
+            empty = True
+            for size in range(d, 0, -1):
+                for support in combinations(range(d), size):
+                    for head in product(nonzero, repeat=size - 1):
+                        # below height h the last entry must be h itself
+                        high = h in map(abs, head)
+                        for last in range(1, h + 1) if high else (h,):
+                            if math.gcd(*head, last) != 1:
+                                continue
+                            v = [0] * d
+                            for i, x in zip(support, (*head, last)):
+                                v[i] = x
+                            empty = False
+                            yield tuple(v)
+            if empty:
+                return
+    return islice(walk(), budget)
 
 
 def _scan_samples(d, config):

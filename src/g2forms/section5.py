@@ -167,7 +167,8 @@ def coclosed_family_report() -> dict:
 def closed_scan_report(algebra="su2+t4", samples=10_000, seed=0) -> dict:
     """Which stable classes the closed invariant 3-forms of a trivial-
     isotropy complex hold: `closed_stable_scan` with `samples` random draws
-    at `seed` after the grid rays, stopping at witnesses or exclusions.
+    at `seed` after the default grid rays, stopping at witnesses or
+    exclusions.
 
     On su2+t4 = s + r (s = su(2), r = t4 = span(e4..e7)) the negative is
     exact.  d is injective on s* (x) Lambda^2 r*, because d: s* ->
@@ -182,7 +183,8 @@ def closed_scan_report(algebra="su2+t4", samples=10_000, seed=0) -> dict:
     invariant 3-form is degenerate; the isotropic certificate finds r as
     the coordinates e4..e7 of all 72 monomial matrices.  On 2su2+u1 the
     certificate finds e7 isotropic, so no closed invariant 3-form is
-    definite, and the scan stops at its first indefinite witness.
+    definite, and the scan stops at its first indefinite witness, the
+    first grid ray (-1, ..., -1, 1), whatever the seed.
     """
     if algebra not in NAMED_ALGEBRAS:
         raise ValueError(

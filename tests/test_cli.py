@@ -126,6 +126,21 @@ def test_complex_ranks_named_algebra():
     assert rep["kernels"] == [1, 4, 9, 17, 23, 18, 7, 1]
 
 
+def test_complex_ranks_labels_a_case_by_its_parameters(capsys):
+    reports = {}
+    for params in ("1,3", "1,-3"):
+        code, out = run_main(capsys, "complex-ranks", "--case", "3biii",
+                             "--params", params)
+        assert code == 0
+        reports[params] = json.loads(out)["report"]
+    assert [(r["complex"], r["params"]) for r in reports.values()] == [
+        ("3biii", [1, 3]), ("3biii", [1, -3])]
+    # a named algebra has no parameters, and its report no params field
+    code, out = run_main(capsys, "complex-ranks", "--algebra", "su2+t4")
+    assert set(json.loads(out)["report"]) == {"complex", "dims", "ranks",
+                                              "kernels"}
+
+
 def test_section5_rank_chain_exit_zero_with_published_mismatch_visible():
     code, out, _ = run_cli("section5", "rank-chain")
     assert code == 0
@@ -186,6 +201,18 @@ def test_closed_scan_reports_its_exact_claims():
     assert rep["certificate"]["definite"]["indices"] == [6]
     assert [c["name"] for c in rep["claims"]] == [
         "no closed invariant 3-form is definite"]
+
+
+def test_closed_scan_witness_does_not_depend_on_the_seed(capsys):
+    # the indefinite witness is the first ray of the grid, met before any
+    # seeded draw
+    outs = set()
+    for seed in ("0", "1", "7"):
+        code, out = run_main(capsys, "section5", "closed-scan", "--algebra",
+                             "2su2+u1", "--seed", seed, "--format", "json")
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
 
 
 def test_octonion_alignment_command():

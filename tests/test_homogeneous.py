@@ -311,7 +311,7 @@ def test_exploratory_scan_regression(su2u1):
     rep = closed_stable_scan(su2u1, config)
     # this closed family contains stable members, all of them indefinite:
     # e7 is isotropic for every member, and the scan stops at the first
-    # indefinite witness, the first random draw after the 17^2 grid rays
+    # indefinite witness, the first grid ray (-1, ..., -1, 1)
     assert rep["closed_dim"] == 17
     assert rep["stable_found"]
     assert rep["certificate"] == {"definite": {
@@ -319,7 +319,8 @@ def test_exploratory_scan_regression(su2u1):
     ref = _stop_rule_reference(_closed(su2u1), config, {"definite"})
     assert {k: rep[k] for k in ref} == ref
     assert rep["has_indefinite"] and not rep["has_definite"]
-    assert rep["samples"] == 17 ** 2 + 1
+    assert rep["samples"] == 1
+    assert rep["indefinite_witness"] == [-1] * 16 + [1]
 
 
 # ---------------------------------------------------------------------------

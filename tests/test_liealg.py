@@ -750,7 +750,7 @@ def test_a_finer_split_gets_no_certificate_and_the_full_scan(monkeypatch):
     assert rep["certificate"] == {}
     assert rep["has_definite"] and not rep["has_indefinite"]
     assert rep["samples"] == sum(
-        1 for c in _scan_samples(rep["dim"], config) if any(c)) == 38_440
+        1 for c in _scan_samples(rep["dim"], config) if any(c)) == 10_999
 
 
 def _monomial_matrices(hitchin):
@@ -887,10 +887,12 @@ def test_a_corrupted_kernel_vector_fails_the_exact_recheck(
 def test_certified_exclusions_hold_on_a_full_default_scan(
         scanned_families):
     # every exclusion on the shipped catalog and its rejected generators,
-    # against the full default scan with no early stop
-    config = ScanConfig()
+    # against a full scan with no early stop: the default grid, and for
+    # d = 2 and 3 the old boxes of 12,176 and 37,441 rays
     excluded = {}
     for label, mod, bvecs in scanned_families:
+        config = ScanConfig(grid={2: 12_176, 3: 37_441}.get(len(bvecs),
+                                                           10_000))
         rep = invariant_form_types(mod, config)
         if not rep["certificate"]:
             continue
@@ -980,8 +982,10 @@ def test_unclosed_basis_leaves_the_span():
 # ---------------------------------------------------------------------------
 
 def _row_grid(d, budget):
-    """The row-by-row walk of the same box: the last coordinate from 0
-    upward, then the next to last, the first varying fastest."""
+    """The box of the former d = 2 and 3 grids, row by row: every primitive
+    ray with max |coeff| <= n, n = 2 floor(sqrt(budget) / 2) for d = 2 and
+    2 round(budget^(1/3) / 2) for d = 3 (at least 1), last nonzero
+    coordinate positive."""
     if d == 2:
         n = max(1, int(math.isqrt(budget) // 2) * 2)
         return [(p, q) for q in range(0, n + 1) for p in range(-n, n + 1)
@@ -995,63 +999,58 @@ def _row_grid(d, budget):
             and math.gcd(math.gcd(abs(p), abs(q)), r) == 1]
 
 
-def _pair_grid(d):
-    """The d basis directions, then the signed pairs e_i +- e_j."""
-    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-    pairs = [tuple(a + s * b for a, b in zip(units[i], units[j]))
-             for i in range(d) for j in range(i + 1, d) for s in (1, -1)]
-    return units + pairs
-
-
 def _height(v):
     return max(map(abs, v))
 
 
 @pytest.mark.parametrize("budget", [0, 1, 8, 100, 10_000])
-@pytest.mark.parametrize("d", [2, 3])
-def test_ray_grid_walks_the_row_box_by_height(d, budget):
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 13, 17])
+def test_ray_grid_walks_one_order_in_every_dimension(d, budget):
     rays = list(_ray_grid(d, budget))
     assert len(set(rays)) == len(rays)
-    assert set(rays) == set(_row_grid(d, budget))
     for v in rays:
-        assert math.gcd(*v) == 1, v
+        assert len(v) == d and math.gcd(*v) == 1, v
         assert next(x for x in reversed(v) if x) > 0, v
-    heights = [_height(v) for v in rays]
-    assert heights == sorted(heights)
-    # the height-1 shell comes first, whatever the budget
-    assert heights.count(1) == {2: 4, 3: 13}[d]
-    if budget in (0, 10_000):
-        assert len(rays) == {0: {2: 4, 3: 13},
-                             10_000: {2: 12_176, 3: 37_441}}[budget][d]
-
-
-@pytest.mark.parametrize("budget", [0, 100, 10_000])
-@pytest.mark.parametrize("d", [1, 4, 5, 13, 17])
-def test_ray_grid_keeps_its_sequence_off_dimensions_2_and_3(d, budget):
-    expected = [(1,)] if d == 1 else _pair_grid(d)
-    assert list(_ray_grid(d, budget)) == expected
+    # by height shell, and inside a shell by support size, largest first
+    keys = [(_height(v), -sum(map(bool, v))) for v in rays]
+    assert keys == sorted(keys)
+    # a smaller budget takes a prefix of the same walk
+    assert rays == list(_ray_grid(d, 10_000))[:budget]
+    # the one ray of d = 1 ends the walk: its height-2 shell is empty
+    assert len(rays) == (min(budget, 1) if d == 1 else budget)
+    if d in (2, 3) and budget == 10_000:
+        # the shells of height <= n fill the old box of half-width n first
+        box = _row_grid(d, budget)
+        assert len(box) == {2: 12_176, 3: 37_441}[d]
+        assert set(_ray_grid(d, len(box))) == set(box)
 
 
 def test_every_small_family_is_witnessed_in_the_height_one_shell():
-    # every family of dimension 2 or 3 of the shipped table, candidate
-    # modules included: at the default scan each class left open has a
-    # height-1 witness, found within the height-1 shell
-    shell = {2: 4, 3: 13}
+    # every family of the shipped table below the whole space, candidate
+    # modules included: at the default grid with no random draws each class
+    # left open has a height-1 witness, found within 42 samples and within
+    # the height-1 shell, (3^d - 1) / 2 rays
+    config = ScanConfig(random=0)
     seen = set()
     for e in CATALOG:
         mod = build_entry(e["case"], tuple(e["params"]))
         for m in [mod] + [candidate_module(mod, name, fmat)
                           for name, fmat, _ in mod.pending_generators]:
-            if len(invariant_3forms(m)) not in shell:
+            if not 1 <= len(invariant_3forms(m)) < 35:
                 continue
             seen.add(m.label)
-            rep = invariant_form_types(m, ScanConfig())
-            assert rep["samples"] <= shell[rep["dim"]], m.label
+            rep = invariant_form_types(m, config)
+            assert rep["samples"] <= min(42, (3 ** rep["dim"] - 1) // 2), \
+                m.label
             for cls in {"definite", "indefinite"} - set(rep["certificate"]):
                 assert rep[f"has_{cls}"], (m.label, cls)
                 assert _height(rep[f"{cls}_witness"]) == 1, (m.label, cls)
-    assert seen == {"1", "2ai", "2ci", "3aiii", "8-su4", "8-g2xR",
-                    "4ii(0, 0)+B23-swap"}
+    assert seen == {
+        "1", "2ai", "2ci", "2cii", "2aiii", "3bii(1, 1)", "3biii(1, 3)",
+        "3biii(1, -3)", "3aiii", "4i", "4ii(0, 0)", "4ii(0, 0)+B23-swap",
+        "4ii(1, -1)", "5i(0, 0)", "5ii(1, 2, -3)", "5ii(1, 1, -2)", "2d",
+        "7", "8-su4", "8-g2xR", "8-g2xR+D7", "6ii+R5-fixing-rotation",
+        "6iii+diagonal-rotation", "6iii+cyclic-pair-rotation", "so3_7"}
 
 
 # ---------------------------------------------------------------------------
