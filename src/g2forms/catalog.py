@@ -173,10 +173,18 @@ def _block_diag(blocks):
 
 
 def _combination(coeffs, mats):
-    """The matrix sum of c m over the paired coefficients and matrices."""
+    """The matrix sum of c m over the paired coefficients and matrices, as
+    Fractions; zero coefficients and zero entries are skipped."""
     n = len(mats[0])
-    return [[sum(c * m[i][j] for c, m in zip(coeffs, mats)) for j in range(n)]
-            for i in range(n)]
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        if c == 0:
+            continue
+        for row, mrow in zip(out, m):
+            for j, x in enumerate(mrow):
+                if x:
+                    row[j] += c * x
+    return out
 
 
 def _sp2_unit_quaternion_block2(q):

@@ -198,7 +198,8 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
     rational ninth power `lam9` (`_star_on_dual_ray`), the residual
     |dt - lambda star t| / |dt| is sqrt(1 - dq^2 / (dd qq)), and t is nearly
     parallel iff dq^2 = dd qq.  Flat input (d t = 0) is torsion-free, never
-    nearly parallel.  One `hitchin_ray` feeds the minor chain and adjugate.
+    nearly parallel.  One `hitchin_ray` feeds `classify_hitchin` and the
+    adjugate.
     """
     ray = hitchin_ray(t)
     orbit = classify_hitchin(ray[0])

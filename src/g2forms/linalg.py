@@ -5,10 +5,13 @@ to Fraction).  `rref`, the one elimination under `rank`, `nullspace`,
 `solve`, `span_basis` and `intersect_nullspaces`, eliminates fraction-free
 on sparse integer rows and returns Fractions; its output is deterministic
 because the reduced row echelon form is unique, whatever the pivot order.
-The fraction-free routines `det`, `leading_principal_minors` and `charpoly`
-run one integer recursion each, dividing exactly with `//`: an all-int
-matrix is read as it is and gives ints, and a rational one is cleared once
-to L a and gives the rescaled Fractions.  No floating point.
+The fraction-free routines `det`, `leading_principal_minors`, `charpoly`
+and `inertia` run one integer recursion each, dividing exactly with `//`:
+an all-int matrix is read as it is and gives ints, and a rational one is
+cleared once to L a and gives the rescaled Fractions.  Signatures of
+symmetric matrices come from `inertia`, one symmetric fraction-free
+elimination read by Jacobi's rule, which gives the determinant as well.
+No floating point.
 """
 
 import math
@@ -339,26 +342,69 @@ def root_multiplicities(coeffs):
             for _ in range(at_least[k - 1] - at_least[k])]
 
 
-def _sign_changes(seq):
-    signs = [1 if x > 0 else -1 for x in seq if x != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def inertia(a):
+    """(p, q, det a) of an exact symmetric matrix: its signature and its
+    determinant, from one symmetric fraction-free elimination.
+
+    Bareiss on the active block, every division exact: the next pivot is the
+    next nonzero diagonal entry, swapped into place by its row and its
+    column.  When the active diagonal is zero but some m_ij is not, the
+    congruence row_i += row_j, col_i += col_j (bordered minors are linear in
+    their bordering row and column) makes m_ii = 2 m_ij; an all-zero active
+    block ends the walk, its size the nullity.  The pivots p_1..p_r are then
+    the leading minors of a matrix congruent to a, so by Jacobi's rule q is
+    the number of sign changes in 1, p_1, ..., p_r and p = r - q; the swaps
+    and the congruence have determinant +-1 on both sides, so det a = p_n
+    when r = n and 0 otherwise.  Only the cells j >= i are eliminated, and
+    mirrored.  Integer input gives an int det; a rational a = A / L is
+    cleared once and gives the Fraction det A / L^n (L > 0 keeps the signs).
+    """
+    n = len(a)
+    ints, den = _integral(a)
+    m = [list(row) for row in ints]
+    prev = 1
+    q = r = 0
+    for k in range(n):
+        at = next((i for i in range(k, n) if m[i][i]), None)
+        if at is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                         if m[i][j]), None)
+            if pair is None:
+                break
+            at, j = pair
+            row, src = m[at], m[j]
+            for c in range(k, n):
+                row[c] += src[c]
+            for c in range(k, n):
+                m[c][at] += m[c][j]
+        if at != k:
+            m[k], m[at] = m[at], m[k]
+            for row in m[k:]:
+                row[k], row[at] = row[at], row[k]
+        pk = m[k]
+        piv = pk[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            f = mi[k]
+            for j in range(i, n):
+                v = (mi[j] * piv - f * pk[j]) // prev
+                mi[j] = v
+                m[j][i] = v
+        q += (piv < 0) != (prev < 0)
+        prev = piv
+        r += 1
+    d = prev if r == n else 0
+    return r - q, q, d if den is None else Fraction(d, den ** n)
 
 
 def symmetric_signature(b):
-    """Signature (p, q) of an exact symmetric matrix.
-
-    Uses the characteristic polynomial and Descartes' rule of signs, which
-    is exact because symmetric matrices have only real eigenvalues.
-    """
+    """Signature (p, q) of an exact symmetric matrix, by `inertia`."""
     n = len(b)
     for i in range(n):
         for j in range(i):
             if b[i][j] != b[j][i]:
                 raise ValueError("matrix is not symmetric")
-    cs = charpoly(b)
-    p = _sign_changes(cs)
-    q = _sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(cs)])
-    return p, q
+    return inertia(b)[:2]
 
 
 def leading_principal_minors(b):

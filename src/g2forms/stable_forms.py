@@ -16,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .linalg import (adjugate, det, frac, identity, leading_principal_minors,
-                     mat, mat_vec, nullspace, symmetric_signature)
+from .linalg import (adjugate, det, frac, identity, inertia, mat, mat_vec,
+                     nullspace)
 from .multilinear import (KForm, basis_vector, interior, pullback, sort_index,
                           wedge)
 
@@ -51,7 +51,8 @@ class HitchinData:
 
     Everything is read off one integer matrix: for t = scale * x with x the
     primitive integer vector on the ray of t, Bx = hitchin_matrix(x),
-    B = scale^3 Bx and det B = scale^21 det Bx.
+    B = scale^3 Bx and det B = scale^21 det Bx, and det Bx and the signature
+    come from one symmetric elimination of Bx (`inertia`).
     """
 
     B: list
@@ -83,8 +84,10 @@ def _perm_sign(seq):
 def _hitchin_table():
     """Contraction table for B_ij = sum sign * t_I t_J t_K over triples.
 
-    For each i <= j lists (posI, posJ, posK, sign) with i in I, j in J,
-    K the complement of (I\\i) u (J\\j); built once, reused for every
+    For each i <= j, the terms with i in I, j in J and K the complement of
+    (I\\i) u (J\\j), grouped by their first factor: a tuple of
+    (posI, ((posJ, posK, sign), ...)), 15 groups per cell, so
+    B_ij = sum t_I (sum sign t_J t_K).  Built once, reused for every
     evaluation (the classification scans hit this hard).
     """
     table = {}
@@ -99,6 +102,7 @@ def _hitchin_table():
                 I2 = I[:pi] + I[pi + 1:]
                 si = 1 if pi % 2 == 0 else -1
                 seti2 = set(I2)
+                group = []
                 for J in IDX3:
                     if j not in J:
                         continue
@@ -114,9 +118,9 @@ def _hitchin_table():
                     s = _perm_sign(I2 + J2 + K)
                     if s == 0:
                         continue
-                    entries.append((IDX3_POS[I], IDX3_POS[J], IDX3_POS[K],
-                                    si * sj * s))
-            table[(i, j)] = entries
+                    group.append((IDX3_POS[J], IDX3_POS[K], si * sj * s))
+                entries.append((IDX3_POS[I], tuple(group)))
+            table[(i, j)] = tuple(entries)
     return table
 
 
@@ -127,25 +131,30 @@ def _coeffs3(t: KForm):
 
 
 def hitchin_matrix(coeffs):
-    """Symmetric 7x7 matrix B for a dense 35-vector of 3-form coefficients."""
-    table = _hitchin_table()
+    """Symmetric 7x7 matrix B for a dense 35-vector of 3-form coefficients.
+
+    Each cell sums t_I times its group's sum of sign t_J t_K; zero factors
+    are skipped.
+    """
     b = [[0] * 7 for _ in range(7)]
-    for i in range(1, 8):
-        for j in range(i, 8):
-            acc = 0
-            for pi, pj, pk, s in table[(i, j)]:
-                ci = coeffs[pi]
-                if ci == 0:
-                    continue
+    for (i, j), groups in _hitchin_table().items():
+        acc = 0
+        for pi, rest in groups:
+            ci = coeffs[pi]
+            if ci == 0:
+                continue
+            inner = 0
+            for pj, pk, s in rest:
                 cj = coeffs[pj]
                 if cj == 0:
                     continue
                 ck = coeffs[pk]
                 if ck == 0:
                     continue
-                acc += s * ci * cj * ck
-            b[i - 1][j - 1] = acc
-            b[j - 1][i - 1] = acc
+                inner += s * cj * ck
+            acc += ci * inner
+        b[i - 1][j - 1] = acc
+        b[j - 1][i - 1] = acc
     return b
 
 
@@ -177,23 +186,19 @@ def hitchin_ray(t: KForm):
     return hitchin_matrix(x), scale
 
 
-def _rescale(bx, scale):
-    """Exact B = scale^3 Bx and det B = scale^21 det Bx (integer Bareiss)."""
-    s3 = scale ** 3
-    return [[s3 * v for v in row] for row in bx], scale ** 21 * det(bx)
-
-
 def hitchin_bilinear(t: KForm) -> HitchinData:
     """Exact Hitchin data of a degree-3 form on R^7.
 
-    B is built once, on the integer vector of t's ray; det and the Descartes
-    signature run on that integer matrix (a positive scale keeps the
-    signature), and only B and det B are rescaled to t.
+    B is built once, on the integer vector of t's ray; one symmetric
+    fraction-free elimination of that integer matrix (`inertia`) gives
+    det Bx and, by Jacobi's rule, the signature (a positive scale keeps
+    it), and only B and det B are rescaled to t.
     """
     bx, scale = hitchin_ray(t)
-    b, detb = _rescale(bx, scale)
-    return HitchinData(B=b, detB=detb, signature=symmetric_signature(bx),
-                       Bx=bx)
+    p, q, detbx = inertia(bx)
+    s3 = scale ** 3
+    return HitchinData(B=[[s3 * v for v in row] for row in bx],
+                       detB=scale ** 21 * detbx, signature=(p, q), Bx=bx)
 
 
 @dataclass(frozen=True)
@@ -292,13 +297,15 @@ def family_hitchin_map(bvecs) -> FamilyHitchinMap:
     support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
                for p in range(len(IDX3))]
     cubics = {}
-    for e, ij in enumerate(table):
-        for pi, pj, pk, s in table[ij]:
+    for e, groups in enumerate(table.values()):
+        for pi, rest in groups:
             for a, ca in support[pi]:
-                for b, cb in support[pj]:
-                    for c, cc in support[pk]:
-                        terms = cubics.setdefault(tuple(sorted((a, b, c))), {})
-                        terms[e] = terms.get(e, 0) + s * ca * cb * cc
+                for pj, pk, s in rest:
+                    for b, cb in support[pj]:
+                        for c, cc in support[pk]:
+                            terms = cubics.setdefault(
+                                tuple(sorted((a, b, c))), {})
+                            terms[e] = terms.get(e, 0) + s * ca * cb * cc
     monomials = []
     for (a, b, c), terms in sorted(cubics.items()):
         terms = tuple((e, v) for e, v in terms.items() if v)
@@ -309,24 +316,27 @@ def family_hitchin_map(bvecs) -> FamilyHitchinMap:
                             dim=len(bvecs))
 
 
+def _orbit_of_signature(p, q) -> Orbit3Class:
+    """The orbit class of a 3-form whose B has signature (p, q).
+
+    p + q < 7 is degenerate; a nondegenerate B is definite when p or q is
+    0, and otherwise lies in the indefinite orbit, there being exactly two
+    open orbits.
+    """
+    if p + q < DIM:
+        return Orbit3Class.DEGENERATE
+    return Orbit3Class.DEFINITE if 0 in (p, q) else Orbit3Class.INDEFINITE
+
+
 def classify_hitchin(b) -> Orbit3Class:
     """Exact three-way classification from an integer Hitchin matrix B.
 
-    The leading-principal-minor chain decides definiteness; a nondegenerate
-    B that is not definite lies in the indefinite orbit, there being exactly
-    two open orbits.  Only signs are read, so any positive multiple of a
-    form (B scales by its cube) gets the same class.
+    One symmetric elimination (`inertia`) gives B's signature, read by
+    `_orbit_of_signature`.  Only signs are read, so any positive multiple
+    of a form (B scales by its cube) gets the same class.
     """
-    minors = leading_principal_minors(b)
-    if minors is None:
-        return Orbit3Class.DEGENERATE if det(b) == 0 else Orbit3Class.INDEFINITE
-    if minors[-1] == 0:
-        return Orbit3Class.DEGENERATE
-    if all(m > 0 for m in minors):
-        return Orbit3Class.DEFINITE
-    if all((m > 0) == (k % 2 == 1) for k, m in enumerate(minors)):
-        return Orbit3Class.DEFINITE  # negative definite: signs -, +, -, ...
-    return Orbit3Class.INDEFINITE
+    p, q, _ = inertia(b)
+    return _orbit_of_signature(p, q)
 
 
 def classify_coeffs(coeffs) -> Orbit3Class:
@@ -358,7 +368,8 @@ def metric_from_3form(t: KForm):
     """
     import numpy as np
 
-    b, detb = _rescale(*hitchin_ray(t))
+    data = hitchin_bilinear(t)
+    b, detb = data.B, data.detB
     if detb == 0:
         raise ValueError("degenerate 3-form has no metric")
     scale = float(_METRIC_CONST) ** (2.0 / 9.0) * float(abs(detb)) ** (1.0 / 9.0)
@@ -488,12 +499,12 @@ def four_form_volume(p: KForm) -> float:
 def classification_report(t: KForm) -> dict:
     """CLI-facing classification record with exact rational det B.
 
-    One Hitchin build: the class comes from the same integer matrix as det B
-    and the signature.
+    One Hitchin build and one elimination (`hitchin_bilinear`): the class is
+    read off the signature that comes with det B, by `_orbit_of_signature`.
     """
     data = hitchin_bilinear(t)
     return {
-        "class": classify_hitchin(data.Bx).value,
+        "class": _orbit_of_signature(*data.signature).value,
         "detB": str(data.detB),
         "signature": list(data.signature),
     }

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forms.linalg import (adjugate, charpoly, det, identity, inverse,
-                            leading_principal_minors, mat, mat_mul, nullspace,
-                            poly_gcd, rank, root_multiplicities, rref, solve,
-                            symmetric_signature, transpose)
+from g2forms.linalg import (adjugate, charpoly, det, identity, inertia,
+                            inverse, leading_principal_minors, mat, mat_mul,
+                            nullspace, poly_gcd, rank, root_multiplicities,
+                            rref, solve, symmetric_signature, transpose)
 
 rationals = st.fractions(min_value=-5, max_value=5,
                          max_denominator=6).map(Fraction)
@@ -295,23 +295,86 @@ def test_charpoly_det_consistency():
     ((-1, -1, -1), (0, 3)),
     ((2, -3, 5), (2, 1)),
     ((0, 1, -1), (1, 1)),
+    # zero diagonals, given as whole matrices: only the congruence step
+    # row_i += row_j, col_i += col_j finds a pivot
+    ([[0, 1], [1, 0]], (1, 1)),
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], (1, 1)),  # rank 2
 ])
 def test_signature_diagonal(diag, expected):
-    m = [[Fraction(diag[i]) if i == j else Fraction(0) for j in range(3)]
-         for i in range(3)]
+    if isinstance(diag, list):
+        m = mat(diag)
+    else:
+        m = [[Fraction(diag[i]) if i == j else Fraction(0) for j in range(3)]
+             for i in range(3)]
     assert symmetric_signature(m) == expected
 
 
+def _congruence_inputs():
+    """(S, diag D): 3 x 3 S with D = diag(1, -1, 1), or 7 x 7 S with a D
+    of entries in {-1, 0, 1} and at least one 0, so S^T D S is
+    rank-deficient."""
+    diag7 = st.lists(st.sampled_from((-1, 0, 1)), min_size=7,
+                     max_size=7).filter(lambda d: 0 in d)
+    return st.one_of(square(3).map(lambda rows: (rows, [1, -1, 1])),
+                     st.tuples(square(7), diag7))
+
+
 @settings(max_examples=25, deadline=None)
-@given(square(3))
-def test_signature_congruence_invariant(rows):
-    # signature of S^T S diag(1,-1,...) style congruence is preserved
+@given(_congruence_inputs())
+def test_signature_congruence_invariant(case):
+    # S^T D S has the signature of D for every invertible S
+    rows, diag = case
     s = mat(rows)
     if det(s) == 0:
         return
-    d = mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    n = len(s)
+    d = mat([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
     congruent = mat_mul(transpose(s), mat_mul(d, s))
-    assert symmetric_signature(congruent) == symmetric_signature(d)
+    assert symmetric_signature(congruent) == symmetric_signature(d) == (
+        diag.count(1), diag.count(-1))
+
+
+def _descartes_signature(b):
+    """(p, q) by Descartes' rule of signs on charpoly(b), exact because a
+    symmetric matrix has only real eigenvalues: p counts the sign changes
+    of the coefficients, q those of the coefficients of charpoly(-x)."""
+    def changes(seq):
+        signs = [x > 0 for x in seq if x != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    cs = charpoly(b)
+    return changes(cs), changes([-c if k % 2 else c for k, c in enumerate(cs)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inertia_matches_descartes_and_det(seed):
+    # S = C^T D C of rank <= r, about a third of them with the diagonal
+    # zeroed; int matrices give an int det, rational ones a Fraction
+    import random
+
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        r = rng.randint(0, n)
+        c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        dg = [rng.choice((-2, -1, 1, 5)) for _ in range(r)]
+        s = [[sum(c[k][i] * dg[k] * c[k][j] for k in range(r))
+              for j in range(n)] for i in range(n)]
+        if rng.random() < 1 / 3:
+            for i in range(n):
+                s[i][i] = 0
+        if rng.random() < 0.5:
+            den = rng.choice((3, 10 ** 6))
+            s = [[Fraction(x, den) for x in row] for row in s]
+        frozen = [list(row) for row in s]
+        p, q, d = inertia(s)
+        assert s == frozen
+        assert (p, q) == _descartes_signature(s)
+        assert d == det(s) and type(d) is type(det(s))
+        seen.add((p + q < n, any(s[i][i] for i in range(n))))
+    assert len(seen) == 4
+    assert inertia([]) == (0, 0, 1)
 
 
 def test_leading_minors_bareiss_int():

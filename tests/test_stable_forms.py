@@ -4,8 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from g2forms.linalg import (det, mat, mat_mul, rank, symmetric_signature,
-                            transpose)
+from g2forms.linalg import charpoly, det, mat, mat_mul, rank, transpose
 from g2forms.multilinear import (KForm, algebra_action, basis_vector,
                                  interior, pullback, sort_index, wedge)
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
@@ -142,6 +141,17 @@ def _unimodular(rng):
     return m
 
 
+def _descartes_signature(b):
+    """(p, q) by Descartes' rule of signs on charpoly(b): a reference for
+    the signature apart from the elimination under `hitchin_bilinear`."""
+    def changes(seq):
+        signs = [x > 0 for x in seq if x != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    cs = charpoly(b)
+    return changes(cs), changes([-c if k % 2 else c for k, c in enumerate(cs)])
+
+
 def test_det_sign_matches_the_descartes_signature():
     # the metric takes its sign from det B; Descartes' rule is the reference
     rng = random.Random(11)
@@ -152,7 +162,7 @@ def test_det_sign_matches_the_descartes_signature():
             # a positive rescaling to integers keeps det B's sign and B's
             # signature
             b = hitchin_matrix(primitive_int_vector(t.coefficient_vector()))
-            detb, signature = det(b), symmetric_signature(b)
+            detb, signature = det(b), _descartes_signature(b)
             assert detb != 0
             assert (detb < 0) == (signature in ((0, 7), (4, 3)))
             checked.add(signature)
@@ -429,7 +439,7 @@ def _fraction_hitchin(t):
     """B from the raw Fraction coefficients, its Fraction det, the Descartes
     signature of the Fraction matrix, and the class they imply."""
     b = mat(hitchin_matrix(t.coefficient_vector()))
-    detb, signature = det(b), symmetric_signature(b)
+    detb, signature = det(b), _descartes_signature(b)
     if detb == 0:
         cls = Orbit3Class.DEGENERATE
     elif signature in ((7, 0), (0, 7)):
@@ -500,6 +510,39 @@ def test_hitchin_data_and_report_match_a_fraction_reference(seed):
             degenerate_ranks.add(rank(b))
     assert classes == set(Orbit3Class)
     assert degenerate_ranks == {0, 1, 2, 4}
+
+
+def test_classification_report_runs_one_elimination(monkeypatch):
+    # the class, det B and the signature all come from the one `inertia`
+    # elimination: with charpoly, det and the leading-minor chain made to
+    # raise wherever a g2forms module holds them, the reports are unchanged
+    import sys
+
+    from g2forms import linalg
+
+    rng = random.Random(3)
+    forms = [PHI, PHITILDE, _truncated_phi(5),
+             Fraction(-2, 7) * pullback(_unimodular(rng), PHITILDE)]
+    reports = [classification_report(t) for t in forms]
+    assert reports[:3] == [
+        {"class": "definite", "detB": "279936", "signature": [7, 0]},
+        {"class": "indefinite", "detB": "279936", "signature": [3, 4]},
+        {"class": "degenerate", "detB": "0", "signature": [2, 0]}]
+    assert reports[3]["class"] == "indefinite"
+
+    def refused(*args):
+        raise AssertionError("a second elimination ran")
+
+    names = ("charpoly", "det", "leading_principal_minors")
+    patched = 0
+    for module in [m for k, m in sys.modules.items()
+                   if k == "g2forms" or k.startswith("g2forms.")]:
+        for name in names:
+            if getattr(module, name, None) is getattr(linalg, name):
+                monkeypatch.setattr(module, name, refused)
+                patched += 1
+    assert patched >= len(names)
+    assert [classification_report(t) for t in forms] == reports
 
 
 @pytest.mark.parametrize("den", [10 ** 6, 10 ** 15])
