@@ -6,9 +6,10 @@ to Fraction).  `rref`, the one elimination under `rank`, `nullspace`,
 on sparse integer rows and returns Fractions; its output is deterministic
 because the reduced row echelon form is unique, whatever the pivot order.
 The fraction-free routines `det`, `leading_principal_minors`, `charpoly`
-and `inertia` run one integer recursion each, dividing exactly with `//`:
-an all-int matrix is read as it is and gives ints, and a rational one is
-cleared once to L a and gives the rescaled Fractions.  Signatures of
+and `inertia` run one integer recursion each, dividing exactly with `//`
+(`charpoly`, Berkowitz's, divides not at all): an all-int matrix is read as
+it is and gives ints, and a rational one is cleared once to L a and gives
+the rescaled Fractions.  Signatures of
 symmetric matrices come from `inertia`, one symmetric fraction-free
 elimination read by Jacobi's rule, which gives the determinant as well.
 No floating point.
@@ -275,25 +276,28 @@ def adjugate(b):
 def charpoly(a):
     """Coefficients [c_0, ..., c_n] of det(xI - a) = sum c_k x^k (c_n = 1).
 
-    Faddeev-LeVerrier recursion on integers: the coefficients of an integer
-    matrix are integers, so the division by k is exact.  Integer input
-    returns ints; a rational a = A / L returns the Fractions c_k / L^(n-k),
-    c_k the coefficients of A.
+    Berkowitz's division-free recursion on integers: bordering the leading
+    r x r block A by the row R, the column C and the corner a_rr multiplies
+    its characteristic polynomial by the lower-triangular Toeplitz matrix
+    with first column 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C.  Integer
+    input returns ints; a rational a = A / L returns the Fractions
+    c_k / L^(n-k), c_k the coefficients of A.
     """
     n = len(a)
     ints, den = _integral(a)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if k > 1:
-            m = mat_mul(ints, m)
-            for i in range(n):
-                m[i][i] += c
-            c = -trace(mat_mul(ints, m)) // k
-        else:
-            c = -trace(ints)
-        coeffs[n - k] = c
+    poly = [1]  # of the leading r x r block, highest degree first
+    for r in range(n):
+        block = [row[:r] for row in ints[:r]]
+        border = ints[r][:r]
+        col = [row[r] for row in ints[:r]]
+        toeplitz = [1, -ints[r][r]]
+        for k in range(r):
+            if k:
+                col = mat_vec(block, col)
+            toeplitz.append(-sum(x * y for x, y in zip(border, col)))
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)]
+    coeffs = poly[::-1]
     if den is None:
         return coeffs
     return [Fraction(c, den ** (n - k)) for k, c in enumerate(coeffs)]

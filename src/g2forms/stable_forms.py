@@ -16,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .linalg import (adjugate, det, frac, identity, inertia, mat, mat_vec,
-                     nullspace)
+from .linalg import (adjugate, charpoly, det, frac, identity, inertia, mat,
+                     mat_vec, nullspace)
 from .multilinear import (KForm, basis_vector, interior, pullback, sort_index,
                           wedge)
 
@@ -496,13 +496,31 @@ def four_form_volume(p: KForm) -> float:
     return float(abs(d)) ** (1.0 / 12.0)
 
 
+def _descartes_signature(coeffs):
+    """(p, q) of a symmetric matrix from its characteristic polynomial.
+
+    Every root is real, so by Descartes' rule of signs p is the number of
+    sign changes in the coefficients and q the number in those of c(-x).
+    """
+    def changes(seq):
+        signs = [v > 0 for v in seq if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(coeffs), changes(-v if k % 2 else v
+                                    for k, v in enumerate(coeffs))
+
+
 def classification_report(t: KForm) -> dict:
     """CLI-facing classification record with exact rational det B.
 
     One Hitchin build and one elimination (`hitchin_bilinear`): the class is
     read off the signature that comes with det B, by `_orbit_of_signature`.
+    That signature is confirmed by Descartes' rule on the characteristic
+    polynomial of Bx, an independent exact count; a disagreement raises.
     """
     data = hitchin_bilinear(t)
+    if _descartes_signature(charpoly(data.Bx)) != data.signature:
+        raise ArithmeticError("Jacobi and Descartes signatures of B differ")
     return {
         "class": _orbit_of_signature(*data.signature).value,
         "detB": str(data.detB),

@@ -514,8 +514,9 @@ def test_hitchin_data_and_report_match_a_fraction_reference(seed):
 
 def test_classification_report_runs_one_elimination(monkeypatch):
     # the class, det B and the signature all come from the one `inertia`
-    # elimination: with charpoly, det and the leading-minor chain made to
-    # raise wherever a g2forms module holds them, the reports are unchanged
+    # elimination, and the one charpoly of Bx only confirms the signature:
+    # with det and the leading-minor chain made to raise wherever a g2forms
+    # module holds them, and charpoly counted, the reports are unchanged
     import sys
 
     from g2forms import linalg
@@ -533,16 +534,39 @@ def test_classification_report_runs_one_elimination(monkeypatch):
     def refused(*args):
         raise AssertionError("a second elimination ran")
 
-    names = ("charpoly", "det", "leading_principal_minors")
-    patched = 0
-    for module in [m for k, m in sys.modules.items()
-                   if k == "g2forms" or k.startswith("g2forms.")]:
-        for name in names:
-            if getattr(module, name, None) is getattr(linalg, name):
-                monkeypatch.setattr(module, name, refused)
-                patched += 1
-    assert patched >= len(names)
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return originals["charpoly"](b)
+
+    originals = {name: getattr(linalg, name)
+                 for name in ("charpoly", "det", "leading_principal_minors")}
+    patched = set()
+    for key, module in list(sys.modules.items()):
+        if key != "g2forms" and not key.startswith("g2forms."):
+            continue
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name,
+                                    counted if name == "charpoly" else refused)
+                patched.add((key, name))
+    assert ("g2forms.stable_forms", "charpoly") in patched
+    assert ("g2forms.stable_forms", "det") in patched
+    assert ("g2forms.linalg", "leading_principal_minors") in patched
     assert [classification_report(t) for t in forms] == reports
+    assert len(calls) == len(forms)
+
+
+def test_classification_report_raises_when_descartes_disagrees(monkeypatch):
+    # the charpoly of -Bx swaps p and q, so the confirmation must fail
+    from g2forms import stable_forms
+
+    monkeypatch.setattr(stable_forms, "charpoly",
+                        lambda b: charpoly([[-x for x in row] for row in b]))
+    for t in (PHI, PHITILDE, _truncated_phi(5)):
+        with pytest.raises(ArithmeticError):
+            classification_report(t)
 
 
 @pytest.mark.parametrize("den", [10 ** 6, 10 ** 15])
