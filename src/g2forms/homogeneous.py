@@ -16,6 +16,7 @@ beside its real ninth root as a float.  No float star is computed.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -25,8 +26,8 @@ from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
                      invariant_3forms, invariant_kforms, scan_family)
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .stable_forms import (Orbit3Class, _star_on_dual_ray, classify3,
-                           classify_hitchin, dual_ray, hitchin_matrix,
-                           hitchin_ray, star_euclidean)
+                           classify_hitchin, dual_ray, family_hitchin_map,
+                           hitchin_ray)
 
 
 def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
@@ -328,6 +329,11 @@ class PencilEvaluations(NamedTuple):
     the integer coefficients of Q(s) = star_euclidean(pullback(adj B(s),
     t(s))), with adj B = det B * B^-1 the integer adjugate, and dq the terms
     of d Q(s).  `singular` lists the slopes skipped for det B(s) = 0.
+
+    Every value is an integer computation on vectors: B(s) is the family
+    Hitchin map of (x1, x2) at (1, s), q is read off the 3 x 3 minors of
+    adj B(s) directly (`_dual_coefficients`), and dq is one integer matrix
+    of d on 4-forms applied to q (`_d4_matrix`).
     """
 
     basis: tuple
@@ -349,15 +355,74 @@ def _slope_order():
         k += 1
 
 
+@cache
+def _minor_expansion():
+    """Per 3-subset J = (j, k, l) of 0..6, in order: its sign in
+    `star_euclidean`, and (j, k, l) with the positions of the 2-subsets
+    (k, l), (j, l), (j, k), along which a 3 x 3 minor with columns J
+    expands by its first row."""
+    full = set(range(7))
+    pair = {jk: n for n, jk in enumerate(combinations(range(7), 2))}
+    out = []
+    for j, k, l in combinations(range(7), 3):
+        _, star = sort_index((j, k, l) + tuple(sorted(full - {j, k, l})))
+        out.append((star, j, k, l, pair[k, l], pair[j, l], pair[j, k]))
+    return tuple(out)
+
+
+def _dual_coefficients(adj, x):
+    """star_euclidean(pullback(adj, x)) as an integer 35-vector.
+
+    adj is an integer 7 x 7 matrix and x the integer coefficients of a
+    3-form.  The pullback has coefficient sum_I x_I det adj[I, J] on e^J,
+    and the star puts it, times the sign of (J, comp J), on e^(comp J),
+    which sits at position 34 - pos J: complementing reverses the
+    lexicographic order.  Each minor is expanded along row I_1 against the
+    2 x 2 minors of rows I_2, I_3, taken once per I in the support of x.
+    """
+    expansion = _minor_expansion()
+    acc = [0] * len(expansion)
+    pairs = list(combinations(range(7), 2))
+    for (a, b, c), xi in zip(combinations(range(7), 3), x):
+        if not xi:
+            continue
+        ra, rb, rc = adj[a], adj[b], adj[c]
+        m2 = [rb[j] * rc[k] - rb[k] * rc[j] for j, k in pairs]
+        for n, (_, j, k, l, kl, jl, jk) in enumerate(expansion):
+            acc[n] += xi * (ra[j] * m2[kl] - ra[k] * m2[jl] + ra[l] * m2[jk])
+    return [e[0] * v for e, v in zip(expansion, acc)][::-1]
+
+
+def _d4_matrix(m: IsotropyModule):
+    """The exterior differential Lambda^4 -> Lambda^5 of m on integers.
+
+    Column I is d e^I (`_diff_terms`), and the matrix is cleared by one
+    common denominator den.  Returns (rows, den), rows mapping each
+    5-index to its nonzero (position of I, integer) pairs.
+    """
+    cols = [_diff_terms({idx: 1}, m.d_one_forms)
+            for idx in combinations(range(1, m.dimV + 1), 4)]
+    den = math.lcm(*(v.denominator for col in cols for v in col.values()))
+    rows = {}
+    for pos, col in enumerate(cols):
+        for key, v in col.items():
+            rows.setdefault(key, []).append((pos, int(v * den)))
+    return rows, den
+
+
 def pencil_evaluations(m: IsotropyModule):
     """Evaluate the pencil of the two invariant 3-forms at 57 slopes.
 
     Slopes run 0, 1, -1, 2, ..., skipping those with det B(s) = 0.  Every
-    value is an integer computation: B(s) = hitchin_matrix(x1 + s x2), one
-    fraction-free `adjugate`, an integer-boundary `pullback`.  det B(s) has
-    degree at most 21 in s, so unless it is identically 0 at most 21 slopes
-    are skipped; the loop stops at the 22nd singular slope, which proves
-    det B(s) = 0 and leaves no nonsingular slope.
+    value is an integer computation.  B(s) comes from one
+    `family_hitchin_map` of (x1, x2), expanded once and called at (1, s);
+    then one fraction-free `adjugate`, the coefficients of Q(s) read
+    directly off the 3 x 3 minors of adj B(s) (`_dual_coefficients`), and
+    d Q(s) from one integer matrix of d on 4-forms, built once
+    (`_d4_matrix`).  det B(s) has degree at most 21 in s, so unless it is
+    identically 0 at most 21 slopes are skipped; the loop stops at the
+    22nd singular slope, which proves det B(s) = 0 and leaves no
+    nonsingular slope.
     """
     basis = tuple(invariant_3forms(m))
     if len(basis) != 2:
@@ -365,20 +430,25 @@ def pencil_evaluations(m: IsotropyModule):
     (x1, x2), _ = cleared([f.coefficient_vector() for f in basis])
     (d1, d2), _ = cleared([ce_differential(m, KForm.from_coefficient_vector(
         7, 3, x)).coefficient_vector() for x in (x1, x2)])
+    hitchin = family_hitchin_map([x1, x2])
+    d4, den = _d4_matrix(m)
     slopes, singular, qs, dqs = [], [], [], []
     for s in _slope_order():
-        x = [a + s * b for a, b in zip(x1, x2)]
-        detb, adj = adjugate(hitchin_matrix(x))
+        detb, adj = adjugate(hitchin((1, s)))
         if detb == 0:
             singular.append(s)
             if len(singular) > DET_DEGREE:
                 break
             continue
-        q = star_euclidean(pullback(adj, KForm.from_coefficient_vector(
-            7, 3, x)))
+        q = _dual_coefficients(adj, [a + s * b for a, b in zip(x1, x2)])
+        dq = {}
+        for key, row in d4.items():
+            total = sum(v * q[pos] for pos, v in row)
+            if total:
+                dq[key] = Fraction(total, den)
         slopes.append(s)
-        qs.append(tuple(c.numerator for c in q.coefficient_vector()))
-        dqs.append(_diff_terms(q.terms, m.d_one_forms))
+        qs.append(tuple(q))
+        dqs.append(dq)
         if len(slopes) == PENCIL_SLOPES:
             break
     return PencilEvaluations(basis=basis, d1=tuple(d1), d2=tuple(d2),

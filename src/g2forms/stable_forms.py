@@ -16,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .linalg import (adjugate, charpoly, det, frac, identity, inertia, mat,
-                     mat_vec, nullspace)
+from .linalg import (adjugate, charpoly, cleared, det, frac, identity,
+                     inertia, mat, mat_vec, nullspace)
 from .multilinear import (KForm, basis_vector, interior, pullback, sort_index,
                           wedge)
 
@@ -50,15 +50,22 @@ class HitchinData:
     """Exact bilinear-form data of a 3-form: B, det B, and the signature.
 
     Everything is read off one integer matrix: for t = scale * x with x the
-    primitive integer vector on the ray of t, Bx = hitchin_matrix(x),
-    B = scale^3 Bx and det B = scale^21 det Bx, and det Bx and the signature
-    come from one symmetric elimination of Bx (`inertia`).
+    primitive integer vector on the ray of t, Bx = hitchin_matrix(x) and
+    det B = scale^21 det Bx, and det Bx and the signature come from one
+    symmetric elimination of Bx (`inertia`).  The Fraction matrix
+    B = scale^3 Bx is built on first read and kept; a reader of the class,
+    det B or the signature never pays for it.
     """
 
-    B: list
     detB: Fraction
     signature: tuple
     Bx: list
+    scale: Fraction
+
+    @cached_property
+    def B(self) -> list:
+        s3 = self.scale ** 3
+        return [[s3 * v for v in row] for row in self.Bx]
 
 
 @dataclass(frozen=True)
@@ -192,13 +199,12 @@ def hitchin_bilinear(t: KForm) -> HitchinData:
     B is built once, on the integer vector of t's ray; one symmetric
     fraction-free elimination of that integer matrix (`inertia`) gives
     det Bx and, by Jacobi's rule, the signature (a positive scale keeps
-    it), and only B and det B are rescaled to t.
+    it).  Only det B is rescaled to t here; B is rescaled when it is read.
     """
     bx, scale = hitchin_ray(t)
     p, q, detbx = inertia(bx)
-    s3 = scale ** 3
-    return HitchinData(B=[[s3 * v for v in row] for row in bx],
-                       detB=scale ** 21 * detbx, signature=(p, q), Bx=bx)
+    return HitchinData(detB=scale ** 21 * detbx, signature=(p, q), Bx=bx,
+                       scale=scale)
 
 
 @dataclass(frozen=True)
@@ -457,35 +463,24 @@ def metric_from_4form(p: KForm) -> Metric4Data:
     gdual(X*, Y*) = <P_X ^ P_Y, p> where P_X is the bivector with
     iota_{P_X} vol = X* ^ p; the value sits in (Lambda^7)^2, trivialized by
     (w^{1..7})^2.  Cubic in p; stability is det(gdual) != 0.
+
+    gdual is the Hitchin matrix of the Euclidean dual t = star_euclidean(p):
+    gdual(p) = hitchin_matrix(t).  With p = *t, X* ^ *t is the star of
+    X ⌟ t up to a sign fixed by the degrees, so P_X is X ⌟ t read as a
+    bivector and <P_X ^ P_Y, *t> = (X ⌟ t) ^ (Y ⌟ t) ^ t.  Both sides
+    contract three copies of the coefficients with the permutation symbol
+    and star_euclidean is a signed permutation of coordinates, so this is
+    an identity of cubic polynomials in the 35 coefficients, not only of
+    their values on stable forms (the tests compare the coefficients).  The
+    matrix is built on the primitive integer ray of t, t = scale * x, and
+    rescaled by scale^3.
     """
     if p.dim != DIM or p.degree != 4:
         raise ValueError("expected a 4-form on R^7")
-    bivectors = []
-    full = set(range(1, 8))
-    for i in range(1, 8):
-        f5 = wedge(KForm.basis(7, i), p)
-        biv = {}
-        for T, c in f5.terms.items():
-            K = tuple(sorted(full - set(T)))
-            s = _perm_sign(K + T)
-            biv[K] = c * s
-        bivectors.append(biv)
-    g = [[Fraction(0)] * 7 for _ in range(7)]
-    for i in range(7):
-        for j in range(i, 7):
-            acc = Fraction(0)
-            for K, c in bivectors[i].items():
-                for K2, c2 in bivectors[j].items():
-                    if set(K) & set(K2):
-                        continue
-                    four = K + K2
-                    key, s = sort_index(four)
-                    if s == 0:
-                        continue
-                    acc += c * c2 * s * p.terms.get(key, Fraction(0))
-            g[i][j] = acc
-            g[j][i] = acc
-    return Metric4Data(gdual=g)
+    x, scale = primitive_ray(star_euclidean(p).coefficient_vector())
+    s3 = scale ** 3
+    return Metric4Data(gdual=[[s3 * v for v in row]
+                              for row in hitchin_matrix(x)])
 
 
 def four_form_volume(p: KForm) -> float:
@@ -533,21 +528,29 @@ def classification_report(t: KForm) -> dict:
 # ---------------------------------------------------------------------------
 
 def annihilator_of_form(*forms: KForm):
-    """Basis of {A in gl(R^n) : algebra_action(A, t) = 0 for all t}, exact."""
-    from .linalg import transpose
-    from .multilinear import algebra_action
+    """Basis of {A in gl(R^n) : algebra_action(A, t) = 0 for all t}, exact.
 
+    The condition is linear in the n^2 entries of A and is assembled by
+    index arithmetic on each form cleared to integers: in a term c e^I of
+    t, replacing slot p (holding i) by j adds -c times the sign of the sort
+    to the row of the sorted index and the column n (i - 1) + (j - 1) of
+    the entry A[i][j], as in `algebra_action`.  One `nullspace` solves the
+    stacked rows of all the forms.
+    """
     n = forms[0].dim
     rows = []
     for t in forms:
-        cols = []
-        for r in range(n):
-            for c in range(n):
-                unit = [[Fraction(0)] * n for _ in range(n)]
-                unit[r][c] = Fraction(1)
-                cols.append(algebra_action(unit, t).coefficient_vector())
-        rows.extend(transpose(cols))
-    basis = nullspace(rows)
+        (coeffs,), _ = cleared([list(t.terms.values())])
+        out = {}
+        for I, c in zip(t.terms, coeffs):
+            for p, i in enumerate(I):
+                for j in range(1, n + 1):
+                    key, sign = sort_index(I[:p] + (j,) + I[p + 1:])
+                    if sign:
+                        row = out.setdefault(key, [0] * (n * n))
+                        row[n * (i - 1) + j - 1] -= c * sign
+        rows.extend(out.values())
+    basis = nullspace(rows or [[0] * (n * n)])
     return [[[v[n * r + c] for c in range(n)] for r in range(n)]
             for v in basis]
 

@@ -14,15 +14,17 @@ from g2forms.homogeneous import (bare_complex, build_complex, cartan_3form,
                                  exact_primitive, invariant_2form_analysis,
                                  invariant_kforms,
                                  nearly_parallel_check, nearly_parallel_rays)
-from g2forms.liealg import (ScanConfig, _ray_grid, build_algebra,
+from g2forms.liealg import (IsotropyModule, ScanConfig, _ray_grid,
+                            build_algebra,
                             invariant_3forms, isotropic_exclusion,
                             scan_family)
-from g2forms.linalg import cleared, inverse, nullspace, rank
+from g2forms.linalg import (adjugate, cleared, identity, inverse, nullspace,
+                            rank)
 from g2forms.multilinear import KForm, pullback
 from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify3,
                                   classify_coeffs, family_hitchin_map,
-                                  hitchin_bilinear, hodge_star,
-                                  star_euclidean)
+                                  hitchin_bilinear, hitchin_matrix,
+                                  hodge_star, star_euclidean)
 
 w = KForm.basis
 
@@ -644,6 +646,53 @@ def test_pencil_certificate_finds_the_exact_ray(pencils, case):
     assert nearly_parallel_check(mod, f1 + cert.r * f2).is_nearly_parallel
     assert ray["slope"] == cert.r and ray["coeffs"][1] >= 0
 
+
+
+def _kform_pencil_point(mod, ev, s):
+    """q and dq at slope s by the KForm route: the integer adjugate of
+    hitchin_matrix(t(s)), then star_euclidean(pullback(adj B(s), t(s)))
+    and `_diff_terms`; None when det B(s) = 0."""
+    (x1, x2), _ = cleared([f.coefficient_vector() for f in ev.basis])
+    x = [a + s * b for a, b in zip(x1, x2)]
+    detb, adj = adjugate(hitchin_matrix(x))
+    if detb == 0:
+        return None
+    q = star_euclidean(pullback(adj, KForm.from_coefficient_vector(7, 3, x)))
+    assert all(c.denominator == 1 for c in q.terms.values())
+    return (tuple(c.numerator for c in q.coefficient_vector()),
+            homogeneous._diff_terms(q.terms, mod.d_one_forms))
+
+
+def _assert_pencil_matches_the_kform_route(mod, ev, picks):
+    for j in picks:
+        q, dq = _kform_pencil_point(mod, ev, ev.slopes[j])
+        assert ev.q[j] == q and all(type(c) is int for c in ev.q[j])
+        assert bool(ev.dq[j]) is bool(dq) and ev.dq[j] == dq
+    for s in ev.singular:
+        assert _kform_pencil_point(mod, ev, s) is None
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
+def test_pencil_evaluations_match_the_kform_route(pencils, case):
+    mod, ev = pencils[case]
+    _assert_pencil_matches_the_kform_route(mod, ev, (0, 28, 56))
+
+
+def test_pencil_dq_matches_the_kform_route_where_it_is_nonzero(monkeypatch):
+    # su(2)+t(4) with its brackets divided by 3, so the matrix of d has a
+    # denominator, and a family whose duals are not closed
+    bare = bare_complex(section5.su2_t4_compact())
+    mod = IsotropyModule(
+        label="su(2)+t(4) / 3", dimV=7, action=[], gram=identity(7),
+        brackets={ij: [Fraction(c, 3) for c in v]
+                  for ij, v in bare.brackets.items()})
+    assert homogeneous._d4_matrix(mod)[1] == 3
+    family = [PHI, PHITILDE + w(7, 1, 2, 4)]
+    monkeypatch.setattr(homogeneous, "invariant_3forms", lambda m: family)
+    ev = homogeneous.pencil_evaluations(mod)
+    assert len(ev.slopes) == 57 and ev.singular == (1,)
+    assert not ev.dq[0] and all(ev.dq[1:])
+    _assert_pencil_matches_the_kform_route(mod, ev, (0, 1, 30, 56))
 
 
 def test_pencil_of_degenerate_forms_has_no_rays(monkeypatch):

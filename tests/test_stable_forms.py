@@ -4,11 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from g2forms.linalg import charpoly, det, mat, mat_mul, rank, transpose
+from g2forms.linalg import (charpoly, det, mat, mat_mul, nullspace, rank,
+                            transpose)
 from g2forms.multilinear import (KForm, algebra_action, basis_vector,
                                  interior, pullback, sort_index, wedge)
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
-                                  annihilator_g2, classification_report,
+                                  annihilator_g2, annihilator_of_form,
+                                  classification_report,
                                   classify3,
                                   decompose2, decompose3, dual_ray,
                                   four_form_volume,
@@ -292,6 +294,78 @@ def test_metric_from_4form_cubic_homogeneity(s):
     assert b.det == Fraction(s) ** 21 * a.det
 
 
+def _bivector_metric_cubics():
+    """gdual(p) by the bivector formula, as integer cubics in p.
+
+    gdual(X*, Y*) = <P_X ^ P_Y, p> with iota_{P_X} vol = X* ^ p: the term
+    p_L e^L of p puts sign(i L) sign(K, T) p_L on the bivector index K, the
+    complement of T = sort(i L), of P_{e_i}.  Returns (i, j) ->
+    {sorted triple of 4-indices: coefficient}, for i <= j, 0-based.
+    """
+    full = set(range(1, 8))
+    bivectors = []
+    for i in range(1, 8):
+        biv = {}
+        for L in combinations(range(1, 8), 4):
+            T, s1 = sort_index((i,) + L)
+            if s1:
+                K = tuple(sorted(full - set(T)))
+                biv[K] = (L, s1 * sort_index(K + T)[1])
+        bivectors.append(biv)
+    table = {}
+    for i in range(7):
+        for j in range(i, 7):
+            cell = {}
+            for K, (L, c) in bivectors[i].items():
+                for K2, (L2, c2) in bivectors[j].items():
+                    key, s = sort_index(K + K2)
+                    if s:
+                        mono = tuple(sorted((L, L2, key)))
+                        cell[mono] = cell.get(mono, 0) + c * c2 * s
+            table[i, j] = {m: v for m, v in cell.items() if v}
+    return table
+
+
+def test_metric_from_4form_is_the_hitchin_matrix_of_the_dual():
+    # gdual(p) = hitchin_matrix(star_euclidean(p)) as polynomials: the
+    # Hitchin contraction table, read through the signed permutation
+    # t_I = sign p_(comp I) of star_euclidean, has the bivector formula's
+    # cubic coefficients in every cell
+    from g2forms.stable_forms import IDX3, _hitchin_table
+
+    dual = []
+    for I in IDX3:
+        L = tuple(sorted(set(range(1, 8)) - set(I)))
+        (sign,) = star_euclidean(w(7, *L)).terms.values()
+        assert star_euclidean(w(7, *L)).terms == {I: sign}
+        dual.append((L, sign))
+    reference = _bivector_metric_cubics()
+    cells = 0
+    for (i, j), groups in _hitchin_table().items():
+        cell = {}
+        for pi, rest in groups:
+            li, si = dual[pi]
+            for pj, pk, s in rest:
+                (lj, sj), (lk, sk) = dual[pj], dual[pk]
+                mono = tuple(sorted((li, lj, lk)))
+                cell[mono] = cell.get(mono, 0) + s * si * sj * sk
+        assert {m: v for m, v in cell.items() if v} == reference[i - 1, j - 1]
+        cells += 1
+    assert cells == 28 and sum(map(len, reference.values())) > 0
+    # and `metric_from_4form` evaluates those cubics, on rational forms too
+    rng = random.Random(29)
+    for p in (PSI4, Fraction(5, 3) * PSI4 - w(7, 4, 5, 6, 7),
+              *(KForm.make(7, 4, [(L, Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, 5)))
+                                  for L in combinations(range(1, 8), 4)])
+                for _ in range(2))):
+        got = metric_from_4form(p).gdual
+        for (i, j), cubic in reference.items():
+            want = sum(c * p.coeff(*a) * p.coeff(*b) * p.coeff(*d)
+                       for (a, b, d), c in cubic.items())
+            assert got[i][j] == got[j][i] == want
+
+
 def test_four_form_volume_exponent():
     assert abs(four_form_volume(PSI4) - 6.0 ** (7.0 / 12.0)) < 1e-12
 
@@ -304,6 +378,42 @@ def test_annihilator_dimension_and_ambient():
     for a in g2:
         assert all(a[i][j] == -a[j][i] for i in range(7) for j in range(7))
         assert algebra_action(a, PHI).is_zero()
+
+
+def _annihilator_reference(*forms):
+    """The annihilator by `algebra_action` on the n^2 unit matrices."""
+    n = forms[0].dim
+    rows = []
+    for t in forms:
+        cols = []
+        for r in range(n):
+            for c in range(n):
+                unit = [[Fraction(int((i, j) == (r, c))) for j in range(n)]
+                        for i in range(n)]
+                cols.append(algebra_action(unit, t).coefficient_vector())
+        rows.extend(transpose(cols))
+    return [[[v[n * r + c] for c in range(n)] for r in range(n)]
+            for v in nullspace(rows)]
+
+
+def _seeded_3form(seed):
+    rng = random.Random(seed)
+    return KForm.make(7, 3, [(idx, Fraction(rng.randint(-9, 9),
+                                            rng.randint(1, 6)))
+                             for idx in rng.sample(
+                                 list(combinations(range(1, 8), 3)), 12)])
+
+
+@pytest.mark.parametrize("forms,dim", [
+    ((PHI,), 14), ((PHITILDE,), 14), ((PHI, PHITILDE), 6),
+    ((_seeded_3form(23),), 15)], ids=["PHI", "PHITILDE", "pair", "seeded"])
+def test_annihilator_matches_the_algebra_action_reference(forms, dim):
+    basis = annihilator_of_form(*forms)
+    assert basis == _annihilator_reference(*forms)
+    assert all(type(x) is Fraction for a in basis for row in a for x in row)
+    assert len(basis) == dim
+    for a in basis:
+        assert all(algebra_action(a, t).is_zero() for t in forms)
 
 
 def test_constant_tables_are_built_once():
@@ -417,20 +527,26 @@ def test_det_gdual_degree_21_scaling():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_fast_classifier_agrees_with_signature_route(seed):
-    # dual route: the minor-chain decision must match the full signature
+    # the class from the one `inertia` elimination must match the class of
+    # a Descartes count on charpoly(B) and Bareiss det B (`_fraction_hitchin`),
+    # which run no elimination of `inertia`
     rng = random.Random(seed)
     t = KForm.make(7, 3, [(tuple(rng.sample(range(1, 8), 3)),
                            Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                           for _ in range(rng.randint(1, 8))])
-    data = hitchin_bilinear(t)
-    if data.detB == 0:
-        expected = Orbit3Class.DEGENERATE
-    elif data.signature in ((7, 0), (0, 7)):
-        expected = Orbit3Class.DEFINITE
-    else:
-        assert data.signature in ((4, 3), (3, 4))
-        expected = Orbit3Class.INDEFINITE
+    _, detb, signature, expected = _fraction_hitchin(t)
+    assert (detb == 0) == (sum(signature) < 7)
     assert classify3(t) is expected
+    assert hitchin_bilinear(t).signature == signature
+
+
+def test_hitchin_data_builds_b_only_when_read():
+    t = Fraction(-2, 7) * PHITILDE + w(7, 1, 2, 4)
+    data = hitchin_bilinear(t)
+    classification_report(t)
+    assert "B" not in vars(data)
+    assert data.B == [[data.scale ** 3 * x for x in row] for row in data.Bx]
+    assert data.B is data.B
 
 
 # --- the integer Hitchin path against a Fraction reference ------------------
