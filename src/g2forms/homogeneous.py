@@ -16,7 +16,6 @@ beside its real ninth root as a float.  No float star is computed.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -25,9 +24,9 @@ from .linalg import (adjugate, cleared, identity, mat, nullspace, rank, solve,
 from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
                      invariant_3forms, invariant_kforms, scan_family)
 from .multilinear import KForm, algebra_action, pullback, sort_index
-from .stable_forms import (Orbit3Class, _star_on_dual_ray, classify3,
-                           classify_hitchin, dual_ray, family_hitchin_map,
-                           hitchin_ray)
+from .stable_forms import (Orbit3Class, _dual_coefficients, _star_on_dual_ray,
+                           classify3, classify_hitchin, dual_ray,
+                           family_hitchin_map, hitchin_ray)
 
 
 def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
@@ -353,44 +352,6 @@ def _slope_order():
         yield k
         yield -k
         k += 1
-
-
-@cache
-def _minor_expansion():
-    """Per 3-subset J = (j, k, l) of 0..6, in order: its sign in
-    `star_euclidean`, and (j, k, l) with the positions of the 2-subsets
-    (k, l), (j, l), (j, k), along which a 3 x 3 minor with columns J
-    expands by its first row."""
-    full = set(range(7))
-    pair = {jk: n for n, jk in enumerate(combinations(range(7), 2))}
-    out = []
-    for j, k, l in combinations(range(7), 3):
-        _, star = sort_index((j, k, l) + tuple(sorted(full - {j, k, l})))
-        out.append((star, j, k, l, pair[k, l], pair[j, l], pair[j, k]))
-    return tuple(out)
-
-
-def _dual_coefficients(adj, x):
-    """star_euclidean(pullback(adj, x)) as an integer 35-vector.
-
-    adj is an integer 7 x 7 matrix and x the integer coefficients of a
-    3-form.  The pullback has coefficient sum_I x_I det adj[I, J] on e^J,
-    and the star puts it, times the sign of (J, comp J), on e^(comp J),
-    which sits at position 34 - pos J: complementing reverses the
-    lexicographic order.  Each minor is expanded along row I_1 against the
-    2 x 2 minors of rows I_2, I_3, taken once per I in the support of x.
-    """
-    expansion = _minor_expansion()
-    acc = [0] * len(expansion)
-    pairs = list(combinations(range(7), 2))
-    for (a, b, c), xi in zip(combinations(range(7), 3), x):
-        if not xi:
-            continue
-        ra, rb, rc = adj[a], adj[b], adj[c]
-        m2 = [rb[j] * rc[k] - rb[k] * rc[j] for j, k in pairs]
-        for n, (_, j, k, l, kl, jl, jk) in enumerate(expansion):
-            acc[n] += xi * (ra[j] * m2[kl] - ra[k] * m2[jl] + ra[l] * m2[jk])
-    return [e[0] * v for e, v in zip(expansion, acc)][::-1]
 
 
 def _d4_matrix(m: IsotropyModule):

@@ -18,8 +18,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .linalg import (adjugate, charpoly, cleared, det, frac, identity,
                      inertia, mat, mat_vec, nullspace)
-from .multilinear import (KForm, basis_vector, interior, pullback, sort_index,
-                          wedge)
+from .multilinear import KForm, basis_vector, interior, sort_index, wedge
 
 DIM = 7
 
@@ -184,13 +183,13 @@ def primitive_int_vector(vec):
 
 
 def hitchin_ray(t: KForm):
-    """(Bx, scale): the integer Hitchin matrix of t's primitive ray.
+    """(Bx, scale, x): the integer Hitchin matrix of t's primitive ray.
 
     t = scale * x with x primitive integer and Bx = hitchin_matrix(x); B is
     homogeneous of degree 3, so B(t) = scale^3 Bx exactly.
     """
     x, scale = primitive_ray(_coeffs3(t))
-    return hitchin_matrix(x), scale
+    return hitchin_matrix(x), scale, x
 
 
 def hitchin_bilinear(t: KForm) -> HitchinData:
@@ -201,7 +200,7 @@ def hitchin_bilinear(t: KForm) -> HitchinData:
     det Bx and, by Jacobi's rule, the signature (a positive scale keeps
     it).  Only det B is rescaled to t here; B is rescaled when it is read.
     """
-    bx, scale = hitchin_ray(t)
+    bx, scale, _ = hitchin_ray(t)
     p, q, detbx = inertia(bx)
     return HitchinData(detB=scale ** 21 * detbx, signature=(p, q), Bx=bx,
                        scale=scale)
@@ -431,6 +430,43 @@ def star_euclidean(a: KForm) -> KForm:
 PSI4 = star_euclidean(PHI)
 
 
+@cache
+def _minor_expansion():
+    """Per 3-subset J = (j, k, l) of 0..6, in order: its sign in
+    `star_euclidean`, and (j, k, l) with the positions of the 2-subsets
+    (k, l), (j, l), (j, k), along which a 3 x 3 minor with columns J
+    expands by its first row."""
+    full = set(range(DIM))
+    pair = {jk: n for n, jk in enumerate(combinations(range(DIM), 2))}
+    return tuple(
+        (_perm_sign((j, k, l) + tuple(sorted(full - {j, k, l}))),
+         j, k, l, pair[k, l], pair[j, l], pair[j, k])
+        for j, k, l in combinations(range(DIM), 3))
+
+
+def _dual_coefficients(adj, x):
+    """star_euclidean(pullback(adj, x)) as an integer 35-vector.
+
+    adj is an integer 7 x 7 matrix and x the integer coefficients of a
+    3-form.  The pullback has coefficient sum_I x_I det adj[I, J] on e^J,
+    and the star puts it, times the sign of (J, comp J), on e^(comp J),
+    which sits at position 34 - pos J: complementing reverses the
+    lexicographic order.  Each minor is expanded along row I_1 against the
+    2 x 2 minors of rows I_2, I_3, taken once per I in the support of x.
+    """
+    expansion = _minor_expansion()
+    acc = [0] * len(expansion)
+    pairs = list(combinations(range(DIM), 2))
+    for (a, b, c), xi in zip(combinations(range(DIM), 3), x):
+        if not xi:
+            continue
+        ra, rb, rc = adj[a], adj[b], adj[c]
+        m2 = [rb[j] * rc[k] - rb[k] * rc[j] for j, k in pairs]
+        for n, (_, j, k, l, kl, jl, jk) in enumerate(expansion):
+            acc[n] += xi * (ra[j] * m2[kl] - ra[k] * m2[jl] + ra[l] * m2[jk])
+    return [e[0] * v for e, v in zip(expansion, acc)][::-1]
+
+
 def _star_on_dual_ray(t: KForm, ray=None):
     """(Q, kappa^9) with star t = kappa Q, kappa > 0; None if degenerate.
 
@@ -438,16 +474,18 @@ def _star_on_dual_ray(t: KForm, ray=None):
     `star_euclidean` and g^-1 = 6^(2/9) |det B|^(1/9) sign(det B) B^-1
     (`metric_from_3form`).  With t = scale x (`hitchin_ray`) and
     adj(Bx) = c M, M primitive (one integer `adjugate`), this gives
-    Q = star_euclidean(pullback(M, t)) and the rational
-    kappa^9 = scale^3 c^27 / (6 |det Bx|^23).  `ray`: t's `hitchin_ray`.
+    Q = star_euclidean(pullback(M, t)) = scale * `_dual_coefficients`(M, x)
+    and the rational kappa^9 = scale^3 c^27 / (6 |det Bx|^23).  `ray`: t's
+    `hitchin_ray`.
     """
-    bx, scale = ray or hitchin_ray(t)
+    bx, scale, x = ray or hitchin_ray(t)
     detbx, adj = adjugate(bx)
     if detbx == 0:
         return None
-    adj, c = primitive_ray([x for row in adj for x in row])
-    q = star_euclidean(pullback([adj[i:i + DIM]
-                                 for i in range(0, DIM * DIM, DIM)], t))
+    adj, c = primitive_ray([v for row in adj for v in row])
+    q = _dual_coefficients([adj[i:i + DIM]
+                            for i in range(0, DIM * DIM, DIM)], x)
+    q = KForm.from_coefficient_vector(DIM, 4, [scale * v for v in q])
     return q, scale ** 3 * c ** 27 / (_METRIC_CONST * abs(detbx) ** 23)
 
 

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from g2forms.linalg import (charpoly, det, mat, mat_mul, nullspace, rank,
-                            transpose)
+from g2forms.linalg import (charpoly, det, inverse, mat, mat_mul, nullspace,
+                            rank, transpose)
 from g2forms.multilinear import (KForm, algebra_action, basis_vector,
                                  interior, pullback, sort_index, wedge)
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
@@ -244,6 +244,31 @@ def test_dual_ray_is_a_positive_multiple_of_the_float_star(ref):
             lam = dual @ st / (dual @ dual)
             assert lam > 0
             assert np.linalg.norm(st - lam * dual) <= 1e-9 * np.linalg.norm(st)
+
+
+def test_dual_ray_matches_the_kform_route():
+    # Q = star_euclidean(pullback(M, t)), M the primitive integer matrix on
+    # the ray of adj B, with the KForm pullback kept here as the reference
+    rng = random.Random(23)
+    forms = [PHI, PHITILDE, Fraction(-2, 7) * PHITILDE]
+    while len(forms) < 12:
+        forms.append(KForm.make(7, 3, [
+            (tuple(rng.sample(range(1, 8), 3)),
+             Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            for _ in range(rng.randint(10, 25))]))
+    stable = 0
+    for t in forms:
+        b = mat(hitchin_matrix(t.coefficient_vector()))
+        if det(b) == 0:
+            assert dual_ray(t) is None
+            continue
+        stable += 1
+        content = primitive_int_vector(sum(inverse(b), []))
+        m = [content[i:i + 7] for i in range(0, 49, 7)]
+        if det(b) < 0:
+            m = [[-x for x in row] for row in m]
+        assert dual_ray(t) == star_euclidean(pullback(m, t))
+    assert stable >= 8
 
 
 def test_dual_ray_of_a_degenerate_form_is_none():
@@ -536,6 +561,8 @@ def test_fast_classifier_agrees_with_signature_route(seed):
                           for _ in range(rng.randint(1, 8))])
     _, detb, signature, expected = _fraction_hitchin(t)
     assert (detb == 0) == (sum(signature) < 7)
+    # a stable form has one of the four signatures of the two open orbits
+    assert detb == 0 or signature in ((7, 0), (0, 7), (4, 3), (3, 4))
     assert classify3(t) is expected
     assert hitchin_bilinear(t).signature == signature
 
