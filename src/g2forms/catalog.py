@@ -7,7 +7,9 @@ fingerprint, and whether the invariant 3-form family contains definite and
 indefinite members.  Entries live in data/catalog.json; each case's
 builder in `_BUILDERS` takes its parameters and assembles the pair from
 the liealg constructors, `build_entry` turns it into the isotropy module,
-and `verify_entry` recomputes everything exactly and compares.
+and `verify_entry` recomputes everything exactly and compares.  A
+generator's V-spectrum is read off two kernels, ker(f + 1) and ker(f - 1)
+(`_sign_spectrum`).
 
 Generator expectations:
   accepted  -- included in the module; must normalize the pair and preserve
@@ -26,8 +28,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
-from .linalg import (charpoly, cleared, det, frac, identity, inverse, mat,
-                     mat_mul, mat_vec, nullspace, solve, transpose)
+from .linalg import (det, frac, identity, inverse, mat, mat_mul, mat_vec,
+                     nullspace, solve, transpose)
 from .liealg import (IsotropyModule, MatrixLieAlgebra,
                      build_algebra, creal, diag_torus_su, generator_v_matrix,
                      invariant_3forms, invariant_dims, invariant_form_types,
@@ -531,50 +533,23 @@ def generator_compatibility_report(mod: IsotropyModule, name, fmat, scan=None):
     }
 
 
-def _divide_root(poly, r):
-    """Synthetic division of poly (lowest degree first) by x - r.
+def _sign_spectrum(f):
+    """[-1] * dim ker(f + 1) + [1] * dim ker(f - 1), the spectrum of a
+    generator's V-matrix f when it is rational; None otherwise.
 
-    Returns (quotient, remainder); the remainder is poly(r).
+    Ad_F preserves the trace form, so f preserves a definite form (f^T
+    gram^-1 f = gram^-1): it is diagonalizable over C with every eigenvalue
+    of modulus 1, its only possible rational eigenvalues are -1 and 1, and
+    its spectrum is rational exactly when the two kernels fill V.  For any
+    f a list returned is its spectrum; None on an f that preserves no
+    definite form (a Jordan block, say) does not rule a rational one out.
     """
-    acc, out = 0, []
-    for c in reversed(poly):
-        acc = acc * r + c
-        out.append(acc)
-    rem = out.pop()
-    return out[::-1], rem
-
-
-def _divisors(n):
-    n = abs(n)
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return set(small) | {n // d for d in small}
-
-
-def _rational_spectrum(cp):
-    """Rational roots (with multiplicity) of a monic charpoly, or None.
-
-    Rational-root theorem: after the zero roots, a rational root p/q of the
-    integer-cleared polynomial has p | a_0 and q | a_n.  Each root found is
-    divided out by synthetic division, so a repeated root is found again;
-    None as soon as what is left has no rational root.
-    """
-    poly = [frac(c) for c in cp]
-    roots = []
-    while len(poly) > 1:
-        if poly[0] == 0:
-            root = Fraction(0)
-        else:
-            (ints,), _ = cleared([poly])
-            root = next((s * Fraction(p, q)
-                         for p in _divisors(ints[0])
-                         for q in _divisors(ints[-1]) for s in (1, -1)
-                         if _divide_root(poly, s * Fraction(p, q))[1] == 0),
-                        None)
-            if root is None:
-                return None
-        poly, _ = _divide_root(poly, root)
-        roots.append(root)
-    return sorted(roots)
+    n = len(f)
+    dims = [len(nullspace([[x + s * (i == j) for j, x in enumerate(row)]
+                           for i, row in enumerate(f)])) for s in (1, -1)]
+    if sum(dims) != n:
+        return None
+    return [Fraction(-1)] * dims[0] + [Fraction(1)] * dims[1]
 
 
 def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
@@ -616,7 +591,7 @@ def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
         if name in spectra:
             rep.add(f"generator {name} V-spectrum",
                     sorted(Fraction(x) for x in spectra[name]),
-                    _rational_spectrum(charpoly(vmat)))
+                    _sign_spectrum(vmat))
     if mod.generators:
         # accepted generators: fix the algebra-invariant family setwise
         big = invariant_3forms(replace(mod, generators=()))

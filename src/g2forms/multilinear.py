@@ -7,15 +7,19 @@ are immutable and hashable (``terms`` is a read-only view).
 The top exterior power is identified with scalars through the basis form
 e^1 ^ ... ^ e^n, so "volume-valued" quantities are returned as the
 coefficient with respect to that form.
+
+How gl(R^n) moves the indices of a k-form is one table, `_moves`, built
+once per (n, k); `algebra_action`, `lambda_k_action_matrix` and the
+annihilator system of `stable_forms.annihilator_of_form` all read it.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .linalg import cleared, frac
+from .linalg import ZERO, cleared, frac
 
 
 def sort_index(idx):
@@ -70,7 +74,7 @@ class KForm:
             if sign == 0:
                 continue
             c = frac(c) * sign
-            acc = terms.get(key, Fraction(0)) + c
+            acc = terms.get(key, ZERO) + c
             if acc == 0:
                 terms.pop(key, None)
             else:
@@ -92,14 +96,14 @@ class KForm:
     def coeff(self, *idx):
         key, sign = sort_index(idx)
         if sign == 0:
-            return Fraction(0)
-        return sign * self.terms.get(key, Fraction(0))
+            return ZERO
+        return sign * self.terms.get(key, ZERO)
 
     def __add__(self, other):
         self._check_match(other)
         terms = self.terms.copy()
         for k, v in other.terms.items():
-            acc = terms.get(k, Fraction(0)) + v
+            acc = terms.get(k, ZERO) + v
             if acc == 0:
                 terms.pop(k, None)
             else:
@@ -141,11 +145,11 @@ class KForm:
         small, big = (self.terms, other.terms)
         if len(big) < len(small):
             small, big = big, small
-        return sum(c * big.get(k, Fraction(0)) for k, c in small.items())
+        return sum(c * big.get(k, ZERO) for k, c in small.items())
 
     def coefficient_vector(self):
         """Dense coefficient vector over the sorted k-subset basis."""
-        return [self.terms.get(idx, Fraction(0))
+        return [self.terms.get(idx, ZERO)
                 for idx in combinations(range(1, self.dim + 1), self.degree)]
 
     @staticmethod
@@ -182,7 +186,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
                 continue
             key, sign = sort_index(ia + ib)
             c = ca * cb * sign
-            acc = out.get(key, Fraction(0)) + c
+            acc = out.get(key, ZERO) + c
             if acc == 0:
                 out.pop(key, None)
             else:
@@ -204,7 +208,7 @@ def interior(v, a: KForm) -> KForm:
                 continue
             key = idx[:p] + idx[p + 1:]
             contrib = c * frac(vi) * (1 if p % 2 == 0 else -1)
-            acc = out.get(key, Fraction(0)) + contrib
+            acc = out.get(key, ZERO) + contrib
             if acc == 0:
                 out.pop(key, None)
             else:
@@ -269,61 +273,67 @@ def pullback(m, a: KForm) -> KForm:
     return KForm(n, a.degree, out)
 
 
+@cache
+def _moves(dim, k):
+    """The index moves of gl(R^dim) on Lambda^k, keyed by the sorted
+    1-based k-subset I: the tuples (i, j, J, sign), i and j 0-based, with
+    e^J = sign (e^I with index i + 1 replaced by j + 1), so the unit matrix
+    E_ij sends e^I to -sign e^J.  Moves onto a repeated index are left
+    out; within I they run by slot, then by j.
+    """
+    table = {}
+    for idx in combinations(range(1, dim + 1), k):
+        moves = []
+        for p, i in enumerate(idx):
+            for j in range(dim):
+                key, sign = sort_index(idx[:p] + (j + 1,) + idx[p + 1:])
+                if sign:
+                    moves.append((i - 1, j, key, sign))
+        table[idx] = tuple(moves)
+    return table
+
+
 def algebra_action(m, a: KForm) -> KForm:
     """Infinitesimal action (m . a)(v...) = -sum_i a(v1, ..., m v_i, ..., vk).
 
     This is the derivative at t = 0 of pullback(exp(-t m), a); annihilators of
-    a form computed with it are the stabilizer subalgebras.
+    a form computed with it are the stabilizer subalgebras.  Each term
+    c e^I of a adds -c m[i][j] sign to the coefficient of e^J for every
+    move (i, j, J, sign) of I in `_moves`.
     """
     n = a.dim
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError("algebra_action: map shape mismatch")
-    if a.degree == 0:
-        return KForm.zero(n, 0)
+    moves = _moves(n, a.degree)
     out = {}
     for idx, c in a.terms.items():
-        for p, i in enumerate(idx):
-            # replace slot p (covariant index i) by every j with m[i][j] != 0
-            row = m[i - 1]
-            for j in range(1, n + 1):
-                mij = row[j - 1]
-                if mij == 0:
-                    continue
-                new_idx = idx[:p] + (j,) + idx[p + 1:]
-                key, sign = sort_index(new_idx)
-                if sign == 0:
-                    continue
-                contrib = -c * frac(mij) * sign
-                acc = out.get(key, Fraction(0)) + contrib
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+        for i, j, key, sign in moves[idx]:
+            mij = m[i][j]
+            if mij == 0:
+                continue
+            acc = out.get(key, ZERO) - c * frac(mij) * sign
+            if acc == 0:
+                out.pop(key, None)
+            else:
+                out[key] = acc
     return KForm(n, a.degree, out)
 
 
 def lambda_k_action_matrix(a, k, dim=7):
     """Matrix of the infinitesimal action of a on Lambda^k coefficients.
 
-    Column I is algebra_action(a, e^I), built by index arithmetic: slot p
-    of I, holding i, is replaced by each j outside I with a[i][j] != 0, and
-    entry (J, I) gains -a[i][j] times (-1)^(p - q), q the slot of j in the
-    sorted J.  The entries keep the arithmetic of a: an int matrix gives an
-    int matrix.
+    Column I is algebra_action(a, e^I): each move (i, j, J, sign) of I in
+    `_moves` with a[i][j] != 0 adds -sign a[i][j] to entry (J, I).  The
+    entries keep the arithmetic of a: an int matrix gives an int matrix.
     """
-    idxs = list(combinations(range(dim), k))
-    pos = {idx: r for r, idx in enumerate(idxs)}
-    support = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-    out = [[0] * len(idxs) for _ in idxs]
-    for c, idx in enumerate(idxs):
-        for p, i in enumerate(idx):
-            rest = idx[:p] + idx[p + 1:]
-            for j, x in support[i]:
-                q = bisect_left(rest, j)
-                if q < len(rest) and rest[q] == j:
-                    continue
-                r = pos[rest[:q] + (j,) + rest[q:]]
-                out[r][c] += x if (p - q) % 2 else -x
+    moves = _moves(dim, k)
+    pos = {idx: r for r, idx in enumerate(moves)}
+    out = [[0] * len(pos) for _ in pos]
+    for c, row_moves in enumerate(moves.values()):
+        for i, j, key, sign in row_moves:
+            x = a[i][j]
+            if x:
+                out[pos[key]][c] -= sign * x
     return out
 
 

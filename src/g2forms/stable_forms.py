@@ -18,7 +18,8 @@ from itertools import combinations, combinations_with_replacement
 
 from .linalg import (adjugate, charpoly, cleared, det, frac, identity,
                      inertia, mat, mat_vec, nullspace)
-from .multilinear import KForm, basis_vector, interior, sort_index, wedge
+from .multilinear import (KForm, _moves, basis_vector, interior, sort_index,
+                          wedge)
 
 DIM = 7
 
@@ -568,25 +569,22 @@ def classification_report(t: KForm) -> dict:
 def annihilator_of_form(*forms: KForm):
     """Basis of {A in gl(R^n) : algebra_action(A, t) = 0 for all t}, exact.
 
-    The condition is linear in the n^2 entries of A and is assembled by
-    index arithmetic on each form cleared to integers: in a term c e^I of
-    t, replacing slot p (holding i) by j adds -c times the sign of the sort
-    to the row of the sorted index and the column n (i - 1) + (j - 1) of
-    the entry A[i][j], as in `algebra_action`.  One `nullspace` solves the
-    stacked rows of all the forms.
+    The condition is linear in the n^2 entries of A.  Each form is cleared
+    to integers, and each of its terms c e^I adds -c sign to the row of e^J
+    in the column n i + j of A[i][j], for every move (i, j, J, sign) of I
+    in `multilinear._moves`, the table `algebra_action` reads.  One
+    `nullspace` solves the stacked rows of all the forms.
     """
     n = forms[0].dim
     rows = []
     for t in forms:
         (coeffs,), _ = cleared([list(t.terms.values())])
+        moves = _moves(n, t.degree)
         out = {}
         for I, c in zip(t.terms, coeffs):
-            for p, i in enumerate(I):
-                for j in range(1, n + 1):
-                    key, sign = sort_index(I[:p] + (j,) + I[p + 1:])
-                    if sign:
-                        row = out.setdefault(key, [0] * (n * n))
-                        row[n * (i - 1) + j - 1] -= c * sign
+            for i, j, J, sign in moves[I]:
+                row = out.setdefault(J, [0] * (n * n))
+                row[n * i + j] -= c * sign
         rows.extend(out.values())
     basis = nullspace(rows or [[0] * (n * n)])
     return [[[v[n * r + c] for c in range(n)] for r in range(n)]

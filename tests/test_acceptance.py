@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from g2forms import section5
-from g2forms.catalog import (build_entry, candidate_module,
+from g2forms.catalog import (_sign_spectrum, build_entry, candidate_module,
                              compute_su3_in_g2,
                              generator_compatibility_report, load_catalog,
                              verify_entry)
@@ -34,6 +34,7 @@ from g2forms.octonion import (UnitQuaternion, chi_embedding, is_automorphism,
 from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class,
                                   annihilator_g2, annihilator_of_form,
                                   classify3, decompose2, decompose3)
+from references import sign_charpoly
 
 w = KForm.basis
 DEFAULT_SCAN = ScanConfig()
@@ -239,19 +240,19 @@ def test_criterion_10_finite_generator_shadows():
     d14_ok &= rep2ai.passed
     mod4i = build_entry("4i")
     _, vmat = mod4i.generators[0]
-    from g2forms.catalog import _rational_spectrum
-
     triple_ok = (mat_mul(vmat, vmat) == identity(7)
-                 and _rational_spectrum(charpoly(vmat))
-                 == [Fraction(-1)] * 4 + [Fraction(1)] * 3)
+                 and _sign_spectrum(vmat)
+                 == [Fraction(-1)] * 4 + [Fraction(1)] * 3
+                 and charpoly(vmat) == sign_charpoly(4, 3))
     mod4ii = build_entry("4ii", (0, 0))
     name, fmat, _ = mod4ii.pending_generators[0]
     crep = generator_compatibility_report(mod4ii, name, fmat,
                                           ScanConfig(grid=2000, random=500))
     swap_vmat = candidate_module(mod4ii, name, fmat).generators[-1][1]
     swap_ok = (not crep["has_indefinite"]
-               and _rational_spectrum(charpoly(swap_vmat))
-               == [Fraction(-1)] * 3 + [Fraction(1)] * 4)
+               and _sign_spectrum(swap_vmat)
+               == [Fraction(-1)] * 3 + [Fraction(1)] * 4
+               and charpoly(swap_vmat) == sign_charpoly(3, 4))
     mod8 = build_entry("8-g2xR")
     name8, fmat8, _ = mod8.pending_generators[0]
     rep8 = generator_compatibility_report(mod8, name8, fmat8,

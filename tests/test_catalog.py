@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from g2forms.catalog import (_BUILDERS, build_entry, candidate_module,
+from g2forms.catalog import (_BUILDERS, _sign_spectrum, build_entry,
+                             candidate_module,
                              catalog_hash, compute_g2_algebra,
                              compute_su3_in_g2, generator_compatibility_report,
                              load_catalog, so3_irrep, verify_entry)
 from g2forms.liealg import ScanConfig, invariant_dims
-from g2forms.linalg import charpoly, commutator, identity, mat_mul
+from g2forms.linalg import charpoly, commutator, identity, inverse, mat_mul
+from references import sign_charpoly
 
 SMALL_SCAN = ScanConfig(grid=400, random=100)
 
@@ -113,11 +115,9 @@ def test_a12_triple_matches_the_diagonal_involution():
     mod = build_entry("4i")
     name, vmat = mod.generators[0]
     assert mat_mul(vmat, vmat) == identity(7)
-    cp = charpoly(vmat)
     # eigenvalues -1 with multiplicity 4, +1 with multiplicity 3
-    from g2forms.catalog import _rational_spectrum
-
-    assert _rational_spectrum(cp) == [Fraction(-1)] * 4 + [Fraction(1)] * 3
+    assert _sign_spectrum(vmat) == [Fraction(-1)] * 4 + [Fraction(1)] * 3
+    assert charpoly(vmat) == sign_charpoly(4, 3)
 
 
 def test_sigma3_swap_is_rejected():
@@ -128,10 +128,8 @@ def test_sigma3_swap_is_rejected():
     assert not rep["has_indefinite"]
     assert Fraction(rep["det_on_V"]) == -1
     vmat = candidate_module(mod, name, fmat).generators[-1][1]
-    from g2forms.catalog import _rational_spectrum
-
-    assert _rational_spectrum(charpoly(vmat)) == \
-        [Fraction(-1)] * 3 + [Fraction(1)] * 4
+    assert _sign_spectrum(vmat) == [Fraction(-1)] * 3 + [Fraction(1)] * 4
+    assert charpoly(vmat) == sign_charpoly(3, 4)
 
 
 def test_d7_shadow_determinant_negative():
@@ -239,24 +237,27 @@ def test_auxiliary_entry_is_not_a_table_row():
     assert (dims.d1, dims.d2, dims.d3) == (0, 1, 1)
 
 
-def test_rational_spectrum_finds_zero_fractional_and_repeated_roots():
-    from g2forms.catalog import _rational_spectrum
+def test_sign_spectrum_of_identities_and_a_conjugated_involution():
+    assert _sign_spectrum(identity(5)) == [Fraction(1)] * 5
+    minus = [[-x for x in row] for row in identity(5)]
+    assert _sign_spectrum(minus) == [Fraction(-1)] * 5
+    assert _sign_spectrum([]) == []
+    # P diag(-1, -1, 1) P^-1 with P rational and not orthogonal
+    p = [[Fraction(1), Fraction(2), Fraction(0)],
+         [Fraction(0), Fraction(1, 3), Fraction(1)],
+         [Fraction(1), Fraction(0), Fraction(-2)]]
+    diag = [[Fraction(-1), 0, 0], [0, Fraction(-1), 0], [0, 0, Fraction(1)]]
+    f = mat_mul(mat_mul(p, diag), inverse(p))
+    assert f != diag
+    assert _sign_spectrum(f) == [Fraction(-1)] * 2 + [Fraction(1)]
+    assert charpoly(f) == sign_charpoly(2, 1)
 
-    # x^2 (x - 1/2)^3 (x + 3) = x^6 + (3/2) x^5 - (15/4) x^4 + (17/8) x^3
-    #                           - (3/8) x^2
-    cp = [0, 0, Fraction(-3, 8), Fraction(17, 8), Fraction(-15, 4),
-          Fraction(3, 2), 1]
-    assert _rational_spectrum(cp) == \
-        [Fraction(-3), 0, 0] + [Fraction(1, 2)] * 3
-    assert _rational_spectrum(charpoly([[0] * 3] * 3)) == [0, 0, 0]
-    assert _rational_spectrum([1]) == []
 
-
-def test_rational_spectrum_refuses_irrational_and_complex_roots():
-    from g2forms.catalog import _rational_spectrum
-
-    assert _rational_spectrum([-2, 0, 1]) is None          # +-sqrt(2)
-    assert _rational_spectrum([1, 0, 1]) is None           # +-i
-    # (x - 1)(x^2 + 1): one rational root, then none
-    assert _rational_spectrum([-1, 1, -1, 1]) is None
-
+def test_sign_spectrum_refuses_rotations_and_jordan_blocks():
+    # a quarter turn has eigenvalues +-i; beside a fixed line, only the
+    # line's 1 is rational, and the kernels do not fill V
+    assert _sign_spectrum([[0, -1], [1, 0]]) is None
+    assert _sign_spectrum([[0, -1, 0], [1, 0, 0], [0, 0, 1]]) is None
+    # a rational spectrum [1, 1] but not diagonalizable: ker(f - 1) is a
+    # line, so the route refuses it rather than report [1, 1]
+    assert _sign_spectrum([[1, 1], [0, 1]]) is None

@@ -20,7 +20,8 @@ from g2forms.linalg import (commutator, identity, intersect_nullspaces,
                             inverse, mat, mat_mul, mat_sub, mat_vec,
                             nullspace, rank, rref, solve, trace,
                             transpose)
-from g2forms.multilinear import KForm, algebra_action, pullback
+from g2forms.multilinear import KForm, pullback
+from references import reference_action
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
                                   classify_hitchin, family_hitchin_map,
                                   hitchin_matrix, primitive_int_vector)
@@ -576,7 +577,7 @@ def test_invariant_symmetric_forms_match_a_fraction_reference(
 
 def _kform_reference(m, k):
     """The invariant k-forms from Fraction systems built one basis k-form
-    at a time with `algebra_action` and `pullback`."""
+    at a time with `reference_action` and `pullback`."""
     n = m.dimV
     if k == 0:
         return [KForm.make(n, 0, [((), 1)])]
@@ -586,7 +587,7 @@ def _kform_reference(m, k):
         return transpose([op(f, KForm.basis(n, *idx)).coefficient_vector()
                           for idx in idxs])
 
-    mats = [matrix(algebra_action, a) for a in m.action]
+    mats = [matrix(reference_action, a) for a in m.action]
     mats += [mat_sub(matrix(pullback, f), identity(len(idxs)))
              for _, f in m.generators]
     if not mats:

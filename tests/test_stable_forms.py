@@ -6,7 +6,7 @@ import pytest
 
 from g2forms.linalg import (charpoly, det, inverse, mat, mat_mul, nullspace,
                             rank, transpose)
-from g2forms.multilinear import (KForm, algebra_action, basis_vector,
+from g2forms.multilinear import (KForm, _moves, algebra_action, basis_vector,
                                  interior, pullback, sort_index, wedge)
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   annihilator_g2, annihilator_of_form,
@@ -19,6 +19,7 @@ from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   metric_from_4form,
                                   primitive_int_vector, star_euclidean,
                                   traceless_to_27)
+from references import reference_action
 
 w = KForm.basis
 
@@ -406,7 +407,7 @@ def test_annihilator_dimension_and_ambient():
 
 
 def _annihilator_reference(*forms):
-    """The annihilator by `algebra_action` on the n^2 unit matrices."""
+    """The annihilator by `reference_action` on the n^2 unit matrices."""
     n = forms[0].dim
     rows = []
     for t in forms:
@@ -415,7 +416,7 @@ def _annihilator_reference(*forms):
             for c in range(n):
                 unit = [[Fraction(int((i, j) == (r, c))) for j in range(n)]
                         for i in range(n)]
-                cols.append(algebra_action(unit, t).coefficient_vector())
+                cols.append(reference_action(unit, t).coefficient_vector())
         rows.extend(transpose(cols))
     return [[[v[n * r + c] for c in range(n)] for r in range(n)]
             for v in nullspace(rows)]
@@ -444,9 +445,12 @@ def test_annihilator_matches_the_algebra_action_reference(forms, dim):
 def test_constant_tables_are_built_once():
     from g2forms import stable_forms
 
-    for build in (stable_forms._hitchin_table, annihilator_g2,
-                  stable_forms._decomp2_setup, stable_forms._decomp3_setup):
-        assert build() is build()
+    for build, args in ((stable_forms._hitchin_table, ()),
+                        (annihilator_g2, ()),
+                        (stable_forms._decomp2_setup, ()),
+                        (stable_forms._decomp3_setup, ()),
+                        (_moves, (7, 3))):
+        assert build(*args) is build(*args)
 
 
 def test_decompose2_dims_and_projector():
