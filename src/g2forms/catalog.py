@@ -544,10 +544,9 @@ def _sign_spectrum(f):
     f a list returned is its spectrum; None on an f that preserves no
     definite form (a Jordan block, say) does not rule a rational one out.
     """
-    n = len(f)
     dims = [len(nullspace([[x + s * (i == j) for j, x in enumerate(row)]
                            for i, row in enumerate(f)])) for s in (1, -1)]
-    if sum(dims) != n:
+    if sum(dims) != len(f):
         return None
     return [Fraction(-1)] * dims[0] + [Fraction(1)] * dims[1]
 

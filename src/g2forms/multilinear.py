@@ -329,8 +329,8 @@ def lambda_k_action_matrix(a, k, dim=7):
     moves = _moves(dim, k)
     pos = {idx: r for r, idx in enumerate(moves)}
     out = [[0] * len(pos) for _ in pos]
-    for c, row_moves in enumerate(moves.values()):
-        for i, j, key, sign in row_moves:
+    for c, column in enumerate(moves.values()):
+        for i, j, key, sign in column:
             x = a[i][j]
             if x:
                 out[pos[key]][c] -= sign * x

@@ -445,12 +445,10 @@ def test_annihilator_matches_the_algebra_action_reference(forms, dim):
 def test_constant_tables_are_built_once():
     from g2forms import stable_forms
 
-    for build, args in ((stable_forms._hitchin_table, ()),
-                        (annihilator_g2, ()),
-                        (stable_forms._decomp2_setup, ()),
-                        (stable_forms._decomp3_setup, ()),
-                        (_moves, (7, 3))):
-        assert build(*args) is build(*args)
+    for build in (stable_forms._hitchin_table, annihilator_g2,
+                  stable_forms._decomp2_setup, stable_forms._decomp3_setup,
+                  lambda: _moves(7, 3)):
+        assert build() is build()
 
 
 def test_decompose2_dims_and_projector():
