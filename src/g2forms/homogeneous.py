@@ -19,14 +19,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .linalg import (adjugate, cleared, identity, mat, nullspace, rank, solve,
-                     transpose)
-from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
-                     invariant_3forms, invariant_kforms, scan_family)
+from .linalg import (adjugate, cleared, identity, mat, mat_mul, nullspace,
+                     rank, solve, transpose)
+from .liealg import (IsotropyModule, MatrixLieAlgebra, invariant_3forms,
+                     invariant_kforms)
 from .multilinear import KForm, algebra_action, pullback, sort_index
+from .scan import ScanConfig, family_hitchin_map, scan_family
 from .stable_forms import (Orbit3Class, _dual_coefficients, _star_on_dual_ray,
-                           classify3, classify_hitchin, dual_ray,
-                           family_hitchin_map, hitchin_ray)
+                           classify3, classify_hitchin, dual_ray, hitchin_ray)
 
 
 def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
@@ -82,23 +82,6 @@ def ce_differential(m: IsotropyModule, a: KForm) -> KForm:
     if not is_invariant(m, a):
         raise ValueError("form is not invariant; differential undefined")
     return KForm(m.dimV, a.degree + 1, _diff_terms(a.terms, m.d_one_forms))
-
-
-def cartan_3form(m: IsotropyModule) -> KForm:
-    """The 3-form <X, [Y, Z]> on V, in the V-basis.
-
-    On a bare complex this is the Cartan 3-form of the algebra; on a
-    reductive complement it is the restriction of the ambient one, where only
-    the V-part of [Y, Z] pairs with X because V is orthogonal to h.
-    """
-    n = m.dimV
-    items = []
-    for i, j, k in combinations(range(n), 3):
-        c = m.brackets[(j, k)]
-        v = sum((m.gram[i][l] * c[l] for l in range(n) if c[l]), Fraction(0))
-        if v != 0:
-            items.append(((i + 1, j + 1, k + 1), v))
-    return KForm.make(n, 3, items)
 
 
 @dataclass
@@ -272,14 +255,8 @@ def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
     d3mat = c.diffs[3]
     closed_coeff = nullspace(d3mat) if d3mat and d3mat[0] else \
         identity(len(basis3))
-    basis_vecs = [f.coefficient_vector() for f in basis3]
-    closed_vecs = []
-    for cc in closed_coeff:
-        v = [Fraction(0)] * len(basis_vecs[0]) if basis_vecs else []
-        for co, bv in zip(cc, basis_vecs):
-            if co != 0:
-                v = [x + co * y for x, y in zip(v, bv)]
-        closed_vecs.append(v)
+    closed_vecs = mat_mul(closed_coeff,
+                          [f.coefficient_vector() for f in basis3])
     rep = scan_family(cleared(closed_vecs)[0], config)
     rep.update(closed_dim=len(closed_vecs),
                stable_found=rep["has_definite"] or rep["has_indefinite"])

@@ -21,24 +21,18 @@ certified: a random self-adjoint commutant element, the gram's inverse
 times an invariant symmetric form, splits V into its eigenspaces, whose
 dimensions are the root multiplicities of its characteristic polynomial,
 and the split is accepted only when a commutant dimension count proves
-every eigenspace irreducible.  `scan_family`, the one
-scan of a linear family of 3-forms (`invariant_form_types` runs it on the
-invariant family), classifies rational sample forms exactly, and a negative
-is exact when a certificate excludes the class: a common kernel of the
-family's monomial Hitchin matrices (every member degenerate), a common
-isotropic coordinate subspace (no member definite; none stable when it has
-dimension >= 4) or the Schur obstruction on the irreducible dimensions (no
-member indefinite).  The scan only looks for witnesses of the classes left;
-a miss there is "not found at this resolution".
+every eigenspace irreducible.  `invariant_form_types` runs the family scan
+of `scan` on the invariant 3-forms, with the Schur obstruction on the
+irreducible dimensions (`schur_exclusion`: no member indefinite) as its
+exclusion of the indefinite class.
 """
 
-import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count, islice, product
+from itertools import combinations
 from types import MappingProxyType
 
 from .linalg import (adjugate, charpoly, cleared, frac, identity,
@@ -47,8 +41,8 @@ from .linalg import (adjugate, charpoly, cleared, frac, identity,
                      root_multiplicities, rref, solve, transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
-from .stable_forms import (classify_hitchin, family_hitchin_map,
-                           primitive_int_vector)
+from .scan import ScanConfig, scan_family
+from .stable_forms import primitive_int_vector
 
 
 def _flatten(m):
@@ -90,8 +84,8 @@ class MatrixLieAlgebra:
     The basis matrices are cleared once to sparse integer matrices B_k over
     one denominator L, b_k = B_k / L, and read only for coordinates
     (`coords`), the structure constants and the trace form.  The latter two
-    are integer tables over one denominator each, computed once; `bracket`
-    then works on coordinate vectors, and `structure_constants` and
+    are integer tables over one denominator each, computed once; brackets
+    then work on coordinate vectors, and `structure_constants` and
     `trace_form` build their Fraction views on request.
     """
 
@@ -202,11 +196,6 @@ class MatrixLieAlgebra:
         """
         return self._structure_constants
 
-    def bracket(self, x, y):
-        """Coordinates of [x, y] for x, y given in coordinates."""
-        den = self._structure[1]
-        return [Fraction(v) / den for v in self._table_bracket(x, y)]
-
     def _table_bracket(self, x, y):
         """D [x, y] on the integer table: integer for integer x and y."""
         table, _ = self._structure
@@ -221,32 +210,6 @@ class MatrixLieAlgebra:
                 for k, c in row[j]:
                     out[k] += s * c
         return out
-
-    def check_jacobi(self):
-        """Exact Jacobi identity of the structure constants on all triples.
-
-        Every matrix commutator satisfies Jacobi, so the check is made on the
-        extracted constants, where it tests the coordinate extraction.
-        """
-        struct = self.structure_constants()
-
-        def ad(x, k):
-            # [x, b_k] on the table that structure_constants() returns
-            out = [0] * self.dim
-            for i, xi in enumerate(x):
-                if xi:
-                    for l, c in enumerate(struct[i][k]):
-                        out[l] += xi * c
-            return out
-
-        for i, j, k in combinations(range(self.dim), 3):
-            s = [a + b + c for a, b, c in zip(ad(struct[i][j], k),
-                                              ad(struct[j][k], i),
-                                              ad(struct[k][i], j))]
-            if any(s):
-                raise AssertionError(
-                    f"{self.name}: Jacobi fails on triple {i},{j},{k}")
-        return True
 
     @cached_property
     def _int_trace_form(self):
@@ -423,23 +386,6 @@ def product_algebra(name, factors):
             basis.append(_embed_block(b, total, off))
         off += f.size
     return MatrixLieAlgebra(name=name, basis=basis)
-
-
-def structure_dump(alg: MatrixLieAlgebra) -> dict:
-    """Debug/interop dump: basis matrices as rational strings, sparse c^k_ij."""
-    struct = alg.structure_constants()
-    sparse = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k, c in enumerate(struct[i][j]):
-                if c != 0:
-                    sparse.append({"i": i, "j": j, "k": k, "c": str(c)})
-    return {
-        "name": alg.name,
-        "dim": alg.dim,
-        "basis": [[[str(x) for x in row] for row in b] for b in alg.basis],
-        "structure_constants": sparse,
-    }
 
 
 def build_algebra(name: str) -> MatrixLieAlgebra:
@@ -953,99 +899,6 @@ def _certified_split(forms, ginv, seed):
 # definite / indefinite search over the invariant family
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScanConfig:
-    """The samples of a family scan: the first `grid` rays of `_ray_grid`,
-    then `random` draws from [-9, 9]^d seeded with `seed`.  The rays come
-    in one order in every dimension, so a witness among them does not
-    depend on `seed`; a grid of 0 gives no rays."""
-
-    grid: int = 10_000
-    random: int = 1_000
-    seed: int = 0
-
-
-def _ray_grid(d, budget):
-    """The first `budget` rays of one deterministic walk of the primitive
-    integer vectors of length d, lazily.
-
-    A ray and its negative have the same class, so each ray is taken with
-    its last nonzero coordinate positive.  The walk visits the height
-    shells max |coeff| = h = 1, 2, ... in turn.  Inside a shell the rays go
-    by support size, from d down to 1, so the full-support sign vectors
-    come first; inside one support size the supports come in `combinations`
-    order and the entries in `product` order over the nonzero values of
-    [-h, h], the last entry running over 1..h and varying fastest.  A shell
-    with no ray ends the walk, which for d = 1 leaves the one ray (1,).
-    """
-    def walk():
-        for h in count(1):
-            nonzero = [x for x in range(-h, h + 1) if x]
-            empty = True
-            for size in range(d, 0, -1):
-                for support in combinations(range(d), size):
-                    for head in product(nonzero, repeat=size - 1):
-                        # below height h the last entry must be h itself
-                        high = h in map(abs, head)
-                        for last in range(1, h + 1) if high else (h,):
-                            if math.gcd(*head, last) != 1:
-                                continue
-                            v = [0] * d
-                            for i, x in zip(support, (*head, last)):
-                                v[i] = x
-                            empty = False
-                            yield tuple(v)
-            if empty:
-                return
-    return islice(walk(), budget)
-
-
-def _scan_samples(d, config):
-    """The grid rays, then `config.random` seeded draws from [-9, 9]^d."""
-    yield from _ray_grid(d, config.grid)
-    rng = random.Random(config.seed)
-    for _ in range(config.random):
-        yield tuple(rng.randint(-9, 9) for _ in range(d))
-
-
-def kernel_exclusion(hitchin, kernel=None):
-    """Certificate that every member of a family is degenerate, or None.
-
-    A nonzero v with M v = 0 for every monomial matrix M of the family
-    Hitchin map (`FamilyHitchinMap.common_kernel`, or the given `kernel`)
-    has B(x) v = 0 for every x.  The vector is accepted only after an exact
-    re-check of the products (`FamilyHitchinMap.kills`).
-    """
-    if kernel is None:
-        kernel = hitchin.common_kernel()
-    if not kernel or not any(kernel[0]) or not hitchin.kills(kernel[0]):
-        return None
-    return {"kind": "common kernel", "kernel_vector": kernel[0],
-            "kernel_dim": len(kernel)}
-
-
-def isotropic_exclusion(hitchin):
-    """Certificate that no member of a family is definite, or None.
-
-    If w^T M w' = 0 for every monomial matrix M of the family Hitchin map
-    and all w, w' in a subspace W, then B(x) vanishes on W x W for every x.
-    A nondegenerate B of signature (p, q) has isotropic subspaces of
-    dimension at most min(p, q) <= 3, so dim W >= 1 excludes definite
-    members and dim W >= 4 excludes every stable member.  W is searched
-    among the coordinate subspaces (`FamilyHitchinMap.isotropic_coordinates`),
-    a heuristic: what it finds is accepted only after the exact re-check
-    `FamilyHitchinMap.isotropic` on the unit vectors of W, and a miss only
-    means "no certificate".  `indices` are the 0-based coordinates of W
-    (e_{i+1} for index i); `monomials` counts the matrices checked.
-    """
-    indices = hitchin.isotropic_coordinates()
-    units = [[int(i == j) for j in range(7)] for i in indices]
-    if not indices or not hitchin.isotropic(units):
-        return None
-    return {"kind": "isotropic subspace", "indices": list(indices),
-            "monomials": len(hitchin.monomials)}
-
-
 def schur_exclusion(m: IsotropyModule):
     """Certificate that no invariant 3-form is indefinite, or None.
 
@@ -1067,77 +920,12 @@ def schur_exclusion(m: IsotropyModule):
     return {"kind": "schur", "irreducible_dims": dims}
 
 
-def scan_family(bvecs, config: ScanConfig = None, module=None):
-    """Decide which stable classes a linear family of 3-forms holds.
-
-    `bvecs` are the family's basis vectors, integer 35-vectors.  The empty
-    family and the whole space (d = 35, where PHI and PHITILDE are
-    witnesses) are decided at once, before the family's `FamilyHitchinMap`
-    is built.  Otherwise the exact exclusions are tried in turn: a common
-    kernel (`kernel_exclusion`: every member degenerate); when the joint
-    kernel is zero, a common isotropic coordinate subspace
-    (`isotropic_exclusion`: no member definite, and no member stable once
-    its dimension is >= 4); and, when an isotropy `module` is given and
-    indefinite members are still open, the Schur obstruction
-    (`schur_exclusion`: no member indefinite).  `certificate` maps each
-    excluded class to its certificate.  The scan then classifies the
-    samples of `config` exactly and stops once each class is witnessed or
-    excluded, without a sample when both are excluded.  A miss with no
-    certificate is only "not found at this resolution".  Returns a report
-    dict; `samples` counts the samples classified.
-    """
-    config = config or ScanConfig()
-    d = len(bvecs)
-    report = {"dim": d, "has_definite": False, "has_indefinite": False,
-              "samples": 0, "definite_witness": None, "indefinite_witness": None,
-              "certificate": {}}
-    if d == 0:
-        return report
-    if d == 35:
-        # the whole space: the two reference forms decide immediately
-        report.update(has_definite=True, has_indefinite=True, samples=2,
-                      note="full family; reference forms are witnesses")
-        return report
-    hitchin = family_hitchin_map(bvecs)
-    certificate = report["certificate"]
-    kernel = hitchin.common_kernel()
-    if kernel:
-        # the radical is isotropic: a nonzero joint kernel is the whole
-        # certificate, or none when its re-check refuses it
-        exclusion = kernel_exclusion(hitchin, kernel)
-        if exclusion is not None:
-            certificate.update(definite=exclusion, indefinite=exclusion)
-    else:
-        exclusion = isotropic_exclusion(hitchin)
-        if exclusion is not None:
-            certificate["definite"] = exclusion
-            if len(exclusion["indices"]) >= 4:
-                certificate["indefinite"] = exclusion
-    if "indefinite" not in certificate and module is not None:
-        schur = schur_exclusion(module)
-        if schur is not None:
-            certificate["indefinite"] = schur
-    done = set(certificate)
-    seen = 0
-    for coeffs in _scan_samples(d, config):
-        if len(done) == 2:
-            break
-        if not any(coeffs):
-            continue
-        seen += 1
-        cls = classify_hitchin(hitchin(coeffs)).value
-        if cls != "degenerate" and cls not in done:
-            done.add(cls)
-            report[f"has_{cls}"] = True
-            report[f"{cls}_witness"] = list(coeffs)
-    report["samples"] = seen
-    return report
-
-
 def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
     """Scan the invariant 3-form family of m for definite and indefinite
     members: `scan_family` on its primitive integer basis vectors, with the
-    Schur obstruction of m.  Returns the scan's report dict.
+    Schur obstruction of m, tried only while the indefinite class is open.
+    Returns the scan's report dict.
     """
     return scan_family([primitive_int_vector(f.coefficient_vector())
-                        for f in invariant_3forms(m)], config, module=m)
+                        for f in invariant_3forms(m)], config,
+                       exclude_indefinite=lambda: schur_exclusion(m))

@@ -2,9 +2,9 @@
 
 Matrices are lists of lists of rationals (Fraction or int; `mat` promotes
 to Fraction).  `rref`, the one elimination under `rank`, `nullspace`,
-`solve`, `span_basis` and `intersect_nullspaces`, eliminates fraction-free
-on sparse integer rows and returns Fractions; its output is deterministic
-because the reduced row echelon form is unique, whatever the pivot order.
+`solve` and `intersect_nullspaces`, eliminates fraction-free on sparse
+integer rows and returns Fractions; its output is deterministic because
+the reduced row echelon form is unique, whatever the pivot order.
 The fraction-free routines `det`, `leading_principal_minors`, `charpoly`
 and `inertia` run one integer recursion each, dividing exactly with `//`
 (`charpoly`, Berkowitz's, divides not at all): an all-int matrix is read as
@@ -50,14 +50,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def trace(a):
-    return sum(a[i][i] for i in range(len(a)))
-
-
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def cleared(rows):
@@ -401,16 +393,6 @@ def inertia(a):
     return r - q, q, d if den is None else Fraction(d, den ** n)
 
 
-def symmetric_signature(b):
-    """Signature (p, q) of an exact symmetric matrix, by `inertia`."""
-    n = len(b)
-    for i in range(n):
-        for j in range(i):
-            if b[i][j] != b[j][i]:
-                raise ValueError("matrix is not symmetric")
-    return inertia(b)[:2]
-
-
 def leading_principal_minors(b):
     """Leading principal minors d_1..d_n by Bareiss, or None on a zero pivot.
 
@@ -426,14 +408,6 @@ def leading_principal_minors(b):
     if den is None:
         return minors
     return [Fraction(d, den ** k) for k, d in enumerate(minors, 1)]
-
-
-def span_basis(vectors):
-    """Echelonized basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    r, pivots = rref(mat(vectors))
-    return [r[i] for i in range(len(pivots))]
 
 
 def intersect_nullspaces(mats):

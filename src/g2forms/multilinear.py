@@ -93,12 +93,6 @@ class KForm:
     def is_zero(self):
         return not self.terms
 
-    def coeff(self, *idx):
-        key, sign = sort_index(idx)
-        if sign == 0:
-            return ZERO
-        return sign * self.terms.get(key, ZERO)
-
     def __add__(self, other):
         self._check_match(other)
         terms = self.terms.copy()
@@ -372,6 +366,6 @@ def form_from_json(obj) -> KForm:
         degree = int(obj["degree"])
         items = [(tuple(int(i) for i in t["idx"]), Fraction(t["c"]))
                  for t in obj["terms"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed form object: {exc}") from exc
     return KForm.make(dim, degree, items)

@@ -1,0 +1,299 @@
+"""The scan of a linear family of 3-forms for definite and indefinite members.
+
+`scan_family` is the one scan of a linear family of 3-forms: `liealg`'s
+`invariant_form_types` runs it on the invariant family of an isotropy
+module, and `homogeneous` on the closed invariant 3-forms.  B of the family
+is expanded once into integer cubics in the family coordinates
+(`family_hitchin_map`).  The scan classifies rational sample forms exactly,
+and a negative is exact when a certificate excludes the class: a common
+kernel of the family's monomial Hitchin matrices (every member
+degenerate), a common isotropic coordinate subspace (no member definite;
+none stable when it has dimension >= 4) or an exclusion the caller passes
+in, such as `liealg.schur_exclusion` on the irreducible dimensions (no
+member indefinite).  The scan only looks for witnesses of the classes
+left; a miss there is "not found at this resolution".
+"""
+
+import math
+import random
+from dataclasses import dataclass
+from itertools import (combinations, combinations_with_replacement, count,
+                       islice, product)
+
+from .linalg import identity, nullspace
+from .stable_forms import (DIM, IDX3, _hitchin_table, classify_hitchin,
+                           primitive_int_vector)
+
+
+@dataclass
+class ScanConfig:
+    """The samples of a family scan: the first `grid` rays of `_ray_grid`,
+    then `random` draws from [-9, 9]^d seeded with `seed`.  The rays come
+    in one order in every dimension, so a witness among them does not
+    depend on `seed`; a grid of 0 gives no rays."""
+
+    grid: int = 10_000
+    random: int = 1_000
+    seed: int = 0
+
+
+def _ray_grid(d, budget):
+    """The first `budget` rays of one deterministic walk of the primitive
+    integer vectors of length d, lazily.
+
+    A ray and its negative have the same class, so each ray is taken with
+    its last nonzero coordinate positive.  The walk visits the height
+    shells max |coeff| = h = 1, 2, ... in turn.  Inside a shell the rays go
+    by support size, from d down to 1, so the full-support sign vectors
+    come first; inside one support size the supports come in `combinations`
+    order and the entries in `product` order over the nonzero values of
+    [-h, h], the last entry running over 1..h and varying fastest.  A shell
+    with no ray ends the walk, which for d = 1 leaves the one ray (1,).
+    """
+    def walk():
+        for h in count(1):
+            nonzero = [x for x in range(-h, h + 1) if x]
+            empty = True
+            for size in range(d, 0, -1):
+                for support in combinations(range(d), size):
+                    for head in product(nonzero, repeat=size - 1):
+                        # below height h the last entry must be h itself
+                        high = h in map(abs, head)
+                        for last in range(1, h + 1) if high else (h,):
+                            if math.gcd(*head, last) != 1:
+                                continue
+                            v = [0] * d
+                            for i, x in zip(support, (*head, last)):
+                                v[i] = x
+                            empty = False
+                            yield tuple(v)
+            if empty:
+                return
+    return islice(walk(), budget)
+
+
+def _scan_samples(d, config):
+    """The grid rays, then `config.random` seeded draws from [-9, 9]^d."""
+    yield from _ray_grid(d, config.grid)
+    rng = random.Random(config.seed)
+    for _ in range(config.random):
+        yield tuple(rng.randint(-9, 9) for _ in range(d))
+
+
+@dataclass(frozen=True)
+class FamilyHitchinMap:
+    """B of a linear family of 3-forms, expanded in the family coordinates.
+
+    B(x) = sum over monomials x_a x_b x_c of an integer symmetric matrix
+    M_abc.  `monomials` holds (a, b, c, terms) with a <= b <= c and terms
+    the nonzero (cell, coefficient) pairs of M_abc over the upper-triangular
+    `cells`.  Calling the map on an integer coefficient tuple x returns the
+    exact integer B(x); a sample costs one product per monomial, and
+    monomials with a zero factor are skipped.  The exact checks below read
+    the sparse terms directly.
+    """
+
+    monomials: tuple
+    cells: tuple
+
+    def __call__(self, x):
+        flat = [0] * len(self.cells)
+        for a, b, c, terms in self.monomials:
+            v = x[a] * x[b] * x[c]
+            if v:
+                for e, coef in terms:
+                    flat[e] += coef * v
+        m = [[0] * DIM for _ in range(DIM)]
+        for (i, j), v in zip(self.cells, flat):
+            m[i][j] = m[j][i] = v
+        return m
+
+    def _rows(self, terms):
+        """The nonzero rows of one M_abc, by row index."""
+        rows = {}
+        for e, coef in terms:
+            i, j = self.cells[e]
+            rows.setdefault(i, [0] * DIM)[j] = coef
+            rows.setdefault(j, [0] * DIM)[i] = coef
+        return rows
+
+    def kills(self, v):
+        """Is M_abc v = 0 for every monomial?  Exact integer products.
+
+        Such a v != 0 lies in the kernel of B(x) for every x, so it proves
+        every member of the family degenerate.
+        """
+        return not any(sum(x * y for x, y in zip(row, v))
+                       for *_, terms in self.monomials
+                       for row in self._rows(terms).values())
+
+    def isotropic(self, vecs):
+        """Is w^T M_abc w' = 0 for every monomial and all w, w' in vecs?
+
+        Then B(x) vanishes on span(vecs) x span(vecs) for every x.
+        """
+        pairs = [(w, u) for k, w in enumerate(vecs) for u in vecs[k:]]
+        for *_, terms in self.monomials:
+            rows = self._rows(terms)
+            if any(sum(w[i] * sum(x * y for x, y in zip(row, u))
+                       for i, row in rows.items()) for w, u in pairs):
+                return False
+        return True
+
+    def common_kernel(self):
+        """Primitive integer basis of the joint kernel of the M_abc."""
+        rows = {tuple(row) for *_, terms in self.monomials
+                for row in self._rows(terms).values()}
+        vecs = nullspace([list(r) for r in rows]) if rows else identity(DIM)
+        return [primitive_int_vector(v) for v in vecs]
+
+    def isotropic_coordinates(self):
+        """A largest set of coordinates whose span is isotropic for every
+        M_abc, as a sorted tuple (the first in lexicographic order), or ().
+
+        A support test: no monomial may have a term on a cell (i, j) with i
+        and j both in the set.
+        """
+        support = {self.cells[e] for *_, terms in self.monomials
+                   for e, _ in terms}
+        for k in range(DIM, 0, -1):
+            for s in combinations(range(DIM), k):
+                if not support.intersection(
+                        combinations_with_replacement(s, 2)):
+                    return s
+        return ()
+
+
+def family_hitchin_map(bvecs) -> FamilyHitchinMap:
+    """B of the family sum_a x_a bvecs[a] as 28 integer cubics in x.
+
+    `bvecs` are integer 35-vectors.  Walking the contraction table over
+    their nonzero entries expands each B_ij (i <= j) into monomials
+    x_a x_b x_c (a <= b <= c), once per family.
+    """
+    table = _hitchin_table()
+    support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
+               for p in range(len(IDX3))]
+    cubics = {}
+    for e, groups in enumerate(table.values()):
+        for pi, rest in groups:
+            for a, ca in support[pi]:
+                for pj, pk, s in rest:
+                    for b, cb in support[pj]:
+                        for c, cc in support[pk]:
+                            terms = cubics.setdefault(
+                                tuple(sorted((a, b, c))), {})
+                            terms[e] = terms.get(e, 0) + s * ca * cb * cc
+    monomials = []
+    for (a, b, c), terms in sorted(cubics.items()):
+        terms = tuple((e, v) for e, v in terms.items() if v)
+        if terms:
+            monomials.append((a, b, c, terms))
+    return FamilyHitchinMap(monomials=tuple(monomials),
+                            cells=tuple((i - 1, j - 1) for i, j in table))
+
+
+def kernel_exclusion(hitchin, kernel=None):
+    """Certificate that every member of a family is degenerate, or None.
+
+    A nonzero v with M v = 0 for every monomial matrix M of the family
+    Hitchin map (`FamilyHitchinMap.common_kernel`, or the given `kernel`)
+    has B(x) v = 0 for every x.  The vector is accepted only after an exact
+    re-check of the products (`FamilyHitchinMap.kills`).
+    """
+    if kernel is None:
+        kernel = hitchin.common_kernel()
+    if not kernel or not any(kernel[0]) or not hitchin.kills(kernel[0]):
+        return None
+    return {"kind": "common kernel", "kernel_vector": kernel[0],
+            "kernel_dim": len(kernel)}
+
+
+def isotropic_exclusion(hitchin):
+    """Certificate that no member of a family is definite, or None.
+
+    If w^T M w' = 0 for every monomial matrix M of the family Hitchin map
+    and all w, w' in a subspace W, then B(x) vanishes on W x W for every x.
+    A nondegenerate B of signature (p, q) has isotropic subspaces of
+    dimension at most min(p, q) <= 3, so dim W >= 1 excludes definite
+    members and dim W >= 4 excludes every stable member.  W is searched
+    among the coordinate subspaces (`FamilyHitchinMap.isotropic_coordinates`),
+    a heuristic: what it finds is accepted only after the exact re-check
+    `FamilyHitchinMap.isotropic` on the unit vectors of W, and a miss only
+    means "no certificate".  `indices` are the 0-based coordinates of W
+    (e_{i+1} for index i); `monomials` counts the matrices checked.
+    """
+    indices = hitchin.isotropic_coordinates()
+    units = [[int(i == j) for j in range(7)] for i in indices]
+    if not indices or not hitchin.isotropic(units):
+        return None
+    return {"kind": "isotropic subspace", "indices": list(indices),
+            "monomials": len(hitchin.monomials)}
+
+
+def scan_family(bvecs, config: ScanConfig = None, exclude_indefinite=None):
+    """Decide which stable classes a linear family of 3-forms holds.
+
+    `bvecs` are the family's basis vectors, integer 35-vectors.  The empty
+    family and the whole space (d = 35, where PHI and PHITILDE are
+    witnesses) are decided at once, before the family's `FamilyHitchinMap`
+    is built.  Otherwise the exact exclusions are tried in turn: a common
+    kernel (`kernel_exclusion`: every member degenerate); when the joint
+    kernel is zero, a common isotropic coordinate subspace
+    (`isotropic_exclusion`: no member definite, and no member stable once
+    its dimension is >= 4); and, when indefinite members are still open,
+    `exclude_indefinite`, a zero-argument callable that returns a
+    certificate that no member is indefinite, or None (`invariant_form_types`
+    passes the Schur obstruction of its module).  `certificate` maps each
+    excluded class to its certificate.  The scan then classifies the
+    samples of `config` exactly and stops once each class is witnessed or
+    excluded, without a sample when both are excluded.  A miss with no
+    certificate is only "not found at this resolution".  Returns a report
+    dict; `samples` counts the samples classified.
+    """
+    config = config or ScanConfig()
+    d = len(bvecs)
+    report = {"dim": d, "has_definite": False, "has_indefinite": False,
+              "samples": 0, "definite_witness": None, "indefinite_witness": None,
+              "certificate": {}}
+    if d == 0:
+        return report
+    if d == 35:
+        # the whole space: the two reference forms decide immediately
+        report.update(has_definite=True, has_indefinite=True, samples=2,
+                      note="full family; reference forms are witnesses")
+        return report
+    hitchin = family_hitchin_map(bvecs)
+    certificate = report["certificate"]
+    kernel = hitchin.common_kernel()
+    if kernel:
+        # the radical is isotropic: a nonzero joint kernel is the whole
+        # certificate, or none when its re-check refuses it
+        exclusion = kernel_exclusion(hitchin, kernel)
+        if exclusion is not None:
+            certificate.update(definite=exclusion, indefinite=exclusion)
+    else:
+        exclusion = isotropic_exclusion(hitchin)
+        if exclusion is not None:
+            certificate["definite"] = exclusion
+            if len(exclusion["indices"]) >= 4:
+                certificate["indefinite"] = exclusion
+    if "indefinite" not in certificate and exclude_indefinite is not None:
+        exclusion = exclude_indefinite()
+        if exclusion is not None:
+            certificate["indefinite"] = exclusion
+    done = set(certificate)
+    seen = 0
+    for coeffs in _scan_samples(d, config):
+        if len(done) == 2:
+            break
+        if not any(coeffs):
+            continue
+        seen += 1
+        cls = classify_hitchin(hitchin(coeffs)).value
+        if cls != "degenerate" and cls not in done:
+            done.add(cls)
+            report[f"has_{cls}"] = True
+            report[f"{cls}_witness"] = list(coeffs)
+    report["samples"] = seen
+    return report

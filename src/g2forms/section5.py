@@ -18,11 +18,12 @@ from .homogeneous import (bare_complex, build_complex,
                           closed_stable_scan, exact_primitive,
                           invariant_2form_analysis, nearly_parallel_check,
                           pencil_certificate)
-from .liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
-                     build_algebra, invariant_3forms, invariant_kforms,
-                     module_from_action, _embed_block)
+from .liealg import (IsotropyModule, MatrixLieAlgebra, build_algebra,
+                     invariant_3forms, invariant_kforms, module_from_action,
+                     _embed_block)
 from .linalg import identity, rank, solve, transpose
 from .multilinear import KForm, form_to_json
+from .scan import ScanConfig
 from .stable_forms import (PHI, PHITILDE, annihilator_of_form, classify3,
                            metric_from_4form, star_euclidean)
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
-from .linalg import (adjugate, charpoly, cleared, det, frac, identity,
-                     inertia, mat, mat_vec, nullspace)
+from .linalg import (adjugate, charpoly, cleared, det, frac, inertia, mat,
+                     mat_vec, nullspace)
 from .multilinear import (KForm, _moves, basis_vector, interior, sort_index,
                           wedge)
 
@@ -205,121 +205,6 @@ def hitchin_bilinear(t: KForm) -> HitchinData:
     p, q, detbx = inertia(bx)
     return HitchinData(detB=scale ** 21 * detbx, signature=(p, q), Bx=bx,
                        scale=scale)
-
-
-@dataclass(frozen=True)
-class FamilyHitchinMap:
-    """B of a linear family of 3-forms, expanded in the family coordinates.
-
-    B(x) = sum over monomials x_a x_b x_c of an integer symmetric matrix
-    M_abc.  `monomials` holds (a, b, c, terms) with a <= b <= c and terms
-    the nonzero (cell, coefficient) pairs of M_abc over the upper-triangular
-    `cells`; `dim` is the number of family coordinates.  Calling the map on
-    an integer coefficient tuple x returns the exact integer B(x); a sample
-    costs one product per monomial, and monomials with a zero factor are
-    skipped.  The exact checks below read the sparse terms directly.
-    """
-
-    monomials: tuple
-    cells: tuple
-    dim: int
-
-    def __call__(self, x):
-        flat = [0] * len(self.cells)
-        for a, b, c, terms in self.monomials:
-            v = x[a] * x[b] * x[c]
-            if v:
-                for e, coef in terms:
-                    flat[e] += coef * v
-        m = [[0] * DIM for _ in range(DIM)]
-        for (i, j), v in zip(self.cells, flat):
-            m[i][j] = m[j][i] = v
-        return m
-
-    def _rows(self, terms):
-        """The nonzero rows of one M_abc, by row index."""
-        rows = {}
-        for e, coef in terms:
-            i, j = self.cells[e]
-            rows.setdefault(i, [0] * DIM)[j] = coef
-            rows.setdefault(j, [0] * DIM)[i] = coef
-        return rows
-
-    def kills(self, v):
-        """Is M_abc v = 0 for every monomial?  Exact integer products.
-
-        Such a v != 0 lies in the kernel of B(x) for every x, so it proves
-        every member of the family degenerate.
-        """
-        return not any(sum(x * y for x, y in zip(row, v))
-                       for *_, terms in self.monomials
-                       for row in self._rows(terms).values())
-
-    def isotropic(self, vecs):
-        """Is w^T M_abc w' = 0 for every monomial and all w, w' in vecs?
-
-        Then B(x) vanishes on span(vecs) x span(vecs) for every x.
-        """
-        pairs = [(w, u) for k, w in enumerate(vecs) for u in vecs[k:]]
-        for *_, terms in self.monomials:
-            rows = self._rows(terms)
-            if any(sum(w[i] * sum(x * y for x, y in zip(row, u))
-                       for i, row in rows.items()) for w, u in pairs):
-                return False
-        return True
-
-    def common_kernel(self):
-        """Primitive integer basis of the joint kernel of the M_abc."""
-        rows = {tuple(row) for *_, terms in self.monomials
-                for row in self._rows(terms).values()}
-        vecs = nullspace([list(r) for r in rows]) if rows else identity(DIM)
-        return [primitive_int_vector(v) for v in vecs]
-
-    def isotropic_coordinates(self):
-        """A largest set of coordinates whose span is isotropic for every
-        M_abc, as a sorted tuple (the first in lexicographic order), or ().
-
-        A support test: no monomial may have a term on a cell (i, j) with i
-        and j both in the set.
-        """
-        support = {self.cells[e] for *_, terms in self.monomials
-                   for e, _ in terms}
-        for k in range(DIM, 0, -1):
-            for s in combinations(range(DIM), k):
-                if not support.intersection(
-                        combinations_with_replacement(s, 2)):
-                    return s
-        return ()
-
-
-def family_hitchin_map(bvecs) -> FamilyHitchinMap:
-    """B of the family sum_a x_a bvecs[a] as 28 integer cubics in x.
-
-    `bvecs` are integer 35-vectors.  Walking the contraction table over
-    their nonzero entries expands each B_ij (i <= j) into monomials
-    x_a x_b x_c (a <= b <= c), once per family.
-    """
-    table = _hitchin_table()
-    support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
-               for p in range(len(IDX3))]
-    cubics = {}
-    for e, groups in enumerate(table.values()):
-        for pi, rest in groups:
-            for a, ca in support[pi]:
-                for pj, pk, s in rest:
-                    for b, cb in support[pj]:
-                        for c, cc in support[pk]:
-                            terms = cubics.setdefault(
-                                tuple(sorted((a, b, c))), {})
-                            terms[e] = terms.get(e, 0) + s * ca * cb * cc
-    monomials = []
-    for (a, b, c), terms in sorted(cubics.items()):
-        terms = tuple((e, v) for e, v in terms.items() if v)
-        if terms:
-            monomials.append((a, b, c, terms))
-    return FamilyHitchinMap(monomials=tuple(monomials),
-                            cells=tuple((i - 1, j - 1) for i, j in table),
-                            dim=len(bvecs))
 
 
 def _orbit_of_signature(p, q) -> Orbit3Class:
@@ -520,14 +405,6 @@ def metric_from_4form(p: KForm) -> Metric4Data:
     s3 = scale ** 3
     return Metric4Data(gdual=[[s3 * v for v in row]
                               for row in hitchin_matrix(x)])
-
-
-def four_form_volume(p: KForm) -> float:
-    """Volume factor of a stable 4-form: |det gdual|^(1/12)."""
-    d = metric_from_4form(p).det
-    if d == 0:
-        raise ValueError("degenerate 4-form has no volume")
-    return float(abs(d)) ** (1.0 / 12.0)
 
 
 def _descartes_signature(coeffs):

@@ -8,10 +8,18 @@ per-term loop instead, which sorts each replaced index tuple on its own.
 `sign_charpoly`: the characteristic polynomial a generator with spectrum
 [-1] * a + [1] * b must have, to check `catalog._sign_spectrum` by a route
 that takes no kernel.
+
+The rest are the plain definitions the tests hold the package to, which no
+command needs: the dense matrix `trace` and `commutator`, an echelonized
+`span_basis`, the `bracket` and the Jacobi identity (`check_jacobi`) read
+off a Lie algebra's structure constants, the `cartan_3form` <X, [Y, Z]> of
+a module, and `coeff`, a k-form's value on an unsorted index tuple.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
+from g2forms.linalg import ZERO, mat, mat_mul, mat_sub, rref
 from g2forms.multilinear import KForm, sort_index
 
 
@@ -43,3 +51,89 @@ def sign_charpoly(a, b):
     for root in (-1,) * a + (1,) * b:
         poly = [x - root * y for x, y in zip([0] + poly, poly + [0])]
     return poly
+
+
+def trace(a):
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def commutator(a, b):
+    """[a, b] = ab - ba of two dense matrices."""
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def span_basis(vectors):
+    """Echelonized basis of the span of the given vectors."""
+    if not vectors:
+        return []
+    r, pivots = rref(mat(vectors))
+    return r[:len(pivots)]
+
+
+def bracket(alg, x, y):
+    """Coordinates of [x, y] for x, y given in the coordinates of `alg`:
+    sum over i, j of x_i y_j c_ij, on the Fraction structure constants."""
+    struct = alg.structure_constants()
+    out = [ZERO] * alg.dim
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in ys:
+            s = xi * yj
+            for k, c in enumerate(struct[i][j]):
+                if c:
+                    out[k] += s * c
+    return out
+
+
+def check_jacobi(alg):
+    """Exact Jacobi identity of the structure constants on all triples.
+
+    Every matrix commutator satisfies Jacobi, so the check is made on the
+    extracted constants, where it tests the coordinate extraction.
+    """
+    struct = alg.structure_constants()
+
+    def ad(x, k):
+        # [x, b_k] on the table that structure_constants() returns
+        out = [0] * alg.dim
+        for i, xi in enumerate(x):
+            if xi:
+                for l, c in enumerate(struct[i][k]):
+                    out[l] += xi * c
+        return out
+
+    for i, j, k in combinations(range(alg.dim), 3):
+        s = [a + b + c for a, b, c in zip(ad(struct[i][j], k),
+                                          ad(struct[j][k], i),
+                                          ad(struct[k][i], j))]
+        if any(s):
+            raise AssertionError(
+                f"{alg.name}: Jacobi fails on triple {i},{j},{k}")
+    return True
+
+
+def cartan_3form(m):
+    """The 3-form <X, [Y, Z]> on V, in the V-basis of the module m.
+
+    On a bare complex this is the Cartan 3-form of the algebra; on a
+    reductive complement it is the restriction of the ambient one, where only
+    the V-part of [Y, Z] pairs with X because V is orthogonal to h.
+    """
+    n = m.dimV
+    items = []
+    for i, j, k in combinations(range(n), 3):
+        c = m.brackets[(j, k)]
+        v = sum((m.gram[i][l] * c[l] for l in range(n) if c[l]), Fraction(0))
+        if v != 0:
+            items.append(((i + 1, j + 1, k + 1), v))
+    return KForm.make(n, 3, items)
+
+
+def coeff(a, *idx):
+    """a(e_i1, ..., e_ik) for an index tuple in any order."""
+    key, sign = sort_index(idx)
+    if sign == 0:
+        return ZERO
+    return sign * a.terms.get(key, ZERO)

@@ -54,6 +54,16 @@ def test_classify_malformed_input(tmp_path):
     assert code == 2
 
 
+def test_classify_refuses_a_zero_denominator(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dim": 7, "degree": 3, "terms": [
+        {"idx": [1, 2, 3], "c": "1/0"}]}))
+    code, out, err = run_cli("classify", str(path))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_classify_refuses_the_catalog_only_flags(tmp_path):
     path = write_form(tmp_path, "f", PHI)
     for flag in ("--jobs", "--seed"):
@@ -352,7 +362,7 @@ def test_importing_the_package_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "catalog", "cli", "homogeneous", "liealg", "linalg", "multilinear",
-        "octonion", "section5", "stable_forms", "False"]
+        "octonion", "scan", "section5", "stable_forms", "False"]
 
 
 def test_no_module_loads_sympy():
@@ -361,7 +371,7 @@ def test_no_module_loads_sympy():
             "for m in pkgutil.iter_modules(g2forms.__path__):\n"
             "    importlib.import_module('g2forms.' + m.name)\n"
             "from g2forms.catalog import load_catalog, verify_entry\n"
-            "from g2forms.liealg import ScanConfig\n"
+            "from g2forms.scan import ScanConfig\n"
             "entry = next(e for e in load_catalog()\n"
             "             if e['case'] == '4ii' and e['params'] == [0, 0])\n"
             "rep = verify_entry(entry, ScanConfig(grid=400, random=100))\n"

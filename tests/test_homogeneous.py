@@ -7,24 +7,23 @@ import pytest
 
 from g2forms import homogeneous, section5
 from g2forms.catalog import build_entry
-from g2forms.homogeneous import (bare_complex, build_complex, cartan_3form,
+from g2forms.homogeneous import (bare_complex, build_complex,
                                  ce_differential,
                                  coclosed_check, coclosed_stable_family_dim,
                                  complex_ranks, closed_stable_scan,
                                  exact_primitive, invariant_2form_analysis,
                                  invariant_kforms,
                                  nearly_parallel_check, nearly_parallel_rays)
-from g2forms.liealg import (IsotropyModule, ScanConfig, _ray_grid,
-                            build_algebra,
-                            invariant_3forms, isotropic_exclusion,
-                            scan_family)
+from g2forms.liealg import IsotropyModule, build_algebra, invariant_3forms
 from g2forms.linalg import (adjugate, cleared, identity, inverse, nullspace,
                             rank)
 from g2forms.multilinear import KForm, pullback
+from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
+                          isotropic_exclusion, scan_family)
 from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify3,
-                                  classify_coeffs, family_hitchin_map,
-                                  hitchin_bilinear, hitchin_matrix,
-                                  hodge_star, star_euclidean)
+                                  classify_coeffs, hitchin_bilinear,
+                                  hitchin_matrix, hodge_star, star_euclidean)
+from references import cartan_3form, coeff, commutator, trace
 
 w = KForm.basis
 
@@ -81,9 +80,7 @@ def test_case1_cartan_restriction_nonzero():
 
 def test_cartan_3form_is_the_ambient_trace_form():
     # <X, [Y, Z]> = -tr(X [Y, Z]) on the ambient matrices spanning V
-    from itertools import combinations
-
-    from g2forms.linalg import commutator, mat_mul, trace
+    from g2forms.linalg import mat_mul
 
     mod = build_entry("1")
     g = mod.ambient
@@ -92,7 +89,7 @@ def test_cartan_3form_is_the_ambient_trace_form():
           for v in mod.V_coords]
     om = cartan_3form(mod)
     for i, j, k in combinations(range(mod.dimV), 3):
-        assert om.coeff(i + 1, j + 1, k + 1) == \
+        assert coeff(om, i + 1, j + 1, k + 1) == \
             -trace(mat_mul(vs[i], commutator(vs[j], vs[k])))
 
 
@@ -344,11 +341,32 @@ def test_isotropic_certificate_on_the_closed_families(su2t4, su2u1, t7):
     assert isotropic_exclusion(t7_map) is None
 
 
+def test_the_indefinite_exclusion_is_asked_only_while_the_class_is_open(
+        su2t4, su2u1):
+    calls = []
+
+    def given():
+        calls.append(1)
+        return {"kind": "given"}
+
+    # e4..e7 is isotropic on su2+t4: both classes are excluded before it
+    rep = scan_family(cleared(_closed(su2t4))[0], SMALL_SCAN,
+                      exclude_indefinite=given)
+    assert calls == [] and rep["certificate"]["indefinite"]["indices"] == [
+        3, 4, 5, 6]
+    # e7 alone on 2su2+u1 leaves the indefinite class open, once
+    rep = scan_family(cleared(_closed(su2u1))[0], SMALL_SCAN,
+                      exclude_indefinite=given)
+    assert calls == [1]
+    assert rep["certificate"]["indefinite"] == {"kind": "given"}
+    assert rep["samples"] == 0
+
+
 def test_a_corrupted_monomial_entry_on_w_loses_the_certificate(
         su2t4, monkeypatch):
     import dataclasses
 
-    from g2forms import liealg
+    from g2forms import scan
 
     hitchin = _closed_map(su2t4)
     units = [[int(i == j) for j in range(7)] for i in range(7)]
@@ -367,14 +385,14 @@ def test_a_corrupted_monomial_entry_on_w_loses_the_certificate(
     assert cert is not None and len(cert["indices"]) == 3
     assert not {3, 4} <= set(cert["indices"])
     assert bad.isotropic([units[i] for i in cert["indices"]])
-    monkeypatch.setattr(liealg, "family_hitchin_map", lambda bvecs: bad)
+    monkeypatch.setattr(scan, "family_hitchin_map", lambda bvecs: bad)
     rep = scan_family(cleared(_closed(su2t4))[0], SMALL_SCAN)
     assert set(rep["certificate"]) == {"definite"}
 
 
 def test_a_corrupted_isotropic_subspace_fails_the_exact_recheck(
         su2t4, monkeypatch):
-    from g2forms import stable_forms
+    from g2forms import scan
 
     hitchin = _closed_map(su2t4)
     units = [[int(i == j) for j in range(7)] for i in range(7)]
@@ -382,7 +400,7 @@ def test_a_corrupted_isotropic_subspace_fails_the_exact_recheck(
     # each isotropic, their span is not, and no subspace holding it is
     assert hitchin.isotropic([units[2]]) and hitchin.isotropic([units[3]])
     assert not hitchin.isotropic([units[2], units[3]])
-    monkeypatch.setattr(stable_forms.FamilyHitchinMap,
+    monkeypatch.setattr(scan.FamilyHitchinMap,
                         "isotropic_coordinates",
                         lambda self: (2, 3, 4, 5, 6))
     assert isotropic_exclusion(hitchin) is None

@@ -7,24 +7,25 @@ import pytest
 
 from g2forms.catalog import (_BUILDERS, build_entry, candidate_module,
                              load_catalog, orthogonal_algebra_of_form)
-from g2forms.liealg import (IsotropyModule, MatrixLieAlgebra, ScanConfig,
+from g2forms.liealg import (IsotropyModule, MatrixLieAlgebra,
                             _check_rep_property, _invariant_symmetric_forms,
-                            _ray_grid, build_algebra, generator_v_matrix,
+                            build_algebra, generator_v_matrix,
                             invariant_3forms, invariant_dims,
                             invariant_form_types, invariant_inner_product,
                             invariant_kforms, irreducible_dims,
-                            kernel_exclusion, module_from_action,
-                            product_algebra, reductive_complement,
-                            schur_exclusion)
-from g2forms.linalg import (commutator, identity, intersect_nullspaces,
-                            inverse, mat, mat_mul, mat_sub, mat_vec,
-                            nullspace, rank, rref, solve, trace,
-                            transpose)
+                            module_from_action, product_algebra,
+                            reductive_complement, schur_exclusion)
+from g2forms.linalg import (identity, intersect_nullspaces, inverse, mat,
+                            mat_mul, mat_sub, mat_vec, nullspace, rank, rref,
+                            solve, transpose)
 from g2forms.multilinear import KForm, pullback
-from references import reference_action
+from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
+                          kernel_exclusion)
+from references import (bracket, check_jacobi, commutator, reference_action,
+                        trace)
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
-                                  classify_hitchin, family_hitchin_map,
-                                  hitchin_matrix, primitive_int_vector)
+                                  classify_hitchin, hitchin_matrix,
+                                  primitive_int_vector)
 
 SMALL_SCAN = ScanConfig(grid=400, random=100)
 
@@ -52,7 +53,7 @@ def test_build_algebra_unknown():
 
 @pytest.mark.parametrize("name", ["su(3)", "sp(2)", "so(5)"])
 def test_jacobi_exact(name):
-    build_algebra(name).check_jacobi()
+    check_jacobi(build_algebra(name))
 
 
 def test_jacobi_detects_a_corrupted_structure_constant():
@@ -62,7 +63,7 @@ def test_jacobi_detects_a_corrupted_structure_constant():
     struct[0][1][k] += 1
     struct[1][0][k] -= 1
     with pytest.raises(AssertionError, match="Jacobi fails"):
-        alg.check_jacobi()
+        check_jacobi(alg)
 
 
 @pytest.mark.parametrize("name", ["su(3)", "sp(2)"])
@@ -143,7 +144,7 @@ def test_reductive_complement_matches_an_inverse_projection(case):
     cb = inverse(transpose(mat(hmat + vvecs)))
 
     def split(x, y):
-        z = mat_vec(cb, g.bracket(x, y))
+        z = mat_vec(cb, bracket(g, x, y))
         return z[:hdim], z[hdim:]
 
     action = []
@@ -212,13 +213,13 @@ def test_trivial_isotropy_dims():
 
 def test_scan_builds_no_hitchin_map_for_the_empty_or_whole_family(
         monkeypatch):
-    from g2forms import liealg
+    from g2forms import scan
 
     def unused(bvecs):
         raise AssertionError("the family Hitchin map was built")
 
-    monkeypatch.setattr(liealg, "family_hitchin_map", unused)
-    assert liealg.scan_family([])["samples"] == 0
+    monkeypatch.setattr(scan, "family_hitchin_map", unused)
+    assert scan.scan_family([])["samples"] == 0
     whole = invariant_form_types(build_entry("6i"))
     assert whole["has_definite"] and whole["has_indefinite"]
     assert whole["samples"] == 2
@@ -352,21 +353,6 @@ def test_irreducible_dims_of_an_irreducible_action_needs_no_draw(
     assert irreducible_dims(build_entry("2d")) == [7]
 
 
-def test_structure_dump_roundtrip():
-    import json
-
-    from g2forms.liealg import structure_dump
-
-    alg = build_algebra("su(2)")
-    dump = structure_dump(alg)
-    assert dump["dim"] == 3
-    assert len(dump["structure_constants"]) == 3
-    json.dumps(dump)  # serializable
-    # reconstruct one bracket from the sparse table
-    first = dump["structure_constants"][0]
-    assert {"i", "j", "k", "c"} <= set(first)
-
-
 def test_representation_property_is_enforced():
     # reductive_complement validates everything; a non-subalgebra must raise
     g = product_algebra("su(2)+t(1)",
@@ -381,7 +367,7 @@ def test_rep_property_check_raises_on_a_corrupted_action():
     g, hmat = mod.ambient, [list(h) for h in mod.h_coords]
     pairs = list(combinations(range(len(hmat)), 2))
     h_brackets = dict(zip(pairs, solve(
-        transpose(hmat), [g.bracket(hmat[i], hmat[j]) for i, j in pairs])))
+        transpose(hmat), [bracket(g, hmat[i], hmat[j]) for i, j in pairs])))
     assert any(any(c) for c in h_brackets.values())
     action = [mat(a) for a in mod.action]
     _check_rep_property(action, h_brackets)
@@ -854,7 +840,7 @@ def test_a_corrupted_kernel_vector_fails_the_exact_recheck(
         degenerate_families, monkeypatch):
     import dataclasses
 
-    from g2forms import stable_forms
+    from g2forms import scan
 
     mod, hitchin, _, _ = degenerate_families["4ii(0, 0)+B23-swap"]
     units = [[int(i == j) for j in range(7)] for i in range(7)]
@@ -875,7 +861,7 @@ def test_a_corrupted_kernel_vector_fails_the_exact_recheck(
     v = hitchin.common_kernel()[0]
     bad = [a + b for a, b in zip(v, [1, 0, 0, 0, 0, 0, 0])]
     assert not hitchin.kills(bad)
-    monkeypatch.setattr(stable_forms.FamilyHitchinMap, "common_kernel",
+    monkeypatch.setattr(scan.FamilyHitchinMap, "common_kernel",
                         lambda self: [bad])
     assert kernel_exclusion(hitchin) is None
     rep = invariant_form_types(mod, SMALL_SCAN)

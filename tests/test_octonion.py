@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forms.linalg import identity, mat_mul, span_basis
+from g2forms.linalg import identity, mat_mul
 from g2forms.multilinear import pullback
 from g2forms.octonion import (UnitQuaternion, chi_embedding, derivation_algebra,
                               derive_alignment, invariant_3form_ray,
                               is_automorphism, multiply, octonion_algebra,
                               quat_mul, _FROZEN_ALIGNMENTS)
 from g2forms.stable_forms import PHI, PHITILDE, annihilator_g2
+from references import span_basis
 
 
 def vec(*coords):

@@ -1,0 +1,91 @@
+"""The package holds only code that something in it reaches.
+
+A static walk over the sources of `g2forms`: a public top-level function
+or method is reached when some name, attribute or identifier string in the
+package refers to it outside its own definition (the CLI reaches the
+section5 reports by their names).  Code that only tests read belongs in
+`tests/references.py`.  The module-level imports between the package's
+modules go one way, with no cycle.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import g2forms
+
+SRC = Path(g2forms.__file__).parent
+
+#: public functions nothing in the package reaches, each with its reason
+ALLOWED = {
+    "hodge_star": "float reference of the exact dual, traced by perfbench",
+    "nearly_parallel_rays": "float reference of the pencil certificate, "
+                            "traced by perfbench",
+    "generator_compatibility_report": "traced by perfbench",
+    "decompose2": "roadmap item 4: the 14+7 split of 2-forms",
+    "decompose3": "roadmap item 4: the 1+7+27 split of 3-forms",
+    "traceless_to_27": "roadmap item 4: the 27 of the 3-form split",
+    "octonion_algebra": "roadmap item 4: the chi embedding",
+    "is_automorphism": "roadmap item 4: the chi embedding",
+    "chi_embedding": "roadmap item 4: the chi embedding",
+    "from_integers": "roadmap item 4: unit quaternions for chi",
+}
+
+
+def _names(node):
+    """Every name, attribute and identifier string under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier()):
+            yield sub.value
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_functions(tree):
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in members:
+            if (isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("_")):
+                yield fn
+
+
+def test_every_public_function_is_reached():
+    trees = _trees()
+    refs = Counter(name for tree in trees.values() for name in _names(tree))
+    unreached = set()
+    for tree in trees.values():
+        for fn in _public_functions(tree):
+            if refs[fn.name] == Counter(_names(fn))[fn.name]:
+                unreached.add(fn.name)
+    assert unreached - set(ALLOWED) == set()
+    # an allowed name that became reached leaves the list
+    assert set(ALLOWED) - unreached == set()
+
+
+def test_the_package_imports_form_no_cycle():
+    graph = {}
+    for module, tree in _trees().items():
+        graph[module] = {node.module for node in tree.body
+                         if isinstance(node, ast.ImportFrom)
+                         and node.level == 1 and node.module}
+    done = set()
+
+    def visit(module, path):
+        assert module not in path, f"import cycle {path + [module]}"
+        if module not in done:
+            for dep in graph.get(module, ()):
+                visit(dep, path + [module])
+            done.add(module)
+
+    for module in graph:
+        visit(module, [])
+    assert graph["scan"] <= {"linalg", "multilinear", "stable_forms"}

@@ -13,13 +13,12 @@ from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   classification_report,
                                   classify3,
                                   decompose2, decompose3, dual_ray,
-                                  four_form_volume,
                                   hitchin_bilinear, hitchin_matrix,
                                   hodge_star, metric_from_3form,
                                   metric_from_4form,
                                   primitive_int_vector, star_euclidean,
                                   traceless_to_27)
-from references import reference_action
+from references import coeff, reference_action
 
 w = KForm.basis
 
@@ -387,13 +386,9 @@ def test_metric_from_4form_is_the_hitchin_matrix_of_the_dual():
                 for _ in range(2))):
         got = metric_from_4form(p).gdual
         for (i, j), cubic in reference.items():
-            want = sum(c * p.coeff(*a) * p.coeff(*b) * p.coeff(*d)
+            want = sum(c * coeff(p, *a) * coeff(p, *b) * coeff(p, *d)
                        for (a, b, d), c in cubic.items())
             assert got[i][j] == got[j][i] == want
-
-
-def test_four_form_volume_exponent():
-    assert abs(four_form_volume(PSI4) - 6.0 ** (7.0 / 12.0)) < 1e-12
 
 
 # --- module decompositions ---------------------------------------------------
