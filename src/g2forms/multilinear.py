@@ -360,12 +360,40 @@ def form_to_json(a: KForm) -> dict:
     }
 
 
+def _json_int(value, what):
+    """A JSON integer; a bool, a float or a string is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def form_from_json(obj) -> KForm:
+    """Read the JSON of `form_to_json` back, strictly.
+
+    `dim` and `degree` are JSON integers.  Each term's `idx` is a JSON list
+    of integers, and no index set appears in two terms.  `c` is a string
+    that `Fraction` reads exactly ("5", "-2/3") or a JSON integer, never a
+    float or a bool.  An unsorted idx is sorted with the sign of its
+    permutation, and an idx with a repeated index is the zero term
+    (`KForm.make`).  Anything else raises ValueError.
+    """
     try:
-        dim = int(obj["dim"])
-        degree = int(obj["degree"])
-        items = [(tuple(int(i) for i in t["idx"]), Fraction(t["c"]))
-                 for t in obj["terms"]]
+        dim = _json_int(obj["dim"], "dim")
+        degree = _json_int(obj["degree"], "degree")
+        items, seen = [], set()
+        for t in obj["terms"]:
+            idx, c = t["idx"], t["c"]
+            if not isinstance(idx, list):
+                raise ValueError(f"idx must be a JSON list, got {idx!r}")
+            idx = tuple(_json_int(i, "an index") for i in idx)
+            key = tuple(sorted(idx))
+            if key in seen:
+                raise ValueError(f"index set {list(key)} appears twice")
+            seen.add(key)
+            if not isinstance(c, str) and type(c) is not int:
+                raise ValueError(
+                    f"c must be a string or a JSON integer, got {c!r}")
+            items.append((idx, Fraction(c)))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed form object: {exc}") from exc
     return KForm.make(dim, degree, items)

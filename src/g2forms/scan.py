@@ -21,7 +21,7 @@ from itertools import (combinations, combinations_with_replacement, count,
                        islice, product)
 
 from .linalg import identity, nullspace
-from .stable_forms import (DIM, IDX3, _hitchin_table, classify_hitchin,
+from .stable_forms import (DIM, _hitchin_tables, classify_hitchin,
                            primitive_int_vector)
 
 
@@ -165,32 +165,59 @@ class FamilyHitchinMap:
 
 
 def family_hitchin_map(bvecs) -> FamilyHitchinMap:
-    """B of the family sum_a x_a bvecs[a] as 28 integer cubics in x.
+    """B of the family t(x) = sum_a x_a bvecs[a] as 28 integer cubics in x.
 
-    `bvecs` are integer 35-vectors.  Walking the contraction table over
-    their nonzero entries expands each B_ij (i <= j) into monomials
-    x_a x_b x_c (a <= b <= c), once per family.
+    `bvecs` are integer 35-vectors.  The three steps of `hitchin_matrix`
+    run once per family on polynomials in x, over nonzero entries only:
+    A_i = e_i ⌟ t is linear, W_j = A_j ^ t quadratic, and
+    B_ij = sum_P sign(P) A_i[P] W_j[comp P] cubic, for i <= j.  The cells
+    are the pairs (i, j), i <= j, in row order; the monomials x_a x_b x_c
+    (a <= b <= c) come sorted, each with its nonzero terms by cell.
     """
-    table = _hitchin_table()
+    interior, wedge, pairing = _hitchin_tables()
     support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
-               for p in range(len(IDX3))]
+               for p in range(len(interior))]
+    iota = [[] for _ in range(DIM)]
+    for p, lin in enumerate(support):
+        if lin:
+            for i, q, s in interior[p]:
+                iota[i].append((q, lin if s > 0 else
+                                [(a, -c) for a, c in lin]))
+    w = []
+    for a_j in iota:
+        wj = {}
+        for q, lin in a_j:
+            for k, f, s in wedge[q]:
+                if support[k]:
+                    quad = wj.setdefault(f, {})
+                    for a, ca in lin:
+                        sa = s * ca
+                        for b, cb in support[k]:
+                            key = (a, b) if a <= b else (b, a)
+                            quad[key] = quad.get(key, 0) + sa * cb
+        w.append(wj)
     cubics = {}
-    for e, groups in enumerate(table.values()):
-        for pi, rest in groups:
-            for a, ca in support[pi]:
-                for pj, pk, s in rest:
-                    for b, cb in support[pj]:
-                        for c, cc in support[pk]:
-                            terms = cubics.setdefault(
-                                tuple(sorted((a, b, c))), {})
-                            terms[e] = terms.get(e, 0) + s * ca * cb * cc
+    cells = []
+    for i, a_i in enumerate(iota):
+        row = [(*pairing[q], lin) for q, lin in a_i]
+        for j in range(i, DIM):
+            e = len(cells)
+            cells.append((i, j))
+            for f, s, lin in row:
+                for (b, c), cq in w[j].get(f, {}).items():
+                    if not cq:
+                        continue
+                    for a, ca in lin:
+                        key = ((a, b, c) if a <= b else
+                               (b, a, c) if a <= c else (b, c, a))
+                        terms = cubics.setdefault(key, {})
+                        terms[e] = terms.get(e, 0) + s * ca * cq
     monomials = []
-    for (a, b, c), terms in sorted(cubics.items()):
-        terms = tuple((e, v) for e, v in terms.items() if v)
+    for key, terms in sorted(cubics.items()):
+        terms = tuple((e, v) for e, v in sorted(terms.items()) if v)
         if terms:
-            monomials.append((a, b, c, terms))
-    return FamilyHitchinMap(monomials=tuple(monomials),
-                            cells=tuple((i - 1, j - 1) for i, j in table))
+            monomials.append((*key, terms))
+    return FamilyHitchinMap(monomials=tuple(monomials), cells=tuple(cells))
 
 
 def kernel_exclusion(hitchin, kernel=None):

@@ -16,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (adjugate, charpoly, cleared, det, frac, inertia, mat,
-                     mat_vec, nullspace)
+from .linalg import (adjugate, charpoly, cleared, det, frac, inertia,
+                     inverse, mat, mat_vec, nullspace, transpose)
 from .multilinear import (KForm, _moves, basis_vector, interior, sort_index,
                           wedge)
 
@@ -36,7 +36,6 @@ PHITILDE = KForm.make(7, 3, [
 ])
 
 IDX3 = list(combinations(range(1, 8), 3))
-IDX3_POS = {idx: p for p, idx in enumerate(IDX3)}
 
 
 class Orbit3Class(Enum):
@@ -88,47 +87,35 @@ def _perm_sign(seq):
 
 
 @cache
-def _hitchin_table():
-    """Contraction table for B_ij = sum sign * t_I t_J t_K over triples.
+def _hitchin_tables():
+    """The three integer tables of B = (e_i ⌟ t) ^ (e_j ⌟ t) ^ t, built once.
 
-    For each i <= j, the terms with i in I, j in J and K the complement of
-    (I\\i) u (J\\j), grouped by their first factor: a tuple of
-    (posI, ((posJ, posK, sign), ...)), 15 groups per cell, so
-    B_ij = sum t_I (sum sign t_J t_K).  Built once, reused for every
-    evaluation (the classification scans hit this hard).
+    Positions index the lexicographic lists of 2-, 3- and 5-subsets of
+    1..7; i is 0-based.
+      interior: per triple I, the three (i, P, sign) with
+                e_i ⌟ e^I = sign e^P, P = I minus i, sign = (-1)^pos for
+                the 0-based position pos of i in I;
+      wedge:    per pair P, its ten disjoint triples K as (K, F, sign) with
+                e^P ^ e^K = sign e^F;
+      pairing:  per pair P, (F, sign) with F its complement and
+                e^P ^ e^F = sign e^{1..7}.
+    `hitchin_matrix` and `scan.family_hitchin_map` read them.
     """
-    table = {}
+    pos2 = {P: n for n, P in enumerate(combinations(range(1, 8), 2))}
+    pos5 = {F: n for n, F in enumerate(combinations(range(1, 8), 5))}
+    interior = tuple(
+        tuple((i - 1, pos2[I[:k] + I[k + 1:]], -1 if k % 2 else 1)
+              for k, i in enumerate(I))
+        for I in IDX3)
+    wedge = tuple(
+        tuple((p, pos5[F], s) for p, K in enumerate(IDX3)
+              for F, s in [sort_index(P + K)] if s)
+        for P in pos2)
     full = set(range(1, 8))
-    for i in range(1, 8):
-        for j in range(i, 8):
-            entries = []
-            for I in IDX3:
-                if i not in I:
-                    continue
-                pi = I.index(i)
-                I2 = I[:pi] + I[pi + 1:]
-                si = 1 if pi % 2 == 0 else -1
-                seti2 = set(I2)
-                group = []
-                for J in IDX3:
-                    if j not in J:
-                        continue
-                    pj = J.index(j)
-                    J2 = J[:pj] + J[pj + 1:]
-                    if seti2 & set(J2):
-                        continue
-                    sj = 1 if pj % 2 == 0 else -1
-                    rest = full - seti2 - set(J2)
-                    if len(rest) != 3:
-                        continue
-                    K = tuple(sorted(rest))
-                    s = _perm_sign(I2 + J2 + K)
-                    if s == 0:
-                        continue
-                    group.append((IDX3_POS[J], IDX3_POS[K], si * sj * s))
-                entries.append((IDX3_POS[I], tuple(group)))
-            table[(i, j)] = tuple(entries)
-    return table
+    pairing = tuple(
+        (pos5[F], _perm_sign(P + F))
+        for P in pos2 for F in [tuple(sorted(full - set(P)))])
+    return interior, wedge, pairing
 
 
 def _coeffs3(t: KForm):
@@ -140,28 +127,39 @@ def _coeffs3(t: KForm):
 def hitchin_matrix(coeffs):
     """Symmetric 7x7 matrix B for a dense 35-vector of 3-form coefficients.
 
-    Each cell sums t_I times its group's sum of sign t_J t_K; zero factors
-    are skipped.
+    B_ij = <A_i, W_j>, read off three steps over nonzero entries only
+    (`_hitchin_tables`): the 2-forms A_i = e_i ⌟ t, the 5-forms
+    W_j = A_j ^ t, and B_ij = sum over pairs P of sign(P) A_i[P] W_j[comp P]
+    for i <= j, sign(P) the sign of e^P ^ e^(comp P) against e^{1..7}.
     """
-    b = [[0] * 7 for _ in range(7)]
-    for (i, j), groups in _hitchin_table().items():
-        acc = 0
-        for pi, rest in groups:
-            ci = coeffs[pi]
-            if ci == 0:
-                continue
-            inner = 0
-            for pj, pk, s in rest:
-                cj = coeffs[pj]
-                if cj == 0:
-                    continue
-                ck = coeffs[pk]
-                if ck == 0:
-                    continue
-                inner += s * cj * ck
-            acc += ci * inner
-        b[i - 1][j - 1] = acc
-        b[j - 1][i - 1] = acc
+    interior, wedge, pairing = _hitchin_tables()
+    iota = [[] for _ in range(DIM)]
+    for p, c in enumerate(coeffs):
+        if c:
+            for i, q, s in interior[p]:
+                iota[i].append((q, c if s > 0 else -c))
+    w = []
+    for a in iota:
+        wj = [0] * len(pairing)
+        for q, aq in a:
+            naq = -aq
+            for k, f, s in wedge[q]:
+                ck = coeffs[k]
+                if ck:
+                    wj[f] += (aq if s > 0 else naq) * ck
+        w.append(wj)
+    b = [[0] * DIM for _ in range(DIM)]
+    for i, a in enumerate(iota):
+        row = []
+        for q, aq in a:
+            f, s = pairing[q]
+            row.append((f, aq if s > 0 else -aq))
+        for j in range(i, DIM):
+            wj = w[j]
+            acc = 0
+            for f, c in row:
+                acc += c * wj[f]
+            b[i][j] = b[j][i] = acc
     return b
 
 
@@ -491,8 +489,6 @@ def _two_form_of_matrix(a):
 
 @cache
 def _decomp2_setup():
-    from .linalg import inverse, transpose
-
     basis14 = [_two_form_of_matrix(a) for a in annihilator_g2()]
     basis7 = [interior(basis_vector(7, i), PHI) for i in range(1, 8)]
     cols = [f.coefficient_vector() for f in basis14 + basis7]
@@ -519,8 +515,6 @@ def decompose2(a: KForm):
 
 @cache
 def _decomp3_setup():
-    from .linalg import inverse, transpose
-
     basis1 = [PHI]
     basis7 = [star_euclidean(wedge(PHI, KForm.basis(7, i)))
               for i in range(1, 8)]

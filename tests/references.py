@@ -17,10 +17,109 @@ a module, and `coeff`, a k-form's value on an unsorted index tuple.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from g2forms.linalg import ZERO, mat, mat_mul, mat_sub, rref
 from g2forms.multilinear import KForm, sort_index
+from g2forms.scan import FamilyHitchinMap
+from g2forms.stable_forms import IDX3, _perm_sign
+
+IDX3_POS = {idx: p for p, idx in enumerate(IDX3)}
+
+
+@cache
+def _hitchin_table():
+    """Contraction table for B_ij = sum sign * t_I t_J t_K over triples.
+
+    For each i <= j, the terms with i in I, j in J and K the complement of
+    (I\\i) u (J\\j), grouped by their first factor: a tuple of
+    (posI, ((posJ, posK, sign), ...)), 15 groups per cell, so
+    B_ij = sum t_I (sum sign t_J t_K).  Built once, reused for every
+    evaluation (the classification scans hit this hard).
+    """
+    table = {}
+    full = set(range(1, 8))
+    for i in range(1, 8):
+        for j in range(i, 8):
+            entries = []
+            for I in IDX3:
+                if i not in I:
+                    continue
+                pi = I.index(i)
+                I2 = I[:pi] + I[pi + 1:]
+                si = 1 if pi % 2 == 0 else -1
+                seti2 = set(I2)
+                group = []
+                for J in IDX3:
+                    if j not in J:
+                        continue
+                    pj = J.index(j)
+                    J2 = J[:pj] + J[pj + 1:]
+                    if seti2 & set(J2):
+                        continue
+                    sj = 1 if pj % 2 == 0 else -1
+                    rest = full - seti2 - set(J2)
+                    if len(rest) != 3:
+                        continue
+                    K = tuple(sorted(rest))
+                    s = _perm_sign(I2 + J2 + K)
+                    if s == 0:
+                        continue
+                    group.append((IDX3_POS[J], IDX3_POS[K], si * sj * s))
+                entries.append((IDX3_POS[I], tuple(group)))
+            table[(i, j)] = tuple(entries)
+    return table
+
+
+def reference_hitchin_matrix(coeffs):
+    """B of a dense 35-vector by the contraction table: each cell sums t_I
+    times its group's sum of sign t_J t_K."""
+    b = [[0] * 7 for _ in range(7)]
+    for (i, j), groups in _hitchin_table().items():
+        acc = 0
+        for pi, rest in groups:
+            ci = coeffs[pi]
+            if ci == 0:
+                continue
+            inner = 0
+            for pj, pk, s in rest:
+                cj = coeffs[pj]
+                if cj == 0:
+                    continue
+                ck = coeffs[pk]
+                if ck == 0:
+                    continue
+                inner += s * cj * ck
+            acc += ci * inner
+        b[i - 1][j - 1] = acc
+        b[j - 1][i - 1] = acc
+    return b
+
+
+def reference_family_hitchin_map(bvecs):
+    """The family Hitchin map of integer 35-vectors, by walking the
+    contraction table over their nonzero entries."""
+    table = _hitchin_table()
+    support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
+               for p in range(len(IDX3))]
+    cubics = {}
+    for e, groups in enumerate(table.values()):
+        for pi, rest in groups:
+            for a, ca in support[pi]:
+                for pj, pk, s in rest:
+                    for b, cb in support[pj]:
+                        for c, cc in support[pk]:
+                            terms = cubics.setdefault(
+                                tuple(sorted((a, b, c))), {})
+                            terms[e] = terms.get(e, 0) + s * ca * cb * cc
+    monomials = []
+    for (a, b, c), terms in sorted(cubics.items()):
+        terms = tuple((e, v) for e, v in terms.items() if v)
+        if terms:
+            monomials.append((a, b, c, terms))
+    return FamilyHitchinMap(monomials=tuple(monomials),
+                            cells=tuple((i - 1, j - 1) for i, j in table))
 
 
 def reference_action(m, a):

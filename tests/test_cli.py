@@ -64,6 +64,54 @@ def test_classify_refuses_a_zero_denominator(tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def _phi_terms(**first):
+    """The terms of PHI as a form file writes them, the first one edited."""
+    terms = form_to_json(PHI)["terms"]
+    return [{**terms[0], **first}] + terms[1:]
+
+
+@pytest.mark.parametrize("obj", [
+    {"dim": 7, "degree": 3, "terms": _phi_terms(idx="123")},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(idx=[1, 2, 3.0])},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(idx=[True, 2, 3])},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(idx={"1": 2})},
+    {"dim": 7, "degree": 3, "terms": _phi_terms() + [
+        {"idx": [1, 2, 3], "c": "2"}]},
+    {"dim": 7, "degree": 3, "terms": _phi_terms() + [
+        {"idx": [3, 2, 1], "c": "2"}]},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(c=0.1)},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(c=1.0)},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(c=True)},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(c=None)},
+    {"dim": 7.0, "degree": 3, "terms": _phi_terms()},
+    {"dim": 7, "degree": "3", "terms": _phi_terms()},
+], ids=["idx-string", "idx-float", "idx-bool", "idx-object",
+        "index-set-twice", "index-set-twice-permuted", "c-float",
+        "c-integral-float", "c-true", "c-null", "dim-float", "degree-string"])
+def test_classify_refuses_a_malformed_form_file(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code = cli.main(["classify", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("terms,expected", [
+    (_phi_terms(c=1), "definite"),
+    (_phi_terms(idx=[2, 1, 3], c="-1"), "definite"),
+    (_phi_terms(idx=[1, 1, 3]), "degenerate"),
+], ids=["c-json-int", "idx-unsorted", "idx-repeated"])
+def test_classify_reads_an_int_an_unsorted_and_a_repeated_index(
+        tmp_path, capsys, terms, expected):
+    # an unsorted idx is sorted with its sign; a repeated one is zero
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"dim": 7, "degree": 3, "terms": terms}))
+    assert cli.main(["classify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["class"] == expected
+
+
 def test_classify_refuses_the_catalog_only_flags(tmp_path):
     path = write_form(tmp_path, "f", PHI)
     for flag in ("--jobs", "--seed"):

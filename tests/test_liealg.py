@@ -21,8 +21,8 @@ from g2forms.linalg import (identity, intersect_nullspaces, inverse, mat,
 from g2forms.multilinear import KForm, pullback
 from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
                           kernel_exclusion)
-from references import (bracket, check_jacobi, commutator, reference_action,
-                        trace)
+from references import (_hitchin_table, bracket, check_jacobi, commutator,
+                        reference_action, reference_family_hitchin_map, trace)
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
                                   classify_hitchin, hitchin_matrix,
                                   primitive_int_vector)
@@ -750,6 +750,39 @@ def _monomial_matrices(hitchin):
             m[i][j] = m[j][i] = coef
         out.append(m)
     return out
+
+
+def test_family_map_of_the_unit_vectors_is_the_contraction_table():
+    # on the 35 unit vectors the family map is B itself as 28 cubics in the
+    # coefficients, so agreeing with the old table's coefficients, cell by
+    # cell, is a polynomial identity
+    hitchin = family_hitchin_map([[int(a == b) for b in range(35)]
+                                  for a in range(35)])
+    assert hitchin.cells == tuple((i, j) for i in range(7)
+                                  for j in range(i, 7))
+    want = {}
+    for (i, j), groups in _hitchin_table().items():
+        for pi, rest in groups:
+            for pj, pk, s in rest:
+                cell = want.setdefault((i - 1, j - 1), {})
+                mono = tuple(sorted((pi, pj, pk)))
+                cell[mono] = cell.get(mono, 0) + s
+    got = {}
+    for a, b, c, terms in hitchin.monomials:
+        assert a <= b <= c and [e for e, _ in terms] == sorted(
+            {e for e, _ in terms})
+        for e, v in terms:
+            assert v
+            got.setdefault(hitchin.cells[e], {})[a, b, c] = v
+    assert got == {ij: {m: v for m, v in cell.items() if v}
+                   for ij, cell in want.items()}
+
+
+def test_family_map_matches_the_contraction_table_walk(scanned_families):
+    # tuple-identical to the map the old table built, on every family
+    for _, _, bvecs in scanned_families:
+        assert family_hitchin_map(bvecs) == reference_family_hitchin_map(
+            bvecs)
 
 
 def test_sparse_rechecks_match_the_dense_monomial_matrices(

@@ -18,7 +18,8 @@ from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   metric_from_4form,
                                   primitive_int_vector, star_euclidean,
                                   traceless_to_27)
-from references import coeff, reference_action
+from g2forms.scan import family_hitchin_map
+from references import coeff, reference_action, reference_hitchin_matrix
 
 w = KForm.basis
 
@@ -61,6 +62,28 @@ def test_hitchin_independent_oracle():
                                    interior(basis_vector(7, j), t)), t)
                 c = prod.terms.get((1, 2, 3, 4, 5, 6, 7), Fraction(0))
                 assert data.B[i - 1][j - 1] == c
+
+
+def test_hitchin_matrix_matches_the_contraction_table():
+    # the three-step evaluation against the old 2,940-term table, on the
+    # zero vector, every single term, 7-term sparse and ~500-bit dense
+    rng = random.Random(31)
+    vecs = [[0] * 35]
+    for p in range(35):
+        v = [0] * 35
+        v[p] = rng.choice((-3, -1, 1, 2))
+        vecs.append(v)
+    for _ in range(20):
+        v = [0] * 35
+        for p in rng.sample(range(35), 7):
+            v[p] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        vecs.append(v)
+    vecs += [[rng.getrandbits(500) - (1 << 499) for _ in range(35)]
+             for _ in range(10)]
+    for v in vecs:
+        b = hitchin_matrix(v)
+        assert b == reference_hitchin_matrix(v)
+        assert all(type(x) is int for row in b for x in row)
 
 
 def test_hitchin_zero_and_shapes():
@@ -353,30 +376,30 @@ def _bivector_metric_cubics():
 
 def test_metric_from_4form_is_the_hitchin_matrix_of_the_dual():
     # gdual(p) = hitchin_matrix(star_euclidean(p)) as polynomials: the
-    # Hitchin contraction table, read through the signed permutation
-    # t_I = sign p_(comp I) of star_euclidean, has the bivector formula's
-    # cubic coefficients in every cell
-    from g2forms.stable_forms import IDX3, _hitchin_table
-
+    # Hitchin cubics (the family map of the 35 unit vectors), read through
+    # the signed permutation t_I = sign p_(comp I) of star_euclidean, have
+    # the bivector formula's cubic coefficients in every cell
     dual = []
-    for I in IDX3:
+    for I in combinations(range(1, 8), 3):
         L = tuple(sorted(set(range(1, 8)) - set(I)))
         (sign,) = star_euclidean(w(7, *L)).terms.values()
         assert star_euclidean(w(7, *L)).terms == {I: sign}
         dual.append((L, sign))
     reference = _bivector_metric_cubics()
-    cells = 0
-    for (i, j), groups in _hitchin_table().items():
-        cell = {}
-        for pi, rest in groups:
-            li, si = dual[pi]
-            for pj, pk, s in rest:
-                (lj, sj), (lk, sk) = dual[pj], dual[pk]
-                mono = tuple(sorted((li, lj, lk)))
-                cell[mono] = cell.get(mono, 0) + s * si * sj * sk
-        assert {m: v for m, v in cell.items() if v} == reference[i - 1, j - 1]
-        cells += 1
-    assert cells == 28 and sum(map(len, reference.values())) > 0
+    hitchin = family_hitchin_map([[int(a == b) for b in range(35)]
+                                  for a in range(35)])
+    assert len(hitchin.cells) == 28
+    cells = {}
+    for a, b, c, terms in hitchin.monomials:
+        (la, sa), (lb, sb), (lc, sc) = dual[a], dual[b], dual[c]
+        mono = tuple(sorted((la, lb, lc)))
+        for e, v in terms:
+            cell = cells.setdefault(hitchin.cells[e], {})
+            cell[mono] = cell.get(mono, 0) + v * sa * sb * sc
+    for ij, cubic in reference.items():
+        assert {m: v for m, v in cells.get(ij, {}).items() if v} == cubic
+    assert set(cells) <= set(reference)
+    assert sum(map(len, reference.values())) > 0
     # and `metric_from_4form` evaluates those cubics, on rational forms too
     rng = random.Random(29)
     for p in (PSI4, Fraction(5, 3) * PSI4 - w(7, 4, 5, 6, 7),
@@ -440,7 +463,7 @@ def test_annihilator_matches_the_algebra_action_reference(forms, dim):
 def test_constant_tables_are_built_once():
     from g2forms import stable_forms
 
-    for build in (stable_forms._hitchin_table, annihilator_g2,
+    for build in (stable_forms._hitchin_tables, annihilator_g2,
                   stable_forms._decomp2_setup, stable_forms._decomp3_setup,
                   lambda: _moves(7, 3)):
         assert build() is build()
