@@ -13,6 +13,7 @@ once per (n, k); `algebra_action`, `lambda_k_action_matrix` and the
 annihilator system of `stable_forms.annihilator_of_form` all read it.
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -360,6 +361,9 @@ def form_to_json(a: KForm) -> dict:
     }
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _json_int(value, what):
     """A JSON integer; a bool, a float or a string is refused."""
     if type(value) is not int:
@@ -372,8 +376,9 @@ def form_from_json(obj) -> KForm:
 
     `dim` and `degree` are JSON integers.  Each term's `idx` is a JSON list
     of integers, and no index set appears in two terms.  `c` is a string
-    that `Fraction` reads exactly ("5", "-2/3") or a JSON integer, never a
-    float or a bool.  An unsorted idx is sorted with the sign of its
+    of an integer or of p/q ("5", "-2/3", q != 0) or a JSON integer, never
+    a float, a bool or a decimal or exponent string ("1e9999999" would
+    take seconds to expand).  An unsorted idx is sorted with the sign of its
     permutation, and an idx with a repeated index is the zero term
     (`KForm.make`).  Anything else raises ValueError.
     """
@@ -390,9 +395,10 @@ def form_from_json(obj) -> KForm:
             if key in seen:
                 raise ValueError(f"index set {list(key)} appears twice")
             seen.add(key)
-            if not isinstance(c, str) and type(c) is not int:
-                raise ValueError(
-                    f"c must be a string or a JSON integer, got {c!r}")
+            if not (type(c) is int or isinstance(c, str)
+                    and _RATIONAL.fullmatch(c)):
+                raise ValueError("c must be a string n or p/q or a JSON "
+                                 f"integer, got {c!r}")
             items.append((idx, Fraction(c)))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed form object: {exc}") from exc

@@ -12,7 +12,7 @@ import pytest
 
 from g2forms import cli
 from g2forms.catalog import claim, load_catalog
-from g2forms.multilinear import KForm, form_to_json
+from g2forms.multilinear import KForm, form_from_json, form_to_json
 from g2forms.stable_forms import PHI, PHITILDE
 
 
@@ -83,11 +83,15 @@ def _phi_terms(**first):
     {"dim": 7, "degree": 3, "terms": _phi_terms(c=1.0)},
     {"dim": 7, "degree": 3, "terms": _phi_terms(c=True)},
     {"dim": 7, "degree": 3, "terms": _phi_terms(c=None)},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(c="0.25")},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(c="1e10000000")},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(c=" 1")},
     {"dim": 7.0, "degree": 3, "terms": _phi_terms()},
     {"dim": 7, "degree": "3", "terms": _phi_terms()},
 ], ids=["idx-string", "idx-float", "idx-bool", "idx-object",
         "index-set-twice", "index-set-twice-permuted", "c-float",
-        "c-integral-float", "c-true", "c-null", "dim-float", "degree-string"])
+        "c-integral-float", "c-true", "c-null", "c-decimal", "c-exponent",
+        "c-space", "dim-float", "degree-string"])
 def test_classify_refuses_a_malformed_form_file(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -100,9 +104,10 @@ def test_classify_refuses_a_malformed_form_file(tmp_path, capsys, obj):
 
 @pytest.mark.parametrize("terms,expected", [
     (_phi_terms(c=1), "definite"),
+    (_phi_terms(c="+3/2"), "definite"),
     (_phi_terms(idx=[2, 1, 3], c="-1"), "definite"),
     (_phi_terms(idx=[1, 1, 3]), "degenerate"),
-], ids=["c-json-int", "idx-unsorted", "idx-repeated"])
+], ids=["c-json-int", "c-signed-ratio", "idx-unsorted", "idx-repeated"])
 def test_classify_reads_an_int_an_unsorted_and_a_repeated_index(
         tmp_path, capsys, terms, expected):
     # an unsorted idx is sorted with its sign; a repeated one is zero
@@ -110,6 +115,26 @@ def test_classify_reads_an_int_an_unsorted_and_a_repeated_index(
     path.write_text(json.dumps({"dim": 7, "degree": 3, "terms": terms}))
     assert cli.main(["classify", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["class"] == expected
+
+
+def _form_objects(node):
+    """Every form object (a dict with `terms`) in a report, at any depth."""
+    if isinstance(node, dict):
+        if "terms" in node:
+            yield node
+        for val in node.values():
+            yield from _form_objects(val)
+    elif isinstance(node, list):
+        for val in node:
+            yield from _form_objects(val)
+
+
+def test_every_form_a_report_emits_reads_back_to_itself():
+    forms = [obj for path in sorted((Path(__file__).parent / "data").glob(
+        "*.json")) for obj in _form_objects(json.loads(path.read_text()))]
+    assert len(forms) >= 3
+    for obj in forms:
+        assert form_to_json(form_from_json(obj)) == obj
 
 
 def test_classify_refuses_the_catalog_only_flags(tmp_path):
