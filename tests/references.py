@@ -5,6 +5,11 @@ k-forms once, in `multilinear._moves`; the tests of `algebra_action`,
 `lambda_k_action_matrix` and `annihilator_of_form` compare against this
 per-term loop instead, which sorts each replaced index tuple on its own.
 
+`_hitchin_table`: the contraction table B_ij = sum sign t_I t_J t_K over
+2,940 triples, which `reference_hitchin_matrix` and
+`reference_family_hitchin_map` walk; the package builds B from
+e_i ⌟ t and (e_j ⌟ t) ^ t instead (`stable_forms._hitchin_tables`).
+
 `sign_charpoly`: the characteristic polynomial a generator with spectrum
 [-1] * a + [1] * b must have, to check `catalog._sign_spectrum` by a route
 that takes no kernel.
