@@ -30,13 +30,13 @@ from importlib import resources
 
 from .linalg import (det, frac, identity, inverse, mat, mat_mul, mat_vec,
                      nullspace, solve, transpose)
-from .liealg import (IsotropyModule, MatrixLieAlgebra,
-                     build_algebra, creal, diag_torus_su, generator_v_matrix,
-                     invariant_3forms, invariant_dims, invariant_form_types,
-                     invariant_inner_product, irreducible_dims,
-                     module_from_action, product_algebra,
-                     reductive_complement, rotation_block, so_basis, sp_basis,
-                     sp_matrix, su_basis, _czero, _embed_block)
+from .isotropy import (IsotropyModule, invariant_3forms, invariant_dims,
+                       invariant_form_types, invariant_inner_product,
+                       irreducible_dims, module_from_action)
+from .liealg import (MatrixLieAlgebra, build_algebra, creal, diag_torus_su,
+                     generator_v_matrix, product_algebra, reductive_complement,
+                     rotation_block, so_basis, sp_basis, sp_matrix, su_basis,
+                     _czero, _embed_block)
 from .multilinear import pullback
 from .stable_forms import annihilator_g2
 

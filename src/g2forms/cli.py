@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .catalog import (build_entry, catalog_hash, claim, load_catalog,
                       verify_entry)
-from .liealg import invariant_dims
+from .isotropy import invariant_dims
 from .multilinear import form_from_json
 from .scan import ScanConfig
 from .stable_forms import classification_report

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 from .linalg import (adjugate, cleared, identity, mat, mat_mul, nullspace,
                      rank, solve, transpose)
-from .liealg import (IsotropyModule, MatrixLieAlgebra, invariant_3forms,
-                     invariant_kforms)
+from .isotropy import IsotropyModule, invariant_3forms, invariant_kforms
+from .liealg import MatrixLieAlgebra
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .scan import ScanConfig, family_hitchin_map, scan_family
 from .stable_forms import (Orbit3Class, _dual_coefficients, _star_on_dual_ray,

@@ -1,4 +1,4 @@
-"""Lie algebras as exact structure constants, and their isotropy modules.
+"""Lie algebras as exact structure constants, and their reductive pairs.
 
 A Lie algebra is its structure constants c^k_ij on a fixed ordered basis,
 with the invariant inner product <X, Y> = -trace(XY).  Rational ambient
@@ -15,42 +15,19 @@ restricted inner product, h and V in g-coordinates, and any finite
 component generators.  The complement's pair brackets, and the images of
 h and V under a generator, are integer combinations over the cleared h
 and V vectors, read off with one integer `solve` each.
-
-Everything through `invariant_dims` is exact.  `irreducible_dims` is
-certified: a random self-adjoint commutant element, the gram's inverse
-times an invariant symmetric form, splits V into its eigenspaces, whose
-dimensions are the root multiplicities of its characteristic polynomial,
-and the split is accepted only when a commutant dimension count proves
-every eigenspace irreducible.  `invariant_form_types` runs the family scan
-of `scan` on the invariant 3-forms, with the Schur obstruction on the
-irreducible dimensions (`schur_exclusion`: no member indefinite) as its
-exclusion of the indefinite class.
 """
 
-import random
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from types import MappingProxyType
 
-from .linalg import (adjugate, charpoly, cleared, frac, identity,
-                     intersect_nullspaces, inverse, leading_principal_minors,
-                     mat, mat_mul, mat_sub, nullspace, rank,
-                     root_multiplicities, rref, solve, transpose)
-from .multilinear import (KForm, lambda_k_action_matrix,
-                          lambda_k_pullback_matrix)
-from .scan import ScanConfig, scan_family
-from .stable_forms import primitive_int_vector
-
-
-def _flatten(m):
-    return [x for row in m for x in row]
-
-
-def _frozen_matrix(m):
-    return tuple(tuple(row) for row in m)
+from .isotropy import IsotropyModule, _definite_check
+# perfbench's tracer and workloads resolve these names on liealg
+from .isotropy import (ScanConfig, invariant_3forms, invariant_dims,
+                       invariant_form_types, irreducible_dims)
+from .linalg import (adjugate, cleared, frac, identity, nullspace, rank, rref,
+                     solve, transpose)
 
 
 def _sparse(m):
@@ -104,7 +81,8 @@ class MatrixLieAlgebra:
     def _int_basis(self):
         # (B_k, L): the basis cleared once to sparse integer matrices over
         # one denominator
-        flat, den = cleared([_flatten(b) for b in self.basis])
+        flat, den = cleared([[x for row in b for x in row]
+                             for b in self.basis])
         n = self.size
         return [{divmod(i, n): v for i, v in enumerate(row) if v}
                 for row in flat], den
@@ -388,123 +366,36 @@ def product_algebra(name, factors):
     return MatrixLieAlgebra(name=name, basis=basis)
 
 
+#: the classical algebras by name prefix: (smallest size, largest size,
+#: basis builder); u(1) is the single rotation block of t(1)
+_CLASSICAL = {
+    "so": (2, 7, so_basis),
+    "su": (2, 4, su_basis),
+    "u": (1, 4, u_basis),
+    "sp": (1, 2, sp_basis),
+    "t": (1, 7, torus_basis),
+}
+
+
 def build_algebra(name: str) -> MatrixLieAlgebra:
     """Classical algebras by name: so(n), su(n), sp(n), u(n), t(k).
 
     Products are available through `product_algebra`.
     """
     name = name.strip()
-    if name.startswith("so(") and name.endswith(")"):
-        n = int(name[3:-1])
-        if not 2 <= n <= 7:
-            raise ValueError(f"unsupported size in {name}")
-        return MatrixLieAlgebra(name, so_basis(n))
-    if name.startswith("su(") and name.endswith(")"):
-        n = int(name[3:-1])
-        if not 2 <= n <= 4:
-            raise ValueError(f"unsupported size in {name}")
-        return MatrixLieAlgebra(name, su_basis(n))
-    if name.startswith("u(") and name.endswith(")"):
-        n = int(name[2:-1])
-        if not 1 <= n <= 4:
-            raise ValueError(f"unsupported size in {name}")
-        if n == 1:
-            return MatrixLieAlgebra(name, torus_basis(1))
-        return MatrixLieAlgebra(name, u_basis(n))
-    if name.startswith("sp(") and name.endswith(")"):
-        n = int(name[3:-1])
-        if not 1 <= n <= 2:
-            raise ValueError(f"unsupported size in {name}")
-        return MatrixLieAlgebra(name, sp_basis(n))
-    if name.startswith("t(") and name.endswith(")"):
-        k = int(name[2:-1])
-        if not 1 <= k <= 7:
-            raise ValueError(f"unsupported size in {name}")
-        return MatrixLieAlgebra(name, torus_basis(k))
-    raise ValueError(f"unknown algebra name: {name!r}")
+    prefix, _, size = name.partition("(")
+    if prefix not in _CLASSICAL or not name.endswith(")"):
+        raise ValueError(f"unknown algebra name: {name!r}")
+    low, high, basis = _CLASSICAL[prefix]
+    n = int(size[:-1])
+    if not low <= n <= high:
+        raise ValueError(f"unsupported size in {name}")
+    return MatrixLieAlgebra(name, basis(n))
 
 
 # ---------------------------------------------------------------------------
-# isotropy modules
+# reductive pairs
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IsotropyModule:
-    """h-action on the reductive complement V, with finite generators.
-
-    A frozen value all the way down: every matrix, generator matrices
-    included, is stored as a tuple of tuples and `brackets` as a read-only
-    mapping of tuples, so neither a field nor what it holds can change.
-    `action[k]` is the matrix of ad(h_k) on V in the V-basis; `gram` is the
-    restricted invariant inner product; `brackets[(i, j)]` is the V-part of
-    [v_i, v_j] (the structure constants of the invariant complex).
-    `h_coords` and `V_coords` are the bases of h and V in the coordinates of
-    the ambient algebra, which is None (and both bases empty) for
-    representation-level entries.  `generators` holds the accepted
-    (name, V-matrix) pairs, `pending_generators` the (name, ambient matrix,
-    expectation) triples that are checked, not included.
-    """
-
-    label: str
-    dimV: int
-    action: tuple
-    gram: tuple
-    brackets: Mapping = field(default_factory=dict)
-    h_coords: tuple = ()
-    V_coords: tuple = ()
-    generators: tuple = ()
-    pending_generators: tuple = ()
-    ambient: MatrixLieAlgebra = None
-
-    def __post_init__(self):
-        freeze = object.__setattr__
-        freeze(self, "action", tuple(_frozen_matrix(a) for a in self.action))
-        for name in ("gram", "h_coords", "V_coords"):
-            freeze(self, name, _frozen_matrix(getattr(self, name)))
-        freeze(self, "brackets", MappingProxyType(
-            {ij: tuple(c) for ij, c in self.brackets.items()}))
-        freeze(self, "generators", tuple(
-            (name, _frozen_matrix(f)) for name, f in self.generators))
-        freeze(self, "pending_generators", tuple(
-            (name, _frozen_matrix(f), expect)
-            for name, f, expect in self.pending_generators))
-
-    @property
-    def h_dim(self):
-        return len(self.action)
-
-    @cached_property
-    def d_one_forms(self):
-        """d(e^l) = -sum_{i<j} c^l_ij e^i ^ e^j as 2-forms, l = 1..dimV."""
-        return tuple(KForm.make(self.dimV, 2,
-                                [((i + 1, j + 1), -c[l])
-                                 for (i, j), c in self.brackets.items() if c[l]])
-                     for l in range(self.dimV))
-
-    @cached_property
-    def _invariant_kforms(self):
-        # k -> tuple of basis forms, filled by `invariant_kforms`
-        return {}
-
-    @cached_property
-    def _irreducible_dims(self):
-        # seed -> tuple of dimensions, filled by `irreducible_dims`
-        return {}
-
-    @cached_property
-    def _action_symmetric_forms(self):
-        # the invariant symmetric forms of the action alone, read by
-        # `irreducible_dims` and, without generators, by `invariant_dims`
-        return tuple(_frozen_matrix(s) for s in
-                     _invariant_symmetric_forms(self.action, [], n=self.dimV))
-
-    def kernel_dim(self):
-        """dim of {X in h : ad(X)|V = 0} -- must be 0 for effective entries."""
-        if not self.action:
-            return 0
-        cols = [_flatten(a) for a in self.action]
-        return len(nullspace(transpose(mat(cols))))
-
 
 def reductive_complement(g: MatrixLieAlgebra, h_elements,
                          label="") -> IsotropyModule:
@@ -658,274 +549,3 @@ def _check_rep_property(action, h_brackets):
         if _sparse_commutator(rho[i], rho[j]) != {rc: v for rc, v
                                                   in rhs.items() if v}:
             raise AssertionError("isotropy action violates the brackets")
-
-
-def _definite_check(gram):
-    minors = leading_principal_minors(cleared(gram)[0])
-    return minors is not None and all(m > 0 for m in minors)
-
-
-def invariant_inner_product(action):
-    """The unique invariant symmetric form, positive definite.
-
-    Negated when its (0, 0) entry is negative; a ValueError when the form
-    is not unique or not definite.
-    """
-    forms = _invariant_symmetric_forms(action, [])
-    if len(forms) != 1:
-        raise ValueError("invariant inner product is not unique")
-    gram = forms[0]
-    if gram[0][0] < 0:
-        gram = [[-x for x in row] for row in gram]
-    if not _definite_check(gram):
-        raise ValueError("invariant inner product is not definite")
-    return gram
-
-
-def module_from_action(label, action, gram=None) -> IsotropyModule:
-    """Module directly from h-action matrices (no ambient pair).
-
-    Used for representation-level entries; if no invariant inner product is
-    supplied, `invariant_inner_product` computes it.
-    """
-    dimv = len(action[0]) if action else 0
-    if gram is None:
-        gram = invariant_inner_product(action)
-    return IsotropyModule(label=label, dimV=dimv, action=action, gram=gram)
-
-
-# ---------------------------------------------------------------------------
-# invariant dimensions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InvariantDims:
-    d1: int
-    d2: int
-    d3: int
-
-
-def _sym_index(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _invariant_symmetric_forms(action, generators, n=None):
-    """Basis of symmetric S with rho(X)^T S + S rho(X) = 0, F^T S F = S.
-
-    The rows are integer: each action matrix is cleared to L A, which
-    scales its block of equations, and each generator to L F, whose block
-    becomes (L F)^T S (L F) = L^2 S.
-    """
-    if n is None:
-        n = len(action[0]) if action else len(generators[0])
-    pairs = _sym_index(n)
-    pos = {p: k for k, p in enumerate(pairs)}
-
-    def sym_get(vec, i, j):
-        return vec[pos[(i, j)]] if i <= j else vec[pos[(j, i)]]
-
-    rows = []
-    for a, _ in map(cleared, action):
-        for i in range(n):
-            for j in range(i, n):
-                row = [0] * len(pairs)
-                for k in range(n):
-                    # (A^T S)_{ij} = sum_k A_{ki} S_{kj}; (S A)_{ij} = S_{ik} A_{kj}
-                    if a[k][i] != 0:
-                        row[pos[(min(k, j), max(k, j))]] += a[k][i]
-                    if a[k][j] != 0:
-                        row[pos[(min(i, k), max(i, k))]] += a[k][j]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    for f, den in map(cleared, generators):
-        for i in range(n):
-            for j in range(i, n):
-                row = [0] * len(pairs)
-                for k in range(n):
-                    for l in range(n):
-                        c = f[k][i] * f[l][j]
-                        if c != 0:
-                            row[pos[(min(k, l), max(k, l))]] += c
-                row[pos[(i, j)]] -= den * den
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    sols = nullspace(rows) if rows else identity(len(pairs))
-    out = []
-    for vec in sols:
-        out.append([[sym_get(vec, i, j) for j in range(n)] for i in range(n)])
-    return out
-
-
-def invariant_kforms(m: IsotropyModule, k):
-    """Exact basis of the invariant k-forms on V, a fresh list per call.
-
-    The basis is computed once per module and k and kept on the module.
-    """
-    cache = m._invariant_kforms
-    if k not in cache:
-        cache[k] = tuple(_invariant_kform_basis(m, k))
-    return list(cache[k])
-
-
-def _invariant_kform_basis(m, k):
-    """The joint kernel of integer systems: each action matrix cleared to
-    L A gives L times its Lambda^k matrix, and each generator cleared to
-    L F gives P - L^k 1 for the pullback matrix P of L F."""
-    n = m.dimV
-    if k == 0:
-        return [KForm.make(n, 0, [((), 1)])]
-    mats = [lambda_k_action_matrix(cleared(a)[0], k, n) for a in m.action]
-    for _, f in m.generators:
-        f, den = cleared(f)
-        p = lambda_k_pullback_matrix(f, k, n)
-        for r, row in enumerate(p):
-            row[r] -= den ** k
-        mats.append(p)
-    if not mats:
-        return [KForm.basis(n, *idx)
-                for idx in combinations(range(1, n + 1), k)]
-    vecs = intersect_nullspaces(mats)
-    return [KForm.from_coefficient_vector(n, k, v) for v in vecs]
-
-
-def invariant_3forms(m: IsotropyModule):
-    """Exact basis of the invariant 3-forms on V (as KForms, dim 7)."""
-    if m.dimV != 7:
-        raise ValueError("invariant 3-forms require dim V = 7")
-    return invariant_kforms(m, 3)
-
-
-def invariant_dims(m: IsotropyModule) -> InvariantDims:
-    """(d1, d2, d3): invariant vectors, symmetric forms, 3-forms; exact.
-
-    d3 comes from the direct Lambda^3 fixed-space computation; the identity
-    d3 = d1 + d2 is a theorem only in the presence of a definite invariant
-    form and is cross-checked by callers, not assumed here.
-    """
-    kill = list(m.action)
-    for _, f in m.generators:
-        kill.append(mat_sub(mat(f), identity(m.dimV)))
-    d1 = len(intersect_nullspaces(kill)) if kill else m.dimV
-    d2 = len(_invariant_symmetric_forms(m.action, [f for _, f in m.generators],
-                                        n=m.dimV)
-             if m.generators else m._action_symmetric_forms)
-    d3 = len(invariant_3forms(m)) if m.dimV == 7 else None
-    return InvariantDims(d1=d1, d2=d2, d3=d3)
-
-
-# ---------------------------------------------------------------------------
-# irreducible decomposition dimensions
-# ---------------------------------------------------------------------------
-
-#: splitter draws before `irreducible_dims` gives up with an AssertionError
-_SPLITTER_DRAWS = 40
-
-
-def _draw_splitter(forms, ginv, rng):
-    """G^-1 times a random integer combination of the invariant symmetric
-    forms, an integer matrix: `ginv` is G^-1 cleared to integers, and the
-    scale keeps eigenspaces and commutant."""
-    coeffs = [rng.randint(-9, 9) for _ in forms]
-    n = len(ginv)
-    s = [[sum(cf * f[i][j] for cf, f in zip(coeffs, forms)) for j in range(n)]
-         for i in range(n)]
-    return mat_mul(ginv, s)
-
-
-def irreducible_dims(m: IsotropyModule, seed=0):
-    """Multiset of real-irreducible dimensions of the h-action on V; certified.
-
-    Finite generators are ignored.  For the invariant definite gram G, X is
-    G-self-adjoint and commutes with the action exactly when S = G X is an
-    invariant symmetric form, so the self-adjoint commutant is G^-1 times
-    `_invariant_symmetric_forms`; that invariance, A^T G + G A = 0 for
-    every action matrix, is checked exactly first (AssertionError
-    otherwise).  One form proves V irreducible.  Otherwise V is split by one
-    commutant element C = G^-1 S, S a random integer combination of the
-    forms: self-adjoint for a definite form, C is diagonalizable with real
-    eigenvalues, and its eigenspaces E_j are invariant.  A generic C has
-    distinct eigenvalues on the trivial isotypic part too, so the same draw
-    splits it into 1s.  The dimensions of the E_j, the root multiplicities
-    of charpoly(C), are read by squarefree counting (`root_multiplicities`),
-    with no factoring.  The split is accepted only when the commutant
-    elements that also commute with C, the G^-1 S' with S' C symmetric, have
-    dimension equal to the number of eigenvalues: that dimension is the sum
-    over j of dim A_sa(E_j) >= 1, and A_sa(E_j) is the scalars exactly when
-    E_j is irreducible.  C is drawn from `random.Random(seed)`; if no draw
-    in `_SPLITTER_DRAWS` certifies, an AssertionError is raised, never a
-    coarser answer.  The result is computed once per module and seed and
-    kept on the module; a fresh list is returned per call.
-    """
-    cache = m._irreducible_dims
-    if seed not in cache:
-        cache[seed] = tuple(_irreducible_dims(m, seed))
-    return list(cache[seed])
-
-
-def _irreducible_dims(m, seed):
-    n = m.dimV
-    gram, _ = cleared(m.gram)
-    for a, _ in map(cleared, m.action):
-        if any(x + y for r, s in zip(mat_mul(transpose(a), gram),
-                                     mat_mul(gram, a))
-               for x, y in zip(r, s)):
-            raise AssertionError("gram is not invariant under the action")
-    forms = [cleared(s)[0] for s in m._action_symmetric_forms]
-    dims = ([n] if len(forms) == 1 else
-            _certified_split(forms, cleared(inverse(m.gram))[0], seed))
-    if sum(dims) != n:
-        raise AssertionError("irreducible dimensions do not add up")
-    return dims
-
-
-def _certified_split(forms, ginv, seed):
-    """The sorted eigenspace dimensions of the first certified splitter."""
-    n = len(ginv)
-    rng = random.Random(seed)
-    for _ in range(_SPLITTER_DRAWS):
-        c = _draw_splitter(forms, ginv, rng)
-        mults = root_multiplicities(charpoly(c))
-        # G^-1 S' commutes with C exactly when S' C is symmetric
-        products = [mat_mul(f, c) for f in forms]
-        rows = [[p[i][j] - p[j][i] for p in products]
-                for i in range(n) for j in range(i + 1, n)]
-        if len(forms) - rank(rows) == len(mults):
-            return mults
-    raise AssertionError(
-        f"no certified split in {_SPLITTER_DRAWS} splitter draws")
-
-
-# ---------------------------------------------------------------------------
-# definite / indefinite search over the invariant family
-# ---------------------------------------------------------------------------
-
-def schur_exclusion(m: IsotropyModule):
-    """Certificate that no invariant 3-form is indefinite, or None.
-
-    For an invariant t, B(t) is h-invariant (the action is gram-skew, so
-    traceless, and Lambda^7 is trivial), so S = gram^-1 B(t) commutes with
-    the action and is gram-self-adjoint.  Its positive eigenspace is then
-    invariant, a sum of irreducibles, and B(t) has signature (p, 7 - p)
-    with p a sub-multiset sum of the certified `irreducible_dims`.  An
-    indefinite t needs p = 3 or 4.  The argument needs a definite gram.
-    """
-    if not _definite_check(m.gram):
-        return None
-    dims = irreducible_dims(m)
-    sums = {0}
-    for k in dims:
-        sums |= {s + k for s in sums}
-    if sums & {3, 4}:
-        return None
-    return {"kind": "schur", "irreducible_dims": dims}
-
-
-def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
-    """Scan the invariant 3-form family of m for definite and indefinite
-    members: `scan_family` on its primitive integer basis vectors, with the
-    Schur obstruction of m, tried only while the indefinite class is open.
-    Returns the scan's report dict.
-    """
-    return scan_family([primitive_int_vector(f.coefficient_vector())
-                        for f in invariant_3forms(m)], config,
-                       exclude_indefinite=lambda: schur_exclusion(m))

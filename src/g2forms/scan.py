@@ -1,6 +1,6 @@
 """The scan of a linear family of 3-forms for definite and indefinite members.
 
-`scan_family` is the one scan of a linear family of 3-forms: `liealg`'s
+`scan_family` is the one scan of a linear family of 3-forms: `isotropy`'s
 `invariant_form_types` runs it on the invariant family of an isotropy
 module, and `homogeneous` on the closed invariant 3-forms.  B of the family
 is expanded once into integer cubics in the family coordinates
@@ -9,7 +9,7 @@ and a negative is exact when a certificate excludes the class: a common
 kernel of the family's monomial Hitchin matrices (every member
 degenerate), a common isotropic coordinate subspace (no member definite;
 none stable when it has dimension >= 4) or an exclusion the caller passes
-in, such as `liealg.schur_exclusion` on the irreducible dimensions (no
+in, such as `isotropy.schur_exclusion` on the irreducible dimensions (no
 member indefinite).  The scan only looks for witnesses of the classes
 left; a miss there is "not found at this resolution".
 """

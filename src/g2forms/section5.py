@@ -18,9 +18,9 @@ from .homogeneous import (bare_complex, build_complex,
                           closed_stable_scan, exact_primitive,
                           invariant_2form_analysis, nearly_parallel_check,
                           pencil_certificate)
-from .liealg import (IsotropyModule, MatrixLieAlgebra, build_algebra,
-                     invariant_3forms, invariant_kforms, module_from_action,
-                     _embed_block)
+from .isotropy import (IsotropyModule, invariant_3forms, invariant_kforms,
+                       module_from_action)
+from .liealg import MatrixLieAlgebra, build_algebra, _embed_block
 from .linalg import identity, rank, solve, transpose
 from .multilinear import KForm, form_to_json
 from .scan import ScanConfig

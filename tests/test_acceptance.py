@@ -24,7 +24,7 @@ from g2forms.catalog import (_sign_spectrum, build_entry, candidate_module,
 from g2forms.homogeneous import (bare_complex, build_complex,
                                  nearly_parallel_check, nearly_parallel_rays,
                                  pencil_certificate)
-from g2forms.liealg import invariant_3forms, invariant_dims, irreducible_dims
+from g2forms.isotropy import invariant_3forms, invariant_dims, irreducible_dims
 from g2forms.linalg import charpoly, det, identity, mat, mat_mul, rank
 from g2forms.multilinear import (KForm, algebra_action, interior,
                                  pullback, wedge)

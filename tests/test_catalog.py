@@ -7,7 +7,7 @@ from g2forms.catalog import (_BUILDERS, _sign_spectrum, build_entry,
                              catalog_hash, compute_g2_algebra,
                              compute_su3_in_g2, generator_compatibility_report,
                              load_catalog, so3_irrep, verify_entry)
-from g2forms.liealg import invariant_dims
+from g2forms.isotropy import invariant_dims
 from g2forms.linalg import charpoly, identity, inverse, mat_mul
 from g2forms.scan import ScanConfig
 from references import commutator, sign_charpoly
@@ -158,7 +158,7 @@ def test_rejected_generators_rest_on_a_kernel_certificate(case, params,
                                                           kernel_dim):
     # both "rejected" verdicts are exact: the fixed family's monomial
     # Hitchin matrices share a kernel vector, so no sample is needed
-    from g2forms.liealg import invariant_3forms
+    from g2forms.isotropy import invariant_3forms
     from g2forms.scan import family_hitchin_map
     from g2forms.stable_forms import primitive_int_vector
 

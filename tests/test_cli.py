@@ -434,8 +434,9 @@ def test_importing_the_package_does_not_load_numpy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "catalog", "cli", "homogeneous", "liealg", "linalg", "multilinear",
-        "octonion", "scan", "section5", "stable_forms", "False"]
+        "catalog", "cli", "homogeneous", "isotropy", "liealg", "linalg",
+        "multilinear", "octonion", "scan", "section5", "stable_forms",
+        "False"]
 
 
 def test_no_module_loads_sympy():

@@ -14,7 +14,8 @@ from g2forms.homogeneous import (bare_complex, build_complex,
                                  exact_primitive, invariant_2form_analysis,
                                  invariant_kforms,
                                  nearly_parallel_check, nearly_parallel_rays)
-from g2forms.liealg import IsotropyModule, build_algebra, invariant_3forms
+from g2forms.isotropy import IsotropyModule, invariant_3forms
+from g2forms.liealg import build_algebra
 from g2forms.linalg import (adjugate, cleared, identity, inverse, nullspace,
                             rank)
 from g2forms.multilinear import KForm, pullback

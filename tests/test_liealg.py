@@ -7,17 +7,19 @@ import pytest
 
 from g2forms.catalog import (_BUILDERS, build_entry, candidate_module,
                              load_catalog, orthogonal_algebra_of_form)
-from g2forms.liealg import (IsotropyModule, MatrixLieAlgebra,
-                            _check_rep_property, _invariant_symmetric_forms,
+from g2forms.isotropy import (IsotropyModule, _certified_split,
+                              _invariant_symmetric_forms, invariant_3forms,
+                              invariant_dims, invariant_form_types,
+                              invariant_inner_product, invariant_kforms,
+                              irreducible_dims, module_from_action,
+                              schur_exclusion)
+from g2forms.liealg import (MatrixLieAlgebra, _check_rep_property,
                             build_algebra, generator_v_matrix,
-                            invariant_3forms, invariant_dims,
-                            invariant_form_types, invariant_inner_product,
-                            invariant_kforms, irreducible_dims,
-                            module_from_action, product_algebra,
-                            reductive_complement, schur_exclusion)
-from g2forms.linalg import (identity, intersect_nullspaces, inverse, mat,
-                            mat_mul, mat_sub, mat_vec, nullspace, rank, rref,
-                            solve, transpose)
+                            product_algebra, reductive_complement,
+                            torus_basis)
+from g2forms.linalg import (cleared, identity, intersect_nullspaces, inverse,
+                            mat, mat_mul, mat_sub, mat_vec, nullspace, rank,
+                            rref, solve, transpose)
 from g2forms.multilinear import KForm, pullback
 from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
                           kernel_exclusion)
@@ -45,10 +47,20 @@ def test_build_algebra_dimensions(name, dim):
 
 
 def test_build_algebra_unknown():
-    with pytest.raises(ValueError):
-        build_algebra("e8")
-    with pytest.raises(ValueError):
-        build_algebra("so(9)")
+    # an unknown name, and each prefix just outside its sizes at both ends
+    for name in ("e8", "g(2)", "so(3"):
+        with pytest.raises(ValueError) as err:
+            build_algebra(name)
+        assert str(err.value) == f"unknown algebra name: {name!r}"
+    for name in ("so(1)", "so(8)", "so(9)", "su(1)", "su(5)", "u(0)", "u(5)",
+                 "sp(0)", "sp(3)", "t(0)", "t(8)"):
+        with pytest.raises(ValueError) as err:
+            build_algebra(name)
+        assert str(err.value) == f"unsupported size in {name}"
+
+
+def test_u1_is_the_rotation_block_of_t1():
+    assert build_algebra("u(1)").basis == torus_basis(1)
 
 
 @pytest.mark.parametrize("name", ["su(3)", "sp(2)", "so(5)"])
@@ -109,16 +121,16 @@ def test_built_module_is_a_deep_value():
 def test_invariant_kforms_are_computed_once_per_module(monkeypatch):
     import dataclasses
 
-    from g2forms import liealg
+    from g2forms import isotropy
 
     calls = []
-    compute = liealg._invariant_kform_basis
+    compute = isotropy._invariant_kform_basis
 
     def counting(m, k):
         calls.append(k)
         return compute(m, k)
 
-    monkeypatch.setattr(liealg, "_invariant_kform_basis", counting)
+    monkeypatch.setattr(isotropy, "_invariant_kform_basis", counting)
     mod = build_entry("2d")
     first = invariant_kforms(mod, 3)
     expected = list(first)
@@ -316,16 +328,20 @@ def test_3biii_incompatible_weights_fail_the_dimension_law():
 
 @pytest.mark.parametrize("entry", CATALOG, ids=CATALOG_IDS)
 def test_irreducible_dims_stable_across_seeds(entry):
-    # every shipped row gives its recorded fingerprint at every seed
+    # every shipped row gives its recorded fingerprint from the splitter
+    # draws of every seed, not only from the seed 0 that the package uses
     mod = build_entry(entry["case"], tuple(entry["params"]))
+    forms = [cleared(s)[0] for s in mod._action_symmetric_forms]
+    ginv = cleared(inverse(mod.gram))[0]
     for seed in range(4):
-        assert irreducible_dims(mod, seed=seed) == entry["expected"]["irr"]
+        assert _certified_split(forms, ginv, random.Random(seed)) == (
+            entry["expected"]["irr"])
 
 
 def test_irreducible_dims_raises_when_no_draw_certifies(monkeypatch):
     # a splitter that is always a scalar never splits W = 3 + 4 of case 1:
     # the split must fail loudly, not return the coarse [7]
-    from g2forms import liealg
+    from g2forms import isotropy
     from g2forms.linalg import identity
 
     mod = build_entry("1")
@@ -335,21 +351,21 @@ def test_irreducible_dims_raises_when_no_draw_certifies(monkeypatch):
         draws.append(1)
         return identity(len(ginv))
 
-    monkeypatch.setattr(liealg, "_draw_splitter", scalar)
+    monkeypatch.setattr(isotropy, "_draw_splitter", scalar)
     with pytest.raises(AssertionError, match="no certified split"):
         irreducible_dims(mod)
-    assert len(draws) == liealg._SPLITTER_DRAWS
+    assert len(draws) == isotropy._SPLITTER_DRAWS
 
 
 def test_irreducible_dims_of_an_irreducible_action_needs_no_draw(
         monkeypatch):
     # a one-dimensional self-adjoint commutant proves irreducibility
-    from g2forms import liealg
+    from g2forms import isotropy
 
     def fail(forms, ginv, rng):
         raise AssertionError("drew a splitter")
 
-    monkeypatch.setattr(liealg, "_draw_splitter", fail)
+    monkeypatch.setattr(isotropy, "_draw_splitter", fail)
     assert irreducible_dims(build_entry("2d")) == [7]
 
 
@@ -504,7 +520,7 @@ def test_irreducible_dims_refuse_a_gram_that_is_not_invariant():
 
 
 def test_invariant_inner_product_is_the_positive_unique_form(monkeypatch):
-    from g2forms import liealg
+    from g2forms import isotropy
 
     for label, action, gram in SO_FORM_ACTIONS:
         if label in ("3+3", "3+1+1"):
@@ -521,7 +537,7 @@ def test_invariant_inner_product_is_the_positive_unique_form(monkeypatch):
         invariant_inner_product([boost])
     # a negative definite solution comes back negated
     d = _rational_form(3)
-    monkeypatch.setattr(liealg, "_invariant_symmetric_forms",
+    monkeypatch.setattr(isotropy, "_invariant_symmetric_forms",
                         lambda action, generators: [
                             [[-x for x in row] for row in d]])
     assert invariant_inner_product([]) == d
@@ -728,10 +744,9 @@ def test_schur_exclusion_needs_a_definite_gram():
 def test_a_finer_split_gets_no_certificate_and_the_full_scan(monkeypatch):
     # with [1, 2, 4] a sub-multiset sums to 3, so the obstruction is gone
     # and the scan runs to its end
-    from g2forms import liealg
+    from g2forms import isotropy
 
-    monkeypatch.setattr(liealg, "irreducible_dims",
-                        lambda m, seed=0: [1, 2, 4])
+    monkeypatch.setattr(isotropy, "irreducible_dims", lambda m: [1, 2, 4])
     config = ScanConfig(seed=1)
     rep = invariant_form_types(build_entry("8-g2xR"), config)
     assert rep["certificate"] == {}
@@ -929,30 +944,28 @@ def test_certified_exclusions_hold_on_a_full_default_scan(
         "4ii(0, 0)+B23-swap": both, "6ii+R5-fixing-rotation": both}
 
 
-def test_irreducible_dims_are_computed_once_per_module_and_seed(monkeypatch):
+def test_irreducible_dims_are_computed_once_per_module(monkeypatch):
     import dataclasses
 
-    from g2forms import liealg
+    from g2forms import isotropy
 
     calls = []
-    compute = liealg._irreducible_dims
+    compute = isotropy._irreducible_dims
 
-    def counting(m, seed):
-        calls.append(seed)
-        return compute(m, seed)
+    def counting(m):
+        calls.append(m.label)
+        return compute(m)
 
-    monkeypatch.setattr(liealg, "_irreducible_dims", counting)
+    monkeypatch.setattr(isotropy, "_irreducible_dims", counting)
     mod = build_entry("8-g2xR")
     first = irreducible_dims(mod)
     first.append(99)
     assert irreducible_dims(mod) == [1, 6]
     invariant_form_types(mod, SMALL_SCAN)
-    assert calls == [0]
-    assert irreducible_dims(mod, seed=1) == [1, 6]
-    assert calls == [0, 1]
+    assert calls == [mod.label]
     # a copy is a new module with an empty cache
     assert irreducible_dims(dataclasses.replace(mod)) == [1, 6]
-    assert calls == [0, 1, 0]
+    assert calls == [mod.label] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -89,3 +89,17 @@ def test_the_package_imports_form_no_cycle():
     for module in graph:
         visit(module, [])
     assert graph["scan"] <= {"linalg", "multilinear", "stable_forms"}
+    assert graph["liealg"] <= {"linalg", "isotropy"}
+    assert graph["isotropy"].isdisjoint(
+        {"liealg", "catalog", "homogeneous", "section5", "cli"})
+
+
+def test_liealg_re_exports_the_objects_of_isotropy_and_scan():
+    # perfbench resolves these names on liealg; each must be the one object,
+    # so that a traced wrapper replaces it everywhere it is bound
+    from g2forms import isotropy, liealg, scan
+
+    assert liealg.ScanConfig is scan.ScanConfig
+    for name in ("invariant_3forms", "invariant_dims", "irreducible_dims",
+                 "invariant_form_types"):
+        assert getattr(liealg, name) is getattr(isotropy, name)
