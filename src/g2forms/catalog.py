@@ -57,19 +57,6 @@ def compute_su3_in_g2():
     return [_combination(c, g2) for c in nullspace(rows)]
 
 
-def su2_t4_compact() -> MatrixLieAlgebra:
-    """su(2) + t(4): the ambient algebra of 6ii, and section5's su2+t4."""
-    return product_algebra("su(2)+t(4)",
-                           [build_algebra("su(2)"), build_algebra("t(4)")])
-
-
-def two_su2_u1() -> MatrixLieAlgebra:
-    """2su(2) + u(1): the ambient algebra of 6iii, and section5's 2su2+u1."""
-    return product_algebra("2su(2)+u(1)",
-                           [build_algebra("su(2)"), build_algebra("su(2)"),
-                            build_algebra("u(1)")])
-
-
 def _restrict(mats, basis_vecs):
     """Restrict operators to an invariant subspace given by coordinate rows.
 
@@ -225,9 +212,7 @@ def _su3_su2_block_gens(size):
 
 
 def _case_1():
-    sp2 = build_algebra("sp(2)")
-    sp1 = build_algebra("su(2)")
-    g = product_algebra("sp(2)+sp(1)", [sp2, sp1])
+    g = build_algebra("sp(2)+su(2)")
     h = [_embed_block(x, 12, 0) for x in _sp1_slot_gens(0)]
     h += [_block_diag([x, y])
           for x, y in zip(_sp1_slot_gens(1), _su2_quaternion_gens())]
@@ -251,16 +236,11 @@ def _case_2ci():
 
 
 def _case_2cii():
-    su3 = build_algebra("su(3)")
-    t2 = build_algebra("t(2)")
-    g = product_algebra("su(3)+t(2)", [su3, t2])
-    return g, _su3_su2_block_gens(10), []
+    return build_algebra("su(3)+t(2)"), _su3_su2_block_gens(10), []
 
 
 def _case_2aiii():
-    su2 = build_algebra("su(2)")
-    g = product_algebra("3su(2)+u(1)",
-                        [su2, su2, su2, build_algebra("u(1)")])
+    g = build_algebra("su(2)+su(2)+su(2)+u(1)")
     h = [_block_diag([x, x, x, _czero(2)]) for x in _su2_quaternion_gens()]
     return g, h, []
 
@@ -268,8 +248,7 @@ def _case_2aiii():
 def _case_3bii(k, l):
     if k == 0 or math.gcd(abs(k), abs(l)) != 1:
         raise ValueError("3bii needs k != 0 and gcd(k, l) = 1")
-    sp2 = build_algebra("sp(2)")
-    g = product_algebra("sp(2)+u(1)", [sp2, build_algebra("u(1)")])
+    g = build_algebra("sp(2)+u(1)")
     h = [_embed_block(x, 10, 0) for x in _sp1_slot_gens(0)]
     # xi1: quaternion i on the second slot; xi2: the external circle
     xi1 = _embed_block(_sp1_slot_gens(1)[0], 10, 0)
@@ -286,9 +265,7 @@ def _case_3biii(k, l):
     # checked exactly, see the verification suite.
     if k * l == 0 or math.gcd(abs(k), abs(l)) != 1:
         raise ValueError("3biii needs kl != 0 and gcd(k, l) = 1")
-    su3 = build_algebra("su(3)")
-    su2 = build_algebra("su(2)")
-    g = product_algebra("su(3)+su(2)", [su3, su2])
+    g = build_algebra("su(3)+su(2)")
     h = _su3_su2_block_gens(10)
     xi1 = _embed_block(diag_torus_su(3, [1, 1, -2]), 10, 0)
     xi2 = _embed_block(diag_torus_su(2, [1, -1]), 10, 6)
@@ -297,8 +274,7 @@ def _case_3biii(k, l):
 
 
 def _case_3aiii():
-    su3 = build_algebra("su(3)")
-    g = product_algebra("su(3)+so(3)", [su3, build_algebra("so(3)")])
+    g = build_algebra("su(3)+so(3)")
     # each su(2) element paired with its ad-matrix, an so(3) element with
     # the same structure constants
     su2 = MatrixLieAlgebra("su(2)", _su3_su2_block_gens(6))
@@ -309,8 +285,7 @@ def _case_3aiii():
 
 
 def _case_4i():
-    su2 = build_algebra("su(2)")
-    g = product_algebra("3su(2)", [su2, su2, su2])
+    g = build_algebra("su(2)+su(2)+su(2)")
     h = [_block_diag([diag_torus_su(2, [w, -w]) for w in weights])
          for weights in ((0, 1, -1), (1, 0, -1))]
     a12 = creal(_czero(2), [[0, 1], [1, 0]])  # [[0, i], [i, 0]]
@@ -330,8 +305,7 @@ def _case_4ii(k, m_par):
 
 
 def _case_5i(k, l):
-    u2 = build_algebra("u(2)")
-    g = product_algebra("u(2)+u(2)", [u2, u2])
+    g = build_algebra("u(2)+u(2)")
     h = _block_diag([diag_torus_su(2, [k, k + 1]),
                      diag_torus_su(2, [l, l + 1])])
     return g, [h], []
@@ -384,7 +358,8 @@ def _case_6i():
 def _case_6ii():
     u = _su2_group_real((0, 1, 0, 0))  # quaternion i: fixes an R^5
     gen = _block_diag([u, identity(8)])
-    return su2_t4_compact(), [], [("R5-fixing-rotation", gen, "rejected")]
+    return build_algebra("su(2)+t(4)"), [], [
+        ("R5-fixing-rotation", gen, "rejected")]
 
 
 def _case_6iii():
@@ -392,7 +367,7 @@ def _case_6iii():
     ui = _su2_group_real((Fraction(3, 5), Fraction(-4, 5), 0, 0))
     diag = _block_diag([u, u, identity(2)])
     cyc = _block_diag([u, ui, identity(2)])
-    return two_su2_u1(), [], [
+    return build_algebra("su(2)+su(2)+u(1)"), [], [
         ("diagonal-rotation", diag, "admits-indefinite"),
         ("cyclic-pair-rotation", cyc, "admits-indefinite")]
 
@@ -510,17 +485,17 @@ def candidate_module(mod: IsotropyModule, name, fmat) -> IsotropyModule:
                    generators=(*mod.generators, (name, vmat)))
 
 
-def generator_compatibility_report(mod: IsotropyModule, name, fmat, scan=None):
-    """Compatibility report for a candidate component generator.
+def generator_compatibility_report(cand: IsotropyModule, scan=None):
+    """Compatibility report for a candidate component generator, the last
+    generator of the module `cand` from `candidate_module`.
 
-    The candidate must normalize the pair (raises otherwise).  Compatibility
-    with the indefinite classification table means the candidate-fixed part
-    of the invariant family still contains an indefinite member.  A
-    rejection is exact when `certificate` (passed through from
-    `invariant_form_types`) excludes the indefinite class, and only "not
-    found at this resolution" otherwise.
+    Compatibility with the indefinite classification table means the
+    candidate-fixed part of the invariant family still contains an
+    indefinite member.  A rejection is exact when `certificate` (passed
+    through from `invariant_form_types`) excludes the indefinite class, and
+    only "not found at this resolution" otherwise.
     """
-    cand = candidate_module(mod, name, fmat)
+    name, vmat = cand.generators[-1]
     rep = invariant_form_types(cand, scan)
     return {
         "name": name,
@@ -529,7 +504,7 @@ def generator_compatibility_report(mod: IsotropyModule, name, fmat, scan=None):
         "has_indefinite": rep["has_indefinite"],
         "samples": rep["samples"],
         "certificate": rep["certificate"],
-        "det_on_V": str(det(cand.generators[-1][1])),
+        "det_on_V": str(det(vmat)),
     }
 
 
@@ -577,8 +552,8 @@ def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
         if expect == "detneg":
             rep.add(f"generator {name} det < 0 on V", True, det(vmat) < 0)
         else:
-            indefinite = invariant_form_types(cand, scan_config)[
-                "has_indefinite"]
+            indefinite = generator_compatibility_report(
+                cand, scan_config)["has_indefinite"]
             if expect == "rejected":
                 rep.add(f"generator {name} rejected (no indefinite fixed "
                         "form)", False, indefinite)

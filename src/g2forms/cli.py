@@ -177,6 +177,7 @@ def cmd_invariants(args):
 
 def cmd_complex_ranks(args):
     from .homogeneous import bare_complex, build_complex, complex_ranks
+    from .liealg import build_algebra
     from .section5 import NAMED_ALGEBRAS
 
     if args.case is not None:
@@ -187,7 +188,7 @@ def cmd_complex_ranks(args):
     elif args.algebra not in NAMED_ALGEBRAS:
         raise ValueError(f"unknown algebra {args.algebra!r}")
     else:
-        mod = bare_complex(NAMED_ALGEBRAS[args.algebra]())
+        mod = bare_complex(build_algebra(NAMED_ALGEBRAS[args.algebra]))
         label = {"complex": args.algebra}
     ranks = complex_ranks(build_complex(mod))
     return {**label,

@@ -45,7 +45,9 @@ def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
 
 
 def _diff_terms(terms, de1):
-    """Antiderivation extension of d on a sparse terms map (any numeric type)."""
+    """Antiderivation extension of d on a sparse terms map (any numeric
+    type); the map returned holds no zero, so d = 0 exactly when it is
+    empty."""
     out = {}
     for idx, c in terms.items():
         for p in range(len(idx)):
@@ -56,13 +58,8 @@ def _diff_terms(terms, de1):
                 key, s = sort_index(ij + rest)
                 if s == 0:
                     continue
-                val = c * c2 * (s * s_p)
-                acc = out.get(key, 0) + val
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-    return out
+                out[key] = out.get(key, 0) + c * c2 * (s * s_p)
+    return {key: c for key, c in out.items() if c}
 
 
 def is_invariant(m: IsotropyModule, a: KForm) -> bool:

@@ -378,11 +378,14 @@ _CLASSICAL = {
 
 
 def build_algebra(name: str) -> MatrixLieAlgebra:
-    """Classical algebras by name: so(n), su(n), sp(n), u(n), t(k).
-
-    Products are available through `product_algebra`.
+    """Classical algebras by name: so(n), su(n), sp(n), u(n), t(k), and
+    their sums such as su(3)+t(2), the block-diagonal `product_algebra` of
+    the factors in order.
     """
     name = name.strip()
+    if "+" in name:
+        return product_algebra(name, [build_algebra(factor)
+                                      for factor in name.split("+")])
     prefix, _, size = name.partition("(")
     if prefix not in _CLASSICAL or not name.endswith(")"):
         raise ValueError(f"unknown algebra name: {name!r}")

@@ -42,7 +42,12 @@ def sort_index(idx):
 
 @dataclass(frozen=True)
 class KForm:
-    """Alternating k-form with exact rational coefficients."""
+    """Alternating k-form with exact rational coefficients.
+
+    No zero coefficient is ever stored: the constructor drops every zero
+    value of the dict it adopts, so a form is zero exactly when `terms` is
+    empty, and equal forms have equal `terms`.
+    """
 
     dim: int
     degree: int
@@ -50,7 +55,10 @@ class KForm:
 
     def __post_init__(self):
         # the dict handed in becomes the form's own; callers build it fresh
-        object.__setattr__(self, "terms", MappingProxyType(self.terms))
+        terms = self.terms
+        for idx in [idx for idx, c in terms.items() if c == 0]:
+            del terms[idx]
+        object.__setattr__(self, "terms", MappingProxyType(terms))
         if self.degree < 0 or (self.degree > self.dim and self.terms):
             # the zero form of degree > dim is tolerated as a wedge result
             raise ValueError(f"degree {self.degree} out of range for dim {self.dim}")
@@ -67,19 +75,14 @@ class KForm:
         """Build a form from (index_tuple, coefficient) pairs.
 
         Tuples may come in any order; they are sorted with sign and repeated
-        indices drop out.  Zero coefficients are never stored.
+        indices drop out.
         """
         terms = {}
         for idx, c in items:
             key, sign = sort_index(idx)
             if sign == 0:
                 continue
-            c = frac(c) * sign
-            acc = terms.get(key, ZERO) + c
-            if acc == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
+            terms[key] = terms.get(key, ZERO) + frac(c) * sign
         return KForm(dim, degree, terms)
 
     @staticmethod
@@ -98,11 +101,7 @@ class KForm:
         self._check_match(other)
         terms = self.terms.copy()
         for k, v in other.terms.items():
-            acc = terms.get(k, ZERO) + v
-            if acc == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = acc
+            terms[k] = terms.get(k, ZERO) + v
         return KForm(self.dim, self.degree, terms)
 
     def __sub__(self, other):
@@ -113,8 +112,6 @@ class KForm:
 
     def __rmul__(self, c):
         c = frac(c)
-        if c == 0:
-            return KForm.zero(self.dim, self.degree)
         return KForm(self.dim, self.degree, {k: c * v for k, v in self.terms.items()})
 
     __mul__ = __rmul__
@@ -166,6 +163,13 @@ class KForm:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def complement(idx, dim):
+    """(J, sign): J the sorted complement of idx in 1..dim, and
+    e^idx ^ e^J = sign e^{1..dim}."""
+    rest = tuple(i for i in range(1, dim + 1) if i not in idx)
+    return rest, sort_index(idx + rest)[1]
+
+
 def wedge(a: KForm, b: KForm) -> KForm:
     """Exterior product; returns the zero form when the degree exceeds n."""
     if a.dim != b.dim:
@@ -180,12 +184,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
             if sa & set(ib):
                 continue
             key, sign = sort_index(ia + ib)
-            c = ca * cb * sign
-            acc = out.get(key, ZERO) + c
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            out[key] = out.get(key, ZERO) + ca * cb * sign
     return KForm(a.dim, deg, out)
 
 
@@ -203,11 +202,7 @@ def interior(v, a: KForm) -> KForm:
                 continue
             key = idx[:p] + idx[p + 1:]
             contrib = c * frac(vi) * (1 if p % 2 == 0 else -1)
-            acc = out.get(key, ZERO) + contrib
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            out[key] = out.get(key, ZERO) + contrib
     return KForm(a.dim, a.degree - 1, out)
 
 
@@ -306,11 +301,7 @@ def algebra_action(m, a: KForm) -> KForm:
             mij = m[i][j]
             if mij == 0:
                 continue
-            acc = out.get(key, ZERO) - c * frac(mij) * sign
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            out[key] = out.get(key, ZERO) - c * frac(mij) * sign
     return KForm(n, a.degree, out)
 
 

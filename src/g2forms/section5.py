@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from .catalog import build_entry, claim, su2_t4_compact, two_su2_u1
+from .catalog import build_entry, claim
 from .homogeneous import (bare_complex, build_complex,
                           ce_differential, coclosed_check,
                           coclosed_stable_family_dim, complex_ranks,
@@ -20,7 +20,7 @@ from .homogeneous import (bare_complex, build_complex,
                           pencil_certificate)
 from .isotropy import (IsotropyModule, invariant_3forms, invariant_kforms,
                        module_from_action)
-from .liealg import MatrixLieAlgebra, build_algebra, _embed_block
+from .liealg import MatrixLieAlgebra, build_algebra, product_algebra
 from .linalg import identity, rank, solve, transpose
 from .multilinear import KForm, form_to_json
 from .scan import ScanConfig
@@ -35,16 +35,16 @@ def su2_t4_printed_constants() -> MatrixLieAlgebra:
     sl2 = [[[Fraction(1, 2), z], [z, Fraction(-1, 2)]],
            [[z, Fraction(1)], [z, z]],
            [[z, z], [Fraction(1, 2), z]]]
-    basis = [_embed_block(b, 10, 0) for b in sl2]
-    basis += [_embed_block(b, 10, 2) for b in build_algebra("t(4)").basis]
-    return MatrixLieAlgebra("sl(2,R)+t(4)", basis)
+    return product_algebra("sl(2,R)+t(4)", [MatrixLieAlgebra("sl(2,R)", sl2),
+                                            build_algebra("t(4)")])
 
 
-#: the trivial-isotropy complexes that can be named on the command line
+#: the trivial-isotropy complexes that can be named on the command line,
+#: each with the `build_algebra` name of its algebra
 NAMED_ALGEBRAS = {
-    "su2+t4": su2_t4_compact,
-    "t7": lambda: build_algebra("t(7)"),
-    "2su2+u1": two_su2_u1,
+    "su2+t4": "su(2)+t(4)",
+    "t7": "t(7)",
+    "2su2+u1": "su(2)+su(2)+u(1)",
 }
 
 
@@ -83,7 +83,7 @@ def rank_chain_report() -> dict:
     full exact cohomology (1, 4, 6, 5, 5, 6, 4, 1) confirms the latter in
     every degree.  Both su(2) bracket conventions give identical ranks.
     """
-    comp = build_complex(bare_complex(su2_t4_compact()))
+    comp = build_complex(bare_complex(build_algebra("su(2)+t(4)")))
     ranks = complex_ranks(comp)
     chain = _chain(ranks)
     split = build_complex(bare_complex(su2_t4_printed_constants()))
@@ -131,7 +131,7 @@ def rank_chain_report() -> dict:
 
 
 def coclosed_family_report() -> dict:
-    comp = build_complex(bare_complex(su2_t4_compact()))
+    comp = build_complex(bare_complex(build_algebra("su(2)+t(4)")))
     phim = PHI - 2 * KForm.basis(7, 1, 2, 3)
     dims = {}
     for name, t in (("phi+", PHI), ("phi-", phim)):
@@ -190,7 +190,7 @@ def closed_scan_report(algebra="su2+t4", samples=10_000, seed=0) -> dict:
     if algebra not in NAMED_ALGEBRAS:
         raise ValueError(
             f"unknown algebra {algebra!r}; options {sorted(NAMED_ALGEBRAS)}")
-    comp = build_complex(bare_complex(NAMED_ALGEBRAS[algebra]()))
+    comp = build_complex(bare_complex(build_algebra(NAMED_ALGEBRAS[algebra])))
     rep = closed_stable_scan(comp, ScanConfig(random=samples, seed=seed))
     rep["algebra"] = algebra
     excluded = set(rep["certificate"])

@@ -18,8 +18,8 @@ from itertools import combinations
 
 from .linalg import (adjugate, charpoly, cleared, det, frac, inertia,
                      inverse, mat, mat_vec, nullspace, transpose)
-from .multilinear import (KForm, _moves, basis_vector, interior, sort_index,
-                          wedge)
+from .multilinear import (KForm, _moves, basis_vector, complement, interior,
+                          sort_index, wedge)
 
 DIM = 7
 
@@ -81,11 +81,6 @@ class Metric4Data:
         return det(self.gdual)
 
 
-def _perm_sign(seq):
-    _, sign = sort_index(seq)
-    return sign
-
-
 @cache
 def _hitchin_tables():
     """The three integer tables of B = (e_i ⌟ t) ^ (e_j ⌟ t) ^ t, built once.
@@ -97,8 +92,8 @@ def _hitchin_tables():
                 the 0-based position pos of i in I;
       wedge:    per pair P, its ten disjoint triples K as (K, F, sign) with
                 e^P ^ e^K = sign e^F;
-      pairing:  per pair P, (F, sign) with F its complement and
-                e^P ^ e^F = sign e^{1..7}.
+      pairing:  per pair P, complement(P, 7): (F, sign) with F its
+                complement and e^P ^ e^F = sign e^{1..7}.
     `hitchin_matrix` and `scan.family_hitchin_map` read them.
     """
     pos2 = {P: n for n, P in enumerate(combinations(range(1, 8), 2))}
@@ -111,10 +106,8 @@ def _hitchin_tables():
         tuple((p, pos5[F], s) for p, K in enumerate(IDX3)
               for F, s in [sort_index(P + K)] if s)
         for P in pos2)
-    full = set(range(1, 8))
-    pairing = tuple(
-        (pos5[F], _perm_sign(P + F))
-        for P in pos2 for F in [tuple(sorted(full - set(P)))])
+    pairing = tuple((pos5[F], s)
+                    for P in pos2 for F, s in [complement(P, DIM)])
     return interior, wedge, pairing
 
 
@@ -287,9 +280,7 @@ def hodge_star(a: KForm, t: KForm):
     idx = np.array(ksets, dtype=int).reshape(len(ksets), k) - 1
     ginv = np.linalg.inv(g)
     compound = np.linalg.det(ginv[idx[:, None, :, None], idx[None, :, None, :]])
-    full = set(range(1, DIM + 1))
-    signs = np.array([_perm_sign(J + tuple(sorted(full - set(J))))
-                      for J in ksets], dtype=float)
+    signs = np.array([complement(J, DIM)[1] for J in ksets], dtype=float)
     x = np.array(a.coefficient_vector(), dtype=float)
     return (volume * (x @ compound) * signs)[::-1]
 
@@ -300,14 +291,10 @@ def star_euclidean(a: KForm) -> KForm:
     This is the star of the definite reference form; it is used wherever an
     exact dual is required (module decompositions, reference 4-forms).
     """
-    n = a.dim
-    full = set(range(1, n + 1))
-    items = []
-    for I, c in a.terms.items():
-        comp = tuple(sorted(full - set(I)))
-        s = _perm_sign(I + comp)
-        items.append((comp, c * s))
-    return KForm.make(n, n - a.degree, items)
+    # complements of distinct index sets are distinct and sorted
+    return KForm(a.dim, a.dim - a.degree,
+                 {J: c * s for I, c in a.terms.items()
+                  for J, s in [complement(I, a.dim)]})
 
 
 #: exact dual 4-form of the definite reference (identity metric)
@@ -320,10 +307,9 @@ def _minor_expansion():
     `star_euclidean`, and (j, k, l) with the positions of the 2-subsets
     (k, l), (j, l), (j, k), along which a 3 x 3 minor with columns J
     expands by its first row."""
-    full = set(range(DIM))
     pair = {jk: n for n, jk in enumerate(combinations(range(DIM), 2))}
     return tuple(
-        (_perm_sign((j, k, l) + tuple(sorted(full - {j, k, l}))),
+        (complement((j + 1, k + 1, l + 1), DIM)[1],
          j, k, l, pair[k, l], pair[j, l], pair[j, k])
         for j, k, l in combinations(range(DIM), 3))
 

@@ -28,7 +28,7 @@ from itertools import combinations
 from g2forms.linalg import ZERO, mat, mat_mul, mat_sub, rref
 from g2forms.multilinear import KForm, sort_index
 from g2forms.scan import FamilyHitchinMap
-from g2forms.stable_forms import IDX3, _perm_sign
+from g2forms.stable_forms import IDX3
 
 IDX3_POS = {idx: p for p, idx in enumerate(IDX3)}
 
@@ -68,7 +68,7 @@ def _hitchin_table():
                     if len(rest) != 3:
                         continue
                     K = tuple(sorted(rest))
-                    s = _perm_sign(I2 + J2 + K)
+                    s = sort_index(I2 + J2 + K)[1]
                     if s == 0:
                         continue
                     group.append((IDX3_POS[J], IDX3_POS[K], si * sj * s))

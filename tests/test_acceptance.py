@@ -246,16 +246,17 @@ def test_criterion_10_finite_generator_shadows():
                  and charpoly(vmat) == sign_charpoly(4, 3))
     mod4ii = build_entry("4ii", (0, 0))
     name, fmat, _ = mod4ii.pending_generators[0]
-    crep = generator_compatibility_report(mod4ii, name, fmat,
+    cand4ii = candidate_module(mod4ii, name, fmat)
+    crep = generator_compatibility_report(cand4ii,
                                           ScanConfig(grid=2000, random=500))
-    swap_vmat = candidate_module(mod4ii, name, fmat).generators[-1][1]
+    swap_vmat = cand4ii.generators[-1][1]
     swap_ok = (not crep["has_indefinite"]
                and _sign_spectrum(swap_vmat)
                == [Fraction(-1)] * 3 + [Fraction(1)] * 4
                and charpoly(swap_vmat) == sign_charpoly(3, 4))
     mod8 = build_entry("8-g2xR")
     name8, fmat8, _ = mod8.pending_generators[0]
-    rep8 = generator_compatibility_report(mod8, name8, fmat8,
+    rep8 = generator_compatibility_report(candidate_module(mod8, name8, fmat8),
                                           ScanConfig(grid=200, random=50))
     det_ok = Fraction(rep8["det_on_V"]) < 0
     ok = d14_ok and triple_ok and swap_ok and det_ok

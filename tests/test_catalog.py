@@ -125,10 +125,11 @@ def test_sigma3_swap_is_rejected():
     mod = build_entry("4ii", (0, 0))
     name, fmat, expect = mod.pending_generators[0]
     assert expect == "rejected"
-    rep = generator_compatibility_report(mod, name, fmat, SMALL_SCAN)
+    cand = candidate_module(mod, name, fmat)
+    rep = generator_compatibility_report(cand, SMALL_SCAN)
     assert not rep["has_indefinite"]
     assert Fraction(rep["det_on_V"]) == -1
-    vmat = candidate_module(mod, name, fmat).generators[-1][1]
+    vmat = cand.generators[-1][1]
     assert _sign_spectrum(vmat) == [Fraction(-1)] * 3 + [Fraction(1)] * 4
     assert charpoly(vmat) == sign_charpoly(3, 4)
 
@@ -137,18 +138,21 @@ def test_d7_shadow_determinant_negative():
     mod = build_entry("8-g2xR")
     name, fmat, expect = mod.pending_generators[0]
     assert expect == "detneg"
-    rep = generator_compatibility_report(mod, name, fmat, SMALL_SCAN)
+    rep = generator_compatibility_report(candidate_module(mod, name, fmat),
+                                         SMALL_SCAN)
     assert Fraction(rep["det_on_V"]) < 0
 
 
 def test_rotation_generator_shadows_for_trivial_isotropy():
     mod = build_entry("6ii")
     name, fmat, _ = mod.pending_generators[0]
-    rep = generator_compatibility_report(mod, name, fmat, SMALL_SCAN)
+    rep = generator_compatibility_report(candidate_module(mod, name, fmat),
+                                         SMALL_SCAN)
     assert not rep["has_definite"] and not rep["has_indefinite"]
     mod3 = build_entry("6iii")
     for name, fmat, expect in mod3.pending_generators:
-        rep = generator_compatibility_report(mod3, name, fmat, SMALL_SCAN)
+        rep = generator_compatibility_report(
+            candidate_module(mod3, name, fmat), SMALL_SCAN)
         assert rep["has_indefinite"]
 
 
@@ -165,14 +169,14 @@ def test_rejected_generators_rest_on_a_kernel_certificate(case, params,
     mod = build_entry(case, params)
     (name, fmat, expect), = mod.pending_generators
     assert expect == "rejected"
-    rep = generator_compatibility_report(mod, name, fmat)
+    cand = candidate_module(mod, name, fmat)
+    rep = generator_compatibility_report(cand)
     assert not rep["has_definite"] and not rep["has_indefinite"]
     assert rep["samples"] == 0
     cert = rep["certificate"]["indefinite"]
     assert rep["certificate"]["definite"] == cert
     assert cert["kind"] == "common kernel"
     assert cert["kernel_dim"] == kernel_dim
-    cand = candidate_module(mod, name, fmat)
     hitchin = family_hitchin_map([primitive_int_vector(f.coefficient_vector())
                                   for f in invariant_3forms(cand)])
     assert any(cert["kernel_vector"]) and hitchin.kills(cert["kernel_vector"])
@@ -200,6 +204,29 @@ def test_verify_entry_passes_its_scan_config_to_the_generator_scans(
             generator_scans = [label for label, _ in seen if "+" in label]
             assert generator_scans, case
             assert all(c is config for _, c in seen), seen
+
+
+def test_verify_entry_judges_a_candidate_by_its_indefinite_class(
+        monkeypatch):
+    from g2forms import catalog
+
+    scan = catalog.invariant_form_types
+
+    def flipped_definite(mod, config=None):
+        # every candidate's definite answer is the opposite of its
+        # indefinite one; the generator verdicts must not move
+        rep = scan(mod, config)
+        if "+" in mod.label:
+            rep = {**rep, "has_definite": not rep["has_indefinite"]}
+        return rep
+
+    monkeypatch.setattr(catalog, "invariant_form_types", flipped_definite)
+    for case, params in (("4ii", [0, 0]), ("6ii", []), ("6iii", [])):
+        entry = next(e for e in load_catalog()
+                     if e["case"] == case and e["params"] == params)
+        checks = [c for c in verify_entry(entry, SMALL_SCAN).checks
+                  if c["name"].startswith("generator")]
+        assert checks and all(c["pass"] for c in checks), checks
 
 
 def test_verify_entry_builds_each_pending_v_matrix_once(monkeypatch):

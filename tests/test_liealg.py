@@ -59,6 +59,19 @@ def test_build_algebra_unknown():
         assert str(err.value) == f"unsupported size in {name}"
 
 
+def test_build_algebra_of_a_sum_is_the_product_of_its_factors():
+    for name, factors in (("su(3)+t(2)", ["su(3)", "t(2)"]),
+                          ("sp(2)+su(2)", ["sp(2)", "su(2)"]),
+                          ("su(2)+su(2)+u(1)", ["su(2)", "su(2)", "u(1)"])):
+        alg = build_algebra(name)
+        assert alg.name == name
+        assert alg.basis == product_algebra(
+            name, [build_algebra(f) for f in factors]).basis
+    with pytest.raises(ValueError) as err:
+        build_algebra("su(2)+e8")
+    assert str(err.value) == "unknown algebra name: 'e8'"
+
+
 def test_u1_is_the_rotation_block_of_t1():
     assert build_algebra("u(1)").basis == torus_basis(1)
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from g2forms.linalg import identity, mat_mul, transpose
 from g2forms.multilinear import (KForm, algebra_action, basis_vector,
-                                 form_from_json, form_to_json, interior,
-                                 lambda_k_action_matrix,
+                                 complement, form_from_json, form_to_json,
+                                 interior, lambda_k_action_matrix,
                                  lambda_k_pullback_matrix, pullback,
                                  sort_index, wedge)
 from references import reference_action
@@ -174,6 +174,66 @@ def test_forms_are_hashable_values():
     import pickle
 
     assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_the_constructor_drops_zero_coefficients():
+    a = KForm(7, 3, {(1, 2, 3): Fraction(0), (1, 2, 4): 1})
+    assert dict(a.terms) == {(1, 2, 4): 1}
+    zero = KForm(7, 3, {(1, 2, 3): Fraction(0), (4, 5, 6): 0})
+    assert zero.is_zero() and zero == KForm.zero(7, 3)
+    assert hash(zero) == hash(KForm.zero(7, 3))
+
+
+def _cancelling_form(rng, dim, degree):
+    """A form of +-1 terms over few index sets, given in any order, so that
+    `make` cancels some of them."""
+    return KForm.make(dim, degree, [
+        (tuple(rng.sample(range(1, degree + 3), degree)), rng.choice((-1, 1)))
+        for _ in range(8)])
+
+
+def _stores_no_zero(*forms):
+    return all(0 not in f.terms.values() for f in forms)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_no_form_producer_stores_a_zero(seed):
+    from g2forms.homogeneous import bare_complex, ce_differential
+    from g2forms.liealg import build_algebra
+    from g2forms.stable_forms import star_euclidean
+
+    rng = random.Random(seed)
+    a, b = (_cancelling_form(rng, 7, 2) for _ in range(2))
+    c = _cancelling_form(rng, 7, 3)
+    v = [rng.randint(-1, 1) for _ in range(7)]
+    m = [[rng.randint(-1, 1) for _ in range(7)] for _ in range(7)]
+    assert _stores_no_zero(a, b, c, a + b, a - b, a - a, 0 * a, wedge(a, b),
+                           wedge(a, c), interior(v, c), algebra_action(m, c),
+                           pullback(m, c), star_euclidean(c))
+    assert (a - a).is_zero() and (0 * a).is_zero()
+    su3 = bare_complex(build_algebra("su(3)"))
+    e = _cancelling_form(rng, 8, 2)
+    assert _stores_no_zero(e, ce_differential(su3, e))
+    assert ce_differential(su3, ce_differential(su3, e)).is_zero()
+
+
+def test_cancelling_terms_leave_the_zero_form():
+    assert KForm.make(7, 3, [((1, 2, 3), 1), ((2, 1, 3), 1)]).is_zero()
+    assert wedge(w(7, 1, 2) + w(7, 3, 4), w(7, 3, 4) - w(7, 1, 2)).is_zero()
+    assert interior([1, 1, 0, 0, 0, 0, 0], w(7, 1, 3) - w(7, 2, 3)).is_zero()
+    diag = [[0] * 7 for _ in range(7)]
+    diag[0][0], diag[1][1] = 1, -1
+    assert algebra_action(diag, w(7, 1, 2)).is_zero()
+
+
+def test_complement_is_the_sorted_rest_with_the_sign_of_the_wedge():
+    top = w(7, *range(1, 8))
+    for k in range(8):
+        for idx in combinations(range(1, 8), k):
+            rest, sign = complement(idx, 7)
+            assert list(rest) == sorted(rest)
+            assert sorted(idx + rest) == list(range(1, 8))
+            assert wedge(w(7, *idx), w(7, *rest)) == sign * top
 
 
 @settings(max_examples=40, deadline=None)

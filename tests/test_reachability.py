@@ -21,7 +21,6 @@ ALLOWED = {
     "hodge_star": "float reference of the exact dual, traced by perfbench",
     "nearly_parallel_rays": "float reference of the pencil certificate, "
                             "traced by perfbench",
-    "generator_compatibility_report": "traced by perfbench",
     "decompose2": "roadmap item 4: the 14+7 split of 2-forms",
     "decompose3": "roadmap item 4: the 1+7+27 split of 3-forms",
     "traceless_to_27": "roadmap item 4: the 27 of the 3-form split",

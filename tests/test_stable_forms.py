@@ -312,9 +312,11 @@ def test_exact_dual_reference_value():
 
 
 def test_star_euclidean_is_involution_on_basis():
-    for idx in combinations(range(1, 8), 3):
-        f = w(7, *idx)
-        assert star_euclidean(star_euclidean(f)) == f
+    # ** = (-1)^(k (7 - k)) = 1 on k-forms in dimension 7: all 128 basis forms
+    for k in range(8):
+        for idx in combinations(range(1, 8), k):
+            f = w(7, *idx)
+            assert star_euclidean(star_euclidean(f)) == f
 
 
 # --- 4-form metric -----------------------------------------------------------
