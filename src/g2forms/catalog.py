@@ -495,16 +495,14 @@ def generator_compatibility_report(cand: IsotropyModule, scan=None):
     through from `invariant_form_types`) excludes the indefinite class, and
     only "not found at this resolution" otherwise.
     """
-    name, vmat = cand.generators[-1]
     rep = invariant_form_types(cand, scan)
     return {
-        "name": name,
+        "name": cand.generators[-1][0],
         "fixed_family_dim": rep["dim"],
         "has_definite": rep["has_definite"],
         "has_indefinite": rep["has_indefinite"],
         "samples": rep["samples"],
         "certificate": rep["certificate"],
-        "det_on_V": str(det(vmat)),
     }
 
 

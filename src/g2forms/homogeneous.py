@@ -212,34 +212,6 @@ def coclosed_if_stable(m: IsotropyModule, t: KForm):
     return not _diff_terms(dual.terms, m.d_one_forms)
 
 
-def coclosed_check(m: IsotropyModule, t: KForm) -> bool:
-    """Is d(star t) = 0 for the stable form t?  See `coclosed_if_stable`."""
-    coclosed = coclosed_if_stable(m, t)
-    if coclosed is None:
-        raise ValueError("coclosedness needs a stable form")
-    return coclosed
-
-
-def invariant_2form_analysis(m: IsotropyModule):
-    """(dimension of invariant 2-forms, are they all closed); exact."""
-    basis = invariant_kforms(m, 2)
-    closed = all(ce_differential(m, f).is_zero() for f in basis)
-    return len(basis), closed
-
-
-def coclosed_stable_family_dim(c: InvariantComplex, t: KForm) -> int:
-    """Dimension of the local family of stable 3-forms with closed duals.
-
-    The dual-form map is a diffeomorphism onto an open set of 4-forms, so
-    the family dimension equals dim ker d on invariant 4-forms; the split
-    into exact forms plus the complement is reported by `rank_chain_report`.
-    """
-    if not coclosed_check(c.module, t):
-        raise ValueError("reference form is not coclosed")
-    ranks = complex_ranks(c)
-    return ranks[4][2]
-
-
 def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
     """Which stable classes the closed invariant 3-forms of c hold.
 

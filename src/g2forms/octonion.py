@@ -100,10 +100,6 @@ class OctonionAlgebra:
         return out
 
 
-def multiply(alg: OctonionAlgebra, x, y):
-    return alg.multiply(x, y)
-
-
 def derivation_algebra(table):
     """Exact basis of derivations of the 7-dimensional imaginary part.
 

@@ -16,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (adjugate, charpoly, cleared, det, frac, inertia,
-                     inverse, mat, mat_vec, nullspace, transpose)
+from .linalg import (adjugate, charpoly, cleared, frac, inertia, inverse,
+                     mat, mat_vec, nullspace, transpose)
 from .multilinear import (KForm, _moves, basis_vector, complement, interior,
                           sort_index, wedge)
 
@@ -65,20 +65,6 @@ class HitchinData:
     def B(self) -> list:
         s3 = self.scale ** 3
         return [[s3 * v for v in row] for row in self.Bx]
-
-
-@dataclass(frozen=True)
-class Metric4Data:
-    """Bilinear form on covectors induced by a 4-form, in (w^{1..7})^2 units.
-
-    `det` is computed on first read and kept.
-    """
-
-    gdual: list
-
-    @cached_property
-    def det(self) -> Fraction:
-        return det(self.gdual)
 
 
 @cache
@@ -365,8 +351,8 @@ def dual_ray(t: KForm):
     return None if star is None else star[0]
 
 
-def metric_from_4form(p: KForm) -> Metric4Data:
-    """Exact covector bilinear form of a 4-form on R^7.
+def metric_from_4form(p: KForm) -> list:
+    """Exact covector bilinear form of a 4-form on R^7: 7x7 Fractions.
 
     gdual(X*, Y*) = <P_X ^ P_Y, p> where P_X is the bivector with
     iota_{P_X} vol = X* ^ p; the value sits in (Lambda^7)^2, trivialized by
@@ -387,8 +373,7 @@ def metric_from_4form(p: KForm) -> Metric4Data:
         raise ValueError("expected a 4-form on R^7")
     x, scale = primitive_ray(star_euclidean(p).coefficient_vector())
     s3 = scale ** 3
-    return Metric4Data(gdual=[[s3 * v for v in row]
-                              for row in hitchin_matrix(x)])
+    return [[s3 * v for v in row] for row in hitchin_matrix(x)]
 
 
 def _descartes_signature(coeffs):

@@ -225,7 +225,7 @@ def test_criterion_08_nearly_parallel(catalog_modules):
 
 
 def test_criterion_09_explicit_4form_family():
-    rep = section5.example_429_report(npoints=20, seed=0)
+    rep = section5.example_429_report(seed=0)
     ok = all(c["pass"] for c in rep["claims"] if not c.get("published"))
     report(9, ok, "20-point exact reproduction of the two-parameter metric "
                   "display under the resolved role assignment; det locus "
@@ -256,9 +256,8 @@ def test_criterion_10_finite_generator_shadows():
                and charpoly(swap_vmat) == sign_charpoly(3, 4))
     mod8 = build_entry("8-g2xR")
     name8, fmat8, _ = mod8.pending_generators[0]
-    rep8 = generator_compatibility_report(candidate_module(mod8, name8, fmat8),
-                                          ScanConfig(grid=200, random=50))
-    det_ok = Fraction(rep8["det_on_V"]) < 0
+    cand8 = candidate_module(mod8, name8, fmat8)
+    det_ok = det(cand8.generators[-1][1]) < 0
     ok = d14_ok and triple_ok and swap_ok and det_ok
     report(10, ok, "component-generator shadows: compatibility of the "
                    "order-two reflection, the coordinate-triple involution "

@@ -8,11 +8,9 @@ import pytest
 from g2forms import homogeneous, section5
 from g2forms.catalog import build_entry
 from g2forms.homogeneous import (bare_complex, build_complex,
-                                 ce_differential,
-                                 coclosed_check, coclosed_stable_family_dim,
+                                 ce_differential, coclosed_if_stable,
                                  complex_ranks, closed_stable_scan,
-                                 exact_primitive, invariant_2form_analysis,
-                                 invariant_kforms,
+                                 exact_primitive, invariant_kforms,
                                  nearly_parallel_check, nearly_parallel_rays)
 from g2forms.isotropy import IsotropyModule, invariant_3forms
 from g2forms.liealg import build_algebra
@@ -124,14 +122,13 @@ def test_identical_ranks_for_printed_bracket_convention():
 
 
 def test_coclosed_family_dims(su2t4, t7):
-    assert coclosed_check(su2t4.module, PHI)
     phim = PHI - 2 * w(7, 1, 2, 3)
-    assert coclosed_check(su2t4.module, phim)
-    assert coclosed_stable_family_dim(su2t4, PHI) == 23
-    assert coclosed_stable_family_dim(su2t4, phim) == 23
-    assert coclosed_stable_family_dim(t7, PHI) == 35
-    with pytest.raises(ValueError):
-        coclosed_stable_family_dim(su2t4, w(7, 1, 2, 3))
+    assert coclosed_if_stable(su2t4.module, PHI) is True
+    assert coclosed_if_stable(su2t4.module, phim) is True
+    assert coclosed_if_stable(su2t4.module, w(7, 1, 2, 3)) is None
+    # the family dimension is dim ker d on invariant 4-forms
+    assert complex_ranks(su2t4)[4][2] == 23
+    assert complex_ranks(t7)[4][2] == 35
 
 
 def _float_coclosed(m, t):
@@ -440,8 +437,7 @@ def test_nearly_parallel_d3_one_cases():
         assert res.is_nearly_parallel
         assert abs(res.lam) > 1e-9
         assert res.residual <= 1e-9
-        dim2, closed = invariant_2form_analysis(mod)
-        assert dim2 == 0
+        assert invariant_kforms(mod, 2) == []
 
 
 def test_nearly_parallel_torus_is_torsion_free():
@@ -476,11 +472,12 @@ def test_nearly_parallel_check_is_exact(case, ray):
 
 
 def test_invariant_2form_analysis_cases():
-    assert invariant_2form_analysis(build_entry("1")) == (0, True)
-    dim, closed = invariant_2form_analysis(build_entry("3aiii"))
-    assert (dim, closed) == (1, True)
-    mod7 = bare_complex(build_algebra("t(7)"))
-    assert invariant_2form_analysis(mod7) == (21, True)
+    # the dimension of the invariant 2-forms, every one of them closed
+    for mod, dim in ((build_entry("1"), 0), (build_entry("3aiii"), 1),
+                     (bare_complex(build_algebra("t(7)")), 21)):
+        basis = invariant_kforms(mod, 2)
+        assert len(basis) == dim
+        assert all(ce_differential(mod, f).is_zero() for f in basis)
 
 
 def test_d_image_of_the_family_is_two_dimensional():
@@ -577,9 +574,6 @@ def test_coclosed_grid_forms_build_b_once(monkeypatch):
         seen.add(homogeneous.coclosed_if_stable(m, t))
         assert len(calls) == 1
     assert seen == {None, True}
-    assert coclosed_check(su2t4_module, PHI)
-    with pytest.raises(ValueError, match="coclosedness needs a stable form"):
-        coclosed_check(su2t4_module, w(7, 1, 2, 3))
 
 
 @pytest.mark.parametrize("case, ray", [("2d", (1,)), ("7", (1,)),

@@ -8,8 +8,8 @@ from g2forms.linalg import identity, mat_mul
 from g2forms.multilinear import pullback
 from g2forms.octonion import (UnitQuaternion, chi_embedding, derivation_algebra,
                               derive_alignment, invariant_3form_ray,
-                              is_automorphism, multiply, octonion_algebra,
-                              quat_mul, _FROZEN_ALIGNMENTS)
+                              is_automorphism, octonion_algebra, quat_mul,
+                              _FROZEN_ALIGNMENTS)
 from g2forms.stable_forms import PHI, PHITILDE, annihilator_g2
 from references import span_basis
 
@@ -31,14 +31,14 @@ def test_unit_element():
         alg = octonion_algebra(kind)
         one = vec(1, 0, 0, 0, 0, 0, 0, 0)
         x = vec(0, 1, -2, 3, 0, 5, 7, -1)
-        assert multiply(alg, one, x) == x
-        assert multiply(alg, x, one) == x
+        assert alg.multiply(one, x) == x
+        assert alg.multiply(x, one) == x
 
 
 def test_doubling_unit_squares():
     e = vec(0, 0, 0, 0, 1, 0, 0, 0)
-    assert multiply(octonion_algebra("split"), e, e)[0] == 1
-    assert multiply(octonion_algebra("compact"), e, e)[0] == -1
+    assert octonion_algebra("split").multiply(e, e)[0] == 1
+    assert octonion_algebra("compact").multiply(e, e)[0] == -1
 
 
 def test_associator_nonzero_across_the_double():
@@ -49,8 +49,8 @@ def test_associator_nonzero_across_the_double():
         for j in (4, 5, 6, 7):
             for k in range(1, 8):
                 x, y, z = basis[i], basis[j], basis[k]
-                lhs = multiply(alg, multiply(alg, x, y), z)
-                rhs = multiply(alg, x, multiply(alg, y, z))
+                lhs = alg.multiply(alg.multiply(x, y), z)
+                rhs = alg.multiply(x, alg.multiply(y, z))
                 if lhs != rhs:
                     found = True
     assert found
@@ -64,11 +64,11 @@ def test_alternative_law_on_basis_triples():
                  for i in range(8)]
         for x in basis:
             for z in basis:
-                a1 = multiply(alg, multiply(alg, x, x), z)
-                a2 = multiply(alg, x, multiply(alg, x, z))
+                a1 = alg.multiply(alg.multiply(x, x), z)
+                a2 = alg.multiply(x, alg.multiply(x, z))
                 assert a1 == a2
-                b1 = multiply(alg, multiply(alg, x, z), z)
-                b2 = multiply(alg, x, multiply(alg, z, z))
+                b1 = alg.multiply(alg.multiply(x, z), z)
+                b2 = alg.multiply(x, alg.multiply(z, z))
                 assert b1 == b2
 
 
