@@ -176,21 +176,18 @@ def cmd_invariants(args):
 
 
 def cmd_complex_ranks(args):
-    from .homogeneous import bare_complex, build_complex, complex_ranks
-    from .liealg import build_algebra
-    from .section5 import NAMED_ALGEBRAS
+    from .homogeneous import build_complex, complex_ranks
+    from .section5 import named_complex
 
     if args.case is not None:
-        mod = build_entry(args.case, args.params)
+        comp = build_complex(build_entry(args.case, args.params))
         label = {"complex": args.case, "params": list(args.params)}
     elif args.params:
         raise ValueError("--params needs --case")
-    elif args.algebra not in NAMED_ALGEBRAS:
-        raise ValueError(f"unknown algebra {args.algebra!r}")
     else:
-        mod = bare_complex(build_algebra(NAMED_ALGEBRAS[args.algebra]))
+        comp = named_complex(args.algebra)
         label = {"complex": args.algebra}
-    ranks = complex_ranks(build_complex(mod))
+    ranks = complex_ranks(comp)
     return {**label,
             "dims": [r[0] for r in ranks],
             "ranks": [r[1] for r in ranks],
@@ -286,8 +283,7 @@ def make_parser():
     p = _leaf(analyses, "nearly-parallel",
               _section5("nearly_parallel_report", "case"))
     p.add_argument("--case", default="2d")
-    p = _leaf(analyses, "example-429", _section5("example_429_report", "seed"))
-    p.add_argument("--seed", type=int, default=0)
+    _leaf(analyses, "example-429", _section5("example_429_report"))
 
     _leaf(sub, "octonion-alignment", cmd_octonion_alignment,
           help="re-derive the octonion basis alignment")

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 from .linalg import (adjugate, cleared, identity, mat, mat_mul, nullspace,
                      rank, solve, transpose)
-from .isotropy import IsotropyModule, invariant_3forms, invariant_kforms
+from .isotropy import (IsotropyModule, _frozen_matrix, invariant_3forms,
+                       invariant_kforms)
 from .liealg import MatrixLieAlgebra
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .scan import ScanConfig, family_hitchin_map, scan_family
@@ -81,13 +82,23 @@ def ce_differential(m: IsotropyModule, a: KForm) -> KForm:
     return KForm(m.dimV, a.degree + 1, _diff_terms(a.terms, m.d_one_forms))
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantComplex:
-    """Per-degree invariant bases and exact differential matrices."""
+    """Per-degree invariant bases and exact differential matrices.
+
+    A frozen value, as `IsotropyModule` is: `bases[k]` is the tuple of
+    invariant k-forms and `diffs[k]` the matrix, a tuple of tuples, taking
+    degree-k coordinates to degree-(k+1) coordinates.
+    """
 
     module: IsotropyModule
-    bases: list   # bases[k] = list of KForm
-    diffs: list   # diffs[k]: matrix taking degree-k coords to degree-(k+1)
+    bases: tuple
+    diffs: tuple
+
+    def __post_init__(self):
+        freeze = object.__setattr__
+        freeze(self, "bases", tuple(map(tuple, self.bases)))
+        freeze(self, "diffs", tuple(map(_frozen_matrix, self.diffs)))
 
     @property
     def dims(self):

@@ -1,4 +1,4 @@
-"""Orbit classification of 3-forms and 4-forms on R^7.
+"""Orbit classification of 3-forms on R^7, and their exact dual 4-forms.
 
 A 3-form t is stable when the symmetric bilinear form
     B(u, v) = (u ⌟ t) ^ (v ⌟ t) ^ t      (valued in Lambda^7, trivialized
@@ -349,31 +349,6 @@ def dual_ray(t: KForm):
     """The exact Q on the ray of star t (`_star_on_dual_ray`), or None."""
     star = _star_on_dual_ray(t)
     return None if star is None else star[0]
-
-
-def metric_from_4form(p: KForm) -> list:
-    """Exact covector bilinear form of a 4-form on R^7: 7x7 Fractions.
-
-    gdual(X*, Y*) = <P_X ^ P_Y, p> where P_X is the bivector with
-    iota_{P_X} vol = X* ^ p; the value sits in (Lambda^7)^2, trivialized by
-    (w^{1..7})^2.  Cubic in p; stability is det(gdual) != 0.
-
-    gdual is the Hitchin matrix of the Euclidean dual t = star_euclidean(p):
-    gdual(p) = hitchin_matrix(t).  With p = *t, X* ^ *t is the star of
-    X ⌟ t up to a sign fixed by the degrees, so P_X is X ⌟ t read as a
-    bivector and <P_X ^ P_Y, *t> = (X ⌟ t) ^ (Y ⌟ t) ^ t.  Both sides
-    contract three copies of the coefficients with the permutation symbol
-    and star_euclidean is a signed permutation of coordinates, so this is
-    an identity of cubic polynomials in the 35 coefficients, not only of
-    their values on stable forms (the tests compare the coefficients).  The
-    matrix is built on the primitive integer ray of t, t = scale * x, and
-    rescaled by scale^3.
-    """
-    if p.dim != DIM or p.degree != 4:
-        raise ValueError("expected a 4-form on R^7")
-    x, scale = primitive_ray(star_euclidean(p).coefficient_vector())
-    s3 = scale ** 3
-    return [[s3 * v for v in row] for row in hitchin_matrix(x)]
 
 
 def _descartes_signature(coeffs):

@@ -10,6 +10,12 @@ per-term loop instead, which sorts each replaced index tuple on its own.
 `reference_family_hitchin_map` walk; the package builds B from
 e_i ⌟ t and (e_j ⌟ t) ^ t instead (`stable_forms._hitchin_tables`).
 
+`metric_from_4form`: the exact covector metric of a 4-form, gdual(p) as
+the Hitchin matrix of star_euclidean(p).  `section5.example_429_report`
+reads the metric of its 4-form family off one family Hitchin map instead;
+the tests evaluate this at points against the bivector formula and the
+report's display.
+
 `sign_charpoly`: the characteristic polynomial a generator with spectrum
 [-1] * a + [1] * b must have, to check `catalog._sign_spectrum` by a route
 that takes no kernel.
@@ -28,7 +34,8 @@ from itertools import combinations
 from g2forms.linalg import ZERO, mat, mat_mul, mat_sub, rref
 from g2forms.multilinear import KForm, sort_index
 from g2forms.scan import FamilyHitchinMap
-from g2forms.stable_forms import IDX3
+from g2forms.stable_forms import (DIM, IDX3, hitchin_matrix, primitive_ray,
+                                  star_euclidean)
 
 IDX3_POS = {idx: p for p, idx in enumerate(IDX3)}
 
@@ -125,6 +132,31 @@ def reference_family_hitchin_map(bvecs):
             monomials.append((a, b, c, terms))
     return FamilyHitchinMap(monomials=tuple(monomials),
                             cells=tuple((i - 1, j - 1) for i, j in table))
+
+
+def metric_from_4form(p: KForm) -> list:
+    """Exact covector bilinear form of a 4-form on R^7: 7x7 Fractions.
+
+    gdual(X*, Y*) = <P_X ^ P_Y, p> where P_X is the bivector with
+    iota_{P_X} vol = X* ^ p; the value sits in (Lambda^7)^2, trivialized by
+    (w^{1..7})^2.  Cubic in p; stability is det(gdual) != 0.
+
+    gdual is the Hitchin matrix of the Euclidean dual t = star_euclidean(p):
+    gdual(p) = hitchin_matrix(t).  With p = *t, X* ^ *t is the star of
+    X ⌟ t up to a sign fixed by the degrees, so P_X is X ⌟ t read as a
+    bivector and <P_X ^ P_Y, *t> = (X ⌟ t) ^ (Y ⌟ t) ^ t.  Both sides
+    contract three copies of the coefficients with the permutation symbol
+    and star_euclidean is a signed permutation of coordinates, so this is
+    an identity of cubic polynomials in the 35 coefficients, not only of
+    their values on stable forms (the tests compare the coefficients).  The
+    matrix is built on the primitive integer ray of t, t = scale * x, and
+    rescaled by scale^3.
+    """
+    if p.dim != DIM or p.degree != 4:
+        raise ValueError("expected a 4-form on R^7")
+    x, scale = primitive_ray(star_euclidean(p).coefficient_vector())
+    s3 = scale ** 3
+    return [[s3 * v for v in row] for row in hitchin_matrix(x)]
 
 
 def reference_action(m, a):

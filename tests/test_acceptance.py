@@ -227,9 +227,9 @@ def test_criterion_08_nearly_parallel(catalog_modules):
 def test_criterion_09_explicit_4form_family():
     rep = section5.example_429_report(seed=0)
     ok = all(c["pass"] for c in rep["claims"] if not c.get("published"))
-    report(9, ok, "20-point exact reproduction of the two-parameter metric "
-                  "display under the resolved role assignment; det locus "
-                  "exactly a(2a+3b) = 0"
+    report(9, ok, "the two-parameter metric display, under the resolved "
+                  "role assignment, as an exact identity of cubics in "
+                  "(a/3, b); det locus exactly a(2a+3b) = 0"
            + ("" if ok else f"; claims: {rep['claims']}"))
 
 

@@ -261,6 +261,7 @@ def test_negative_sample_counts_are_usage_errors(args):
     ("rank-chain", "--seed", "5"),
     ("coclosed-family", "--seed", "0"),
     ("nearly-parallel", "--case", "2d", "--seed", "5"),
+    ("example-429", "--seed", "0"),
 ])
 def test_section5_options_of_another_analysis_are_usage_errors(args):
     # an option the analysis does not read is refused, not ignored
@@ -331,8 +332,7 @@ def test_section5_emit_config_prints_the_filled_in_defaults(capsys):
         configs[analysis] = json.loads(out)["config"]
     assert (configs["closed-scan"]["samples"],
             configs["closed-scan"]["seed"]) == (10_000, 0)
-    assert configs["example-429"]["seed"] == 0
-    assert "samples" not in configs["example-429"]
+    assert not {"samples", "seed"} & set(configs["example-429"])
     assert not {"samples", "seed"} & set(configs["rank-chain"])
 
 
@@ -602,7 +602,7 @@ def test_catalog_verify_of_every_row_exits_0(default_verify):
 EXACT_REPORTS = {
     "section5_rank-chain": ("section5", "rank-chain"),
     "section5_coclosed-family": ("section5", "coclosed-family"),
-    "section5_example-429": ("section5", "example-429", "--seed", "0"),
+    "section5_example-429": ("section5", "example-429"),
     "section5_closed-scan_su2+t4": ("section5", "closed-scan", "--algebra",
                                     "su2+t4"),
     "section5_closed-scan_2su2+u1": ("section5", "closed-scan", "--algebra",

@@ -541,11 +541,11 @@ def test_d_squared_check_raises_on_a_corrupted_differential(su2t4):
             continue
         # d_{k+1} d_k = 0 before; one more unit in row j of d_k puts the
         # nonzero column j of d_{k+1} into the product
-        bad = [row[:] for row in diffs[k]]
+        bad = [list(row) for row in diffs[k]]
         bad[hit[1]][0] += 1
         with pytest.raises(AssertionError, match=r"d\^2 != 0 between"):
             homogeneous._assert_d_squared_zero(
-                diffs[:k] + [bad] + diffs[k + 1:])
+                diffs[:k] + (bad,) + diffs[k + 1:])
         # alone with d_{k+1} (empty differentials are skipped), the
         # corrupted d_k fails the pair of degrees k and k + 2
         with pytest.raises(AssertionError,

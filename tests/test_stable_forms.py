@@ -15,11 +15,11 @@ from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   decompose2, decompose3, dual_ray,
                                   hitchin_bilinear, hitchin_matrix,
                                   hodge_star, metric_from_3form,
-                                  metric_from_4form,
                                   primitive_int_vector, star_euclidean,
                                   traceless_to_27)
 from g2forms.scan import family_hitchin_map
-from references import coeff, reference_action, reference_hitchin_matrix
+from references import (coeff, metric_from_4form, reference_action,
+                        reference_hitchin_matrix)
 
 w = KForm.basis
 
