@@ -486,24 +486,14 @@ def candidate_module(mod: IsotropyModule, name, fmat) -> IsotropyModule:
 
 
 def generator_compatibility_report(cand: IsotropyModule, scan=None):
-    """Compatibility report for a candidate component generator, the last
-    generator of the module `cand` from `candidate_module`.
+    """The `invariant_form_types` report of the module `cand` from
+    `candidate_module`, whose last generator is the candidate.
 
-    Compatibility with the indefinite classification table means the
-    candidate-fixed part of the invariant family still contains an
-    indefinite member.  A rejection is exact when `certificate` (passed
-    through from `invariant_form_types`) excludes the indefinite class, and
-    only "not found at this resolution" otherwise.
+    The candidate is compatible with the indefinite classification table
+    when its fixed family still holds an indefinite member.  A rejection is
+    exact when the report's `certificate` excludes the indefinite class.
     """
-    rep = invariant_form_types(cand, scan)
-    return {
-        "name": cand.generators[-1][0],
-        "fixed_family_dim": rep["dim"],
-        "has_definite": rep["has_definite"],
-        "has_indefinite": rep["has_indefinite"],
-        "samples": rep["samples"],
-        "certificate": rep["certificate"],
-    }
+    return invariant_form_types(cand, scan)
 
 
 def _sign_spectrum(f):

@@ -37,7 +37,7 @@ def emit(report, args):
                              if k not in _ROUTING}
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
+        print(json.dumps(payload, sort_keys=True, indent=2))
     elif fmt == "csv":
         _emit_csv(report)
     else:

@@ -16,7 +16,7 @@ beside its real ninth root as a float.  No float star is computed.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, count
 from typing import NamedTuple
 
 from .linalg import (adjugate, cleared, identity, mat, mat_mul, nullspace,
@@ -301,16 +301,6 @@ class PencilEvaluations(NamedTuple):
     dq: tuple
 
 
-def _slope_order():
-    """0, 1, -1, 2, -2, ...: distinct integer slopes, smallest first."""
-    yield 0
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
-
-
 def _d4_matrix(m: IsotropyModule):
     """The exterior differential Lambda^4 -> Lambda^5 of m on integers.
 
@@ -351,7 +341,8 @@ def pencil_evaluations(m: IsotropyModule):
     hitchin = family_hitchin_map([x1, x2])
     d4, den = _d4_matrix(m)
     slopes, singular, qs, dqs = [], [], [], []
-    for s in _slope_order():
+    # distinct integer slopes, smallest first: 0, 1, -1, 2, -2, ...
+    for s in chain.from_iterable((k, -k) if k else (0,) for k in count()):
         detb, adj = adjugate(hitchin((1, s)))
         if detb == 0:
             singular.append(s)
@@ -400,7 +391,8 @@ def _fit_reference(slopes, vals):
     return None
 
 
-class PencilCertificate(NamedTuple):
+@dataclass(frozen=True)
+class PencilCertificate:
     """Exact nearly-parallel and coclosed verdicts on a two-parameter family.
 
     `minors` holds (i, m_i, c_i): p_i(s) = c_i s^m_i (s - r) for the 4-form

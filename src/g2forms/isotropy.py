@@ -14,9 +14,9 @@ times an invariant symmetric form, splits V into its eigenspaces, whose
 dimensions are the root multiplicities of its characteristic polynomial,
 and the split is accepted only when a commutant dimension count proves
 every eigenspace irreducible.  `invariant_form_types` runs the family scan
-of `scan` on the invariant 3-forms, with the Schur obstruction on the
-irreducible dimensions (`schur_exclusion`: no member indefinite) as its
-exclusion of the indefinite class.
+of `scan` on the invariant 3-forms, with the `SchurCertificate` on the
+irreducible dimensions (`schur_exclusion`) as its exclusion of the
+indefinite class.
 """
 
 import random
@@ -31,7 +31,7 @@ from .linalg import (charpoly, cleared, identity, intersect_nullspaces,
                      nullspace, rank, root_multiplicities, transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
-from .scan import ScanConfig, scan_family
+from .scan import SchurCertificate, ScanConfig, scan_family
 from .stable_forms import primitive_int_vector
 
 
@@ -344,30 +344,18 @@ def _certified_split(forms, ginv, rng):
 # ---------------------------------------------------------------------------
 
 def schur_exclusion(m: IsotropyModule):
-    """Certificate that no invariant 3-form is indefinite, or None.
-
-    For an invariant t, B(t) is h-invariant (the action is gram-skew, so
-    traceless, and Lambda^7 is trivial), so S = gram^-1 B(t) commutes with
-    the action and is gram-self-adjoint.  Its positive eigenspace is then
-    invariant, a sum of irreducibles, and B(t) has signature (p, 7 - p)
-    with p a sub-multiset sum of the certified `irreducible_dims`.  An
-    indefinite t needs p = 3 or 4.  The argument needs a definite gram.
-    """
+    """The `SchurCertificate` on the certified `irreducible_dims` of m, or
+    None when the gram is not definite or the recheck refuses the dims."""
     if not _definite_check(m.gram):
         return None
-    dims = irreducible_dims(m)
-    sums = {0}
-    for k in dims:
-        sums |= {s + k for s in sums}
-    if sums & {3, 4}:
-        return None
-    return {"kind": "schur", "irreducible_dims": dims}
+    cert = SchurCertificate(tuple(irreducible_dims(m)))
+    return cert if cert.recheck() else None
 
 
 def invariant_form_types(m: IsotropyModule, config: ScanConfig = None):
     """Scan the invariant 3-form family of m for definite and indefinite
     members: `scan_family` on its primitive integer basis vectors, with the
-    Schur obstruction of m, tried only while the indefinite class is open.
+    `schur_exclusion` of m, tried only while the indefinite class is open.
     Returns the scan's report dict.
     """
     return scan_family([primitive_int_vector(f.coefficient_vector())

@@ -5,14 +5,14 @@ to Fraction).  `rref`, the one elimination under `rank`, `nullspace`,
 `solve` and `intersect_nullspaces`, eliminates fraction-free on sparse
 integer rows and returns Fractions; its output is deterministic because
 the reduced row echelon form is unique, whatever the pivot order.
-The fraction-free routines `det`, `leading_principal_minors`, `charpoly`
-and `inertia` run one integer recursion each, dividing exactly with `//`
-(`charpoly`, Berkowitz's, divides not at all): an all-int matrix is read as
-it is and gives ints, and a rational one is cleared once to L a and gives
-the rescaled Fractions.  Signatures of
-symmetric matrices come from `inertia`, one symmetric fraction-free
-elimination read by Jacobi's rule, which gives the determinant as well.
-No floating point.
+The fraction-free routines `adjugate`, `leading_principal_minors`,
+`charpoly` and `inertia` run one integer recursion each, dividing exactly
+with `//` (`charpoly`, Berkowitz's, divides not at all), and `det` is read
+off `adjugate`.  An all-int matrix is read as it is and gives ints, and a
+rational one is cleared once to L a and gives the rescaled Fractions.
+Signatures of symmetric matrices come from `inertia`, one symmetric
+fraction-free elimination read by Jacobi's rule, which gives the
+determinant as well.  No floating point.
 """
 
 import math
@@ -189,50 +189,6 @@ def _integral(a):
     return cleared(a)
 
 
-def _bareiss(a, swap):
-    """Fraction-free (Bareiss) elimination of a square int matrix:
-    (pivots, sign), on a working copy of a, every division exact.
-
-    The pivots run up to the first zero one.  Without swaps pivot k is the
-    leading principal minor of order k + 1; with them a zero pivot is swapped
-    for a lower nonzero entry and sign * last pivot is the determinant.
-    """
-    n = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    pivots = []
-    for k in range(n):
-        if swap and m[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pr is not None:
-                m[k], m[pr] = m[pr], m[k]
-                sign = -sign
-        piv = m[k][k]
-        pivots.append(piv)
-        if piv == 0:
-            break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
-        prev = piv
-    return pivots, sign
-
-
-def det(a):
-    """Determinant by fraction-free Bareiss elimination.
-
-    Integer input returns an int; a rational a = A / L returns the Fraction
-    det A / L^n.
-    """
-    if not a:
-        return ONE
-    ints, den = _integral(a)
-    pivots, sign = _bareiss(ints, swap=True)
-    d = sign * pivots[-1]
-    return d if den is None else Fraction(d, den ** len(a))
-
-
 def adjugate(b):
     """(det b, adj b) of an int matrix; (0, None) when b is singular.
 
@@ -263,6 +219,14 @@ def adjugate(b):
             m[i] = [(x * piv - f * y) // prev for x, y in zip(row, pk)]
         prev = piv
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
+
+
+def det(a):
+    """Determinant, read off `adjugate`: an int for integer input, and the
+    Fraction det A / L^n for a rational a = A / L."""
+    ints, den = _integral(a)
+    d = adjugate(ints)[0]
+    return d if den is None else Fraction(d, den ** len(a))
 
 
 def charpoly(a):
@@ -402,9 +366,20 @@ def leading_principal_minors(b):
     d_k(B) / L^k.
     """
     ints, den = _integral(b)
-    minors, _ = _bareiss(ints, swap=False)
-    if len(minors) != len(b):
-        return None
+    n = len(ints)
+    m = [list(row) for row in ints]
+    prev = 1
+    minors = []
+    for k in range(n):
+        # no row swaps: pivot k is d_(k+1)
+        piv = m[k][k]
+        if not piv and k < n - 1:
+            return None
+        minors.append(piv)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
+        prev = piv
     if den is None:
         return minors
     return [Fraction(d, den ** k) for k, d in enumerate(minors, 1)]

@@ -5,13 +5,14 @@
 module, and `homogeneous` on the closed invariant 3-forms.  B of the family
 is expanded once into integer cubics in the family coordinates
 (`family_hitchin_map`).  The scan classifies rational sample forms exactly,
-and a negative is exact when a certificate excludes the class: a common
-kernel of the family's monomial Hitchin matrices (every member
-degenerate), a common isotropic coordinate subspace (no member definite;
-none stable when it has dimension >= 4) or an exclusion the caller passes
-in, such as `isotropy.schur_exclusion` on the irreducible dimensions (no
-member indefinite).  The scan only looks for witnesses of the classes
-left; a miss there is "not found at this resolution".
+and a negative is exact when a certificate excludes the class.  Every
+certificate is a frozen value that names the classes it `excludes`,
+rechecks itself exactly (`recheck`) and writes its own record (`to_json`);
+its class docstring states its argument.  The scan tries a
+`KernelCertificate` and an `IsotropicCertificate` of the family Hitchin
+map, and one the caller passes in, such as the `SchurCertificate` of
+`isotropy.schur_exclusion`.  The scan only looks for witnesses of the
+classes left; a miss there is "not found at this resolution".
 """
 
 import math
@@ -118,20 +119,13 @@ class FamilyHitchinMap:
         return rows
 
     def kills(self, v):
-        """Is M_abc v = 0 for every monomial?  Exact integer products.
-
-        Such a v != 0 lies in the kernel of B(x) for every x, so it proves
-        every member of the family degenerate.
-        """
+        """Is M_abc v = 0 for every monomial?  Exact integer products."""
         return not any(sum(x * y for x, y in zip(row, v))
                        for *_, terms in self.monomials
                        for row in self._rows(terms).values())
 
     def isotropic(self, vecs):
-        """Is w^T M_abc w' = 0 for every monomial and all w, w' in vecs?
-
-        Then B(x) vanishes on span(vecs) x span(vecs) for every x.
-        """
+        """Is w^T M_abc w' = 0 for every monomial and all w, w' in vecs?"""
         pairs = [(w, u) for k, w in enumerate(vecs) for u in vecs[k:]]
         for *_, terms in self.monomials:
             rows = self._rows(terms)
@@ -220,42 +214,110 @@ def family_hitchin_map(bvecs) -> FamilyHitchinMap:
     return FamilyHitchinMap(monomials=tuple(monomials), cells=tuple(cells))
 
 
-def kernel_exclusion(hitchin, kernel=None):
-    """Certificate that every member of a family is degenerate, or None.
+@dataclass(frozen=True)
+class KernelCertificate:
+    """Every member of a family is degenerate.
 
     A nonzero v with M v = 0 for every monomial matrix M of the family
-    Hitchin map (`FamilyHitchinMap.common_kernel`, or the given `kernel`)
-    has B(x) v = 0 for every x.  The vector is accepted only after an exact
-    re-check of the products (`FamilyHitchinMap.kills`).
+    Hitchin map has B(x) v = 0 for every x.  `kernel_vector` is v, the
+    first vector of the joint kernel of the M, and `kernel_dim` the
+    dimension of that kernel.
     """
-    if kernel is None:
-        kernel = hitchin.common_kernel()
-    if not kernel or not any(kernel[0]) or not hitchin.kills(kernel[0]):
-        return None
-    return {"kind": "common kernel", "kernel_vector": kernel[0],
-            "kernel_dim": len(kernel)}
+
+    kernel_vector: tuple
+    kernel_dim: int
+    excludes = ("definite", "indefinite")
+
+    def recheck(self, hitchin):
+        """v != 0 and the exact products M v (`FamilyHitchinMap.kills`)."""
+        return any(self.kernel_vector) and hitchin.kills(self.kernel_vector)
+
+    def to_json(self):
+        return {"kind": "common kernel",
+                "kernel_vector": list(self.kernel_vector),
+                "kernel_dim": self.kernel_dim}
 
 
-def isotropic_exclusion(hitchin):
-    """Certificate that no member of a family is definite, or None.
+@dataclass(frozen=True)
+class IsotropicCertificate:
+    """No member of a family is definite, and none stable once dim W >= 4.
 
     If w^T M w' = 0 for every monomial matrix M of the family Hitchin map
     and all w, w' in a subspace W, then B(x) vanishes on W x W for every x.
     A nondegenerate B of signature (p, q) has isotropic subspaces of
     dimension at most min(p, q) <= 3, so dim W >= 1 excludes definite
-    members and dim W >= 4 excludes every stable member.  W is searched
-    among the coordinate subspaces (`FamilyHitchinMap.isotropic_coordinates`),
-    a heuristic: what it finds is accepted only after the exact re-check
-    `FamilyHitchinMap.isotropic` on the unit vectors of W, and a miss only
-    means "no certificate".  `indices` are the 0-based coordinates of W
-    (e_{i+1} for index i); `monomials` counts the matrices checked.
+    members and dim W >= 4 excludes every stable member.  W is spanned by
+    the 0-based coordinates `indices`, and `monomials` counts the M.
     """
-    indices = hitchin.isotropic_coordinates()
-    units = [[int(i == j) for j in range(7)] for i in indices]
-    if not indices or not hitchin.isotropic(units):
+
+    indices: tuple
+    monomials: int
+
+    @property
+    def excludes(self):
+        stable = len(self.indices) >= 4
+        return ("definite", "indefinite") if stable else ("definite",)
+
+    def recheck(self, hitchin):
+        """Distinct coordinates, every monomial, `FamilyHitchinMap.isotropic`."""
+        units = [[int(i == j) for j in range(DIM)] for i in self.indices]
+        coords = set(self.indices) & set(range(DIM))
+        return (0 < len(self.indices) == len(coords)
+                and self.monomials == len(hitchin.monomials)
+                and hitchin.isotropic(units))
+
+    def to_json(self):
+        return {"kind": "isotropic subspace", "indices": list(self.indices),
+                "monomials": self.monomials}
+
+
+@dataclass(frozen=True)
+class SchurCertificate:
+    """No invariant 3-form of a module is indefinite.
+
+    For an invariant t and a definite invariant gram, B(t) is h-invariant
+    (the action is gram-skew, so traceless, and Lambda^7 is trivial), so
+    S = gram^-1 B(t) commutes with the action and is gram-self-adjoint.
+    Its positive eigenspace is then invariant, a sum of irreducibles, and
+    B(t) has signature (p, 7 - p) with p a sub-multiset sum of the
+    certified `irreducible_dims`.  An indefinite t needs p = 3 or 4.
+    """
+
+    irreducible_dims: tuple
+    excludes = ("indefinite",)
+
+    def recheck(self):
+        """Positive dims adding up to 7, no sub-multiset summing to 3 or 4."""
+        sums = {0}
+        for k in self.irreducible_dims:
+            sums |= {s + k for s in sums}
+        return (all(k > 0 for k in self.irreducible_dims)
+                and sum(self.irreducible_dims) == DIM and not sums & {3, 4})
+
+    def to_json(self):
+        return {"kind": "schur",
+                "irreducible_dims": list(self.irreducible_dims)}
+
+
+def kernel_exclusion(hitchin, kernel=None):
+    """The `KernelCertificate` on the first vector of the joint kernel
+    (`FamilyHitchinMap.common_kernel`, or the given `kernel`), or None when
+    the kernel is zero or the recheck refuses the vector."""
+    if kernel is None:
+        kernel = hitchin.common_kernel()
+    if not kernel:
         return None
-    return {"kind": "isotropic subspace", "indices": list(indices),
-            "monomials": len(hitchin.monomials)}
+    cert = KernelCertificate(tuple(kernel[0]), len(kernel))
+    return cert if cert.recheck(hitchin) else None
+
+
+def isotropic_exclusion(hitchin):
+    """The `IsotropicCertificate` on `FamilyHitchinMap.isotropic_coordinates`,
+    or None.  The search is a heuristic: what it finds is accepted only
+    after the recheck, and a miss only means "no certificate"."""
+    cert = IsotropicCertificate(hitchin.isotropic_coordinates(),
+                                len(hitchin.monomials))
+    return cert if cert.recheck(hitchin) else None
 
 
 def scan_family(bvecs, config: ScanConfig = None, exclude_indefinite=None):
@@ -264,17 +326,15 @@ def scan_family(bvecs, config: ScanConfig = None, exclude_indefinite=None):
     `bvecs` are the family's basis vectors, integer 35-vectors.  The empty
     family and the whole space (d = 35, where PHI and PHITILDE are
     witnesses) are decided at once, before the family's `FamilyHitchinMap`
-    is built.  Otherwise the exact exclusions are tried in turn: a common
-    kernel (`kernel_exclusion`: every member degenerate); when the joint
-    kernel is zero, a common isotropic coordinate subspace
-    (`isotropic_exclusion`: no member definite, and no member stable once
-    its dimension is >= 4); and, when indefinite members are still open,
+    is built.  Otherwise the exact exclusions are tried in turn: a
+    `KernelCertificate`; when the joint kernel is zero, an
+    `IsotropicCertificate`; and, when indefinite members are still open,
     `exclude_indefinite`, a zero-argument callable that returns a
-    certificate that no member is indefinite, or None (`invariant_form_types`
-    passes the Schur obstruction of its module).  `certificate` maps each
-    excluded class to its certificate.  The scan then classifies the
-    samples of `config` exactly and stops once each class is witnessed or
-    excluded, without a sample when both are excluded.  A miss with no
+    certificate or None (`invariant_form_types` passes the
+    `SchurCertificate` of its module).  `certificate` maps each class a
+    certificate `excludes` to that certificate.  The scan then classifies
+    the samples of `config` exactly and stops once each class is witnessed
+    or excluded, without a sample when both are excluded.  A miss with no
     certificate is only "not found at this resolution".  Returns a report
     dict; `samples` counts the samples classified.
     """
@@ -293,22 +353,16 @@ def scan_family(bvecs, config: ScanConfig = None, exclude_indefinite=None):
     hitchin = family_hitchin_map(bvecs)
     certificate = report["certificate"]
     kernel = hitchin.common_kernel()
-    if kernel:
-        # the radical is isotropic: a nonzero joint kernel is the whole
-        # certificate, or none when its re-check refuses it
-        exclusion = kernel_exclusion(hitchin, kernel)
-        if exclusion is not None:
-            certificate.update(definite=exclusion, indefinite=exclusion)
-    else:
-        exclusion = isotropic_exclusion(hitchin)
-        if exclusion is not None:
-            certificate["definite"] = exclusion
-            if len(exclusion["indices"]) >= 4:
-                certificate["indefinite"] = exclusion
+    # the radical is isotropic: a nonzero joint kernel is the whole
+    # certificate, or none when its recheck refuses it
+    found = (kernel_exclusion(hitchin, kernel) if kernel
+             else isotropic_exclusion(hitchin))
+    if found is not None:
+        certificate.update(dict.fromkeys(found.excludes, found))
     if "indefinite" not in certificate and exclude_indefinite is not None:
-        exclusion = exclude_indefinite()
-        if exclusion is not None:
-            certificate["indefinite"] = exclusion
+        found = exclude_indefinite()
+        if found is not None:
+            certificate.update(dict.fromkeys(found.excludes, found))
     done = set(certificate)
     seen = 0
     for coeffs in _scan_samples(d, config):

@@ -201,6 +201,7 @@ def closed_scan_report(algebra="su2+t4", samples=10_000, seed=0) -> dict:
                              ScanConfig(random=samples, seed=seed))
     rep["algebra"] = algebra
     excluded = set(rep["certificate"])
+    rep["certificate"] = {k: c.to_json() for k, c in rep["certificate"].items()}
     if algebra == "su2+t4":
         rep["claims"] = [
             claim("no stable closed sample found", False, rep["stable_found"]),

@@ -174,12 +174,12 @@ def test_rejected_generators_rest_on_a_kernel_certificate(case, params,
     assert not rep["has_definite"] and not rep["has_indefinite"]
     assert rep["samples"] == 0
     cert = rep["certificate"]["indefinite"]
-    assert rep["certificate"]["definite"] == cert
-    assert cert["kind"] == "common kernel"
-    assert cert["kernel_dim"] == kernel_dim
+    assert rep["certificate"]["definite"] is cert
+    assert cert.to_json()["kind"] == "common kernel"
+    assert cert.kernel_dim == kernel_dim
     hitchin = family_hitchin_map([primitive_int_vector(f.coefficient_vector())
                                   for f in invariant_3forms(cand)])
-    assert any(cert["kernel_vector"]) and hitchin.kills(cert["kernel_vector"])
+    assert any(cert.kernel_vector) and hitchin.kills(cert.kernel_vector)
 
 
 def test_verify_entry_passes_its_scan_config_to_the_generator_scans(

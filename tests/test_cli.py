@@ -548,6 +548,17 @@ def test_exit_code_counts_failed_claims_but_not_published_ones(capsys):
     capsys.readouterr()
 
 
+def test_emit_refuses_a_report_that_holds_a_certificate_value(capsys):
+    # a certificate becomes JSON through its own to_json, never as a repr
+    from g2forms.scan import SchurCertificate
+
+    cert = SchurCertificate((7,))
+    with pytest.raises(TypeError):
+        cli.emit({"certificate": {"indefinite": cert}},
+                 argparse.Namespace(format="json"))
+    assert capsys.readouterr().out == ""
+
+
 def test_catalog_verify_exits_with_the_failed_check_count(monkeypatch,
                                                           capsys):
     # one entry failing two checks exits 2, not 1 per failed entry

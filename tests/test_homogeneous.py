@@ -17,8 +17,9 @@ from g2forms.liealg import build_algebra
 from g2forms.linalg import (adjugate, cleared, identity, inverse, nullspace,
                             rank)
 from g2forms.multilinear import KForm, pullback
-from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
-                          isotropic_exclusion, scan_family)
+from g2forms.scan import (IsotropicCertificate, SchurCertificate, ScanConfig,
+                          _ray_grid, family_hitchin_map, isotropic_exclusion,
+                          scan_family)
 from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify3,
                                   classify_coeffs, hitchin_bilinear,
                                   hitchin_matrix, hodge_star, star_euclidean)
@@ -303,6 +304,10 @@ def test_closed_stable_scan_keeps_each_sample_on_its_ray():
     assert rep["has_definite"] and rep["has_indefinite"]
 
 
+def _certificate_json(rep):
+    return {cls: cert.to_json() for cls, cert in rep["certificate"].items()}
+
+
 def test_exploratory_scan_regression(su2u1):
     config = ScanConfig(random=500, seed=0)
     rep = closed_stable_scan(su2u1, config)
@@ -311,7 +316,7 @@ def test_exploratory_scan_regression(su2u1):
     # indefinite witness, the first grid ray (-1, ..., -1, 1)
     assert rep["closed_dim"] == 17
     assert rep["stable_found"]
-    assert rep["certificate"] == {"definite": {
+    assert _certificate_json(rep) == {"definite": {
         "kind": "isotropic subspace", "indices": [6], "monomials": 234}}
     ref = _stop_rule_reference(_closed(su2u1), config, {"definite"})
     assert {k: rep[k] for k in ref} == ref
@@ -327,11 +332,11 @@ def test_exploratory_scan_regression(su2u1):
 def test_isotropic_certificate_on_the_closed_families(su2t4, su2u1, t7):
     e4_e7 = {"kind": "isotropic subspace", "indices": [3, 4, 5, 6],
              "monomials": 72}
-    assert isotropic_exclusion(_closed_map(su2t4)) == e4_e7
+    assert isotropic_exclusion(_closed_map(su2t4)).to_json() == e4_e7
     rep = closed_stable_scan(su2t4)
-    assert rep["certificate"] == {"definite": e4_e7, "indefinite": e4_e7}
+    assert _certificate_json(rep) == {"definite": e4_e7, "indefinite": e4_e7}
     assert rep["samples"] == 0 and not rep["stable_found"]
-    assert isotropic_exclusion(_closed_map(su2u1)) == {
+    assert isotropic_exclusion(_closed_map(su2u1)).to_json() == {
         "kind": "isotropic subspace", "indices": [6], "monomials": 234}
     # PHI and PHITILDE are in the t7 family, so no subspace is isotropic
     t7_map = _closed_map(t7)
@@ -339,24 +344,49 @@ def test_isotropic_certificate_on_the_closed_families(su2t4, su2u1, t7):
     assert isotropic_exclusion(t7_map) is None
 
 
+def test_the_isotropic_recheck_refuses_an_extra_index_or_a_wrong_count(
+        su2t4):
+    import dataclasses
+
+    hitchin = _closed_map(su2t4)
+    cert = isotropic_exclusion(hitchin)
+    assert cert == IsotropicCertificate((3, 4, 5, 6), 72)
+    assert cert.recheck(hitchin) and cert.excludes == ("definite",
+                                                       "indefinite")
+    # B pairs s = span(e1..e3) with r: any index of s spoils the subspace
+    for i in range(3):
+        extra = dataclasses.replace(cert, indices=(i, 3, 4, 5, 6))
+        assert not extra.recheck(hitchin), i
+    # a repeated or out-of-range index adds no dimension, and no index none
+    for indices in ((3, 3, 4, 5), (3, 4, 5, 7), ()):
+        assert not dataclasses.replace(cert, indices=indices).recheck(hitchin)
+    for monomials in (71, 73):
+        wrong = dataclasses.replace(cert, monomials=monomials)
+        assert not wrong.recheck(hitchin)
+    # three coordinates are rechecked, and exclude definite members only
+    three = dataclasses.replace(cert, indices=(4, 5, 6))
+    assert three.recheck(hitchin) and three.excludes == ("definite",)
+
+
 def test_the_indefinite_exclusion_is_asked_only_while_the_class_is_open(
         su2t4, su2u1):
     calls = []
+    given_cert = SchurCertificate((7,))
 
     def given():
         calls.append(1)
-        return {"kind": "given"}
+        return given_cert
 
     # e4..e7 is isotropic on su2+t4: both classes are excluded before it
     rep = scan_family(cleared(_closed(su2t4))[0], SMALL_SCAN,
                       exclude_indefinite=given)
-    assert calls == [] and rep["certificate"]["indefinite"]["indices"] == [
-        3, 4, 5, 6]
+    assert calls == [] and rep["certificate"]["indefinite"].indices == (
+        3, 4, 5, 6)
     # e7 alone on 2su2+u1 leaves the indefinite class open, once
     rep = scan_family(cleared(_closed(su2u1))[0], SMALL_SCAN,
                       exclude_indefinite=given)
     assert calls == [1]
-    assert rep["certificate"]["indefinite"] == {"kind": "given"}
+    assert rep["certificate"]["indefinite"] is given_cert
     assert rep["samples"] == 0
 
 
@@ -380,9 +410,9 @@ def test_a_corrupted_monomial_entry_on_w_loses_the_certificate(
     assert not bad.isotropic(w[:2])
     cert = isotropic_exclusion(bad)
     # a 3-dimensional subspace is left: it excludes definite members only
-    assert cert is not None and len(cert["indices"]) == 3
-    assert not {3, 4} <= set(cert["indices"])
-    assert bad.isotropic([units[i] for i in cert["indices"]])
+    assert cert is not None and len(cert.indices) == 3
+    assert not {3, 4} <= set(cert.indices)
+    assert bad.isotropic([units[i] for i in cert.indices])
     monkeypatch.setattr(scan, "family_hitchin_map", lambda bvecs: bad)
     rep = scan_family(cleared(_closed(su2t4))[0], SMALL_SCAN)
     assert set(rep["certificate"]) == {"definite"}

@@ -21,8 +21,8 @@ from g2forms.linalg import (cleared, identity, intersect_nullspaces, inverse,
                             mat, mat_mul, mat_sub, mat_vec, nullspace, rank,
                             rref, solve, transpose)
 from g2forms.multilinear import KForm, pullback
-from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
-                          kernel_exclusion)
+from g2forms.scan import (SchurCertificate, ScanConfig, _ray_grid,
+                          family_hitchin_map, kernel_exclusion)
 from references import (_hitchin_table, bracket, check_jacobi, commutator,
                         reference_action, reference_family_hitchin_map, trace)
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
@@ -729,10 +729,22 @@ DEFINITE_ONLY = {"2d": [7], "7": [7], "so3_7": [7], "8-g2xR": [1, 6],
 def test_schur_exclusion_fires_on_the_definite_only_rows(case):
     mod = build_entry(case)
     cert = {"kind": "schur", "irreducible_dims": DEFINITE_ONLY[case]}
-    assert schur_exclusion(mod) == cert
+    assert schur_exclusion(mod).to_json() == cert
     rep = invariant_form_types(mod, SMALL_SCAN)
-    assert rep["certificate"] == {"indefinite": cert}
+    assert {cls: c.to_json() for cls, c in rep["certificate"].items()} == {
+        "indefinite": cert}
     assert rep["has_definite"] and not rep["has_indefinite"]
+
+
+def test_the_schur_recheck_refuses_a_split_that_sums_to_3_or_4():
+    for dims in ((7,), (1, 6), (2, 5), (1, 1, 5)):
+        assert SchurCertificate(dims).recheck(), dims
+    # (1, 2, 4) has 1 + 2 = 3; (3, 4) and (1, 3, 3) hold a 3 or a 4
+    for dims in ((1, 2, 4), (3, 4), (1, 3, 3)):
+        assert not SchurCertificate(dims).recheck(), dims
+    # dims of another total, or not dimensions at all
+    for dims in ((6,), (1, 7), (), (8, -1), (0, 7)):
+        assert not SchurCertificate(dims).recheck(), dims
 
 
 def test_schur_exclusion_does_not_fire_on_case1():
@@ -873,13 +885,13 @@ def test_kernel_certificate_fires_on_the_degenerate_families(
         assert len(hitchin.common_kernel()) == kernel_dim, label
         rep = invariant_form_types(mod)
         cert = rep["certificate"]["indefinite"]
-        assert rep["certificate"]["definite"] == cert, label
-        assert cert["kind"] == "common kernel"
-        assert cert["kernel_dim"] == kernel_dim
+        assert rep["certificate"]["definite"] is cert, label
+        assert cert.to_json()["kind"] == "common kernel"
+        assert cert.kernel_dim == kernel_dim
         assert rep["samples"] == 0
         assert not rep["has_definite"] and not rep["has_indefinite"]
         # independently of the monomial expansion: B v = 0 on seeded forms
-        v = cert["kernel_vector"]
+        v = list(cert.kernel_vector)
         bvecs = [primitive_int_vector(f.coefficient_vector())
                  for f in invariant_3forms(mod)]
         for _ in range(5):
@@ -930,6 +942,27 @@ def test_a_corrupted_kernel_vector_fails_the_exact_recheck(
     assert rep["samples"] == sum(
         1 for c in _scan_samples(rep["dim"], SMALL_SCAN) if any(c))
     assert not rep["has_definite"] and not rep["has_indefinite"]
+
+
+def test_the_kernel_recheck_refuses_an_off_kernel_vector(
+        degenerate_families):
+    import dataclasses
+
+    units = [[int(i == j) for j in range(7)] for i in range(7)]
+    for label, (_, hitchin, _, kernel_dim) in degenerate_families.items():
+        cert = kernel_exclusion(hitchin)
+        assert cert.recheck(hitchin) and cert.kernel_dim == kernel_dim, label
+        assert cert.excludes == ("definite", "indefinite")
+        # the zero vector is killed too, but proves nothing
+        zero = dataclasses.replace(cert, kernel_vector=(0,) * 7)
+        assert hitchin.kills(zero.kernel_vector)
+        assert not zero.recheck(hitchin), label
+        spoilers = [e for e in units if not hitchin.kills(e)]
+        assert spoilers, label
+        for e in spoilers:
+            bad = dataclasses.replace(cert, kernel_vector=tuple(
+                a + b for a, b in zip(cert.kernel_vector, e)))
+            assert not bad.recheck(hitchin), (label, e)
 
 
 def test_certified_exclusions_hold_on_a_full_default_scan(
@@ -992,10 +1025,17 @@ ALGEBRA_NAMES = ([f"so({n})" for n in range(2, 8)]
 
 
 def _assert_dense_structure_constants(alg):
+    # the basis cleared once to integer matrices B_k = L b_k: the dense
+    # commutators run on ints, and [b_i, b_j] = [B_i, B_j] / L^2
+    n = alg.size
+    rows, den = cleared([row for b in alg.basis for row in b])
+    ints = [rows[k * n:(k + 1) * n] for k in range(alg.dim)]
     struct = alg.structure_constants()
     for i, j in combinations(range(alg.dim), 2):
-        assert struct[i][j] == alg.coords(
-            commutator(alg.basis[i], alg.basis[j])), (alg.name, i, j)
+        coords = alg.coords(commutator(ints[i], ints[j]))
+        assert coords is not None, (alg.name, i, j)
+        assert struct[i][j] == [c / den ** 2 for c in coords], (
+            alg.name, i, j)
         assert struct[j][i] == [-c for c in struct[i][j]]
 
 

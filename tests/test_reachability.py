@@ -20,7 +20,8 @@ SRC = Path(g2forms.__file__).parent
 #: public functions nothing in the package reaches, each with its reason
 ALLOWED = {
     "hodge_star": "float reference of the exact dual, traced by perfbench",
-    "nearly_parallel_rays": "float reference of the pencil certificate, "
+    "nearly_parallel_rays": "exact library entry point of the nearly "
+                            "parallel rays, which no command calls, "
                             "traced by perfbench",
     "decompose2": "roadmap item 4: the 14+7 split of 2-forms",
     "decompose3": "roadmap item 4: the 1+7+27 split of 3-forms",
