@@ -287,18 +287,20 @@ def irreducible_dims(m: IsotropyModule):
     invariant symmetric form, so the self-adjoint commutant is G^-1 times
     `_invariant_symmetric_forms`; that invariance, A^T G + G A = 0 for
     every action matrix, is checked exactly first (AssertionError
-    otherwise).  One form proves V irreducible.  Otherwise V is split by one
-    commutant element C = G^-1 S, S a random integer combination of the
-    forms: self-adjoint for a definite form, C is diagonalizable with real
-    eigenvalues, and its eigenspaces E_j are invariant.  A generic C has
-    distinct eigenvalues on the trivial isotypic part too, so the same draw
-    splits it into 1s.  The dimensions of the E_j, the root multiplicities
-    of charpoly(C), are read by squarefree counting (`root_multiplicities`),
-    with no factoring.  The split is accepted only when the commutant
-    elements that also commute with C, the G^-1 S' with S' C symmetric, have
-    dimension equal to the number of eigenvalues: that dimension is the sum
-    over j of dim A_sa(E_j) >= 1, and A_sa(E_j) is the scalars exactly when
-    E_j is irreducible.  C is drawn from `random.Random(0)`; if no draw in
+    otherwise).  A zero action leaves every line invariant, so V splits
+    into n lines with no draw, and one form proves V irreducible.
+    Otherwise V is split by one commutant element C = G^-1 S, S a random
+    integer combination of the forms: self-adjoint for a definite form, C
+    is diagonalizable with real eigenvalues, and its eigenspaces E_j are
+    invariant.  A generic C has distinct eigenvalues on the trivial
+    isotypic part too, so the same draw splits it into 1s.  The dimensions
+    of the E_j, the root multiplicities of charpoly(C), are read by
+    squarefree counting (`root_multiplicities`), with no factoring.  The
+    split is accepted only when the commutant elements that also commute
+    with C, the G^-1 S' with S' C symmetric, have dimension equal to the
+    number of eigenvalues: that dimension is the sum over j of
+    dim A_sa(E_j) >= 1, and A_sa(E_j) is the scalars exactly when E_j is
+    irreducible.  C is drawn from `random.Random(0)`; if no draw in
     `_SPLITTER_DRAWS` certifies, an AssertionError is raised, never a
     coarser answer.  The result is computed once per module and kept on the
     module; a fresh list is returned per call.
@@ -314,6 +316,8 @@ def _irreducible_dims(m):
                                      mat_mul(gram, a))
                for x, y in zip(r, s)):
             raise AssertionError("gram is not invariant under the action")
+    if not any(x for a in m.action for row in a for x in row):
+        return [1] * n
     forms = [cleared(s)[0] for s in m._action_symmetric_forms]
     dims = ([n] if len(forms) == 1 else _certified_split(
         forms, cleared(inverse(m.gram))[0], random.Random(0)))

@@ -17,6 +17,7 @@ determinant as well.  No floating point.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -235,8 +236,10 @@ def charpoly(a):
     Berkowitz's division-free recursion on integers: bordering the leading
     r x r block A by the row R, the column C and the corner a_rr multiplies
     its characteristic polynomial by the lower-triangular Toeplitz matrix
-    with first column 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C.  Integer
-    input returns ints; a rational a = A / L returns the Fractions
+    with first column 1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C.  Each
+    inner product is one `sum(map(mul, ...))`, and the Toeplitz product
+    runs over the nonzero entries of that column only.  Integer input
+    returns ints; a rational a = A / L returns the Fractions
     c_k / L^(n-k), c_k the coefficients of A.
     """
     n = len(a)
@@ -249,10 +252,14 @@ def charpoly(a):
         toeplitz = [1, -ints[r][r]]
         for k in range(r):
             if k:
-                col = mat_vec(block, col)
-            toeplitz.append(-sum(x * y for x, y in zip(border, col)))
-        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
-                for i in range(r + 2)]
+                col = [sum(map(mul, row, col)) for row in block]
+            toeplitz.append(-sum(map(mul, border, col)))
+        bordered = [0] * (r + 2)
+        for k, v in enumerate(toeplitz):
+            if v:
+                for j, c in enumerate(poly[:r + 2 - k]):
+                    bordered[j + k] += v * c
+        poly = bordered
     coeffs = poly[::-1]
     if den is None:
         return coeffs

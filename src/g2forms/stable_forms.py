@@ -48,23 +48,23 @@ class Orbit3Class(Enum):
 class HitchinData:
     """Exact bilinear-form data of a 3-form: B, det B, and the signature.
 
-    Everything is read off one integer matrix: for t = scale * x with x the
-    primitive integer vector on the ray of t, Bx = hitchin_matrix(x) and
-    det B = scale^21 det Bx, and det Bx and the signature come from one
-    symmetric elimination of Bx (`inertia`).  The Fraction matrix
-    B = scale^3 Bx is built on first read and kept; a reader of the class,
-    det B or the signature never pays for it.
+    Everything is read off one primitive integer matrix: B = r Bx, with
+    Bx the Hitchin matrix of t's primitive integer ray divided by the gcd
+    c of its entries and r = scale^3 c, positive for t != 0 (c = 0 and
+    c = 1 count as 1; `hitchin_bilinear`).  So det B = r^7 det Bx, and
+    det Bx and the signature come from one symmetric elimination of Bx
+    (`inertia`).  The Fraction matrix B is built on first read and kept;
+    a reader of the class, det B or the signature never pays for it.
     """
 
     detB: Fraction
     signature: tuple
     Bx: list
-    scale: Fraction
+    r: Fraction
 
     @cached_property
     def B(self) -> list:
-        s3 = self.scale ** 3
-        return [[s3 * v for v in row] for row in self.Bx]
+        return [[self.r * v for v in row] for row in self.Bx]
 
 
 @cache
@@ -173,15 +173,23 @@ def hitchin_ray(t: KForm):
 def hitchin_bilinear(t: KForm) -> HitchinData:
     """Exact Hitchin data of a degree-3 form on R^7.
 
-    B is built once, on the integer vector of t's ray; one symmetric
-    fraction-free elimination of that integer matrix (`inertia`) gives
-    det Bx and, by Jacobi's rule, the signature (a positive scale keeps
-    it).  Only det B is rescaled to t here; B is rescaled when it is read.
+    B is built once, on the integer vector of t's ray (`hitchin_ray`), and
+    divided once by the gcd c of its entries (c = 0, B = 0, leaves it as it
+    is).  B is GL(7)-equivariant, B(g t) = det(g) g^T B(t) g, so on a form
+    in the orbit of an integer reference c carries det g and most of the
+    digits.  One symmetric fraction-free elimination of that primitive
+    matrix (`inertia`) gives its determinant and, by Jacobi's rule, the
+    signature, which the positive factor r = scale^3 c keeps.  Only det B
+    is rescaled to t here; B is rescaled when it is read.
     """
     bx, scale, _ = hitchin_ray(t)
-    p, q, detbx = inertia(bx)
-    return HitchinData(detB=scale ** 21 * detbx, signature=(p, q), Bx=bx,
-                       scale=scale)
+    r = scale ** 3
+    c = math.gcd(*(v for row in bx for v in row))
+    if c > 1:
+        bx = [[v // c for v in row] for row in bx]
+        r *= c
+    p, q, detp = inertia(bx)
+    return HitchinData(detB=r ** 7 * detp, signature=(p, q), Bx=bx, r=r)
 
 
 def _orbit_of_signature(p, q) -> Orbit3Class:
@@ -371,7 +379,8 @@ def classification_report(t: KForm) -> dict:
     One Hitchin build and one elimination (`hitchin_bilinear`): the class is
     read off the signature that comes with det B, by `_orbit_of_signature`.
     That signature is confirmed by Descartes' rule on the characteristic
-    polynomial of Bx, an independent exact count; a disagreement raises.
+    polynomial of the same primitive matrix Bx, an independent exact count
+    that the positive factor B / Bx cannot change; a disagreement raises.
     """
     data = hitchin_bilinear(t)
     if _descartes_signature(charpoly(data.Bx)) != data.signature:

@@ -16,6 +16,11 @@ reads the metric of its 4-form family off one family Hitchin map instead;
 the tests evaluate this at points against the bivector formula and the
 report's display.
 
+`reference_charpoly`: Berkowitz's recursion with generator sums over every
+Toeplitz entry, on the entries as they are, ints or Fractions.
+`linalg.charpoly` takes C-level dot products, skips the zero Toeplitz
+entries and clears a rational matrix to integers once.
+
 `sign_charpoly`: the characteristic polynomial a generator with spectrum
 [-1] * a + [1] * b must have, to check `catalog._sign_spectrum` by a route
 that takes no kernel.
@@ -31,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from g2forms.linalg import ZERO, mat, mat_mul, mat_sub, rref
+from g2forms.linalg import ZERO, mat, mat_mul, mat_sub, mat_vec, rref
 from g2forms.multilinear import KForm, sort_index
 from g2forms.scan import FamilyHitchinMap
 from g2forms.stable_forms import (DIM, IDX3, hitchin_matrix, primitive_ray,
@@ -178,6 +183,30 @@ def reference_action(m, a):
                 else:
                     out[key] = acc
     return KForm(n, a.degree, out)
+
+
+def reference_charpoly(a):
+    """Coefficients [c_0, ..., c_n] of det(xI - a), lowest degree first.
+
+    Berkowitz: bordering the leading r x r block A by the row R, the column
+    C and the corner a_rr multiplies its characteristic polynomial by the
+    lower-triangular Toeplitz matrix with first column 1, -a_rr, -R C,
+    -R A C, ..., -R A^(r-1) C.
+    """
+    n = len(a)
+    poly = [1]  # of the leading r x r block, highest degree first
+    for r in range(n):
+        block = [row[:r] for row in a[:r]]
+        border = a[r][:r]
+        col = [row[r] for row in a[:r]]
+        toeplitz = [1, -a[r][r]]
+        for k in range(r):
+            if k:
+                col = mat_vec(block, col)
+            toeplitz.append(-sum(x * y for x, y in zip(border, col)))
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)]
+    return poly[::-1]
 
 
 def sign_charpoly(a, b):

@@ -516,11 +516,19 @@ def test_irreducible_dims_of_the_so_form_actions(label, action, gram):
         label, [len(gram)])
 
 
-def test_irreducible_dims_of_a_zero_action_are_all_ones():
-    # the whole of V is trivial: one draw splits it into lines
+def test_irreducible_dims_of_a_zero_action_are_all_ones(monkeypatch):
+    # a zero action, or none at all (trivial isotropy), leaves every line
+    # invariant: V splits into lines with no splitter draw
+    from g2forms import isotropy
+
+    def fail(forms, ginv, rng):
+        raise AssertionError("drew a splitter")
+
+    monkeypatch.setattr(isotropy, "_draw_splitter", fail)
     zero = [[Fraction(0)] * 4 for _ in range(4)]
     mod = module_from_action("zero", [zero], gram=_rational_form(4))
     assert irreducible_dims(mod) == [1, 1, 1, 1]
+    assert irreducible_dims(build_entry("6i")) == [1] * 7
 
 
 def test_irreducible_dims_refuse_a_gram_that_is_not_invariant():

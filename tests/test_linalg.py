@@ -283,6 +283,45 @@ def test_integer_charpoly_is_the_fraction_charpoly_in_ints(seed):
     assert charpoly([[-5]]) == [5, 1]
 
 
+def _seeded_int_matrix(rng, n):
+    """An n x n int matrix of 2- to 400-bit entries, some of them zero,
+    with some rows and some columns zeroed."""
+    bits = rng.choice((2, 30, 400))
+    rows = [[rng.choice((0, rng.randint(-2 ** bits, 2 ** bits)))
+             for _ in range(n)] for _ in range(n)]
+    for i in rng.sample(range(n), rng.randint(0, n // 2)):
+        rows[i] = [0] * n
+    for j in rng.sample(range(n), rng.randint(0, n // 2)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_charpoly_matches_the_berkowitz_reference(seed):
+    # the reference sums generators over every Toeplitz entry, on the
+    # entries as they are: the int result must agree on int matrices, and
+    # the rescaled Fractions on Fraction matrices that the reference never
+    # clears to integers
+    import random
+
+    from references import reference_charpoly
+
+    rng = random.Random(seed)
+    for n in range(9):
+        for _ in range(6):
+            rows = _seeded_int_matrix(rng, n)
+            cs = charpoly(rows)
+            assert all(type(c) is int for c in cs)
+            assert cs == reference_charpoly(rows)
+            fracs = [[Fraction(x, rng.choice((1, 3, 10 ** 6))) for x in row]
+                     for row in rows]
+            cs = charpoly(fracs)
+            # the empty matrix is all-int, whatever it was meant to hold
+            assert n == 0 or all(type(c) is Fraction for c in cs)
+            assert cs == reference_charpoly(fracs)
+
+
 def test_charpoly_det_consistency():
     a = mat([[1, 2], [3, 4]])
     cs = charpoly(a)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -590,12 +591,49 @@ def test_fast_classifier_agrees_with_signature_route(seed):
 
 
 def test_hitchin_data_builds_b_only_when_read():
+    # B = r P for one positive rational r and the primitive integer P
     t = Fraction(-2, 7) * PHITILDE + w(7, 1, 2, 4)
     data = hitchin_bilinear(t)
     classification_report(t)
     assert "B" not in vars(data)
-    assert data.B == [[data.scale ** 3 * x for x in row] for row in data.Bx]
+    assert data.r > 0
+    assert math.gcd(*(x for row in data.Bx for x in row)) == 1
+    assert data.B == [[data.r * x for x in row] for row in data.Bx]
+    assert data.B == mat(hitchin_matrix(t.coefficient_vector()))
     assert data.B is data.B
+
+
+def test_classification_report_runs_both_kernels_on_the_primitive_matrix(
+        monkeypatch):
+    # on g . PHI and g . PHITILDE every entry of the Hitchin matrix of the
+    # primitive ray carries det g; `inertia` and the Descartes charpoly
+    # must both get that matrix divided by its content
+    from g2forms import stable_forms
+
+    g = [[2, 1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0, 0],
+         [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0], [1, 0, 0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 0, 0, 1]]
+    assert abs(det(g)) > 1
+    calls = []
+    for name in ("inertia", "charpoly"):
+        def record(b, name=name, original=getattr(stable_forms, name)):
+            calls.append((name, b))
+            return original(b)
+        monkeypatch.setattr(stable_forms, name, record)
+    for ref in (PHI, PHITILDE):
+        t = pullback(g, ref)
+        content = math.gcd(*(x for row in stable_forms.hitchin_ray(t)[0]
+                             for x in row))
+        assert content > 1
+        calls.clear()
+        report = classification_report(t)
+        assert [name for name, _ in calls] == ["inertia", "charpoly"]
+        (_, p), (_, c) = calls
+        assert p == c
+        assert math.gcd(*(x for row in p for x in row)) == 1
+        _, detb, signature, cls = _fraction_hitchin(t)
+        assert report == {"class": cls.value, "detB": str(detb),
+                          "signature": list(signature)}
 
 
 # --- the integer Hitchin path against a Fraction reference ------------------
@@ -616,8 +654,6 @@ def _fraction_hitchin(t):
 
 def _fraction_metric(t):
     """metric_from_3form's float formula applied to the Fraction-built B."""
-    import math
-
     import numpy as np
 
     b = hitchin_matrix(t.coefficient_vector())
@@ -737,8 +773,6 @@ def test_classification_report_raises_when_descartes_disagrees(monkeypatch):
 
 @pytest.mark.parametrize("den", [10 ** 6, 10 ** 15])
 def test_integer_metric_is_bit_identical_to_the_fraction_metric(den):
-    import math
-
     import numpy as np
 
     rng = random.Random(den)
