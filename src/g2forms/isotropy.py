@@ -23,12 +23,12 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from math import comb
 from types import MappingProxyType
 
 from .linalg import (charpoly, cleared, identity, intersect_nullspaces,
-                     inverse, leading_principal_minors, mat, mat_mul, mat_sub,
-                     nullspace, rank, root_multiplicities, transpose)
+                     inverse, kernel, leading_principal_minors, mat, mat_mul,
+                     mat_sub, nullspace, rank, root_multiplicities, transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
 from .scan import SchurCertificate, ScanConfig, scan_family
@@ -175,30 +175,28 @@ def _invariant_symmetric_forms(action, generators, n=None):
     pos = {p: k for k, p in enumerate(pairs)}
     rows = []
     for a, _ in map(cleared, action):
-        for i in range(n):
-            for j in range(i, n):
-                row = [0] * len(pairs)
-                for k in range(n):
-                    # (A^T S)_{ij} = sum_k A_{ki} S_{kj}; (S A)_{ij} = S_{ik} A_{kj}
-                    if a[k][i] != 0:
-                        row[pos[(min(k, j), max(k, j))]] += a[k][i]
-                    if a[k][j] != 0:
-                        row[pos[(min(i, k), max(i, k))]] += a[k][j]
-                if any(x != 0 for x in row):
-                    rows.append(row)
+        for i, j in pairs:
+            row = {}
+            for k in range(n):
+                # (A^T S)_{ij} = sum_k A_{ki} S_{kj}; (S A)_{ij} = S_{ik} A_{kj}
+                if a[k][i]:
+                    p = pos[min(k, j), max(k, j)]
+                    row[p] = row.get(p, 0) + a[k][i]
+                if a[k][j]:
+                    p = pos[min(i, k), max(i, k)]
+                    row[p] = row.get(p, 0) + a[k][j]
+            rows.append(row)
     for f, den in map(cleared, generators):
-        for i in range(n):
-            for j in range(i, n):
-                row = [0] * len(pairs)
-                for k in range(n):
-                    for l in range(n):
-                        c = f[k][i] * f[l][j]
-                        if c != 0:
-                            row[pos[(min(k, l), max(k, l))]] += c
-                row[pos[(i, j)]] -= den * den
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    sols = nullspace(rows) if rows else identity(len(pairs))
+        for i, j in pairs:
+            row = {pos[i, j]: -den * den}
+            for k in range(n):
+                for l in range(n):
+                    c = f[k][i] * f[l][j]
+                    if c:
+                        p = pos[min(k, l), max(k, l)]
+                        row[p] = row.get(p, 0) + c
+            rows.append(row)
+    sols = kernel(rows, len(pairs))
     return [[[vec[pos[min(i, j), max(i, j)]] for j in range(n)]
              for i in range(n)] for vec in sols]
 
@@ -215,23 +213,21 @@ def invariant_kforms(m: IsotropyModule, k):
 
 
 def _invariant_kform_basis(m, k):
-    """The joint kernel of integer systems: each action matrix cleared to
-    L A gives L times its Lambda^k matrix, and each generator cleared to
-    L F gives P - L^k 1 for the pullback matrix P of L F."""
+    """The `kernel` of one sparse integer system: each action matrix
+    cleared to L A gives the rows of L times its Lambda^k action, and each
+    generator cleared to L F the rows of P - L^k 1, P the pullback matrix
+    of L F."""
     n = m.dimV
     if k == 0:
         return [KForm.make(n, 0, [((), 1)])]
-    mats = [lambda_k_action_matrix(cleared(a)[0], k, n) for a in m.action]
+    rows = [row for a in m.action
+            for row in lambda_k_action_matrix(cleared(a)[0], k, n)]
     for _, f in m.generators:
         f, den = cleared(f)
-        p = lambda_k_pullback_matrix(f, k, n)
-        for r, row in enumerate(p):
+        for r, row in enumerate(lambda_k_pullback_matrix(f, k, n)):
             row[r] -= den ** k
-        mats.append(p)
-    if not mats:
-        return [KForm.basis(n, *idx)
-                for idx in combinations(range(1, n + 1), k)]
-    vecs = intersect_nullspaces(mats)
+            rows.append(dict(enumerate(row)))
+    vecs = kernel(rows, comb(n, k))
     return [KForm.from_coefficient_vector(n, k, v) for v in vecs]
 
 

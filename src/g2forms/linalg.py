@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists of rationals (Fraction or int; `mat` promotes
-to Fraction).  `rref`, the one elimination under `rank`, `nullspace`,
-`solve` and `intersect_nullspaces`, eliminates fraction-free on sparse
-integer rows and returns Fractions; its output is deterministic because
-the reduced row echelon form is unique, whatever the pivot order.
+to Fraction).  One fraction-free Gauss-Jordan on sparse primitive integer
+rows {col: int}, `_echelon`, runs under every elimination, and only `rref`
+builds the Fraction RREF: `kernel` reads a null space basis straight off
+the integer echelon rows of a sparse integer system, and `nullspace` is
+`kernel` of the cleared rows of a matrix.  The reduced row echelon form is
+unique, so no output depends on the pivot order.
 The fraction-free routines `adjugate`, `leading_principal_minors`,
 `charpoly` and `inertia` run one integer recursion each, dividing exactly
 with `//` (`charpoly`, Berkowitz's, divides not at all), and `det` is read
@@ -68,13 +70,11 @@ def _primitive(row):
 
 
 def _int_row(row):
-    """The ray of a rational row as a primitive sparse integer row."""
+    """A rational row times the lcm of its denominators, as a sparse
+    integer row."""
     nz = {c: x for c, x in enumerate(row) if x}
-    if not nz:
-        return nz
     den = math.lcm(*(x.denominator for x in nz.values()))
-    return _primitive({c: x.numerator * (den // x.denominator)
-                       for c, x in nz.items()})
+    return {c: x.numerator * (den // x.denominator) for c, x in nz.items()}
 
 
 def _eliminate(row, piv, c):
@@ -92,32 +92,46 @@ def _eliminate(row, piv, c):
     return _primitive(out) if out else out
 
 
+def _echelon(rows):
+    """The reduced echelon form of sparse integer rows {col: v}, in integers.
+
+    Fraction-free Gauss-Jordan, one row at a time, zero entries dropped: a
+    row is reduced by the pivot row of each pivot column it holds, each
+    step row * p - f * pivot_row divided by its content; a row left
+    nonzero is made primitive, takes its leftmost column as its pivot and
+    reduces the pivot rows that hold that column.  That step adds only
+    columns right of the new pivot, and a pivot row holds no column left
+    of its own pivot, so every pivot row starts at its pivot and is zero
+    in every other pivot column: row / row[pivot] is a row of the RREF,
+    which is unique, so the row order does not show.  Returns the (pivot
+    column, row) pairs in column order.
+    """
+    basis = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        for c in [c for c in row if c in basis]:
+            row = _eliminate(row, basis[c], c)
+        if not row:
+            continue
+        row = _primitive(row)
+        pc = min(row)
+        for k, r in basis.items():
+            if pc in r:
+                basis[k] = _eliminate(r, row, pc)
+        basis[pc] = row
+    return sorted(basis.items())
+
+
 def rref(a):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
-    Fraction-free Gauss-Jordan on sparse integer rows: each input row is
-    scaled to a primitive integer row, and each column step replaces a row
-    by row * p - f * pivot_row divided by its content.  The sparsest
-    candidate row becomes the pivot row; the RREF is unique, so this choice
-    does not show in the output.  Fractions are formed only for the final
-    normalized rows; every entry of R is a Fraction, and R keeps the row
+    The `_echelon` rows of the rows of a, each cleared to integers, divided
+    by their pivots: every entry of R is a Fraction, and R keeps the row
     count of a, padded with zero rows.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    pending = [r for r in map(_int_row, a) if r]
-    done = []
-    for c in range(ncols):
-        if not pending:
-            break
-        cands = [i for i, r in enumerate(pending) if c in r]
-        if not cands:
-            continue
-        piv = pending.pop(min(cands, key=lambda i: len(pending[i])))
-        pending = [_eliminate(r, piv, c) if c in r else r for r in pending]
-        pending = [r for r in pending if r]
-        done = [(k, _eliminate(r, piv, c) if c in r else r) for k, r in done]
-        done.append((c, piv))
+    done = _echelon(map(_int_row, a))
     out = []
     for c, r in done:
         p = r[c]
@@ -130,48 +144,56 @@ def rref(a):
 
 
 def rank(a):
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+    return len(_echelon(map(_int_row, a)))
+
+
+def kernel(rows, ncols):
+    """Basis of {x : r x = 0 for every row r}, the rows sparse integer
+    rows {col: v} (zero entries allowed) over ncols columns, ordered as
+    `nullspace` orders it: one vector per free column fc, v[fc] = 1 and
+    v[pc] = -r[fc] / r[pc] for the `_echelon` row r of pivot column pc.
+    No rows give the identity basis.
+    """
+    done = _echelon(rows)
+    pivots = {c for c, _ in done}
+    basis = {fc: v for fc, v in enumerate(identity(ncols)) if fc not in pivots}
+    for pc, r in done:
+        p = r[pc]
+        for fc, x in r.items():
+            if fc != pc:
+                basis[fc][pc] = Fraction(-x, p)
+    return list(basis.values())
 
 
 def nullspace(a):
-    """Basis of {x : a x = 0}, echelonized, deterministic ordering."""
+    """Basis of {x : a x = 0}, echelonized, deterministic ordering: the
+    `kernel` of the rows of a, each cleared to integers."""
     if not a:
         return []
-    cols = len(a[0])
-    r, pivots = rref(a)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [ZERO] * cols
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
-        basis.append(v)
-    return basis
+    return kernel(map(_int_row, a), len(a[0]))
 
 
 def solve(a, bs):
     """One solution x of a x = b for each right-hand side b in bs.
 
-    [a | b_1 ... b_m] is reduced once; free variables are set to zero.
-    Entries of a and of the b are taken as they are, int or Fraction:
-    `rref` clears each row to integers, so an int right-hand side needs
-    no promotion.  Returns the list of solutions (Fractions), or None if
-    any b is inconsistent.
+    [a | b_1 ... b_m] is reduced once by `_echelon`; free variables are set
+    to zero.  Entries of a and of the b are taken as they are, int or
+    Fraction: each row is cleared to integers, so an int right-hand side
+    needs no promotion.  Returns the list of solutions (Fractions), or None
+    if any b is inconsistent.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     aug = [list(a[i]) + [b[i] for b in bs] for i in range(rows)]
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] >= cols:
+    done = _echelon(map(_int_row, aug))
+    if done and done[-1][0] >= cols:
         return None
     xs = [[ZERO] * cols for _ in bs]
-    for i, pc in enumerate(pivots):
-        for x, v in zip(xs, r[i][cols:]):
-            x[pc] = v
+    for pc, r in done:
+        p = r[pc]
+        for m, x in enumerate(xs, cols):
+            if m in r:
+                x[pc] = Fraction(r[m], p)
     return xs
 
 

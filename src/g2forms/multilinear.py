@@ -14,6 +14,7 @@ annihilator system of `stable_forms.annihilator_of_form` all read it.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -306,21 +307,23 @@ def algebra_action(m, a: KForm) -> KForm:
 
 
 def lambda_k_action_matrix(a, k, dim=7):
-    """Matrix of the infinitesimal action of a on Lambda^k coefficients.
+    """Sparse rows of the infinitesimal action of a on Lambda^k coefficients.
 
     Column I is algebra_action(a, e^I): each move (i, j, J, sign) of I in
-    `_moves` with a[i][j] != 0 adds -sign a[i][j] to entry (J, I).  The
-    entries keep the arithmetic of a: an int matrix gives an int matrix.
+    `_moves` with a[i][j] != 0 adds -sign a[i][j] to entry (J, I).  Row J
+    is a dict {I: entry} of its nonzero entries, rows and columns numbered
+    in the sorted k-subset order.  The entries keep the arithmetic of a:
+    an int matrix gives int entries.
     """
     moves = _moves(dim, k)
     pos = {idx: r for r, idx in enumerate(moves)}
-    out = [[0] * len(pos) for _ in pos]
+    out = [Counter() for _ in pos]
     for c, column in enumerate(moves.values()):
         for i, j, key, sign in column:
             x = a[i][j]
             if x:
                 out[pos[key]][c] -= sign * x
-    return out
+    return [{c: x for c, x in row.items() if x} for row in out]
 
 
 def lambda_k_pullback_matrix(f, k, dim=7):

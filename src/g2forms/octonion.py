@@ -17,9 +17,9 @@ from functools import cache
 from fractions import Fraction
 from itertools import permutations, product
 
-from .linalg import frac, inverse, mat_mul, nullspace
+from .linalg import cleared, frac, inverse, kernel, mat_mul, nullspace
 from .multilinear import KForm, lambda_k_action_matrix, pullback
-from .stable_forms import PHI, PHITILDE
+from .stable_forms import IDX3, PHI, PHITILDE
 
 _QTABLE = {
     # quaternion basis products: (i, j) -> (sign, k)
@@ -138,10 +138,9 @@ def derivation_algebra(table):
 
 def invariant_3form_ray(derivations):
     """The 3-form ray annihilated by every derivation (normalized)."""
-    mats = []
-    for d in derivations:
-        mats.extend(lambda_k_action_matrix(d, 3, 7))
-    forms = nullspace(mats)
+    rows = [row for d in derivations
+            for row in lambda_k_action_matrix(cleared(d)[0], 3, 7)]
+    forms = kernel(rows, len(IDX3))
     if len(forms) != 1:
         raise AssertionError(f"invariant ray is {len(forms)}-dimensional")
     f = KForm.from_coefficient_vector(7, 3, forms[0])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import (combinations, combinations_with_replacement, count,
                        islice, product)
 
-from .linalg import identity, nullspace
+from .linalg import kernel
 from .stable_forms import (DIM, _hitchin_tables, classify_hitchin,
                            primitive_int_vector)
 
@@ -138,7 +138,7 @@ class FamilyHitchinMap:
         """Primitive integer basis of the joint kernel of the M_abc."""
         rows = {tuple(row) for *_, terms in self.monomials
                 for row in self._rows(terms).values()}
-        vecs = nullspace([list(r) for r in rows]) if rows else identity(DIM)
+        vecs = kernel([dict(enumerate(r)) for r in rows], DIM)
         return [primitive_int_vector(v) for v in vecs]
 
     def isotropic_coordinates(self):

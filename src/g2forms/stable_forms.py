@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import (adjugate, charpoly, cleared, frac, inertia, inverse,
-                     mat, mat_vec, nullspace, transpose)
+                     kernel, mat, mat_vec, nullspace, transpose)
 from .multilinear import (KForm, _moves, basis_vector, complement, interior,
                           sort_index, wedge)
 
@@ -403,7 +403,7 @@ def annihilator_of_form(*forms: KForm):
     to integers, and each of its terms c e^I adds -c sign to the row of e^J
     in the column n i + j of A[i][j], for every move (i, j, J, sign) of I
     in `multilinear._moves`, the table `algebra_action` reads.  One
-    `nullspace` solves the stacked rows of all the forms.
+    `linalg.kernel` solves the sparse rows of all the forms.
     """
     n = forms[0].dim
     rows = []
@@ -413,10 +413,10 @@ def annihilator_of_form(*forms: KForm):
         out = {}
         for I, c in zip(t.terms, coeffs):
             for i, j, J, sign in moves[I]:
-                row = out.setdefault(J, [0] * (n * n))
-                row[n * i + j] -= c * sign
+                row = out.setdefault(J, {})
+                row[n * i + j] = row.get(n * i + j, 0) - c * sign
         rows.extend(out.values())
-    basis = nullspace(rows or [[0] * (n * n)])
+    basis = kernel(rows, n * n)
     return [[[v[n * r + c] for c in range(n)] for r in range(n)]
             for v in basis]
 

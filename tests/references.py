@@ -1,9 +1,10 @@
 """Independent references the tests compare the package against.
 
 `reference_action`: the package derives every index move of gl(R^n) on
-k-forms once, in `multilinear._moves`; the tests of `algebra_action`,
-`lambda_k_action_matrix` and `annihilator_of_form` compare against this
-per-term loop instead, which sorts each replaced index tuple on its own.
+k-forms once, in `multilinear._moves`; the tests of `algebra_action`, the
+sparse rows of `lambda_k_action_matrix` and `annihilator_of_form` compare
+against this per-term loop instead, which sorts each replaced index tuple
+on its own.
 
 `_hitchin_table`: the contraction table B_ij = sum sign t_I t_J t_K over
 2,940 triples, which `reference_hitchin_matrix` and

@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forms.linalg import (adjugate, charpoly, det, identity, inertia,
-                            inverse, leading_principal_minors, mat, mat_mul,
-                            nullspace, poly_gcd, rank, root_multiplicities,
-                            rref, solve, transpose)
+from g2forms.linalg import (_echelon, adjugate, charpoly, cleared, det,
+                            identity, inertia, inverse, kernel,
+                            leading_principal_minors, mat, mat_mul, nullspace,
+                            poly_gcd, rank, root_multiplicities, rref, solve,
+                            transpose)
 
 rationals = st.fractions(min_value=-5, max_value=5,
                          max_denominator=6).map(Fraction)
@@ -48,6 +50,29 @@ def _dense_rref(a):
     return m, pivots
 
 
+def _dense_kernel(ref_r, ref_pivots, cols):
+    """The null space basis read off a reference RREF: one vector per free
+    column fc, 1 at fc and -R[i][fc] at the i-th pivot column."""
+    basis = []
+    for fc in (c for c in range(cols) if c not in ref_pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(ref_pivots):
+            v[pc] = -ref_r[i][fc]
+        basis.append(v)
+    return basis
+
+
+def _sparse_int_rows(a, keep_zeros):
+    """Each row of a cleared to integers, as a sparse row {col: v}; with
+    keep_zeros its zero entries are stored too."""
+    out = []
+    for row in a:
+        ints, _ = cleared([[Fraction(x) for x in row]])
+        out.append({c: v for c, v in enumerate(ints[0]) if v or keep_zeros})
+    return out
+
+
 def _assert_rref_matches_the_dense_reference(a):
     before = [list(row) for row in a]
     r, pivots = rref(a)
@@ -56,6 +81,20 @@ def _assert_rref_matches_the_dense_reference(a):
     assert len(r) == len(ref_r) == len(a)
     assert r == ref_r
     assert all(type(x) is Fraction for row in r for x in row)
+    cols = len(a[0]) if a else 0
+    ref_kernel = _dense_kernel(ref_r, ref_pivots, cols)
+    assert nullspace(a) == (ref_kernel if a else [])
+    assert rank(a) == len(ref_pivots)
+    for keep_zeros in (False, True):
+        rows = _sparse_int_rows(a, keep_zeros)
+        got = kernel(rows, cols)
+        assert got == ref_kernel
+        assert all(type(x) is Fraction for v in got for x in v)
+        echelon = _echelon(rows)
+        assert [c for c, _ in echelon] == ref_pivots
+        assert all(math.gcd(*row.values()) == 1 and all(row.values())
+                   and not any(k in row for k in ref_pivots if k != c)
+                   for c, row in echelon)
     assert [list(row) for row in a] == before
 
 
@@ -123,6 +162,12 @@ def test_rref_matches_the_dense_reference_on_seeded_matrices(seed, kind):
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_the_dense_reference_on_random_rationals(a):
     _assert_rref_matches_the_dense_reference(a)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_kernel_of_no_rows_is_the_identity_basis(n):
+    assert kernel([], n) == identity(n)
+    assert kernel([{}, {0: 0}] if n else [{}], n) == identity(n)
 
 
 def test_nullspace_known():

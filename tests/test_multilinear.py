@@ -331,13 +331,14 @@ def test_lambda_k_action_matrix_matches_the_per_form_action(dim):
             for density in (0.3, 1.0):
                 a = _seeded_square(rng, dim, kind, density)
                 got = lambda_k_action_matrix(a, k, dim)
-                assert got == _per_form_matrix(reference_action, a, k, dim), (
-                    dim, k, kind, density)
-                if kind == "int":
-                    assert all(type(x) is int for row in got for x in row)
-                else:
-                    assert all(type(x) is Fraction
-                               for row in got for x in row if x)
+                dense = [[row.get(c, 0) for c in range(len(got))]
+                         for row in got]
+                assert dense == _per_form_matrix(reference_action, a, k,
+                                                 dim), (dim, k, kind, density)
+                entries = [x for row in got for x in row.values()]
+                assert all(entries)
+                assert all(type(x) is (int if kind == "int" else Fraction)
+                           for x in entries)
 
 
 @pytest.mark.parametrize("dim", range(3, 9))
