@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
+from itertools import accumulate
 
 from .linalg import (det, frac, identity, inverse, mat, mat_mul, mat_vec,
                      nullspace, solve, transpose)
@@ -86,19 +87,14 @@ def so3_irrep(dim):
     def rot_action(axis):
         # vector field x_i d/d x_j - x_j d/d x_i on degree-d monomials
         i, j = {(0): (1, 2), 1: (2, 0), 2: (0, 1)}[axis]
-        out = [[Fraction(0)] * len(monos) for _ in range(len(monos))]
+        out = _czero(len(monos))
         for m, col in pos.items():
-            e = list(m)
-            if e[j] > 0:
-                e2 = list(e)
-                e2[j] -= 1
-                e2[i] += 1
-                out[pos[tuple(e2)]][col] += -Fraction(e[j])
-            if e[i] > 0:
-                e2 = list(e)
-                e2[i] -= 1
-                e2[j] += 1
-                out[pos[tuple(e2)]][col] += Fraction(e[i])
+            for src, dst, sign in ((j, i, -1), (i, j, 1)):
+                if m[src] > 0:
+                    e = list(m)
+                    e[src] -= 1
+                    e[dst] += 1
+                    out[pos[tuple(e)]][col] += Fraction(sign * m[src])
         return out
 
     acts = [rot_action(a) for a in range(3)]
@@ -125,16 +121,9 @@ def orthogonal_algebra_of_form(d):
     invariant inner product D is rational but not the standard one; the
     basis is D^{-1} (E_ij - E_ji).
     """
-    n = len(d)
     dinv = inverse(mat(d))
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = _czero(n)
-            a[i][j] = Fraction(1)
-            a[j][i] = Fraction(-1)
-            basis.append(mat_mul(dinv, a))
-    return MatrixLieAlgebra(f"so({n};form)", basis)
+    return MatrixLieAlgebra(f"so({len(d)};form)",
+                            [mat_mul(dinv, a) for a in so_basis(len(d))])
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +140,15 @@ def _su2_group_real(q):
 
 def _block_diag(blocks):
     total = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * total for _ in range(total)]
-    off = 0
-    for b in blocks:
-        for i in range(len(b)):
-            for j in range(len(b)):
-                out[off + i][off + j] = frac(b[i][j])
-        off += len(b)
-    return out
+    offsets = accumulate([len(b) for b in blocks], initial=0)
+    return _combination([1] * len(blocks), [
+        _embed_block(b, total, off) for b, off in zip(blocks, offsets)])
 
 
 def _combination(coeffs, mats):
     """The matrix sum of c m over the paired coefficients and matrices, as
     Fractions; zero coefficients and zero entries are skipped."""
-    n = len(mats[0])
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = _czero(len(mats[0]))
     for c, m in zip(coeffs, mats):
         if c == 0:
             continue

@@ -23,7 +23,7 @@ from .linalg import (adjugate, cleared, identity, mat, mat_mul, nullspace,
                      rank, solve, transpose)
 from .isotropy import (IsotropyModule, _frozen_matrix, invariant_3forms,
                        invariant_kforms)
-from .liealg import MatrixLieAlgebra
+from .liealg import MatrixLieAlgebra, _sparse, _sparse_mul
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .scan import ScanConfig, family_hitchin_map, scan_family
 from .stable_forms import (Orbit3Class, _dual_coefficients, _star_on_dual_ray,
@@ -130,21 +130,11 @@ def build_complex(m: IsotropyModule) -> InvariantComplex:
 
 
 def _assert_d_squared_zero(diffs):
-    """Exact d_{k+1} d_k = 0 for every k; the product skips zero entries."""
-    for k in range(len(diffs) - 1):
-        a, b = diffs[k + 1], diffs[k]
-        if not a or not b or not a[0] or not b[0]:
-            continue
-        b_rows = [{c: x for c, x in enumerate(row) if x} for row in b]
-        for row in a:
-            acc = {}
-            for j, x in enumerate(row):
-                if x:
-                    for c, y in b_rows[j].items():
-                        acc[c] = acc.get(c, 0) + x * y
-            if any(acc.values()):
-                raise AssertionError(
-                    f"d^2 != 0 between degrees {k} and {k + 2}")
+    """Exact d_{k+1} d_k = 0 for every k, as one sparse product each."""
+    for k, (b, a) in enumerate(zip(diffs, diffs[1:])):
+        if _sparse_mul(_sparse(a), _sparse(b)):
+            raise AssertionError(
+                f"d^2 != 0 between degrees {k} and {k + 2}")
 
 
 def complex_ranks(c: InvariantComplex):

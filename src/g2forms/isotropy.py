@@ -284,8 +284,9 @@ def irreducible_dims(m: IsotropyModule):
     `_invariant_symmetric_forms`; that invariance, A^T G + G A = 0 for
     every action matrix, is checked exactly first (AssertionError
     otherwise).  A zero action leaves every line invariant, so V splits
-    into n lines with no draw, and one form proves V irreducible.
-    Otherwise V is split by one commutant element C = G^-1 S, S a random
+    into n lines with no draw.  Any other action needs a definite G
+    (AssertionError otherwise); then one form proves V irreducible, and
+    more forms split V by one commutant element C = G^-1 S, S a random
     integer combination of the forms: self-adjoint for a definite form, C
     is diagonalizable with real eigenvalues, and its eigenspaces E_j are
     invariant.  A generic C has distinct eigenvalues on the trivial
@@ -314,6 +315,8 @@ def _irreducible_dims(m):
             raise AssertionError("gram is not invariant under the action")
     if not any(x for a in m.action for row in a for x in row):
         return [1] * n
+    if not _definite_check(m.gram):
+        raise AssertionError("gram is not definite")
     forms = [cleared(s)[0] for s in m._action_symmetric_forms]
     dims = ([n] if len(forms) == 1 else _certified_split(
         forms, cleared(inverse(m.gram))[0], random.Random(0)))

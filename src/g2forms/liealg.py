@@ -217,8 +217,12 @@ class MatrixLieAlgebra:
 # constructors
 # ---------------------------------------------------------------------------
 
+def _czero(n):
+    return [[Fraction(0)] * n for _ in range(n)]
+
+
 def _embed_block(small, size, offset):
-    out = [[Fraction(0)] * size for _ in range(size)]
+    out = _czero(size)
     k = len(small)
     for i in range(k):
         for j in range(k):
@@ -229,7 +233,7 @@ def _embed_block(small, size, offset):
 def creal(a, b):
     """Real 2n x 2n expansion of the complex matrix a + i b."""
     n = len(a)
-    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    out = _czero(2 * n)
     for p in range(n):
         for q in range(n):
             x, y = frac(a[p][q]), frac(b[p][q])
@@ -240,11 +244,8 @@ def creal(a, b):
     return out
 
 
-def _czero(n):
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
 def so_basis(n):
+    """The units E_ij - E_ji of so(n), i < j, in lexicographic order."""
     out = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -255,33 +256,24 @@ def so_basis(n):
     return out
 
 
+def _symmetric(a):
+    """E_ij + E_ji from the so(n) unit E_ij - E_ji."""
+    return [[abs(x) for x in row] for row in a]
+
+
 def su_basis(n):
     """Real 2n x 2n basis of su(n): off-diagonal pairs, then diagonal tori."""
+    z = _czero(n)
     out = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            a = _czero(n)
-            a[p][q] = Fraction(1)
-            a[q][p] = Fraction(-1)
-            out.append(creal(a, _czero(n)))
-            b = _czero(n)
-            b[p][q] = Fraction(1)
-            b[q][p] = Fraction(1)
-            out.append(creal(_czero(n), b))
-    for p in range(n - 1):
-        b = _czero(n)
-        b[p][p] = Fraction(1)
-        b[p + 1][p + 1] = Fraction(-1)
-        out.append(creal(_czero(n), b))
-    return out
+    for a in so_basis(n):
+        out += [creal(a, z), creal(z, _symmetric(a))]
+    return out + [diag_torus_su(n, [0] * p + [1, -1] + [0] * (n - p - 2))
+                  for p in range(n - 1)]
 
 
 def u_basis(n):
     """u(n) = su(n) + center, realized over R."""
-    b = _czero(n)
-    for p in range(n):
-        b[p][p] = Fraction(1)
-    return su_basis(n) + [creal(_czero(n), b)]
+    return su_basis(n) + [creal(_czero(n), identity(n))]
 
 
 def diag_torus_su(n, weights):
@@ -298,20 +290,15 @@ def sp_matrix(a_re, a_im, b_re, b_im):
     A = a_re + i a_im and B = b_re + i b_im are n x n; the 2n x 2n complex
     matrix is assembled, then expanded by `creal`.
     """
-    n = len(a_re)
-    m_re = _czero(2 * n)
-    m_im = _czero(2 * n)
-    for p in range(n):
-        for q in range(n):
-            m_re[p][q] = a_re[p][q]
-            m_im[p][q] = a_im[p][q]
-            m_re[p][n + q] = b_re[p][q]
-            m_im[p][n + q] = b_im[p][q]
-            m_re[n + p][q] = -b_re[p][q]
-            m_im[n + p][q] = b_im[p][q]
-            m_re[n + p][n + q] = a_re[p][q]
-            m_im[n + p][n + q] = -a_im[p][q]
-    return creal(m_re, m_im)
+    def neg(m):
+        return [[-x for x in row] for row in m]
+
+    def join(grid):
+        # the matrix [[P, Q], [R, S]] of its four n x n blocks
+        return [[*p, *q] for left, right in grid for p, q in zip(left, right)]
+
+    return creal(join([[a_re, b_re], [neg(b_re), a_re]]),
+                 join([[a_im, b_im], [b_im, neg(a_im)]]))
 
 
 def sp_basis(n):
@@ -324,21 +311,13 @@ def sp_basis(n):
     for p in range(n):
         d = _czero(n)
         d[p][p] = Fraction(1)
-        out.append(sp_matrix(z, d, z, z))      # i a_p diagonal
-        out.append(sp_matrix(z, z, d, z))      # B = E_pp
-        out.append(sp_matrix(z, z, z, d))      # B = i E_pp
-    for p in range(n):
-        for q in range(p + 1, n):
-            a = _czero(n)
-            a[p][q] = Fraction(1)
-            a[q][p] = Fraction(-1)
-            out.append(sp_matrix(a, z, z, z))
-            b = _czero(n)
-            b[p][q] = Fraction(1)
-            b[q][p] = Fraction(1)
-            out.append(sp_matrix(z, b, z, z))
-            out.append(sp_matrix(z, z, b, z))
-            out.append(sp_matrix(z, z, z, b))
+        # i a_p diagonal, B = E_pp, B = i E_pp
+        out += [sp_matrix(z, d, z, z), sp_matrix(z, z, d, z),
+                sp_matrix(z, z, z, d)]
+    for a in so_basis(n):
+        b = _symmetric(a)
+        out += [sp_matrix(a, z, z, z), sp_matrix(z, b, z, z),
+                sp_matrix(z, z, b, z), sp_matrix(z, z, z, b)]
     return out
 
 
@@ -348,10 +327,7 @@ def rotation_block():
 
 def torus_basis(k):
     """R^k as k commuting rotation blocks (2k x 2k); -tr form is definite."""
-    out = []
-    for p in range(k):
-        out.append(_embed_block(rotation_block(), 2 * k, 2 * p))
-    return out
+    return [_embed_block(rotation_block(), 2 * k, 2 * p) for p in range(k)]
 
 
 def product_algebra(name, factors):

@@ -369,31 +369,49 @@ def form_from_json(obj) -> KForm:
     """Read the JSON of `form_to_json` back, strictly.
 
     `dim` and `degree` are JSON integers.  Each term's `idx` is a JSON list
-    of integers, and no index set appears in two terms.  `c` is a string
-    of an integer or of p/q ("5", "-2/3", q != 0) or a JSON integer, never
-    a float, a bool or a decimal or exponent string ("1e9999999" would
-    take seconds to expand).  An unsorted idx is sorted with the sign of its
-    permutation, and an idx with a repeated index is the zero term
-    (`KForm.make`).  Anything else raises ValueError.
+    of exactly `degree` integers, and no index set appears in two terms.
+    `c` is a string of an integer or of p/q ("5", "-2/3", q != 0) or a JSON
+    integer, never a float, a bool or a decimal or exponent string
+    ("1e9999999" would take seconds to expand).  An unsorted idx is sorted
+    with the sign of its permutation, taken from one sort
+    (`_sorted_with_sign`), and an idx with a repeated index is the zero
+    term.  Anything else raises ValueError.
     """
     try:
         dim = _json_int(obj["dim"], "dim")
         degree = _json_int(obj["degree"], "degree")
-        items, seen = [], set()
+        terms = {}
         for t in obj["terms"]:
             idx, c = t["idx"], t["c"]
             if not isinstance(idx, list):
                 raise ValueError(f"idx must be a JSON list, got {idx!r}")
+            if len(idx) != degree:
+                raise ValueError(f"an idx holds {len(idx)} indices, not "
+                                 f"the degree {degree}")
             idx = tuple(_json_int(i, "an index") for i in idx)
-            key = tuple(sorted(idx))
-            if key in seen:
+            key, sign = _sorted_with_sign(idx)
+            if key in terms:
                 raise ValueError(f"index set {list(key)} appears twice")
-            seen.add(key)
             if not (type(c) is int or isinstance(c, str)
                     and _RATIONAL.fullmatch(c)):
                 raise ValueError("c must be a string n or p/q or a JSON "
                                  f"integer, got {c!r}")
-            items.append((idx, Fraction(c)))
+            # a zero term, a repeated index's among them, is dropped by KForm
+            terms[key] = sign * Fraction(c)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed form object: {exc}") from exc
-    return KForm.make(dim, degree, items)
+    return KForm(dim, degree, terms)
+
+
+def _sorted_with_sign(idx):
+    """`sort_index` from one O(L log L) sort, for the unbounded idx of a
+    form file; its insertion sort stays faster on short tuples."""
+    order = sorted(range(len(idx)), key=idx.__getitem__)
+    key = tuple(idx[i] for i in order)
+    sign = 0 if len(set(key)) < len(key) else 1
+    for i in range(len(order)):  # one swap per position put in place
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], j
+            sign = -sign
+    return key, sign

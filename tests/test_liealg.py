@@ -540,6 +540,16 @@ def test_irreducible_dims_refuse_a_gram_that_is_not_invariant():
         irreducible_dims(mod)
 
 
+def test_irreducible_dims_refuse_a_gram_that_is_not_definite():
+    # the boost preserves diag(1, -1) and is self-adjoint for it, yet R^2
+    # splits into the invariant lines (1, 1) and (1, -1); the certificate
+    # needs a definite gram, so [2] would be a wrong answer
+    mod = module_from_action("boost", [[[0, 1], [1, 0]]],
+                             gram=[[1, 0], [0, -1]])
+    with pytest.raises(AssertionError, match="gram is not definite"):
+        irreducible_dims(mod)
+
+
 def test_invariant_inner_product_is_the_positive_unique_form(monkeypatch):
     from g2forms import isotropy
 

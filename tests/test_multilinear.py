@@ -156,6 +156,42 @@ def test_form_json_roundtrip():
         form_from_json({"dim": 7, "terms": []})
 
 
+def test_form_from_json_refuses_a_wrong_length_idx_before_sorting(
+        monkeypatch):
+    from g2forms import multilinear
+
+    def fail(idx):
+        raise AssertionError("sorted an idx")
+
+    monkeypatch.setattr(multilinear, "sort_index", fail)
+    for idx in ([3, 2], [4, 3, 2, 1], list(range(2000, 0, -1))):
+        obj = {"dim": 2000, "degree": 3, "terms": [{"idx": idx, "c": "1"}]}
+        with pytest.raises(ValueError, match=f"holds {len(idx)} indices"):
+            form_from_json(obj)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 2000])
+def test_form_from_json_reads_a_reversed_idx_with_its_sign(length):
+    # the reversal of L indices is L(L - 1)/2 transpositions
+    obj = {"dim": length, "degree": length,
+           "terms": [{"idx": list(range(length, 0, -1)), "c": "3"}]}
+    form = form_from_json(obj)
+    sign = (-1) ** (length * (length - 1) // 2)
+    assert form.terms == {tuple(range(1, length + 1)): 3 * sign}
+
+
+def test_form_from_json_takes_the_sign_of_sort_index():
+    rng = random.Random(35)
+    for _ in range(200):
+        length = rng.randint(0, 7)
+        idx = [rng.randint(1, 7) for _ in range(length)]
+        obj = {"dim": 7, "degree": length,
+               "terms": [{"idx": idx, "c": "1"}]}
+        key, sign = sort_index(idx)
+        expected = {key: sign} if sign else {}
+        assert form_from_json(obj).terms == expected
+
+
 def test_make_normalizes_order_and_sign():
     a = KForm.make(7, 3, [((3, 1, 2), 1)])
     assert a == w(7, 1, 2, 3)
