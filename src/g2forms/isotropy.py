@@ -284,15 +284,15 @@ def irreducible_dims(m: IsotropyModule):
     `_invariant_symmetric_forms`; that invariance, A^T G + G A = 0 for
     every action matrix, is checked exactly first (AssertionError
     otherwise).  A zero action leaves every line invariant, so V splits
-    into n lines with no draw.  Any other action needs a definite G
-    (AssertionError otherwise); then one form proves V irreducible, and
-    more forms split V by one commutant element C = G^-1 S, S a random
-    integer combination of the forms: self-adjoint for a definite form, C
-    is diagonalizable with real eigenvalues, and its eigenspaces E_j are
-    invariant.  A generic C has distinct eigenvalues on the trivial
-    isotypic part too, so the same draw splits it into 1s.  The dimensions
-    of the E_j, the root multiplicities of charpoly(C), are read by
-    squarefree counting (`root_multiplicities`), with no factoring.  The
+    into n lines with no draw.  Any other action needs a positive or
+    negative definite G (AssertionError otherwise); then one form proves V
+    irreducible, and more forms split V by one commutant element
+    C = G^-1 S, S a random integer combination of the forms: self-adjoint
+    for a definite form, C is diagonalizable with real eigenvalues, and its
+    eigenspaces E_j are invariant.  A generic C has distinct eigenvalues on
+    the trivial isotypic part too, so the same draw splits it into 1s.  The
+    dimensions of the E_j, the root multiplicities of charpoly(C), are read
+    by squarefree counting (`root_multiplicities`), with no factoring.  The
     split is accepted only when the commutant elements that also commute
     with C, the G^-1 S' with S' C symmetric, have dimension equal to the
     number of eigenvalues: that dimension is the sum over j of
@@ -315,7 +315,11 @@ def _irreducible_dims(m):
             raise AssertionError("gram is not invariant under the action")
     if not any(x for a in m.action for row in a for x in row):
         return [1] * n
-    if not _definite_check(m.gram):
+    # G is definite when d_k d_1^k > 0 for every leading minor d_k: all
+    # d_k > 0 for a positive G, signs alternating from d_1 < 0 for -G
+    minors = leading_principal_minors(gram)
+    if minors is None or any(d * minors[0] ** k <= 0
+                             for k, d in enumerate(minors, 1)):
         raise AssertionError("gram is not definite")
     forms = [cleared(s)[0] for s in m._action_symmetric_forms]
     dims = ([n] if len(forms) == 1 else _certified_split(

@@ -25,20 +25,22 @@ from .linalg import ZERO, cleared, frac
 
 
 def sort_index(idx):
-    """Sort an index tuple, returning (tuple, sign); sign 0 on repeats."""
-    idx = list(idx)
+    """Sort an index tuple, returning (tuple, sign); sign 0 on repeats.
+
+    One O(L log L) sort; the sign is the parity of the sorting permutation,
+    one swap per position put in place.
+    """
+    order = sorted(range(len(idx)), key=idx.__getitem__)
+    key = tuple([idx[i] for i in order])
+    if len(set(key)) < len(key):
+        return key, 0
     sign = 1
-    # insertion sort; counts transpositions exactly
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+    for i in range(len(order)):
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], j
             sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+    return key, sign
 
 
 @dataclass(frozen=True)
@@ -373,9 +375,8 @@ def form_from_json(obj) -> KForm:
     `c` is a string of an integer or of p/q ("5", "-2/3", q != 0) or a JSON
     integer, never a float, a bool or a decimal or exponent string
     ("1e9999999" would take seconds to expand).  An unsorted idx is sorted
-    with the sign of its permutation, taken from one sort
-    (`_sorted_with_sign`), and an idx with a repeated index is the zero
-    term.  Anything else raises ValueError.
+    with the sign of its permutation (`sort_index`), and an idx with a
+    repeated index is the zero term.  Anything else raises ValueError.
     """
     try:
         dim = _json_int(obj["dim"], "dim")
@@ -389,7 +390,7 @@ def form_from_json(obj) -> KForm:
                 raise ValueError(f"an idx holds {len(idx)} indices, not "
                                  f"the degree {degree}")
             idx = tuple(_json_int(i, "an index") for i in idx)
-            key, sign = _sorted_with_sign(idx)
+            key, sign = sort_index(idx)
             if key in terms:
                 raise ValueError(f"index set {list(key)} appears twice")
             if not (type(c) is int or isinstance(c, str)
@@ -402,16 +403,3 @@ def form_from_json(obj) -> KForm:
         raise ValueError(f"malformed form object: {exc}") from exc
     return KForm(dim, degree, terms)
 
-
-def _sorted_with_sign(idx):
-    """`sort_index` from one O(L log L) sort, for the unbounded idx of a
-    form file; its insertion sort stays faster on short tuples."""
-    order = sorted(range(len(idx)), key=idx.__getitem__)
-    key = tuple(idx[i] for i in order)
-    sign = 0 if len(set(key)) < len(key) else 1
-    for i in range(len(order)):  # one swap per position put in place
-        while order[i] != i:
-            j = order[i]
-            order[i], order[j] = order[j], j
-            sign = -sign
-    return key, sign

@@ -540,14 +540,21 @@ def test_irreducible_dims_refuse_a_gram_that_is_not_invariant():
         irreducible_dims(mod)
 
 
-def test_irreducible_dims_refuse_a_gram_that_is_not_definite():
+def test_irreducible_dims_need_a_positive_or_negative_definite_gram():
+    import dataclasses
+
     # the boost preserves diag(1, -1) and is self-adjoint for it, yet R^2
     # splits into the invariant lines (1, 1) and (1, -1); the certificate
     # needs a definite gram, so [2] would be a wrong answer
-    mod = module_from_action("boost", [[[0, 1], [1, 0]]],
-                             gram=[[1, 0], [0, -1]])
-    with pytest.raises(AssertionError, match="gram is not definite"):
-        irreducible_dims(mod)
+    for gram in ([[1, 0], [0, -1]], [[-1, 0], [0, 1]]):
+        mod = module_from_action("boost", [[[0, 1], [1, 0]]], gram=gram)
+        with pytest.raises(AssertionError, match="gram is not definite"):
+            irreducible_dims(mod)
+    # C = G^-1 S is self-adjoint for -G as for G, so the split is the same
+    mod = build_entry("2ci")
+    flipped = dataclasses.replace(
+        mod, gram=[[-x for x in row] for row in mod.gram])
+    assert irreducible_dims(flipped) == irreducible_dims(mod) == [1, 1, 1, 4]
 
 
 def test_invariant_inner_product_is_the_positive_unique_form(monkeypatch):

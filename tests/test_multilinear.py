@@ -180,15 +180,17 @@ def test_form_from_json_reads_a_reversed_idx_with_its_sign(length):
     assert form.terms == {tuple(range(1, length + 1)): 3 * sign}
 
 
-def test_form_from_json_takes_the_sign_of_sort_index():
+def test_sort_index_sign_is_the_parity_of_the_inversions():
     rng = random.Random(35)
     for _ in range(200):
         length = rng.randint(0, 7)
         idx = [rng.randint(1, 7) for _ in range(length)]
+        inversions = sum(a > b for a, b in combinations(idx, 2))
+        sign = 0 if len(set(idx)) < length else (-1) ** inversions
+        assert sort_index(idx) == (tuple(sorted(idx)), sign)
         obj = {"dim": 7, "degree": length,
                "terms": [{"idx": idx, "c": "1"}]}
-        key, sign = sort_index(idx)
-        expected = {key: sign} if sign else {}
+        expected = {tuple(sorted(idx)): sign} if sign else {}
         assert form_from_json(obj).terms == expected
 
 
