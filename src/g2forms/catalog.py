@@ -30,7 +30,7 @@ from importlib import resources
 from itertools import accumulate
 
 from .linalg import (det, frac, identity, inverse, mat, mat_mul, mat_vec,
-                     nullspace, solve, transpose)
+                     nullspace, rank, solve, transpose)
 from .isotropy import (IsotropyModule, invariant_3forms, invariant_dims,
                        invariant_form_types, invariant_inner_product,
                        irreducible_dims, module_from_action)
@@ -490,8 +490,8 @@ def _sign_spectrum(f):
     f a list returned is its spectrum; None on an f that preserves no
     definite form (a Jordan block, say) does not rule a rational one out.
     """
-    dims = [len(nullspace([[x + s * (i == j) for j, x in enumerate(row)]
-                           for i, row in enumerate(f)])) for s in (1, -1)]
+    dims = [len(f) - rank([[x + s * (i == j) for j, x in enumerate(row)]
+                           for i, row in enumerate(f)]) for s in (1, -1)]
     if sum(dims) != len(f):
         return None
     return [Fraction(-1)] * dims[0] + [Fraction(1)] * dims[1]

@@ -26,9 +26,8 @@ from functools import cached_property
 from math import comb
 from types import MappingProxyType
 
-from .linalg import (charpoly, cleared, identity, intersect_nullspaces,
-                     inverse, kernel, leading_principal_minors, mat, mat_mul,
-                     mat_sub, nullspace, rank, root_multiplicities, transpose)
+from .linalg import (adjugate, charpoly, cleared, inertia, kernel, mat_mul,
+                     rank, root_multiplicities, transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
 from .scan import SchurCertificate, ScanConfig, scan_family
@@ -110,33 +109,25 @@ class IsotropyModule:
                      _invariant_symmetric_forms(self.action, [], n=self.dimV))
 
     def kernel_dim(self):
-        """dim of {X in h : ad(X)|V = 0} -- must be 0 for effective entries."""
-        if not self.action:
-            return 0
-        cols = [[x for row in a for x in row] for a in self.action]
-        return len(nullspace(transpose(mat(cols))))
-
-
-def _definite_check(gram):
-    minors = leading_principal_minors(cleared(gram)[0])
-    return minors is not None and all(m > 0 for m in minors)
+        """dim of {X in h : ad(X)|V = 0}, h_dim - rank; 0 when effective."""
+        return self.h_dim - rank([[x for row in a for x in row]
+                                  for a in self.action])
 
 
 def invariant_inner_product(action):
     """The unique invariant symmetric form, positive definite.
 
-    Negated when its (0, 0) entry is negative; a ValueError when the form
-    is not unique or not definite.
+    Negated when `inertia` reads it negative definite; a ValueError when
+    the form is not unique or not definite.
     """
     forms = _invariant_symmetric_forms(action, [])
     if len(forms) != 1:
         raise ValueError("invariant inner product is not unique")
     gram = forms[0]
-    if gram[0][0] < 0:
-        gram = [[-x for x in row] for row in gram]
-    if not _definite_check(gram):
+    p, q, _ = inertia(gram)
+    if len(gram) not in (p, q):
         raise ValueError("invariant inner product is not definite")
-    return gram
+    return gram if p else [[-x for x in row] for row in gram]
 
 
 def module_from_action(label, action, gram=None) -> IsotropyModule:
@@ -245,10 +236,9 @@ def invariant_dims(m: IsotropyModule) -> InvariantDims:
     d3 = d1 + d2 is a theorem only in the presence of a definite invariant
     form and is cross-checked by callers, not assumed here.
     """
-    kill = list(m.action)
-    for _, f in m.generators:
-        kill.append(mat_sub(mat(f), identity(m.dimV)))
-    d1 = len(intersect_nullspaces(kill)) if kill else m.dimV
+    d1 = m.dimV - rank([row for a in m.action for row in a] + [
+        [x - (i == j) for j, x in enumerate(row)]  # the rows of F - 1
+        for _, f in m.generators for i, row in enumerate(f)])
     d2 = len(_invariant_symmetric_forms(m.action, [f for _, f in m.generators],
                                         n=m.dimV)
              if m.generators else m._action_symmetric_forms)
@@ -266,8 +256,8 @@ _SPLITTER_DRAWS = 40
 
 def _draw_splitter(forms, ginv, rng):
     """G^-1 times a random integer combination of the invariant symmetric
-    forms, an integer matrix: `ginv` is G^-1 cleared to integers, and the
-    scale keeps eigenspaces and commutant."""
+    forms, an integer matrix: `ginv` is the adjugate of G cleared, a nonzero
+    multiple of G^-1, and the scale keeps eigenspaces and commutant."""
     coeffs = [rng.randint(-9, 9) for _ in forms]
     n = len(ginv)
     s = [[sum(cf * f[i][j] for cf, f in zip(coeffs, forms)) for j in range(n)]
@@ -315,15 +305,11 @@ def _irreducible_dims(m):
             raise AssertionError("gram is not invariant under the action")
     if not any(x for a in m.action for row in a for x in row):
         return [1] * n
-    # G is definite when d_k d_1^k > 0 for every leading minor d_k: all
-    # d_k > 0 for a positive G, signs alternating from d_1 < 0 for -G
-    minors = leading_principal_minors(gram)
-    if minors is None or any(d * minors[0] ** k <= 0
-                             for k, d in enumerate(minors, 1)):
+    if n not in inertia(gram)[:2]:
         raise AssertionError("gram is not definite")
     forms = [cleared(s)[0] for s in m._action_symmetric_forms]
     dims = ([n] if len(forms) == 1 else _certified_split(
-        forms, cleared(inverse(m.gram))[0], random.Random(0)))
+        forms, adjugate(gram)[1], random.Random(0)))
     if sum(dims) != n:
         raise AssertionError("irreducible dimensions do not add up")
     return dims
@@ -352,8 +338,8 @@ def _certified_split(forms, ginv, rng):
 
 def schur_exclusion(m: IsotropyModule):
     """The `SchurCertificate` on the certified `irreducible_dims` of m, or
-    None when the gram is not definite or the recheck refuses the dims."""
-    if not _definite_check(m.gram):
+    None when the gram is not +-definite or the recheck refuses the dims."""
+    if m.dimV not in inertia(m.gram)[:2]:
         return None
     cert = SchurCertificate(tuple(irreducible_dims(m)))
     return cert if cert.recheck() else None

@@ -22,12 +22,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .isotropy import IsotropyModule, _definite_check
+from .isotropy import IsotropyModule
 # perfbench's tracer and workloads resolve these names on liealg
 from .isotropy import (ScanConfig, invariant_3forms, invariant_dims,
                        invariant_form_types, irreducible_dims)
-from .linalg import (adjugate, cleared, frac, identity, nullspace, rank, rref,
-                     solve, transpose)
+from .linalg import (adjugate, cleared, frac, identity, inertia, mat_mul,
+                     nullspace, rank, rref, solve, transpose)
 
 
 def _sparse(m):
@@ -385,12 +385,13 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
     vector u_k is cleared to w_k / s_k, w_k integer; the bracket of a pair
     is then an integer combination of structure constants over D s_i s_j,
     and its (h | V) components come from one integer `solve` against the
-    w_k (`_solve_cleared`).  Raises when the trace form is not definite or
-    h is not a subalgebra; [h, V] subset V and the representation property
-    of the action are asserted exactly.
+    w_k (`_solve_cleared`).  Raises when the trace form is not positive
+    definite (the realization is then not compact) or h is not a
+    subalgebra; [h, V] subset V and the representation property of the
+    action are asserted exactly.
     """
     gram_g, gden = g._int_trace_form
-    if not _definite_check(gram_g):
+    if inertia(gram_g)[0] != g.dim:
         raise ValueError(f"{g.name}: invariant trace form is not definite")
     hmat = [g.coords(x) for x in h_elements]
     if any(c is None for c in hmat):
@@ -400,7 +401,7 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
     hdim = len(hmat)
     hw = [_cleared_vector(h) for h in hmat]
     # V = trace-form orthogonal complement of h
-    vvecs = (nullspace([_vec_mat(w, gram_g) for w, _ in hw])
+    vvecs = (nullspace(mat_mul([w for w, _ in hw], gram_g))
              if hmat else identity(g.dim))
     dimv = len(vvecs)
     basis = hw + [_cleared_vector(v) for v in vvecs]
@@ -431,14 +432,11 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
         action.append(transpose(cols))
     brackets = {(i, j): split[(hdim + i, hdim + j)][1]
                 for i, j in combinations(range(dimv), 2)}
-    vw = basis[hdim:]
-    gram_v = [[None] * dimv for _ in range(dimv)]
-    for i, (wi, si) in enumerate(vw):
-        wg = _vec_mat(wi, gram_g)
-        for j in range(i, dimv):
-            wj, sj = vw[j]
-            gram_v[i][j] = gram_v[j][i] = Fraction(
-                sum(x * y for x, y in zip(wg, wj)), gden * si * sj)
+    # the restricted gram W G W^T / (L^2 s_i s_j), W the rows w_i
+    ws, ss = [w for w, _ in basis[hdim:]], [s for _, s in basis[hdim:]]
+    wgw = mat_mul(mat_mul(ws, gram_g), transpose(ws))
+    gram_v = [[Fraction(x, gden * si * sj) for x, sj in zip(row, ss)]
+              for row, si in zip(wgw, ss)]
     _check_rep_property(action, h_brackets)
     return IsotropyModule(label=label, dimV=dimv, action=action, gram=gram_v,
                           brackets=brackets, h_coords=hmat, V_coords=vvecs,
@@ -449,17 +447,6 @@ def _cleared_vector(v):
     """A rational vector as (w, s): w integer, s > 0, v == w / s."""
     (w,), s = cleared([v])
     return w, s
-
-
-def _vec_mat(w, m):
-    """The integer row vector w times the matrix m (rows of equal length)."""
-    out = [0] * len(m[0])
-    for a, wa in enumerate(w):
-        if wa:
-            for b, x in enumerate(m[a]):
-                if x:
-                    out[b] += wa * x
-    return out
 
 
 def _solve_cleared(basis, rhs):
@@ -503,7 +490,8 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
     den = g._coord_solver[1] * fdet
 
     def images(vecs):
-        return [(_vec_mat(w, imgs), den * s) for w, s in vecs]
+        return [(p, den * s) for p, (_, s)
+                in zip(mat_mul([w for w, _ in vecs], imgs), vecs)]
 
     # h must be preserved (nothing to check when h = 0)
     hw = [_cleared_vector(h) for h in hmat]

@@ -42,10 +42,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a, b):
     bt = transpose(b)
     return [[sum(map(mul, row, col)) for col in bt] for row in a]

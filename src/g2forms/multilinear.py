@@ -371,7 +371,9 @@ def form_from_json(obj) -> KForm:
     """Read the JSON of `form_to_json` back, strictly.
 
     `dim` and `degree` are JSON integers.  Each term's `idx` is a JSON list
-    of exactly `degree` integers, and no index set appears in two terms.
+    of exactly `degree` integers in 1..dim, and no index set appears in two
+    terms; a refusal names the term and the offending position and value,
+    never the whole list.
     `c` is a string of an integer or of p/q ("5", "-2/3", q != 0) or a JSON
     integer, never a float, a bool or a decimal or exponent string
     ("1e9999999" would take seconds to expand).  An unsorted idx is sorted
@@ -381,8 +383,8 @@ def form_from_json(obj) -> KForm:
     try:
         dim = _json_int(obj["dim"], "dim")
         degree = _json_int(obj["degree"], "degree")
-        terms = {}
-        for t in obj["terms"]:
+        terms, first = {}, {}
+        for n, t in enumerate(obj["terms"], 1):
             idx, c = t["idx"], t["c"]
             if not isinstance(idx, list):
                 raise ValueError(f"idx must be a JSON list, got {idx!r}")
@@ -390,9 +392,15 @@ def form_from_json(obj) -> KForm:
                 raise ValueError(f"an idx holds {len(idx)} indices, not "
                                  f"the degree {degree}")
             idx = tuple(_json_int(i, "an index") for i in idx)
+            for p, i in enumerate(idx, 1):
+                if not 1 <= i <= dim:
+                    raise ValueError(f"term {n}: index {p} of idx is {i}, "
+                                     f"outside 1..{dim}")
             key, sign = sort_index(idx)
             if key in terms:
-                raise ValueError(f"index set {list(key)} appears twice")
+                raise ValueError(f"terms {first[key]} and {n} have the same "
+                                 "index set")
+            first[key] = n
             if not (type(c) is int or isinstance(c, str)
                     and _RATIONAL.fullmatch(c)):
                 raise ValueError("c must be a string n or p/q or a JSON "

@@ -17,7 +17,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import permutations, product
 
-from .linalg import cleared, frac, inverse, kernel, mat_mul, nullspace
+from .linalg import cleared, frac, inverse, kernel, mat_mul
 from .multilinear import KForm, lambda_k_action_matrix, pullback
 from .stable_forms import IDX3, PHI, PHITILDE
 
@@ -75,6 +75,11 @@ def _raw_table(gamma):
     return table
 
 
+def _signed(t):
+    """(k, sign) of a table entry t = sign * (k + 1): e_i e_j = sign e_k."""
+    return abs(t) - 1, (1 if t > 0 else -1)
+
+
 @dataclass(frozen=True)
 class OctonionAlgebra:
     """Eight-dimensional alternative algebra with a signed-index table."""
@@ -104,35 +109,27 @@ def derivation_algebra(table):
     """Exact basis of derivations of the 7-dimensional imaginary part.
 
     D is a derivation when D(x*y) = D(x)*y + x*D(y); the unit forces
-    D(e_0) = 0, so D is determined by a 7x7 matrix.  Returns 7x7 matrices.
+    D(e_0) = 0, so D is determined by a 7x7 matrix.  Each component of each
+    pair's equation is one sparse integer row in the 49 unknowns D[r][c],
+    and one `kernel` solves them all.  Returns 7x7 matrices.
     """
-    # unknowns D[r][c], 1 <= r, c <= 7 (0-based 49); equations over all pairs
     rows = []
     for i in range(1, 8):
         for j in range(1, 8):
-            t = table[i][j]
-            k, sk = abs(t) - 1, (1 if t > 0 else -1)
-            # component m of: D(e_i e_j) - D(e_i) e_j - e_i D(e_j) = 0
-            for m in range(8):
-                row = [Fraction(0)] * 49
-                # D(e_i e_j) = sk * D(e_k); zero when k = 0 (D kills the unit)
-                if k >= 1 and m >= 1:
-                    row[7 * (m - 1) + (k - 1)] += sk
-                # D(e_i) e_j = sum_r D[r][i] e_r e_j
-                for r in range(1, 8):
-                    t2 = table[r][j]
-                    k2, s2 = abs(t2) - 1, (1 if t2 > 0 else -1)
-                    if k2 == m:
-                        row[7 * (r - 1) + (i - 1)] -= s2
-                # e_i D(e_j) = sum_r D[r][j] e_i e_r
-                for r in range(1, 8):
-                    t3 = table[i][r]
-                    k3, s3 = abs(t3) - 1, (1 if t3 > 0 else -1)
-                    if k3 == m:
-                        row[7 * (r - 1) + (j - 1)] -= s3
-                if any(v != 0 for v in row):
-                    rows.append(row)
-    basis = nullspace(rows)
+            # eq[m]: component m of D(e_i e_j) - D(e_i) e_j - e_i D(e_j)
+            eq = [{} for _ in range(8)]
+            k, sk = _signed(table[i][j])
+            if k:  # D(e_i e_j) = sk D(e_k); D kills the unit
+                for m in range(1, 8):
+                    eq[m][7 * (m - 1) + k - 1] = sk
+            # D(e_i) e_j = sum_r D[r][i] e_r e_j, e_i D(e_j) likewise
+            for r in range(1, 8):
+                for t, c in ((table[r][j], 7 * (r - 1) + i - 1),
+                             (table[i][r], 7 * (r - 1) + j - 1)):
+                    m, s = _signed(t)
+                    eq[m][c] = eq[m].get(c, 0) - s
+            rows += eq
+    basis = kernel(rows, 49)
     return [[[v[7 * r + c] for c in range(7)] for r in range(7)] for v in basis]
 
 
@@ -194,8 +191,7 @@ def _realign_table(table, sigma, signs):
             oi = sigma[i - 1] if i >= 1 else 0
             sj = signs[j - 1] if j >= 1 else 1
             oj = sigma[j - 1] if j >= 1 else 0
-            t = table[oi][oj]
-            k, sk = abs(t) - 1, (1 if t > 0 else -1)
+            k, sk = _signed(table[oi][oj])
             s = si * sj * sk
             if k == 0:
                 new[i][j] = 1 if s > 0 else -1
@@ -232,8 +228,7 @@ def is_automorphism(alg: OctonionAlgebra, m) -> bool:
     exts = [unit] + images
     for i in range(1, 8):
         for j in range(1, 8):
-            t = alg.table[i][j]
-            k, sk = abs(t) - 1, (1 if t > 0 else -1)
+            k, sk = _signed(alg.table[i][j])
             lhs = [sk * x for x in exts[k]]
             rhs = alg.multiply(images[i - 1], images[j - 1])
             if lhs != rhs:

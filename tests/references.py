@@ -26,18 +26,25 @@ entries and clears a rational matrix to integers once.
 [-1] * a + [1] * b must have, to check `catalog._sign_spectrum` by a route
 that takes no kernel.
 
+`dense_d1` and `dense_kernel_dim`: d1 and the isotropy kernel as the
+length of a Fraction null space basis, `intersect_nullspaces` of the
+action matrices and the F - 1, and the `nullspace` of the transposed
+flattened action.  The package reads both as a dimension less a `rank`.
+
 The rest are the plain definitions the tests hold the package to, which no
-command needs: the dense matrix `trace` and `commutator`, an echelonized
-`span_basis`, the `bracket` and the Jacobi identity (`check_jacobi`) read
-off a Lie algebra's structure constants, the `cartan_3form` <X, [Y, Z]> of
-a module, and `coeff`, a k-form's value on an unsorted index tuple.
+command needs: the dense matrix `mat_sub`, `trace` and `commutator`, an
+echelonized `span_basis`, the `bracket` and the Jacobi identity
+(`check_jacobi`) read off a Lie algebra's structure constants, the
+`cartan_3form` <X, [Y, Z]> of a module, and `coeff`, a k-form's value on
+an unsorted index tuple.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from g2forms.linalg import ZERO, mat, mat_mul, mat_sub, mat_vec, rref
+from g2forms.linalg import (ZERO, identity, intersect_nullspaces, mat, mat_mul,
+                            mat_vec, nullspace, rref, transpose)
 from g2forms.multilinear import KForm, sort_index
 from g2forms.scan import FamilyHitchinMap
 from g2forms.stable_forms import (DIM, IDX3, hitchin_matrix, primitive_ray,
@@ -219,6 +226,10 @@ def sign_charpoly(a, b):
     return poly
 
 
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
@@ -303,3 +314,21 @@ def coeff(a, *idx):
     if sign == 0:
         return ZERO
     return sign * a.terms.get(key, ZERO)
+
+
+def dense_d1(m):
+    """dim of the vectors fixed by the module's action and generators: the
+    joint null space of every action matrix A and every F - 1."""
+    kill = list(m.action)
+    for _, f in m.generators:
+        kill.append(mat_sub(mat(f), identity(m.dimV)))
+    return len(intersect_nullspaces(kill)) if kill else m.dimV
+
+
+def dense_kernel_dim(m):
+    """dim of {X in h : ad(X)|V = 0}, the null space of the flattened
+    action matrices taken as columns."""
+    if not m.action:
+        return 0
+    cols = [[x for row in a for x in row] for a in m.action]
+    return len(nullspace(transpose(mat(cols))))

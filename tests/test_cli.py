@@ -88,10 +88,16 @@ def _phi_terms(**first):
     {"dim": 7, "degree": 3, "terms": _phi_terms(c=" 1")},
     {"dim": 7.0, "degree": 3, "terms": _phi_terms()},
     {"dim": 7, "degree": "3", "terms": _phi_terms()},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(idx=[0, 2, 3])},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(idx=[1, 2, 8])},
+    # the refusal names the one bad index, not the 8,000 of its list
+    {"dim": 8000, "degree": 8000,
+     "terms": [{"idx": [*range(1, 8000), 8001], "c": "1"}]},
 ], ids=["idx-string", "idx-float", "idx-bool", "idx-object",
         "index-set-twice", "index-set-twice-permuted", "c-float",
         "c-integral-float", "c-true", "c-null", "c-decimal", "c-exponent",
-        "c-space", "dim-float", "degree-string"])
+        "c-space", "dim-float", "degree-string", "index-0", "index-8",
+        "index-8001-of-8000"])
 def test_classify_refuses_a_malformed_form_file(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -100,6 +106,7 @@ def test_classify_refuses_a_malformed_form_file(tmp_path, capsys, obj):
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("terms,expected", [

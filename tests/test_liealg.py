@@ -17,14 +17,15 @@ from g2forms.liealg import (MatrixLieAlgebra, _check_rep_property,
                             build_algebra, generator_v_matrix,
                             product_algebra, reductive_complement,
                             torus_basis)
-from g2forms.linalg import (cleared, identity, intersect_nullspaces, inverse,
-                            mat, mat_mul, mat_sub, mat_vec, nullspace, rank,
+from g2forms.linalg import (cleared, identity, inertia, intersect_nullspaces,
+                            inverse, mat, mat_mul, mat_vec, nullspace, rank,
                             rref, solve, transpose)
 from g2forms.multilinear import KForm, pullback
 from g2forms.scan import (SchurCertificate, ScanConfig, _ray_grid,
                           family_hitchin_map, kernel_exclusion)
 from references import (_hitchin_table, bracket, check_jacobi, commutator,
-                        reference_action, reference_family_hitchin_map, trace)
+                        dense_d1, dense_kernel_dim, mat_sub, reference_action,
+                        reference_family_hitchin_map, trace)
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
                                   classify_hitchin, hitchin_matrix,
                                   primitive_int_vector)
@@ -382,6 +383,23 @@ def test_irreducible_dims_of_an_irreducible_action_needs_no_draw(
     assert irreducible_dims(build_entry("2d")) == [7]
 
 
+def test_reductive_complement_needs_a_positive_trace_form():
+    # a positive -tr form is what makes the realization compact: the split
+    # sl(2, R) + t(4) (indefinite) and the span of diag(1, -1) (negative
+    # definite) are both refused
+    from g2forms.section5 import su2_t4_printed_constants
+
+    diag = MatrixLieAlgebra("diag", [[[Fraction(1), Fraction(0)],
+                                      [Fraction(0), Fraction(-1)]]])
+    assert inertia(diag.trace_form()) == (0, 1, -2)
+    split = su2_t4_printed_constants()
+    p, q, _ = inertia(split.trace_form())
+    assert p and q
+    for g in (split, diag):
+        with pytest.raises(ValueError, match="trace form is not definite"):
+            reductive_complement(g, [])
+
+
 def test_representation_property_is_enforced():
     # reductive_complement validates everything; a non-subalgebra must raise
     g = product_algebra("su(2)+t(1)",
@@ -643,6 +661,34 @@ def test_invariant_kforms_match_the_per_form_reference(case, params):
         assert invariant_kforms(mod, k) == _kform_reference(mod, k), k
 
 
+def test_d1_and_kernel_dim_match_the_dense_route_on_small_modules():
+    # d1 of the rational rotation and signed swap alone: they fix e3..e5
+    # after conjugation, while the empty action alone fixes all of R^7
+    gens, _, _ = _conjugated_generators(7)
+    mod = IsotropyModule(label="generators", dimV=7, action=[],
+                         gram=identity(7),
+                         generators=[("rot", gens[0]), ("swap", gens[1])])
+    assert invariant_dims(mod).d1 == dense_d1(mod) == 3
+    bare = IsotropyModule(label="bare", dimV=7, action=[], gram=identity(7))
+    assert invariant_dims(bare).d1 == dense_d1(bare) == 7
+    assert bare.kernel_dim() == dense_kernel_dim(bare) == 0
+    # the action [A, 0, 2A] kills the 2-dimensional span of (0, 1, 0) and
+    # (2, 0, -1) in h
+    a = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
+    mod = IsotropyModule(label="A, 0, 2A", dimV=2, gram=identity(2),
+                         action=[a, [[0, 0], [0, 0]],
+                                 [[2 * x for x in row] for row in a]])
+    assert mod.kernel_dim() == dense_kernel_dim(mod) == 2
+    assert invariant_dims(mod).d1 == dense_d1(mod) == 0
+
+
+@pytest.mark.parametrize("case,params", CATALOG_ROWS, ids=CATALOG_IDS)
+def test_d1_and_kernel_dim_match_the_dense_route_on_every_row(case, params):
+    mod = build_entry(case, params)
+    assert invariant_dims(mod).d1 == dense_d1(mod)
+    assert mod.kernel_dim() == dense_kernel_dim(mod)
+
+
 def test_invariant_kforms_under_rational_generators_match_the_reference():
     # one rotation generator of the (1, 2)-plane and rational rotations of
     # it and of the (6, 7)-plane, all conjugated by P: denominators in the
@@ -784,11 +830,18 @@ def test_schur_exclusion_does_not_fire_on_case1():
 def test_schur_exclusion_needs_a_definite_gram():
     import dataclasses
 
+    # G and -G are both definite, with the one split and one certificate
     mod = build_entry("2d")
     flipped = dataclasses.replace(
         mod, gram=[[-x for x in row] for row in mod.gram])
     assert schur_exclusion(mod) is not None
-    assert schur_exclusion(flipped) is None
+    assert schur_exclusion(flipped) == schur_exclusion(mod)
+    # on 8-g2xR, V = 6 + 1 and S_6 - S_1 is invariant but indefinite
+    mod = build_entry("8-g2xR")
+    s6, s1 = mod._action_symmetric_forms
+    indefinite = dataclasses.replace(mod, gram=mat_sub(s6, s1))
+    assert inertia(indefinite.gram)[:2] == (6, 1)
+    assert schur_exclusion(indefinite) is None
 
 
 def test_a_finer_split_gets_no_certificate_and_the_full_scan(monkeypatch):

@@ -170,6 +170,18 @@ def test_form_from_json_refuses_a_wrong_length_idx_before_sorting(
             form_from_json(obj)
 
 
+def test_form_from_json_names_the_term_not_the_index_list():
+    first = {"idx": [1, 2, 3], "c": "1"}
+    for idx, match in (
+            ([2, 4, 8], "term 2: index 3 of idx is 8, outside 1..7"),
+            ([0, 2, 3], "term 2: index 1 of idx is 0, outside 1..7"),
+            ([3, 2, 1], "terms 1 and 2 have the same index set")):
+        obj = {"dim": 7, "degree": 3,
+               "terms": [first, {"idx": idx, "c": "1"}]}
+        with pytest.raises(ValueError, match=match):
+            form_from_json(obj)
+
+
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 2000])
 def test_form_from_json_reads_a_reversed_idx_with_its_sign(length):
     # the reversal of L indices is L(L - 1)/2 transpositions
