@@ -10,6 +10,7 @@ success.  With a fixed seed the JSON output is byte-identical across runs.
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -26,7 +27,11 @@ _ROUTING = ("command", "action", "report", "emit_config")
 
 
 def emit(report, args):
-    """Print the report in the chosen format; return the exit code."""
+    """Print the report in the chosen format; return the exit code, also
+    when the reader closes stdout early (nothing then goes to stderr)."""
+    # published-value discrepancies are annotated, not failures
+    failed = sum(1 for c in _iter_claims(report)
+                 if not c["pass"] and not c.get("published", False))
     payload = {
         "version": __version__,
         "catalog": catalog_hash(),
@@ -36,15 +41,19 @@ def emit(report, args):
         payload["config"] = {k: v for k, v in vars(args).items()
                              if k not in _ROUTING}
     fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif fmt == "csv":
-        _emit_csv(report)
-    else:
-        _emit_human(report)
-    # published-value discrepancies are annotated, not failures
-    failed = sum(1 for c in _iter_claims(report)
-                 if not c["pass"] and not c.get("published", False))
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        elif fmt == "csv":
+            _emit_csv(report)
+        else:
+            _emit_human(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered, and the flush at exit, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return min(failed, 125)
 
 

@@ -219,7 +219,7 @@ def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
     The closed basis is scaled to integers by one common denominator, so
     each sample keeps its ray, and the family goes through `scan_family`
     (exact exclusions, then a witness scan at `config`).  The report adds
-    `closed_dim` and `stable_found` to the scan report.
+    `closed_dim` and `stable_found`: True over "undecided" over False.
     """
     basis3 = c.bases[3]
     d3mat = c.diffs[3]
@@ -228,8 +228,9 @@ def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
     closed_vecs = mat_mul(closed_coeff,
                           [f.coefficient_vector() for f in basis3])
     rep = scan_family(cleared(closed_vecs)[0], config)
-    rep.update(closed_dim=len(closed_vecs),
-               stable_found=rep["has_definite"] or rep["has_indefinite"])
+    found = (rep["has_definite"], rep["has_indefinite"])
+    rep.update(closed_dim=len(closed_vecs), stable_found=next(
+        (v for v in (True, "undecided") if v in found), False))
     return rep
 
 

@@ -63,7 +63,7 @@ class MatrixLieAlgebra:
     (`coords`), the structure constants and the trace form.  The latter two
     are integer tables over one denominator each, computed once; brackets
     then work on coordinate vectors, and `structure_constants` and
-    `trace_form` build their Fraction views on request.
+    `trace_form` build a fresh Fraction view on each call.
     """
 
     name: str
@@ -156,9 +156,11 @@ class MatrixLieAlgebra:
                 table[j][i] = tuple((k, -c) for k, c in table[i][j])
         return table, self._coord_solver[1] * den
 
-    @cached_property
-    def _structure_constants(self):
-        # the Fraction view, built on the first request
+    def structure_constants(self):
+        """c[i][j] = coordinates of [b_i, b_j]; raises if not closed.
+
+        A fresh Fraction view of the integer table on each call.
+        """
         table, den = self._structure
         out = [[[Fraction(0)] * self.dim for _ in row] for row in table]
         for row, terms_row in zip(out, table):
@@ -166,13 +168,6 @@ class MatrixLieAlgebra:
                 for k, v in terms:
                     c[k] = Fraction(v, den)
         return out
-
-    def structure_constants(self):
-        """c[i][j] = coordinates of [b_i, b_j]; raises if not closed.
-
-        A Fraction view of the integer table, built on the first call.
-        """
-        return self._structure_constants
 
     def _table_bracket(self, x, y):
         """D [x, y] on the integer table: integer for integer x and y."""
@@ -202,15 +197,11 @@ class MatrixLieAlgebra:
                                          for (r, c), v in x.items())
         return g, den * den
 
-    @cached_property
-    def _trace_form(self):
-        # the Fraction view, built on the first request
+    def trace_form(self):
+        """Gram matrix of <X, Y> = -tr(XY) on the basis, as Fractions: a
+        fresh view of the integer table on each call."""
         g, den = self._int_trace_form
         return [[Fraction(v, den) for v in row] for row in g]
-
-    def trace_form(self):
-        """Gram matrix of <X, Y> = -tr(XY) on the basis, as Fractions."""
-        return self._trace_form
 
 
 # ---------------------------------------------------------------------------

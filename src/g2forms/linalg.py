@@ -7,11 +7,12 @@ builds the Fraction RREF: `kernel` reads a null space basis straight off
 the integer echelon rows of a sparse integer system, and `nullspace` is
 `kernel` of the cleared rows of a matrix.  The reduced row echelon form is
 unique, so no output depends on the pivot order.
-The fraction-free routines `adjugate`, `leading_principal_minors`,
-`charpoly` and `inertia` run one integer recursion each, dividing exactly
-with `//` (`charpoly`, Berkowitz's, divides not at all), and `det` is read
-off `adjugate`.  An all-int matrix is read as it is and gives ints, and a
-rational one is cleared once to L a and gives the rescaled Fractions.
+The fraction-free routines `adjugate`, `charpoly` and `inertia` run one
+integer recursion each, dividing exactly with `//` (`charpoly`,
+Berkowitz's, divides not at all); `det` is read off `adjugate`, and
+`leading_principal_minors` is the `det` of each leading block.  An all-int
+matrix is read as it is and gives ints, and a rational one is cleared once
+to L a and gives the rescaled Fractions.
 Signatures of symmetric matrices come from `inertia`, one symmetric
 fraction-free elimination read by Jacobi's rule, which gives the
 determinant as well.  No floating point.
@@ -383,36 +384,21 @@ def inertia(a):
 
 
 def leading_principal_minors(b):
-    """Leading principal minors d_1..d_n by Bareiss, or None on a zero pivot.
-
-    A None return means some leading minor vanishes before the last one; the
-    matrix is then certainly not definite, but det must be obtained elsewhere.
-    Integer input returns ints; a rational b = B / L returns the Fractions
-    d_k(B) / L^k.
+    """Leading principal minors d_1..d_n, the `det` of each leading block
+    of the cleared matrix, or None when one vanishes before the last (b is
+    then not definite).  Integer input returns ints; a rational b = B / L
+    returns the Fractions d_k(B) / L^k.
     """
     ints, den = _integral(b)
-    n = len(ints)
-    m = [list(row) for row in ints]
-    prev = 1
     minors = []
-    for k in range(n):
-        # no row swaps: pivot k is d_(k+1)
-        piv = m[k][k]
-        if not piv and k < n - 1:
+    for k in range(1, len(ints) + 1):
+        d = det([row[:k] for row in ints[:k]])
+        if not d and k < len(ints):
             return None
-        minors.append(piv)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
-        prev = piv
-    if den is None:
-        return minors
-    return [Fraction(d, den ** k) for k, d in enumerate(minors, 1)]
+        minors.append(d if den is None else Fraction(d, den ** k))
+    return minors
 
 
 def intersect_nullspaces(mats):
     """Basis of the joint kernel of a list of matrices (same column count)."""
-    stacked = [row for m in mats for row in m]
-    if not stacked:
-        return []
-    return nullspace(stacked)
+    return nullspace([row for m in mats for row in m])

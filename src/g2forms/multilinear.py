@@ -8,17 +8,21 @@ The top exterior power is identified with scalars through the basis form
 e^1 ^ ... ^ e^n, so "volume-valued" quantities are returned as the
 coefficient with respect to that form.
 
-How gl(R^n) moves the indices of a k-form is one table, `_moves`, built
-once per (n, k); `algebra_action`, `lambda_k_action_matrix` and the
-annihilator system of `stable_forms.annihilator_of_form` all read it.
+Two tables are built once per (n, k): `_moves`, how gl(R^n) moves the
+indices of a k-form (`algebra_action`, `lambda_k_action_matrix` and
+`stable_forms.annihilator_of_form` read it), and `_expansion`, under the
+one Laplace recursion `minors` that gives every k x k minor to `pullback`,
+`lambda_k_pullback_matrix` and the exact dual of `stable_forms`.
 """
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from operator import mul
 from types import MappingProxyType
 
 from .linalg import ZERO, cleared, frac
@@ -213,57 +217,67 @@ def basis_vector(dim, i):
     return [Fraction(1) if j == i - 1 else Fraction(0) for j in range(dim)]
 
 
-def _minor_det(m, rows, cols):
-    k = len(rows)
-    if k == 1:
-        return m[rows[0]][cols[0]]
-    if k == 2:
-        return (m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-                - m[rows[0]][cols[1]] * m[rows[1]][cols[0]])
-    if k == 3:
-        a, b, c = rows
-        d, e, f = cols
-        return (m[a][d] * (m[b][e] * m[c][f] - m[b][f] * m[c][e])
-                - m[a][e] * (m[b][d] * m[c][f] - m[b][f] * m[c][d])
-                + m[a][f] * (m[b][d] * m[c][e] - m[b][e] * m[c][d]))
-    if k == 0:
-        return 1
-    # general fallback (Laplace along the first row)
-    total = 0
-    for p, col in enumerate(cols):
-        sub = _minor_det(m, rows[1:], cols[:p] + cols[p + 1:])
-        total += (-1) ** p * m[rows[0]][col] * sub
-    return total
+@cache
+def _expansion(n, k):
+    """Per column c of range(n), the (K, J) with J = K + {c} a k-subset,
+    as positions in the sorted subset orders, split by the sign (-1)^p of
+    the first-row Laplace expansion, p the place of c in J."""
+    pos = {K: q for q, K in enumerate(combinations(range(n), k - 1))}
+    table = [([], []) for _ in range(n)]
+    for p, J in enumerate(combinations(range(n), k)):
+        for s, c in enumerate(J):
+            table[c][s % 2].append((pos[J[:s] + J[s + 1:]], p))
+    return tuple((tuple(even), tuple(odd)) for even, odd in table)
+
+
+def minors(m, rows, k):
+    """The k x k minors of a square matrix m on the given row sets.
+
+    For each sorted 0-based k-tuple I in `rows`, the list of det m[I, J]
+    over the sorted k-subsets J, in order.  Each minor is expanded along
+    row I[0] over the (k - 1)-minors of rows I[1:] (`_expansion`), and the
+    minors of each tail of an I are computed once, for all the I that
+    share it.  An int m gives int minors.
+    """
+    rows = list(rows)
+    level = {(): [1]}
+    for j in range(1, k + 1):
+        table = _expansion(len(m), j)
+        done = {}
+        for I in {I[k - j:] for I in rows}:
+            sub = level[I[1:]]
+            out = [0] * math.comb(len(m), j)
+            for x, (even, odd) in zip(m[I[0]], table):
+                if x:
+                    for q, p in even:
+                        out[p] += x * sub[q]
+                    for q, p in odd:
+                        out[p] -= x * sub[q]
+            done[I] = out
+        level = done
+    return [level[I] for I in rows]
 
 
 def pullback(m, a: KForm) -> KForm:
     """Pullback along an int or Fraction map m: (m* a)(v...) = a(m v...).
 
-    Integer boundary: the map is cleared to the integer matrix L m and the
-    form to the integer form D a, the k x k minors are accumulated as
-    ints, and each output coefficient leaves as one Fraction
-    total / (L^k D).
+    The coefficient on e^J is sum_I a_I det m[I, J].  Integer boundary: the
+    map is cleared to the integer matrix L m and the form to the integer
+    form D a, the `minors` of the rows in the form's support are ints, and
+    each output coefficient leaves as one Fraction total / (L^k D).
     """
-    n = a.dim
+    n, k = a.dim, a.degree
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError("pullback: map shape mismatch")
-    if a.degree == 0:
+    if k == 0:
         return a
     im, lm = cleared(m)
     (coeffs,), da = cleared([list(a.terms.values())])
-    terms = [([i - 1 for i in idx], c) for idx, c in zip(a.terms, coeffs)]
-    den = lm ** a.degree * da
-    out = {}
-    for jdx in combinations(range(1, n + 1), a.degree):
-        cols = [j - 1 for j in jdx]
-        total = 0
-        for rows, c in terms:
-            d = _minor_det(im, rows, cols)
-            if d:
-                total += c * d
-        if total:
-            out[jdx] = Fraction(total, den)
-    return KForm(n, a.degree, out)
+    rows = [tuple(i - 1 for i in idx) for idx in a.terms]
+    den = lm ** k * da
+    totals = [sum(map(mul, col, coeffs)) for col in zip(*minors(im, rows, k))]
+    return KForm(n, k, {J: Fraction(t, den) for J, t in zip(
+        combinations(range(1, n + 1), k), totals) if t})
 
 
 @cache
@@ -338,13 +352,8 @@ def lambda_k_pullback_matrix(f, k, dim=7):
     """
     im, den = cleared(f)
     scale = den ** k
-    idxs = list(combinations(range(dim), k))
-    out = []
-    for cols in idxs:
-        minors = [_minor_det(im, rows, cols) for rows in idxs]
-        out.append(minors if scale == 1
-                   else [Fraction(d, scale) for d in minors])
-    return out
+    return [list(col) if scale == 1 else [Fraction(d, scale) for d in col]
+            for col in zip(*minors(im, combinations(range(dim), k), k))]
 
 
 def form_to_json(a: KForm) -> dict:
@@ -360,10 +369,23 @@ def form_to_json(a: KForm) -> dict:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _shown(value):
+    """A decoded JSON value as a refusal names it: an integer of at most 20
+    digits as it is, any other value by its JSON type, with a string's
+    length or an integer's digit count; never a long value itself."""
+    if type(value) is int:
+        digits = len(str(abs(value)))
+        return str(value) if digits <= 20 else f"an integer of {digits} digits"
+    if isinstance(value, str):
+        return f"a string of {len(value)} characters"
+    return {bool: "a boolean", float: "a number", list: "a list",
+            dict: "an object"}.get(type(value), "null")
+
+
 def _json_int(value, what):
     """A JSON integer; a bool, a float or a string is refused."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+        raise ValueError(f"{what} must be a JSON integer, got {_shown(value)}")
     return value
 
 
@@ -372,8 +394,8 @@ def form_from_json(obj) -> KForm:
 
     `dim` and `degree` are JSON integers.  Each term's `idx` is a JSON list
     of exactly `degree` integers in 1..dim, and no index set appears in two
-    terms; a refusal names the term and the offending position and value,
-    never the whole list.
+    terms; a refusal names the field, the term, the position of a bad
+    index and the JSON type of a bad value, never a long value or the list.
     `c` is a string of an integer or of p/q ("5", "-2/3", q != 0) or a JSON
     integer, never a float, a bool or a decimal or exponent string
     ("1e9999999" would take seconds to expand).  An unsorted idx is sorted
@@ -387,15 +409,17 @@ def form_from_json(obj) -> KForm:
         for n, t in enumerate(obj["terms"], 1):
             idx, c = t["idx"], t["c"]
             if not isinstance(idx, list):
-                raise ValueError(f"idx must be a JSON list, got {idx!r}")
+                raise ValueError(f"term {n}: idx must be a JSON list, got "
+                                 f"{_shown(idx)}")
             if len(idx) != degree:
-                raise ValueError(f"an idx holds {len(idx)} indices, not "
-                                 f"the degree {degree}")
-            idx = tuple(_json_int(i, "an index") for i in idx)
+                raise ValueError(f"term {n}: idx holds {len(idx)} indices, "
+                                 f"not the degree {_shown(degree)}")
             for p, i in enumerate(idx, 1):
-                if not 1 <= i <= dim:
-                    raise ValueError(f"term {n}: index {p} of idx is {i}, "
-                                     f"outside 1..{dim}")
+                if type(i) is not int or not 1 <= i <= dim:
+                    why = (f"outside 1..{_shown(dim)}" if type(i) is int
+                           else "not a JSON integer")
+                    raise ValueError(f"term {n}: index {p} of idx is "
+                                     f"{_shown(i)}, {why}")
             key, sign = sort_index(idx)
             if key in terms:
                 raise ValueError(f"terms {first[key]} and {n} have the same "
@@ -403,8 +427,8 @@ def form_from_json(obj) -> KForm:
             first[key] = n
             if not (type(c) is int or isinstance(c, str)
                     and _RATIONAL.fullmatch(c)):
-                raise ValueError("c must be a string n or p/q or a JSON "
-                                 f"integer, got {c!r}")
+                raise ValueError(f"term {n}: c must be a string n or p/q or "
+                                 f"a JSON integer, got {_shown(c)}")
             # a zero term, a repeated index's among them, is dropped by KForm
             terms[key] = sign * Fraction(c)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

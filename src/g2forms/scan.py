@@ -12,7 +12,7 @@ its class docstring states its argument.  The scan tries a
 `KernelCertificate` and an `IsotropicCertificate` of the family Hitchin
 map, and one the caller passes in, such as the `SchurCertificate` of
 `isotropy.schur_exclusion`.  The scan only looks for witnesses of the
-classes left; a miss there is "not found at this resolution".
+classes left; a miss there reads "undecided", never False.
 """
 
 import math
@@ -334,9 +334,11 @@ def scan_family(bvecs, config: ScanConfig = None, exclude_indefinite=None):
     `SchurCertificate` of its module).  `certificate` maps each class a
     certificate `excludes` to that certificate.  The scan then classifies
     the samples of `config` exactly and stops once each class is witnessed
-    or excluded, without a sample when both are excluded.  A miss with no
-    certificate is only "not found at this resolution".  Returns a report
-    dict; `samples` counts the samples classified.
+    or excluded, without a sample when both are excluded.  `has_<class>`
+    is True with a witness, False with a certificate (or in the empty
+    family), and "undecided", "not found at this resolution", with
+    neither.  Returns a report dict; `samples` counts the samples
+    classified.
     """
     config = config or ScanConfig()
     d = len(bvecs)
@@ -376,5 +378,7 @@ def scan_family(bvecs, config: ScanConfig = None, exclude_indefinite=None):
             done.add(cls)
             report[f"has_{cls}"] = True
             report[f"{cls}_witness"] = list(coeffs)
+    report.update({f"has_{cls}": "undecided"
+                   for cls in ("definite", "indefinite") if cls not in done})
     report["samples"] = seen
     return report

@@ -15,11 +15,12 @@ from functools import cache, cached_property
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .linalg import (adjugate, charpoly, cleared, frac, inertia, inverse,
                      kernel, mat, mat_vec, nullspace, transpose)
 from .multilinear import (KForm, _moves, basis_vector, complement, interior,
-                          sort_index, wedge)
+                          minors, sort_index, wedge)
 
 DIM = 7
 
@@ -295,40 +296,23 @@ def star_euclidean(a: KForm) -> KForm:
 PSI4 = star_euclidean(PHI)
 
 
-@cache
-def _minor_expansion():
-    """Per 3-subset J = (j, k, l) of 0..6, in order: its sign in
-    `star_euclidean`, and (j, k, l) with the positions of the 2-subsets
-    (k, l), (j, l), (j, k), along which a 3 x 3 minor with columns J
-    expands by its first row."""
-    pair = {jk: n for n, jk in enumerate(combinations(range(DIM), 2))}
-    return tuple(
-        (complement((j + 1, k + 1, l + 1), DIM)[1],
-         j, k, l, pair[k, l], pair[j, l], pair[j, k])
-        for j, k, l in combinations(range(DIM), 3))
+#: the sign of (J, comp J) against w^{1..7}, per 3-subset J in order
+_STAR_SIGNS = [complement(J, DIM)[1] for J in IDX3]
 
 
 def _dual_coefficients(adj, x):
     """star_euclidean(pullback(adj, x)) as an integer 35-vector.
 
     adj is an integer 7 x 7 matrix and x the integer coefficients of a
-    3-form.  The pullback has coefficient sum_I x_I det adj[I, J] on e^J,
-    and the star puts it, times the sign of (J, comp J), on e^(comp J),
-    which sits at position 34 - pos J: complementing reverses the
-    lexicographic order.  Each minor is expanded along row I_1 against the
-    2 x 2 minors of rows I_2, I_3, taken once per I in the support of x.
+    nonzero 3-form.  The pullback has coefficient sum_I x_I det adj[I, J]
+    on e^J, from the `minors` of the rows I in the support of x, and the
+    star puts it, times the sign of (J, comp J), on e^(comp J), which sits
+    at position 34 - pos J: complementing reverses the lexicographic order.
     """
-    expansion = _minor_expansion()
-    acc = [0] * len(expansion)
-    pairs = list(combinations(range(DIM), 2))
-    for (a, b, c), xi in zip(combinations(range(DIM), 3), x):
-        if not xi:
-            continue
-        ra, rb, rc = adj[a], adj[b], adj[c]
-        m2 = [rb[j] * rc[k] - rb[k] * rc[j] for j, k in pairs]
-        for n, (_, j, k, l, kl, jl, jk) in enumerate(expansion):
-            acc[n] += xi * (ra[j] * m2[kl] - ra[k] * m2[jl] + ra[l] * m2[jk])
-    return [e[0] * v for e, v in zip(expansion, acc)][::-1]
+    rows = [I for I, xi in zip(combinations(range(DIM), 3), x) if xi]
+    coeffs = [xi for xi in x if xi]
+    return [s * sum(map(mul, col, coeffs)) for s, col in
+            zip(_STAR_SIGNS, zip(*minors(adj, rows, 3)))][::-1]
 
 
 def _star_on_dual_ray(t: KForm, ray=None):

@@ -22,6 +22,10 @@ Toeplitz entry, on the entries as they are, ints or Fractions.
 `linalg.charpoly` takes C-level dot products, skips the zero Toeplitz
 entries and clears a rational matrix to integers once.
 
+`_leibniz_det`: the determinant as the sum over permutations, for
+`linalg.det` and its leading minors and for the `multilinear.minors`
+recursion.
+
 `sign_charpoly`: the characteristic polynomial a generator with spectrum
 [-1] * a + [1] * b must have, to check `catalog._sign_spectrum` by a route
 that takes no kernel.
@@ -41,7 +45,8 @@ an unsorted index tuple.
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
+from math import prod
 
 from g2forms.linalg import (ZERO, identity, intersect_nullspaces, mat, mat_mul,
                             mat_vec, nullspace, rref, transpose)
@@ -226,6 +231,17 @@ def sign_charpoly(a, b):
     return poly
 
 
+def _leibniz_det(rows):
+    """det by the permutation expansion: an independent integer reference."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -264,13 +280,15 @@ def bracket(alg, x, y):
     return out
 
 
-def check_jacobi(alg):
+def check_jacobi(alg, struct=None):
     """Exact Jacobi identity of the structure constants on all triples.
 
     Every matrix commutator satisfies Jacobi, so the check is made on the
     extracted constants, where it tests the coordinate extraction.
+    `struct` is the table checked, alg's own by default.
     """
-    struct = alg.structure_constants()
+    if struct is None:
+        struct = alg.structure_constants()
 
     def ad(x, k):
         # [x, b_k] on the table that structure_constants() returns

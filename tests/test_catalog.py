@@ -290,3 +290,24 @@ def test_sign_spectrum_refuses_rotations_and_jordan_blocks():
     # a rational spectrum [1, 1] but not diagonalizable: ker(f - 1) is a
     # line, so the route refuses it rather than report [1, 1]
     assert _sign_spectrum([[1, 1], [0, 1]]) is None
+
+
+def test_a_definite_only_row_without_its_schur_certificate_fails(
+        monkeypatch):
+    # with no Schur certificate, 200 grid rays showing no indefinite member
+    # prove nothing: each definite-only row reads "undecided" and fails
+    # its check, where an unproved False would pass
+    from g2forms import isotropy
+
+    monkeypatch.setattr(isotropy, "schur_exclusion", lambda m: None)
+    config = ScanConfig(grid=200, random=0)
+    failed = {}
+    for entry in load_catalog():
+        exp = entry["expected"]
+        if exp["has_definite"] and not exp["has_indefinite"]:
+            checks = verify_entry(entry, config).checks
+            failed[entry["case"]] = [(c["name"], c["computed"])
+                                     for c in checks if not c["pass"]]
+    assert failed == dict.fromkeys(
+        ["2d", "7", "8-su4", "8-g2xR", "so3_7"],
+        [("has indefinite", "undecided")])

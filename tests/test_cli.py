@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -93,11 +94,17 @@ def _phi_terms(**first):
     # the refusal names the one bad index, not the 8,000 of its list
     {"dim": 8000, "degree": 8000,
      "terms": [{"idx": [*range(1, 8000), 8001], "c": "1"}]},
+    # a refusal names a long value's JSON type and length, not the value
+    {"dim": 7, "degree": 3, "terms": _phi_terms(idx="1" * 50_000)},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(c="x" * 50_000)},
+    {"dim": 7, "degree": 3, "terms": _phi_terms(idx=[1, 2, "3" * 50_000])},
+    {"dim": "7" * 50_000, "degree": 3, "terms": _phi_terms()},
 ], ids=["idx-string", "idx-float", "idx-bool", "idx-object",
         "index-set-twice", "index-set-twice-permuted", "c-float",
         "c-integral-float", "c-true", "c-null", "c-decimal", "c-exponent",
         "c-space", "dim-float", "degree-string", "index-0", "index-8",
-        "index-8001-of-8000"])
+        "index-8001-of-8000", "idx-long-string", "c-long-string",
+        "index-long-string", "dim-long-string"])
 def test_classify_refuses_a_malformed_form_file(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -641,3 +648,40 @@ def test_exact_report_prints_the_committed_json_byte_for_byte(name):
     assert code == 0
     fixture = Path(__file__).parent / "data" / f"{name}.json"
     assert out.getvalue().encode() == fixture.read_bytes()
+
+
+def test_a_scan_too_small_to_decide_reads_undecided(capsys):
+    # at 10 grid rays and no draws, four classes are neither witnessed nor
+    # excluded: each reads "undecided", never False, and fails its check
+    code = cli.main(["catalog", "verify", "--grid", "10", "--random", "0"])
+    rep = json.loads(capsys.readouterr().out)["report"]
+    undecided = [(e["case"], e["params"], c["name"], c["pass"])
+                 for e in rep["entries"] for c in e["checks"]
+                 if c["computed"] == "undecided"]
+    assert code == 4
+    assert undecided == [("2cii", [], "has definite", False),
+                         ("2cii", [], "has indefinite", False),
+                         ("5i", [0, 0], "has definite", False),
+                         ("5ii", [1, 1, -2], "has definite", False)]
+
+
+@pytest.mark.parametrize("args", [
+    ("catalog", "list"), ("invariants", "--case", "2d", "--format", "human")])
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_the_output_quietly(args, unbuffered):
+    # the read end of the pipe is closed before the command starts, so the
+    # first write (unbuffered) or the flush (buffered) fails: the exit code
+    # is still the failed-claim count and stderr stays empty, with no
+    # BrokenPipeError traceback
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "g2forms.cli", *args],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")

@@ -235,6 +235,19 @@ def test_closed_stable_scan(su2t4, t7):
     assert rep7["samples"] == 2 and rep7["certificate"] == {}
 
 
+def test_a_witness_outranks_an_undecided_class_in_stable_found(
+        su2u1, monkeypatch):
+    # without its isotropic certificate, 2su2+u1 has an indefinite witness
+    # at the first grid ray and an undecided definite class: a stable
+    # closed form exists all the same, where `or` would read "undecided"
+    from g2forms import scan
+
+    monkeypatch.setattr(scan, "isotropic_exclusion", lambda hitchin: None)
+    rep = closed_stable_scan(su2u1, ScanConfig(grid=1, random=0))
+    assert (rep["has_definite"], rep["has_indefinite"]) == ("undecided", True)
+    assert rep["stable_found"] is True
+
+
 def _classify_coeffs_counts(closed, samples, seed):
     """A plain seeded sample loop, one classify_coeffs call a sample."""
     rng = random.Random(seed)
@@ -440,7 +453,8 @@ def test_a_corrupted_isotropic_subspace_fails_the_exact_recheck(
                                  if any(c)) + sum(
         1 for _ in range(SMALL_SCAN.random)
         if any(rng.randint(-9, 9) for _ in range(17)))
-    assert not rep["stable_found"]
+    assert rep["has_definite"] == rep["has_indefinite"] == "undecided"
+    assert rep["stable_found"] == "undecided"
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -89,7 +90,18 @@ def test_jacobi_detects_a_corrupted_structure_constant():
     struct[0][1][k] += 1
     struct[1][0][k] -= 1
     with pytest.raises(AssertionError, match="Jacobi fails"):
-        check_jacobi(alg)
+        check_jacobi(alg, struct)
+    assert check_jacobi(alg)
+
+
+def test_an_edited_view_leaves_the_next_one_unchanged():
+    alg = build_algebra("su(3)")
+    struct, gram = alg.structure_constants(), alg.trace_form()
+    frozen = ([[list(c) for c in row] for row in struct],
+              [list(row) for row in gram])
+    struct[0][1][0] += 1
+    gram[0][0] += 1
+    assert (alg.structure_constants(), alg.trace_form()) == frozen
 
 
 @pytest.mark.parametrize("name", ["su(3)", "sp(2)"])
@@ -807,6 +819,43 @@ def test_schur_exclusion_fires_on_the_definite_only_rows(case):
     assert rep["has_definite"] and not rep["has_indefinite"]
 
 
+def _transported(mod, seed):
+    """mod in the V basis P = LU, L and U unit triangular with seeded
+    entries in [-1, 1]: the action P^-1 A P, the gram P^T G P and the
+    generators P^-1 F P, the brackets left out (the scan reads none)."""
+    rng = random.Random(seed)
+    n = mod.dimV
+
+    def unit_triangular(lower):
+        return [[1 if i == j else rng.randint(-1, 1) if (i > j) == lower
+                 else 0 for j in range(n)] for i in range(n)]
+
+    p = mat_mul(unit_triangular(True), unit_triangular(False))
+    pinv = inverse(p)
+
+    def conj(a):
+        return mat_mul(pinv, mat_mul(a, p))
+
+    return dataclasses.replace(
+        mod, action=[conj(a) for a in mod.action], brackets={},
+        gram=mat_mul(transpose(p), mat_mul(mod.gram, p)),
+        generators=[(name, conj(f)) for name, f in mod.generators])
+
+
+def test_a_transported_module_below_its_first_witness_is_undecided():
+    # in this basis 2ci shows an indefinite member at the first grid ray
+    # and a definite one only at the 209th; one ray fewer leaves the
+    # definite class undecided, never False, as no certificate excludes it
+    mod = _transported(build_entry("2ci"), 0)
+    below = invariant_form_types(mod, ScanConfig(grid=208, random=0))
+    at = invariant_form_types(mod, ScanConfig(grid=209, random=0))
+    assert below["certificate"] == at["certificate"] == {}
+    assert (below["has_definite"], below["has_indefinite"]) == (
+        "undecided", True)
+    assert (at["has_definite"], at["has_indefinite"]) == (True, True)
+    assert (below["samples"], at["samples"]) == (208, 209)
+
+
 def test_the_schur_recheck_refuses_a_split_that_sums_to_3_or_4():
     for dims in ((7,), (1, 6), (2, 5), (1, 1, 5)):
         assert SchurCertificate(dims).recheck(), dims
@@ -853,7 +902,9 @@ def test_a_finer_split_gets_no_certificate_and_the_full_scan(monkeypatch):
     config = ScanConfig(seed=1)
     rep = invariant_form_types(build_entry("8-g2xR"), config)
     assert rep["certificate"] == {}
-    assert rep["has_definite"] and not rep["has_indefinite"]
+    # no certificate excludes the indefinite class, so the miss is undecided
+    assert rep["has_definite"] is True
+    assert rep["has_indefinite"] == "undecided"
     assert rep["samples"] == sum(
         1 for c in _scan_samples(rep["dim"], config) if any(c)) == 10_999
 
@@ -1019,7 +1070,7 @@ def test_a_corrupted_kernel_vector_fails_the_exact_recheck(
     assert rep["certificate"] == {}
     assert rep["samples"] == sum(
         1 for c in _scan_samples(rep["dim"], SMALL_SCAN) if any(c))
-    assert not rep["has_definite"] and not rep["has_indefinite"]
+    assert rep["has_definite"] == rep["has_indefinite"] == "undecided"
 
 
 def test_the_kernel_recheck_refuses_an_off_kernel_vector(

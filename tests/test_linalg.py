@@ -9,6 +9,7 @@ from g2forms.linalg import (_echelon, adjugate, charpoly, cleared, det,
                             leading_principal_minors, mat, mat_mul, nullspace,
                             poly_gcd, rank, root_multiplicities, rref, solve,
                             transpose)
+from references import _leibniz_det
 
 rationals = st.fractions(min_value=-5, max_value=5,
                          max_denominator=6).map(Fraction)
@@ -509,20 +510,6 @@ def test_integer_det_agrees_with_fraction_det_on_random_matrices():
                     for _ in range(n)]
             d = det(rows)
             assert type(d) is int and d == det(mat(rows))
-
-
-def _leibniz_det(rows):
-    """det by the permutation expansion: an independent integer reference."""
-    from itertools import permutations
-    from math import prod
-
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j]
-                         for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
-    return total
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -5,13 +5,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forms.linalg import identity, mat_mul, transpose
+from g2forms.linalg import identity, mat_mul, mat_vec, transpose
 from g2forms.multilinear import (KForm, algebra_action, basis_vector,
                                  complement, form_from_json, form_to_json,
                                  interior, lambda_k_action_matrix,
-                                 lambda_k_pullback_matrix, pullback,
+                                 lambda_k_pullback_matrix, minors, pullback,
                                  sort_index, wedge)
-from references import reference_action
+from references import _leibniz_det, reference_action
 
 w = KForm.basis
 
@@ -180,6 +180,23 @@ def test_form_from_json_names_the_term_not_the_index_list():
                "terms": [first, {"idx": idx, "c": "1"}]}
         with pytest.raises(ValueError, match=match):
             form_from_json(obj)
+
+
+def test_form_from_json_names_the_json_type_of_a_refused_value():
+    for edit, message in (
+            ({"idx": "1" * 50_000},
+             "idx must be a JSON list, got a string of 50000 characters"),
+            ({"c": 1.5}, "c must be a string n or p/q or a JSON integer, "
+             "got a number"),
+            ({"idx": [1, 2, None]}, "index 3 of idx is null, not a JSON "
+             "integer"),
+            ({"idx": [1, 2, 10 ** 30]}, "index 3 of idx is an integer of 31 "
+             "digits, outside 1..7")):
+        obj = {"dim": 7, "degree": 3,
+               "terms": [{"idx": [1, 2, 3], "c": "1", **edit}]}
+        with pytest.raises(ValueError) as exc:
+            form_from_json(obj)
+        assert str(exc.value) == f"malformed form object: term 1: {message}"
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 2000])
@@ -402,3 +419,25 @@ def test_lambda_k_pullback_matrix_matches_the_per_form_pullback(dim):
                 dim, k, kind)
             if kind == "int":
                 assert all(type(x) is int for row in got for x in row)
+
+
+def test_minors_match_leibniz_and_pullback_is_the_lambda_k_matrix():
+    # two integer maps, the second singular, and one Fraction map; the row
+    # sets of k >= 4 are sampled, to keep the permutation sums small
+    rng = random.Random(37)
+    maps = [_seeded_square(rng, 7, kind, 0.8)
+            for kind in ("int", "int", "fraction")]
+    maps[1][4] = [x - 2 * y for x, y in zip(maps[1][0], maps[1][2])]
+    for m in maps:
+        for k in range(8):
+            subsets = list(combinations(range(7), k))
+            rows = (subsets if k <= 2 else
+                    sorted(rng.sample(subsets, min(len(subsets), 2 - k // 6))))
+            assert minors(m, rows, k) == [
+                [_leibniz_det([[m[i][j] for j in J] for i in I])
+                 for J in subsets] for I in rows], k
+            a = sparse_form(7, k, rng.randint(0, 10 ** 6))
+            assert mat_vec(lambda_k_pullback_matrix(m, k),
+                           a.coefficient_vector()) == \
+                pullback(m, a).coefficient_vector(), k
+    assert minors(maps[1], [tuple(range(7))], 7) == [[0]]
