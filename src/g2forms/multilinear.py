@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from operator import mul
 from types import MappingProxyType
 
 from .linalg import ZERO, cleared, frac
@@ -230,32 +229,34 @@ def _expansion(n, k):
     return tuple((tuple(even), tuple(odd)) for even, odd in table)
 
 
-def minors(m, rows, k):
-    """The k x k minors of a square matrix m on the given row sets.
+def minors(m, weights, k):
+    """Weighted k x k minors of a square matrix m.
 
-    For each sorted 0-based k-tuple I in `rows`, the list of det m[I, J]
-    over the sorted k-subsets J, in order.  Each minor is expanded along
-    row I[0] over the (k - 1)-minors of rows I[1:] (`_expansion`), and the
-    minors of each tail of an I are computed once, for all the I that
-    share it.  An int m gives int minors.
+    `weights` maps sorted 0-based k-tuples I to w_I; the result is the list
+    of sum_I w_I det m[I, J] over the sorted k-subsets J, in order.  The
+    rows w_I m[I[0]] of the I that share a tail T = I[1:] are summed, and
+    the sum is expanded once along the first row (`_expansion`) over the
+    (k - 1)-minors of T.  An int m with int weights gives ints.
     """
-    rows = list(rows)
-    level = {(): [1]}
-    for j in range(1, k + 1):
-        table = _expansion(len(m), j)
-        done = {}
-        for I in {I[k - j:] for I in rows}:
-            sub = level[I[1:]]
-            out = [0] * math.comb(len(m), j)
-            for x, (even, odd) in zip(m[I[0]], table):
-                if x:
-                    for q, p in even:
-                        out[p] += x * sub[q]
-                    for q, p in odd:
-                        out[p] -= x * sub[q]
-            done[I] = out
-        level = done
-    return [level[I] for I in rows]
+    n = len(m)
+    if k == 0:
+        return [sum(weights.values())]
+    heads = {}
+    for I, w in weights.items():
+        heads[I[1:]] = [a + w * x for a, x in
+                        zip(heads.get(I[1:], [0] * n), m[I[0]])]
+    if k == 1:
+        return heads.get((), [0] * n)
+    out = [0] * math.comb(n, k)
+    for T, row in heads.items():
+        sub = minors(m, {T: 1}, k - 1)
+        for x, (even, odd) in zip(row, _expansion(n, k)):
+            if x:
+                for q, p in even:
+                    out[p] += x * sub[q]
+                for q, p in odd:
+                    out[p] -= x * sub[q]
+    return out
 
 
 def pullback(m, a: KForm) -> KForm:
@@ -263,8 +264,8 @@ def pullback(m, a: KForm) -> KForm:
 
     The coefficient on e^J is sum_I a_I det m[I, J].  Integer boundary: the
     map is cleared to the integer matrix L m and the form to the integer
-    form D a, the `minors` of the rows in the form's support are ints, and
-    each output coefficient leaves as one Fraction total / (L^k D).
+    form D a, its integer coefficients weigh the `minors` of L m, and each
+    output coefficient leaves as one Fraction total / (L^k D).
     """
     n, k = a.dim, a.degree
     if len(m) != n or any(len(row) != n for row in m):
@@ -273,11 +274,11 @@ def pullback(m, a: KForm) -> KForm:
         return a
     im, lm = cleared(m)
     (coeffs,), da = cleared([list(a.terms.values())])
-    rows = [tuple(i - 1 for i in idx) for idx in a.terms]
+    weights = {tuple(i - 1 for i in idx): c
+               for idx, c in zip(a.terms, coeffs)}
     den = lm ** k * da
-    totals = [sum(map(mul, col, coeffs)) for col in zip(*minors(im, rows, k))]
     return KForm(n, k, {J: Fraction(t, den) for J, t in zip(
-        combinations(range(1, n + 1), k), totals) if t})
+        combinations(range(1, n + 1), k), minors(im, weights, k)) if t})
 
 
 @cache
@@ -352,8 +353,9 @@ def lambda_k_pullback_matrix(f, k, dim=7):
     """
     im, den = cleared(f)
     scale = den ** k
-    return [list(col) if scale == 1 else [Fraction(d, scale) for d in col]
-            for col in zip(*minors(im, combinations(range(dim), k), k))]
+    cols = [minors(im, {I: 1}, k) for I in combinations(range(dim), k)]
+    return [list(row) if scale == 1 else [Fraction(d, scale) for d in row]
+            for row in zip(*cols)]
 
 
 def form_to_json(a: KForm) -> dict:

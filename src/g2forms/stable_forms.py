@@ -15,7 +15,6 @@ from functools import cache, cached_property
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 from .linalg import (adjugate, charpoly, cleared, frac, inertia, inverse,
                      kernel, mat, mat_vec, nullspace, transpose)
@@ -305,14 +304,13 @@ def _dual_coefficients(adj, x):
 
     adj is an integer 7 x 7 matrix and x the integer coefficients of a
     nonzero 3-form.  The pullback has coefficient sum_I x_I det adj[I, J]
-    on e^J, from the `minors` of the rows I in the support of x, and the
-    star puts it, times the sign of (J, comp J), on e^(comp J), which sits
-    at position 34 - pos J: complementing reverses the lexicographic order.
+    on e^J, the `minors` of adj weighed by x, and the star puts it, times
+    the sign of (J, comp J), on e^(comp J), which sits at position
+    34 - pos J: complementing reverses the lexicographic order.
     """
-    rows = [I for I, xi in zip(combinations(range(DIM), 3), x) if xi]
-    coeffs = [xi for xi in x if xi]
-    return [s * sum(map(mul, col, coeffs)) for s, col in
-            zip(_STAR_SIGNS, zip(*minors(adj, rows, 3)))][::-1]
+    weights = {I: xi for I, xi in zip(combinations(range(DIM), 3), x) if xi}
+    return [s * t for s, t in
+            zip(_STAR_SIGNS, minors(adj, weights, 3))][::-1]
 
 
 def _star_on_dual_ray(t: KForm, ray=None):

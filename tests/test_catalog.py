@@ -153,7 +153,7 @@ def test_rotation_generator_shadows_for_trivial_isotropy():
     for name, fmat, expect in mod3.pending_generators:
         rep = generator_compatibility_report(
             candidate_module(mod3, name, fmat), SMALL_SCAN)
-        assert rep["has_indefinite"]
+        assert rep["has_indefinite"] is True
 
 
 @pytest.mark.parametrize("case, params, kernel_dim", [

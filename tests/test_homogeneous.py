@@ -230,7 +230,7 @@ def test_closed_stable_scan(su2t4, t7):
     assert not rep["stable_found"]
     rep7 = closed_stable_scan(t7, ScanConfig(random=50))
     assert rep7["closed_dim"] == 35
-    assert rep7["stable_found"]
+    assert rep7["stable_found"] is True
     # the whole space: the reference forms are the witnesses
     assert rep7["samples"] == 2 and rep7["certificate"] == {}
 
@@ -296,7 +296,7 @@ def test_closed_stable_scan_matches_a_classify_coeffs_loop(su2t4, su2u1,
         rep = closed_stable_scan(comp, config)
         ref = _stop_rule_reference(_closed(comp), config, rep["certificate"])
         assert {k: rep[k] for k in ref} == ref
-    assert rep["has_indefinite"] and rep["samples"] > 0
+    assert rep["has_indefinite"] is True and rep["samples"] > 0
 
 
 def test_closed_stable_scan_keeps_each_sample_on_its_ray():
@@ -314,7 +314,7 @@ def test_closed_stable_scan_keeps_each_sample_on_its_ray():
     assert {k: rep[k] for k in ("has_definite", "has_indefinite", "samples",
                                 "definite_witness", "indefinite_witness")
             } == _stop_rule_reference(closed, config, ())
-    assert rep["has_definite"] and rep["has_indefinite"]
+    assert rep["has_definite"] is True and rep["has_indefinite"] is True
 
 
 def _certificate_json(rep):
@@ -328,12 +328,12 @@ def test_exploratory_scan_regression(su2u1):
     # e7 is isotropic for every member, and the scan stops at the first
     # indefinite witness, the first grid ray (-1, ..., -1, 1)
     assert rep["closed_dim"] == 17
-    assert rep["stable_found"]
+    assert rep["stable_found"] is True
     assert _certificate_json(rep) == {"definite": {
         "kind": "isotropic subspace", "indices": [6], "monomials": 234}}
     ref = _stop_rule_reference(_closed(su2u1), config, {"definite"})
     assert {k: rep[k] for k in ref} == ref
-    assert rep["has_indefinite"] and not rep["has_definite"]
+    assert rep["has_indefinite"] is True and not rep["has_definite"]
     assert rep["samples"] == 1
     assert rep["indefinite_witness"] == [-1] * 16 + [1]
 

@@ -259,7 +259,7 @@ def test_scan_builds_no_hitchin_map_for_the_empty_or_whole_family(
     monkeypatch.setattr(scan, "family_hitchin_map", unused)
     assert scan.scan_family([])["samples"] == 0
     whole = invariant_form_types(build_entry("6i"))
-    assert whole["has_definite"] and whole["has_indefinite"]
+    assert whole["has_definite"] is True and whole["has_indefinite"] is True
     assert whole["samples"] == 2
 
 
@@ -301,12 +301,12 @@ def test_invariant_3forms_case1_contains_decomposable_and_definite():
 
 def test_invariant_form_types_case1():
     rep = invariant_form_types(build_entry("1"), SMALL_SCAN)
-    assert rep["has_definite"] and rep["has_indefinite"]
+    assert rep["has_definite"] is True and rep["has_indefinite"] is True
 
 
 def test_invariant_form_types_definite_only():
     rep = invariant_form_types(build_entry("2d"), SMALL_SCAN)
-    assert rep["has_definite"] and not rep["has_indefinite"]
+    assert rep["has_definite"] is True and not rep["has_indefinite"]
 
 
 def test_weight_set_symmetry_5ii():
@@ -336,7 +336,7 @@ def test_d3_equals_d1_plus_d2_where_definite_member_exists():
         mod = build_entry(case, params)
         dims = invariant_dims(mod)
         rep = invariant_form_types(mod, SMALL_SCAN)
-        assert rep["has_definite"]
+        assert rep["has_definite"] is True
         assert dims.d3 == dims.d1 + dims.d2
 
 
@@ -816,7 +816,7 @@ def test_schur_exclusion_fires_on_the_definite_only_rows(case):
     rep = invariant_form_types(mod, SMALL_SCAN)
     assert {cls: c.to_json() for cls, c in rep["certificate"].items()} == {
         "indefinite": cert}
-    assert rep["has_definite"] and not rep["has_indefinite"]
+    assert rep["has_definite"] is True and not rep["has_indefinite"]
 
 
 def _transported(mod, seed):
@@ -873,7 +873,7 @@ def test_schur_exclusion_does_not_fire_on_case1():
     assert schur_exclusion(mod) is None
     rep = invariant_form_types(mod, SMALL_SCAN)
     assert rep["certificate"] == {}
-    assert rep["has_definite"] and rep["has_indefinite"]
+    assert rep["has_definite"] is True and rep["has_indefinite"] is True
 
 
 def test_schur_exclusion_needs_a_definite_gram():
@@ -1258,7 +1258,7 @@ def test_every_small_family_is_witnessed_in_the_height_one_shell():
             assert rep["samples"] <= min(42, (3 ** rep["dim"] - 1) // 2), \
                 m.label
             for cls in {"definite", "indefinite"} - set(rep["certificate"]):
-                assert rep[f"has_{cls}"], (m.label, cls)
+                assert rep[f"has_{cls}"] is True, (m.label, cls)
                 assert _height(rep[f"{cls}_witness"]) == 1, (m.label, cls)
     assert seen == {
         "1", "2ai", "2ci", "2cii", "2aiii", "3bii(1, 1)", "3biii(1, 3)",

@@ -423,7 +423,8 @@ def test_lambda_k_pullback_matrix_matches_the_per_form_pullback(dim):
 
 def test_minors_match_leibniz_and_pullback_is_the_lambda_k_matrix():
     # two integer maps, the second singular, and one Fraction map; the row
-    # sets of k >= 4 are sampled, to keep the permutation sums small
+    # sets of k >= 4 are sampled, to keep the permutation sums small, and
+    # those of k <= 3 are all taken, so many share a tail
     rng = random.Random(37)
     maps = [_seeded_square(rng, 7, kind, 0.8)
             for kind in ("int", "int", "fraction")]
@@ -431,13 +432,18 @@ def test_minors_match_leibniz_and_pullback_is_the_lambda_k_matrix():
     for m in maps:
         for k in range(8):
             subsets = list(combinations(range(7), k))
-            rows = (subsets if k <= 2 else
+            rows = (subsets if k <= 3 else
                     sorted(rng.sample(subsets, min(len(subsets), 2 - k // 6))))
-            assert minors(m, rows, k) == [
-                [_leibniz_det([[m[i][j] for j in J] for i in I])
-                 for J in subsets] for I in rows], k
+            ref = {I: [_leibniz_det([[m[i][j] for j in J] for i in I])
+                       for J in subsets] for I in rows}
+            for I in rows:
+                assert minors(m, {I: 1}, k) == ref[I], (k, I)
+            weights = {I: rng.randint(-3, 3) for I in rows}
+            assert minors(m, weights, k) == [
+                sum(w * ref[I][p] for I, w in weights.items())
+                for p in range(len(subsets))], k
             a = sparse_form(7, k, rng.randint(0, 10 ** 6))
             assert mat_vec(lambda_k_pullback_matrix(m, k),
                            a.coefficient_vector()) == \
                 pullback(m, a).coefficient_vector(), k
-    assert minors(maps[1], [tuple(range(7))], 7) == [[0]]
+    assert minors(maps[1], {tuple(range(7)): 1}, 7) == [0]
