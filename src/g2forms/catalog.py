@@ -31,15 +31,15 @@ from itertools import accumulate
 
 from .linalg import (det, frac, identity, inverse, mat, mat_mul, mat_vec,
                      nullspace, rank, solve, transpose)
-from .isotropy import (IsotropyModule, invariant_3forms, invariant_dims,
-                       invariant_form_types, invariant_inner_product,
+from .isotropy import (IsotropyModule, invariant_dims, invariant_form_types,
+                       invariant_inner_product, invariant_kform_basis,
                        irreducible_dims, module_from_action)
 from .liealg import (MatrixLieAlgebra, build_algebra, creal, diag_torus_su,
                      generator_v_matrix, product_algebra, reductive_complement,
                      rotation_block, so_basis, sp_basis, sp_matrix, su_basis,
                      _czero, _embed_block)
-from .multilinear import pullback
-from .stable_forms import annihilator_g2
+from .multilinear import KForm, pullback
+from .stable_forms import PHI, annihilator_g2, annihilator_of_form
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +52,8 @@ def compute_g2_algebra() -> MatrixLieAlgebra:
 
 
 def compute_su3_in_g2():
-    """Basis of the annihilator elements killing e_1: an su(3), dimension 8."""
-    g2 = annihilator_g2()
-    rows = transpose([[b[i][0] for i in range(7)] + list(b[0]) for b in g2])
-    return [_combination(c, g2) for c in nullspace(rows)]
+    """The joint stabilizer algebra of PHI and e^1: an su(3), dimension 8."""
+    return annihilator_of_form(PHI, KForm.basis(7, 1))
 
 
 def _restrict(mats, basis_vecs):
@@ -539,7 +537,7 @@ def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
                     _sign_spectrum(vmat))
     if mod.generators:
         # accepted generators: fix the algebra-invariant family setwise
-        big = invariant_3forms(replace(mod, generators=()))
+        big = invariant_kform_basis(mod.action, (), 3, mod.dimV)
         bigmat = transpose(mat([f.coefficient_vector() for f in big]))
         for name, vmat in mod.generators:
             setwise = solve(bigmat, [pullback(vmat, f).coefficient_vector()

@@ -95,7 +95,8 @@ def cmd_classify(args):
     try:
         with open(args.form) as fh:
             form = form_from_json(json.load(fh))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # json.load recurses once per nested array or object
         raise ValueError(f"cannot read form: {exc}") from exc
     if form.dim != 7 or form.degree != 3:
         raise ValueError("classification needs a 3-form on R^7")
@@ -112,12 +113,13 @@ def _parse_params(text):
 
 
 def _at_least(least, what):
-    """The argparse type of an integer count >= `least`."""
+    """The argparse type of an integer count from `least` to sys.maxsize."""
     def count(text):
         value = int(text)
-        if value < least:
+        if not least <= value <= sys.maxsize:
             raise argparse.ArgumentTypeError(
-                f"expected {what} integer, got {text!r}")
+                f"expected {what} integer of at most {sys.maxsize}, "
+                f"got {text!r}")
         return value
     return count
 
@@ -168,7 +170,8 @@ def cmd_catalog_verify(args):
     if args.jobs > 1 and len(entries) > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all its workers at once: no more than the entries
+        with cf.ProcessPoolExecutor(min(args.jobs, len(entries))) as pool:
             # ordered map keeps the report deterministic
             reports = list(pool.map(_verify_one,
                                     [(e, config) for e in entries]))

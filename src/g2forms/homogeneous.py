@@ -30,7 +30,7 @@ from .stable_forms import (Orbit3Class, _dual_coefficients, _star_on_dual_ray,
                            classify3, classify_hitchin, dual_ray, hitchin_ray)
 
 
-def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
+def bare_complex(alg: MatrixLieAlgebra) -> IsotropyModule:
     """The h = 0 module of a Lie algebra: V = g, full form complex.
 
     Unlike `reductive_complement` this does not need a definite trace form,
@@ -40,7 +40,7 @@ def bare_complex(alg: MatrixLieAlgebra, label=None) -> IsotropyModule:
     struct = alg.structure_constants()
     brackets = {(i, j): struct[i][j]
                 for i in range(alg.dim) for j in range(i + 1, alg.dim)}
-    return IsotropyModule(label=label or alg.name, dimV=alg.dim, action=[],
+    return IsotropyModule(label=alg.name, dimV=alg.dim, action=[],
                           gram=alg.trace_form(), brackets=brackets,
                           V_coords=identity(alg.dim), ambient=alg)
 
@@ -99,10 +99,6 @@ class InvariantComplex:
         freeze = object.__setattr__
         freeze(self, "bases", tuple(map(tuple, self.bases)))
         freeze(self, "diffs", tuple(map(_frozen_matrix, self.diffs)))
-
-    @property
-    def dims(self):
-        return [len(b) for b in self.bases]
 
 
 def build_complex(m: IsotropyModule) -> InvariantComplex:

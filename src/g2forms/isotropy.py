@@ -199,23 +199,24 @@ def invariant_kforms(m: IsotropyModule, k):
     """
     cache = m._invariant_kforms
     if k not in cache:
-        cache[k] = tuple(_invariant_kform_basis(m, k))
+        cache[k] = tuple(invariant_kform_basis(
+            m.action, [f for _, f in m.generators], k, m.dimV))
     return list(cache[k])
 
 
-def _invariant_kform_basis(m, k):
-    """The `kernel` of one sparse integer system: each action matrix
-    cleared to L A gives the rows of L times its Lambda^k action, and each
-    generator cleared to L F the rows of P - L^k 1, P the pullback matrix
-    of L F."""
-    n = m.dimV
+def invariant_kform_basis(action, generators, k, n):
+    """Basis of the k-forms on R^n that every action matrix annihilates
+    and every generator pulls back to itself: the `kernel` of one sparse
+    integer system.  Each action matrix cleared to L A gives the rows of
+    L times its Lambda^k action, and each generator cleared to L F the
+    rows of P - L^k 1, P the pullback matrix of L F."""
     if k == 0:
         return [KForm.make(n, 0, [((), 1)])]
-    rows = [row for a in m.action
-            for row in lambda_k_action_matrix(cleared(a)[0], k, n)]
-    for _, f in m.generators:
+    rows = [row for a in action
+            for row in lambda_k_action_matrix(cleared(a)[0], k)]
+    for f in generators:
         f, den = cleared(f)
-        for r, row in enumerate(lambda_k_pullback_matrix(f, k, n)):
+        for r, row in enumerate(lambda_k_pullback_matrix(f, k)):
             row[r] -= den ** k
             rows.append(dict(enumerate(row)))
     vecs = kernel(rows, comb(n, k))

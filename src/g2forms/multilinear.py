@@ -158,16 +158,6 @@ class KForm:
         return KForm(dim, degree,
                      {idx: frac(c) for idx, c in zip(idxs, vec) if c != 0})
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx in sorted(self.terms):
-            c = self.terms[idx]
-            name = "w" + "".join(str(i) for i in idx) if idx else "1"
-            parts.append(f"{c}*{name}" if idx else f"{c}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def complement(idx, dim):
     """(J, sign): J the sorted complement of idx in 1..dim, and
@@ -323,16 +313,16 @@ def algebra_action(m, a: KForm) -> KForm:
     return KForm(n, a.degree, out)
 
 
-def lambda_k_action_matrix(a, k, dim=7):
+def lambda_k_action_matrix(a, k):
     """Sparse rows of the infinitesimal action of a on Lambda^k coefficients.
 
     Column I is algebra_action(a, e^I): each move (i, j, J, sign) of I in
     `_moves` with a[i][j] != 0 adds -sign a[i][j] to entry (J, I).  Row J
     is a dict {I: entry} of its nonzero entries, rows and columns numbered
-    in the sorted k-subset order.  The entries keep the arithmetic of a:
-    an int matrix gives int entries.
+    in the sorted order of the k-subsets of 1..len(a).  The entries keep
+    the arithmetic of a: an int matrix gives int entries.
     """
-    moves = _moves(dim, k)
+    moves = _moves(len(a), k)
     pos = {idx: r for r, idx in enumerate(moves)}
     out = [Counter() for _ in pos]
     for c, column in enumerate(moves.values()):
@@ -343,7 +333,7 @@ def lambda_k_action_matrix(a, k, dim=7):
     return [{c: x for c, x in row.items() if x} for row in out]
 
 
-def lambda_k_pullback_matrix(f, k, dim=7):
+def lambda_k_pullback_matrix(f, k):
     """Matrix of the pullback along f on Lambda^k coefficients.
 
     Column I is pullback(f, e^I), so entry (J, I) is the minor det f[I, J]
@@ -353,7 +343,7 @@ def lambda_k_pullback_matrix(f, k, dim=7):
     """
     im, den = cleared(f)
     scale = den ** k
-    cols = [minors(im, {I: 1}, k) for I in combinations(range(dim), k)]
+    cols = [minors(im, {I: 1}, k) for I in combinations(range(len(f)), k)]
     return [list(row) if scale == 1 else [Fraction(d, scale) for d in row]
             for row in zip(*cols)]
 
@@ -400,7 +390,8 @@ def form_from_json(obj) -> KForm:
     index and the JSON type of a bad value, never a long value or the list.
     `c` is a string of an integer or of p/q ("5", "-2/3", q != 0) or a JSON
     integer, never a float, a bool or a decimal or exponent string
-    ("1e9999999" would take seconds to expand).  An unsorted idx is sorted
+    ("1e9999999" would take seconds to expand), and one of more digits
+    than int() converts is refused by its length.  An unsorted idx is sorted
     with the sign of its permutation (`sort_index`), and an idx with a
     repeated index is the zero term.  Anything else raises ValueError.
     """
@@ -431,8 +422,13 @@ def form_from_json(obj) -> KForm:
                     and _RATIONAL.fullmatch(c)):
                 raise ValueError(f"term {n}: c must be a string n or p/q or "
                                  f"a JSON integer, got {_shown(c)}")
+            try:
+                value = Fraction(c)
+            except ValueError:  # more digits than int() converts
+                raise ValueError(f"term {n}: c has too many digits, got "
+                                 f"{_shown(c)}") from None
             # a zero term, a repeated index's among them, is dropped by KForm
-            terms[key] = sign * Fraction(c)
+            terms[key] = sign * value
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed form object: {exc}") from exc
     return KForm(dim, degree, terms)

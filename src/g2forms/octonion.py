@@ -17,9 +17,10 @@ from functools import cache
 from fractions import Fraction
 from itertools import permutations, product
 
-from .linalg import cleared, frac, inverse, kernel, mat_mul
-from .multilinear import KForm, lambda_k_action_matrix, pullback
-from .stable_forms import IDX3, PHI, PHITILDE
+from .isotropy import invariant_kform_basis
+from .linalg import frac, inverse, kernel, mat_mul
+from .multilinear import KForm, pullback
+from .stable_forms import PHI, PHITILDE
 
 _QTABLE = {
     # quaternion basis products: (i, j) -> (sign, k)
@@ -135,12 +136,10 @@ def derivation_algebra(table):
 
 def invariant_3form_ray(derivations):
     """The 3-form ray annihilated by every derivation (normalized)."""
-    rows = [row for d in derivations
-            for row in lambda_k_action_matrix(cleared(d)[0], 3, 7)]
-    forms = kernel(rows, len(IDX3))
+    forms = invariant_kform_basis(derivations, (), 3, 7)
     if len(forms) != 1:
         raise AssertionError(f"invariant ray is {len(forms)}-dimensional")
-    f = KForm.from_coefficient_vector(7, 3, forms[0])
+    f = forms[0]
     lead = f.terms.get((1, 2, 3))
     if not lead:
         raise AssertionError("invariant form has no w123 component")

@@ -1,4 +1,9 @@
+import json
+import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +316,48 @@ def test_a_definite_only_row_without_its_schur_certificate_fails(
     assert failed == dict.fromkeys(
         ["2d", "7", "8-su4", "8-g2xR", "so3_7"],
         [("has indefinite", "undecided")])
+
+
+def _transported(mod, rng):
+    """mod in the V basis v'_i = d_i v_{s_i}, s a permutation and d signed
+    scalings 1 to 3 drawn from rng: the action and the accepted generators
+    become P^-1 A P, the gram P^T G P, the brackets [v'_i, v'_j] in the new
+    coordinates and the V coordinates P^T V, for P the matrix with
+    P[s_i][i] = d_i."""
+    n = mod.dimV
+    s = rng.sample(range(n), n)
+    d = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(n)]
+
+    def conj(a):
+        return [[a[s[i]][s[j]] * Fraction(d[j], d[i]) for j in range(n)]
+                for i in range(n)]
+
+    def bracket(i, j):
+        # d_i d_j [v_{s_i}, v_{s_j}], from the stored pairs a < b
+        a, b = s[i], s[j]
+        c = mod.brackets.get((min(a, b), max(a, b)), (0,) * n)
+        sign = 1 if a < b else -1
+        return [c[s[l]] * Fraction(sign * d[i] * d[j], d[l])
+                for l in range(n)]
+
+    return replace(
+        mod, action=[conj(a) for a in mod.action],
+        gram=[[mod.gram[s[i]][s[j]] * d[i] * d[j] for j in range(n)]
+              for i in range(n)],
+        brackets={ij: bracket(*ij) for ij in combinations(range(n), 2)},
+        generators=[(name, conj(f)) for name, f in mod.generators],
+        V_coords=[[d[i] * x for x in mod.V_coords[s[i]]] for i in range(n)]
+        if mod.V_coords else ())
+
+
+def test_a_change_of_v_basis_changes_no_check():
+    # every check is an invariant of the pair: on each row's module in a
+    # seeded sparse basis the default scan computes the shipped report
+    fixture = Path(__file__).parent / "data" / "catalog_verify_default.json"
+    shipped = json.loads(fixture.read_text())["report"]["entries"]
+    rng = random.Random(13)
+    for entry, expected in zip(load_catalog(), shipped, strict=True):
+        mod = _transported(build_entry(entry["case"],
+                                       entry.get("params", ())), rng)
+        report = verify_entry(entry, module=mod).to_dict()
+        assert json.loads(json.dumps(report)) == expected, entry["case"]

@@ -99,15 +99,20 @@ def _phi_terms(**first):
     {"dim": 7, "degree": 3, "terms": _phi_terms(c="x" * 50_000)},
     {"dim": 7, "degree": 3, "terms": _phi_terms(idx=[1, 2, "3" * 50_000])},
     {"dim": "7" * 50_000, "degree": 3, "terms": _phi_terms()},
+    # more digits than int() converts, and deeper than json.load recurses
+    {"dim": 7, "degree": 3, "terms": _phi_terms(c="1" * 5_000)},
+    "[" * 100_000,
 ], ids=["idx-string", "idx-float", "idx-bool", "idx-object",
         "index-set-twice", "index-set-twice-permuted", "c-float",
         "c-integral-float", "c-true", "c-null", "c-decimal", "c-exponent",
         "c-space", "dim-float", "degree-string", "index-0", "index-8",
         "index-8001-of-8000", "idx-long-string", "c-long-string",
-        "index-long-string", "dim-long-string"])
+        "index-long-string", "dim-long-string", "c-5000-digits",
+        "nested-100000-deep"])
 def test_classify_refuses_a_malformed_form_file(tmp_path, capsys, obj):
+    # a str parameter is the file's text itself
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     code = cli.main(["classify", str(path)])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
@@ -387,6 +392,23 @@ def test_emit_config_prints_exactly_the_options_a_leaf_declares(capsys):
         assert "format" in config
 
 
+def test_every_leaf_command_runs_without_numpy(monkeypatch, capsys,
+                                               tmp_path):
+    # numpy is a test dependency: only the float references import it
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError):
+        import numpy  # noqa: F401
+    form = tmp_path / "phi.json"
+    form.write_text(json.dumps(form_to_json(PHI)))
+    args = {"classify": [str(form)], "catalog verify": ["--case", "2ci"],
+            "invariants": ["--case", "2ci"], "complex-ranks": ["--case", "2ci"],
+            "section5 closed-scan": ["--samples", "100"],
+            "section5 nearly-parallel": ["--case", "2ci"]}
+    for path, _ in _leaves(cli.make_parser()):
+        code, out = run_main(capsys, *path, *args.get(" ".join(path), []))
+        assert code == 0 and json.loads(out)["report"], path
+
+
 def usage_error(capsys, *args):
     """stderr of a command that argparse refuses with exit 2."""
     with pytest.raises(SystemExit) as exc:
@@ -426,6 +448,43 @@ def test_complex_ranks_takes_one_of_case_and_algebra(capsys):
 def test_catalog_verify_jobs_must_be_positive(capsys, jobs):
     err = usage_error(capsys, "catalog", "verify", "--jobs", jobs)
     assert "expected a positive integer" in err
+
+
+@pytest.mark.parametrize("option", ["--grid", "--random", "--jobs"])
+def test_a_count_above_sys_maxsize_is_a_usage_error(capsys, option):
+    # islice and the pool take no larger count
+    err = usage_error(capsys, "catalog", "verify", "--case", "2d", option,
+                      str(sys.maxsize + 1))
+    assert f"integer of at most {sys.maxsize}, got" in err
+
+
+def test_catalog_verify_starts_no_more_workers_than_entries(monkeypatch,
+                                                             capsys):
+    # the pool forks every worker at its first submit; a recording fake
+    # stands in for it and maps in process
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    runs = [run_main(capsys, "catalog", "verify", "--case", "3biii",
+                     "--jobs", jobs) for jobs in ("1", "1000000")]
+    assert sizes == [2]
+    assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_csv_format():

@@ -150,13 +150,13 @@ def test_invariant_kforms_are_computed_once_per_module(monkeypatch):
     from g2forms import isotropy
 
     calls = []
-    compute = isotropy._invariant_kform_basis
+    compute = isotropy.invariant_kform_basis
 
-    def counting(m, k):
+    def counting(action, generators, k, n):
         calls.append(k)
-        return compute(m, k)
+        return compute(action, generators, k, n)
 
-    monkeypatch.setattr(isotropy, "_invariant_kform_basis", counting)
+    monkeypatch.setattr(isotropy, "invariant_kform_basis", counting)
     mod = build_entry("2d")
     first = invariant_kforms(mod, 3)
     expected = list(first)

@@ -191,7 +191,9 @@ def test_form_from_json_names_the_json_type_of_a_refused_value():
             ({"idx": [1, 2, None]}, "index 3 of idx is null, not a JSON "
              "integer"),
             ({"idx": [1, 2, 10 ** 30]}, "index 3 of idx is an integer of 31 "
-             "digits, outside 1..7")):
+             "digits, outside 1..7"),
+            ({"c": "-" + "1" * 5_000}, "c has too many digits, got a string "
+             "of 5001 characters")):
         obj = {"dim": 7, "degree": 3,
                "terms": [{"idx": [1, 2, 3], "c": "1", **edit}]}
         with pytest.raises(ValueError) as exc:
@@ -397,7 +399,7 @@ def test_lambda_k_action_matrix_matches_the_per_form_action(dim):
         for kind in ("int", "fraction"):
             for density in (0.3, 1.0):
                 a = _seeded_square(rng, dim, kind, density)
-                got = lambda_k_action_matrix(a, k, dim)
+                got = lambda_k_action_matrix(a, k)
                 dense = [[row.get(c, 0) for c in range(len(got))]
                          for row in got]
                 assert dense == _per_form_matrix(reference_action, a, k,
@@ -414,7 +416,7 @@ def test_lambda_k_pullback_matrix_matches_the_per_form_pullback(dim):
     for k in range(dim + 1):
         for kind in ("int", "fraction"):
             f = _seeded_square(rng, dim, kind, 0.5 if dim == 8 else 0.8)
-            got = lambda_k_pullback_matrix(f, k, dim)
+            got = lambda_k_pullback_matrix(f, k)
             assert got == _per_form_matrix(pullback, f, k, dim), (
                 dim, k, kind)
             if kind == "int":
