@@ -27,19 +27,18 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
-from itertools import accumulate
 
-from .linalg import (det, frac, identity, inverse, mat, mat_mul, mat_vec,
-                     nullspace, rank, solve, transpose)
+from .linalg import (block_diag, det, embed_block, frac, identity, inverse,
+                     mat, mat_mul, mat_vec, nullspace, rank, solve,
+                     transpose, zeros)
 from .isotropy import (IsotropyModule, invariant_dims, invariant_form_types,
                        invariant_inner_product, invariant_kform_basis,
                        irreducible_dims, module_from_action)
 from .liealg import (MatrixLieAlgebra, build_algebra, creal, diag_torus_su,
                      generator_v_matrix, product_algebra, reductive_complement,
-                     rotation_block, so_basis, sp_basis, sp_matrix, su_basis,
-                     _czero, _embed_block)
-from .multilinear import KForm, pullback
-from .stable_forms import PHI, annihilator_g2, annihilator_of_form
+                     rotation_block, so_basis, sp_basis, sp_matrix, su_basis)
+from .multilinear import KForm, annihilator_of_form, pullback
+from .stable_forms import PHI, annihilator_g2
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +84,7 @@ def so3_irrep(dim):
     def rot_action(axis):
         # vector field x_i d/d x_j - x_j d/d x_i on degree-d monomials
         i, j = {(0): (1, 2), 1: (2, 0), 2: (0, 1)}[axis]
-        out = _czero(len(monos))
+        out = zeros(len(monos))
         for m, col in pos.items():
             for src, dst, sign in ((j, i, -1), (i, j, 1)):
                 if m[src] > 0:
@@ -136,27 +135,6 @@ def _su2_group_real(q):
     return creal(re, im)
 
 
-def _block_diag(blocks):
-    total = sum(len(b) for b in blocks)
-    offsets = accumulate([len(b) for b in blocks], initial=0)
-    return _combination([1] * len(blocks), [
-        _embed_block(b, total, off) for b, off in zip(blocks, offsets)])
-
-
-def _combination(coeffs, mats):
-    """The matrix sum of c m over the paired coefficients and matrices, as
-    Fractions; zero coefficients and zero entries are skipped."""
-    out = _czero(len(mats[0]))
-    for c, m in zip(coeffs, mats):
-        if c == 0:
-            continue
-        for row, mrow in zip(out, m):
-            for j, x in enumerate(mrow):
-                if x:
-                    row[j] += c * x
-    return out
-
-
 def _sp2_unit_quaternion_block2(q):
     """Sp(2) element: identity on the first quaternion slot, q on the second.
 
@@ -189,13 +167,13 @@ def _su2_quaternion_gens():
 
 def _su3_su2_block_gens(size):
     """su(2) in the top-left block of su(3), real, padded to size x size."""
-    return [_embed_block(x, size, 0) for x in su_basis(2)]
+    return [embed_block(x, size, 0) for x in su_basis(2)]
 
 
 def _case_1():
     g = build_algebra("sp(2)+su(2)")
-    h = [_embed_block(x, 12, 0) for x in _sp1_slot_gens(0)]
-    h += [_block_diag([x, y])
+    h = [embed_block(x, 12, 0) for x in _sp1_slot_gens(0)]
+    h += [block_diag([x, y])
           for x, y in zip(_sp1_slot_gens(1), _su2_quaternion_gens())]
     return g, h, []
 
@@ -203,7 +181,7 @@ def _case_1():
 def _case_2ai():
     g = build_algebra("so(5)")
     # so(3) on coordinates {3,4,5}
-    h = [_embed_block(x, 5, 2) for x in so_basis(3)]
+    h = [embed_block(x, 5, 2) for x in so_basis(3)]
     d14 = [[frac(1 if i == j and i == 0 else (-1 if i == j else 0))
             for j in range(5)] for i in range(5)]
     return g, h, [("D14", d14, "accepted")]
@@ -222,7 +200,7 @@ def _case_2cii():
 
 def _case_2aiii():
     g = build_algebra("su(2)+su(2)+su(2)+u(1)")
-    h = [_block_diag([x, x, x, _czero(2)]) for x in _su2_quaternion_gens()]
+    h = [block_diag([x, x, x, zeros(2)]) for x in _su2_quaternion_gens()]
     return g, h, []
 
 
@@ -230,11 +208,11 @@ def _case_3bii(k, l):
     if k == 0 or math.gcd(abs(k), abs(l)) != 1:
         raise ValueError("3bii needs k != 0 and gcd(k, l) = 1")
     g = build_algebra("sp(2)+u(1)")
-    h = [_embed_block(x, 10, 0) for x in _sp1_slot_gens(0)]
+    h = [embed_block(x, 10, 0) for x in _sp1_slot_gens(0)]
     # xi1: quaternion i on the second slot; xi2: the external circle
-    xi1 = _embed_block(_sp1_slot_gens(1)[0], 10, 0)
-    xi2 = _embed_block(rotation_block(), 10, 8)
-    h.append(_combination((k, l), (xi1, xi2)))
+    xi1 = embed_block(_sp1_slot_gens(1)[0], 10, 0)
+    xi2 = embed_block(rotation_block(), 10, 8)
+    h.append([[k * x + l * y for x, y in zip(*r)] for r in zip(xi1, xi2)])
     return g, h, []
 
 
@@ -248,9 +226,9 @@ def _case_3biii(k, l):
         raise ValueError("3biii needs kl != 0 and gcd(k, l) = 1")
     g = build_algebra("su(3)+su(2)")
     h = _su3_su2_block_gens(10)
-    xi1 = _embed_block(diag_torus_su(3, [1, 1, -2]), 10, 0)
-    xi2 = _embed_block(diag_torus_su(2, [1, -1]), 10, 6)
-    h.append(_combination((k, l), (xi1, xi2)))
+    xi1 = embed_block(diag_torus_su(3, [1, 1, -2]), 10, 0)
+    xi2 = embed_block(diag_torus_su(2, [1, -1]), 10, 6)
+    h.append([[k * x + l * y for x, y in zip(*r)] for r in zip(xi1, xi2)])
     return g, h, []
 
 
@@ -260,17 +238,17 @@ def _case_3aiii():
     # the same structure constants
     su2 = MatrixLieAlgebra("su(2)", _su3_su2_block_gens(6))
     ads = [transpose(row) for row in su2.structure_constants()]
-    h = [_block_diag([x, ad]) for x, ad in zip(su2.basis, ads)]
-    h.append(_embed_block(diag_torus_su(3, [1, 1, -2]), 9, 0))
+    h = [block_diag([x, ad]) for x, ad in zip(su2.basis, ads)]
+    h.append(embed_block(diag_torus_su(3, [1, 1, -2]), 9, 0))
     return g, h, []
 
 
 def _case_4i():
     g = build_algebra("su(2)+su(2)+su(2)")
-    h = [_block_diag([diag_torus_su(2, [w, -w]) for w in weights])
+    h = [block_diag([diag_torus_su(2, [w, -w]) for w in weights])
          for weights in ((0, 1, -1), (1, 0, -1))]
-    a12 = creal(_czero(2), [[0, 1], [1, 0]])  # [[0, i], [i, 0]]
-    return g, h, [("A12-triple", _block_diag([a12] * 3), "accepted")]
+    a12 = creal(zeros(2), [[0, 1], [1, 0]])  # [[0, i], [i, 0]]
+    return g, h, [("A12-triple", block_diag([a12] * 3), "accepted")]
 
 
 def _case_4ii(k, m_par):
@@ -281,13 +259,13 @@ def _case_4ii(k, m_par):
     coords = (-(m_par + 1), m_par - k, k)
     if len(set(coords)) < 3:
         b23 = [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
-        gens.append(("B23-swap", creal(mat(b23), _czero(3)), "rejected"))
+        gens.append(("B23-swap", creal(mat(b23), zeros(3)), "rejected"))
     return g, h, gens
 
 
 def _case_5i(k, l):
     g = build_algebra("u(2)+u(2)")
-    h = _block_diag([diag_torus_su(2, [k, k + 1]),
+    h = block_diag([diag_torus_su(2, [k, k + 1]),
                      diag_torus_su(2, [l, l + 1])])
     return g, [h], []
 
@@ -318,17 +296,17 @@ def _case_7():
 
 def _case_8su4():
     # su(3) in the top-left block of su(4)
-    return build_algebra("su(4)"), [_embed_block(x, 8, 0)
+    return build_algebra("su(4)"), [embed_block(x, 8, 0)
                                     for x in su_basis(3)], []
 
 
 def _case_8g2r():
     g2 = compute_g2_algebra()
     g = product_algebra("g2+u(1)", [g2, build_algebra("u(1)")])
-    h = [_embed_block(x, 9, 0) for x in compute_su3_in_g2()]
+    h = [embed_block(x, 9, 0) for x in compute_su3_in_g2()]
     d7 = [[frac(-1 if i == j and i % 2 == 0 else (1 if i == j else 0))
            for j in range(7)] for i in range(7)]
-    shadow = _block_diag([d7, identity(2)])
+    shadow = block_diag([d7, identity(2)])
     return g, h, [("D7", shadow, "detneg")]
 
 
@@ -338,7 +316,7 @@ def _case_6i():
 
 def _case_6ii():
     u = _su2_group_real((0, 1, 0, 0))  # quaternion i: fixes an R^5
-    gen = _block_diag([u, identity(8)])
+    gen = block_diag([u, identity(8)])
     return build_algebra("su(2)+t(4)"), [], [
         ("R5-fixing-rotation", gen, "rejected")]
 
@@ -346,8 +324,8 @@ def _case_6ii():
 def _case_6iii():
     u = _su2_group_real((Fraction(3, 5), Fraction(4, 5), 0, 0))
     ui = _su2_group_real((Fraction(3, 5), Fraction(-4, 5), 0, 0))
-    diag = _block_diag([u, u, identity(2)])
-    cyc = _block_diag([u, ui, identity(2)])
+    diag = block_diag([u, u, identity(2)])
+    cyc = block_diag([u, ui, identity(2)])
     return build_algebra("su(2)+su(2)+u(1)"), [], [
         ("diagonal-rotation", diag, "admits-indefinite"),
         ("cyclic-pair-rotation", cyc, "admits-indefinite")]

@@ -17,7 +17,7 @@ from . import __version__
 from .catalog import (build_entry, catalog_hash, claim, load_catalog,
                       verify_entry)
 from .isotropy import invariant_dims
-from .multilinear import form_from_json
+from .multilinear import form_from_json, parse_json_int
 from .scan import ScanConfig
 from .stable_forms import classification_report
 
@@ -94,7 +94,7 @@ def _emit_human(report):
 def cmd_classify(args):
     try:
         with open(args.form) as fh:
-            form = form_from_json(json.load(fh))
+            form = form_from_json(json.load(fh, parse_int=parse_json_int))
     except (OSError, ValueError, RecursionError) as exc:
         # json.load recurses once per nested array or object
         raise ValueError(f"cannot read form: {exc}") from exc
@@ -207,7 +207,7 @@ def cmd_complex_ranks(args):
 
 
 def cmd_octonion_alignment(args):
-    from .octonion import derive_alignment, _FROZEN_ALIGNMENTS
+    from .octonion import FROZEN_ALIGNMENTS, derive_alignment
 
     report = {}
     for kind in ("split", "compact"):
@@ -215,7 +215,7 @@ def cmd_octonion_alignment(args):
         report[kind] = {"sigma": list(sigma), "signs": list(signs),
                         "claims": [claim(
                             f"{kind} alignment matches the frozen constant",
-                            _FROZEN_ALIGNMENTS[kind], (sigma, signs))]}
+                            FROZEN_ALIGNMENTS[kind], (sigma, signs))]}
     return report
 
 

@@ -19,15 +19,15 @@ from fractions import Fraction
 from itertools import chain, combinations, count
 from typing import NamedTuple
 
-from .linalg import (adjugate, cleared, identity, mat, mat_mul, nullspace,
-                     rank, solve, transpose)
-from .isotropy import (IsotropyModule, _frozen_matrix, invariant_3forms,
-                       invariant_kforms)
-from .liealg import MatrixLieAlgebra, _sparse, _sparse_mul
+from .linalg import (cleared, identity, mat, mat_mul, nullspace, rank, solve,
+                     sparse, sparse_mul, transpose)
+from .isotropy import IsotropyModule, invariant_3forms, invariant_kforms
+from .liealg import MatrixLieAlgebra
 from .multilinear import KForm, algebra_action, pullback, sort_index
-from .scan import ScanConfig, family_hitchin_map, scan_family
-from .stable_forms import (Orbit3Class, _dual_coefficients, _star_on_dual_ray,
-                           classify3, classify_hitchin, dual_ray, hitchin_ray)
+from .scan import ScanConfig, scan_family
+from .stable_forms import (Orbit3Class, classify3, classify_hitchin,
+                           dual_coefficients, dual_ray, family_hitchin_map,
+                           hitchin_ray, star_on_dual_ray)
 
 
 def bare_complex(alg: MatrixLieAlgebra) -> IsotropyModule:
@@ -98,7 +98,7 @@ class InvariantComplex:
     def __post_init__(self):
         freeze = object.__setattr__
         freeze(self, "bases", tuple(map(tuple, self.bases)))
-        freeze(self, "diffs", tuple(map(_frozen_matrix, self.diffs)))
+        freeze(self, "diffs", tuple(tuple(map(tuple, d)) for d in self.diffs))
 
 
 def build_complex(m: IsotropyModule) -> InvariantComplex:
@@ -128,7 +128,7 @@ def build_complex(m: IsotropyModule) -> InvariantComplex:
 def _assert_d_squared_zero(diffs):
     """Exact d_{k+1} d_k = 0 for every k, as one sparse product each."""
     for k, (b, a) in enumerate(zip(diffs, diffs[1:])):
-        if _sparse_mul(_sparse(a), _sparse(b)):
+        if sparse_mul(sparse(a), sparse(b)):
             raise AssertionError(
                 f"d^2 != 0 between degrees {k} and {k + 2}")
 
@@ -136,12 +136,9 @@ def _assert_d_squared_zero(diffs):
 def complex_ranks(c: InvariantComplex):
     """Per degree: (dim, rank of d, dim ker d); exact, rank-nullity audited."""
     out = []
-    for k, basis in enumerate(c.bases):
-        dim = len(basis)
-        d = c.diffs[k]
+    for basis, d in zip(c.bases, c.diffs):
         r = rank(d) if d and d[0] else 0
-        ker = dim - r
-        out.append((dim, r, ker))
+        out.append((len(basis), r, len(basis) - r))
     return out
 
 
@@ -172,7 +169,7 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
     """Is d t = lambda * star t, lambda != 0?  Exact, on star t = kappa Q.
 
     With dq = dt.Q, qq = Q.Q, dd = dt.dt, lambda = dq / (kappa qq) has the
-    rational ninth power `lam9` (`_star_on_dual_ray`), the residual
+    rational ninth power `lam9` (`star_on_dual_ray`), the residual
     |dt - lambda star t| / |dt| is sqrt(1 - dq^2 / (dd qq)), and t is nearly
     parallel iff dq^2 = dd qq.  Flat input (d t = 0) is torsion-free, never
     nearly parallel.  One `hitchin_ray` feeds `classify_hitchin` and the
@@ -187,7 +184,7 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
         return NearlyParallelResult(lam=0.0, lam9=Fraction(0), residual=0.0,
                                     is_nearly_parallel=False,
                                     torsion_free=True, orbit=orbit.value)
-    q, kappa9 = _star_on_dual_ray(t, ray)
+    q, kappa9 = star_on_dual_ray(t, ray)
     dq, qq, dd = dt.dot(q), q.dot(q), dt.dot(dt)
     lam9 = (dq / qq) ** 9 / kappa9
     return NearlyParallelResult(
@@ -275,7 +272,7 @@ class PencilEvaluations(NamedTuple):
 
     Every value is an integer computation on vectors: B(s) is the family
     Hitchin map of (x1, x2) at (1, s), q is read off the 3 x 3 minors of
-    adj B(s) directly (`_dual_coefficients`), and dq is one integer matrix
+    adj B(s) directly (`dual_coefficients`), and dq is one integer matrix
     of d on 4-forms applied to q (`_d4_matrix`).
     """
 
@@ -311,8 +308,8 @@ def pencil_evaluations(m: IsotropyModule):
     Slopes run 0, 1, -1, 2, ..., skipping those with det B(s) = 0.  Every
     value is an integer computation.  B(s) comes from one
     `family_hitchin_map` of (x1, x2), expanded once and called at (1, s);
-    then one fraction-free `adjugate`, the coefficients of Q(s) read
-    directly off the 3 x 3 minors of adj B(s) (`_dual_coefficients`), and
+    then `dual_coefficients`, one fraction-free adjugate and the
+    coefficients of Q(s) read directly off its 3 x 3 minors, and
     d Q(s) from one integer matrix of d on 4-forms, built once
     (`_d4_matrix`).  det B(s) has degree at most 21 in s, so unless it is
     identically 0 at most 21 slopes are skipped; the loop stops at the
@@ -330,13 +327,13 @@ def pencil_evaluations(m: IsotropyModule):
     slopes, singular, qs, dqs = [], [], [], []
     # distinct integer slopes, smallest first: 0, 1, -1, 2, -2, ...
     for s in chain.from_iterable((k, -k) if k else (0,) for k in count()):
-        detb, adj = adjugate(hitchin((1, s)))
+        detb, _, q = dual_coefficients(
+            hitchin((1, s)), [a + s * b for a, b in zip(x1, x2)])
         if detb == 0:
             singular.append(s)
             if len(singular) > DET_DEGREE:
                 break
             continue
-        q = _dual_coefficients(adj, [a + s * b for a, b in zip(x1, x2)])
         dq = {}
         for key, row in d4.items():
             total = sum(v * q[pos] for pos, v in row)

@@ -20,36 +20,19 @@ and V vectors, read off with one integer `solve` each.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .isotropy import IsotropyModule
 # perfbench's tracer and workloads resolve these names on liealg
 from .isotropy import (ScanConfig, invariant_3forms, invariant_dims,
                        invariant_form_types, irreducible_dims)
-from .linalg import (adjugate, cleared, frac, identity, inertia, mat_mul,
-                     nullspace, rank, rref, solve, transpose)
-
-
-def _sparse(m):
-    """The nonzero entries of a matrix as {(r, c): v}; integral values as int."""
-    return {(r, c): v.numerator if v.denominator == 1 else v
-            for r, row in enumerate(m) for c, v in enumerate(row) if v}
-
-
-def _sparse_mul(a, b):
-    """Product of two sparse matrices {(r, c): v}; zero entries dropped."""
-    brows = {}
-    for (k, c), v in b.items():
-        brows.setdefault(k, []).append((c, v))
-    out = {}
-    for (r, k), v in a.items():
-        for c, w in brows.get(k, ()):
-            out[r, c] = out.get((r, c), 0) + v * w
-    return {rc: v for rc, v in out.items() if v}
+from .linalg import (adjugate, cleared, embed_block, frac, identity, inertia,
+                     mat_mul, nullspace, rank, rref, solve, sparse,
+                     sparse_mul, transpose, zeros)
 
 
 def _sparse_commutator(a, b):
-    ab, ba = _sparse_mul(a, b), _sparse_mul(b, a)
+    ab, ba = sparse_mul(a, b), sparse_mul(b, a)
     out = {rc: ab.get(rc, 0) - ba.get(rc, 0) for rc in ab.keys() | ba.keys()}
     return {rc: v for rc, v in out.items() if v}
 
@@ -109,7 +92,7 @@ class MatrixLieAlgebra:
         if not self.basis:
             return None
         xi, m = cleared(x)
-        y = self._int_coords(_sparse(xi))
+        y = self._int_coords(sparse(xi))
         if y is None:
             return None
         # sum_k y_k B_k = det m x, and x = sum_k c_k B_k / L
@@ -208,23 +191,10 @@ class MatrixLieAlgebra:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _czero(n):
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _embed_block(small, size, offset):
-    out = _czero(size)
-    k = len(small)
-    for i in range(k):
-        for j in range(k):
-            out[offset + i][offset + j] = frac(small[i][j])
-    return out
-
-
 def creal(a, b):
     """Real 2n x 2n expansion of the complex matrix a + i b."""
     n = len(a)
-    out = _czero(2 * n)
+    out = zeros(2 * n)
     for p in range(n):
         for q in range(n):
             x, y = frac(a[p][q]), frac(b[p][q])
@@ -240,7 +210,7 @@ def so_basis(n):
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            m = _czero(n)
+            m = zeros(n)
             m[i][j] = Fraction(1)
             m[j][i] = Fraction(-1)
             out.append(m)
@@ -254,7 +224,7 @@ def _symmetric(a):
 
 def su_basis(n):
     """Real 2n x 2n basis of su(n): off-diagonal pairs, then diagonal tori."""
-    z = _czero(n)
+    z = zeros(n)
     out = []
     for a in so_basis(n):
         out += [creal(a, z), creal(z, _symmetric(a))]
@@ -264,15 +234,15 @@ def su_basis(n):
 
 def u_basis(n):
     """u(n) = su(n) + center, realized over R."""
-    return su_basis(n) + [creal(_czero(n), identity(n))]
+    return su_basis(n) + [creal(zeros(n), identity(n))]
 
 
 def diag_torus_su(n, weights):
     """i * diag(weights) in su(n)/u(n), real 2n x 2n."""
-    b = _czero(n)
+    b = zeros(n)
     for p, w in enumerate(weights):
         b[p][p] = frac(w)
-    return creal(_czero(n), b)
+    return creal(zeros(n), b)
 
 
 def sp_matrix(a_re, a_im, b_re, b_im):
@@ -298,9 +268,9 @@ def sp_basis(n):
     A runs over u(n), B over complex symmetric matrices; dim = n(2n + 1).
     """
     out = []
-    z = _czero(n)
+    z = zeros(n)
     for p in range(n):
-        d = _czero(n)
+        d = zeros(n)
         d[p][p] = Fraction(1)
         # i a_p diagonal, B = E_pp, B = i E_pp
         out += [sp_matrix(z, d, z, z), sp_matrix(z, z, d, z),
@@ -318,19 +288,16 @@ def rotation_block():
 
 def torus_basis(k):
     """R^k as k commuting rotation blocks (2k x 2k); -tr form is definite."""
-    return [_embed_block(rotation_block(), 2 * k, 2 * p) for p in range(k)]
+    return [embed_block(rotation_block(), 2 * k, 2 * p) for p in range(k)]
 
 
 def product_algebra(name, factors):
     """Block-diagonal product; basis order follows the factor order."""
     total = sum(f.size for f in factors)
-    basis = []
-    off = 0
-    for f in factors:
-        for b in f.basis:
-            basis.append(_embed_block(b, total, off))
-        off += f.size
-    return MatrixLieAlgebra(name=name, basis=basis)
+    offsets = accumulate((f.size for f in factors), initial=0)
+    return MatrixLieAlgebra(name=name, basis=[
+        embed_block(b, total, off)
+        for f, off in zip(factors, offsets) for b in f.basis])
 
 
 #: the classical algebras by name prefix: (smallest size, largest size,
@@ -470,10 +437,10 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
     fdet, adj = adjugate(f)
     if adj is None:
         raise ValueError("matrix is singular")
-    f, finv = _sparse(f), _sparse(adj)
+    f, finv = sparse(f), sparse(adj)
     imgs = []
     for b in g._int_basis[0]:
-        y = g._int_coords(_sparse_mul(_sparse_mul(f, b), finv))
+        y = g._int_coords(sparse_mul(sparse_mul(f, b), finv))
         if y is None:
             raise ValueError("generator does not normalize the algebra")
         imgs.append(y)
@@ -497,7 +464,7 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
 
 def _check_rep_property(action, h_brackets):
     """[rho(h_i), rho(h_j)] = rho([h_i, h_j]) from each bracket's h-coords."""
-    rho = [_sparse(a) for a in action]
+    rho = [sparse(a) for a in action]
     for (i, j), coeffs in h_brackets.items():
         rhs = {}
         for c, a in zip(coeffs, rho):

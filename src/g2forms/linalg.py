@@ -20,6 +20,7 @@ determinant as well.  No floating point.
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 ZERO = Fraction(0)
@@ -37,6 +38,43 @@ def mat(rows):
 
 def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def zeros(n):
+    return [[ZERO] * n for _ in range(n)]
+
+
+def block_diag(blocks):
+    """The block-diagonal matrix of square blocks, in order, as Fractions."""
+    out = zeros(sum(map(len, blocks)))
+    for at, b in zip(accumulate(map(len, blocks), initial=0), blocks):
+        for i, row in enumerate(b, at):
+            out[i][at:at + len(row)] = map(frac, row)
+    return out
+
+
+def embed_block(small, size, offset):
+    """`small` at rows and columns offset.. of a size x size zero matrix."""
+    return block_diag([zeros(offset), small,
+                       zeros(size - offset - len(small))])
+
+
+def sparse(m):
+    """The nonzero entries of a matrix as {(r, c): v}; integral values as int."""
+    return {(r, c): v.numerator if v.denominator == 1 else v
+            for r, row in enumerate(m) for c, v in enumerate(row) if v}
+
+
+def sparse_mul(a, b):
+    """Product of two sparse matrices {(r, c): v}; zero entries dropped."""
+    brows = {}
+    for (k, c), v in b.items():
+        brows.setdefault(k, []).append((c, v))
+    out = {}
+    for (r, k), v in a.items():
+        for c, w in brows.get(k, ()):
+            out[r, c] = out.get((r, c), 0) + v * w
+    return {rc: v for rc, v in out.items() if v}
 
 
 def transpose(a):

@@ -9,8 +9,8 @@ e^1 ^ ... ^ e^n, so "volume-valued" quantities are returned as the
 coefficient with respect to that form.
 
 Two tables are built once per (n, k): `_moves`, how gl(R^n) moves the
-indices of a k-form (`algebra_action`, `lambda_k_action_matrix` and
-`stable_forms.annihilator_of_form` read it), and `_expansion`, under the
+indices of a k-form (`algebra_action`, `annihilator_of_form` and
+`lambda_k_action_matrix` read it), and `_expansion`, under the
 one Laplace recursion `minors` that gives every k x k minor to `pullback`,
 `lambda_k_pullback_matrix` and the exact dual of `stable_forms`.
 """
@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .linalg import ZERO, cleared, frac
+from .linalg import ZERO, cleared, frac, kernel
 
 
 def sort_index(idx):
@@ -313,6 +313,31 @@ def algebra_action(m, a: KForm) -> KForm:
     return KForm(n, a.degree, out)
 
 
+def annihilator_of_form(*forms: KForm):
+    """Basis of {A in gl(R^n) : algebra_action(A, t) = 0 for all t}, exact.
+
+    The condition is linear in the n^2 entries of A.  Each form is cleared
+    to integers, and each of its terms c e^I adds -c sign to the row of e^J
+    in the column n i + j of A[i][j], for every move (i, j, J, sign) of I
+    in `_moves`, the table `algebra_action` reads.  One
+    `linalg.kernel` solves the sparse rows of all the forms.
+    """
+    n = forms[0].dim
+    rows = []
+    for t in forms:
+        (coeffs,), _ = cleared([list(t.terms.values())])
+        moves = _moves(n, t.degree)
+        out = {}
+        for I, c in zip(t.terms, coeffs):
+            for i, j, J, sign in moves[I]:
+                row = out.setdefault(J, {})
+                row[n * i + j] = row.get(n * i + j, 0) - c * sign
+        rows.extend(out.values())
+    basis = kernel(rows, n * n)
+    return [[[v[n * r + c] for c in range(n)] for r in range(n)]
+            for v in basis]
+
+
 def lambda_k_action_matrix(a, k):
     """Sparse rows of the infinitesimal action of a on Lambda^k coefficients.
 
@@ -361,12 +386,25 @@ def form_to_json(a: KForm) -> dict:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+class LongInteger(str):
+    """The text of a JSON integer of more digits than int() converts."""
+
+
+def parse_json_int(text):
+    """`json.load`'s parse_int for a form file: the int, or a `LongInteger`
+    that `form_from_json` refuses by its digit count."""
+    try:
+        return int(text)
+    except ValueError:
+        return LongInteger(text)
+
+
 def _shown(value):
     """A decoded JSON value as a refusal names it: an integer of at most 20
     digits as it is, any other value by its JSON type, with a string's
     length or an integer's digit count; never a long value itself."""
-    if type(value) is int:
-        digits = len(str(abs(value)))
+    if type(value) in (int, LongInteger):
+        digits = len(str(value).lstrip("-"))
         return str(value) if digits <= 20 else f"an integer of {digits} digits"
     if isinstance(value, str):
         return f"a string of {len(value)} characters"
@@ -375,7 +413,9 @@ def _shown(value):
 
 
 def _json_int(value, what):
-    """A JSON integer; a bool, a float or a string is refused."""
+    """A JSON integer; a bool, float, string or `LongInteger` is refused."""
+    if type(value) is LongInteger:
+        raise ValueError(f"{what} has too many digits, got {_shown(value)}")
     if type(value) is not int:
         raise ValueError(f"{what} must be a JSON integer, got {_shown(value)}")
     return value
@@ -391,7 +431,8 @@ def form_from_json(obj) -> KForm:
     `c` is a string of an integer or of p/q ("5", "-2/3", q != 0) or a JSON
     integer, never a float, a bool or a decimal or exponent string
     ("1e9999999" would take seconds to expand), and one of more digits
-    than int() converts is refused by its length.  An unsorted idx is sorted
+    than int() converts is refused by its length, as is a `LongInteger`
+    (`parse_json_int`) anywhere.  An unsorted idx is sorted
     with the sign of its permutation (`sort_index`), and an idx with a
     repeated index is the zero term.  Anything else raises ValueError.
     """
@@ -409,7 +450,8 @@ def form_from_json(obj) -> KForm:
                                  f"not the degree {_shown(degree)}")
             for p, i in enumerate(idx, 1):
                 if type(i) is not int or not 1 <= i <= dim:
-                    why = (f"outside 1..{_shown(dim)}" if type(i) is int
+                    why = (f"outside 1..{_shown(dim)}"
+                           if type(i) in (int, LongInteger)
                            else "not a JSON integer")
                     raise ValueError(f"term {n}: index {p} of idx is "
                                      f"{_shown(i)}, {why}")

@@ -207,7 +207,7 @@ def octonion_algebra(kind: str) -> OctonionAlgebra:
     if kind not in ("compact", "split"):
         raise ValueError(f"unknown octonion algebra kind: {kind!r}")
     gamma = 1 if kind == "split" else -1
-    sigma, signs = _FROZEN_ALIGNMENTS[kind]
+    sigma, signs = FROZEN_ALIGNMENTS[kind]
     return OctonionAlgebra(
         kind=kind, table=_realign_table(_raw_table(gamma), sigma, signs))
 
@@ -285,7 +285,7 @@ def chi_embedding(q1: UnitQuaternion, q2: UnitQuaternion):
     Exact 7x7 rational matrix; an automorphism of the split octonions that
     preserves PHITILDE.  chi(-q1, -q2) = chi(q1, q2).
     """
-    sigma, signs = _FROZEN_ALIGNMENTS["split"]
+    sigma, signs = FROZEN_ALIGNMENTS["split"]
     t = _signed_perm_matrix(sigma, signs)
     raw = _chi_raw(q1, q2)
     return mat_mul(mat_mul(inverse(t), raw), t)
@@ -295,7 +295,7 @@ def chi_embedding(q1: UnitQuaternion, q2: UnitQuaternion):
 # frozen alignment constants (see derive_alignment for the search)
 # ---------------------------------------------------------------------------
 
-_FROZEN_ALIGNMENTS = {
+FROZEN_ALIGNMENTS = {
     # verified against derive_alignment() by the test suite and the
     # `g2forms octonion-alignment` subcommand
     "split": ((1, 2, 3, 4, 5, 6, 7), (1, 1, 1, 1, 1, 1, -1)),

@@ -4,7 +4,7 @@
 `invariant_form_types` runs it on the invariant family of an isotropy
 module, and `homogeneous` on the closed invariant 3-forms.  B of the family
 is expanded once into integer cubics in the family coordinates
-(`family_hitchin_map`).  The scan classifies rational sample forms exactly,
+(`stable_forms.family_hitchin_map`).  The scan classifies each sample exactly,
 and a negative is exact when a certificate excludes the class.  Every
 certificate is a frozen value that names the classes it `excludes`,
 rechecks itself exactly (`recheck`) and writes its own record (`to_json`);
@@ -18,12 +18,9 @@ classes left; a miss there reads "undecided", never False.
 import math
 import random
 from dataclasses import dataclass
-from itertools import (combinations, combinations_with_replacement, count,
-                       islice, product)
+from itertools import combinations, count, islice, product
 
-from .linalg import kernel
-from .stable_forms import (DIM, _hitchin_tables, classify_hitchin,
-                           primitive_int_vector)
+from .stable_forms import DIM, classify_hitchin, family_hitchin_map
 
 
 @dataclass
@@ -79,139 +76,6 @@ def _scan_samples(d, config):
     rng = random.Random(config.seed)
     for _ in range(config.random):
         yield tuple(rng.randint(-9, 9) for _ in range(d))
-
-
-@dataclass(frozen=True)
-class FamilyHitchinMap:
-    """B of a linear family of 3-forms, expanded in the family coordinates.
-
-    B(x) = sum over monomials x_a x_b x_c of an integer symmetric matrix
-    M_abc.  `monomials` holds (a, b, c, terms) with a <= b <= c and terms
-    the nonzero (cell, coefficient) pairs of M_abc over the upper-triangular
-    `cells`.  Calling the map on an integer coefficient tuple x returns the
-    exact integer B(x); a sample costs one product per monomial, and
-    monomials with a zero factor are skipped.  The exact checks below read
-    the sparse terms directly.
-    """
-
-    monomials: tuple
-    cells: tuple
-
-    def __call__(self, x):
-        flat = [0] * len(self.cells)
-        for a, b, c, terms in self.monomials:
-            v = x[a] * x[b] * x[c]
-            if v:
-                for e, coef in terms:
-                    flat[e] += coef * v
-        m = [[0] * DIM for _ in range(DIM)]
-        for (i, j), v in zip(self.cells, flat):
-            m[i][j] = m[j][i] = v
-        return m
-
-    def _rows(self, terms):
-        """The nonzero rows of one M_abc, by row index."""
-        rows = {}
-        for e, coef in terms:
-            i, j = self.cells[e]
-            rows.setdefault(i, [0] * DIM)[j] = coef
-            rows.setdefault(j, [0] * DIM)[i] = coef
-        return rows
-
-    def kills(self, v):
-        """Is M_abc v = 0 for every monomial?  Exact integer products."""
-        return not any(sum(x * y for x, y in zip(row, v))
-                       for *_, terms in self.monomials
-                       for row in self._rows(terms).values())
-
-    def isotropic(self, vecs):
-        """Is w^T M_abc w' = 0 for every monomial and all w, w' in vecs?"""
-        pairs = [(w, u) for k, w in enumerate(vecs) for u in vecs[k:]]
-        for *_, terms in self.monomials:
-            rows = self._rows(terms)
-            if any(sum(w[i] * sum(x * y for x, y in zip(row, u))
-                       for i, row in rows.items()) for w, u in pairs):
-                return False
-        return True
-
-    def common_kernel(self):
-        """Primitive integer basis of the joint kernel of the M_abc."""
-        rows = {tuple(row) for *_, terms in self.monomials
-                for row in self._rows(terms).values()}
-        vecs = kernel([dict(enumerate(r)) for r in rows], DIM)
-        return [primitive_int_vector(v) for v in vecs]
-
-    def isotropic_coordinates(self):
-        """A largest set of coordinates whose span is isotropic for every
-        M_abc, as a sorted tuple (the first in lexicographic order), or ().
-
-        A support test: no monomial may have a term on a cell (i, j) with i
-        and j both in the set.
-        """
-        support = {self.cells[e] for *_, terms in self.monomials
-                   for e, _ in terms}
-        for k in range(DIM, 0, -1):
-            for s in combinations(range(DIM), k):
-                if not support.intersection(
-                        combinations_with_replacement(s, 2)):
-                    return s
-        return ()
-
-
-def family_hitchin_map(bvecs) -> FamilyHitchinMap:
-    """B of the family t(x) = sum_a x_a bvecs[a] as 28 integer cubics in x.
-
-    `bvecs` are integer 35-vectors.  The three steps of `hitchin_matrix`
-    run once per family on polynomials in x, over nonzero entries only:
-    A_i = e_i ⌟ t is linear, W_j = A_j ^ t quadratic, and
-    B_ij = sum_P sign(P) A_i[P] W_j[comp P] cubic, for i <= j.  The cells
-    are the pairs (i, j), i <= j, in row order; the monomials x_a x_b x_c
-    (a <= b <= c) come sorted, each with its nonzero terms by cell.
-    """
-    interior, wedge, pairing = _hitchin_tables()
-    support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
-               for p in range(len(interior))]
-    iota = [[] for _ in range(DIM)]
-    for p, lin in enumerate(support):
-        if lin:
-            for i, q, s in interior[p]:
-                iota[i].append((q, lin if s > 0 else
-                                [(a, -c) for a, c in lin]))
-    w = []
-    for a_j in iota:
-        wj = {}
-        for q, lin in a_j:
-            for k, f, s in wedge[q]:
-                if support[k]:
-                    quad = wj.setdefault(f, {})
-                    for a, ca in lin:
-                        sa = s * ca
-                        for b, cb in support[k]:
-                            key = (a, b) if a <= b else (b, a)
-                            quad[key] = quad.get(key, 0) + sa * cb
-        w.append(wj)
-    cubics = {}
-    cells = []
-    for i, a_i in enumerate(iota):
-        row = [(*pairing[q], lin) for q, lin in a_i]
-        for j in range(i, DIM):
-            e = len(cells)
-            cells.append((i, j))
-            for f, s, lin in row:
-                for (b, c), cq in w[j].get(f, {}).items():
-                    if not cq:
-                        continue
-                    for a, ca in lin:
-                        key = ((a, b, c) if a <= b else
-                               (b, a, c) if a <= c else (b, c, a))
-                        terms = cubics.setdefault(key, {})
-                        terms[e] = terms.get(e, 0) + s * ca * cq
-    monomials = []
-    for key, terms in sorted(cubics.items()):
-        terms = tuple((e, v) for e, v in sorted(terms.items()) if v)
-        if terms:
-            monomials.append((*key, terms))
-    return FamilyHitchinMap(monomials=tuple(monomials), cells=tuple(cells))
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from .isotropy import (IsotropyModule, invariant_3forms, invariant_kforms,
                        module_from_action)
 from .liealg import MatrixLieAlgebra, build_algebra, product_algebra
 from .linalg import identity, rank, solve, transpose
-from .multilinear import KForm, form_to_json
-from .scan import ScanConfig, family_hitchin_map
-from .stable_forms import (PHI, PHITILDE, annihilator_of_form, classify3,
+from .multilinear import KForm, annihilator_of_form, form_to_json
+from .scan import ScanConfig
+from .stable_forms import (PHI, PHITILDE, classify3, family_hitchin_map,
                            star_euclidean)
 
 

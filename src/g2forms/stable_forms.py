@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
-from .linalg import (adjugate, charpoly, cleared, frac, inertia, inverse,
-                     kernel, mat, mat_vec, nullspace, transpose)
-from .multilinear import (KForm, _moves, basis_vector, complement, interior,
-                          minors, sort_index, wedge)
+from .linalg import (adjugate, charpoly, frac, inertia, inverse, kernel, mat,
+                     mat_vec, nullspace, transpose)
+from .multilinear import (KForm, annihilator_of_form, basis_vector,
+                          complement, interior, minors, sort_index, wedge)
 
 DIM = 7
 
@@ -80,7 +80,7 @@ def _hitchin_tables():
                 e^P ^ e^K = sign e^F;
       pairing:  per pair P, complement(P, 7): (F, sign) with F its
                 complement and e^P ^ e^F = sign e^{1..7}.
-    `hitchin_matrix` and `scan.family_hitchin_map` read them.
+    `hitchin_matrix` and `family_hitchin_map` read them.
     """
     pos2 = {P: n for n, P in enumerate(combinations(range(1, 8), 2))}
     pos5 = {F: n for n, F in enumerate(combinations(range(1, 8), 5))}
@@ -140,6 +140,139 @@ def hitchin_matrix(coeffs):
                 acc += c * wj[f]
             b[i][j] = b[j][i] = acc
     return b
+
+
+@dataclass(frozen=True)
+class FamilyHitchinMap:
+    """B of a linear family of 3-forms, expanded in the family coordinates.
+
+    B(x) = sum over monomials x_a x_b x_c of an integer symmetric matrix
+    M_abc.  `monomials` holds (a, b, c, terms) with a <= b <= c and terms
+    the nonzero (cell, coefficient) pairs of M_abc over the upper-triangular
+    `cells`.  Calling the map on an integer coefficient tuple x returns the
+    exact integer B(x); a sample costs one product per monomial, and
+    monomials with a zero factor are skipped.  The exact checks below read
+    the sparse terms directly.
+    """
+
+    monomials: tuple
+    cells: tuple
+
+    def __call__(self, x):
+        flat = [0] * len(self.cells)
+        for a, b, c, terms in self.monomials:
+            v = x[a] * x[b] * x[c]
+            if v:
+                for e, coef in terms:
+                    flat[e] += coef * v
+        m = [[0] * DIM for _ in range(DIM)]
+        for (i, j), v in zip(self.cells, flat):
+            m[i][j] = m[j][i] = v
+        return m
+
+    def _rows(self, terms):
+        """The nonzero rows of one M_abc, by row index."""
+        rows = {}
+        for e, coef in terms:
+            i, j = self.cells[e]
+            rows.setdefault(i, [0] * DIM)[j] = coef
+            rows.setdefault(j, [0] * DIM)[i] = coef
+        return rows
+
+    def kills(self, v):
+        """Is M_abc v = 0 for every monomial?  Exact integer products."""
+        return not any(sum(x * y for x, y in zip(row, v))
+                       for *_, terms in self.monomials
+                       for row in self._rows(terms).values())
+
+    def isotropic(self, vecs):
+        """Is w^T M_abc w' = 0 for every monomial and all w, w' in vecs?"""
+        pairs = [(w, u) for k, w in enumerate(vecs) for u in vecs[k:]]
+        for *_, terms in self.monomials:
+            rows = self._rows(terms)
+            if any(sum(w[i] * sum(x * y for x, y in zip(row, u))
+                       for i, row in rows.items()) for w, u in pairs):
+                return False
+        return True
+
+    def common_kernel(self):
+        """Primitive integer basis of the joint kernel of the M_abc."""
+        rows = {tuple(row) for *_, terms in self.monomials
+                for row in self._rows(terms).values()}
+        vecs = kernel([dict(enumerate(r)) for r in rows], DIM)
+        return [primitive_int_vector(v) for v in vecs]
+
+    def isotropic_coordinates(self):
+        """A largest set of coordinates whose span is isotropic for every
+        M_abc, as a sorted tuple (the first in lexicographic order), or ().
+
+        A support test: no monomial may have a term on a cell (i, j) with i
+        and j both in the set.
+        """
+        support = {self.cells[e] for *_, terms in self.monomials
+                   for e, _ in terms}
+        for k in range(DIM, 0, -1):
+            for s in combinations(range(DIM), k):
+                if not support.intersection(
+                        combinations_with_replacement(s, 2)):
+                    return s
+        return ()
+
+
+def family_hitchin_map(bvecs) -> FamilyHitchinMap:
+    """B of the family t(x) = sum_a x_a bvecs[a] as 28 integer cubics in x.
+
+    `bvecs` are integer 35-vectors.  The three steps of `hitchin_matrix`
+    run once per family on polynomials in x, over nonzero entries only:
+    A_i = e_i ⌟ t is linear, W_j = A_j ^ t quadratic, and
+    B_ij = sum_P sign(P) A_i[P] W_j[comp P] cubic, for i <= j.  The cells
+    are the pairs (i, j), i <= j, in row order; the monomials x_a x_b x_c
+    (a <= b <= c) come sorted, each with its nonzero terms by cell.
+    """
+    interior, wedge, pairing = _hitchin_tables()
+    support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
+               for p in range(len(interior))]
+    iota = [[] for _ in range(DIM)]
+    for p, lin in enumerate(support):
+        if lin:
+            for i, q, s in interior[p]:
+                iota[i].append((q, lin if s > 0 else
+                                [(a, -c) for a, c in lin]))
+    w = []
+    for a_j in iota:
+        wj = {}
+        for q, lin in a_j:
+            for k, f, s in wedge[q]:
+                if support[k]:
+                    quad = wj.setdefault(f, {})
+                    for a, ca in lin:
+                        sa = s * ca
+                        for b, cb in support[k]:
+                            key = (a, b) if a <= b else (b, a)
+                            quad[key] = quad.get(key, 0) + sa * cb
+        w.append(wj)
+    cubics = {}
+    cells = []
+    for i, a_i in enumerate(iota):
+        row = [(*pairing[q], lin) for q, lin in a_i]
+        for j in range(i, DIM):
+            e = len(cells)
+            cells.append((i, j))
+            for f, s, lin in row:
+                for (b, c), cq in w[j].get(f, {}).items():
+                    if not cq:
+                        continue
+                    for a, ca in lin:
+                        key = ((a, b, c) if a <= b else
+                               (b, a, c) if a <= c else (b, c, a))
+                        terms = cubics.setdefault(key, {})
+                        terms[e] = terms.get(e, 0) + s * ca * cq
+    monomials = []
+    for key, terms in sorted(cubics.items()):
+        terms = tuple((e, v) for e, v in sorted(terms.items()) if v)
+        if terms:
+            monomials.append((*key, terms))
+    return FamilyHitchinMap(monomials=tuple(monomials), cells=tuple(cells))
 
 
 def primitive_ray(vec):
@@ -240,7 +373,7 @@ def metric_from_3form(t: KForm):
     definite metric positive and gives the indefinite one signature (3, 4).
     B and det B are exact rescalings of the integer matrix of t's ray, so
     each float is the correctly rounded value of the exact rational.  Kept
-    as the float reference for `_star_on_dual_ray`.
+    as the float reference for `star_on_dual_ray`.
     """
     import numpy as np
 
@@ -299,45 +432,50 @@ PSI4 = star_euclidean(PHI)
 _STAR_SIGNS = [complement(J, DIM)[1] for J in IDX3]
 
 
-def _dual_coefficients(adj, x):
-    """star_euclidean(pullback(adj, x)) as an integer 35-vector.
+def dual_coefficients(b, x):
+    """(det b, adj b, Q) for the integer Hitchin matrix b of the integer
+    3-form x; (0, None, None) when b is singular.
 
-    adj is an integer 7 x 7 matrix and x the integer coefficients of a
-    nonzero 3-form.  The pullback has coefficient sum_I x_I det adj[I, J]
-    on e^J, the `minors` of adj weighed by x, and the star puts it, times
-    the sign of (J, comp J), on e^(comp J), which sits at position
-    34 - pos J: complementing reverses the lexicographic order.
+    adj b is one integer `adjugate`, and Q = star_euclidean(pullback(adj b,
+    x)) as an integer 35-vector: the pullback has coefficient
+    sum_I x_I det adj[I, J] on e^J, the `minors` of adj b weighed by x, and
+    the star puts it, times the sign of (J, comp J), on e^(comp J), which
+    sits at position 34 - pos J: complementing reverses the lexicographic
+    order.
     """
+    detb, adj = adjugate(b)
+    if detb == 0:
+        return 0, None, None
     weights = {I: xi for I, xi in zip(combinations(range(DIM), 3), x) if xi}
-    return [s * t for s, t in
-            zip(_STAR_SIGNS, minors(adj, weights, 3))][::-1]
+    return detb, adj, [s * t for s, t in
+                       zip(_STAR_SIGNS, minors(adj, weights, 3))][::-1]
 
 
-def _star_on_dual_ray(t: KForm, ray=None):
+def star_on_dual_ray(t: KForm, ray=None):
     """(Q, kappa^9) with star t = kappa Q, kappa > 0; None if degenerate.
 
     star t = vol C(t @ Lambda^3(g^-1)), vol > 0, C the signed complement of
     `star_euclidean` and g^-1 = 6^(2/9) |det B|^(1/9) sign(det B) B^-1
     (`metric_from_3form`).  With t = scale x (`hitchin_ray`) and
-    adj(Bx) = c M, M primitive (one integer `adjugate`), this gives
-    Q = star_euclidean(pullback(M, t)) = scale * `_dual_coefficients`(M, x)
-    and the rational kappa^9 = scale^3 c^27 / (6 |det Bx|^23).  `ray`: t's
-    `hitchin_ray`.
+    adj(Bx) = c M, c the content of adj(Bx), this gives
+    Q = star_euclidean(pullback(M, t)), scale / c^3 times the Q of
+    `dual_coefficients`(Bx, x) (the minors are cubic, so the division is
+    exact), and the rational kappa^9 = scale^3 c^27 / (6 |det Bx|^23).
+    `ray`: t's `hitchin_ray`.
     """
     bx, scale, x = ray or hitchin_ray(t)
-    detbx, adj = adjugate(bx)
+    detbx, adj, q = dual_coefficients(bx, x)
     if detbx == 0:
         return None
-    adj, c = primitive_ray([v for row in adj for v in row])
-    q = _dual_coefficients([adj[i:i + DIM]
-                            for i in range(0, DIM * DIM, DIM)], x)
-    q = KForm.from_coefficient_vector(DIM, 4, [scale * v for v in q])
+    c = math.gcd(*(v for row in adj for v in row))
+    q = KForm.from_coefficient_vector(DIM, 4, [scale * (v // c ** 3)
+                                               for v in q])
     return q, scale ** 3 * c ** 27 / (_METRIC_CONST * abs(detbx) ** 23)
 
 
 def dual_ray(t: KForm):
-    """The exact Q on the ray of star t (`_star_on_dual_ray`), or None."""
-    star = _star_on_dual_ray(t)
+    """The exact Q on the ray of star t (`star_on_dual_ray`), or None."""
+    star = star_on_dual_ray(t)
     return None if star is None else star[0]
 
 
@@ -377,31 +515,6 @@ def classification_report(t: KForm) -> dict:
 # ---------------------------------------------------------------------------
 # module decompositions under the annihilator algebra of PHI
 # ---------------------------------------------------------------------------
-
-def annihilator_of_form(*forms: KForm):
-    """Basis of {A in gl(R^n) : algebra_action(A, t) = 0 for all t}, exact.
-
-    The condition is linear in the n^2 entries of A.  Each form is cleared
-    to integers, and each of its terms c e^I adds -c sign to the row of e^J
-    in the column n i + j of A[i][j], for every move (i, j, J, sign) of I
-    in `multilinear._moves`, the table `algebra_action` reads.  One
-    `linalg.kernel` solves the sparse rows of all the forms.
-    """
-    n = forms[0].dim
-    rows = []
-    for t in forms:
-        (coeffs,), _ = cleared([list(t.terms.values())])
-        moves = _moves(n, t.degree)
-        out = {}
-        for I, c in zip(t.terms, coeffs):
-            for i, j, J, sign in moves[I]:
-                row = out.setdefault(J, {})
-                row[n * i + j] = row.get(n * i + j, 0) - c * sign
-        rows.extend(out.values())
-    basis = kernel(rows, n * n)
-    return [[[v[n * r + c] for c in range(n)] for r in range(n)]
-            for v in basis]
-
 
 @cache
 def annihilator_g2():

@@ -51,9 +51,8 @@ from math import prod
 from g2forms.linalg import (ZERO, identity, intersect_nullspaces, mat, mat_mul,
                             mat_vec, nullspace, rref, transpose)
 from g2forms.multilinear import KForm, sort_index
-from g2forms.scan import FamilyHitchinMap
-from g2forms.stable_forms import (DIM, IDX3, hitchin_matrix, primitive_ray,
-                                  star_euclidean)
+from g2forms.stable_forms import (DIM, IDX3, FamilyHitchinMap, hitchin_matrix,
+                                  primitive_ray, star_euclidean)
 
 IDX3_POS = {idx: p for p, idx in enumerate(IDX3)}
 

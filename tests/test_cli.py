@@ -102,13 +102,20 @@ def _phi_terms(**first):
     # more digits than int() converts, and deeper than json.load recurses
     {"dim": 7, "degree": 3, "terms": _phi_terms(c="1" * 5_000)},
     "[" * 100_000,
+    # JSON integers of more digits than int() converts, as the file's text
+    '{"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "c": %s}]}'
+    % ("7" * 5_000),
+    '{"dim": %s, "degree": 3, "terms": []}' % ("7" * 5_000),
+    '{"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, -%s], "c": "1"}]}'
+    % ("7" * 5_000),
 ], ids=["idx-string", "idx-float", "idx-bool", "idx-object",
         "index-set-twice", "index-set-twice-permuted", "c-float",
         "c-integral-float", "c-true", "c-null", "c-decimal", "c-exponent",
         "c-space", "dim-float", "degree-string", "index-0", "index-8",
         "index-8001-of-8000", "idx-long-string", "c-long-string",
         "index-long-string", "dim-long-string", "c-5000-digits",
-        "nested-100000-deep"])
+        "nested-100000-deep", "c-5000-digit-integer",
+        "dim-5000-digit-integer", "index-5000-digit-integer"])
 def test_classify_refuses_a_malformed_form_file(tmp_path, capsys, obj):
     # a str parameter is the file's text itself
     path = tmp_path / "bad.json"
@@ -119,6 +126,7 @@ def test_classify_refuses_a_malformed_form_file(tmp_path, capsys, obj):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert len(err.encode()) < 200
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("terms,expected", [
@@ -450,11 +458,15 @@ def test_catalog_verify_jobs_must_be_positive(capsys, jobs):
     assert "expected a positive integer" in err
 
 
-@pytest.mark.parametrize("option", ["--grid", "--random", "--jobs"])
-def test_a_count_above_sys_maxsize_is_a_usage_error(capsys, option):
+@pytest.mark.parametrize("command,option", [
+    (("catalog", "verify", "--case", "2d"), "--grid"),
+    (("catalog", "verify", "--case", "2d"), "--random"),
+    (("catalog", "verify", "--case", "2d"), "--jobs"),
+    (("section5", "closed-scan"), "--samples"),
+], ids=["--grid", "--random", "--jobs", "closed-scan--samples"])
+def test_a_count_above_sys_maxsize_is_a_usage_error(capsys, command, option):
     # islice and the pool take no larger count
-    err = usage_error(capsys, "catalog", "verify", "--case", "2d", option,
-                      str(sys.maxsize + 1))
+    err = usage_error(capsys, *command, option, str(sys.maxsize + 1))
     assert f"integer of at most {sys.maxsize}, got" in err
 
 

@@ -433,7 +433,7 @@ def test_a_corrupted_monomial_entry_on_w_loses_the_certificate(
 
 def test_a_corrupted_isotropic_subspace_fails_the_exact_recheck(
         su2t4, monkeypatch):
-    from g2forms import scan
+    from g2forms import stable_forms
 
     hitchin = _closed_map(su2t4)
     units = [[int(i == j) for j in range(7)] for i in range(7)]
@@ -441,7 +441,7 @@ def test_a_corrupted_isotropic_subspace_fails_the_exact_recheck(
     # each isotropic, their span is not, and no subspace holding it is
     assert hitchin.isotropic([units[2]]) and hitchin.isotropic([units[3]])
     assert not hitchin.isotropic([units[2], units[3]])
-    monkeypatch.setattr(scan.FamilyHitchinMap,
+    monkeypatch.setattr(stable_forms.FamilyHitchinMap,
                         "isotropic_coordinates",
                         lambda self: (2, 3, 4, 5, 6))
     assert isotropic_exclusion(hitchin) is None

@@ -22,10 +22,10 @@ from g2forms.linalg import (cleared, identity, inertia, intersect_nullspaces,
                             inverse, mat, mat_mul, mat_vec, nullspace, rank,
                             rref, solve, transpose)
 from g2forms.multilinear import KForm, pullback
-from g2forms.scan import (SchurCertificate, ScanConfig, _ray_grid,
-                          family_hitchin_map, kernel_exclusion)
-from references import (_hitchin_table, bracket, check_jacobi, commutator,
-                        dense_d1, dense_kernel_dim, mat_sub, reference_action,
+from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
+                          kernel_exclusion)
+from references import (bracket, check_jacobi, commutator, dense_d1,
+                        dense_kernel_dim, mat_sub, reference_action,
                         reference_family_hitchin_map, trace)
 from g2forms.stable_forms import (Orbit3Class, classify3, classify_coeffs,
                                   classify_hitchin, hitchin_matrix,
@@ -142,35 +142,6 @@ def test_built_module_is_a_deep_value():
     gens = build_entry("2ai").generators
     with pytest.raises(TypeError):
         gens[0][1][0][0] = 1
-
-
-def test_invariant_kforms_are_computed_once_per_module(monkeypatch):
-    import dataclasses
-
-    from g2forms import isotropy
-
-    calls = []
-    compute = isotropy.invariant_kform_basis
-
-    def counting(action, generators, k, n):
-        calls.append(k)
-        return compute(action, generators, k, n)
-
-    monkeypatch.setattr(isotropy, "invariant_kform_basis", counting)
-    mod = build_entry("2d")
-    first = invariant_kforms(mod, 3)
-    expected = list(first)
-    first.append(first[0])
-    first.pop(0)
-    second = invariant_kforms(mod, 3)
-    assert second == expected and second is not first
-    assert invariant_3forms(mod) == expected
-    assert calls == [3]
-    invariant_kforms(mod, 2)
-    assert calls == [3, 2]
-    # a copy is a new module with an empty cache
-    assert invariant_kforms(dataclasses.replace(mod), 3) == expected
-    assert calls == [3, 2, 3]
 
 
 @pytest.mark.parametrize("case", ["7", "1"])
@@ -856,17 +827,6 @@ def test_a_transported_module_below_its_first_witness_is_undecided():
     assert (below["samples"], at["samples"]) == (208, 209)
 
 
-def test_the_schur_recheck_refuses_a_split_that_sums_to_3_or_4():
-    for dims in ((7,), (1, 6), (2, 5), (1, 1, 5)):
-        assert SchurCertificate(dims).recheck(), dims
-    # (1, 2, 4) has 1 + 2 = 3; (3, 4) and (1, 3, 3) hold a 3 or a 4
-    for dims in ((1, 2, 4), (3, 4), (1, 3, 3)):
-        assert not SchurCertificate(dims).recheck(), dims
-    # dims of another total, or not dimensions at all
-    for dims in ((6,), (1, 7), (), (8, -1), (0, 7)):
-        assert not SchurCertificate(dims).recheck(), dims
-
-
 def test_schur_exclusion_does_not_fire_on_case1():
     mod = build_entry("1")
     assert irreducible_dims(mod) == [3, 4]
@@ -919,32 +879,6 @@ def _monomial_matrices(hitchin):
             m[i][j] = m[j][i] = coef
         out.append(m)
     return out
-
-
-def test_family_map_of_the_unit_vectors_is_the_contraction_table():
-    # on the 35 unit vectors the family map is B itself as 28 cubics in the
-    # coefficients, so agreeing with the old table's coefficients, cell by
-    # cell, is a polynomial identity
-    hitchin = family_hitchin_map([[int(a == b) for b in range(35)]
-                                  for a in range(35)])
-    assert hitchin.cells == tuple((i, j) for i in range(7)
-                                  for j in range(i, 7))
-    want = {}
-    for (i, j), groups in _hitchin_table().items():
-        for pi, rest in groups:
-            for pj, pk, s in rest:
-                cell = want.setdefault((i - 1, j - 1), {})
-                mono = tuple(sorted((pi, pj, pk)))
-                cell[mono] = cell.get(mono, 0) + s
-    got = {}
-    for a, b, c, terms in hitchin.monomials:
-        assert a <= b <= c and [e for e, _ in terms] == sorted(
-            {e for e, _ in terms})
-        for e, v in terms:
-            assert v
-            got.setdefault(hitchin.cells[e], {})[a, b, c] = v
-    assert got == {ij: {m: v for m, v in cell.items() if v}
-                   for ij, cell in want.items()}
 
 
 def test_family_map_matches_the_contraction_table_walk(scanned_families):
@@ -1042,7 +976,7 @@ def test_a_corrupted_kernel_vector_fails_the_exact_recheck(
         degenerate_families, monkeypatch):
     import dataclasses
 
-    from g2forms import scan
+    from g2forms import stable_forms
 
     mod, hitchin, _, _ = degenerate_families["4ii(0, 0)+B23-swap"]
     units = [[int(i == j) for j in range(7)] for i in range(7)]
@@ -1063,7 +997,7 @@ def test_a_corrupted_kernel_vector_fails_the_exact_recheck(
     v = hitchin.common_kernel()[0]
     bad = [a + b for a, b in zip(v, [1, 0, 0, 0, 0, 0, 0])]
     assert not hitchin.kills(bad)
-    monkeypatch.setattr(scan.FamilyHitchinMap, "common_kernel",
+    monkeypatch.setattr(stable_forms.FamilyHitchinMap, "common_kernel",
                         lambda self: [bad])
     assert kernel_exclusion(hitchin) is None
     rep = invariant_form_types(mod, SMALL_SCAN)

@@ -9,7 +9,7 @@ from g2forms.multilinear import pullback
 from g2forms.octonion import (UnitQuaternion, chi_embedding, derivation_algebra,
                               derive_alignment, invariant_3form_ray,
                               is_automorphism, octonion_algebra, quat_mul,
-                              _FROZEN_ALIGNMENTS)
+                              FROZEN_ALIGNMENTS)
 from g2forms.stable_forms import PHI, PHITILDE, annihilator_g2
 from references import span_basis
 
@@ -158,7 +158,7 @@ def test_invariant_rays_are_references_in_aligned_basis():
 
 def test_frozen_alignment_matches_rederivation():
     for kind in ("compact", "split"):
-        assert derive_alignment(kind) == _FROZEN_ALIGNMENTS[kind]
+        assert derive_alignment(kind) == FROZEN_ALIGNMENTS[kind]
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,7 +8,8 @@ reached when a reached body refers to it by name, attribute or identifier
 string (the CLI reaches the section5 reports by their names); every one
 must be reached.  Code that only tests read belongs in
 `tests/references.py`.  Every module-level import is used in its module,
-and the imports between the package's modules go one way, with no cycle.
+the imports between the package's modules go one way, with no cycle, and
+none of them takes another module's private name.
 """
 
 import ast
@@ -158,6 +159,22 @@ def test_the_package_imports_form_no_cycle():
     assert graph["liealg"] <= {"linalg", "isotropy"}
     assert graph["isotropy"].isdisjoint(
         {"liealg", "catalog", "homogeneous", "section5", "cli"})
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a `_name` is read only in the module that defines it: no import of
+    # the package, function-level ones included, takes a non-dunder private
+    # name from another of its modules (tests and perfbench may)
+    crossing = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("g2forms")):
+                crossing |= {(module, node.module, alias.name)
+                             for alias in node.names
+                             if alias.name.startswith("_")
+                             and not alias.name.startswith("__")}
+    assert crossing == set()
 
 
 def test_liealg_re_exports_the_objects_of_isotropy_and_scan():

@@ -7,8 +7,8 @@ import pytest
 from g2forms import section5
 from g2forms.linalg import det
 from g2forms.multilinear import KForm
-from g2forms.scan import FamilyHitchinMap, family_hitchin_map
-from g2forms.stable_forms import PHI, Orbit3Class, star_euclidean
+from g2forms.stable_forms import (PHI, FamilyHitchinMap, Orbit3Class,
+                                  family_hitchin_map, star_euclidean)
 from references import metric_from_4form
 
 #: the example-429 display and every claim read off it

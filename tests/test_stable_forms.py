@@ -5,22 +5,22 @@ from itertools import combinations
 
 import pytest
 
-from g2forms.linalg import (charpoly, det, inverse, mat, mat_mul, nullspace,
-                            rank, transpose)
+from g2forms.linalg import (adjugate, charpoly, det, inverse, mat, mat_mul,
+                            nullspace, rank, transpose)
 from g2forms.multilinear import (KForm, _moves, algebra_action, basis_vector,
                                  interior, pullback, sort_index, wedge)
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   annihilator_g2, annihilator_of_form,
                                   classification_report,
                                   classify3,
-                                  decompose2, decompose3, dual_ray,
+                                  decompose2, decompose3, dual_coefficients,
+                                  dual_ray, family_hitchin_map,
                                   hitchin_bilinear, hitchin_matrix,
-                                  hodge_star, metric_from_3form,
+                                  hitchin_ray, hodge_star, metric_from_3form,
                                   primitive_int_vector, star_euclidean,
-                                  traceless_to_27)
-from g2forms.scan import family_hitchin_map
-from references import (coeff, metric_from_4form, reference_action,
-                        reference_hitchin_matrix)
+                                  star_on_dual_ray, traceless_to_27)
+from references import (_hitchin_table, coeff, metric_from_4form,
+                        reference_action, reference_hitchin_matrix)
 
 w = KForm.basis
 
@@ -299,6 +299,65 @@ def test_dual_ray_of_a_degenerate_form_is_none():
     assert dual_ray(w(7, 1, 2, 3)) is None
     assert dual_ray(KForm.zero(7, 3)) is None
     assert dual_ray(w(7, 1, 2, 3) + w(7, 1, 4, 5) + w(7, 1, 6, 7)) is None
+
+
+@pytest.mark.parametrize("ref", [PHI, PHITILDE])
+def test_dual_coefficients_is_the_star_of_the_adjugate_pullback(ref):
+    # seeded integer pullbacks times 1, 2 or 3, every fourth along a
+    # singular map: Q is the star of the pullback along adj B, and the dual
+    # ray is scale / c^3 times the Q of its primitive ray, c the content of
+    # adj B
+    rng = random.Random(29)
+    stable = 0
+    for k in range(12):
+        g = [[rng.randint(-2, 2) for _ in range(7)] for _ in range(7)]
+        if k % 4 == 3:
+            g[rng.randrange(7)] = [0] * 7
+        t = (k % 3 + 1) * pullback(g, ref)
+        x = [int(c) for c in t.coefficient_vector()]
+        b = hitchin_matrix(x)
+        detb, adj = adjugate(b)
+        got = dual_coefficients(b, x)
+        if detb == 0:
+            assert got == (0, None, None)
+            assert star_on_dual_ray(t) is None
+            continue
+        stable += 1
+        assert got[:2] == (detb, adj)
+        assert got[2] == star_euclidean(pullback(adj, t)).coefficient_vector()
+        bx, scale, xp = hitchin_ray(t)
+        _, adj, q = dual_coefficients(bx, xp)
+        c = math.gcd(*(v for row in adj for v in row))
+        assert star_on_dual_ray(t)[0].coefficient_vector() == [
+            scale * v / c ** 3 for v in q]
+    assert stable == 9
+
+
+def test_family_map_of_the_unit_vectors_is_the_contraction_table():
+    # on the 35 unit vectors the family map is B itself as 28 cubics in the
+    # coefficients, so agreeing with the old table's coefficients, cell by
+    # cell, is a polynomial identity
+    hitchin = family_hitchin_map([[int(a == b) for b in range(35)]
+                                  for a in range(35)])
+    assert hitchin.cells == tuple((i, j) for i in range(7)
+                                  for j in range(i, 7))
+    want = {}
+    for (i, j), groups in _hitchin_table().items():
+        for pi, rest in groups:
+            for pj, pk, s in rest:
+                cell = want.setdefault((i - 1, j - 1), {})
+                mono = tuple(sorted((pi, pj, pk)))
+                cell[mono] = cell.get(mono, 0) + s
+    got = {}
+    for a, b, c, terms in hitchin.monomials:
+        assert a <= b <= c and [e for e, _ in terms] == sorted(
+            {e for e, _ in terms})
+        for e, v in terms:
+            assert v
+            got.setdefault(hitchin.cells[e], {})[a, b, c] = v
+    assert got == {ij: {m: v for m, v in cell.items() if v}
+                   for ij, cell in want.items()}
+
 
 
 def test_exact_dual_reference_value():
