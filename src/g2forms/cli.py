@@ -5,7 +5,9 @@ parser, which declares exactly the options the leaf reads, and a function
 from its arguments to its report.  Exit codes: 2 for a usage error or a
 refusal (any ValueError); otherwise the number of failed claims in the
 report (capped at 125), published-value claims not counted, so 0 on
-success.  With a fixed seed the JSON output is byte-identical across runs.
+success.  Two failed claims exit 2 as well, with an empty stderr: only a
+refusal or a usage error writes to stderr.  With a fixed seed the JSON
+output is byte-identical across runs.
 """
 
 import argparse

@@ -248,7 +248,7 @@ def exact_primitive(c: InvariantComplex, target: KForm):
 # certificate from integer evaluations
 # ---------------------------------------------------------------------------
 
-#: degrees in the slope s along t(s) = f1 + s f2 (see `certify_pencil`)
+#: degrees in the slope s along t(s) = f1 + s f2 (see `nearly_parallel_rays`)
 DET_DEGREE = 21
 Q_DEGREE = 55
 MINOR_DEGREE = 56
@@ -267,13 +267,10 @@ class PencilEvaluations(NamedTuple):
     denominator, so t(s) = x1 + s x2 is an integer 3-form on the same ray;
     `d1`, `d2` are d x1 and d x2 cleared by another.  At each slope, q holds
     the integer coefficients of Q(s) = star_euclidean(pullback(adj B(s),
-    t(s))), with adj B = det B * B^-1 the integer adjugate, and dq the terms
-    of d Q(s).  `singular` lists the slopes skipped for det B(s) = 0.
-
-    Every value is an integer computation on vectors: B(s) is the family
-    Hitchin map of (x1, x2) at (1, s), q is read off the 3 x 3 minors of
-    adj B(s) directly (`dual_coefficients`), and dq is one integer matrix
-    of d on 4-forms applied to q (`_d4_matrix`).
+    t(s))), with adj B = det B * B^-1 the integer adjugate: B(s) is the
+    family Hitchin map of (x1, x2) at (1, s), and q is read off the 3 x 3
+    minors of adj B(s) directly (`dual_coefficients`).  `singular` lists
+    the slopes skipped for det B(s) = 0.
     """
 
     basis: tuple
@@ -282,39 +279,18 @@ class PencilEvaluations(NamedTuple):
     slopes: tuple
     singular: tuple
     q: tuple
-    dq: tuple
-
-
-def _d4_matrix(m: IsotropyModule):
-    """The exterior differential Lambda^4 -> Lambda^5 of m on integers.
-
-    Column I is d e^I (`_diff_terms`), and the matrix is cleared by one
-    common denominator den.  Returns (rows, den), rows mapping each
-    5-index to its nonzero (position of I, integer) pairs.
-    """
-    cols = [_diff_terms({idx: 1}, m.d_one_forms)
-            for idx in combinations(range(1, m.dimV + 1), 4)]
-    den = math.lcm(*(v.denominator for col in cols for v in col.values()))
-    rows = {}
-    for pos, col in enumerate(cols):
-        for key, v in col.items():
-            rows.setdefault(key, []).append((pos, int(v * den)))
-    return rows, den
 
 
 def pencil_evaluations(m: IsotropyModule):
     """Evaluate the pencil of the two invariant 3-forms at 57 slopes.
 
     Slopes run 0, 1, -1, 2, ..., skipping those with det B(s) = 0.  Every
-    value is an integer computation.  B(s) comes from one
-    `family_hitchin_map` of (x1, x2), expanded once and called at (1, s);
-    then `dual_coefficients`, one fraction-free adjugate and the
-    coefficients of Q(s) read directly off its 3 x 3 minors, and
-    d Q(s) from one integer matrix of d on 4-forms, built once
-    (`_d4_matrix`).  det B(s) has degree at most 21 in s, so unless it is
-    identically 0 at most 21 slopes are skipped; the loop stops at the
-    22nd singular slope, which proves det B(s) = 0 and leaves no
-    nonsingular slope.
+    value is an integer computation: B(s) comes from one
+    `family_hitchin_map` of (x1, x2), expanded once and called at (1, s),
+    then `dual_coefficients` gives det B(s) and Q(s).  det B(s) has degree
+    at most 21 in s, so unless it is identically 0 at most 21 slopes are
+    skipped; the loop stops at the 22nd singular slope, which proves
+    det B(s) = 0 and leaves no nonsingular slope.
     """
     basis = tuple(invariant_3forms(m))
     if len(basis) != 2:
@@ -323,8 +299,7 @@ def pencil_evaluations(m: IsotropyModule):
     (d1, d2), _ = cleared([ce_differential(m, KForm.from_coefficient_vector(
         7, 3, x)).coefficient_vector() for x in (x1, x2)])
     hitchin = family_hitchin_map([x1, x2])
-    d4, den = _d4_matrix(m)
-    slopes, singular, qs, dqs = [], [], [], []
+    slopes, singular, qs = [], [], []
     # distinct integer slopes, smallest first: 0, 1, -1, 2, -2, ...
     for s in chain.from_iterable((k, -k) if k else (0,) for k in count()):
         detb, _, q = dual_coefficients(
@@ -334,24 +309,13 @@ def pencil_evaluations(m: IsotropyModule):
             if len(singular) > DET_DEGREE:
                 break
             continue
-        dq = {}
-        for key, row in d4.items():
-            total = sum(v * q[pos] for pos, v in row)
-            if total:
-                dq[key] = Fraction(total, den)
         slopes.append(s)
         qs.append(tuple(q))
-        dqs.append(dq)
         if len(slopes) == PENCIL_SLOPES:
             break
     return PencilEvaluations(basis=basis, d1=tuple(d1), d2=tuple(d2),
                              slopes=tuple(slopes), singular=tuple(singular),
-                             q=tuple(qs), dq=tuple(dqs))
-
-
-def _fits(slopes, vals, m, c, r):
-    """Is vals[j] = c s_j^m (s_j - r) at every slope?"""
-    return all(v == c * s ** m * (s - r) for s, v in zip(slopes, vals))
+                             q=tuple(qs))
 
 
 def _fit_reference(slopes, vals):
@@ -370,9 +334,36 @@ def _fit_reference(slopes, vals):
         if c == 0 or (uc - ub) / (sc - sb) != c:
             continue
         r = sa - ua / c
-        if _fits(slopes, vals, m, c, r):
+        if all(v == c * s ** m * (s - r) for s, v in zip(slopes, vals)):
             return m, c, r
     return None
+
+
+def _plane(vectors):
+    """(p1, p2, j, k, det): p1 the first nonzero vector, p2 the first off
+    its line, and coordinates j, k with det = p1_j p2_k - p1_k p2_j != 0;
+    None when the vectors span no plane."""
+    p1 = next((v for v in vectors if any(v)), None)
+    if p1 is None:
+        return None
+    j = next(i for i, c in enumerate(p1) if c)
+    for p2 in vectors:
+        k = next((i for i, c in enumerate(p2) if p1[j] * c - p1[i] * p2[j]),
+                 None)
+        if k is not None:
+            return p1, p2, j, k, p1[j] * p2[k] - p1[k] * p2[j]
+    return None
+
+
+def _coordinates(plane, v):
+    """Integer (a, b) with det v = a p1 + b p2, by Cramer's rule on the
+    coordinates j, k, or None when v is off the plane."""
+    p1, p2, j, k, det = plane
+    a = v[j] * p2[k] - v[k] * p2[j]
+    b = p1[j] * v[k] - p1[k] * v[j]
+    if any(det * x != a * y + b * z for x, y, z in zip(v, p1, p2)):
+        return None
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -380,9 +371,10 @@ class PencilCertificate:
     """Exact nearly-parallel and coclosed verdicts on a two-parameter family.
 
     `minors` holds (i, m_i, c_i): p_i(s) = c_i s^m_i (s - r) for the 4-form
-    index i.  `special` holds (slope, orbit, nearly parallel) for each ray
-    checked one by one; the slope None is the ray of f2.  `rays` lists the
-    nearly parallel rays in the definite cone, in the shape of
+    index i, every nonzero minor p_i = dt_i0 Q_i - dt_i Q_i0 of [dt, Q].
+    `special` holds (slope, orbit, nearly parallel) for each ray checked
+    one by one; the slope None is the ray of f2.  `rays` lists the nearly
+    parallel rays in the definite cone, in the shape of
     `nearly_parallel_rays`.  A family with det B identically 0 has no
     slopes, pivot or r, and no stable ray.
     """
@@ -420,22 +412,27 @@ class PencilCertificate:
 def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     """Prove which stable rays of t(s) = f1 + s f2 are nearly parallel.
 
-    Q(s) and d Q(s) have degree at most 55 in s, and each minor
-    p_i = dt_i0 Q_i - dt_i Q_i0 of [dt, Q] at most 56 (derived in
-    `nearly_parallel_rays`).  For det B(s) != 0, Q(s) is a positive multiple of star t(s)
-    (`dual_ray`).  Where dt_i0(s) != 0, t(s) is nearly parallel exactly
-    when every p_i(s) = 0.  The check p_i(s) = c_i s^m_i (s - r) at the 57
-    slopes, with m_i <= 55, is therefore a polynomial identity, and with
-    some c_i != 0 the only stable candidates are s = r and s = 0.  The rays
-    left out, s = 0, r, the zero of dt_i0 and the ray of f2, each get one
-    exact `nearly_parallel_check` (or an exact degenerate class).  Likewise
-    d Q vanishing at 57 slopes is the identity d Q = 0, so every stable ray
-    with a finite slope is coclosed; f2 is checked on its own.  A failed
-    check raises `CertificateRefused`; r may come from anywhere, only the
-    checks prove.  More than 21 singular slopes prove det B(s) = 0 (it has
-    degree at most 21), and then det B(f2) = 0 too, as the limit of
-    det B(f1 + s f2) / s^21: every member is degenerate and no ray is
-    stable, so the certificate lists none.
+    The proof runs in the plane P of the first two independent duals
+    p1 = Q(s1), p2 = Q(s2) (`_plane`).  Every Q(s), d x1 and d x2 must lie
+    in P, checked in integers by Cramer's rule (`_coordinates`); Q(s) has
+    degree at most 55 in s, so at 57 slopes this is an identity.  D(s),
+    det^2 times the determinant of dt(s) and Q(s) in the basis (p1, p2),
+    has degree at most 56 (see `nearly_parallel_rays`), and its one fit
+    D = c s^m (s - r) at the 57 slopes is an identity too.  Where
+    det B(s) != 0, Q(s) is a positive multiple of star t(s) (`dual_ray`),
+    and where D(s) != 0, dt(s) is no multiple of Q(s): the only stable
+    candidates are s = 0 and s = r.  These and the ray of f2 each get one
+    exact `nearly_parallel_check` (or an exact degenerate class), and so
+    does the zero -a/b of dt's pivot coordinate i0, which the argument no
+    longer needs but the record lists.  Each recorded minor
+    p_i = dt_i0 Q_i - dt_i Q_i0 is k_i D(s) / det^2, with
+    k_i = p1_i0 p2_i - p2_i0 p1_i.  As d Q(s) = (a(s) d p1 + b(s) d p2) / det
+    and p1, p2 are duals of stable rays, every stable ray with a finite
+    slope is coclosed exactly when d p1 = d p2 = 0; f2 is checked on its
+    own.  A failed check raises `CertificateRefused`.  More than 21
+    singular slopes prove det B(s) = 0 (it has degree at most 21), and
+    then det B(f2) = 0 too, as the limit of det B(f1 + s f2) / s^21: every
+    member is degenerate, and the certificate lists no ray.
     """
     if len(set(ev.singular)) > DET_DEGREE:
         return PencilCertificate(slopes=(), pivot=None, r=None, minors=(),
@@ -448,26 +445,21 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     i0 = next((i for i in range(n) if ev.d1[i] or ev.d2[i]), None)
     if i0 is None:
         raise CertificateRefused("d vanishes on the whole family")
-    dts = [[a + s * b for a, b in zip(ev.d1, ev.d2)] for s in ev.slopes]
-    minors = {i: [dt[i0] * q[i] - dt[i] * q[i0] for dt, q in zip(dts, ev.q)]
-              for i in range(n) if i != i0}
-    # the first nonzero minor sets r; every other one must share it
-    terms, r = [], None
-    for i, vals in minors.items():
-        if not any(vals):
-            continue
-        fit = _fit_reference(ev.slopes, vals)
-        if fit is None:
-            raise CertificateRefused(
-                f"minor {i} is not c s^m (s - r) at every slope")
-        if r is not None and fit[2] != r:
-            raise CertificateRefused(
-                f"minor {i} has the root {fit[2]}, not r = {r}")
-        *mc, r = fit
-        terms.append((i, *mc))
-    if r is None:
-        raise CertificateRefused(
-            "no minor has the form c s^m (s - r) at every slope")
+    plane = _plane(ev.q)
+    if plane is None:
+        raise CertificateRefused("the duals span no plane")
+    coords = [_coordinates(plane, v) for v in (ev.d1, ev.d2, *ev.q)]
+    if None in coords:
+        raise CertificateRefused("a 4-form leaves the plane of the duals")
+    (a1, b1), (a2, b2), *qs = coords
+    fit = _fit_reference(ev.slopes, [(a1 + s * a2) * b - (b1 + s * b2) * a
+                                     for s, (a, b) in zip(ev.slopes, qs)])
+    if fit is None:
+        raise CertificateRefused("D is not c s^m (s - r) at every slope")
+    deg, c, r = fit
+    p1, p2, *_, det = plane
+    terms = tuple((i, deg, c * ki / det ** 2) for i in range(n)
+                  if (ki := p1[i0] * p2[i] - p2[i0] * p1[i]))
     f1, f2 = ev.basis
     a, b = ev.d1[i0], ev.d2[i0]
     candidates = [Fraction(0), r] + ([Fraction(-a, b)] if b else []) + [None]
@@ -482,10 +474,12 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
         special.append((s, res.orbit, res.is_nearly_parallel))
         if res.is_nearly_parallel and orbit is Orbit3Class.DEFINITE:
             rays.append(_unit_ray(s, res))
-    coclosed = not any(ev.dq) and coclosed_if_stable(m, f2) is not False
-    return PencilCertificate(slopes=ev.slopes, pivot=i0, r=r,
-                             minors=tuple(terms), special=tuple(special),
-                             coclosed=coclosed, rays=tuple(rays))
+    closed = not any(_diff_terms(KForm.from_coefficient_vector(
+        m.dimV, 4, p).terms, m.d_one_forms) for p in (p1, p2))
+    coclosed = closed and coclosed_if_stable(m, f2) is not False
+    return PencilCertificate(slopes=ev.slopes, pivot=i0, r=r, minors=terms,
+                             special=tuple(special), coclosed=coclosed,
+                             rays=tuple(rays))
 
 
 def _unit_ray(s, res):
@@ -524,9 +518,9 @@ def nearly_parallel_rays(m: IsotropyModule):
     minors of adj B, degree 3 * 18 = 54, each times a linear coefficient of
     t(s), so Q(s) = star_euclidean(pullback(adj B(s), t(s))) has degree at
     most 55, and so has d Q(s), d being linear with constant coefficients.
-    dt(s) is linear, so each minor dt_i0 Q_i - dt_i Q_i0 has degree at
-    most 56: 57 distinct slopes decide an identity between such
-    polynomials.
+    dt(s) is linear, so the determinant D(s) of dt(s) and Q(s) in the plane
+    of the duals, and each minor dt_i0 Q_i - dt_i Q_i0, has degree at most
+    56: 57 distinct slopes decide an identity between such polynomials.
     """
     basis = invariant_3forms(m)
     if len(basis) == 1:

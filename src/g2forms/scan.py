@@ -163,12 +163,11 @@ class SchurCertificate:
                 "irreducible_dims": list(self.irreducible_dims)}
 
 
-def kernel_exclusion(hitchin, kernel=None):
+def kernel_exclusion(hitchin):
     """The `KernelCertificate` on the first vector of the joint kernel
-    (`FamilyHitchinMap.common_kernel`, or the given `kernel`), or None when
-    the kernel is zero or the recheck refuses the vector."""
-    if kernel is None:
-        kernel = hitchin.common_kernel()
+    (`FamilyHitchinMap.common_kernel`), or None when the kernel is zero or
+    the recheck refuses the vector."""
+    kernel = hitchin.common_kernel()
     if not kernel:
         return None
     cert = KernelCertificate(tuple(kernel[0]), len(kernel))
@@ -191,8 +190,9 @@ def scan_family(bvecs, config: ScanConfig = None, exclude_indefinite=None):
     family and the whole space (d = 35, where PHI and PHITILDE are
     witnesses) are decided at once, before the family's `FamilyHitchinMap`
     is built.  Otherwise the exact exclusions are tried in turn: a
-    `KernelCertificate`; when the joint kernel is zero, an
-    `IsotropicCertificate`; and, when indefinite members are still open,
+    `KernelCertificate`; when there is none (a zero joint kernel, or a
+    kernel vector its recheck refuses), an `IsotropicCertificate`, which
+    rechecks itself too; and, when indefinite members are still open,
     `exclude_indefinite`, a zero-argument callable that returns a
     certificate or None (`invariant_form_types` passes the
     `SchurCertificate` of its module).  `certificate` maps each class a
@@ -218,11 +218,7 @@ def scan_family(bvecs, config: ScanConfig = None, exclude_indefinite=None):
         return report
     hitchin = family_hitchin_map(bvecs)
     certificate = report["certificate"]
-    kernel = hitchin.common_kernel()
-    # the radical is isotropic: a nonzero joint kernel is the whole
-    # certificate, or none when its recheck refuses it
-    found = (kernel_exclusion(hitchin, kernel) if kernel
-             else isotropic_exclusion(hitchin))
+    found = kernel_exclusion(hitchin) or isotropic_exclusion(hitchin)
     if found is not None:
         certificate.update(dict.fromkeys(found.excludes, found))
     if "indefinite" not in certificate and exclude_indefinite is not None:

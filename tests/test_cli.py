@@ -657,6 +657,21 @@ def test_catalog_verify_exits_with_the_failed_check_count(monkeypatch,
     assert code == 2
 
 
+def test_exit_code_2_is_a_refusal_only_when_stderr_says_so(capsys):
+    # two failed checks exit 2 as a refusal does; only the refusal writes
+    # to stderr, one `error:` line, and it prints no report
+    code = cli.main(["catalog", "verify", "--case", "6iii", "--grid", "0",
+                     "--random", "0"])
+    out, err = capsys.readouterr()
+    checks = json.loads(out)["report"]["entries"][0]["checks"]
+    assert sum(not c["pass"] for c in checks) == 2
+    assert (code, err) == (2, "")
+    code = cli.main(["catalog", "verify", "--case", "nope"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_catalog_verify_jobs_gives_the_same_bytes(monkeypatch, capsys):
     rows = [e for e in load_catalog() if e["case"] in ("2d", "4ii")]
     assert len(rows) == 3

@@ -714,11 +714,29 @@ def test_pencil_certificate_finds_the_exact_ray(pencils, case):
     assert ray["slope"] == cert.r and ray["coeffs"][1] >= 0
 
 
+@pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
+def test_pencil_minors_match_the_per_coordinate_fits(pencils, case):
+    # the per-coordinate argument as the oracle of the record: each minor
+    # p_k = dt_i0 Q_k - dt_k Q_i0 at the 57 slopes is c_k s^m (s - r) for
+    # its recorded (k, m, c_k), and identically zero for every other k
+    mod, ev = pencils[case]
+    cert = homogeneous.certify_pencil(mod, ev)
+    i0, r = cert.pivot, cert.r
+    recorded = {k: (m, c) for k, m, c in cert.minors}
+    assert recorded and i0 not in recorded
+    for k in range(35):
+        if k == i0:
+            continue
+        m, c = recorded.get(k, (0, 0))
+        for s, q in zip(ev.slopes, ev.q):
+            dt_i0, dt_k = (ev.d1[i] + s * ev.d2[i] for i in (i0, k))
+            assert dt_i0 * q[k] - dt_k * q[i0] == c * s ** m * (s - r)
 
-def _kform_pencil_point(mod, ev, s):
-    """q and dq at slope s by the KForm route: the integer adjugate of
-    hitchin_matrix(t(s)), then star_euclidean(pullback(adj B(s), t(s)))
-    and `_diff_terms`; None when det B(s) = 0."""
+
+def _kform_pencil_point(ev, s):
+    """q at slope s by the KForm route: the integer adjugate of
+    hitchin_matrix(t(s)), then star_euclidean(pullback(adj B(s), t(s)));
+    None when det B(s) = 0."""
     (x1, x2), _ = cleared([f.coefficient_vector() for f in ev.basis])
     x = [a + s * b for a, b in zip(x1, x2)]
     detb, adj = adjugate(hitchin_matrix(x))
@@ -726,40 +744,40 @@ def _kform_pencil_point(mod, ev, s):
         return None
     q = star_euclidean(pullback(adj, KForm.from_coefficient_vector(7, 3, x)))
     assert all(c.denominator == 1 for c in q.terms.values())
-    return (tuple(c.numerator for c in q.coefficient_vector()),
-            homogeneous._diff_terms(q.terms, mod.d_one_forms))
+    return tuple(c.numerator for c in q.coefficient_vector())
 
 
-def _assert_pencil_matches_the_kform_route(mod, ev, picks):
+def _assert_pencil_matches_the_kform_route(ev, picks):
     for j in picks:
-        q, dq = _kform_pencil_point(mod, ev, ev.slopes[j])
+        q = _kform_pencil_point(ev, ev.slopes[j])
         assert ev.q[j] == q and all(type(c) is int for c in ev.q[j])
-        assert bool(ev.dq[j]) is bool(dq) and ev.dq[j] == dq
     for s in ev.singular:
-        assert _kform_pencil_point(mod, ev, s) is None
+        assert _kform_pencil_point(ev, s) is None
 
 
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
 def test_pencil_evaluations_match_the_kform_route(pencils, case):
     mod, ev = pencils[case]
-    _assert_pencil_matches_the_kform_route(mod, ev, (0, 28, 56))
+    _assert_pencil_matches_the_kform_route(ev, (0, 28, 56))
 
 
 def test_pencil_dq_matches_the_kform_route_where_it_is_nonzero(monkeypatch):
-    # su(2)+t(4) with its brackets divided by 3, so the matrix of d has a
-    # denominator, and a family whose duals are not closed
+    # su(2)+t(4) with its brackets divided by 3, so d has a denominator,
+    # and a family of no shipped row: its duals are not closed and leave
+    # every plane, which the certificate refuses
     bare = bare_complex(build_algebra("su(2)+t(4)"))
     mod = IsotropyModule(
         label="su(2)+t(4) / 3", dimV=7, action=[], gram=identity(7),
         brackets={ij: [Fraction(c, 3) for c in v]
                   for ij, v in bare.brackets.items()})
-    assert homogeneous._d4_matrix(mod)[1] == 3
     family = [PHI, PHITILDE + w(7, 1, 2, 4)]
     monkeypatch.setattr(homogeneous, "invariant_3forms", lambda m: family)
     ev = homogeneous.pencil_evaluations(mod)
     assert len(ev.slopes) == 57 and ev.singular == (1,)
-    assert not ev.dq[0] and all(ev.dq[1:])
-    _assert_pencil_matches_the_kform_route(mod, ev, (0, 1, 30, 56))
+    _assert_pencil_matches_the_kform_route(ev, (0, 1, 30, 56))
+    with pytest.raises(homogeneous.CertificateRefused,
+                       match="leaves the plane of the duals"):
+        homogeneous.certify_pencil(mod, ev)
 
 
 def test_pencil_of_degenerate_forms_has_no_rays(monkeypatch):
@@ -789,7 +807,7 @@ def test_pencil_certificate_refuses_a_corrupted_q(pencils, case):
             with pytest.raises(homogeneous.CertificateRefused):
                 homogeneous.certify_pencil(mod, bad)
     # too few slopes for the degree bound
-    short = ev._replace(slopes=ev.slopes[:56], q=ev.q[:56], dq=ev.dq[:56])
+    short = ev._replace(slopes=ev.slopes[:56], q=ev.q[:56])
     with pytest.raises(homogeneous.CertificateRefused, match="56 distinct"):
         homogeneous.certify_pencil(mod, short)
 
@@ -798,7 +816,8 @@ def test_pencil_certificate_refuses_a_corrupted_q(pencils, case):
 def test_pencil_certificate_refuses_minors_with_two_roots(pencils, case):
     # dt_i0 is a nonzero constant a on these families, and d vanishes on
     # 4-form coordinate i, so Q_i(s) = s - 3 makes the minor a (s - 3): of
-    # the form c s^m (s - r) at every slope, with the root 3 != r
+    # the form c s^m (s - r) at every slope, with the root 3 != r; such a
+    # Q(s) leaves the plane of the duals, which the certificate refuses
     mod, ev = pencils[case]
     i0 = next(i for i, (a, b) in enumerate(zip(ev.d1, ev.d2)) if a or b)
     assert ev.d1[i0] and not ev.d2[i0]
@@ -808,19 +827,41 @@ def test_pencil_certificate_refuses_minors_with_two_roots(pencils, case):
     for qs, s in zip(q, ev.slopes):
         qs[i] = s - 3
     bad = ev._replace(q=tuple(map(tuple, q)))
-    with pytest.raises(homogeneous.CertificateRefused, match="not r = "):
+    with pytest.raises(homogeneous.CertificateRefused,
+                       match="leaves the plane of the duals"):
         homogeneous.certify_pencil(mod, bad)
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
+def test_pencil_certificate_refuses_duals_off_its_determinant(pencils, case):
+    # Q(40) moved inside the plane of the duals breaks the fit of D; duals
+    # on one line span no plane
+    mod, ev = pencils[case]
+    q = list(ev.q)
+    q[40] = tuple(a + b for a, b in zip(q[40], q[0]))
+    with pytest.raises(homogeneous.CertificateRefused,
+                       match=r"D is not c s\^m \(s - r\)"):
+        homogeneous.certify_pencil(mod, ev._replace(q=tuple(q)))
+    with pytest.raises(homogeneous.CertificateRefused,
+                       match="the duals span no plane"):
+        homogeneous.certify_pencil(mod, ev._replace(q=(ev.q[0],) * 57))
 
 
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
 def test_pencil_certificate_reports_a_corrupted_dq(pencils, case,
                                                    monkeypatch):
+    # d of the first dual, which spans the plane with another, made nonzero
     mod, ev = pencils[case]
-    dq = list(ev.dq)
-    dq[17] = {(1, 2, 3, 4, 5): Fraction(1)}
-    bad = ev._replace(dq=tuple(dq))
-    assert homogeneous.certify_pencil(mod, bad).coclosed is False
-    monkeypatch.setattr(homogeneous, "pencil_evaluations", lambda m: bad)
+    first = KForm.from_coefficient_vector(7, 4, ev.q[0]).terms
+    diff_terms = homogeneous._diff_terms
+
+    def corrupted(terms, de1):
+        if terms == first:
+            return {(1, 2, 3, 4, 5): Fraction(1)}
+        return diff_terms(terms, de1)
+
+    monkeypatch.setattr(homogeneous, "_diff_terms", corrupted)
+    assert homogeneous.certify_pencil(mod, ev).coclosed is False
     claims = {c["name"]: c for c in
               section5.nearly_parallel_report(case)["claims"]}
     for name in ("every stable ray is coclosed",

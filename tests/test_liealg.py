@@ -23,7 +23,7 @@ from g2forms.linalg import (cleared, identity, inertia, intersect_nullspaces,
                             rref, solve, transpose)
 from g2forms.multilinear import KForm, pullback
 from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
-                          kernel_exclusion)
+                          isotropic_exclusion, kernel_exclusion)
 from references import (bracket, check_jacobi, commutator, dense_d1,
                         dense_kernel_dim, mat_sub, reference_action,
                         reference_family_hitchin_map, trace)
@@ -993,7 +993,8 @@ def test_a_corrupted_kernel_vector_fails_the_exact_recheck(
     off = dataclasses.replace(hitchin, monomials=((0, 0, 0, ((e01, 1),)),))
     assert [off.kills(e) for e in units] == [False, False] + [True] * 5
     # a corrupted vector handed to the certificate is refused, and the scan
-    # falls back to the uncertified full scan
+    # falls back to the isotropic search, whose certificate rechecks
+    # itself, and to the full scan of the class it leaves open
     v = hitchin.common_kernel()[0]
     bad = [a + b for a, b in zip(v, [1, 0, 0, 0, 0, 0, 0])]
     assert not hitchin.kills(bad)
@@ -1001,10 +1002,13 @@ def test_a_corrupted_kernel_vector_fails_the_exact_recheck(
                         lambda self: [bad])
     assert kernel_exclusion(hitchin) is None
     rep = invariant_form_types(mod, SMALL_SCAN)
-    assert rep["certificate"] == {}
+    iso = isotropic_exclusion(hitchin)
+    assert iso.recheck(hitchin) and iso.excludes == ("definite",)
+    assert rep["certificate"] == {"definite": iso}
     assert rep["samples"] == sum(
         1 for c in _scan_samples(rep["dim"], SMALL_SCAN) if any(c))
-    assert rep["has_definite"] == rep["has_indefinite"] == "undecided"
+    assert rep["has_definite"] is False
+    assert rep["has_indefinite"] == "undecided"
 
 
 def test_the_kernel_recheck_refuses_an_off_kernel_vector(

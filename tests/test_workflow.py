@@ -1,6 +1,6 @@
 """The CI workflow installs the package with its test extra on CPython 3.10,
 3.11 and 3.12, the versions from the floor of `requires-python` on, and
-runs the Tier-1 command on each."""
+runs the Tier-1 command on each, printing its 20 slowest tests."""
 
 from pathlib import Path
 
@@ -23,4 +23,4 @@ def test_the_tier1_workflow_installs_the_test_extra_and_runs_the_suite():
     assert [s["run"] for s in steps if "run" in s] == [
         'python -m pip install -e ".[test]"',
         "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
-        "python -m pytest -q --continue-on-collection-errors"]
+        "python -m pytest -q --continue-on-collection-errors --durations=20"]
