@@ -7,10 +7,11 @@ so d(e^l) = -sum_{i<j} c^l_{ij} e^i ^ e^j extended as an antiderivation.
 d^2 = 0 holds on invariant forms and is asserted, not assumed.
 
 Ranks, kernels and every yes/no answer are exact.  Coclosedness and the
-nearly parallel test read the exact `dual_ray`, a positive multiple of the
-Hodge dual, and the rays of a two-parameter family come from an exact
-pencil certificate; lambda is reported by its exact, rational ninth power
-beside its real ninth root as a float.  No float star is computed.
+nearly parallel test read the exact dual of the form's one record
+(`hitchin_bilinear`), a positive multiple of the Hodge dual, and the rays
+of a two-parameter family come from an exact pencil certificate; lambda
+is reported by its exact, rational ninth power beside its real ninth root
+as a float.  No float star is computed.
 """
 
 import math
@@ -25,9 +26,8 @@ from .isotropy import IsotropyModule, invariant_3forms, invariant_kforms
 from .liealg import MatrixLieAlgebra
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .scan import ScanConfig, scan_family
-from .stable_forms import (Orbit3Class, classify3, classify_hitchin,
-                           dual_coefficients, dual_ray, family_hitchin_map,
-                           hitchin_ray, star_on_dual_ray)
+from .stable_forms import (Orbit3Class, dual_coefficients, family_hitchin_map,
+                           hitchin_bilinear)
 
 
 def bare_complex(alg: MatrixLieAlgebra) -> IsotropyModule:
@@ -165,26 +165,27 @@ def _root9(x: Fraction) -> float:
     return math.copysign(float(abs(x)) ** (1 / 9), x)
 
 
-def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
+def nearly_parallel_check(m: IsotropyModule,
+                          t: KForm) -> NearlyParallelResult | None:
     """Is d t = lambda * star t, lambda != 0?  Exact, on star t = kappa Q.
 
-    With dq = dt.Q, qq = Q.Q, dd = dt.dt, lambda = dq / (kappa qq) has the
-    rational ninth power `lam9` (`star_on_dual_ray`), the residual
-    |dt - lambda star t| / |dt| is sqrt(1 - dq^2 / (dd qq)), and t is nearly
-    parallel iff dq^2 = dd qq.  Flat input (d t = 0) is torsion-free, never
-    nearly parallel.  One `hitchin_ray` feeds `classify_hitchin` and the
-    adjugate.
+    None when t is degenerate.  One record (`hitchin_bilinear`) gives the
+    class and (Q, kappa^9).  With dq = dt.Q, qq = Q.Q, dd = dt.dt,
+    lambda = dq / (kappa qq) has the rational ninth power `lam9`, the
+    residual |dt - lambda star t| / |dt| is sqrt(1 - dq^2 / (dd qq)), and t
+    is nearly parallel iff dq^2 = dd qq.  Flat input (d t = 0) is
+    torsion-free, never nearly parallel.
     """
-    ray = hitchin_ray(t)
-    orbit = classify_hitchin(ray[0])
+    data = hitchin_bilinear(t)
+    orbit = data.orbit
     if orbit is Orbit3Class.DEGENERATE:
-        raise ValueError("nearly-parallel check needs a stable form")
+        return None
     dt = ce_differential(m, t)
     if dt.is_zero():
         return NearlyParallelResult(lam=0.0, lam9=Fraction(0), residual=0.0,
                                     is_nearly_parallel=False,
                                     torsion_free=True, orbit=orbit.value)
-    q, kappa9 = star_on_dual_ray(t, ray)
+    q, kappa9 = data.dual
     dq, qq, dd = dt.dot(q), q.dot(q), dt.dot(dt)
     lam9 = (dq / qq) ** 9 / kappa9
     return NearlyParallelResult(
@@ -197,13 +198,14 @@ def nearly_parallel_check(m: IsotropyModule, t: KForm) -> NearlyParallelResult:
 def coclosed_if_stable(m: IsotropyModule, t: KForm):
     """Is d(star t) = 0?  None when t is degenerate.
 
-    Exact, on `dual_ray` (one B build); the dual of an invariant t is
-    invariant, so it skips the invariance check of `ce_differential`.
+    Exact, on the dual of t's one record (`hitchin_bilinear`); the dual of
+    an invariant t is invariant, so it skips the invariance check of
+    `ce_differential`.
     """
-    dual = dual_ray(t)
+    dual = hitchin_bilinear(t).dual
     if dual is None:
         return None
-    return not _diff_terms(dual.terms, m.d_one_forms)
+    return not _diff_terms(dual[0].terms, m.d_one_forms)
 
 
 def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
@@ -419,20 +421,21 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     det^2 times the determinant of dt(s) and Q(s) in the basis (p1, p2),
     has degree at most 56 (see `nearly_parallel_rays`), and its one fit
     D = c s^m (s - r) at the 57 slopes is an identity too.  Where
-    det B(s) != 0, Q(s) is a positive multiple of star t(s) (`dual_ray`),
-    and where D(s) != 0, dt(s) is no multiple of Q(s): the only stable
-    candidates are s = 0 and s = r.  These and the ray of f2 each get one
-    exact `nearly_parallel_check` (or an exact degenerate class), and so
-    does the zero -a/b of dt's pivot coordinate i0, which the argument no
-    longer needs but the record lists.  Each recorded minor
-    p_i = dt_i0 Q_i - dt_i Q_i0 is k_i D(s) / det^2, with
+    det B(s) != 0, Q(s) is a positive multiple of star t(s)
+    (`HitchinData.dual`), and where D(s) != 0, dt(s) is no multiple of
+    Q(s): the only stable candidates are s = 0 and s = r.  These and the
+    ray of f2 each get one exact `nearly_parallel_check`, None on a
+    degenerate ray, and so does the zero -a/b of dt's pivot coordinate i0,
+    which the argument no longer needs but the record lists.  Each recorded
+    minor p_i = dt_i0 Q_i - dt_i Q_i0 is k_i D(s) / det^2, with
     k_i = p1_i0 p2_i - p2_i0 p1_i.  As d Q(s) = (a(s) d p1 + b(s) d p2) / det
     and p1, p2 are duals of stable rays, every stable ray with a finite
-    slope is coclosed exactly when d p1 = d p2 = 0; f2 is checked on its
-    own.  A failed check raises `CertificateRefused`.  More than 21
-    singular slopes prove det B(s) = 0 (it has degree at most 21), and
-    then det B(f2) = 0 too, as the limit of det B(f1 + s f2) / s^21: every
-    member is degenerate, and the certificate lists no ray.
+    slope is coclosed exactly when d p1 = d p2 = 0; f2, when stable, is
+    checked on its own (`coclosed_if_stable`).  A failed check raises
+    `CertificateRefused`.  More than 21 singular slopes prove det B(s) = 0
+    (it has degree at most 21), and then det B(f2) = 0 too, as the limit of
+    det B(f1 + s f2) / s^21: every member is degenerate, and the
+    certificate lists no ray.
     """
     if len(set(ev.singular)) > DET_DEGREE:
         return PencilCertificate(slopes=(), pivot=None, r=None, minors=(),
@@ -465,18 +468,18 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     candidates = [Fraction(0), r] + ([Fraction(-a, b)] if b else []) + [None]
     special, rays = [], []
     for s in dict.fromkeys(candidates):
-        t = f2 if s is None else f1 + s * f2
-        orbit = classify3(t)
-        if orbit is Orbit3Class.DEGENERATE:
-            special.append((s, orbit.value, False))
+        res = nearly_parallel_check(m, f2 if s is None else f1 + s * f2)
+        if res is None:
+            special.append((s, Orbit3Class.DEGENERATE.value, False))
             continue
-        res = nearly_parallel_check(m, t)
         special.append((s, res.orbit, res.is_nearly_parallel))
-        if res.is_nearly_parallel and orbit is Orbit3Class.DEFINITE:
+        if res.is_nearly_parallel and res.orbit == Orbit3Class.DEFINITE.value:
             rays.append(_unit_ray(s, res))
     closed = not any(_diff_terms(KForm.from_coefficient_vector(
         m.dimV, 4, p).terms, m.d_one_forms) for p in (p1, p2))
-    coclosed = closed and coclosed_if_stable(m, f2) is not False
+    # the ray of f2 comes last among the special rays
+    stable_f2 = special[-1][1] != Orbit3Class.DEGENERATE.value
+    coclosed = closed and (not stable_f2 or coclosed_if_stable(m, f2))
     return PencilCertificate(slopes=ev.slopes, pivot=i0, r=r, minors=terms,
                              special=tuple(special), coclosed=coclosed,
                              rays=tuple(rays))
@@ -506,11 +509,12 @@ def pencil_certificate(m: IsotropyModule) -> PencilCertificate:
 def nearly_parallel_rays(m: IsotropyModule):
     """Rays of the invariant family satisfying d t = lambda star t, lambda != 0.
 
-    For a 1-dimensional family this is a single check.  For a 2-dimensional
-    family the rays are those of `pencil_certificate` in the definite cone;
-    the certificate proves that no other stable ray is nearly parallel, and
-    a family whose members are all degenerate has none.  Returns a list of
-    dicts (coefficients, float lambda, its exact power lambda9, residual 0).
+    For a 1-dimensional family this is a single check, and a degenerate
+    form has no ray.  For a 2-dimensional family the rays are those of
+    `pencil_certificate` in the definite cone; the certificate proves that
+    no other stable ray is nearly parallel, and a family whose members are
+    all degenerate has none.  Returns a list of dicts (coefficients, float
+    lambda, its exact power lambda9, residual 0).
 
     Degree bounds of the certificate, along t(s) = f1 + s f2: the entries
     of B(s) are cubic in t, so cubic in s, and those of adj B(s), its 6 x 6
@@ -525,8 +529,10 @@ def nearly_parallel_rays(m: IsotropyModule):
     basis = invariant_3forms(m)
     if len(basis) == 1:
         r = nearly_parallel_check(m, basis[0])
+        if r is None or not r.is_nearly_parallel:
+            return []
         return [{"coeffs": [1.0], "lambda": r.lam, "lambda9": r.lam9,
-                 "residual": r.residual}] if r.is_nearly_parallel else []
+                 "residual": r.residual}]
     if len(basis) != 2:
         raise ValueError("nearly parallel rays need a family of dim 1 or 2")
     return list(pencil_certificate(m).rays)

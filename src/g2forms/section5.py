@@ -13,9 +13,9 @@ from functools import cache
 
 from .catalog import build_entry, claim
 from .homogeneous import (InvariantComplex, bare_complex, build_complex,
-                          ce_differential, coclosed_if_stable, complex_ranks,
-                          closed_stable_scan, exact_primitive,
-                          nearly_parallel_check, pencil_certificate)
+                          ce_differential, certify_pencil, coclosed_if_stable,
+                          complex_ranks, closed_stable_scan, exact_primitive,
+                          nearly_parallel_check, pencil_evaluations)
 from .isotropy import (IsotropyModule, invariant_3forms, invariant_kforms,
                        module_from_action)
 from .liealg import MatrixLieAlgebra, build_algebra, product_algebra
@@ -243,9 +243,9 @@ def nearly_parallel_report(case="2d") -> dict:
             ],
         })
         return report
-    cert = pencil_certificate(mod)
-    d_family_dim = rank([ce_differential(mod, f).coefficient_vector()
-                         for f in basis])
+    ev = pencil_evaluations(mod)
+    cert = certify_pencil(mod, ev)
+    d_family_dim = rank([ev.d1, ev.d2])
     report.update({
         "rays": [{"coeffs": r["coeffs"], "lambda": r["lambda"],
                   "lambda9": str(r["lambda9"]), "residual": r["residual"],

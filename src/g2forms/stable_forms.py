@@ -46,25 +46,50 @@ class Orbit3Class(Enum):
 
 @dataclass(frozen=True)
 class HitchinData:
-    """Exact bilinear-form data of a 3-form: B, det B, and the signature.
+    """The exact record of a 3-form t = scale x, x primitive integer.
 
-    Everything is read off one primitive integer matrix: B = r Bx, with
-    Bx the Hitchin matrix of t's primitive integer ray divided by the gcd
-    c of its entries and r = scale^3 c, positive for t != 0 (c = 0 and
-    c = 1 count as 1; `hitchin_bilinear`).  So det B = r^7 det Bx, and
-    det Bx and the signature come from one symmetric elimination of Bx
-    (`inertia`).  The Fraction matrix B is built on first read and kept;
-    a reader of the class, det B or the signature never pays for it.
+    B = r Bx with Bx a primitive integer matrix and r > 0 for t != 0
+    (`hitchin_bilinear`), so det B = r^7 det Bx.  The Fraction matrix B and
+    the exact dual are built on first read and kept; a reader of the class,
+    det B or the signature never pays for them.
     """
 
     detB: Fraction
     signature: tuple
     Bx: list
     r: Fraction
+    x: list
+    scale: Fraction
+
+    @property
+    def orbit(self) -> Orbit3Class:
+        return _orbit_of_signature(*self.signature)
 
     @cached_property
     def B(self) -> list:
         return [[self.r * v for v in row] for row in self.Bx]
+
+    @cached_property
+    def dual(self):
+        """(Q, kappa^9) with star t = kappa Q, kappa > 0; None if degenerate.
+
+        star t = vol C(t @ Lambda^3(g^-1)), vol > 0, C the signed complement
+        of `star_euclidean` and g^-1 = 6^(2/9) |det B|^(1/9) sign(det B) B^-1
+        (`metric_from_3form`).  With adj(Bx) = c M, c the content of
+        adj(Bx), this gives Q = star_euclidean(pullback(M, t)), scale / c^3
+        times the Q of `dual_coefficients`(Bx, x) (the minors are cubic, so
+        the division is exact), and the rational
+        kappa^9 = r c^27 / (6 |det Bx|^23).  Dividing B by its content c_B
+        changes neither: adj takes c_B^6, the minors c_B^18, and both cancel
+        against c; kappa^9 keeps c_B through r.
+        """
+        detbx, adj, q = dual_coefficients(self.Bx, self.x)
+        if detbx == 0:
+            return None
+        c = math.gcd(*(v for row in adj for v in row))
+        q = KForm.from_coefficient_vector(DIM, 4, [self.scale * (v // c ** 3)
+                                                   for v in q])
+        return q, self.r * c ** 27 / (_METRIC_CONST * abs(detbx) ** 23)
 
 
 @cache
@@ -293,36 +318,27 @@ def primitive_int_vector(vec):
     return primitive_ray(vec)[0]
 
 
-def hitchin_ray(t: KForm):
-    """(Bx, scale, x): the integer Hitchin matrix of t's primitive ray.
+def hitchin_bilinear(t: KForm) -> HitchinData:
+    """The exact record (`HitchinData`) of a degree-3 form on R^7.
 
-    t = scale * x with x primitive integer and Bx = hitchin_matrix(x); B is
-    homogeneous of degree 3, so B(t) = scale^3 Bx exactly.
+    B is built once, on the integer vector x of t's ray, and divided once
+    by the gcd c of its entries into Bx (c = 0, B = 0, leaves it as it is).
+    B is GL(7)-equivariant, B(g t) = det(g) g^T B(t) g, so on a form in the
+    orbit of an integer reference c carries det g and most of the digits.
+    One symmetric fraction-free elimination of Bx (`inertia`) gives its
+    determinant and, by Jacobi's rule, the signature, which the positive
+    factor r = scale^3 c keeps.  Only det B is rescaled to t here.
     """
     x, scale = primitive_ray(_coeffs3(t))
-    return hitchin_matrix(x), scale, x
-
-
-def hitchin_bilinear(t: KForm) -> HitchinData:
-    """Exact Hitchin data of a degree-3 form on R^7.
-
-    B is built once, on the integer vector of t's ray (`hitchin_ray`), and
-    divided once by the gcd c of its entries (c = 0, B = 0, leaves it as it
-    is).  B is GL(7)-equivariant, B(g t) = det(g) g^T B(t) g, so on a form
-    in the orbit of an integer reference c carries det g and most of the
-    digits.  One symmetric fraction-free elimination of that primitive
-    matrix (`inertia`) gives its determinant and, by Jacobi's rule, the
-    signature, which the positive factor r = scale^3 c keeps.  Only det B
-    is rescaled to t here; B is rescaled when it is read.
-    """
-    bx, scale, _ = hitchin_ray(t)
+    bx = hitchin_matrix(x)
     r = scale ** 3
     c = math.gcd(*(v for row in bx for v in row))
     if c > 1:
         bx = [[v // c for v in row] for row in bx]
         r *= c
     p, q, detp = inertia(bx)
-    return HitchinData(detB=r ** 7 * detp, signature=(p, q), Bx=bx, r=r)
+    return HitchinData(detB=r ** 7 * detp, signature=(p, q), Bx=bx, r=r,
+                       x=x, scale=scale)
 
 
 def _orbit_of_signature(p, q) -> Orbit3Class:
@@ -373,7 +389,7 @@ def metric_from_3form(t: KForm):
     definite metric positive and gives the indefinite one signature (3, 4).
     B and det B are exact rescalings of the integer matrix of t's ray, so
     each float is the correctly rounded value of the exact rational.  Kept
-    as the float reference for `star_on_dual_ray`.
+    as the float reference for the exact dual (`HitchinData.dual`).
     """
     import numpy as np
 
@@ -451,34 +467,6 @@ def dual_coefficients(b, x):
                        zip(_STAR_SIGNS, minors(adj, weights, 3))][::-1]
 
 
-def star_on_dual_ray(t: KForm, ray=None):
-    """(Q, kappa^9) with star t = kappa Q, kappa > 0; None if degenerate.
-
-    star t = vol C(t @ Lambda^3(g^-1)), vol > 0, C the signed complement of
-    `star_euclidean` and g^-1 = 6^(2/9) |det B|^(1/9) sign(det B) B^-1
-    (`metric_from_3form`).  With t = scale x (`hitchin_ray`) and
-    adj(Bx) = c M, c the content of adj(Bx), this gives
-    Q = star_euclidean(pullback(M, t)), scale / c^3 times the Q of
-    `dual_coefficients`(Bx, x) (the minors are cubic, so the division is
-    exact), and the rational kappa^9 = scale^3 c^27 / (6 |det Bx|^23).
-    `ray`: t's `hitchin_ray`.
-    """
-    bx, scale, x = ray or hitchin_ray(t)
-    detbx, adj, q = dual_coefficients(bx, x)
-    if detbx == 0:
-        return None
-    c = math.gcd(*(v for row in adj for v in row))
-    q = KForm.from_coefficient_vector(DIM, 4, [scale * (v // c ** 3)
-                                               for v in q])
-    return q, scale ** 3 * c ** 27 / (_METRIC_CONST * abs(detbx) ** 23)
-
-
-def dual_ray(t: KForm):
-    """The exact Q on the ray of star t (`star_on_dual_ray`), or None."""
-    star = star_on_dual_ray(t)
-    return None if star is None else star[0]
-
-
 def _descartes_signature(coeffs):
     """(p, q) of a symmetric matrix from its characteristic polynomial.
 
@@ -497,7 +485,7 @@ def classification_report(t: KForm) -> dict:
     """CLI-facing classification record with exact rational det B.
 
     One Hitchin build and one elimination (`hitchin_bilinear`): the class is
-    read off the signature that comes with det B, by `_orbit_of_signature`.
+    the record's `orbit`, read off the signature that comes with det B.
     That signature is confirmed by Descartes' rule on the characteristic
     polynomial of the same primitive matrix Bx, an independent exact count
     that the positive factor B / Bx cannot change; a disagreement raises.
@@ -506,7 +494,7 @@ def classification_report(t: KForm) -> dict:
     if _descartes_signature(charpoly(data.Bx)) != data.signature:
         raise ArithmeticError("Jacobi and Descartes signatures of B differ")
     return {
-        "class": _orbit_of_signature(*data.signature).value,
+        "class": data.orbit.value,
         "detB": str(data.detB),
         "signature": list(data.signature),
     }

@@ -12,11 +12,12 @@ from g2forms.homogeneous import (bare_complex, build_complex,
                                  complex_ranks, closed_stable_scan,
                                  exact_primitive, invariant_kforms,
                                  nearly_parallel_check, nearly_parallel_rays)
-from g2forms.isotropy import IsotropyModule, invariant_3forms
+from g2forms.isotropy import (IsotropyModule, invariant_3forms,
+                              module_from_action)
 from g2forms.liealg import build_algebra
 from g2forms.linalg import (adjugate, cleared, identity, inverse, nullspace,
                             rank)
-from g2forms.multilinear import KForm, pullback
+from g2forms.multilinear import KForm, annihilator_of_form, pullback
 from g2forms.scan import (IsotropicCertificate, SchurCertificate, ScanConfig,
                           _ray_grid, family_hitchin_map, isotropic_exclusion,
                           scan_family)
@@ -488,8 +489,7 @@ def test_nearly_parallel_torus_is_torsion_free():
     mod = bare_complex(build_algebra("t(7)"))
     res = nearly_parallel_check(mod, PHI)
     assert res.torsion_free and not res.is_nearly_parallel
-    with pytest.raises(ValueError):
-        nearly_parallel_check(mod, w(7, 1, 2, 3))
+    assert nearly_parallel_check(mod, w(7, 1, 2, 3)) is None
 
 
 def test_case1_unique_nearly_parallel_ray():
@@ -795,6 +795,19 @@ def test_pencil_of_degenerate_forms_has_no_rays(monkeypatch):
     assert cert.rays == () and cert.nearly_parallel_count() == 0
     assert cert.to_json()["r"] is None
     assert homogeneous.nearly_parallel_rays(mod) == []
+
+
+def test_a_degenerate_line_has_no_rays():
+    # the stabilizer of w123 keeps only the multiples of w123, a degenerate
+    # form: the one-dimensional family has no ray, as a degenerate pencil
+    # has none
+    mod = module_from_action("stabilizer of w123",
+                             annihilator_of_form(w(7, 1, 2, 3)),
+                             gram=identity(7))
+    assert invariant_3forms(mod) == [w(7, 1, 2, 3)]
+    assert nearly_parallel_check(mod, w(7, 1, 2, 3)) is None
+    assert nearly_parallel_rays(mod) == []
+
 
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
 def test_pencil_certificate_refuses_a_corrupted_q(pencils, case):

@@ -1,7 +1,14 @@
 """Tests of `g2forms.isotropy`: isotropy modules and their invariant theory."""
 
 from g2forms.catalog import build_entry
-from g2forms.isotropy import invariant_3forms, invariant_kforms
+from g2forms.isotropy import (invariant_3forms, invariant_form_types,
+                              invariant_kforms, irreducible_dims,
+                              schur_exclusion)
+from g2forms.linalg import inertia
+from g2forms.scan import ScanConfig
+from references import mat_sub
+
+SMALL_SCAN = ScanConfig(grid=400, random=100)
 
 
 def test_invariant_kforms_are_computed_once_per_module(monkeypatch):
@@ -31,3 +38,29 @@ def test_invariant_kforms_are_computed_once_per_module(monkeypatch):
     # a copy is a new module with an empty cache
     assert invariant_kforms(dataclasses.replace(mod), 3) == expected
     assert calls == [3, 2, 3]
+
+
+def test_schur_exclusion_does_not_fire_on_case1():
+    mod = build_entry("1")
+    assert irreducible_dims(mod) == [3, 4]
+    assert schur_exclusion(mod) is None
+    rep = invariant_form_types(mod, SMALL_SCAN)
+    assert rep["certificate"] == {}
+    assert rep["has_definite"] is True and rep["has_indefinite"] is True
+
+
+def test_schur_exclusion_needs_a_definite_gram():
+    import dataclasses
+
+    # G and -G are both definite, with the one split and one certificate
+    mod = build_entry("2d")
+    flipped = dataclasses.replace(
+        mod, gram=[[-x for x in row] for row in mod.gram])
+    assert schur_exclusion(mod) is not None
+    assert schur_exclusion(flipped) == schur_exclusion(mod)
+    # on 8-g2xR, V = 6 + 1 and S_6 - S_1 is invariant but indefinite
+    mod = build_entry("8-g2xR")
+    s6, s1 = mod._action_symmetric_forms
+    indefinite = dataclasses.replace(mod, gram=mat_sub(s6, s1))
+    assert inertia(indefinite.gram)[:2] == (6, 1)
+    assert schur_exclusion(indefinite) is None

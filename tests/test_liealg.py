@@ -220,20 +220,6 @@ def test_trivial_isotropy_dims():
     assert len(invariant_3forms(mod)) == 35
 
 
-def test_scan_builds_no_hitchin_map_for_the_empty_or_whole_family(
-        monkeypatch):
-    from g2forms import scan
-
-    def unused(bvecs):
-        raise AssertionError("the family Hitchin map was built")
-
-    monkeypatch.setattr(scan, "family_hitchin_map", unused)
-    assert scan.scan_family([])["samples"] == 0
-    whole = invariant_form_types(build_entry("6i"))
-    assert whole["has_definite"] is True and whole["has_indefinite"] is True
-    assert whole["samples"] == 2
-
-
 @pytest.mark.parametrize("case,params,expected", [
     ("1", (), [3, 4]),
     ("2ai", (), [1, 3, 3]),
@@ -825,32 +811,6 @@ def test_a_transported_module_below_its_first_witness_is_undecided():
         "undecided", True)
     assert (at["has_definite"], at["has_indefinite"]) == (True, True)
     assert (below["samples"], at["samples"]) == (208, 209)
-
-
-def test_schur_exclusion_does_not_fire_on_case1():
-    mod = build_entry("1")
-    assert irreducible_dims(mod) == [3, 4]
-    assert schur_exclusion(mod) is None
-    rep = invariant_form_types(mod, SMALL_SCAN)
-    assert rep["certificate"] == {}
-    assert rep["has_definite"] is True and rep["has_indefinite"] is True
-
-
-def test_schur_exclusion_needs_a_definite_gram():
-    import dataclasses
-
-    # G and -G are both definite, with the one split and one certificate
-    mod = build_entry("2d")
-    flipped = dataclasses.replace(
-        mod, gram=[[-x for x in row] for row in mod.gram])
-    assert schur_exclusion(mod) is not None
-    assert schur_exclusion(flipped) == schur_exclusion(mod)
-    # on 8-g2xR, V = 6 + 1 and S_6 - S_1 is invariant but indefinite
-    mod = build_entry("8-g2xR")
-    s6, s1 = mod._action_symmetric_forms
-    indefinite = dataclasses.replace(mod, gram=mat_sub(s6, s1))
-    assert inertia(indefinite.gram)[:2] == (6, 1)
-    assert schur_exclusion(indefinite) is None
 
 
 def test_a_finer_split_gets_no_certificate_and_the_full_scan(monkeypatch):

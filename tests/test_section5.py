@@ -83,19 +83,43 @@ def test_pencil_ray_lambda_is_read_off_its_slope_and_lambda9(case):
 
 
 def test_coclosed_family_report_builds_one_dual_ray_per_form(monkeypatch):
-    # phi+, phi- and the torus reference: one dual ray each, and one rank
+    # phi+, phi- and the torus reference: one record each, and one rank
     # pass per complex, since the family dimension is read off the ranks
     from g2forms import homogeneous
 
-    dual_rays, rank_passes = [], []
-    dual_ray, complex_ranks = homogeneous.dual_ray, section5.complex_ranks
-    monkeypatch.setattr(homogeneous, "dual_ray",
-                        lambda t: dual_rays.append(t) or dual_ray(t))
+    records, rank_passes = [], []
+    hitchin_bilinear = homogeneous.hitchin_bilinear
+    complex_ranks = section5.complex_ranks
+    monkeypatch.setattr(homogeneous, "hitchin_bilinear",
+                        lambda t: records.append(t) or hitchin_bilinear(t))
     monkeypatch.setattr(section5, "complex_ranks",
                         lambda c: rank_passes.append(c) or complex_ranks(c))
     report = section5.coclosed_family_report()
-    assert (len(dual_rays), len(rank_passes)) == (3, 2)
+    assert (len(records), len(rank_passes)) == (3, 2)
     assert all(c["pass"] for c in report["claims"] if not c.get("published"))
+
+
+@pytest.mark.parametrize("case, builds", [("1", 3), ("2ci", 4),
+                                          ("3aiii", 3)])
+def test_nearly_parallel_report_builds_each_record_once(case, builds,
+                                                        monkeypatch):
+    # one Hitchin build per special ray (f2 is degenerate on these rows, so
+    # its coclosedness is not asked), and d of f1, f2 plus one per stable
+    # special ray: the d-image rank reads the pencil's own d x1 and d x2
+    from g2forms import homogeneous, stable_forms
+
+    calls = {"hitchin_matrix": 0, "ce_differential": 0}
+    for namespace, name in ((stable_forms, "hitchin_matrix"),
+                            (homogeneous, "ce_differential"),
+                            (section5, "ce_differential")):
+        def counted(*args, name=name, real=getattr(namespace, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(namespace, name, counted)
+    report = section5.nearly_parallel_report(case)
+    assert calls == {"hitchin_matrix": builds, "ce_differential": builds}
+    orbits = [r["orbit"] for r in report["certificate"]["special_rays"]]
+    assert orbits[-1] == "degenerate"
 
 
 def test_coclosed_family_report_classifies_every_entry(monkeypatch):

@@ -14,11 +14,11 @@ from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   classification_report,
                                   classify3,
                                   decompose2, decompose3, dual_coefficients,
-                                  dual_ray, family_hitchin_map,
-                                  hitchin_bilinear, hitchin_matrix,
-                                  hitchin_ray, hodge_star, metric_from_3form,
-                                  primitive_int_vector, star_euclidean,
-                                  star_on_dual_ray, traceless_to_27)
+                                  family_hitchin_map, hitchin_bilinear,
+                                  hitchin_matrix, hodge_star,
+                                  metric_from_3form, primitive_int_vector,
+                                  primitive_ray, star_euclidean,
+                                  traceless_to_27)
 from references import (_hitchin_table, coeff, metric_from_4form,
                         reference_action, reference_hitchin_matrix)
 
@@ -263,7 +263,8 @@ def test_dual_ray_is_a_positive_multiple_of_the_float_star(ref):
         for c in (1, Fraction(-3, 7), Fraction(10 ** 15 + 1, 10 ** 15),
                   Fraction(-2, 10 ** 15 - 1)):
             ct = c * t
-            dual = np.array(dual_ray(ct).coefficient_vector(), dtype=float)
+            q, _ = hitchin_bilinear(ct).dual
+            dual = np.array(q.coefficient_vector(), dtype=float)
             st = hodge_star(ct, ct)
             lam = dual @ st / (dual @ dual)
             assert lam > 0
@@ -284,31 +285,47 @@ def test_dual_ray_matches_the_kform_route():
     for t in forms:
         b = mat(hitchin_matrix(t.coefficient_vector()))
         if det(b) == 0:
-            assert dual_ray(t) is None
+            assert hitchin_bilinear(t).dual is None
             continue
         stable += 1
         content = primitive_int_vector(sum(inverse(b), []))
         m = [content[i:i + 7] for i in range(0, 49, 7)]
         if det(b) < 0:
             m = [[-x for x in row] for row in m]
-        assert dual_ray(t) == star_euclidean(pullback(m, t))
+        assert hitchin_bilinear(t).dual[0] == star_euclidean(pullback(m, t))
     assert stable >= 8
 
 
 def test_dual_ray_of_a_degenerate_form_is_none():
-    assert dual_ray(w(7, 1, 2, 3)) is None
-    assert dual_ray(KForm.zero(7, 3)) is None
-    assert dual_ray(w(7, 1, 2, 3) + w(7, 1, 4, 5) + w(7, 1, 6, 7)) is None
+    for t in (w(7, 1, 2, 3), KForm.zero(7, 3),
+              w(7, 1, 2, 3) + w(7, 1, 4, 5) + w(7, 1, 6, 7)):
+        data = hitchin_bilinear(t)
+        assert data.orbit is Orbit3Class.DEGENERATE and data.dual is None
+
+
+def _undivided_dual(t):
+    """(Q, kappa^9) of t from the undivided Hitchin matrix of its primitive
+    ray: scale / c^3 times the Q of `dual_coefficients`, c the content of
+    the adjugate, and kappa^9 = scale^3 c^27 / (6 |det B|^23); None when
+    B is singular."""
+    x, scale = primitive_ray(t.coefficient_vector())
+    detb, adj, q = dual_coefficients(hitchin_matrix(x), x)
+    if detb == 0:
+        return None
+    c = math.gcd(*(v for row in adj for v in row))
+    return (KForm.from_coefficient_vector(7, 4, [scale * v / c ** 3
+                                                 for v in q]),
+            scale ** 3 * c ** 27 / (6 * abs(detb) ** 23))
 
 
 @pytest.mark.parametrize("ref", [PHI, PHITILDE])
 def test_dual_coefficients_is_the_star_of_the_adjugate_pullback(ref):
     # seeded integer pullbacks times 1, 2 or 3, every fourth along a
-    # singular map: Q is the star of the pullback along adj B, and the dual
-    # ray is scale / c^3 times the Q of its primitive ray, c the content of
-    # adj B
+    # singular map: Q is the star of the pullback along adj B, and the
+    # record's dual, built on B divided by its content, is the dual of the
+    # undivided B
     rng = random.Random(29)
-    stable = 0
+    stable = contents = 0
     for k in range(12):
         g = [[rng.randint(-2, 2) for _ in range(7)] for _ in range(7)]
         if k % 4 == 3:
@@ -318,19 +335,17 @@ def test_dual_coefficients_is_the_star_of_the_adjugate_pullback(ref):
         b = hitchin_matrix(x)
         detb, adj = adjugate(b)
         got = dual_coefficients(b, x)
+        data = hitchin_bilinear(t)
         if detb == 0:
             assert got == (0, None, None)
-            assert star_on_dual_ray(t) is None
+            assert data.dual is None and _undivided_dual(t) is None
             continue
         stable += 1
         assert got[:2] == (detb, adj)
         assert got[2] == star_euclidean(pullback(adj, t)).coefficient_vector()
-        bx, scale, xp = hitchin_ray(t)
-        _, adj, q = dual_coefficients(bx, xp)
-        c = math.gcd(*(v for row in adj for v in row))
-        assert star_on_dual_ray(t)[0].coefficient_vector() == [
-            scale * v / c ** 3 for v in q]
-    assert stable == 9
+        contents += data.r != data.scale ** 3
+        assert data.dual == _undivided_dual(t)
+    assert stable == 9 and contents == 9
 
 
 def test_family_map_of_the_unit_vectors_is_the_contraction_table():
@@ -681,8 +696,8 @@ def test_classification_report_runs_both_kernels_on_the_primitive_matrix(
         monkeypatch.setattr(stable_forms, name, record)
     for ref in (PHI, PHITILDE):
         t = pullback(g, ref)
-        content = math.gcd(*(x for row in stable_forms.hitchin_ray(t)[0]
-                             for x in row))
+        content = math.gcd(*(x for row in hitchin_matrix(
+            primitive_int_vector(t.coefficient_vector())) for x in row))
         assert content > 1
         calls.clear()
         report = classification_report(t)

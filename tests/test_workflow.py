@@ -1,6 +1,7 @@
 """The CI workflow installs the package with its test extra on CPython 3.10,
-3.11 and 3.12, the versions from the floor of `requires-python` on, and
-runs the Tier-1 command on each, printing its 20 slowest tests."""
+3.11 and 3.12, the versions from the floor of `requires-python` on, with
+pip's cache keyed on `pyproject.toml`, and runs the Tier-1 command on each,
+printing its 20 slowest tests; the job stops after 15 minutes."""
 
 from pathlib import Path
 
@@ -13,13 +14,16 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 def test_the_tier1_workflow_installs_the_test_extra_and_runs_the_suite():
     yaml = pytest.importorskip("yaml")
     job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]
+    assert job["timeout-minutes"] == 15
     assert job["strategy"]["matrix"] == {
         "python-version": ["3.10", "3.11", "3.12"]}
     assert 'requires-python = ">=3.10"' in (
         ROOT / "pyproject.toml").read_text()
     steps = job["steps"]
     assert {"uses": "actions/setup-python@v5",
-            "with": {"python-version": "${{ matrix.python-version }}"}} in steps
+            "with": {"python-version": "${{ matrix.python-version }}",
+                     "cache": "pip",
+                     "cache-dependency-path": "pyproject.toml"}} in steps
     assert [s["run"] for s in steps if "run" in s] == [
         'python -m pip install -e ".[test]"',
         "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
