@@ -27,9 +27,10 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 
-from .linalg import (block_diag, det, embed_block, frac, identity, inverse,
-                     mat, mat_mul, mat_vec, nullspace, rank, solve,
+from .linalg import (ZERO, adjugate, block_diag, cleared, det, embed_block,
+                     frac, identity, mat, mat_vec, nullspace, rank, solve,
                      transpose, zeros)
 from .isotropy import (IsotropyModule, invariant_dims, invariant_form_types,
                        invariant_inner_product, invariant_kform_basis,
@@ -47,7 +48,7 @@ from .stable_forms import PHI, annihilator_g2
 
 def compute_g2_algebra() -> MatrixLieAlgebra:
     """The 14-dimensional annihilator of the definite reference form."""
-    return MatrixLieAlgebra("g2", [mat(b) for b in annihilator_g2()])
+    return MatrixLieAlgebra.from_basis("g2", annihilator_g2())
 
 
 def compute_su3_in_g2():
@@ -56,13 +57,12 @@ def compute_su3_in_g2():
 
 
 def _restrict(mats, basis_vecs):
-    """Restrict operators to an invariant subspace given by coordinate rows.
-
-    One batched `solve` against the subspace basis serves every operator.
-    """
-    k = len(basis_vecs)
-    cols = solve(transpose(mat(basis_vecs)),
-                 [mat_vec(a, v) for a in mats for v in basis_vecs])
+    """Restrict integer operators to an invariant subspace given by
+    coordinate rows: one batched `solve` of the images A w_k against the
+    rows cleared to integers w_k over one denominator, which cancels."""
+    ws, _ = cleared(basis_vecs)
+    k = len(ws)
+    cols = solve(transpose(ws), [mat_vec(a, w) for a in mats for w in ws])
     if cols is None:
         raise AssertionError("subspace is not invariant")
     return [transpose(cols[i * k:(i + 1) * k]) for i in range(len(mats))]
@@ -84,27 +84,27 @@ def so3_irrep(dim):
     def rot_action(axis):
         # vector field x_i d/d x_j - x_j d/d x_i on degree-d monomials
         i, j = {(0): (1, 2), 1: (2, 0), 2: (0, 1)}[axis]
-        out = zeros(len(monos))
+        out = [[0] * len(monos) for _ in monos]
         for m, col in pos.items():
             for src, dst, sign in ((j, i, -1), (i, j, 1)):
                 if m[src] > 0:
                     e = list(m)
                     e[src] -= 1
                     e[dst] += 1
-                    out[pos[tuple(e)]][col] += Fraction(sign * m[src])
+                    out[pos[tuple(e)]][col] += sign * m[src]
         return out
 
     acts = [rot_action(a) for a in range(3)]
     # harmonic subspace: kernel of the Laplacian on degree-d polynomials
     tgt = [(a, b, d - 2 - a - b) for a in range(d - 1) for b in range(d - 1 - a)]
     tpos = {m: i for i, m in enumerate(tgt)}
-    lap = [[Fraction(0)] * len(monos) for _ in range(len(tgt))]
+    lap = [[0] * len(monos) for _ in tgt]
     for m, col in pos.items():
         for ax in range(3):
             if m[ax] >= 2:
                 e = list(m)
                 e[ax] -= 2
-                lap[tpos[tuple(e)]][col] += Fraction(m[ax] * (m[ax] - 1))
+                lap[tpos[tuple(e)]][col] += m[ax] * (m[ax] - 1)
     harm = nullspace(lap) if tgt else identity(len(monos))
     if len(harm) != dim:
         raise AssertionError("harmonic space has unexpected dimension")
@@ -116,11 +116,17 @@ def orthogonal_algebra_of_form(d):
 
     This is a compact realization of so(n) adapted to a representation whose
     invariant inner product D is rational but not the standard one; the
-    basis is D^{-1} (E_ij - E_ji).
+    basis is D^{-1} (E_ij - E_ji): column i of D^{-1} in column j, minus
+    column j in column i, with D^{-1} = L adj(D') / det D' for D' = L D.
     """
-    dinv = inverse(mat(d))
-    return MatrixLieAlgebra(f"so({len(d)};form)",
-                            [mat_mul(dinv, a) for a in so_basis(len(d))])
+    n = len(d)
+    ints, den = cleared(d)
+    detd, adj = adjugate(ints)
+    dinv = [[Fraction(den * a, detd) for a in row] for row in adj]
+    return MatrixLieAlgebra.from_basis(f"so({n};form)", [
+        [[row[i] if c == j else -row[j] if c == i else ZERO
+          for c in range(n)] for row in dinv]
+        for i, j in combinations(range(n), 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +242,7 @@ def _case_3aiii():
     g = build_algebra("su(3)+so(3)")
     # each su(2) element paired with its ad-matrix, an so(3) element with
     # the same structure constants
-    su2 = MatrixLieAlgebra("su(2)", _su3_su2_block_gens(6))
+    su2 = MatrixLieAlgebra.from_basis("su(2)", _su3_su2_block_gens(6))
     ads = [transpose(row) for row in su2.structure_constants()]
     h = [block_diag([x, ad]) for x, ad in zip(su2.basis, ads)]
     h.append(embed_block(diag_torus_su(3, [1, 1, -2]), 9, 0))

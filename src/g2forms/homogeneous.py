@@ -196,16 +196,21 @@ def nearly_parallel_check(m: IsotropyModule,
 
 
 def coclosed_if_stable(m: IsotropyModule, t: KForm):
-    """Is d(star t) = 0?  None when t is degenerate.
+    """Is d(star t) = 0?  None when t is degenerate."""
+    return orbit_and_coclosed(m, t)[1]
 
-    Exact, on the dual of t's one record (`hitchin_bilinear`); the dual of
-    an invariant t is invariant, so it skips the invariance check of
-    `ce_differential`.
+
+def orbit_and_coclosed(m: IsotropyModule, t: KForm):
+    """t's orbit class, and whether d(star t) = 0 (None when t is
+    degenerate), both off t's one record (`hitchin_bilinear`).
+
+    Exact, on the record's dual; the dual of an invariant t is invariant,
+    so it skips the invariance check of `ce_differential`.
     """
-    dual = hitchin_bilinear(t).dual
-    if dual is None:
-        return None
-    return not _diff_terms(dual[0].terms, m.d_one_forms)
+    data = hitchin_bilinear(t)
+    dual = data.dual
+    return data.orbit, (None if dual is None else
+                        not _diff_terms(dual[0].terms, m.d_one_forms))
 
 
 def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):

@@ -2,33 +2,37 @@
 
 A Lie algebra is its structure constants c^k_ij on a fixed ordered basis,
 with the invariant inner product <X, Y> = -trace(XY).  Rational ambient
-matrices only build it: `MatrixLieAlgebra` clears its basis once to sparse
-integer matrices over one denominator, and reads coordinates, the
-structure constants and the trace form off them, the latter two once, as
-integer tables over one denominator each; every later step (brackets,
-complements, isotropy actions) works on coordinate vectors.  The trace
-form is definite on every compact realization used here (abelian factors
-are realized as rotation blocks, so the same formula covers them).  A
-reductive complement V of a subalgebra h gives an isotropy module, a
-frozen value: the h-action matrices on V, the V-part of the bracket, the
-restricted inner product, h and V in g-coordinates, and any finite
-component generators.  The complement's pair brackets, and the images of
-h and V under a generator, are integer combinations over the cleared h
-and V vectors, read off with one integer `solve` each.
+matrices only build it.  A `MatrixLieAlgebra` is a product of diagonal
+blocks, a simple algebra a product of one: each block clears its basis
+once to sparse integer matrices over one denominator and reads its
+coordinates, structure constants and trace form off them, the latter two
+once, as integer tables over one denominator each, which a product joins.
+`build_algebra` builds each classical factor once per process and shares
+it.  Every later step (brackets, complements, isotropy actions) works on
+coordinate vectors.  The trace form is definite on every compact
+realization used here (abelian factors are realized as rotation blocks,
+so the same formula covers them).  A reductive complement V of a
+subalgebra h gives an isotropy module, a frozen value: the h-action
+matrices on V, the V-part of the bracket, the restricted inner product, h
+and V in g-coordinates, and any finite component generators.  The
+complement's pair brackets, and the images of h and V under a generator,
+are integer combinations over the cleared h and V vectors, read off with
+one integer `solve` each.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, combinations
 
 from .isotropy import IsotropyModule
 # perfbench's tracer and workloads resolve these names on liealg
 from .isotropy import (ScanConfig, invariant_3forms, invariant_dims,
                        invariant_form_types, irreducible_dims)
-from .linalg import (adjugate, cleared, embed_block, frac, identity, inertia,
-                     mat_mul, nullspace, rank, rref, solve, sparse,
-                     sparse_mul, transpose, zeros)
+from .linalg import (adjugate, cleared, embed_block, frac, identity,
+                     inertia, mat_mul, nullspace, pivot_inverse, rank, solve,
+                     sparse, sparse_mul, transpose, zeros)
 
 
 def _sparse_commutator(a, b):
@@ -37,107 +41,168 @@ def _sparse_commutator(a, b):
     return {rc: v for rc, v in out.items() if v}
 
 
-@dataclass
-class MatrixLieAlgebra:
-    """A Lie algebra built from rational matrices with a fixed ordered basis.
-
-    The basis matrices are cleared once to sparse integer matrices B_k over
-    one denominator L, b_k = B_k / L, and read only for coordinates
-    (`coords`), the structure constants and the trace form.  The latter two
-    are integer tables over one denominator each, computed once; brackets
-    then work on coordinate vectors, and `structure_constants` and
-    `trace_form` build a fresh Fraction view on each call.
-    """
+@dataclass(frozen=True)
+class _Block:
+    """A named basis of n x n rational matrices, as tuples, cleared once
+    to sparse integer matrices B_k = L b_k; its coordinate solver and its
+    tables are built on first read and kept."""
 
     name: str
-    basis: list
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    @property
-    def size(self):
-        return len(self.basis[0]) if self.basis else 0
+    basis: tuple
 
     @cached_property
-    def _int_basis(self):
-        # (B_k, L): the basis cleared once to sparse integer matrices over
-        # one denominator
+    def ints(self):
+        # (B_k, L)
+        n = len(self.basis[0])
         flat, den = cleared([[x for row in b for x in row]
                              for b in self.basis])
-        n = self.size
         return [{divmod(i, n): v for i, v in enumerate(row) if v}
                 for row in flat], den
 
     @cached_property
-    def _coord_solver(self):
-        # the pivot cells of the flattened B_k, and det > 0 and the sparse
-        # columns of adj of the pivot submatrix P (both negated when
-        # det P < 0): y = adj x_p solves sum_k y_k B_k = det x for every x
-        # in the span, which the exact span check then confirms
-        cells = [divmod(i, self.size) for i in range(self.size ** 2)]
-        flat = [[b.get(rc, 0) for rc in cells] for b in self._int_basis[0]]
-        _, pivots = rref(flat)
-        if len(pivots) != self.dim:
+    def solver(self):
+        # the pivot cells of the B_k, d and the rows of L N (`pivot_inverse`):
+        # y = x_p L N has sum_k y_k b_k = d x for every x in the span
+        n = len(self.basis[0])
+        ints, den = self.ints
+        found = pivot_inverse([{r * n + c: v for (r, c), v in b.items()}
+                               for b in ints], n * n)
+        if found is None:
             raise ValueError(f"{self.name}: basis is linearly dependent")
-        d, adj = adjugate([[row[p] for row in flat] for p in pivots])
-        sign = 1 if d > 0 else -1
-        cols = [[(r, sign * row[k]) for r, row in enumerate(adj) if row[k]]
-                for k in range(self.dim)]
-        return [cells[p] for p in pivots], sign * d, cols
+        pivots, d, rows = found
+        return [divmod(p, n) for p in pivots], d, [
+            [(k, den * v) for k, v in row.items()] for row in rows]
 
-    def coords(self, x):
-        """Coordinates of an ambient matrix in the basis; None if outside."""
-        if not self.basis:
-            return None
-        xi, m = cleared(x)
-        y = self._int_coords(sparse(xi))
-        if y is None:
-            return None
-        # sum_k y_k B_k = det m x, and x = sum_k c_k B_k / L
-        den = self._int_basis[1]
-        q = self._coord_solver[1] * m
-        return [Fraction(v * den, q) for v in y]
-
-    def _int_coords(self, x):
-        """y with sum_k y_k B_k = det x, for a sparse integer matrix x
-        {(r, c): v} in the span of the B_k; None if outside."""
-        cells, d, cols = self._coord_solver
-        y = [0] * self.dim
-        for k, rc in enumerate(cells):
+    def int_coords(self, x):
+        """y with x = sum_k y_k b_k / d, for a sparse integer matrix x
+        {(r, c): v} in the span of the b_k; None if outside."""
+        cells, d, rows = self.solver
+        y = [0] * len(self.basis)
+        for rc, row in zip(cells, rows):
             if rc in x:
                 v = x[rc]
-                for r, a in cols[k]:
-                    y[r] += a * v
-        # exact span check
+                for k, a in row:
+                    y[k] += a * v
+        # exact span check: sum_k y_k B_k = L d x
+        ints, den = self.ints
         span = {}
-        for yk, b in zip(y, self._int_basis[0]):
+        for yk, b in zip(y, ints):
             if yk:
                 for rc, v in b.items():
                     span[rc] = span.get(rc, 0) + yk * v
         if {rc: v for rc, v in span.items() if v} != {
-                rc: d * v for rc, v in x.items()}:
+                rc: den * d * v for rc, v in x.items()}:
             return None
         return y
 
     @cached_property
+    def structure(self):
+        # (T, D): [b_i, b_j] = sum_k c_k b_k / D over the pairs (k, c_k)
+        # of T[i][j], c_k != 0; [B_i, B_j] = L^2 [b_i, b_j], so D = d L^2
+        ints, den = self.ints
+        table = [[()] * len(ints) for _ in ints]
+        for i, j in combinations(range(len(ints)), 2):
+            y = self.int_coords(_sparse_commutator(ints[i], ints[j]))
+            if y is None:
+                raise ValueError(
+                    f"{self.name}: bracket [b{i}, b{j}] leaves the span")
+            table[i][j] = tuple((k, c) for k, c in enumerate(y) if c)
+            table[j][i] = tuple((k, -c) for k, c in table[i][j])
+        return table, self.solver[1] * den * den
+
+    @cached_property
+    def trace_form(self):
+        # (G, L^2): G[i][j] = -tr(B_i B_j) = L^2 <b_i, b_j>
+        ints, den = self.ints
+        g = [[0] * len(ints) for _ in ints]
+        for i, x in enumerate(ints):
+            for j in range(i, len(ints)):
+                y = ints[j]
+                g[i][j] = g[j][i] = -sum(v * y.get((c, r), 0)
+                                         for (r, c), v in x.items())
+        return g, den * den
+
+
+def _join(tables, zero, move):
+    """The block-diagonal join of square tables (T_a, D_a) over D = lcm
+    D_a: each entry x of T_a as move(x, at, D / D_a) at T_a's offset at."""
+    den = math.lcm(*(d for _, d in tables))
+    n = sum(len(t) for t, _ in tables)
+    out = [[zero] * n for _ in range(n)]
+    at = 0
+    for t, d in tables:
+        for i, row in enumerate(t, at):
+            out[i][at:at + len(t)] = [move(x, at, den // d) for x in row]
+        at += len(t)
+    return out, den
+
+
+@dataclass(frozen=True)
+class MatrixLieAlgebra:
+    """A Lie algebra of block-diagonal rational matrices: the bases of its
+    blocks (`_Block`), in order.  A simple algebra is one block
+    (`from_basis`); a product holds its factors' blocks, tables and all.
+    `coords` reads each diagonal block with its block's solver.  The
+    structure constants and the trace form are the blocks' integer tables
+    joined once; `structure_constants` and `trace_form` build a fresh
+    Fraction view on each call.
+    """
+
+    name: str
+    blocks: tuple
+
+    @classmethod
+    def from_basis(cls, name, basis):
+        """The algebra of one block spanned by the matrices `basis`."""
+        return cls(name, (_Block(name, tuple(tuple(map(tuple, b))
+                                             for b in basis)),))
+
+    @cached_property
+    def _starts(self):
+        # the first row of each block, then the size
+        return [*accumulate((len(b.basis[0]) for b in self.blocks), initial=0)]
+
+    @property
+    def dim(self):
+        return sum(len(b.basis) for b in self.blocks)
+
+    @property
+    def size(self):
+        return self._starts[-1]
+
+    @cached_property
+    def basis(self):
+        """The block-embedded basis matrices, as tuples of tuples."""
+        return tuple(tuple(map(tuple, embed_block(b, self.size, at)))
+                     for blk, at in zip(self.blocks, self._starts)
+                     for b in blk.basis)
+
+    def coords(self, x):
+        """Coordinates of an ambient matrix in the basis; None if outside."""
+        xi, m = cleared(x)
+        return self._sparse_coords(sparse(xi), m)
+
+    def _sparse_coords(self, x, m):
+        """Coordinates of x / m, x a sparse integer matrix {(r, c): v}; None
+        if x has an entry off the diagonal blocks or one outside its span."""
+        out, inside = [], 0
+        for blk, at, end in zip(self.blocks, self._starts, self._starts[1:]):
+            part = {(r - at, c - at): v for (r, c), v in x.items()
+                    if at <= r < end and at <= c < end}
+            inside += len(part)
+            y = blk.int_coords(part)
+            if y is None:
+                return None
+            q = blk.solver[1] * m
+            out += [Fraction(v, q) for v in y]
+        return out if inside == len(x) else None
+
+    @cached_property
     def _structure(self):
-        # (T, D): [b_i, b_j] = sum_k c_k b_k / D over the integer pairs
-        # (k, c_k) of T[i][j], c_k != 0; [B_i, B_j] = L^2 [b_i, b_j], so
-        # D = det L
-        ints, den = self._int_basis
-        d = self.dim
-        table = [[()] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                y = self._int_coords(_sparse_commutator(ints[i], ints[j]))
-                if y is None:
-                    raise ValueError(
-                        f"{self.name}: bracket [b{i}, b{j}] leaves the span")
-                table[i][j] = tuple((k, c) for k, c in enumerate(y) if c)
-                table[j][i] = tuple((k, -c) for k, c in table[i][j])
-        return table, self._coord_solver[1] * den
+        # (T, D): the blocks' tables joined; two blocks commute
+        return _join([b.structure for b in self.blocks], (),
+                     lambda terms, at, s: tuple((k + at, s * c)
+                                                for k, c in terms))
 
     def structure_constants(self):
         """c[i][j] = coordinates of [b_i, b_j]; raises if not closed.
@@ -169,16 +234,9 @@ class MatrixLieAlgebra:
 
     @cached_property
     def _int_trace_form(self):
-        # (G, L^2): G[i][j] = -tr(B_i B_j) = L^2 <b_i, b_j>
-        ints, den = self._int_basis
-        d = self.dim
-        g = [[0] * d for _ in range(d)]
-        for i, x in enumerate(ints):
-            for j in range(i, d):
-                y = ints[j]
-                g[i][j] = g[j][i] = -sum(v * y.get((c, r), 0)
-                                         for (r, c), v in x.items())
-        return g, den * den
+        # (G, L^2): the blocks' G joined; two blocks are orthogonal
+        return _join([b.trace_form for b in self.blocks], 0,
+                     lambda v, at, s: s * v)
 
     def trace_form(self):
         """Gram matrix of <X, Y> = -tr(XY) on the basis, as Fractions: a
@@ -292,12 +350,9 @@ def torus_basis(k):
 
 
 def product_algebra(name, factors):
-    """Block-diagonal product; basis order follows the factor order."""
-    total = sum(f.size for f in factors)
-    offsets = accumulate((f.size for f in factors), initial=0)
-    return MatrixLieAlgebra(name=name, basis=[
-        embed_block(b, total, off)
-        for f, off in zip(factors, offsets) for b in f.basis])
+    """Block-diagonal product: the blocks of the factors, in order, so the
+    basis order follows the factor order."""
+    return MatrixLieAlgebra(name, tuple(b for f in factors for b in f.blocks))
 
 
 #: the classical algebras by name prefix: (smallest size, largest size,
@@ -311,10 +366,12 @@ _CLASSICAL = {
 }
 
 
+@cache
 def build_algebra(name: str) -> MatrixLieAlgebra:
     """Classical algebras by name: so(n), su(n), sp(n), u(n), t(k), and
     their sums such as su(3)+t(2), the block-diagonal `product_algebra` of
-    the factors in order.
+    the factors in order.  Built once per process for each name, as a
+    frozen value that every caller shares, factors included.
     """
     name = name.strip()
     if "+" in name:
@@ -327,7 +384,7 @@ def build_algebra(name: str) -> MatrixLieAlgebra:
     n = int(size[:-1])
     if not low <= n <= high:
         raise ValueError(f"unsupported size in {name}")
-    return MatrixLieAlgebra(name, basis(n))
+    return MatrixLieAlgebra.from_basis(name, basis(n))
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +485,10 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
 
     F exists only as an ambient matrix, so Ad_F is read off the conjugated
     basis matrices: F is cleared to an integer matrix F', whose adjugate
-    A = det(F') F'^-1 replaces the inverse, and each F' B_k A is read in
-    integer coordinates.  The images of the h and V vectors are then
-    integer combinations of those over one denominator, solved against the
+    A = det(F') F'^-1 replaces the inverse, and each F' B_k A, B_k = L b_k
+    the integer basis of b_k's block, is read in coordinates and divided
+    by L det(F').  The images of the h and V vectors are then integer
+    combinations of those, cleared to one denominator, solved against the
     cleared h and V bases as in `reductive_complement`.
     """
     f, _ = cleared(fmat)
@@ -439,13 +497,17 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
         raise ValueError("matrix is singular")
     f, finv = sparse(f), sparse(adj)
     imgs = []
-    for b in g._int_basis[0]:
-        y = g._int_coords(sparse_mul(sparse_mul(f, b), finv))
-        if y is None:
-            raise ValueError("generator does not normalize the algebra")
-        imgs.append(y)
+    for blk, at in zip(g.blocks, g._starts):
+        ints, bden = blk.ints
+        for b in ints:
+            b = {(r + at, c + at): v for (r, c), v in b.items()}
+            y = g._sparse_coords(sparse_mul(sparse_mul(f, b), finv),
+                                 bden * fdet)
+            if y is None:
+                raise ValueError("generator does not normalize the algebra")
+            imgs.append(y)
     # Ad_F b_k = sum_l imgs[k][l] b_l / den
-    den = g._coord_solver[1] * fdet
+    imgs, den = cleared(imgs)
 
     def images(vecs):
         return [(p, den * s) for p, (_, s)

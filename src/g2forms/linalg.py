@@ -200,6 +200,20 @@ def kernel(rows, ncols):
     return list(basis.values())
 
 
+def pivot_inverse(rows, ncols):
+    """(pivots p_i, d > 0, the rows {k: v} of N = d P^-1) for independent
+    sparse integer rows B_k {col: v}, P[k][i] = B_k[p_i]; None if dependent.
+    The `_echelon` rows of B_k | e_k are sum_k a_k B_k | a, with q_i in
+    column p_i and 0 in the other pivot columns: N[i][k] = a_k d / q_i."""
+    done = _echelon({**b, ncols + k: 1} for k, b in enumerate(rows))
+    if done and done[-1][0] >= ncols:
+        return None
+    d = math.lcm(*(r[c] for c, r in done))
+    return [c for c, _ in done], d, [
+        {k - ncols: v * (d // r[c]) for k, v in r.items() if k >= ncols}
+        for c, r in done]
+
+
 def nullspace(a):
     """Basis of {x : a x = 0}, echelonized, deterministic ordering: the
     `kernel` of the rows of a, each cleared to integers."""

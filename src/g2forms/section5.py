@@ -13,17 +13,17 @@ from functools import cache
 
 from .catalog import build_entry, claim
 from .homogeneous import (InvariantComplex, bare_complex, build_complex,
-                          ce_differential, certify_pencil, coclosed_if_stable,
-                          complex_ranks, closed_stable_scan, exact_primitive,
-                          nearly_parallel_check, pencil_evaluations)
+                          ce_differential, certify_pencil, complex_ranks,
+                          closed_stable_scan, exact_primitive,
+                          nearly_parallel_check, orbit_and_coclosed,
+                          pencil_evaluations)
 from .isotropy import (IsotropyModule, invariant_3forms, invariant_kforms,
                        module_from_action)
 from .liealg import MatrixLieAlgebra, build_algebra, product_algebra
 from .linalg import identity, rank, solve, transpose
 from .multilinear import KForm, annihilator_of_form, form_to_json
 from .scan import ScanConfig
-from .stable_forms import (PHI, PHITILDE, classify3, family_hitchin_map,
-                           star_euclidean)
+from .stable_forms import PHI, PHITILDE, family_hitchin_map, star_euclidean
 
 
 def su2_t4_printed_constants() -> MatrixLieAlgebra:
@@ -33,8 +33,8 @@ def su2_t4_printed_constants() -> MatrixLieAlgebra:
     sl2 = [[[Fraction(1, 2), z], [z, Fraction(-1, 2)]],
            [[z, Fraction(1)], [z, z]],
            [[z, z], [Fraction(1, 2), z]]]
-    return product_algebra("sl(2,R)+t(4)", [MatrixLieAlgebra("sl(2,R)", sl2),
-                                            build_algebra("t(4)")])
+    return product_algebra("sl(2,R)+t(4)", [
+        MatrixLieAlgebra.from_basis("sl(2,R)", sl2), build_algebra("t(4)")])
 
 
 #: the trivial-isotropy complexes that can be named on the command line,
@@ -146,16 +146,20 @@ def coclosed_family_report() -> dict:
     a coclosed one form a family of dimension dim ker d on invariant
     4-forms, ranks[4][2] of the complex, whatever the form; the split into
     exact forms plus the complement is reported by `rank_chain_report`.
+    Each form's orbit and coclosedness come from its one Hitchin record
+    (`orbit_and_coclosed`).
     """
     comp, t7 = named_complex("su2+t4"), named_complex("t7")
     phim = PHI - 2 * KForm.basis(7, 1, 2, 3)
     su2t4_dim = complex_ranks(comp)[4][2]
-    dims = {name: {"coclosed": coclosed_if_stable(comp.module, t),
-                   "family_dim": su2t4_dim, "orbit": classify3(t).value}
-            for name, t in (("phi+", PHI), ("phi-", phim))}
-    dims["torus"] = {"coclosed": coclosed_if_stable(t7.module, PHI),
-                     "family_dim": complex_ranks(t7)[4][2],
-                     "orbit": classify3(PHI).value}
+    dims = {}
+    for name, m, t, dim in (("phi+", comp.module, PHI, su2t4_dim),
+                            ("phi-", comp.module, phim, su2t4_dim),
+                            ("torus", t7.module, PHI,
+                             complex_ranks(t7)[4][2])):
+        orbit, coclosed = orbit_and_coclosed(m, t)
+        dims[name] = {"coclosed": coclosed, "family_dim": dim,
+                      "orbit": orbit.value}
     claims = [
         claim("phi+ is coclosed", True, dims["phi+"]["coclosed"]),
         claim("phi- is coclosed", True, dims["phi-"]["coclosed"]),

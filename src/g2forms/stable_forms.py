@@ -372,11 +372,6 @@ def classify_coeffs(coeffs) -> Orbit3Class:
     return classify_hitchin(hitchin_matrix(primitive_int_vector(coeffs)))
 
 
-def classify3(t: KForm) -> Orbit3Class:
-    """Orbit class of a 3-form on R^7 (exact)."""
-    return classify_coeffs(_coeffs3(t))
-
-
 _METRIC_CONST = 6  # pinned by the phi -> identity-metric oracle
 
 

@@ -35,6 +35,10 @@ length of a Fraction null space basis, `intersect_nullspaces` of the
 action matrices and the F - 1, and the `nullspace` of the transposed
 flattened action.  The package reads both as a dimension less a `rank`.
 
+`classify3`: the orbit class of a 3-form by `classify_coeffs` on its
+coefficient vector; the package reads a form's class off its one record,
+`hitchin_bilinear(t).orbit`, beside the record's dual.
+
 The rest are the plain definitions the tests hold the package to, which no
 command needs: the dense matrix `mat_sub`, `trace` and `commutator`, an
 echelonized `span_basis`, the `bracket` and the Jacobi identity
@@ -51,7 +55,8 @@ from math import prod
 from g2forms.linalg import (ZERO, identity, intersect_nullspaces, mat, mat_mul,
                             mat_vec, nullspace, rref, transpose)
 from g2forms.multilinear import KForm, sort_index
-from g2forms.stable_forms import (DIM, IDX3, FamilyHitchinMap, hitchin_matrix,
+from g2forms.stable_forms import (DIM, IDX3, FamilyHitchinMap, Orbit3Class,
+                                  classify_coeffs, hitchin_matrix,
                                   primitive_ray, star_euclidean)
 
 IDX3_POS = {idx: p for p, idx in enumerate(IDX3)}
@@ -349,3 +354,10 @@ def dense_kernel_dim(m):
         return 0
     cols = [[x for row in a for x in row] for a in m.action]
     return len(nullspace(transpose(mat(cols))))
+
+
+def classify3(t: KForm) -> Orbit3Class:
+    """Orbit class of a 3-form on R^7 (exact)."""
+    if t.dim != DIM or t.degree != 3:
+        raise ValueError("expected a 3-form on R^7")
+    return classify_coeffs(t.coefficient_vector())

@@ -32,9 +32,9 @@ from g2forms.octonion import (UnitQuaternion, chi_embedding, is_automorphism,
                               octonion_algebra)
 from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class,
                                   annihilator_g2, annihilator_of_form,
-                                  classify3, decompose2, decompose3)
+                                  decompose2, decompose3)
 from g2forms.scan import ScanConfig
-from references import check_jacobi, sign_charpoly
+from references import check_jacobi, classify3, sign_charpoly
 
 w = KForm.basis
 DEFAULT_SCAN = ScanConfig()

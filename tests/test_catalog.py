@@ -71,7 +71,7 @@ def test_su3_block_intersection():
     # closed under the bracket inside the annihilator
     from g2forms.liealg import MatrixLieAlgebra
 
-    alg = MatrixLieAlgebra("su3-block", su3)
+    alg = MatrixLieAlgebra.from_basis("su3-block", su3)
     alg.structure_constants()
 
 
@@ -83,7 +83,7 @@ def test_so3_irreps():
         br = commutator(acts[0], acts[1])
         from g2forms.liealg import MatrixLieAlgebra
 
-        alg = MatrixLieAlgebra(f"so3-{dim}", acts)
+        alg = MatrixLieAlgebra.from_basis(f"so3-{dim}", acts)
         alg.structure_constants()
 
 

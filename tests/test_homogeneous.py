@@ -21,10 +21,10 @@ from g2forms.multilinear import KForm, annihilator_of_form, pullback
 from g2forms.scan import (IsotropicCertificate, SchurCertificate, ScanConfig,
                           _ray_grid, family_hitchin_map, isotropic_exclusion,
                           scan_family)
-from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify3,
-                                  classify_coeffs, hitchin_bilinear,
-                                  hitchin_matrix, hodge_star, star_euclidean)
-from references import cartan_3form, coeff, commutator, trace
+from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify_coeffs,
+                                  hitchin_bilinear, hitchin_matrix,
+                                  hodge_star, star_euclidean)
+from references import cartan_3form, classify3, coeff, commutator, trace
 
 w = KForm.basis
 

@@ -1,9 +1,9 @@
 """Tests of `g2forms.isotropy`: isotropy modules and their invariant theory."""
 
 from g2forms.catalog import build_entry
-from g2forms.isotropy import (invariant_3forms, invariant_form_types,
-                              invariant_kforms, irreducible_dims,
-                              schur_exclusion)
+from g2forms.isotropy import (invariant_3forms, invariant_dims,
+                              invariant_form_types, invariant_kforms,
+                              irreducible_dims, schur_exclusion)
 from g2forms.linalg import inertia
 from g2forms.scan import ScanConfig
 from references import mat_sub
@@ -64,3 +64,20 @@ def test_schur_exclusion_needs_a_definite_gram():
     indefinite = dataclasses.replace(mod, gram=mat_sub(s6, s1))
     assert inertia(indefinite.gram)[:2] == (6, 1)
     assert schur_exclusion(indefinite) is None
+
+
+def test_trivial_isotropy_dims():
+    mod = build_entry("6i")
+    dims = invariant_dims(mod)
+    assert (dims.d1, dims.d2, dims.d3) == (7, 28, 35)
+    assert len(invariant_3forms(mod)) == 35
+
+
+def test_invariant_form_types_case1():
+    rep = invariant_form_types(build_entry("1"), SMALL_SCAN)
+    assert rep["has_definite"] is True and rep["has_indefinite"] is True
+
+
+def test_invariant_form_types_definite_only():
+    rep = invariant_form_types(build_entry("2d"), SMALL_SCAN)
+    assert rep["has_definite"] is True and not rep["has_indefinite"]

@@ -29,6 +29,10 @@ ALLOWED = {
     "leading_principal_minors": "traced by perfbench; no caller in the "
                                 "package",
     "intersect_nullspaces": "traced by perfbench; no caller in the package",
+    "rref": "traced by perfbench; no caller in the package since the "
+            "coordinate solver reads `pivot_inverse`",
+    "classify_coeffs": "traced by perfbench; no caller in the package "
+                       "since a form's class is read off its record",
     "decompose2": "roadmap item 4: the 14+7 split of 2-forms",
     "decompose3": "roadmap item 4: the 1+7+27 split of 3-forms",
     "traceless_to_27": "roadmap item 4: the 27 of the 3-form split",

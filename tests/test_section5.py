@@ -123,12 +123,31 @@ def test_nearly_parallel_report_builds_each_record_once(case, builds,
 
 
 def test_coclosed_family_report_classifies_every_entry(monkeypatch):
-    # the torus entry's orbit is computed, as those of phi+ and phi- are
-    monkeypatch.setattr(section5, "classify3",
-                        lambda t: Orbit3Class.DEGENERATE)
+    # the torus entry's orbit is computed, as those of phi+ and phi- are,
+    # and each entry's orbit and coclosedness come from the one reader
+    read = section5.orbit_and_coclosed
+    monkeypatch.setattr(section5, "orbit_and_coclosed",
+                        lambda m, t: (Orbit3Class.DEGENERATE, read(m, t)[1]))
     families = section5.coclosed_family_report()["families"]
     assert list(families) == ["phi+", "phi-", "torus"]
     assert all(f["orbit"] == "degenerate" for f in families.values())
+    assert all(f["coclosed"] is True for f in families.values())
+
+
+def test_coclosed_family_report_builds_one_hitchin_matrix_per_form(
+        monkeypatch):
+    # phi+, phi- and the torus reference: the orbit and the dual of each
+    # form are read off one record, so one B each
+    from g2forms import stable_forms
+
+    section5.named_complex("su2+t4"), section5.named_complex("t7")
+    built, build = [], stable_forms.hitchin_matrix
+    monkeypatch.setattr(stable_forms, "hitchin_matrix",
+                        lambda x: built.append(x) or build(x))
+    families = section5.coclosed_family_report()["families"]
+    assert len(built) == 3
+    assert [f["orbit"] for f in families.values()] == [
+        "definite", "indefinite", "definite"]
 
 
 def test_the_rigidity_reports_build_a_named_complex_once(monkeypatch):

@@ -12,14 +12,13 @@ from g2forms.multilinear import (KForm, _moves, algebra_action, basis_vector,
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   annihilator_g2, annihilator_of_form,
                                   classification_report,
-                                  classify3,
                                   decompose2, decompose3, dual_coefficients,
                                   family_hitchin_map, hitchin_bilinear,
                                   hitchin_matrix, hodge_star,
                                   metric_from_3form, primitive_int_vector,
                                   primitive_ray, star_euclidean,
                                   traceless_to_27)
-from references import (_hitchin_table, coeff, metric_from_4form,
+from references import (_hitchin_table, classify3, coeff, metric_from_4form,
                         reference_action, reference_hitchin_matrix)
 
 w = KForm.basis
