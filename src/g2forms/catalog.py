@@ -32,9 +32,10 @@ from itertools import combinations
 from .linalg import (ZERO, adjugate, block_diag, cleared, det, embed_block,
                      frac, identity, mat, mat_vec, nullspace, rank, solve,
                      transpose, zeros)
-from .isotropy import (IsotropyModule, invariant_dims, invariant_form_types,
-                       invariant_inner_product, invariant_kform_basis,
-                       irreducible_dims, module_from_action)
+from .isotropy import (IsotropyModule, basis_coordinates, invariant_dims,
+                       invariant_form_types, invariant_inner_product,
+                       invariant_kform_basis, irreducible_dims,
+                       module_from_action)
 from .liealg import (MatrixLieAlgebra, build_algebra, creal, diag_torus_su,
                      generator_v_matrix, product_algebra, reductive_complement,
                      rotation_block, so_basis, sp_basis, sp_matrix, su_basis)
@@ -522,9 +523,8 @@ def verify_entry(entry, scan_config=None, module=None) -> VerificationReport:
     if mod.generators:
         # accepted generators: fix the algebra-invariant family setwise
         big = invariant_kform_basis(mod.action, (), 3, mod.dimV)
-        bigmat = transpose(mat([f.coefficient_vector() for f in big]))
         for name, vmat in mod.generators:
-            setwise = solve(bigmat, [pullback(vmat, f).coefficient_vector()
-                                     for f in big]) is not None
+            setwise = basis_coordinates(
+                big, [pullback(vmat, f).terms for f in big]) is not None
             rep.add(f"generator {name} fixes family setwise", True, setwise)
     return rep

@@ -20,9 +20,10 @@ from fractions import Fraction
 from itertools import chain, combinations, count
 from typing import NamedTuple
 
-from .linalg import (cleared, identity, mat, mat_mul, nullspace, rank, solve,
-                     sparse, sparse_mul, transpose)
-from .isotropy import IsotropyModule, invariant_3forms, invariant_kforms
+from .linalg import (cleared, identity, mat_mul, nullspace, rank, solve,
+                     sparse, sparse_mul)
+from .isotropy import (IsotropyModule, basis_coordinates, invariant_3forms,
+                       invariant_kforms)
 from .liealg import MatrixLieAlgebra
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .scan import ScanConfig, scan_family
@@ -102,25 +103,20 @@ class InvariantComplex:
 
 
 def build_complex(m: IsotropyModule) -> InvariantComplex:
-    """Assemble the invariant complex; asserts d^2 = 0 exactly."""
+    """Assemble the invariant complex; asserts d^2 = 0 exactly.  A basis
+    form is invariant by construction (the kernel of the invariance
+    system), so d of it is read off its terms; `basis_coordinates` gives
+    its column, and a d they cannot rebuild is an AssertionError."""
     n = m.dimV
     bases = [invariant_kforms(m, k) for k in range(n + 1)]
     diffs = []
-    for k in range(n + 1):
-        src = bases[k]
-        tgt = bases[k + 1] if k + 1 <= n else []
-        if not src or not tgt:
-            for f in src:
-                if not ce_differential(m, f).is_zero():
-                    raise AssertionError("d of an invariant form is not invariant")
-            diffs.append([[Fraction(0)] * len(src) for _ in range(len(tgt))])
-            continue
-        tmat = transpose(mat([f.coefficient_vector() for f in tgt]))
-        cols = solve(tmat, [ce_differential(m, f).coefficient_vector()
-                            for f in src])
+    for k, src in enumerate(bases):
+        tgt = bases[k + 1] if k < n else []
+        cols = basis_coordinates(tgt, [_diff_terms(f.terms, m.d_one_forms)
+                                       for f in src])
         if cols is None:
             raise AssertionError("d of an invariant form is not invariant")
-        diffs.append(transpose(cols))
+        diffs.append([[col[i] for col in cols] for i in range(len(tgt))])
     _assert_d_squared_zero(diffs)
     return InvariantComplex(module=m, bases=bases, diffs=diffs)
 
@@ -134,7 +130,7 @@ def _assert_d_squared_zero(diffs):
 
 
 def complex_ranks(c: InvariantComplex):
-    """Per degree: (dim, rank of d, dim ker d); exact, rank-nullity audited."""
+    """Per degree: (dim, rank of d, dim ker d = dim - rank), exact."""
     out = []
     for basis, d in zip(c.bases, c.diffs):
         r = rank(d) if d and d[0] else 0
@@ -235,16 +231,22 @@ def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
 
 
 def exact_primitive(c: InvariantComplex, target: KForm):
-    """Some invariant k-form with d = target, or None (degree of target - 1)."""
+    """Some invariant (k-1)-form a with d a = target, a k-form, or None:
+    `basis_coordinates` of the target, then one `solve` against d.  A
+    ValueError refuses another dim or a degree outside 1..dimV."""
+    n = c.module.dimV
+    if target.dim != n:
+        raise ValueError(f"target has dim {target.dim}, the complex dim {n}")
+    if not 1 <= target.degree <= n:
+        raise ValueError(f"target degree {target.degree} is outside 1..{n}")
     k = target.degree - 1
-    rows_next = [f.coefficient_vector() for f in c.bases[k + 1]]
-    tcoeff = solve(transpose(mat(rows_next)), [target.coefficient_vector()])
+    tcoeff = basis_coordinates(c.bases[k + 1], [target.terms])
     if tcoeff is None:
         return None
     x = solve(c.diffs[k], tcoeff)
     if x is None:
         return None
-    out = KForm.zero(c.module.dimV, k)
+    out = KForm.zero(n, k)
     for co, f in zip(x[0], c.bases[k]):
         out = out + co * f
     return out

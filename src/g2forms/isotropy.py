@@ -23,11 +23,12 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from math import comb
 from types import MappingProxyType
 
-from .linalg import (adjugate, charpoly, cleared, inertia, kernel, mat_mul,
-                     rank, root_multiplicities, transpose)
+from .linalg import (ONE, ZERO, adjugate, charpoly, cleared, inertia, kernel,
+                     mat_mul, rank, root_multiplicities, transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
 from .scan import SchurCertificate, ScanConfig, scan_family
@@ -209,9 +210,11 @@ def invariant_kform_basis(action, generators, k, n):
     and every generator pulls back to itself: the `kernel` of one sparse
     integer system.  Each action matrix cleared to L A gives the rows of
     L times its Lambda^k action, and each generator cleared to L F the
-    rows of P - L^k 1, P the pullback matrix of L F."""
-    if k == 0:
-        return [KForm.make(n, 0, [((), 1)])]
+    rows of P - L^k 1, P the pullback matrix of L F.  With no rows, the
+    kernel is the unit forms e^I, built directly."""
+    if not (action or generators):
+        return [KForm(n, k, {idx: ONE})
+                for idx in combinations(range(1, n + 1), k)]
     rows = [row for a in action
             for row in lambda_k_action_matrix(cleared(a)[0], k)]
     for f in generators:
@@ -221,6 +224,28 @@ def invariant_kform_basis(action, generators, k, n):
             rows.append(dict(enumerate(row)))
     vecs = kernel(rows, comb(n, k))
     return [KForm.from_coefficient_vector(n, k, v) for v in vecs]
+
+
+def basis_coordinates(basis, forms):
+    """The coordinates in an invariant k-form basis of each of `forms`,
+    sparse terms maps with no zero value such as `KForm.terms`; None when
+    one of them is off the span.  As in every `kernel` basis, each basis
+    form has coefficient 1 at its last index, where no other is nonzero:
+    the coordinates are read there, once per basis, and each reading is
+    checked by one exact recombination."""
+    lead = [max(f.terms) for f in basis]
+    out = []
+    for terms in forms:
+        coords = [terms.get(idx, ZERO) for idx in lead]
+        back = {}
+        for c, f in zip(coords, basis):
+            if c:
+                for idx, v in f.terms.items():
+                    back[idx] = back.get(idx, ZERO) + c * v
+        if {idx: v for idx, v in back.items() if v} != terms:
+            return None
+        out.append(coords)
+    return out
 
 
 def invariant_3forms(m: IsotropyModule):

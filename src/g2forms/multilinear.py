@@ -156,7 +156,7 @@ class KForm:
         if len(vec) != len(idxs):
             raise ValueError("coefficient vector has wrong length")
         return KForm(dim, degree,
-                     {idx: frac(c) for idx, c in zip(idxs, vec) if c != 0})
+                     {idx: frac(c) for idx, c in zip(idxs, vec) if c})
 
 
 def complement(idx, dim):

@@ -35,6 +35,13 @@ length of a Fraction null space basis, `intersect_nullspaces` of the
 action matrices and the F - 1, and the `nullspace` of the transposed
 flattened action.  The package reads both as a dimension less a `rank`.
 
+`reference_diffs`: the differentials of an invariant complex by
+elimination, one `solve` per degree of d of every basis form
+(`ce_differential`, which checks the form's invariance) against the
+transposed basis of the next degree.  `homogeneous.build_complex` reads
+each column off the free columns of that basis instead
+(`isotropy.basis_coordinates`).
+
 `classify3`: the orbit class of a 3-form by `classify_coeffs` on its
 coefficient vector; the package reads a form's class off its one record,
 `hitchin_bilinear(t).orbit`, beside the record's dual.
@@ -52,8 +59,10 @@ from functools import cache
 from itertools import combinations, permutations
 from math import prod
 
+from g2forms.homogeneous import ce_differential
+from g2forms.isotropy import invariant_kforms
 from g2forms.linalg import (ZERO, identity, intersect_nullspaces, mat, mat_mul,
-                            mat_vec, nullspace, rref, transpose)
+                            mat_vec, nullspace, rref, solve, transpose)
 from g2forms.multilinear import KForm, sort_index
 from g2forms.stable_forms import (DIM, IDX3, FamilyHitchinMap, Orbit3Class,
                                   classify_coeffs, hitchin_matrix,
@@ -354,6 +363,27 @@ def dense_kernel_dim(m):
         return 0
     cols = [[x for row in a for x in row] for a in m.action]
     return len(nullspace(transpose(mat(cols))))
+
+
+def reference_diffs(m):
+    """diffs[k], the matrix of d from the invariant k-forms of m to the
+    (k+1)-forms, by one `solve` per degree; an AssertionError when d of a
+    basis form has no coordinates there."""
+    n = m.dimV
+    bases = [invariant_kforms(m, k) for k in range(n + 1)]
+    diffs = []
+    for k, src in enumerate(bases):
+        tgt = bases[k + 1] if k < n else []
+        images = [ce_differential(m, f).coefficient_vector() for f in src]
+        if not tgt:
+            assert not any(x for v in images for x in v)
+            diffs.append([])
+            continue
+        cols = solve(transpose(mat([f.coefficient_vector() for f in tgt])),
+                     images)
+        assert cols is not None
+        diffs.append([[col[i] for col in cols] for i in range(len(tgt))])
+    return diffs
 
 
 def classify3(t: KForm) -> Orbit3Class:

@@ -24,7 +24,8 @@ from g2forms.scan import (IsotropicCertificate, SchurCertificate, ScanConfig,
 from g2forms.stable_forms import (PHI, PHITILDE, Orbit3Class, classify_coeffs,
                                   hitchin_bilinear, hitchin_matrix,
                                   hodge_star, star_euclidean)
-from references import cartan_3form, classify3, coeff, commutator, trace
+from references import (cartan_3form, classify3, coeff, commutator,
+                        reference_diffs, trace)
 
 w = KForm.basis
 
@@ -204,6 +205,28 @@ def test_exact_primitive_of_dual(su2t4):
     assert ce_differential(su2t4.module, prim) == target
     # the corrected primitive: -(reference - w123)/2
     assert prim == Fraction(-1, 2) * (PHI - w(7, 1, 2, 3))
+
+
+def test_exact_primitive_refuses_a_0_form_target(su2t4):
+    for target in (KForm.make(7, 0, [((), 1)]), KForm.zero(7, 0)):
+        with pytest.raises(ValueError,
+                           match=r"target degree 0 is outside 1\.\.7"):
+            exact_primitive(su2t4, target)
+    # degrees 1 and 7 are answered: d of a constant is 0, and the volume
+    # form of a unimodular algebra is not exact
+    assert exact_primitive(su2t4, KForm.zero(7, 1)) == KForm.zero(7, 0)
+    assert exact_primitive(su2t4, w(7, 4)) is None
+    assert exact_primitive(su2t4, w(7, *range(1, 8))) is None
+
+
+def test_exact_primitive_refuses_a_target_above_the_top_degree(su2t4):
+    with pytest.raises(ValueError, match=r"target degree 8 is outside 1\.\.7"):
+        exact_primitive(su2t4, KForm.zero(7, 8))
+
+
+def test_exact_primitive_refuses_a_target_of_another_dim(su2t4):
+    with pytest.raises(ValueError, match="target has dim 5"):
+        exact_primitive(su2t4, w(5, 1, 2))
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +585,28 @@ def test_ce_differential_commutes_with_generator_pullback():
 def test_d_squared_zero_on_case_complexes():
     for case in ("1", "3aiii", "2d"):
         build_complex(build_entry(case))  # asserts d^2 = 0 internally
+
+
+def test_differentials_match_the_solve_reference(package_modules):
+    split = bare_complex(section5.su2_t4_printed_constants())
+    for mod in [*package_modules, split]:
+        assert build_complex(mod).diffs == tuple(
+            tuple(map(tuple, d)) for d in reference_diffs(mod)), mod.label
+
+
+def test_build_complex_refuses_a_d_that_leaves_the_invariant_forms():
+    import dataclasses
+
+    # one corrupted structure constant: d of an invariant form is no
+    # longer invariant, so its coordinates do not rebuild it
+    mod = build_entry("2d")
+    ij = min(mod.brackets)
+    c = list(mod.brackets[ij])
+    c[0] += 1
+    bad = dataclasses.replace(mod, brackets={**mod.brackets, ij: c})
+    with pytest.raises(AssertionError,
+                       match="d of an invariant form is not invariant"):
+        build_complex(bad)
 
 
 def test_the_plain_differential_map_drops_cancelled_terms():

@@ -1,10 +1,16 @@
 """Tests of `g2forms.isotropy`: isotropy modules and their invariant theory."""
 
+from itertools import combinations
+
+import pytest
+
 from g2forms.catalog import build_entry
-from g2forms.isotropy import (invariant_3forms, invariant_dims,
-                              invariant_form_types, invariant_kforms,
+from g2forms.isotropy import (basis_coordinates, invariant_3forms,
+                              invariant_dims, invariant_form_types,
+                              invariant_kform_basis, invariant_kforms,
                               irreducible_dims, schur_exclusion)
 from g2forms.linalg import inertia
+from g2forms.multilinear import KForm
 from g2forms.scan import ScanConfig
 from references import mat_sub
 
@@ -38,6 +44,64 @@ def test_invariant_kforms_are_computed_once_per_module(monkeypatch):
     # a copy is a new module with an empty cache
     assert invariant_kforms(dataclasses.replace(mod), 3) == expected
     assert calls == [3, 2, 3]
+
+
+def _assert_free_column_shape(basis):
+    """Each form has coefficient 1 at its last index, where no other form
+    of the basis is nonzero."""
+    for f in basis:
+        lead = max(f.terms)
+        assert f.terms[lead] == 1
+        assert not any(g.terms.get(lead) for g in basis if g is not f)
+
+
+def test_every_invariant_basis_has_the_free_column_shape(package_modules):
+    # `basis_coordinates` reads a form's coordinates at these indices
+    forms = 0
+    for mod in package_modules:
+        for k in range(mod.dimV + 1):
+            basis = invariant_kforms(mod, k)
+            _assert_free_column_shape(basis)
+            forms += len(basis)
+        if mod.generators:
+            # the algebra-invariant family of the setwise check
+            _assert_free_column_shape(
+                invariant_kform_basis(mod.action, (), 3, mod.dimV))
+    assert (len(package_modules), forms) == (27, 1108)
+
+
+def test_basis_coordinates_are_exact_or_none():
+    basis = invariant_3forms(build_entry("1"))
+    f, g = basis
+    assert basis_coordinates(basis, [(2 * f - g).terms, {}]) == [
+        [2, -1], [0, 0]]
+    # off the span, but equal to f at every free column: only the
+    # recombination tells them apart
+    leads = [max(h.terms) for h in basis]
+    idx = next(i for i in combinations(range(1, 8), 3)
+               if i not in leads and i not in f.terms)
+    off = f + KForm.basis(7, *idx)
+    assert basis_coordinates(basis, [off.terms]) is None
+    assert basis_coordinates(basis, [f.terms, off.terms]) is None
+    assert basis_coordinates(basis, [KForm.basis(7, 1, 2, 3).terms]) is None
+    # an empty basis spans the zero form alone
+    assert basis_coordinates([], [{}, {}]) == [[], []]
+    assert basis_coordinates([], [f.terms]) is None
+
+
+def test_a_system_with_no_rows_has_the_unit_forms_as_its_kernel(monkeypatch):
+    from g2forms import isotropy
+
+    def fail(rows, ncols):
+        raise AssertionError("ran an elimination")
+
+    monkeypatch.setattr(isotropy, "kernel", fail)
+    for k in range(8):
+        basis = invariant_kform_basis((), (), k, 7)
+        assert [tuple(f.terms.items()) for f in basis] == [
+            ((idx, 1),) for idx in combinations(range(1, 8), k)]
+    with pytest.raises(AssertionError, match="ran an elimination"):
+        invariant_kform_basis(build_entry("1").action, (), 3, 7)
 
 
 def test_schur_exclusion_does_not_fire_on_case1():
@@ -81,3 +145,58 @@ def test_invariant_form_types_case1():
 def test_invariant_form_types_definite_only():
     rep = invariant_form_types(build_entry("2d"), SMALL_SCAN)
     assert rep["has_definite"] is True and not rep["has_indefinite"]
+
+
+def test_irreducible_dims_raises_when_no_draw_certifies(monkeypatch):
+    # a splitter that is always a scalar never splits W = 3 + 4 of case 1:
+    # the split must fail loudly, not return the coarse [7]
+    from g2forms import isotropy
+    from g2forms.linalg import identity
+
+    mod = build_entry("1")
+    draws = []
+
+    def scalar(forms, ginv, rng):
+        draws.append(1)
+        return identity(len(ginv))
+
+    monkeypatch.setattr(isotropy, "_draw_splitter", scalar)
+    with pytest.raises(AssertionError, match="no certified split"):
+        irreducible_dims(mod)
+    assert len(draws) == isotropy._SPLITTER_DRAWS
+
+
+def test_irreducible_dims_of_an_irreducible_action_needs_no_draw(
+        monkeypatch):
+    # a one-dimensional self-adjoint commutant proves irreducibility
+    from g2forms import isotropy
+
+    def fail(forms, ginv, rng):
+        raise AssertionError("drew a splitter")
+
+    monkeypatch.setattr(isotropy, "_draw_splitter", fail)
+    assert irreducible_dims(build_entry("2d")) == [7]
+
+
+def test_irreducible_dims_are_computed_once_per_module(monkeypatch):
+    import dataclasses
+
+    from g2forms import isotropy
+
+    calls = []
+    compute = isotropy._irreducible_dims
+
+    def counting(m):
+        calls.append(m.label)
+        return compute(m)
+
+    monkeypatch.setattr(isotropy, "_irreducible_dims", counting)
+    mod = build_entry("8-g2xR")
+    first = irreducible_dims(mod)
+    first.append(99)
+    assert irreducible_dims(mod) == [1, 6]
+    invariant_form_types(mod, SMALL_SCAN)
+    assert calls == [mod.label]
+    # a copy is a new module with an empty cache
+    assert irreducible_dims(dataclasses.replace(mod)) == [1, 6]
+    assert calls == [mod.label] * 2

@@ -304,37 +304,6 @@ def test_irreducible_dims_stable_across_seeds(entry):
             entry["expected"]["irr"])
 
 
-def test_irreducible_dims_raises_when_no_draw_certifies(monkeypatch):
-    # a splitter that is always a scalar never splits W = 3 + 4 of case 1:
-    # the split must fail loudly, not return the coarse [7]
-    from g2forms import isotropy
-    from g2forms.linalg import identity
-
-    mod = build_entry("1")
-    draws = []
-
-    def scalar(forms, ginv, rng):
-        draws.append(1)
-        return identity(len(ginv))
-
-    monkeypatch.setattr(isotropy, "_draw_splitter", scalar)
-    with pytest.raises(AssertionError, match="no certified split"):
-        irreducible_dims(mod)
-    assert len(draws) == isotropy._SPLITTER_DRAWS
-
-
-def test_irreducible_dims_of_an_irreducible_action_needs_no_draw(
-        monkeypatch):
-    # a one-dimensional self-adjoint commutant proves irreducibility
-    from g2forms import isotropy
-
-    def fail(forms, ginv, rng):
-        raise AssertionError("drew a splitter")
-
-    monkeypatch.setattr(isotropy, "_draw_splitter", fail)
-    assert irreducible_dims(build_entry("2d")) == [7]
-
-
 def test_reductive_complement_needs_a_positive_trace_form():
     # a positive -tr form is what makes the realization compact: the split
     # sl(2, R) + t(4) (indefinite) and the span of diag(1, -1) (negative
@@ -998,30 +967,6 @@ def test_certified_exclusions_hold_on_a_full_default_scan(
         "2d": {"indefinite"}, "7": {"indefinite"}, "so3_7": {"indefinite"},
         "8-su4": {"indefinite"}, "8-g2xR": {"indefinite"},
         "4ii(0, 0)+B23-swap": both, "6ii+R5-fixing-rotation": both}
-
-
-def test_irreducible_dims_are_computed_once_per_module(monkeypatch):
-    import dataclasses
-
-    from g2forms import isotropy
-
-    calls = []
-    compute = isotropy._irreducible_dims
-
-    def counting(m):
-        calls.append(m.label)
-        return compute(m)
-
-    monkeypatch.setattr(isotropy, "_irreducible_dims", counting)
-    mod = build_entry("8-g2xR")
-    first = irreducible_dims(mod)
-    first.append(99)
-    assert irreducible_dims(mod) == [1, 6]
-    invariant_form_types(mod, SMALL_SCAN)
-    assert calls == [mod.label]
-    # a copy is a new module with an empty cache
-    assert irreducible_dims(dataclasses.replace(mod)) == [1, 6]
-    assert calls == [mod.label] * 2
 
 
 # ---------------------------------------------------------------------------

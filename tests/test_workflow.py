@@ -1,8 +1,8 @@
 """The CI workflow installs the package with its test extra on CPython 3.10,
-3.11 and 3.12, the versions from the floor of `requires-python` on, with
-pip's cache keyed on `pyproject.toml`, and runs the Tier-1 command on each,
-printing its 20 slowest tests; the job stops after 15 minutes, and a new
-push to the same ref cancels the run it supersedes."""
+3.11, 3.12 and 3.13, the versions from the floor of `requires-python` on,
+with pip's cache keyed on `pyproject.toml`, and runs the Tier-1 command on
+each, printing its 20 slowest tests; the job stops after 15 minutes, and a
+new push to the same ref cancels the run it supersedes."""
 
 from pathlib import Path
 
@@ -21,7 +21,7 @@ def test_the_tier1_workflow_installs_the_test_extra_and_runs_the_suite():
     job = workflow["jobs"]["tier1"]
     assert job["timeout-minutes"] == 15
     assert job["strategy"]["matrix"] == {
-        "python-version": ["3.10", "3.11", "3.12"]}
+        "python-version": ["3.10", "3.11", "3.12", "3.13"]}
     assert 'requires-python = ">=3.10"' in (
         ROOT / "pyproject.toml").read_text()
     steps = job["steps"]
