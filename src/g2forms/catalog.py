@@ -29,9 +29,9 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from .linalg import (ZERO, adjugate, block_diag, cleared, det, embed_block,
-                     frac, identity, mat, mat_vec, nullspace, rank, solve,
-                     transpose, zeros)
+from .linalg import (ZERO, Basis, adjugate, block_diag, cleared, det,
+                     embed_block, frac, identity, mat, mat_vec, nullspace,
+                     rank, sparse_vector, transpose, zeros)
 from .isotropy import (IsotropyModule, basis_coordinates, invariant_dims,
                        invariant_form_types, invariant_inner_product,
                        invariant_kform_basis, irreducible_dims,
@@ -59,14 +59,19 @@ def compute_su3_in_g2():
 
 def _restrict(mats, basis_vecs):
     """Restrict integer operators to an invariant subspace given by
-    coordinate rows: one batched `solve` of the images A w_k against the
-    rows cleared to integers w_k over one denominator, which cancels."""
+    coordinate rows, cleared to integers w_k over one denominator, which
+    cancels: the `linalg.Basis` of the w_k reads each image A w_j as y with
+    sum_k y_k w_k = d A w_j, and y / d is column j of A's restriction."""
     ws, _ = cleared(basis_vecs)
-    k = len(ws)
-    cols = solve(transpose(ws), [mat_vec(a, w) for a in mats for w in ws])
-    if cols is None:
-        raise AssertionError("subspace is not invariant")
-    return [transpose(cols[i * k:(i + 1) * k]) for i in range(len(mats))]
+    basis = Basis.from_echelon(map(sparse_vector, ws))
+    out = []
+    for a in mats:
+        cols = [basis.read(sparse_vector(mat_vec(a, w))) for w in ws]
+        if None in cols:
+            raise AssertionError("subspace is not invariant")
+        out.append([[Fraction(y, basis.d) for y in row]
+                    for row in transpose(cols)])
+    return out
 
 
 def so3_irrep(dim):

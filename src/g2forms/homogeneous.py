@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import chain, combinations, count
 from typing import NamedTuple
 
-from .linalg import (cleared, identity, mat_mul, nullspace, rank, solve,
-                     sparse, sparse_mul)
+from .linalg import (Basis, cleared, identity, mat_mul, nullspace, rank,
+                     solve, sparse, sparse_mul, sparse_vector)
 from .isotropy import (IsotropyModule, basis_coordinates, invariant_3forms,
                        invariant_kforms)
 from .liealg import MatrixLieAlgebra
@@ -348,33 +348,6 @@ def _fit_reference(slopes, vals):
     return None
 
 
-def _plane(vectors):
-    """(p1, p2, j, k, det): p1 the first nonzero vector, p2 the first off
-    its line, and coordinates j, k with det = p1_j p2_k - p1_k p2_j != 0;
-    None when the vectors span no plane."""
-    p1 = next((v for v in vectors if any(v)), None)
-    if p1 is None:
-        return None
-    j = next(i for i, c in enumerate(p1) if c)
-    for p2 in vectors:
-        k = next((i for i, c in enumerate(p2) if p1[j] * c - p1[i] * p2[j]),
-                 None)
-        if k is not None:
-            return p1, p2, j, k, p1[j] * p2[k] - p1[k] * p2[j]
-    return None
-
-
-def _coordinates(plane, v):
-    """Integer (a, b) with det v = a p1 + b p2, by Cramer's rule on the
-    coordinates j, k, or None when v is off the plane."""
-    p1, p2, j, k, det = plane
-    a = v[j] * p2[k] - v[k] * p2[j]
-    b = p1[j] * v[k] - p1[k] * v[j]
-    if any(det * x != a * y + b * z for x, y, z in zip(v, p1, p2)):
-        return None
-    return a, b
-
-
 @dataclass(frozen=True)
 class PencilCertificate:
     """Exact nearly-parallel and coclosed verdicts on a two-parameter family.
@@ -421,12 +394,13 @@ class PencilCertificate:
 def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     """Prove which stable rays of t(s) = f1 + s f2 are nearly parallel.
 
-    The proof runs in the plane P of the first two independent duals
-    p1 = Q(s1), p2 = Q(s2) (`_plane`).  Every Q(s), d x1 and d x2 must lie
-    in P, checked in integers by Cramer's rule (`_coordinates`); Q(s) has
-    degree at most 55 in s, so at 57 slopes this is an identity.  D(s),
-    det^2 times the determinant of dt(s) and Q(s) in the basis (p1, p2),
-    has degree at most 56 (see `nearly_parallel_rays`), and its one fit
+    The proof runs in the plane P of p1 = Q(s1), the first nonzero dual,
+    and p2 = Q(s2), the first dual off its line.  Every Q(s), d x1 and d x2
+    must lie in P: P's `linalg.Basis` reads each in integers as (a, b) with
+    a p1 + b p2 = e v, e the reader's d, or refuses it; Q(s) has degree at
+    most 55 in s, so at 57 slopes this is an identity.  D(s), e^2 times
+    the determinant of dt(s) and Q(s) in the basis (p1, p2), has degree
+    at most 56 (see `nearly_parallel_rays`), and its one fit
     D = c s^m (s - r) at the 57 slopes is an identity too.  Where
     det B(s) != 0, Q(s) is a positive multiple of star t(s)
     (`HitchinData.dual`), and where D(s) != 0, dt(s) is no multiple of
@@ -434,8 +408,8 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     ray of f2 each get one exact `nearly_parallel_check`, None on a
     degenerate ray, and so does the zero -a/b of dt's pivot coordinate i0,
     which the argument no longer needs but the record lists.  Each recorded
-    minor p_i = dt_i0 Q_i - dt_i Q_i0 is k_i D(s) / det^2, with
-    k_i = p1_i0 p2_i - p2_i0 p1_i.  As d Q(s) = (a(s) d p1 + b(s) d p2) / det
+    minor p_i = dt_i0 Q_i - dt_i Q_i0 is k_i D(s) / e^2, with
+    k_i = p1_i0 p2_i - p2_i0 p1_i.  As d Q(s) = (a(s) d p1 + b(s) d p2) / e
     and p1, p2 are duals of stable rays, every stable ray with a finite
     slope is coclosed exactly when d p1 = d p2 = 0; f2, when stable, is
     checked on its own (`coclosed_if_stable`).  A failed check raises
@@ -455,10 +429,13 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     i0 = next((i for i in range(n) if ev.d1[i] or ev.d2[i]), None)
     if i0 is None:
         raise CertificateRefused("d vanishes on the whole family")
-    plane = _plane(ev.q)
+    # the plane of p1, the first nonzero dual, and p2, the first off its line
+    p1 = next((v for v in ev.q if any(v)), ())
+    plane, p2 = next(((b, v) for v in ev.q if (b := Basis.from_echelon(
+        [sparse_vector(p1), sparse_vector(v)]))), (None, None))
     if plane is None:
         raise CertificateRefused("the duals span no plane")
-    coords = [_coordinates(plane, v) for v in (ev.d1, ev.d2, *ev.q)]
+    coords = [plane.read(sparse_vector(v)) for v in (ev.d1, ev.d2, *ev.q)]
     if None in coords:
         raise CertificateRefused("a 4-form leaves the plane of the duals")
     (a1, b1), (a2, b2), *qs = coords
@@ -467,8 +444,7 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     if fit is None:
         raise CertificateRefused("D is not c s^m (s - r) at every slope")
     deg, c, r = fit
-    p1, p2, *_, det = plane
-    terms = tuple((i, deg, c * ki / det ** 2) for i in range(n)
+    terms = tuple((i, deg, c * ki / plane.d ** 2) for i in range(n)
                   if (ki := p1[i0] * p2[i] - p2[i0] * p1[i]))
     f1, f2 = ev.basis
     a, b = ev.d1[i0], ev.d2[i0]

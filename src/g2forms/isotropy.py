@@ -27,8 +27,8 @@ from itertools import combinations
 from math import comb
 from types import MappingProxyType
 
-from .linalg import (ONE, ZERO, adjugate, charpoly, cleared, inertia, kernel,
-                     mat_mul, rank, root_multiplicities, transpose)
+from .linalg import (ONE, Basis, adjugate, charpoly, cleared, inertia,
+                     kernel, mat_mul, rank, root_multiplicities, transpose)
 from .multilinear import (KForm, lambda_k_action_matrix,
                           lambda_k_pullback_matrix)
 from .scan import SchurCertificate, ScanConfig, scan_family
@@ -229,23 +229,14 @@ def invariant_kform_basis(action, generators, k, n):
 def basis_coordinates(basis, forms):
     """The coordinates in an invariant k-form basis of each of `forms`,
     sparse terms maps with no zero value such as `KForm.terms`; None when
-    one of them is off the span.  As in every `kernel` basis, each basis
-    form has coefficient 1 at its last index, where no other is nonzero:
-    the coordinates are read there, once per basis, and each reading is
-    checked by one exact recombination."""
-    lead = [max(f.terms) for f in basis]
-    out = []
-    for terms in forms:
-        coords = [terms.get(idx, ZERO) for idx in lead]
-        back = {}
-        for c, f in zip(coords, basis):
-            if c:
-                for idx, v in f.terms.items():
-                    back[idx] = back.get(idx, ZERO) + c * v
-        if {idx: v for idx, v in back.items() if v} != terms:
-            return None
-        out.append(coords)
-    return out
+    one of them is off the span.  The basis is read as the `kernel` basis
+    it is, by `linalg.Basis.from_kernel`, which checks its shape (each
+    form 1 at its last index, where no other is nonzero) and refuses any
+    other with a ValueError: each form's coordinates are its coefficients
+    there, checked by one exact recombination."""
+    reader = Basis.from_kernel(f.terms for f in basis)
+    out = [reader.read(terms) for terms in forms]
+    return None if None in out else out
 
 
 def invariant_3forms(m: IsotropyModule):

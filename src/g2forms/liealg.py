@@ -5,8 +5,9 @@ with the invariant inner product <X, Y> = -trace(XY).  Rational ambient
 matrices only build it.  A `MatrixLieAlgebra` is a product of diagonal
 blocks, a simple algebra a product of one: each block clears its basis
 once to sparse integer matrices over one denominator and reads its
-coordinates, structure constants and trace form off them, the latter two
-once, as integer tables over one denominator each, which a product joins.
+coordinates (through its `linalg.Basis`), structure constants and trace
+form off them, the latter two once, as integer tables over one
+denominator each, which a product joins.
 `build_algebra` builds each classical factor once per process and shares
 it.  Every later step (brackets, complements, isotropy actions) works on
 coordinate vectors.  The trace form is definite on every compact
@@ -16,8 +17,9 @@ subalgebra h gives an isotropy module, a frozen value: the h-action
 matrices on V, the V-part of the bracket, the restricted inner product, h
 and V in g-coordinates, and any finite component generators.  The
 complement's pair brackets, and the images of h and V under a generator,
-are integer combinations over the cleared h and V vectors, read off with
-one integer `solve` each.
+are integer combinations over the cleared h and V vectors: the brackets
+of all the pairs are read off one batched integer `solve`, and a
+generator's images by the `linalg.Basis` of the cleared h or V rows.
 """
 
 import math
@@ -30,9 +32,9 @@ from .isotropy import IsotropyModule
 # perfbench's tracer and workloads resolve these names on liealg
 from .isotropy import (ScanConfig, invariant_3forms, invariant_dims,
                        invariant_form_types, irreducible_dims)
-from .linalg import (adjugate, cleared, embed_block, frac, identity,
-                     inertia, mat_mul, nullspace, pivot_inverse, rank, solve,
-                     sparse, sparse_mul, transpose, zeros)
+from .linalg import (Basis, adjugate, cleared, embed_block, frac, identity,
+                     inertia, mat_mul, nullspace, rank, solve, sparse,
+                     sparse_mul, sparse_vector, transpose, zeros)
 
 
 def _sparse_commutator(a, b):
@@ -44,7 +46,7 @@ def _sparse_commutator(a, b):
 @dataclass(frozen=True)
 class _Block:
     """A named basis of n x n rational matrices, as tuples, cleared once
-    to sparse integer matrices B_k = L b_k; its coordinate solver and its
+    to sparse integer matrices B_k = L b_k; its coordinate reader and its
     tables are built on first read and kept."""
 
     name: str
@@ -60,55 +62,29 @@ class _Block:
                 for row in flat], den
 
     @cached_property
-    def solver(self):
-        # the pivot cells of the B_k, d and the rows of L N (`pivot_inverse`):
-        # y = x_p L N has sum_k y_k b_k = d x for every x in the span
-        n = len(self.basis[0])
-        ints, den = self.ints
-        found = pivot_inverse([{r * n + c: v for (r, c), v in b.items()}
-                               for b in ints], n * n)
+    def reader(self):
+        # the `linalg.Basis` of the B_k: y = read(x) has sum_k y_k B_k = d x,
+        # so x = sum_k y_k b_k L / d
+        found = Basis.from_echelon(self.ints[0])
         if found is None:
             raise ValueError(f"{self.name}: basis is linearly dependent")
-        pivots, d, rows = found
-        return [divmod(p, n) for p in pivots], d, [
-            [(k, den * v) for k, v in row.items()] for row in rows]
-
-    def int_coords(self, x):
-        """y with x = sum_k y_k b_k / d, for a sparse integer matrix x
-        {(r, c): v} in the span of the b_k; None if outside."""
-        cells, d, rows = self.solver
-        y = [0] * len(self.basis)
-        for rc, row in zip(cells, rows):
-            if rc in x:
-                v = x[rc]
-                for k, a in row:
-                    y[k] += a * v
-        # exact span check: sum_k y_k B_k = L d x
-        ints, den = self.ints
-        span = {}
-        for yk, b in zip(y, ints):
-            if yk:
-                for rc, v in b.items():
-                    span[rc] = span.get(rc, 0) + yk * v
-        if {rc: v for rc, v in span.items() if v} != {
-                rc: den * d * v for rc, v in x.items()}:
-            return None
-        return y
+        return found
 
     @cached_property
     def structure(self):
         # (T, D): [b_i, b_j] = sum_k c_k b_k / D over the pairs (k, c_k)
-        # of T[i][j], c_k != 0; [B_i, B_j] = L^2 [b_i, b_j], so D = d L^2
+        # of T[i][j], c_k != 0; [B_i, B_j] = L^2 [b_i, b_j] is read as
+        # sum_k y_k B_k / d, so D = d L
         ints, den = self.ints
         table = [[()] * len(ints) for _ in ints]
         for i, j in combinations(range(len(ints)), 2):
-            y = self.int_coords(_sparse_commutator(ints[i], ints[j]))
+            y = self.reader.read(_sparse_commutator(ints[i], ints[j]))
             if y is None:
                 raise ValueError(
                     f"{self.name}: bracket [b{i}, b{j}] leaves the span")
             table[i][j] = tuple((k, c) for k, c in enumerate(y) if c)
             table[j][i] = tuple((k, -c) for k, c in table[i][j])
-        return table, self.solver[1] * den * den
+        return table, self.reader.d * den
 
     @cached_property
     def trace_form(self):
@@ -142,7 +118,7 @@ class MatrixLieAlgebra:
     """A Lie algebra of block-diagonal rational matrices: the bases of its
     blocks (`_Block`), in order.  A simple algebra is one block
     (`from_basis`); a product holds its factors' blocks, tables and all.
-    `coords` reads each diagonal block with its block's solver.  The
+    `coords` reads each diagonal block with its block's reader.  The
     structure constants and the trace form are the blocks' integer tables
     joined once; `structure_constants` and `trace_form` build a fresh
     Fraction view on each call.
@@ -190,11 +166,11 @@ class MatrixLieAlgebra:
             part = {(r - at, c - at): v for (r, c), v in x.items()
                     if at <= r < end and at <= c < end}
             inside += len(part)
-            y = blk.int_coords(part)
+            y = blk.reader.read(part)
             if y is None:
                 return None
-            q = blk.solver[1] * m
-            out += [Fraction(v, q) for v in y]
+            den, q = blk.ints[1], blk.reader.d * m
+            out += [Fraction(den * v, q) for v in y]
         return out if inside == len(x) else None
 
     @cached_property
@@ -399,9 +375,9 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
     every bracket comes from the integer structure constants.  Each h and V
     vector u_k is cleared to w_k / s_k, w_k integer; the bracket of a pair
     is then an integer combination of structure constants over D s_i s_j,
-    and its (h | V) components come from one integer `solve` against the
-    w_k (`_solve_cleared`).  Raises when the trace form is not positive
-    definite (the realization is then not compact) or h is not a
+    and the (h | V) components of all the pairs come from one batched
+    integer `solve` against the w_k.  Raises when the trace form is not
+    positive definite (the realization is then not compact) or h is not a
     subalgebra; [h, V] subset V and the representation property of the
     action are asserted exactly.
     """
@@ -414,21 +390,24 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
     if hmat and rank(hmat) != len(hmat):
         raise ValueError("subalgebra basis is linearly dependent")
     hdim = len(hmat)
-    hw = [_cleared_vector(h) for h in hmat]
     # V = trace-form orthogonal complement of h
-    vvecs = (nullspace(mat_mul([w for w, _ in hw], gram_g))
+    vvecs = (nullspace(mat_mul(cleared(hmat)[0], gram_g))
              if hmat else identity(g.dim))
     dimv = len(vvecs)
-    basis = hw + [_cleared_vector(v) for v in vvecs]
+    basis = [(w, s) for (w,), s in (cleared([v]) for v in hmat + vvecs)]
     # (h | V) components of the bracket of every pair of basis vectors, from
     # one solve against the basis h + V of g: D s_i s_j [u_i, u_j] is the
-    # table bracket of w_i and w_j
+    # table bracket of w_i and w_j, and sum_k y_k w_k = sum_k y_k s_k u_k
     den = g._structure[1]
     pairs = list(combinations(range(len(basis)), 2))
-    comps = _solve_cleared(basis, [
-        (g._table_bracket(basis[i][0], basis[j][0]),
-         den * basis[i][1] * basis[j][1]) for i, j in pairs])
-    split = {ij: (z[:hdim], z[hdim:]) for ij, z in zip(pairs, comps)}
+    ys = solve(transpose([w for w, _ in basis]), [
+        g._table_bracket(basis[i][0], basis[j][0]) for i, j in pairs])
+    split = {}
+    for (i, j), y in zip(pairs, ys):
+        q = den * basis[i][1] * basis[j][1]
+        z = [Fraction(yk.numerator * s, yk.denominator * q) if yk else yk
+             for yk, (_, s) in zip(y, basis)]
+        split[i, j] = (z[:hdim], z[hdim:])
 
     h_brackets = {}
     for i, j in combinations(range(hdim), 2):
@@ -458,28 +437,6 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
                           ambient=g)
 
 
-def _cleared_vector(v):
-    """A rational vector as (w, s): w integer, s > 0, v == w / s."""
-    (w,), s = cleared([v])
-    return w, s
-
-
-def _solve_cleared(basis, rhs):
-    """Coordinates of each r = p / q of `rhs` in the basis u_k = w_k / s_k.
-
-    `basis` holds the cleared pairs (w_k, s_k) and `rhs` the pairs (p, q),
-    p an integer vector.  One `solve` of the integer system sum_k y_k w_k
-    = p, then z_k = y_k s_k / q, each nonzero entry rescaled once.  None
-    if some r is outside the span.
-    """
-    ys = solve(transpose([w for w, _ in basis]), [p for p, _ in rhs])
-    if ys is None:
-        return None
-    return [[Fraction(y.numerator * s, y.denominator * q) if y else y
-             for y, (_, s) in zip(ys_r, basis)]
-            for ys_r, (_, q) in zip(ys, rhs)]
-
-
 def generator_v_matrix(g, hmat, vvecs, fmat):
     """V-matrix of Ad_F for an ambient group element F; exact, validated.
 
@@ -487,9 +444,9 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
     basis matrices: F is cleared to an integer matrix F', whose adjugate
     A = det(F') F'^-1 replaces the inverse, and each F' B_k A, B_k = L b_k
     the integer basis of b_k's block, is read in coordinates and divided
-    by L det(F').  The images of the h and V vectors are then integer
-    combinations of those, cleared to one denominator, solved against the
-    cleared h and V bases as in `reductive_complement`.
+    by L det(F').  The h and V bases are each cleared to integer rows W
+    over one denominator, and the images W Ad_F, integer combinations of
+    those coordinates, are read in the rows W by their `linalg.Basis`.
     """
     f, _ = cleared(fmat)
     fdet, adj = adjugate(f)
@@ -510,15 +467,18 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
     imgs, den = cleared(imgs)
 
     def images(vecs):
-        return [(p, den * s) for p, (_, s)
-                in zip(mat_mul([w for w, _ in vecs], imgs), vecs)]
+        # u_j = w_j / s: read(w_j imgs) = y has sum_k y_k w_k = d w_j imgs,
+        # so Ad_F u_j = sum_k y_k u_k / (d den); None off the span
+        ws, _ = cleared(vecs)
+        basis = Basis.from_echelon(map(sparse_vector, ws))
+        ys = [basis.read(sparse_vector(p)) for p in mat_mul(ws, imgs)]
+        return None if None in ys else [
+            [Fraction(y, basis.d * den) for y in col] for col in ys]
 
     # h must be preserved (nothing to check when h = 0)
-    hw = [_cleared_vector(h) for h in hmat]
-    if hw and _solve_cleared(hw, images(hw)) is None:
+    if hmat and images(hmat) is None:
         raise ValueError("generator does not normalize the subalgebra")
-    vw = [_cleared_vector(v) for v in vvecs]
-    cols = _solve_cleared(vw, images(vw))
+    cols = images(vvecs)
     if cols is None:
         raise ValueError("generator does not preserve the complement")
     return transpose(cols)

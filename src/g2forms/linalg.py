@@ -6,7 +6,10 @@ rows {col: int}, `_echelon`, runs under every elimination, and only `rref`
 builds the Fraction RREF: `kernel` reads a null space basis straight off
 the integer echelon rows of a sparse integer system, and `nullspace` is
 `kernel` of the cleared rows of a matrix.  The reduced row echelon form is
-unique, so no output depends on the pivot order.
+unique, so no output depends on the pivot order.  `Basis` is the one
+reader of coordinates in a basis, each answer checked by one exact
+recombination; `solve` stays for batches and for systems with free
+variables.
 The fraction-free routines `adjugate`, `charpoly` and `inertia` run one
 integer recursion each, dividing exactly with `//` (`charpoly`,
 Berkowitz's, divides not at all); `det` is read off `adjugate`, and
@@ -19,6 +22,8 @@ determinant as well.  No floating point.
 """
 
 import math
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -63,6 +68,11 @@ def sparse(m):
     """The nonzero entries of a matrix as {(r, c): v}; integral values as int."""
     return {(r, c): v.numerator if v.denominator == 1 else v
             for r, row in enumerate(m) for c, v in enumerate(row) if v}
+
+
+def sparse_vector(v):
+    """The nonzero entries of a vector as {i: v}."""
+    return {i: x for i, x in enumerate(v) if x}
 
 
 def sparse_mul(a, b):
@@ -200,18 +210,72 @@ def kernel(rows, ncols):
     return list(basis.values())
 
 
-def pivot_inverse(rows, ncols):
-    """(pivots p_i, d > 0, the rows {k: v} of N = d P^-1) for independent
-    sparse integer rows B_k {col: v}, P[k][i] = B_k[p_i]; None if dependent.
-    The `_echelon` rows of B_k | e_k are sum_k a_k B_k | a, with q_i in
-    column p_i and 0 in the other pivot columns: N[i][k] = a_k d / q_i."""
-    done = _echelon({**b, ncols + k: 1} for k, b in enumerate(rows))
-    if done and done[-1][0] >= ncols:
-        return None
-    d = math.lcm(*(r[c] for c, r in done))
-    return [c for c, _ in done], d, [
-        {k - ncols: v * (d // r[c]) for k, v in r.items() if k >= ncols}
-        for c, r in done]
+@dataclass(frozen=True)
+class Basis:
+    """The one exact reader of coordinates in a basis of sparse rows B_k
+    {key: v} with no zero value: a pivot key p_i per row, d > 0 and the
+    rows of N = d P^-1, P[k][i] = B_k[p_i], as (k, v) pairs.  Built by
+    `from_echelon` for any independent rows, or by `from_kernel` for a
+    `kernel` basis, whose shape it checks; both feed `read`."""
+
+    rows: tuple
+    pivots: tuple
+    d: int
+    inverse: tuple
+
+    @classmethod
+    def from_echelon(cls, rows):
+        """The reader of independent rows, from one `_echelon` of [B | I]
+        on the keys in sorted order; None if the rows are dependent.  The
+        echelon rows of B_k | e_k are sum_k a_k B_k | a, with q_i at p_i
+        and 0 at the other pivots: N[i][k] = a_k d / q_i, d = lcm q_i."""
+        rows = [tuple(b.items()) for b in rows]
+        keys = sorted({c for b in rows for c, _ in b})
+        pos, n = {c: i for i, c in enumerate(keys)}, len(keys)
+        done = _echelon({**{pos[c]: v for c, v in b}, n + k: 1}
+                        for k, b in enumerate(rows))
+        if done and done[-1][0] >= n:
+            return None
+        d = math.lcm(*(r[c] for c, r in done))
+        return cls(tuple(rows), tuple(keys[c] for c, _ in done), d, tuple(
+            tuple((k - n, v * (d // r[c])) for k, v in r.items() if k >= n)
+            for c, r in done))
+
+    @classmethod
+    def from_kernel(cls, rows):
+        """The reader of a `kernel` basis: p_k is B_k's last key, N = 1 and
+        d = 1.  Each row must be 1 at its last key, where no other row is
+        nonzero; other rows are refused with a ValueError, so that every
+        None of `read` is a proof."""
+        rows = list(rows)
+        pivots = [max(b, default=None) for b in rows]
+        hits = Counter(c for b in rows for c in b)
+        if any(p is None or b[p] != 1 or hits[p] != 1
+               for b, p in zip(rows, pivots)):
+            raise ValueError("not a kernel basis: a row is not 1 alone at "
+                             "its last key")
+        return cls(tuple(tuple(b.items()) for b in rows), tuple(pivots), 1,
+                   tuple(((k, 1),) for k in range(len(rows))))
+
+    def read(self, x):
+        """y with sum_k y_k B_k = d x, for a sparse map x {key: v} with no
+        zero value, or None when x is off the span: y = x_p N, confirmed
+        by one exact recombination."""
+        y = [0] * len(self.rows)
+        for p, row in zip(self.pivots, self.inverse):
+            if v := x.get(p):
+                for k, a in row:
+                    y[k] += a * v
+        back = {}
+        for c, b in zip(y, self.rows):
+            if c:
+                for key, v in b:
+                    back[key] = back.get(key, 0) + c * v
+        d = self.d
+        if {key: v for key, v in back.items() if v} != (
+                x if d == 1 else {key: d * v for key, v in x.items()}):
+            return None
+        return y
 
 
 def nullspace(a):

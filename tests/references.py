@@ -46,6 +46,11 @@ each column off the free columns of that basis instead
 coefficient vector; the package reads a form's class off its one record,
 `hitchin_bilinear(t).orbit`, beside the record's dual.
 
+`SO_FORM_ACTIONS`: (label, action, gram) triples of so(n) acting on R^n
+by a rational definite form `_rational_form(n)`, scaled and summed, for
+the tests of the invariant symmetric forms, the inner product and the
+irreducible split.
+
 The rest are the plain definitions the tests hold the package to, which no
 command needs: the dense matrix `mat_sub`, `trace` and `commutator`, an
 echelonized `span_basis`, the `bracket` and the Jacobi identity
@@ -59,6 +64,7 @@ from functools import cache
 from itertools import combinations, permutations
 from math import prod
 
+from g2forms.catalog import orthogonal_algebra_of_form
 from g2forms.homogeneous import ce_differential
 from g2forms.isotropy import invariant_kforms
 from g2forms.linalg import (ZERO, identity, intersect_nullspaces, mat, mat_mul,
@@ -391,3 +397,43 @@ def classify3(t: KForm) -> Orbit3Class:
     if t.dim != DIM or t.degree != 3:
         raise ValueError("expected a 3-form on R^7")
     return classify_coeffs(t.coefficient_vector())
+
+
+def _rational_form(n):
+    """A definite rational form with denominators everywhere."""
+    return [[Fraction(i + 2) if i == j else Fraction(1, i + j + 2)
+             for j in range(n)] for i in range(n)]
+
+
+def _block_sum(a, b):
+    n, m = len(a), len(b)
+    return ([list(row) + [Fraction(0)] * m for row in a]
+            + [[Fraction(0)] * n + list(row) for row in b])
+
+
+def _so_form_actions():
+    """(label, action, gram): the so(n; D) realization on R^n for a
+    rational D, scaled copies, and reducible sums with commutants of
+    dimension > 1."""
+    out = []
+    for n in (3, 4, 5):
+        d = _rational_form(n)
+        basis = orthogonal_algebra_of_form(d).basis
+        out.append((f"so({n};form)", basis, d))
+        scales = [Fraction(3 * k + 2, 7 - k % 5) for k in range(len(basis))]
+        out.append((f"so({n};form) scaled",
+                    [[[c * x for x in row] for row in a]
+                     for c, a in zip(scales, basis)],
+                    [[Fraction(5, 3) * x for x in row] for row in d]))
+    d = _rational_form(3)
+    basis = orthogonal_algebra_of_form(d).basis
+    zero = [[Fraction(0)] * 2 for _ in range(2)]
+    out.append(("3+3", [_block_sum(a, a) for a in basis],
+                _block_sum(d, [[2 * x for x in row] for row in d])))
+    out.append(("3+1+1", [_block_sum(a, zero) for a in basis],
+                _block_sum(d, [[Fraction(1, 2), Fraction(1, 3)],
+                               [Fraction(1, 3), Fraction(1)]])))
+    return out
+
+
+SO_FORM_ACTIONS = _so_form_actions()

@@ -806,7 +806,7 @@ def test_pencil_evaluations_match_the_kform_route(pencils, case):
     _assert_pencil_matches_the_kform_route(ev, (0, 28, 56))
 
 
-def test_pencil_dq_matches_the_kform_route_where_it_is_nonzero(monkeypatch):
+def test_pencil_q_matches_the_kform_route_and_leaves_the_plane(monkeypatch):
     # su(2)+t(4) with its brackets divided by 3, so d has a denominator,
     # and a family of no shipped row: its duals are not closed and leave
     # every plane, which the certificate refuses
@@ -906,8 +906,8 @@ def test_pencil_certificate_refuses_duals_off_its_determinant(pencils, case):
 
 
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
-def test_pencil_certificate_reports_a_corrupted_dq(pencils, case,
-                                                   monkeypatch):
+def test_pencil_certificate_reports_a_corrupted_d_of_a_plane_dual(
+        pencils, case, monkeypatch):
     # d of the first dual, which spans the plane with another, made nonzero
     mod, ev = pencils[case]
     first = KForm.from_coefficient_vector(7, 4, ev.q[0]).terms

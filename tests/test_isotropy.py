@@ -1,5 +1,6 @@
 """Tests of `g2forms.isotropy`: isotropy modules and their invariant theory."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -8,11 +9,12 @@ from g2forms.catalog import build_entry
 from g2forms.isotropy import (basis_coordinates, invariant_3forms,
                               invariant_dims, invariant_form_types,
                               invariant_kform_basis, invariant_kforms,
-                              irreducible_dims, schur_exclusion)
-from g2forms.linalg import inertia
+                              irreducible_dims, module_from_action,
+                              schur_exclusion)
+from g2forms.linalg import identity, inertia
 from g2forms.multilinear import KForm
 from g2forms.scan import ScanConfig
-from references import mat_sub
+from references import SO_FORM_ACTIONS, _rational_form, mat_sub
 
 SMALL_SCAN = ScanConfig(grid=400, random=100)
 
@@ -87,6 +89,17 @@ def test_basis_coordinates_are_exact_or_none():
     # an empty basis spans the zero form alone
     assert basis_coordinates([], [{}, {}]) == [[], []]
     assert basis_coordinates([], [f.terms]) is None
+
+
+def test_basis_coordinates_refuse_a_basis_of_another_shape():
+    # 2 at a form's last index, and two forms with the same last index: no
+    # reading of either basis is a proof, so both are refused
+    f, g = invariant_3forms(build_entry("1"))
+    same_last = f + KForm.basis(7, *min(f.terms))
+    assert max(same_last.terms) == max(f.terms) and same_last != f
+    for bad in ([2 * f, g], [f, same_last]):
+        with pytest.raises(ValueError, match="not a kernel basis"):
+            basis_coordinates(bad, [f.terms])
 
 
 def test_a_system_with_no_rows_has_the_unit_forms_as_its_kernel(monkeypatch):
@@ -200,3 +213,44 @@ def test_irreducible_dims_are_computed_once_per_module(monkeypatch):
     # a copy is a new module with an empty cache
     assert irreducible_dims(dataclasses.replace(mod)) == [1, 6]
     assert calls == [mod.label] * 2
+
+
+def test_irreducible_dims_of_a_zero_action_are_all_ones(monkeypatch):
+    # a zero action, or none at all (trivial isotropy), leaves every line
+    # invariant: V splits into lines with no splitter draw
+    from g2forms import isotropy
+
+    def fail(forms, ginv, rng):
+        raise AssertionError("drew a splitter")
+
+    monkeypatch.setattr(isotropy, "_draw_splitter", fail)
+    zero = [[Fraction(0)] * 4 for _ in range(4)]
+    mod = module_from_action("zero", [zero], gram=_rational_form(4))
+    assert irreducible_dims(mod) == [1, 1, 1, 1]
+    assert irreducible_dims(build_entry("6i")) == [1] * 7
+
+
+def test_irreducible_dims_refuse_a_gram_that_is_not_invariant():
+    # so(3; D) preserves D, not the (definite) identity
+    label, action, gram = SO_FORM_ACTIONS[0]
+    assert label == "so(3;form)"
+    mod = module_from_action("not invariant", action, gram=identity(3))
+    with pytest.raises(AssertionError, match="gram is not invariant"):
+        irreducible_dims(mod)
+
+
+def test_irreducible_dims_need_a_positive_or_negative_definite_gram():
+    import dataclasses
+
+    # the boost preserves diag(1, -1) and is self-adjoint for it, yet R^2
+    # splits into the invariant lines (1, 1) and (1, -1); the certificate
+    # needs a definite gram, so [2] would be a wrong answer
+    for gram in ([[1, 0], [0, -1]], [[-1, 0], [0, 1]]):
+        mod = module_from_action("boost", [[[0, 1], [1, 0]]], gram=gram)
+        with pytest.raises(AssertionError, match="gram is not definite"):
+            irreducible_dims(mod)
+    # C = G^-1 S is self-adjoint for -G as for G, so the split is the same
+    mod = build_entry("2ci")
+    flipped = dataclasses.replace(
+        mod, gram=[[-x for x in row] for row in mod.gram])
+    assert irreducible_dims(flipped) == irreducible_dims(mod) == [1, 1, 1, 4]

@@ -24,8 +24,9 @@ from g2forms.linalg import (cleared, identity, inertia, intersect_nullspaces,
 from g2forms.multilinear import KForm, pullback
 from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
                           isotropic_exclusion, kernel_exclusion)
-from references import (bracket, check_jacobi, classify3, commutator,
-                        dense_d1, dense_kernel_dim, mat_sub, reference_action,
+from references import (SO_FORM_ACTIONS, _rational_form, bracket,
+                        check_jacobi, classify3, commutator, dense_d1,
+                        dense_kernel_dim, mat_sub, reference_action,
                         reference_family_hitchin_map, trace)
 from g2forms.stable_forms import (Orbit3Class, classify_coeffs,
                                   classify_hitchin, hitchin_matrix,
@@ -393,46 +394,6 @@ def _symmetric_forms_reference(action, generators, n):
              for i in range(n)] for v in vecs]
 
 
-def _rational_form(n):
-    """A definite rational form with denominators everywhere."""
-    return [[Fraction(i + 2) if i == j else Fraction(1, i + j + 2)
-             for j in range(n)] for i in range(n)]
-
-
-def _block_sum(a, b):
-    n, m = len(a), len(b)
-    return ([list(row) + [Fraction(0)] * m for row in a]
-            + [[Fraction(0)] * n + list(row) for row in b])
-
-
-def _so_form_actions():
-    """(label, action, gram): the so(n; D) realization on R^n for a
-    rational D, scaled copies, and reducible sums with commutants of
-    dimension > 1."""
-    out = []
-    for n in (3, 4, 5):
-        d = _rational_form(n)
-        basis = orthogonal_algebra_of_form(d).basis
-        out.append((f"so({n};form)", basis, d))
-        scales = [Fraction(3 * k + 2, 7 - k % 5) for k in range(len(basis))]
-        out.append((f"so({n};form) scaled",
-                    [[[c * x for x in row] for row in a]
-                     for c, a in zip(scales, basis)],
-                    [[Fraction(5, 3) * x for x in row] for row in d]))
-    d = _rational_form(3)
-    basis = orthogonal_algebra_of_form(d).basis
-    zero = [[Fraction(0)] * 2 for _ in range(2)]
-    out.append(("3+3", [_block_sum(a, a) for a in basis],
-                _block_sum(d, [[2 * x for x in row] for row in d])))
-    out.append(("3+1+1", [_block_sum(a, zero) for a in basis],
-                _block_sum(d, [[Fraction(1, 2), Fraction(1, 3)],
-                               [Fraction(1, 3), Fraction(1)]])))
-    return out
-
-
-SO_FORM_ACTIONS = _so_form_actions()
-
-
 @pytest.mark.parametrize("label,action,gram", SO_FORM_ACTIONS,
                          ids=[c[0] for c in SO_FORM_ACTIONS])
 def test_commutant_matches_a_fraction_reference(label, action, gram):
@@ -453,47 +414,6 @@ def test_irreducible_dims_of_the_so_form_actions(label, action, gram):
     mod = module_from_action(label, action, gram=gram)
     assert irreducible_dims(mod) == {"3+3": [3, 3], "3+1+1": [1, 1, 3]}.get(
         label, [len(gram)])
-
-
-def test_irreducible_dims_of_a_zero_action_are_all_ones(monkeypatch):
-    # a zero action, or none at all (trivial isotropy), leaves every line
-    # invariant: V splits into lines with no splitter draw
-    from g2forms import isotropy
-
-    def fail(forms, ginv, rng):
-        raise AssertionError("drew a splitter")
-
-    monkeypatch.setattr(isotropy, "_draw_splitter", fail)
-    zero = [[Fraction(0)] * 4 for _ in range(4)]
-    mod = module_from_action("zero", [zero], gram=_rational_form(4))
-    assert irreducible_dims(mod) == [1, 1, 1, 1]
-    assert irreducible_dims(build_entry("6i")) == [1] * 7
-
-
-def test_irreducible_dims_refuse_a_gram_that_is_not_invariant():
-    # so(3; D) preserves D, not the (definite) identity
-    label, action, gram = SO_FORM_ACTIONS[0]
-    assert label == "so(3;form)"
-    mod = module_from_action("not invariant", action, gram=identity(3))
-    with pytest.raises(AssertionError, match="gram is not invariant"):
-        irreducible_dims(mod)
-
-
-def test_irreducible_dims_need_a_positive_or_negative_definite_gram():
-    import dataclasses
-
-    # the boost preserves diag(1, -1) and is self-adjoint for it, yet R^2
-    # splits into the invariant lines (1, 1) and (1, -1); the certificate
-    # needs a definite gram, so [2] would be a wrong answer
-    for gram in ([[1, 0], [0, -1]], [[-1, 0], [0, 1]]):
-        mod = module_from_action("boost", [[[0, 1], [1, 0]]], gram=gram)
-        with pytest.raises(AssertionError, match="gram is not definite"):
-            irreducible_dims(mod)
-    # C = G^-1 S is self-adjoint for -G as for G, so the split is the same
-    mod = build_entry("2ci")
-    flipped = dataclasses.replace(
-        mod, gram=[[-x for x in row] for row in mod.gram])
-    assert irreducible_dims(flipped) == irreducible_dims(mod) == [1, 1, 1, 4]
 
 
 def test_invariant_inner_product_is_the_positive_unique_form(monkeypatch):

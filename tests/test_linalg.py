@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forms.linalg import (_echelon, adjugate, charpoly, cleared, det,
+from g2forms.linalg import (Basis, _echelon, adjugate, charpoly, cleared, det,
                             identity, inertia, inverse, kernel,
                             leading_principal_minors, mat, mat_mul, nullspace,
                             poly_gcd, rank, root_multiplicities, rref, solve,
-                            transpose)
+                            sparse_vector, transpose)
 from references import _leibniz_det
 
 rationals = st.fractions(min_value=-5, max_value=5,
@@ -255,6 +255,73 @@ def test_solve_gives_the_same_fractions_for_int_and_fraction_sides(seed):
                 assert got == want
                 if got is not None:
                     assert all(type(v) is Fraction for x in got for v in x)
+
+
+def _keyed(v):
+    """The nonzero entries of v on the keys (c % 3, c), whose sorted order
+    is not the column order."""
+    return {(c % 3, c): x for c, x in enumerate(v) if x}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_basis_reads_the_solve_coordinates_or_none(seed):
+    # seeded sparse integer rows: dependent rows have no reader; in the
+    # span of independent ones y / d are the `solve` coordinates, and read
+    # is None exactly when solve finds none
+    import random
+
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(30):
+        k, n = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [[rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(n)]
+                for _ in range(k)]
+        basis = Basis.from_echelon(map(_keyed, rows))
+        if rank(rows) < k:
+            seen.add("dependent")
+            assert basis is None
+            continue
+        coeffs = [rng.randint(-3, 3) for _ in rows]
+        inside = [sum(c * b[j] for c, b in zip(coeffs, rows))
+                  for j in range(n)]
+        for x in (inside, [rng.randint(-2, 2) for _ in range(n)]):
+            want = solve(transpose(rows), [x])
+            y = basis.read(_keyed(x))
+            if want is None:
+                seen.add("off")
+                assert y is None
+            else:
+                seen.add("on")
+                assert [Fraction(v, basis.d) for v in y] == want[0]
+        y = basis.read(_keyed(inside))
+        assert [Fraction(v, basis.d) for v in y] == coeffs
+    assert seen == {"dependent", "on", "off"}
+
+
+def test_basis_from_echelon_refuses_dependent_rows():
+    assert Basis.from_echelon([{0: 1, 2: 2}, {0: -2, 2: -4}]) is None
+    assert Basis.from_echelon([{0: 1}, {}]) is None
+    # no rows span the zero vector alone
+    empty = Basis.from_echelon([])
+    assert empty.read({}) == [] and empty.read({0: 1}) is None
+
+
+def test_a_kernel_basis_is_read_at_its_last_keys_and_no_other_is_read():
+    rows = [sparse_vector(v) for v in kernel([{0: 1, 1: 2, 3: -1},
+                                              {2: 3, 3: 1}], 5)]
+    basis = Basis.from_kernel(rows)
+    assert basis.d == 1 and basis.pivots == (1, 3, 4)
+    x = {c: 2 * rows[0].get(c, 0) - rows[1].get(c, 0) for c in range(5)}
+    assert basis.read({c: v for c, v in x.items() if v}) == [2, -1, 0]
+    assert basis.read({0: Fraction(1)}) is None
+    # 2 at a row's last key, a last key that two rows share, a row nonzero
+    # at another's last key, a zero row
+    doubled = [{**rows[0], 1: 2}] + rows[1:]
+    shared = rows[:2] + [{0: 3, 1: 1}]
+    crossing = rows[:1] + [{**rows[1], 1: 1}] + rows[2:]
+    for bad in (doubled, shared, crossing, rows + [{}]):
+        with pytest.raises(ValueError, match="not a kernel basis"):
+            Basis.from_kernel(bad)
 
 
 def test_inverse_raises_on_a_singular_matrix():

@@ -29,8 +29,8 @@ ALLOWED = {
     "leading_principal_minors": "traced by perfbench; no caller in the "
                                 "package",
     "intersect_nullspaces": "traced by perfbench; no caller in the package",
-    "rref": "traced by perfbench; no caller in the package since the "
-            "coordinate solver reads `pivot_inverse`",
+    "rref": "traced by perfbench; no caller in the package since every "
+            "coordinate read goes through `linalg.Basis`",
     "classify_coeffs": "traced by perfbench; no caller in the package "
                        "since a form's class is read off its record",
     "decompose2": "roadmap item 4: the 14+7 split of 2-forms",

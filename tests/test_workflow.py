@@ -2,18 +2,18 @@
 3.11, 3.12 and 3.13, the versions from the floor of `requires-python` on,
 with pip's cache keyed on `pyproject.toml`, and runs the Tier-1 command on
 each, printing its 20 slowest tests; the job stops after 15 minutes, and a
-new push to the same ref cancels the run it supersedes."""
+new push to the same ref cancels the run it supersedes.  The test extra
+installs PyYAML, which reads the workflow here, so CI runs this test."""
 
 from pathlib import Path
 
-import pytest
+import yaml
 
 ROOT = Path(__file__).parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def test_the_tier1_workflow_installs_the_test_extra_and_runs_the_suite():
-    yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load(WORKFLOW.read_text())
     assert workflow["concurrency"] == {
         "group": "${{ github.workflow }}-${{ github.ref }}",
@@ -22,8 +22,11 @@ def test_the_tier1_workflow_installs_the_test_extra_and_runs_the_suite():
     assert job["timeout-minutes"] == 15
     assert job["strategy"]["matrix"] == {
         "python-version": ["3.10", "3.11", "3.12", "3.13"]}
-    assert 'requires-python = ">=3.10"' in (
-        ROOT / "pyproject.toml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    (extra,) = [line for line in pyproject.splitlines()
+                if line.startswith("test = [")]
+    assert '"pyyaml>=6"' in extra
     steps = job["steps"]
     assert {"uses": "actions/setup-python@v5",
             "with": {"python-version": "${{ matrix.python-version }}",
