@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement
 from .linalg import (adjugate, charpoly, frac, inertia, inverse, kernel, mat,
                      mat_vec, nullspace, transpose)
 from .multilinear import (KForm, annihilator_of_form, basis_vector,
-                          complement, interior, minors, sort_index, wedge)
+                          complement, interior, minors, wedge)
 
 DIM = 7
 
@@ -92,81 +92,6 @@ class HitchinData:
         return q, self.r * c ** 27 / (_METRIC_CONST * abs(detbx) ** 23)
 
 
-@cache
-def _hitchin_tables():
-    """The three integer tables of B = (e_i ⌟ t) ^ (e_j ⌟ t) ^ t, built once.
-
-    Positions index the lexicographic lists of 2-, 3- and 5-subsets of
-    1..7; i is 0-based.
-      interior: per triple I, the three (i, P, sign) with
-                e_i ⌟ e^I = sign e^P, P = I minus i, sign = (-1)^pos for
-                the 0-based position pos of i in I;
-      wedge:    per pair P, its ten disjoint triples K as (K, F, sign) with
-                e^P ^ e^K = sign e^F;
-      pairing:  per pair P, complement(P, 7): (F, sign) with F its
-                complement and e^P ^ e^F = sign e^{1..7}.
-    `hitchin_matrix` and `family_hitchin_map` read them.
-    """
-    pos2 = {P: n for n, P in enumerate(combinations(range(1, 8), 2))}
-    pos5 = {F: n for n, F in enumerate(combinations(range(1, 8), 5))}
-    interior = tuple(
-        tuple((i - 1, pos2[I[:k] + I[k + 1:]], -1 if k % 2 else 1)
-              for k, i in enumerate(I))
-        for I in IDX3)
-    wedge = tuple(
-        tuple((p, pos5[F], s) for p, K in enumerate(IDX3)
-              for F, s in [sort_index(P + K)] if s)
-        for P in pos2)
-    pairing = tuple((pos5[F], s)
-                    for P in pos2 for F, s in [complement(P, DIM)])
-    return interior, wedge, pairing
-
-
-def _coeffs3(t: KForm):
-    if t.dim != DIM or t.degree != 3:
-        raise ValueError("expected a 3-form on R^7")
-    return t.coefficient_vector()
-
-
-def hitchin_matrix(coeffs):
-    """Symmetric 7x7 matrix B for a dense 35-vector of 3-form coefficients.
-
-    B_ij = <A_i, W_j>, read off three steps over nonzero entries only
-    (`_hitchin_tables`): the 2-forms A_i = e_i ⌟ t, the 5-forms
-    W_j = A_j ^ t, and B_ij = sum over pairs P of sign(P) A_i[P] W_j[comp P]
-    for i <= j, sign(P) the sign of e^P ^ e^(comp P) against e^{1..7}.
-    """
-    interior, wedge, pairing = _hitchin_tables()
-    iota = [[] for _ in range(DIM)]
-    for p, c in enumerate(coeffs):
-        if c:
-            for i, q, s in interior[p]:
-                iota[i].append((q, c if s > 0 else -c))
-    w = []
-    for a in iota:
-        wj = [0] * len(pairing)
-        for q, aq in a:
-            naq = -aq
-            for k, f, s in wedge[q]:
-                ck = coeffs[k]
-                if ck:
-                    wj[f] += (aq if s > 0 else naq) * ck
-        w.append(wj)
-    b = [[0] * DIM for _ in range(DIM)]
-    for i, a in enumerate(iota):
-        row = []
-        for q, aq in a:
-            f, s = pairing[q]
-            row.append((f, aq if s > 0 else -aq))
-        for j in range(i, DIM):
-            wj = w[j]
-            acc = 0
-            for f, c in row:
-                acc += c * wj[f]
-            b[i][j] = b[j][i] = acc
-    return b
-
-
 @dataclass(frozen=True)
 class FamilyHitchinMap:
     """B of a linear family of 3-forms, expanded in the family coordinates.
@@ -175,9 +100,8 @@ class FamilyHitchinMap:
     M_abc.  `monomials` holds (a, b, c, terms) with a <= b <= c and terms
     the nonzero (cell, coefficient) pairs of M_abc over the upper-triangular
     `cells`.  Calling the map on an integer coefficient tuple x returns the
-    exact integer B(x); a sample costs one product per monomial, and
-    monomials with a zero factor are skipped.  The exact checks below read
-    the sparse terms directly.
+    exact integer B(x): one product per monomial, whose terms are skipped
+    when it is 0.  The exact checks below read the sparse terms directly.
     """
 
     monomials: tuple
@@ -244,60 +168,104 @@ class FamilyHitchinMap:
         return ()
 
 
-def family_hitchin_map(bvecs) -> FamilyHitchinMap:
-    """B of the family t(x) = sum_a x_a bvecs[a] as 28 integer cubics in x.
+@cache
+def _hitchin_cubic() -> FamilyHitchinMap:
+    """B as one integer cubic in the 35 coefficients x_p of t, built once.
 
-    `bvecs` are integer 35-vectors.  The three steps of `hitchin_matrix`
-    run once per family on polynomials in x, over nonzero entries only:
-    A_i = e_i ⌟ t is linear, W_j = A_j ^ t quadratic, and
-    B_ij = sum_P sign(P) A_i[P] W_j[comp P] cubic, for i <= j.  The cells
-    are the pairs (i, j), i <= j, in row order; the monomials x_a x_b x_c
-    (a <= b <= c) come sorted, each with its nonzero terms by cell.
+    The three steps of B_ij = <e_i ⌟ t, (e_j ⌟ t) ^ t> run once, on
+    t = sum_p x_p e^(I_p), I_p the p-th 3-subset of 1..7, with subsets as
+    bit masks and e^L ^ e^H = sign(L, H) e^(L+H), -1 per pair l in L,
+    h in H with h < l:
+      1. A_i = e_i ⌟ t: A_i[P] = sign({i}, P) x_p where I_p = P + {i};
+      2. W_j = A_j ^ t: W_j[P + I_k] gets sign(P, I_k) A_j[P] x_k;
+      3. B_ij = sum_P sign(P, comp P) A_i[P] W_j[comp P], for i <= j.
+    Merged (`_from_terms`), it is the `FamilyHitchinMap` of the 35 unit
+    vectors: 735 monomials with one cell each.
     """
-    interior, wedge, pairing = _hitchin_tables()
-    support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
-               for p in range(len(interior))]
-    iota = [[] for _ in range(DIM)]
-    for p, lin in enumerate(support):
-        if lin:
-            for i, q, s in interior[p]:
-                iota[i].append((q, lin if s > 0 else
-                                [(a, -c) for a, c in lin]))
+    triples = [sum(1 << i for i in I) for I in combinations(range(DIM), 3)]
+    full = (1 << DIM) - 1
+
+    def sign(lo, hi):
+        n = 0
+        while lo:
+            n += (hi & (lo & -lo) - 1).bit_count()
+            lo &= lo - 1
+        return -1 if n & 1 else 1
+
+    iota = [[(m ^ 1 << i, p, sign(1 << i, m ^ 1 << i))
+             for p, m in enumerate(triples) if m >> i & 1] for i in range(DIM)]
+    pairs = [1 << i | 1 << j for i, j in combinations(range(DIM), 2)]
+    wedges = {P: [(P | K, k, sign(P, K)) for k, K in enumerate(triples)
+                  if not P & K] for P in pairs}
     w = []
     for a_j in iota:
-        wj = {}
-        for q, lin in a_j:
-            for k, f, s in wedge[q]:
-                if support[k]:
-                    quad = wj.setdefault(f, {})
-                    for a, ca in lin:
-                        sa = s * ca
-                        for b, cb in support[k]:
-                            key = (a, b) if a <= b else (b, a)
-                            quad[key] = quad.get(key, 0) + sa * cb
-        w.append(wj)
-    cubics = {}
-    cells = []
-    for i, a_i in enumerate(iota):
-        row = [(*pairing[q], lin) for q, lin in a_i]
+        w.append({})
+        for P, p, s in a_j:
+            for F, k, sk in wedges[P]:
+                w[-1].setdefault(F, []).append(
+                    (p, k, s * sk) if p <= k else (k, p, s * sk))
+    flat, cells = {}, []
+    for i in range(DIM):
+        row = [(full ^ P, p, s * sign(P, full ^ P)) for P, p, s in iota[i]]
         for j in range(i, DIM):
             e = len(cells)
             cells.append((i, j))
-            for f, s, lin in row:
-                for (b, c), cq in w[j].get(f, {}).items():
-                    if not cq:
-                        continue
-                    for a, ca in lin:
-                        key = ((a, b, c) if a <= b else
-                               (b, a, c) if a <= c else (b, c, a))
-                        terms = cubics.setdefault(key, {})
-                        terms[e] = terms.get(e, 0) + s * ca * cq
-    monomials = []
-    for key, terms in sorted(cubics.items()):
-        terms = tuple((e, v) for e, v in sorted(terms.items()) if v)
-        if terms:
-            monomials.append((*key, terms))
-    return FamilyHitchinMap(monomials=tuple(monomials), cells=tuple(cells))
+            for F, a, s in row:
+                for b, c, v in w[j][F]:
+                    key = ((a << 12 | b << 6 | c) if a <= b else
+                           (b << 12 | a << 6 | c) if a <= c else
+                           (b << 12 | c << 6 | a)) << 5 | e
+                    flat[key] = flat.get(key, 0) + s * v
+    return _from_terms(flat, tuple(cells))
+
+
+def _from_terms(flat, cells) -> FamilyHitchinMap:
+    """The map of {(a << 12 | b << 6 | c) << 5 | cell: v}, a <= b <= c."""
+    monomials = {}
+    for key in sorted(flat):
+        if flat[key]:
+            monomials.setdefault(key >> 5, []).append((key & 31, flat[key]))
+    return FamilyHitchinMap(monomials=tuple(
+        (m >> 12, m >> 6 & 63, m & 63, tuple(terms))
+        for m, terms in monomials.items()), cells=cells)
+
+
+def hitchin_matrix(coeffs):
+    """Symmetric 7x7 matrix B of a dense 35-vector of 3-form coefficients:
+    `_hitchin_cubic` at the vector.  Another length is refused."""
+    if len(coeffs) != len(IDX3):
+        raise ValueError(f"expected 35 coefficients, got {len(coeffs)}")
+    return _hitchin_cubic()(coeffs)
+
+
+def family_hitchin_map(bvecs) -> FamilyHitchinMap:
+    """B of the family t(x) = sum_a x_a bvecs[a] as 28 integer cubics in x.
+
+    The linear forms t_p = sum_a bvecs[a][p] x_a of the integer 35-vectors
+    `bvecs`, over nonzero entries only, are substituted into `_hitchin_cubic`:
+    t_p t_q once per prefix (p, q) of its sorted monomials, then times each
+    t_r.  The cells and the order are the cubic's."""
+    support = [[(a, bv[p]) for a, bv in enumerate(bvecs) if bv[p]]
+               for p in range(len(IDX3))]
+    flat, prefix = {}, None
+    for p, q, r, terms in _hitchin_cubic().monomials:
+        if not (lin := support[r]):
+            continue
+        if (p, q) != prefix:
+            prefix, quad = (p, q), {}
+            for a, ca in support[p]:
+                for b, cb in support[q]:
+                    key = (a, b) if a <= b else (b, a)
+                    quad[key] = quad.get(key, 0) + ca * cb
+        for e, coef in terms:
+            for (a, b), v in quad.items():
+                cv = coef * v
+                for c, cc in lin:
+                    key = ((c << 12 | a << 6 | b) if c <= a else
+                           (a << 12 | c << 6 | b) if c <= b else
+                           (a << 12 | b << 6 | c)) << 5 | e
+                    flat[key] = flat.get(key, 0) + cv * cc
+    return _from_terms(flat, _hitchin_cubic().cells)
 
 
 def primitive_ray(vec):
@@ -329,7 +297,9 @@ def hitchin_bilinear(t: KForm) -> HitchinData:
     determinant and, by Jacobi's rule, the signature, which the positive
     factor r = scale^3 c keeps.  Only det B is rescaled to t here.
     """
-    x, scale = primitive_ray(_coeffs3(t))
+    if t.dim != DIM or t.degree != 3:
+        raise ValueError("expected a 3-form on R^7")
+    x, scale = primitive_ray(t.coefficient_vector())
     bx = hitchin_matrix(x)
     r = scale ** 3
     c = math.gcd(*(v for row in bx for v in row))

@@ -8,8 +8,21 @@ on its own.
 
 `_hitchin_table`: the contraction table B_ij = sum sign t_I t_J t_K over
 2,940 triples, which `reference_hitchin_matrix` and
-`reference_family_hitchin_map` walk; the package builds B from
-e_i ⌟ t and (e_j ⌟ t) ^ t instead (`stable_forms._hitchin_tables`).
+`reference_family_hitchin_map` walk; the package runs the three steps
+e_i ⌟ t, (e_j ⌟ t) ^ t and the pairing against e^{1..7} once, on the 35
+unit coefficients, into one cubic (`stable_forms._hitchin_cubic`), and
+reads every point and every family off it.
+
+`stabilizer_class`: the class of a 3-form from its stabilizer algebra, of
+dimension 14 exactly when the form is stable, and the signature of that
+algebra's trace form, (0, 14) for compact g2 and (8, 6) for split g2.
+`annihilator_of_form` reads the index moves of `multilinear._moves`, so
+this route shares no B, no Hitchin cubic and no family map with the
+package's, only `kernel` and `inertia`.
+
+`_scan_samples` and `_sample_vec`: the sample order of a family scan (the
+rays of `scan._ray_grid`, then the seeded draws) and the coefficient
+vector of a sample, for the tests of the scan and of the family map.
 
 `metric_from_4form`: the exact covector metric of a 4-form, gdual(p) as
 the Hitchin matrix of star_euclidean(p).  `section5.example_429_report`
@@ -59,6 +72,7 @@ echelonized `span_basis`, the `bracket` and the Jacobi identity
 an unsorted index tuple.
 """
 
+import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
@@ -67,9 +81,11 @@ from math import prod
 from g2forms.catalog import orthogonal_algebra_of_form
 from g2forms.homogeneous import ce_differential
 from g2forms.isotropy import invariant_kforms
-from g2forms.linalg import (ZERO, identity, intersect_nullspaces, mat, mat_mul,
-                            mat_vec, nullspace, rref, solve, transpose)
-from g2forms.multilinear import KForm, sort_index
+from g2forms.linalg import (ZERO, cleared, identity, inertia,
+                            intersect_nullspaces, mat, mat_mul, mat_vec,
+                            nullspace, rref, solve, transpose)
+from g2forms.multilinear import KForm, annihilator_of_form, sort_index
+from g2forms.scan import _ray_grid
 from g2forms.stable_forms import (DIM, IDX3, FamilyHitchinMap, Orbit3Class,
                                   classify_coeffs, hitchin_matrix,
                                   primitive_ray, star_euclidean)
@@ -169,6 +185,18 @@ def reference_family_hitchin_map(bvecs):
             monomials.append((a, b, c, terms))
     return FamilyHitchinMap(monomials=tuple(monomials),
                             cells=tuple((i - 1, j - 1) for i, j in table))
+
+
+def _scan_samples(d, config):
+    """The sample order of invariant_form_types."""
+    rng = random.Random(config.seed)
+    return list(_ray_grid(d, config.grid)) + [
+        tuple(rng.randint(-9, 9) for _ in range(d))
+        for _ in range(config.random)]
+
+
+def _sample_vec(coeffs, bvecs):
+    return [sum(c * bv[k] for c, bv in zip(coeffs, bvecs)) for k in range(35)]
 
 
 def metric_from_4form(p: KForm) -> list:
@@ -397,6 +425,30 @@ def classify3(t: KForm) -> Orbit3Class:
     if t.dim != DIM or t.degree != 3:
         raise ValueError("expected a 3-form on R^7")
     return classify_coeffs(t.coefficient_vector())
+
+
+def stabilizer_class(t: KForm) -> Orbit3Class:
+    """Orbit class of a 3-form on R^7 read off its stabilizer, not off B.
+
+    t is stable exactly when its GL(7) orbit is open, that is when its
+    stabilizer algebra {A : A . t = 0} has dimension 49 - 35 = 14; it is
+    then compact g2 (the definite class) or split g2 (the indefinite one),
+    told apart by the signature of the trace form tr(XY) on R^7: (0, 14)
+    for compact g2, (8, 6) for split g2, negative on its su(2) + su(2).
+    """
+    basis = annihilator_of_form(t)
+    assert len(basis) >= 14, "an orbit of dimension above 35"
+    if len(basis) > 14:
+        return Orbit3Class.DEGENERATE
+    # each X cleared to integers by a positive factor, which keeps the
+    # signature; tr(XY) = sum X_ij Y_ji over the nonzero X_ij
+    mats = [cleared(x)[0] for x in basis]
+    entries = [[(i, j, v) for i, row in enumerate(x) for j, v in enumerate(row)
+                if v] for x in mats]
+    gram = [[sum(v * y[j][i] for i, j, v in xe) for y in mats]
+            for xe in entries]
+    return {(0, 14): Orbit3Class.DEFINITE,
+            (8, 6): Orbit3Class.INDEFINITE}[inertia(gram)[:2]]
 
 
 def _rational_form(n):

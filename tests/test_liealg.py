@@ -24,10 +24,10 @@ from g2forms.linalg import (cleared, identity, inertia, intersect_nullspaces,
 from g2forms.multilinear import KForm, pullback
 from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
                           isotropic_exclusion, kernel_exclusion)
-from references import (SO_FORM_ACTIONS, _rational_form, bracket,
-                        check_jacobi, classify3, commutator, dense_d1,
-                        dense_kernel_dim, mat_sub, reference_action,
-                        reference_family_hitchin_map, trace)
+from references import (SO_FORM_ACTIONS, _rational_form, _sample_vec,
+                        _scan_samples, bracket, check_jacobi, classify3,
+                        commutator, dense_d1, dense_kernel_dim, mat_sub,
+                        reference_action, trace)
 from g2forms.stable_forms import (Orbit3Class, classify_coeffs,
                                   classify_hitchin, hitchin_matrix,
                                   primitive_int_vector)
@@ -553,55 +553,6 @@ def test_invariant_kforms_under_rational_generators_match_the_reference():
 # the family Hitchin map against the per-sample classifier
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def scanned_families():
-    """(label, module, integer basis) of every shipped family with
-    1 <= d < 35 and of the 4ii and 6ii candidate-generator families."""
-    from g2forms.catalog import candidate_module, load_catalog
-
-    mods = []
-    for e in load_catalog():
-        mod = build_entry(e["case"], tuple(e["params"]))
-        mods.append(mod)
-        if e["case"] in ("4ii", "6ii"):
-            mods += [candidate_module(mod, name, fmat)
-                     for name, fmat, _ in mod.pending_generators]
-    out = []
-    for mod in mods:
-        basis = invariant_3forms(mod)
-        if 1 <= len(basis) < 35:
-            out.append((mod.label, mod, [primitive_int_vector(
-                f.coefficient_vector()) for f in basis]))
-    assert {label for label, _, _ in out} >= {
-        "4ii(0, 0)+B23-swap", "6ii+R5-fixing-rotation"}
-    return out
-
-
-def _scan_samples(d, config):
-    """The sample order of invariant_form_types."""
-    rng = random.Random(config.seed)
-    return list(_ray_grid(d, config.grid)) + [
-        tuple(rng.randint(-9, 9) for _ in range(d))
-        for _ in range(config.random)]
-
-
-def _sample_vec(coeffs, bvecs):
-    return [sum(c * bv[k] for c, bv in zip(coeffs, bvecs)) for k in range(35)]
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_family_map_matches_hitchin_matrix_and_classify_coeffs(
-        scanned_families, seed):
-    config = ScanConfig(grid=300, random=100, seed=seed)
-    for label, _, bvecs in scanned_families:
-        hitchin = family_hitchin_map(bvecs)
-        for coeffs in _scan_samples(len(bvecs), config):
-            vec = _sample_vec(coeffs, bvecs)
-            b = hitchin(coeffs)
-            assert b == hitchin_matrix(vec), (label, coeffs)
-            assert classify_hitchin(b) is classify_coeffs(vec), (label, coeffs)
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_invariant_form_types_matches_a_classify_coeffs_loop(
         scanned_families, seed):
@@ -711,13 +662,6 @@ def _monomial_matrices(hitchin):
             m[i][j] = m[j][i] = coef
         out.append(m)
     return out
-
-
-def test_family_map_matches_the_contraction_table_walk(scanned_families):
-    # tuple-identical to the map the old table built, on every family
-    for _, _, bvecs in scanned_families:
-        assert family_hitchin_map(bvecs) == reference_family_hitchin_map(
-            bvecs)
 
 
 def test_sparse_rechecks_match_the_dense_monomial_matrices(

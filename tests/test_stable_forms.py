@@ -9,17 +9,21 @@ from g2forms.linalg import (adjugate, charpoly, det, inverse, mat, mat_mul,
                             nullspace, rank, transpose)
 from g2forms.multilinear import (KForm, _moves, algebra_action, basis_vector,
                                  interior, pullback, sort_index, wedge)
+from g2forms.scan import ScanConfig
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   annihilator_g2, annihilator_of_form,
-                                  classification_report,
+                                  classification_report, classify_coeffs,
+                                  classify_hitchin,
                                   decompose2, decompose3, dual_coefficients,
                                   family_hitchin_map, hitchin_bilinear,
                                   hitchin_matrix, hodge_star,
                                   metric_from_3form, primitive_int_vector,
                                   primitive_ray, star_euclidean,
                                   traceless_to_27)
-from references import (_hitchin_table, classify3, coeff, metric_from_4form,
-                        reference_action, reference_hitchin_matrix)
+from references import (_hitchin_table, _sample_vec, _scan_samples,
+                        classify3, coeff, metric_from_4form, reference_action,
+                        reference_family_hitchin_map, reference_hitchin_matrix,
+                        stabilizer_class)
 
 w = KForm.basis
 
@@ -86,11 +90,126 @@ def test_hitchin_matrix_matches_the_contraction_table():
         assert all(type(x) is int for row in b for x in row)
 
 
+def test_the_cubic_is_the_contraction_table_walk_of_the_unit_vectors():
+    # every B is read off this one cubic, so it is checked whole: against
+    # the reference walk of the 35 unit vectors (the scanned families all
+    # have d < 35), and at seeded dense points with entries above 2^150 and
+    # at sparse ones
+    from g2forms import stable_forms
+
+    units = [[int(a == b) for b in range(35)] for a in range(35)]
+    cubic = stable_forms._hitchin_cubic()
+    assert cubic == reference_family_hitchin_map(units)
+    assert len(cubic.monomials) == 735
+    rng = random.Random(47)
+    vecs = [[rng.choice((-1, 1)) * ((1 << 150) + rng.getrandbits(150))
+             for _ in range(35)] for _ in range(10)]
+    for k in (1, 3, 7):
+        for _ in range(10):
+            v = [0] * 35
+            for p in rng.sample(range(35), k):
+                v[p] = rng.choice((-1, 1)) * rng.randint(1, 9)
+            vecs.append(v)
+    for v in vecs:
+        assert hitchin_matrix(v) == reference_hitchin_matrix(v)
+
+
+def test_hitchin_matrix_refuses_a_vector_of_another_length():
+    # a trailing zero must not pass unseen, and a nonzero 36th entry or a
+    # missing 35th must not fall over on an index
+    phi = PHI.coefficient_vector()
+    for vec in (phi[:34], phi + [0], phi + [1]):
+        for read in (hitchin_matrix, classify_coeffs):
+            with pytest.raises(ValueError,
+                               match=f"35 coefficients, got {len(vec)}$"):
+                read(vec)
+
+
 def test_hitchin_zero_and_shapes():
     assert all(x == 0 for row in hitchin_bilinear(w(7, 1, 2, 3)).B
                for x in row)
     with pytest.raises(ValueError):
         hitchin_bilinear(w(7, 1, 2))
+
+
+def _shipped_forms(modules, monkeypatch):
+    """(form, class) for every form whose class a shipped output states:
+    the witnesses of the catalog scans (at the default scan, candidate
+    generators too) and of the closed scan of 2su2+u1, the nearly-parallel
+    rays and special rays, and example-429's two sides."""
+    from g2forms import homogeneous, isotropy, scan, section5
+    from g2forms.catalog import build_entry, load_catalog, verify_entry
+    from g2forms.isotropy import invariant_3forms
+
+    scans = []
+
+    def capture(bvecs, *args, **kwargs):
+        rep = scan.scan_family(bvecs, *args, **kwargs)
+        scans.append((bvecs, rep))
+        return rep
+
+    monkeypatch.setattr(isotropy, "scan_family", capture)
+    monkeypatch.setattr(homogeneous, "scan_family", capture)
+    for entry, mod in zip(load_catalog(), modules):
+        verify_entry(entry, ScanConfig(), module=mod)
+    # su2+t4 has no witness (both classes excluded) and t7 the references
+    section5.closed_scan_report("2su2+u1")
+    out = []
+    for bvecs, rep in scans:
+        for cls in ("definite", "indefinite"):
+            if rep[f"{cls}_witness"] is not None:
+                vec = _sample_vec(rep[f"{cls}_witness"], bvecs)
+                out.append((KForm.from_coefficient_vector(7, 3, vec), cls))
+    for case in section5.NEARLY_PARALLEL_CASES:
+        report = section5.nearly_parallel_report(case)
+        basis = invariant_3forms(build_entry(case))
+        if len(basis) == 1:
+            out.append((basis[0], report["orbit"]))
+            continue
+        for ray in report["certificate"]["special_rays"]:
+            s = ray["slope"]
+            out.append((basis[1] if s == "infinity"
+                        else basis[0] + Fraction(s) * basis[1], ray["orbit"]))
+    psi1 = w(7, 4, 5, 6, 7)
+    claims = {c["name"]: c["computed"]
+              for c in section5.example_429_report()["claims"]}
+    for (a, b), name in (((1, 1), "positive side is definite"),
+                         ((1, -1), "negative side has split signature "
+                                   "{3, 4}")):
+        cls = {(7, 0): "definite", (3, 4): "indefinite"}[tuple(claims[name])]
+        p = a * (PSI4 - Fraction(1, 3) * psi1) + b * psi1
+        out.append((star_euclidean(p), cls))
+    return out
+
+
+def test_every_stated_class_is_its_stabilizer_class(package_modules,
+                                                     monkeypatch):
+    # the class of both references, of seeded integer transports of them
+    # and of degenerate maps, then of every form a shipped output rests on,
+    # read off the stabilizer's trace form (no B, no Hitchin cubic) and
+    # off the record of B
+    rng = random.Random(20)
+    forms = [(PHI, "definite"), (PHITILDE, "indefinite")]
+    for k in range(8):
+        g = [[rng.randint(-2, 2) for _ in range(7)] for _ in range(7)]
+        if k % 4 == 3:
+            g[rng.randrange(7)] = [0] * 7
+        elif det(mat(g)) == 0:
+            continue
+        ref = PHI if k % 2 else PHITILDE
+        cls = ("degenerate" if k % 4 == 3 else
+               "definite" if ref is PHI else "indefinite")
+        forms.append((pullback(g, ref), cls))
+    seen = set()
+    for t, cls in forms:
+        assert stabilizer_class(t).value == cls, (t, cls)
+        assert hitchin_bilinear(t).orbit.value == cls, (t, cls)
+        seen.add(cls)
+    assert seen == {"definite", "indefinite", "degenerate"}
+    shipped = _shipped_forms(package_modules, monkeypatch)
+    assert len(shipped) >= 40
+    for t, cls in shipped:
+        assert stabilizer_class(t).value == cls, (t, cls)
 
 
 def test_hitchin_covariance():
@@ -373,6 +492,25 @@ def test_family_map_of_the_unit_vectors_is_the_contraction_table():
                    for ij, cell in want.items()}
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_family_map_matches_hitchin_matrix_and_classify_coeffs(
+        scanned_families, seed):
+    config = ScanConfig(grid=300, random=100, seed=seed)
+    for label, _, bvecs in scanned_families:
+        hitchin = family_hitchin_map(bvecs)
+        for coeffs in _scan_samples(len(bvecs), config):
+            vec = _sample_vec(coeffs, bvecs)
+            b = hitchin(coeffs)
+            assert b == hitchin_matrix(vec), (label, coeffs)
+            assert classify_hitchin(b) is classify_coeffs(vec), (label, coeffs)
+
+
+def test_family_map_matches_the_contraction_table_walk(scanned_families):
+    # tuple-identical to the map the old table built, on every family
+    for _, _, bvecs in scanned_families:
+        assert family_hitchin_map(bvecs) == reference_family_hitchin_map(
+            bvecs)
+
 
 def test_exact_dual_reference_value():
     # brute-force complement-and-sign star; the annihilator fixes the result
@@ -539,7 +677,7 @@ def test_annihilator_matches_the_algebra_action_reference(forms, dim):
 def test_constant_tables_are_built_once():
     from g2forms import stable_forms
 
-    for build in (stable_forms._hitchin_tables, annihilator_g2,
+    for build in (stable_forms._hitchin_cubic, annihilator_g2,
                   stable_forms._decomp2_setup, stable_forms._decomp3_setup,
                   lambda: _moves(7, 3)):
         assert build() is build()
