@@ -20,14 +20,14 @@ from fractions import Fraction
 from itertools import chain, combinations, count
 from typing import NamedTuple
 
-from .linalg import (Basis, cleared, identity, mat_mul, nullspace, rank,
-                     solve, sparse, sparse_mul, sparse_vector)
+from .linalg import (Basis, cleared, identity, inertia, mat_mul, nullspace,
+                     rank, solve, sparse, sparse_mul, sparse_vector)
 from .isotropy import (IsotropyModule, basis_coordinates, invariant_3forms,
                        invariant_kforms)
 from .liealg import MatrixLieAlgebra
 from .multilinear import KForm, algebra_action, pullback, sort_index
 from .scan import ScanConfig, scan_family
-from .stable_forms import (Orbit3Class, dual_coefficients, family_hitchin_map,
+from .stable_forms import (Orbit3Class, dual_minors, family_hitchin_map,
                            hitchin_bilinear)
 
 
@@ -259,8 +259,8 @@ def exact_primitive(c: InvariantComplex, target: KForm):
 
 #: degrees in the slope s along t(s) = f1 + s f2 (see `nearly_parallel_rays`)
 DET_DEGREE = 21
-Q_DEGREE = 55
-MINOR_DEGREE = 56
+Q_DEGREE = 13
+MINOR_DEGREE = 14
 #: nonsingular slopes evaluated: one more than the largest degree
 PENCIL_SLOPES = MINOR_DEGREE + 1
 
@@ -275,10 +275,9 @@ class PencilEvaluations(NamedTuple):
     f1 and f2 (`basis`) are cleared to integer vectors x1, x2 by one common
     denominator, so t(s) = x1 + s x2 is an integer 3-form on the same ray;
     `d1`, `d2` are d x1 and d x2 cleared by another.  At each slope, q holds
-    the integer coefficients of Q(s) = star_euclidean(pullback(adj B(s),
-    t(s))), with adj B = det B * B^-1 the integer adjugate: B(s) is the
-    family Hitchin map of (x1, x2) at (1, s), and q is read off the 3 x 3
-    minors of adj B(s) directly (`dual_coefficients`).  `singular` lists
+    the integer coefficients of Q(s) = B(s)^*(star_euclidean t(s)), B(s) the
+    family Hitchin map of (x1, x2) at (1, s): its 4 x 4 minors weighed by
+    star t(s) (`dual_minors`, as in `HitchinData.dual`).  `singular` lists
     the slopes skipped for det B(s) = 0.
     """
 
@@ -291,12 +290,12 @@ class PencilEvaluations(NamedTuple):
 
 
 def pencil_evaluations(m: IsotropyModule):
-    """Evaluate the pencil of the two invariant 3-forms at 57 slopes.
+    """Evaluate the pencil of the two invariant 3-forms at 15 slopes.
 
     Slopes run 0, 1, -1, 2, ..., skipping those with det B(s) = 0.  Every
     value is an integer computation: B(s) comes from one
     `family_hitchin_map` of (x1, x2), expanded once and called at (1, s),
-    then `dual_coefficients` gives det B(s) and Q(s).  det B(s) has degree
+    `inertia` gives det B(s), and `dual_minors` Q(s).  det B(s) has degree
     at most 21 in s, so unless it is identically 0 at most 21 slopes are
     skipped; the loop stops at the 22nd singular slope, which proves
     det B(s) = 0 and leaves no nonsingular slope.
@@ -311,15 +310,13 @@ def pencil_evaluations(m: IsotropyModule):
     slopes, singular, qs = [], [], []
     # distinct integer slopes, smallest first: 0, 1, -1, 2, -2, ...
     for s in chain.from_iterable((k, -k) if k else (0,) for k in count()):
-        detb, _, q = dual_coefficients(
-            hitchin((1, s)), [a + s * b for a, b in zip(x1, x2)])
-        if detb == 0:
+        if not inertia(b := hitchin((1, s)))[2]:
             singular.append(s)
             if len(singular) > DET_DEGREE:
                 break
             continue
         slopes.append(s)
-        qs.append(tuple(q))
+        qs.append(tuple(dual_minors(b, [u + s * v for u, v in zip(x1, x2)])))
         if len(slopes) == PENCIL_SLOPES:
             break
     return PencilEvaluations(basis=basis, d1=tuple(d1), d2=tuple(d2),
@@ -332,7 +329,7 @@ def _fit_reference(slopes, vals):
 
     Candidates come from three nonzero slopes, where vals / s^m must be
     linear; only the check at every slope accepts one.  Two such forms of
-    degree <= 56 that agree at the 57 slopes are equal, so the fit is
+    degree <= 14 that agree at the 15 slopes are equal, so the fit is
     unique.
     """
     pts = [(s, v) for s, v in zip(slopes, vals) if s][:3]
@@ -398,10 +395,10 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     and p2 = Q(s2), the first dual off its line.  Every Q(s), d x1 and d x2
     must lie in P: P's `linalg.Basis` reads each in integers as (a, b) with
     a p1 + b p2 = e v, e the reader's d, or refuses it; Q(s) has degree at
-    most 55 in s, so at 57 slopes this is an identity.  D(s), e^2 times
+    most 13 in s, so at 15 slopes this is an identity.  D(s), e^2 times
     the determinant of dt(s) and Q(s) in the basis (p1, p2), has degree
-    at most 56 (see `nearly_parallel_rays`), and its one fit
-    D = c s^m (s - r) at the 57 slopes is an identity too.  Where
+    at most 14 (see `nearly_parallel_rays`), and its one fit
+    D = c s^m (s - r) at the 15 slopes is an identity too.  Where
     det B(s) != 0, Q(s) is a positive multiple of star t(s)
     (`HitchinData.dual`), and where D(s) != 0, dt(s) is no multiple of
     Q(s): the only stable candidates are s = 0 and s = r.  These and the
@@ -412,7 +409,8 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     k_i = p1_i0 p2_i - p2_i0 p1_i.  As d Q(s) = (a(s) d p1 + b(s) d p2) / e
     and p1, p2 are duals of stable rays, every stable ray with a finite
     slope is coclosed exactly when d p1 = d p2 = 0; f2, when stable, is
-    checked on its own (`coclosed_if_stable`).  A failed check raises
+    checked on its own (`coclosed_if_stable`).  A failed check, the first
+    being one dual at each of 15 distinct slopes, raises
     `CertificateRefused`.  More than 21 singular slopes prove det B(s) = 0
     (it has degree at most 21), and then det B(f2) = 0 too, as the limit of
     det B(f1 + s f2) / s^21: every member is degenerate, and the
@@ -421,10 +419,10 @@ def certify_pencil(m: IsotropyModule, ev: PencilEvaluations):
     if len(set(ev.singular)) > DET_DEGREE:
         return PencilCertificate(slopes=(), pivot=None, r=None, minors=(),
                                  special=(), coclosed=True, rays=())
-    if len(set(ev.slopes)) < PENCIL_SLOPES:
+    if len(set(ev.slopes)) < PENCIL_SLOPES or len(ev.q) != len(ev.slopes):
         raise CertificateRefused(
-            f"{len(set(ev.slopes))} distinct slopes; the degree bound "
-            f"needs {PENCIL_SLOPES}")
+            f"{len(ev.q)} duals at {len(set(ev.slopes))} distinct slopes; "
+            f"the degree bound needs one dual at each of {PENCIL_SLOPES}")
     n = len(ev.d1)
     i0 = next((i for i in range(n) if ev.d1[i] or ev.d2[i]), None)
     if i0 is None:
@@ -485,7 +483,7 @@ def _unit_ray(s, res):
 
 
 def pencil_certificate(m: IsotropyModule) -> PencilCertificate:
-    """`certify_pencil` on the 57 evaluations of `pencil_evaluations`."""
+    """`certify_pencil` on the 15 evaluations of `pencil_evaluations`."""
     return certify_pencil(m, pencil_evaluations(m))
 
 
@@ -500,14 +498,14 @@ def nearly_parallel_rays(m: IsotropyModule):
     lambda, its exact power lambda9, residual 0).
 
     Degree bounds of the certificate, along t(s) = f1 + s f2: the entries
-    of B(s) are cubic in t, so cubic in s, and those of adj B(s), its 6 x 6
-    minors, have degree 6 * 3 = 18.  A 3-form pulls back through the 3 x 3
-    minors of adj B, degree 3 * 18 = 54, each times a linear coefficient of
-    t(s), so Q(s) = star_euclidean(pullback(adj B(s), t(s))) has degree at
-    most 55, and so has d Q(s), d being linear with constant coefficients.
-    dt(s) is linear, so the determinant D(s) of dt(s) and Q(s) in the plane
-    of the duals, and each minor dt_i0 Q_i - dt_i Q_i0, has degree at most
-    56: 57 distinct slopes decide an identity between such polynomials.
+    of B(s) are cubic in t, so cubic in s, and its 4 x 4 minors have degree
+    12.  Q(s) = B(s)^*(star_euclidean t(s)) weighs them by the linear
+    coefficients of star t(s), so it has degree at most 13 (the adjugate
+    route star_euclidean(pullback(adj B(s), t(s))) is det B(s)^2 Q(s), of
+    degree up to 55), and so has d Q(s), d being linear.  dt(s) is linear,
+    so the determinant D(s) of dt(s) and Q(s) in the plane of the duals,
+    and each minor dt_i0 Q_i - dt_i Q_i0, has degree at most 14: 15
+    distinct slopes decide an identity between such polynomials.
     """
     basis = invariant_3forms(m)
     if len(basis) == 1:

@@ -275,7 +275,7 @@ def nearly_parallel_report(case="2d") -> dict:
             "map, so closedness of the bi-invariant 3-form does not "
             "transfer), yet the unique nearly parallel ray itself is "
             "proved by the pencil certificate: the minors of [dt, star t] "
-            "are c s^m (s - r) at 57 nonsingular slopes, which exceeds "
+            "are c s^m (s - r) at 15 nonsingular slopes, which exceeds "
             "their degree, and the remaining rays are checked exactly",
         ],
     })

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
+from operator import itemgetter
 
-from .linalg import (adjugate, charpoly, frac, inertia, inverse, kernel, mat,
-                     mat_vec, nullspace, transpose)
+from .linalg import (charpoly, frac, inertia, inverse, kernel, mat, mat_vec,
+                     nullspace, transpose)
 from .multilinear import (KForm, annihilator_of_form, basis_vector,
                           complement, interior, minors, wedge)
 
@@ -75,21 +76,18 @@ class HitchinData:
 
         star t = vol C(t @ Lambda^3(g^-1)), vol > 0, C the signed complement
         of `star_euclidean` and g^-1 = 6^(2/9) |det B|^(1/9) sign(det B) B^-1
-        (`metric_from_3form`).  With adj(Bx) = c M, c the content of
-        adj(Bx), this gives Q = star_euclidean(pullback(M, t)), scale / c^3
-        times the Q of `dual_coefficients`(Bx, x) (the minors are cubic, so
-        the division is exact), and the rational
-        kappa^9 = r c^27 / (6 |det Bx|^23).  Dividing B by its content c_B
-        changes neither: adj takes c_B^6, the minors c_B^18, and both cancel
-        against c; kappa^9 keeps c_B through r.
+        (`metric_from_3form`), where B^-1 = adj(Bx) / (r det Bx).  By
+        Jacobi's theorem each 3 x 3 minor of adj(Bx) is (det Bx)^2 times
+        the complementary 4 x 4 minor of Bx, signed so that C(pullback(adj
+        Bx, x)) = (det Bx)^2 P with P = `dual_minors`(Bx, x), the pullback
+        along Bx of star_euclidean(x).  This gives Q = scale P and the
+        rational kappa^9 = r / (6 |det Bx|^5), det Bx = det B / r^7.
         """
-        detbx, adj, q = dual_coefficients(self.Bx, self.x)
-        if detbx == 0:
+        if self.detB == 0:
             return None
-        c = math.gcd(*(v for row in adj for v in row))
-        q = KForm.from_coefficient_vector(DIM, 4, [self.scale * (v // c ** 3)
-                                                   for v in q])
-        return q, self.r * c ** 27 / (_METRIC_CONST * abs(detbx) ** 23)
+        q = KForm.from_coefficient_vector(
+            DIM, 4, [self.scale * v for v in dual_minors(self.Bx, self.x)])
+        return q, self.r / (_METRIC_CONST * abs(self.detB / self.r ** 7) ** 5)
 
 
 @dataclass(frozen=True)
@@ -100,20 +98,31 @@ class FamilyHitchinMap:
     M_abc.  `monomials` holds (a, b, c, terms) with a <= b <= c and terms
     the nonzero (cell, coefficient) pairs of M_abc over the upper-triangular
     `cells`.  Calling the map on an integer coefficient tuple x returns the
-    exact integer B(x): one product per monomial, whose terms are skipped
-    when it is 0.  The exact checks below read the sparse terms directly.
+    exact integer B(x), the sorted monomials grouped once per map by a, then
+    by b (`_prefixes`): a group whose x_a or x_a x_b is 0 is skipped whole.
+    The exact checks below read the sparse terms directly.
     """
 
     monomials: tuple
     cells: tuple
 
+    @cached_property
+    def _prefixes(self):
+        """The monomials as ((a, ((b, ((c, terms), ...)), ...)), ...)."""
+        return tuple((a, tuple((b, tuple((c, t) for *_, c, t in tail))
+                               for b, tail in groupby(group, itemgetter(1))))
+                     for a, group in groupby(self.monomials, itemgetter(0)))
+
     def __call__(self, x):
         flat = [0] * len(self.cells)
-        for a, b, c, terms in self.monomials:
-            v = x[a] * x[b] * x[c]
-            if v:
-                for e, coef in terms:
-                    flat[e] += coef * v
+        for a, by_b in self._prefixes:
+            if x[a]:
+                for b, by_c in by_b:
+                    if xab := x[a] * x[b]:
+                        for c, terms in by_c:
+                            if v := xab * x[c]:
+                                for e, coef in terms:
+                                    flat[e] += coef * v
         m = [[0] * DIM for _ in range(DIM)]
         for (i, j), v in zip(self.cells, flat):
             m[i][j] = m[j][i] = v
@@ -409,27 +418,17 @@ def star_euclidean(a: KForm) -> KForm:
 PSI4 = star_euclidean(PHI)
 
 
-#: the sign of (J, comp J) against w^{1..7}, per 3-subset J in order
-_STAR_SIGNS = [complement(J, DIM)[1] for J in IDX3]
+#: star_euclidean sends e^J to sign e^(comp J): (0-based comp J, sign) per J
+_STAR_TARGETS = [(tuple(i - 1 for i in c), s)
+                 for c, s in (complement(J, DIM) for J in IDX3)]
 
 
-def dual_coefficients(b, x):
-    """(det b, adj b, Q) for the integer Hitchin matrix b of the integer
-    3-form x; (0, None, None) when b is singular.
-
-    adj b is one integer `adjugate`, and Q = star_euclidean(pullback(adj b,
-    x)) as an integer 35-vector: the pullback has coefficient
-    sum_I x_I det adj[I, J] on e^J, the `minors` of adj b weighed by x, and
-    the star puts it, times the sign of (J, comp J), on e^(comp J), which
-    sits at position 34 - pos J: complementing reverses the lexicographic
-    order.
-    """
-    detb, adj = adjugate(b)
-    if detb == 0:
-        return 0, None, None
-    weights = {I: xi for I, xi in zip(combinations(range(DIM), 3), x) if xi}
-    return detb, adj, [s * t for s, t in
-                       zip(_STAR_SIGNS, minors(adj, weights, 3))][::-1]
+def dual_minors(b, x):
+    """P = b^*(star_euclidean x), the integer 35-vector over the 4-subsets
+    of the integer 3-form x's Euclidean star pulled back along the integer
+    matrix b: the `minors` of b of size 4 weighed by star x."""
+    return minors(b, {c: s * xi for (c, s), xi in zip(_STAR_TARGETS, x)
+                      if xi}, 4)
 
 
 def _descartes_signature(coeffs):

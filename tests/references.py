@@ -55,6 +55,14 @@ transposed basis of the next degree.  `homogeneous.build_complex` reads
 each column off the free columns of that basis instead
 (`isotropy.basis_coordinates`).
 
+`dual_coefficients`: the adjugate route of the exact dual, Q =
+star_euclidean(pullback(adj B, x)) read off the 3 x 3 minors of the
+integer adjugate.  By Jacobi's theorem it is (det B)^2 times the
+package's dual `stable_forms.dual_minors`, the 4 x 4 minors of B weighed
+by star x, of which the record and the pencil read only the latter.
+`cofactor_adjugate` is adj B by its 6 x 6 cofactors, also for a singular
+B, where `linalg.adjugate` gives None.
+
 `classify3`: the orbit class of a 3-form by `classify_coeffs` on its
 coefficient vector; the package reads a form's class off its one record,
 `hitchin_bilinear(t).orbit`, beside the record's dual.
@@ -81,10 +89,11 @@ from math import prod
 from g2forms.catalog import orthogonal_algebra_of_form
 from g2forms.homogeneous import ce_differential
 from g2forms.isotropy import invariant_kforms
-from g2forms.linalg import (ZERO, cleared, identity, inertia,
+from g2forms.linalg import (ZERO, adjugate, cleared, det, identity, inertia,
                             intersect_nullspaces, mat, mat_mul, mat_vec,
                             nullspace, rref, solve, transpose)
-from g2forms.multilinear import KForm, annihilator_of_form, sort_index
+from g2forms.multilinear import (KForm, annihilator_of_form, complement,
+                                 minors, sort_index)
 from g2forms.scan import _ray_grid
 from g2forms.stable_forms import (DIM, IDX3, FamilyHitchinMap, Orbit3Class,
                                   classify_coeffs, hitchin_matrix,
@@ -418,6 +427,35 @@ def reference_diffs(m):
         assert cols is not None
         diffs.append([[col[i] for col in cols] for i in range(len(tgt))])
     return diffs
+
+
+def dual_coefficients(b, x):
+    """(det b, adj b, Q) for the integer Hitchin matrix b of the integer
+    3-form x; (0, None, None) when b is singular.
+
+    adj b is one integer `adjugate`, and Q = star_euclidean(pullback(adj b,
+    x)) as an integer 35-vector: the pullback has coefficient
+    sum_I x_I det adj[I, J] on e^J, the `minors` of adj b weighed by x, and
+    the star puts it, times the sign of (J, comp J), on e^(comp J), which
+    sits at position 34 - pos J: complementing reverses the lexicographic
+    order.
+    """
+    detb, adj = adjugate(b)
+    if detb == 0:
+        return 0, None, None
+    weights = {I: xi for I, xi in zip(combinations(range(DIM), 3), x) if xi}
+    signs = [complement(J, DIM)[1] for J in IDX3]
+    return detb, adj, [s * t for s, t in
+                       zip(signs, minors(adj, weights, 3))][::-1]
+
+
+def cofactor_adjugate(b):
+    """adj b = ((-1)^(i+j) det b without row j and column i)_ij, singular b
+    included."""
+    n = len(b)
+    return [[(-1) ** (i + j) * det([[v for c, v in enumerate(row) if c != i]
+                                     for r, row in enumerate(b) if r != j])
+             for j in range(n)] for i in range(n)]
 
 
 def classify3(t: KForm) -> Orbit3Class:

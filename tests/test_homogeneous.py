@@ -744,8 +744,8 @@ def test_pencil_certificate_finds_the_exact_ray(pencils, case):
     mod, ev = pencils[case]
     cert = homogeneous.certify_pencil(mod, ev)
     assert cert.r == PENCIL_SLOPES[case]
-    assert len(set(cert.slopes)) == homogeneous.PENCIL_SLOPES == 57
-    assert cert.minors and all(c != 0 and m + 1 <= 56
+    assert len(set(cert.slopes)) == homogeneous.PENCIL_SLOPES == 15
+    assert cert.minors and all(c != 0 and m + 1 <= 14
                                for _, m, c in cert.minors)
     # s = 0 is degenerate; r is the one nearly parallel stable ray
     assert cert.special[0] == (0, "degenerate", False)
@@ -762,7 +762,7 @@ def test_pencil_certificate_finds_the_exact_ray(pencils, case):
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
 def test_pencil_minors_match_the_per_coordinate_fits(pencils, case):
     # the per-coordinate argument as the oracle of the record: each minor
-    # p_k = dt_i0 Q_k - dt_k Q_i0 at the 57 slopes is c_k s^m (s - r) for
+    # p_k = dt_i0 Q_k - dt_k Q_i0 at the 15 slopes is c_k s^m (s - r) for
     # its recorded (k, m, c_k), and identically zero for every other k
     mod, ev = pencils[case]
     cert = homogeneous.certify_pencil(mod, ev)
@@ -779,15 +779,19 @@ def test_pencil_minors_match_the_per_coordinate_fits(pencils, case):
 
 
 def _kform_pencil_point(ev, s):
-    """q at slope s by the KForm route: the integer adjugate of
-    hitchin_matrix(t(s)), then star_euclidean(pullback(adj B(s), t(s)));
+    """q at slope s by the KForm route: pullback(B(s), star_euclidean(t(s)))
+    with B(s) = hitchin_matrix(t(s)), which the adjugate route
+    star_euclidean(pullback(adj B(s), t(s))) gives times det B(s)^2;
     None when det B(s) = 0."""
     (x1, x2), _ = cleared([f.coefficient_vector() for f in ev.basis])
     x = [a + s * b for a, b in zip(x1, x2)]
-    detb, adj = adjugate(hitchin_matrix(x))
+    b = hitchin_matrix(x)
+    detb, adj = adjugate(b)
     if detb == 0:
         return None
-    q = star_euclidean(pullback(adj, KForm.from_coefficient_vector(7, 3, x)))
+    t = KForm.from_coefficient_vector(7, 3, x)
+    q = pullback(b, star_euclidean(t))
+    assert star_euclidean(pullback(adj, t)) == detb ** 2 * q
     assert all(c.denominator == 1 for c in q.terms.values())
     return tuple(c.numerator for c in q.coefficient_vector())
 
@@ -803,7 +807,7 @@ def _assert_pencil_matches_the_kform_route(ev, picks):
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
 def test_pencil_evaluations_match_the_kform_route(pencils, case):
     mod, ev = pencils[case]
-    _assert_pencil_matches_the_kform_route(ev, (0, 28, 56))
+    _assert_pencil_matches_the_kform_route(ev, (0, 7, 14))
 
 
 def test_pencil_q_matches_the_kform_route_and_leaves_the_plane(monkeypatch):
@@ -818,8 +822,8 @@ def test_pencil_q_matches_the_kform_route_and_leaves_the_plane(monkeypatch):
     family = [PHI, PHITILDE + w(7, 1, 2, 4)]
     monkeypatch.setattr(homogeneous, "invariant_3forms", lambda m: family)
     ev = homogeneous.pencil_evaluations(mod)
-    assert len(ev.slopes) == 57 and ev.singular == (1,)
-    _assert_pencil_matches_the_kform_route(ev, (0, 1, 30, 56))
+    assert len(ev.slopes) == 15 and ev.singular == (1,)
+    _assert_pencil_matches_the_kform_route(ev, (0, 1, 7, 14))
     with pytest.raises(homogeneous.CertificateRefused,
                        match="leaves the plane of the duals"):
         homogeneous.certify_pencil(mod, ev)
@@ -857,7 +861,7 @@ def test_a_degenerate_line_has_no_rays():
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
 def test_pencil_certificate_refuses_a_corrupted_q(pencils, case):
     mod, ev = pencils[case]
-    for j in (3, 40):
+    for j in (3, 12):
         for i in range(35):
             q = [list(v) for v in ev.q]
             q[j][i] += 1
@@ -865,9 +869,37 @@ def test_pencil_certificate_refuses_a_corrupted_q(pencils, case):
             with pytest.raises(homogeneous.CertificateRefused):
                 homogeneous.certify_pencil(mod, bad)
     # too few slopes for the degree bound
-    short = ev._replace(slopes=ev.slopes[:56], q=ev.q[:56])
-    with pytest.raises(homogeneous.CertificateRefused, match="56 distinct"):
+    short = ev._replace(slopes=ev.slopes[:14], q=ev.q[:14])
+    with pytest.raises(homogeneous.CertificateRefused, match="14 distinct"):
         homogeneous.certify_pencil(mod, short)
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
+def test_pencil_certificate_refuses_fewer_duals_than_slopes(pencils, case):
+    # the fit zips the slopes with the duals, so k duals would be checked
+    # at only k slopes: the record is refused
+    mod, ev = pencils[case]
+    for k in (14, 7, 3):
+        with pytest.raises(homogeneous.CertificateRefused,
+                           match=f"{k} duals at 15 distinct slopes"):
+            homogeneous.certify_pencil(mod, ev._replace(q=ev.q[:k]))
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
+def test_pencil_duals_have_degree_at_most_13(pencils, case, monkeypatch):
+    # the degree bound is checked, not assumed: each coordinate of Q(s),
+    # interpolated from the 15 slopes, is Q at the next 5 nonsingular ones
+    mod, ev = pencils[case]
+    monkeypatch.setattr(homogeneous, "PENCIL_SLOPES", 20)
+    more = homogeneous.pencil_evaluations(mod)
+    assert more.slopes[:15] == ev.slopes and more.q[:15] == ev.q
+    assert homogeneous.Q_DEGREE + 2 == len(ev.slopes) == 15
+    for s, q in zip(more.slopes[15:], more.q[15:]):
+        weights = [math.prod(Fraction(s - sm, sj - sm)
+                             for sm in ev.slopes if sm != sj)
+                   for sj in ev.slopes]
+        assert q == tuple(sum(w * v[i] for w, v in zip(weights, ev.q))
+                          for i in range(35))
 
 
 @pytest.mark.parametrize("case", ["1", "3aiii"])
@@ -892,17 +924,17 @@ def test_pencil_certificate_refuses_minors_with_two_roots(pencils, case):
 
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))
 def test_pencil_certificate_refuses_duals_off_its_determinant(pencils, case):
-    # Q(40) moved inside the plane of the duals breaks the fit of D; duals
-    # on one line span no plane
+    # the dual at the 13th slope moved inside the plane of the duals breaks
+    # the fit of D; duals on one line span no plane
     mod, ev = pencils[case]
     q = list(ev.q)
-    q[40] = tuple(a + b for a, b in zip(q[40], q[0]))
+    q[12] = tuple(a + b for a, b in zip(q[12], q[0]))
     with pytest.raises(homogeneous.CertificateRefused,
                        match=r"D is not c s\^m \(s - r\)"):
         homogeneous.certify_pencil(mod, ev._replace(q=tuple(q)))
     with pytest.raises(homogeneous.CertificateRefused,
                        match="the duals span no plane"):
-        homogeneous.certify_pencil(mod, ev._replace(q=(ev.q[0],) * 57))
+        homogeneous.certify_pencil(mod, ev._replace(q=(ev.q[0],) * 15))
 
 
 @pytest.mark.parametrize("case", sorted(PENCIL_SLOPES))

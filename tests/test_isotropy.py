@@ -8,13 +8,15 @@ import pytest
 from g2forms.catalog import build_entry
 from g2forms.isotropy import (basis_coordinates, invariant_3forms,
                               invariant_dims, invariant_form_types,
-                              invariant_kform_basis, invariant_kforms,
-                              irreducible_dims, module_from_action,
-                              schur_exclusion)
+                              invariant_inner_product, invariant_kform_basis,
+                              invariant_kforms, irreducible_dims,
+                              module_from_action, schur_exclusion)
 from g2forms.linalg import identity, inertia
 from g2forms.multilinear import KForm
 from g2forms.scan import ScanConfig
-from references import SO_FORM_ACTIONS, _rational_form, mat_sub
+from g2forms.stable_forms import Orbit3Class
+from references import (SO_FORM_ACTIONS, _rational_form, _scan_samples,
+                        classify3, mat_sub)
 
 SMALL_SCAN = ScanConfig(grid=400, random=100)
 
@@ -254,3 +256,64 @@ def test_irreducible_dims_need_a_positive_or_negative_definite_gram():
     flipped = dataclasses.replace(
         mod, gram=[[-x for x in row] for row in mod.gram])
     assert irreducible_dims(flipped) == irreducible_dims(mod) == [1, 1, 1, 4]
+
+
+def test_invariant_3forms_case1_contains_decomposable_and_definite():
+    mod = build_entry("1")
+    basis = invariant_3forms(mod)
+    assert len(basis) == 2
+    # a decomposable member: t with t ^ t = 0 (the 3-block volume ray)
+    from g2forms.multilinear import wedge
+
+    found_decomposable = False
+    found_definite = False
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            if (a, b) == (0, 0):
+                continue
+            t = Fraction(a) * basis[0] + Fraction(b) * basis[1]
+            if wedge(t, t).is_zero() and not t.is_zero():
+                found_decomposable = True
+            if classify3(t) is Orbit3Class.DEFINITE:
+                found_definite = True
+    assert found_decomposable and found_definite
+
+
+def test_invariant_inner_product_is_the_positive_unique_form(monkeypatch):
+    from g2forms import isotropy
+
+    for label, action, gram in SO_FORM_ACTIONS:
+        if label in ("3+3", "3+1+1"):
+            with pytest.raises(ValueError, match="not unique"):
+                invariant_inner_product(action)
+            continue
+        got = invariant_inner_product(action)
+        scale = got[0][0] / gram[0][0]
+        assert scale > 0
+        assert got == [[scale * x for x in row] for row in gram]
+    # a boost of R^(1,1) keeps only the indefinite diag(1, -1)
+    boost = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    with pytest.raises(ValueError, match="not definite"):
+        invariant_inner_product([boost])
+    # a negative definite solution comes back negated
+    d = _rational_form(3)
+    monkeypatch.setattr(isotropy, "_invariant_symmetric_forms",
+                        lambda action, generators: [
+                            [[-x for x in row] for row in d]])
+    assert invariant_inner_product([]) == d
+
+
+def test_a_finer_split_gets_no_certificate_and_the_full_scan(monkeypatch):
+    # with [1, 2, 4] a sub-multiset sums to 3, so the obstruction is gone
+    # and the scan runs to its end
+    from g2forms import isotropy
+
+    monkeypatch.setattr(isotropy, "irreducible_dims", lambda m: [1, 2, 4])
+    config = ScanConfig(seed=1)
+    rep = invariant_form_types(build_entry("8-g2xR"), config)
+    assert rep["certificate"] == {}
+    # no certificate excludes the indefinite class, so the miss is undecided
+    assert rep["has_definite"] is True
+    assert rep["has_indefinite"] == "undecided"
+    assert rep["samples"] == sum(
+        1 for c in _scan_samples(rep["dim"], config) if any(c)) == 10_999

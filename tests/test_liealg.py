@@ -11,9 +11,8 @@ from g2forms.catalog import (_BUILDERS, build_entry, candidate_module,
 from g2forms.isotropy import (IsotropyModule, _certified_split,
                               _invariant_symmetric_forms, invariant_3forms,
                               invariant_dims, invariant_form_types,
-                              invariant_inner_product, invariant_kforms,
-                              irreducible_dims, module_from_action,
-                              schur_exclusion)
+                              invariant_kforms, irreducible_dims,
+                              module_from_action, schur_exclusion)
 from g2forms.liealg import (MatrixLieAlgebra, _check_rep_property,
                             build_algebra, generator_v_matrix,
                             product_algebra, reductive_complement,
@@ -25,9 +24,9 @@ from g2forms.multilinear import KForm, pullback
 from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
                           isotropic_exclusion, kernel_exclusion)
 from references import (SO_FORM_ACTIONS, _rational_form, _sample_vec,
-                        _scan_samples, bracket, check_jacobi, classify3,
-                        commutator, dense_d1, dense_kernel_dim, mat_sub,
-                        reference_action, trace)
+                        _scan_samples, bracket, check_jacobi, commutator,
+                        dense_d1, dense_kernel_dim, mat_sub, reference_action,
+                        trace)
 from g2forms.stable_forms import (Orbit3Class, classify_coeffs,
                                   classify_hitchin, hitchin_matrix,
                                   primitive_int_vector)
@@ -229,27 +228,6 @@ def test_irreducible_dims_examples(case, params, expected):
     assert sum(dims) == 7
 
 
-def test_invariant_3forms_case1_contains_decomposable_and_definite():
-    mod = build_entry("1")
-    basis = invariant_3forms(mod)
-    assert len(basis) == 2
-    # a decomposable member: t with t ^ t = 0 (the 3-block volume ray)
-    from g2forms.multilinear import wedge
-
-    found_decomposable = False
-    found_definite = False
-    for a in range(-6, 7):
-        for b in range(-6, 7):
-            if (a, b) == (0, 0):
-                continue
-            t = Fraction(a) * basis[0] + Fraction(b) * basis[1]
-            if wedge(t, t).is_zero() and not t.is_zero():
-                found_decomposable = True
-            if classify3(t) is Orbit3Class.DEFINITE:
-                found_definite = True
-    assert found_decomposable and found_definite
-
-
 def test_weight_set_symmetry_5ii():
     a = invariant_dims(build_entry("5ii", (1, 2, -3)))
     b = invariant_dims(build_entry("5ii", (2, 1, -3)))
@@ -414,30 +392,6 @@ def test_irreducible_dims_of_the_so_form_actions(label, action, gram):
     mod = module_from_action(label, action, gram=gram)
     assert irreducible_dims(mod) == {"3+3": [3, 3], "3+1+1": [1, 1, 3]}.get(
         label, [len(gram)])
-
-
-def test_invariant_inner_product_is_the_positive_unique_form(monkeypatch):
-    from g2forms import isotropy
-
-    for label, action, gram in SO_FORM_ACTIONS:
-        if label in ("3+3", "3+1+1"):
-            with pytest.raises(ValueError, match="not unique"):
-                invariant_inner_product(action)
-            continue
-        got = invariant_inner_product(action)
-        scale = got[0][0] / gram[0][0]
-        assert scale > 0
-        assert got == [[scale * x for x in row] for row in gram]
-    # a boost of R^(1,1) keeps only the indefinite diag(1, -1)
-    boost = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    with pytest.raises(ValueError, match="not definite"):
-        invariant_inner_product([boost])
-    # a negative definite solution comes back negated
-    d = _rational_form(3)
-    monkeypatch.setattr(isotropy, "_invariant_symmetric_forms",
-                        lambda action, generators: [
-                            [[-x for x in row] for row in d]])
-    assert invariant_inner_product([]) == d
 
 
 def _conjugated_generators(n):
@@ -634,22 +588,6 @@ def test_a_transported_module_below_its_first_witness_is_undecided():
         "undecided", True)
     assert (at["has_definite"], at["has_indefinite"]) == (True, True)
     assert (below["samples"], at["samples"]) == (208, 209)
-
-
-def test_a_finer_split_gets_no_certificate_and_the_full_scan(monkeypatch):
-    # with [1, 2, 4] a sub-multiset sums to 3, so the obstruction is gone
-    # and the scan runs to its end
-    from g2forms import isotropy
-
-    monkeypatch.setattr(isotropy, "irreducible_dims", lambda m: [1, 2, 4])
-    config = ScanConfig(seed=1)
-    rep = invariant_form_types(build_entry("8-g2xR"), config)
-    assert rep["certificate"] == {}
-    # no certificate excludes the indefinite class, so the miss is undecided
-    assert rep["has_definite"] is True
-    assert rep["has_indefinite"] == "undecided"
-    assert rep["samples"] == sum(
-        1 for c in _scan_samples(rep["dim"], config) if any(c)) == 10_999
 
 
 def _monomial_matrices(hitchin):

@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from g2forms.linalg import (adjugate, charpoly, det, inverse, mat, mat_mul,
-                            nullspace, rank, transpose)
+from g2forms.linalg import (adjugate, charpoly, det, mat, mat_mul, nullspace,
+                            rank, transpose)
 from g2forms.multilinear import (KForm, _moves, algebra_action, basis_vector,
                                  interior, pullback, sort_index, wedge)
 from g2forms.scan import ScanConfig
@@ -14,14 +14,15 @@ from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   annihilator_g2, annihilator_of_form,
                                   classification_report, classify_coeffs,
                                   classify_hitchin,
-                                  decompose2, decompose3, dual_coefficients,
+                                  decompose2, decompose3, dual_minors,
                                   family_hitchin_map, hitchin_bilinear,
                                   hitchin_matrix, hodge_star,
                                   metric_from_3form, primitive_int_vector,
                                   primitive_ray, star_euclidean,
                                   traceless_to_27)
 from references import (_hitchin_table, _sample_vec, _scan_samples,
-                        classify3, coeff, metric_from_4form, reference_action,
+                        classify3, coeff, cofactor_adjugate,
+                        dual_coefficients, metric_from_4form, reference_action,
                         reference_family_hitchin_map, reference_hitchin_matrix,
                         stabilizer_class)
 
@@ -390,8 +391,8 @@ def test_dual_ray_is_a_positive_multiple_of_the_float_star(ref):
 
 
 def test_dual_ray_matches_the_kform_route():
-    # Q = star_euclidean(pullback(M, t)), M the primitive integer matrix on
-    # the ray of adj B, with the KForm pullback kept here as the reference
+    # Q = pullback(M, star_euclidean(t)), M the primitive integer matrix on
+    # the ray of B, with the KForm pullback kept here as the reference
     rng = random.Random(23)
     forms = [PHI, PHITILDE, Fraction(-2, 7) * PHITILDE]
     while len(forms) < 12:
@@ -406,11 +407,9 @@ def test_dual_ray_matches_the_kform_route():
             assert hitchin_bilinear(t).dual is None
             continue
         stable += 1
-        content = primitive_int_vector(sum(inverse(b), []))
+        content = primitive_int_vector(sum(b, []))
         m = [content[i:i + 7] for i in range(0, 49, 7)]
-        if det(b) < 0:
-            m = [[-x for x in row] for row in m]
-        assert hitchin_bilinear(t).dual[0] == star_euclidean(pullback(m, t))
+        assert hitchin_bilinear(t).dual[0] == pullback(m, star_euclidean(t))
     assert stable >= 8
 
 
@@ -422,10 +421,10 @@ def test_dual_ray_of_a_degenerate_form_is_none():
 
 
 def _undivided_dual(t):
-    """(Q, kappa^9) of t from the undivided Hitchin matrix of its primitive
-    ray: scale / c^3 times the Q of `dual_coefficients`, c the content of
-    the adjugate, and kappa^9 = scale^3 c^27 / (6 |det B|^23); None when
-    B is singular."""
+    """(Q, kappa^9) of t by the adjugate route, from the undivided Hitchin
+    matrix of its primitive ray: scale / c^3 times the Q of
+    `dual_coefficients`, c the content of the adjugate, and
+    kappa^9 = scale^3 c^27 / (6 |det B|^23); None when B is singular."""
     x, scale = primitive_ray(t.coefficient_vector())
     detb, adj, q = dual_coefficients(hitchin_matrix(x), x)
     if detb == 0:
@@ -439,9 +438,13 @@ def _undivided_dual(t):
 @pytest.mark.parametrize("ref", [PHI, PHITILDE])
 def test_dual_coefficients_is_the_star_of_the_adjugate_pullback(ref):
     # seeded integer pullbacks times 1, 2 or 3, every fourth along a
-    # singular map: Q is the star of the pullback along adj B, and the
-    # record's dual, built on B divided by its content, is the dual of the
-    # undivided B
+    # singular map.  Jacobi: the star of the pullback along adj B (by
+    # cofactors, so a singular B counts too) is (det B)^2 times
+    # `dual_minors`, the pullback along B of star t.  The reference Q is
+    # the star of the pullback along adj B, and the record's dual, built
+    # on B divided by its content, is a positive multiple k of the
+    # reference's (Q, kappa^9) on the undivided B: Q / k and kappa^9 k^9,
+    # so kappa Q is the same star t
     rng = random.Random(29)
     stable = contents = 0
     for k in range(12):
@@ -452,6 +455,10 @@ def test_dual_coefficients_is_the_star_of_the_adjugate_pullback(ref):
         x = [int(c) for c in t.coefficient_vector()]
         b = hitchin_matrix(x)
         detb, adj = adjugate(b)
+        p = dual_minors(b, x)
+        assert pullback(b, star_euclidean(t)).coefficient_vector() == p
+        assert star_euclidean(pullback(cofactor_adjugate(b), t)) == \
+            KForm.from_coefficient_vector(7, 4, [detb ** 2 * v for v in p])
         got = dual_coefficients(b, x)
         data = hitchin_bilinear(t)
         if detb == 0:
@@ -462,7 +469,9 @@ def test_dual_coefficients_is_the_star_of_the_adjugate_pullback(ref):
         assert got[:2] == (detb, adj)
         assert got[2] == star_euclidean(pullback(adj, t)).coefficient_vector()
         contents += data.r != data.scale ** 3
-        assert data.dual == _undivided_dual(t)
+        (q, kappa9), (q_old, kappa9_old) = data.dual, _undivided_dual(t)
+        k = next(v / q.terms[i] for i, v in q_old.terms.items())
+        assert k > 0 and q_old == k * q and kappa9 == k ** 9 * kappa9_old
     assert stable == 9 and contents == 9
 
 
@@ -503,6 +512,28 @@ def test_family_map_matches_hitchin_matrix_and_classify_coeffs(
             b = hitchin(coeffs)
             assert b == hitchin_matrix(vec), (label, coeffs)
             assert classify_hitchin(b) is classify_coeffs(vec), (label, coeffs)
+
+
+def test_family_map_skips_zero_prefixes_exactly():
+    # samples with zero coordinates, whose (a) and (a, b) groups the map
+    # skips whole, give the B of the combined form by the contraction
+    # table and by the ungrouped walk over every monomial
+    rng = random.Random(37)
+    bvecs = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(35)]
+             for _ in range(5)]
+    hitchin = family_hitchin_map(bvecs)
+    samples = [(0,) * 5] + [tuple(int(a == b) for b in range(5))
+                            for a in range(5)]
+    samples += [tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(5))
+                for _ in range(40)]
+    for x in samples:
+        b = hitchin(x)
+        assert b == reference_hitchin_matrix(_sample_vec(x, bvecs)), x
+        walk = dict.fromkeys(hitchin.cells, 0)
+        for p, q, r, terms in hitchin.monomials:
+            for e, coef in terms:
+                walk[hitchin.cells[e]] += coef * x[p] * x[q] * x[r]
+        assert all(b[i][j] == v for (i, j), v in walk.items()), x
 
 
 def test_family_map_matches_the_contraction_table_walk(scanned_families):

@@ -1,7 +1,8 @@
 """The CI workflow installs the package with its test extra on CPython 3.10,
 3.11, 3.12 and 3.13, the versions from the floor of `requires-python` on,
-with pip's cache keyed on `pyproject.toml`, and runs the Tier-1 command on
-each, printing its 20 slowest tests; the job stops after 15 minutes, and a
+with pip's cache keyed on `pyproject.toml`; on each it runs the installed
+`g2forms` console script once (`g2forms catalog list`), then the Tier-1
+command, printing its 20 slowest tests; the job stops after 15 minutes, and a
 new push to the same ref cancels the run it supersedes.  The test extra
 installs PyYAML, which reads the workflow here, so CI runs this test."""
 
@@ -34,5 +35,6 @@ def test_the_tier1_workflow_installs_the_test_extra_and_runs_the_suite():
                      "cache-dependency-path": "pyproject.toml"}} in steps
     assert [s["run"] for s in steps if "run" in s] == [
         'python -m pip install -e ".[test]"',
+        "g2forms catalog list",
         "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
         "python -m pytest -q --continue-on-collection-errors --durations=20"]
