@@ -194,7 +194,11 @@ def cmd_complex_ranks(args):
     from .section5 import named_complex
 
     if args.case is not None:
-        comp = build_complex(build_entry(args.case, args.params))
+        mod = build_entry(args.case, args.params)
+        if mod.ambient is None:
+            raise ValueError(f"case {args.case!r} is representation-level "
+                             "only: without brackets it has no complex")
+        comp = build_complex(mod)
         label = {"complex": args.case, "params": list(args.params)}
     elif args.params:
         raise ValueError("--params needs --case")

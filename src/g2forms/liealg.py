@@ -15,11 +15,10 @@ realization used here (abelian factors are realized as rotation blocks,
 so the same formula covers them).  A reductive complement V of a
 subalgebra h gives an isotropy module, a frozen value: the h-action
 matrices on V, the V-part of the bracket, the restricted inner product, h
-and V in g-coordinates, and any finite component generators.  The
-complement's pair brackets, and the images of h and V under a generator,
-are integer combinations over the cleared h and V vectors: the brackets
-of all the pairs are read off one batched integer `solve`, and a
-generator's images by the `linalg.Basis` of the cleared h or V rows.
+and V in g-coordinates, and any finite component generators.  The h and
+V vectors are cleared to integer rows over one denominator, and the one
+`linalg.Basis` of those rows reads, in integers, both the complement's
+pair brackets and the images of h and V under a generator.
 """
 
 import math
@@ -32,8 +31,8 @@ from .isotropy import IsotropyModule
 # perfbench's tracer and workloads resolve these names on liealg
 from .isotropy import (ScanConfig, invariant_3forms, invariant_dims,
                        invariant_form_types, irreducible_dims)
-from .linalg import (Basis, adjugate, cleared, embed_block, frac, identity,
-                     inertia, mat_mul, nullspace, rank, solve, sparse,
+from .linalg import (ZERO, Basis, adjugate, cleared, embed_block, frac,
+                     identity, inertia, mat_mul, nullspace, sparse,
                      sparse_mul, sparse_vector, transpose, zeros)
 
 
@@ -367,19 +366,33 @@ def build_algebra(name: str) -> MatrixLieAlgebra:
 # reductive pairs
 # ---------------------------------------------------------------------------
 
+def _split_reader(rows):
+    """(reader, W, s): the rows u_k of h + V cleared to W = s u over one
+    denominator s, and the `linalg.Basis` of W; raises if dependent."""
+    ws, s = cleared(rows)
+    reader = Basis.from_echelon(map(sparse_vector, ws))
+    if reader is None:
+        raise ValueError("subalgebra basis is linearly dependent")
+    return reader, ws, s
+
+
+def _over(v, q):
+    """The integer vector v divided by q, as Fractions."""
+    return [Fraction(x, q) if x else ZERO for x in v]
+
+
 def reductive_complement(g: MatrixLieAlgebra, h_elements,
                          label="") -> IsotropyModule:
     """Split g = h + V orthogonally for -tr(XY) and assemble the module.
 
     Only the coordinates of the h elements are read from ambient matrices;
-    every bracket comes from the integer structure constants.  Each h and V
-    vector u_k is cleared to w_k / s_k, w_k integer; the bracket of a pair
-    is then an integer combination of structure constants over D s_i s_j,
-    and the (h | V) components of all the pairs come from one batched
-    integer `solve` against the w_k.  Raises when the trace form is not
-    positive definite (the realization is then not compact) or h is not a
-    subalgebra; [h, V] subset V and the representation property of the
-    action are asserted exactly.
+    every bracket comes from the integer structure constants.  The h and V
+    vectors u_k are cleared to integer rows w_k = s u_k over one s, and the
+    table bracket D [w_i, w_j] of every pair is read by the `linalg.Basis`
+    of the w_k in integers over one q = d D s.  Raises when the trace form
+    is not positive definite (the realization is then not compact), h is
+    linearly dependent or not a subalgebra; [h, V] subset V and the
+    representation property of the integer action are asserted exactly.
     """
     gram_g, gden = g._int_trace_form
     if inertia(gram_g)[0] != g.dim:
@@ -387,54 +400,35 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
     hmat = [g.coords(x) for x in h_elements]
     if any(c is None for c in hmat):
         raise ValueError("subalgebra element outside the ambient algebra")
-    if hmat and rank(hmat) != len(hmat):
-        raise ValueError("subalgebra basis is linearly dependent")
     hdim = len(hmat)
     # V = trace-form orthogonal complement of h
     vvecs = (nullspace(mat_mul(cleared(hmat)[0], gram_g))
              if hmat else identity(g.dim))
     dimv = len(vvecs)
-    basis = [(w, s) for (w,), s in (cleared([v]) for v in hmat + vvecs)]
-    # (h | V) components of the bracket of every pair of basis vectors, from
-    # one solve against the basis h + V of g: D s_i s_j [u_i, u_j] is the
-    # table bracket of w_i and w_j, and sum_k y_k w_k = sum_k y_k s_k u_k
-    den = g._structure[1]
-    pairs = list(combinations(range(len(basis)), 2))
-    ys = solve(transpose([w for w, _ in basis]), [
-        g._table_bracket(basis[i][0], basis[j][0]) for i, j in pairs])
-    split = {}
-    for (i, j), y in zip(pairs, ys):
-        q = den * basis[i][1] * basis[j][1]
-        z = [Fraction(yk.numerator * s, yk.denominator * q) if yk else yk
-             for yk, (_, s) in zip(y, basis)]
-        split[i, j] = (z[:hdim], z[hdim:])
-
-    h_brackets = {}
-    for i, j in combinations(range(hdim), 2):
-        hpart, vpart = split[(i, j)]
-        if any(vpart):
-            raise ValueError("h is not closed under the bracket")
-        h_brackets[(i, j)] = hpart
-    action = []
-    for i in range(hdim):
-        cols = []
-        for j in range(hdim, hdim + dimv):
-            hpart, vpart = split[(i, j)]
-            if any(hpart):
-                raise AssertionError("[h, V] escaped V; trace form broken?")
-            cols.append(vpart)
-        action.append(transpose(cols))
-    brackets = {(i, j): split[(hdim + i, hdim + j)][1]
-                for i, j in combinations(range(dimv), 2)}
-    # the restricted gram W G W^T / (L^2 s_i s_j), W the rows w_i
-    ws, ss = [w for w, _ in basis[hdim:]], [s for _, s in basis[hdim:]]
-    wgw = mat_mul(mat_mul(ws, gram_g), transpose(ws))
-    gram_v = [[Fraction(x, gden * si * sj) for x, sj in zip(row, ss)]
-              for row, si in zip(wgw, ss)]
+    reader, ws, s = _split_reader(hmat + vvecs)
+    # read(D [w_i, w_j]) = y has sum_k y_k w_k = d D s^2 [u_i, u_j], so the
+    # (h | V) components of [u_i, u_j] are y / q
+    q = reader.d * g._structure[1] * s
+    split = {(i, j): reader.read(sparse_vector(g._table_bracket(ws[i], ws[j])))
+             for i, j in combinations(range(hdim + dimv), 2)}
+    h_brackets = {ij: y[:hdim] for ij, y in split.items() if ij[1] < hdim}
+    if any(any(split[ij][hdim:]) for ij in h_brackets):
+        raise ValueError("h is not closed under the bracket")
+    cols = [[split[i, j] for j in range(hdim, hdim + dimv)]
+            for i in range(hdim)]
+    if any(any(y[:hdim]) for col in cols for y in col):
+        raise AssertionError("[h, V] escaped V; trace form broken?")
+    action = [transpose([y[hdim:] for y in col]) for col in cols]
     _check_rep_property(action, h_brackets)
-    return IsotropyModule(label=label, dimV=dimv, action=action, gram=gram_v,
-                          brackets=brackets, h_coords=hmat, V_coords=vvecs,
-                          ambient=g)
+    # the restricted gram W G W^T / (L^2 s^2), W the rows w_k of V
+    wgw = mat_mul(mat_mul(ws[hdim:], gram_g), transpose(ws[hdim:]))
+    return IsotropyModule(
+        label=label, dimV=dimv,
+        action=[[_over(row, q) for row in a] for a in action],
+        gram=[_over(row, gden * s * s) for row in wgw],
+        brackets={(i, j): _over(split[hdim + i, hdim + j][hdim:], q)
+                  for i, j in combinations(range(dimv), 2)},
+        h_coords=hmat, V_coords=vvecs, ambient=g)
 
 
 def generator_v_matrix(g, hmat, vvecs, fmat):
@@ -444,9 +438,10 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
     basis matrices: F is cleared to an integer matrix F', whose adjugate
     A = det(F') F'^-1 replaces the inverse, and each F' B_k A, B_k = L b_k
     the integer basis of b_k's block, is read in coordinates and divided
-    by L det(F').  The h and V bases are each cleared to integer rows W
-    over one denominator, and the images W Ad_F, integer combinations of
-    those coordinates, are read in the rows W by their `linalg.Basis`.
+    by L det(F').  The images W Ad_F of the h and V rows, cleared to W over
+    one denominator, are integer combinations of those coordinates, read
+    by the one `linalg.Basis` of W: an h row must have no V part and a V
+    row no h part.
     """
     f, _ = cleared(fmat)
     fdet, adj = adjugate(f)
@@ -465,27 +460,22 @@ def generator_v_matrix(g, hmat, vvecs, fmat):
             imgs.append(y)
     # Ad_F b_k = sum_l imgs[k][l] b_l / den
     imgs, den = cleared(imgs)
-
-    def images(vecs):
-        # u_j = w_j / s: read(w_j imgs) = y has sum_k y_k w_k = d w_j imgs,
-        # so Ad_F u_j = sum_k y_k u_k / (d den); None off the span
-        ws, _ = cleared(vecs)
-        basis = Basis.from_echelon(map(sparse_vector, ws))
-        ys = [basis.read(sparse_vector(p)) for p in mat_mul(ws, imgs)]
-        return None if None in ys else [
-            [Fraction(y, basis.d * den) for y in col] for col in ys]
-
-    # h must be preserved (nothing to check when h = 0)
-    if hmat and images(hmat) is None:
+    # u_j = w_j / s: read(w_j imgs) = y has sum_k y_k w_k = d w_j imgs, so
+    # Ad_F u_j = sum_k y_k u_k / (d den)
+    hdim = len(hmat)
+    reader, ws, _ = _split_reader([*hmat, *vvecs])
+    ys = [reader.read(sparse_vector(p)) for p in mat_mul(ws, imgs)]
+    if any(y is None or any(y[hdim:]) for y in ys[:hdim]):
         raise ValueError("generator does not normalize the subalgebra")
-    cols = images(vvecs)
-    if cols is None:
+    if any(y is None or any(y[:hdim]) for y in ys[hdim:]):
         raise ValueError("generator does not preserve the complement")
-    return transpose(cols)
+    return transpose([_over(y[hdim:], reader.d * den) for y in ys[hdim:]])
 
 
 def _check_rep_property(action, h_brackets):
-    """[rho(h_i), rho(h_j)] = rho([h_i, h_j]) from each bracket's h-coords."""
+    """[rho(h_i), rho(h_j)] = rho([h_i, h_j]) from each bracket's h-coords,
+    as [A_i, A_j] = sum_k c_k A_k: A_k = q rho(h_k) and c the coordinates
+    of [h_i, h_j] times q, in integers over one q (Fractions for q = 1)."""
     rho = [sparse(a) for a in action]
     for (i, j), coeffs in h_brackets.items():
         rhs = {}

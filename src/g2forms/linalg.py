@@ -8,8 +8,8 @@ the integer echelon rows of a sparse integer system, and `nullspace` is
 `kernel` of the cleared rows of a matrix.  The reduced row echelon form is
 unique, so no output depends on the pivot order.  `Basis` is the one
 reader of coordinates in a basis, each answer checked by one exact
-recombination; `solve` stays for batches and for systems with free
-variables.
+recombination; `solve` stays for systems with free variables (the
+primitive of an exact form) and for `inverse`.
 The fraction-free routines `adjugate`, `charpoly` and `inertia` run one
 integer recursion each, dividing exactly with `//` (`charpoly`,
 Berkowitz's, divides not at all); `det` is read off `adjugate`, and

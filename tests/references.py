@@ -48,6 +48,13 @@ length of a Fraction null space basis, `intersect_nullspaces` of the
 action matrices and the F - 1, and the `nullspace` of the transposed
 flattened action.  The package reads both as a dimension less a `rank`.
 
+`_kform_reference`: the invariant k-forms of a module from Fraction
+systems built one basis k-form at a time with `reference_action` and
+`pullback`, against `isotropy.invariant_kforms`.
+`_conjugated_generators(n)`: rational rotations and a signed swap
+conjugated by a rational triangular P, generators with denominators in
+every entry, for that reference and for the invariant symmetric forms.
+
 `reference_diffs`: the differentials of an invariant complex by
 elimination, one `solve` per degree of d of every basis form
 (`ce_differential`, which checks the form's invariance) against the
@@ -90,10 +97,10 @@ from g2forms.catalog import orthogonal_algebra_of_form
 from g2forms.homogeneous import ce_differential
 from g2forms.isotropy import invariant_kforms
 from g2forms.linalg import (ZERO, adjugate, cleared, det, identity, inertia,
-                            intersect_nullspaces, mat, mat_mul, mat_vec,
-                            nullspace, rref, solve, transpose)
+                            intersect_nullspaces, inverse, mat, mat_mul,
+                            mat_vec, nullspace, rref, solve, transpose)
 from g2forms.multilinear import (KForm, annihilator_of_form, complement,
-                                 minors, sort_index)
+                                 minors, pullback, sort_index)
 from g2forms.scan import _ray_grid
 from g2forms.stable_forms import (DIM, IDX3, FamilyHitchinMap, Orbit3Class,
                                   classify_coeffs, hitchin_matrix,
@@ -406,6 +413,43 @@ def dense_kernel_dim(m):
         return 0
     cols = [[x for row in a for x in row] for a in m.action]
     return len(nullspace(transpose(mat(cols))))
+
+
+def _conjugated_generators(n):
+    """Rational rotations (3/5, 4/5) in two coordinate planes and a signed
+    swap, conjugated by a rational triangular P: denominators in every
+    generator, and a nonzero fixed space."""
+    p = [[Fraction(1) if i == j else Fraction(1, 2 + i + j) if i < j
+          else Fraction(0) for j in range(n)] for i in range(n)]
+    pinv = inverse(p)
+    rot = identity(n)
+    rot[0][0] = rot[1][1] = Fraction(3, 5)
+    rot[0][1], rot[1][0] = Fraction(-4, 5), Fraction(4, 5)
+    swap = identity(n)
+    swap[n - 2][n - 2] = swap[n - 1][n - 1] = Fraction(0)
+    swap[n - 2][n - 1], swap[n - 1][n - 2] = Fraction(1), Fraction(-1)
+    return [mat_mul(mat_mul(p, f), pinv) for f in (rot, swap)], p, pinv
+
+
+def _kform_reference(m, k):
+    """The invariant k-forms from Fraction systems built one basis k-form
+    at a time with `reference_action` and `pullback`."""
+    n = m.dimV
+    if k == 0:
+        return [KForm.make(n, 0, [((), 1)])]
+    idxs = list(combinations(range(1, n + 1), k))
+
+    def matrix(op, f):
+        return transpose([op(f, KForm.basis(n, *idx)).coefficient_vector()
+                          for idx in idxs])
+
+    mats = [matrix(reference_action, a) for a in m.action]
+    mats += [mat_sub(matrix(pullback, f), identity(len(idxs)))
+             for _, f in m.generators]
+    if not mats:
+        return [KForm.basis(n, *idx) for idx in idxs]
+    return [KForm.from_coefficient_vector(n, k, v)
+            for v in intersect_nullspaces(mats)]
 
 
 def reference_diffs(m):

@@ -213,10 +213,14 @@ def test_catalog_unknown_case_exit_2():
     ("invariants --case 1 --params 5", "case '1' takes 0 parameters, got 1"),
     ("invariants --case so3_7 --params 3",
      "case 'so3_7' takes 0 parameters, got 1"),
+    ("complex-ranks --case so3_7",
+     "case 'so3_7' is representation-level only: without brackets it has "
+     "no complex"),
 ])
 def test_a_parameter_list_of_another_length_is_refused(args, message):
     # too few parameters must not end in a traceback, and superfluous ones
-    # must not be ignored under the label of an unshipped instance
+    # must not be ignored under the label of an unshipped instance; nor is
+    # the complex of so3_7, a module without brackets, printed as if abelian
     code, out, err = run_cli(*args.split())
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: {message}"]

@@ -1,22 +1,26 @@
 """Tests of `g2forms.isotropy`: isotropy modules and their invariant theory."""
 
+import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from g2forms.catalog import build_entry
-from g2forms.isotropy import (basis_coordinates, invariant_3forms,
-                              invariant_dims, invariant_form_types,
-                              invariant_inner_product, invariant_kform_basis,
-                              invariant_kforms, irreducible_dims,
-                              module_from_action, schur_exclusion)
-from g2forms.linalg import identity, inertia
+from g2forms.isotropy import (IsotropyModule, basis_coordinates,
+                              invariant_3forms, invariant_dims,
+                              invariant_form_types, invariant_inner_product,
+                              invariant_kform_basis, invariant_kforms,
+                              irreducible_dims, module_from_action,
+                              schur_exclusion)
+from g2forms.linalg import identity, inertia, inverse, mat_mul, transpose
 from g2forms.multilinear import KForm
 from g2forms.scan import ScanConfig
 from g2forms.stable_forms import Orbit3Class
-from references import (SO_FORM_ACTIONS, _rational_form, _scan_samples,
-                        classify3, mat_sub)
+from references import (SO_FORM_ACTIONS, _conjugated_generators,
+                        _kform_reference, _rational_form, _scan_samples,
+                        classify3, dense_d1, dense_kernel_dim, mat_sub)
 
 SMALL_SCAN = ScanConfig(grid=400, random=100)
 
@@ -317,3 +321,80 @@ def test_a_finer_split_gets_no_certificate_and_the_full_scan(monkeypatch):
     assert rep["has_indefinite"] == "undecided"
     assert rep["samples"] == sum(
         1 for c in _scan_samples(rep["dim"], config) if any(c)) == 10_999
+
+
+def test_d1_and_kernel_dim_match_the_dense_route_on_small_modules():
+    # d1 of the rational rotation and signed swap alone: they fix e3..e5
+    # after conjugation, while the empty action alone fixes all of R^7
+    gens, _, _ = _conjugated_generators(7)
+    mod = IsotropyModule(label="generators", dimV=7, action=[],
+                         gram=identity(7),
+                         generators=[("rot", gens[0]), ("swap", gens[1])])
+    assert invariant_dims(mod).d1 == dense_d1(mod) == 3
+    bare = IsotropyModule(label="bare", dimV=7, action=[], gram=identity(7))
+    assert invariant_dims(bare).d1 == dense_d1(bare) == 7
+    assert bare.kernel_dim() == dense_kernel_dim(bare) == 0
+    # the action [A, 0, 2A] kills the 2-dimensional span of (0, 1, 0) and
+    # (2, 0, -1) in h
+    a = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
+    mod = IsotropyModule(label="A, 0, 2A", dimV=2, gram=identity(2),
+                         action=[a, [[0, 0], [0, 0]],
+                                 [[2 * x for x in row] for row in a]])
+    assert mod.kernel_dim() == dense_kernel_dim(mod) == 2
+    assert invariant_dims(mod).d1 == dense_d1(mod) == 0
+
+
+def test_invariant_kforms_under_rational_generators_match_the_reference():
+    # one rotation generator of the (1, 2)-plane and rational rotations of
+    # it and of the (6, 7)-plane, all conjugated by P: denominators in the
+    # action and in each generator
+    gens, p, pinv = _conjugated_generators(7)
+    rot = [[Fraction(0)] * 7 for _ in range(7)]
+    rot[0][1], rot[1][0] = Fraction(-1), Fraction(1)
+    mod = IsotropyModule(label="rational", dimV=7,
+                         action=[mat_mul(mat_mul(p, rot), pinv)],
+                         gram=identity(7),
+                         generators=[("rot", gens[0]), ("swap", gens[1])])
+    assert any(x.denominator > 1 for _, f in mod.generators
+               for row in f for x in row)
+    for k in range(8):
+        got = invariant_kforms(mod, k)
+        assert got == _kform_reference(mod, k), k
+        assert got
+
+
+def _transported(mod, seed):
+    """mod in the V basis P = LU, L and U unit triangular with seeded
+    entries in [-1, 1]: the action P^-1 A P, the gram P^T G P and the
+    generators P^-1 F P, the brackets left out (the scan reads none)."""
+    rng = random.Random(seed)
+    n = mod.dimV
+
+    def unit_triangular(lower):
+        return [[1 if i == j else rng.randint(-1, 1) if (i > j) == lower
+                 else 0 for j in range(n)] for i in range(n)]
+
+    p = mat_mul(unit_triangular(True), unit_triangular(False))
+    pinv = inverse(p)
+
+    def conj(a):
+        return mat_mul(pinv, mat_mul(a, p))
+
+    return dataclasses.replace(
+        mod, action=[conj(a) for a in mod.action], brackets={},
+        gram=mat_mul(transpose(p), mat_mul(mod.gram, p)),
+        generators=[(name, conj(f)) for name, f in mod.generators])
+
+
+def test_a_transported_module_below_its_first_witness_is_undecided():
+    # in this basis 2ci shows an indefinite member at the first grid ray
+    # and a definite one only at the 209th; one ray fewer leaves the
+    # definite class undecided, never False, as no certificate excludes it
+    mod = _transported(build_entry("2ci"), 0)
+    below = invariant_form_types(mod, ScanConfig(grid=208, random=0))
+    at = invariant_form_types(mod, ScanConfig(grid=209, random=0))
+    assert below["certificate"] == at["certificate"] == {}
+    assert (below["has_definite"], below["has_indefinite"]) == (
+        "undecided", True)
+    assert (at["has_definite"], at["has_indefinite"]) == (True, True)
+    assert (below["samples"], at["samples"]) == (208, 209)

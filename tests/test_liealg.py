@@ -8,25 +8,23 @@ import pytest
 
 from g2forms.catalog import (_BUILDERS, build_entry, candidate_module,
                              load_catalog, orthogonal_algebra_of_form)
-from g2forms.isotropy import (IsotropyModule, _certified_split,
-                              _invariant_symmetric_forms, invariant_3forms,
-                              invariant_dims, invariant_form_types,
-                              invariant_kforms, irreducible_dims,
-                              module_from_action, schur_exclusion)
+from g2forms.isotropy import (_certified_split, _invariant_symmetric_forms,
+                              invariant_3forms, invariant_dims,
+                              invariant_form_types, invariant_kforms,
+                              irreducible_dims, module_from_action,
+                              schur_exclusion)
 from g2forms.liealg import (MatrixLieAlgebra, _check_rep_property,
                             build_algebra, generator_v_matrix,
                             product_algebra, reductive_complement,
                             torus_basis)
-from g2forms.linalg import (cleared, identity, inertia, intersect_nullspaces,
-                            inverse, mat, mat_mul, mat_vec, nullspace, rank,
-                            rref, solve, transpose)
-from g2forms.multilinear import KForm, pullback
+from g2forms.linalg import (cleared, identity, inertia, inverse, mat, mat_mul,
+                            mat_vec, nullspace, rank, rref, solve, transpose)
 from g2forms.scan import (ScanConfig, _ray_grid, family_hitchin_map,
                           isotropic_exclusion, kernel_exclusion)
-from references import (SO_FORM_ACTIONS, _rational_form, _sample_vec,
+from references import (SO_FORM_ACTIONS, _conjugated_generators,
+                        _kform_reference, _rational_form, _sample_vec,
                         _scan_samples, bracket, check_jacobi, commutator,
-                        dense_d1, dense_kernel_dim, mat_sub, reference_action,
-                        trace)
+                        dense_d1, dense_kernel_dim, mat_sub, trace)
 from g2forms.stable_forms import (Orbit3Class, classify_coeffs,
                                   classify_hitchin, hitchin_matrix,
                                   primitive_int_vector)
@@ -305,8 +303,69 @@ def test_representation_property_is_enforced():
     g = product_algebra("su(2)+t(1)",
                         [build_algebra("su(2)"), build_algebra("u(1)")])
     bad = [g.basis[0], g.basis[1]]  # not closed: [b0, b1] = b2-direction
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not closed under the bracket"):
         reductive_complement(g, bad)
+
+
+def test_a_linearly_dependent_subalgebra_is_refused():
+    # by the split and by a generator: the joint reader of h + V refuses
+    # the repeated row, not an elimination of h alone
+    su2 = build_algebra("su(2)")
+    with pytest.raises(ValueError, match="linearly dependent"):
+        reductive_complement(su2, [su2.basis[0], su2.basis[0]])
+    g, _, ((_, d14, _),) = _BUILDERS["2ai"]()
+    mod = build_entry("2ai")
+    with pytest.raises(ValueError, match="linearly dependent"):
+        generator_v_matrix(g, [mod.h_coords[0], *mod.h_coords],
+                           mod.V_coords, d14)
+
+
+def test_a_generator_that_moves_the_split_is_refused():
+    # 2ai is so(5) over so(3) on coordinates 3..5, with the generator
+    # D14 = diag(1, -1, -1, -1, -1)
+    g, _, ((_, d14, _),) = _BUILDERS["2ai"]()
+    mod = build_entry("2ai")
+    hmat, vvecs = mod.h_coords, mod.V_coords
+    stretch = identity(5)
+    stretch[0][0] = Fraction(2)
+    with pytest.raises(ValueError, match="normalize the algebra"):
+        generator_v_matrix(g, hmat, vvecs, stretch)
+    # the swap of coordinates 1 and 3 carries so(3) off coordinates 3..5
+    swap = identity(5)
+    swap[0], swap[2] = swap[2], swap[0]
+    with pytest.raises(ValueError, match="normalize the subalgebra"):
+        generator_v_matrix(g, hmat, vvecs, swap)
+    # D14 fixes h_0 and negates V, so it moves each v + h_0 off V + h_0
+    shifted = [[x + y for x, y in zip(v, hmat[0])] for v in vvecs]
+    generator_v_matrix(g, hmat, vvecs, d14)
+    with pytest.raises(ValueError, match="preserve the complement"):
+        generator_v_matrix(g, hmat, shifted, d14)
+
+
+def test_the_split_and_each_generator_take_one_reader_of_h_plus_v(
+        monkeypatch):
+    # warm runs, the block readers built: a split eliminates once for the
+    # complement (none when h = 0) and once for its reader of h + V, and a
+    # generator only for that reader
+    from g2forms import linalg
+
+    calls = []
+    real = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda rows: calls.append(1) or real(rows))
+    for case, params in CATALOG_ROWS:
+        if case == "so3_7":
+            continue
+        g, h, gens = _BUILDERS[case](*params)
+        mod = reductive_complement(g, h)
+        calls.clear()
+        reductive_complement(g, h)
+        assert len(calls) == (2 if h else 1), case
+        for name, fmat, _ in gens:
+            generator_v_matrix(g, mod.h_coords, mod.V_coords, fmat)
+            calls.clear()
+            generator_v_matrix(g, mod.h_coords, mod.V_coords, fmat)
+            assert len(calls) == 1, (case, name)
 
 
 def test_rep_property_check_raises_on_a_corrupted_action():
@@ -327,6 +386,31 @@ def test_rep_property_check_raises_on_a_corrupted_action():
                 with pytest.raises(AssertionError,
                                    match="isotropy action violates"):
                     _check_rep_property(bad, h_brackets)
+
+
+def test_the_split_checks_its_integer_action_against_its_h_brackets(
+        monkeypatch):
+    # the check sees the action in integers over one q, which the module
+    # holds divided by q, and one entry of it off by one ends the split
+    from g2forms import liealg
+
+    g, h, _ = _BUILDERS["1"]()
+    mod = reductive_complement(g, h)
+    real, seen = liealg._check_rep_property, []
+
+    def corrupted(action, h_brackets):
+        seen.append([[row[:] for row in a] for a in action])
+        action[0][0][1] += 1
+        real(action, h_brackets)
+
+    monkeypatch.setattr(liealg, "_check_rep_property", corrupted)
+    with pytest.raises(AssertionError, match="isotropy action violates"):
+        reductive_complement(g, h)
+    (action,) = seen
+    pairs = [(Fraction(m), x) for a, b in zip(mod.action, action)
+             for mr, row in zip(a, b) for m, x in zip(mr, row)]
+    assert all(type(x) is int and (m == 0) == (x == 0) for m, x in pairs)
+    assert len({m / x for m, x in pairs if x}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +478,6 @@ def test_irreducible_dims_of_the_so_form_actions(label, action, gram):
         label, [len(gram)])
 
 
-def _conjugated_generators(n):
-    """Rational rotations (3/5, 4/5) in two coordinate planes and a signed
-    swap, conjugated by a rational triangular P: denominators in every
-    generator, and a nonzero fixed space."""
-    p = [[Fraction(1) if i == j else Fraction(1, 2 + i + j) if i < j
-          else Fraction(0) for j in range(n)] for i in range(n)]
-    pinv = inverse(p)
-    rot = identity(n)
-    rot[0][0] = rot[1][1] = Fraction(3, 5)
-    rot[0][1], rot[1][0] = Fraction(-4, 5), Fraction(4, 5)
-    swap = identity(n)
-    swap[n - 2][n - 2] = swap[n - 1][n - 1] = Fraction(0)
-    swap[n - 2][n - 1], swap[n - 1][n - 2] = Fraction(1), Fraction(-1)
-    return [mat_mul(mat_mul(p, f), pinv) for f in (rot, swap)], p, pinv
-
-
 @pytest.mark.parametrize("label,action,gram", SO_FORM_ACTIONS,
                          ids=[c[0] for c in SO_FORM_ACTIONS])
 def test_invariant_symmetric_forms_match_a_fraction_reference(
@@ -428,27 +496,6 @@ def test_invariant_symmetric_forms_match_a_fraction_reference(
     assert got == _symmetric_forms_reference(conj, gens, n)
 
 
-def _kform_reference(m, k):
-    """The invariant k-forms from Fraction systems built one basis k-form
-    at a time with `reference_action` and `pullback`."""
-    n = m.dimV
-    if k == 0:
-        return [KForm.make(n, 0, [((), 1)])]
-    idxs = list(combinations(range(1, n + 1), k))
-
-    def matrix(op, f):
-        return transpose([op(f, KForm.basis(n, *idx)).coefficient_vector()
-                          for idx in idxs])
-
-    mats = [matrix(reference_action, a) for a in m.action]
-    mats += [mat_sub(matrix(pullback, f), identity(len(idxs)))
-             for _, f in m.generators]
-    if not mats:
-        return [KForm.basis(n, *idx) for idx in idxs]
-    return [KForm.from_coefficient_vector(n, k, v)
-            for v in intersect_nullspaces(mats)]
-
-
 @pytest.mark.parametrize("case,params", CATALOG_ROWS, ids=CATALOG_IDS)
 def test_invariant_kforms_match_the_per_form_reference(case, params):
     mod = build_entry(case, params)
@@ -456,51 +503,11 @@ def test_invariant_kforms_match_the_per_form_reference(case, params):
         assert invariant_kforms(mod, k) == _kform_reference(mod, k), k
 
 
-def test_d1_and_kernel_dim_match_the_dense_route_on_small_modules():
-    # d1 of the rational rotation and signed swap alone: they fix e3..e5
-    # after conjugation, while the empty action alone fixes all of R^7
-    gens, _, _ = _conjugated_generators(7)
-    mod = IsotropyModule(label="generators", dimV=7, action=[],
-                         gram=identity(7),
-                         generators=[("rot", gens[0]), ("swap", gens[1])])
-    assert invariant_dims(mod).d1 == dense_d1(mod) == 3
-    bare = IsotropyModule(label="bare", dimV=7, action=[], gram=identity(7))
-    assert invariant_dims(bare).d1 == dense_d1(bare) == 7
-    assert bare.kernel_dim() == dense_kernel_dim(bare) == 0
-    # the action [A, 0, 2A] kills the 2-dimensional span of (0, 1, 0) and
-    # (2, 0, -1) in h
-    a = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
-    mod = IsotropyModule(label="A, 0, 2A", dimV=2, gram=identity(2),
-                         action=[a, [[0, 0], [0, 0]],
-                                 [[2 * x for x in row] for row in a]])
-    assert mod.kernel_dim() == dense_kernel_dim(mod) == 2
-    assert invariant_dims(mod).d1 == dense_d1(mod) == 0
-
-
 @pytest.mark.parametrize("case,params", CATALOG_ROWS, ids=CATALOG_IDS)
 def test_d1_and_kernel_dim_match_the_dense_route_on_every_row(case, params):
     mod = build_entry(case, params)
     assert invariant_dims(mod).d1 == dense_d1(mod)
     assert mod.kernel_dim() == dense_kernel_dim(mod)
-
-
-def test_invariant_kforms_under_rational_generators_match_the_reference():
-    # one rotation generator of the (1, 2)-plane and rational rotations of
-    # it and of the (6, 7)-plane, all conjugated by P: denominators in the
-    # action and in each generator
-    gens, p, pinv = _conjugated_generators(7)
-    rot = [[Fraction(0)] * 7 for _ in range(7)]
-    rot[0][1], rot[1][0] = Fraction(-1), Fraction(1)
-    mod = IsotropyModule(label="rational", dimV=7,
-                         action=[mat_mul(mat_mul(p, rot), pinv)],
-                         gram=identity(7),
-                         generators=[("rot", gens[0]), ("swap", gens[1])])
-    assert any(x.denominator > 1 for _, f in mod.generators
-               for row in f for x in row)
-    for k in range(8):
-        got = invariant_kforms(mod, k)
-        assert got == _kform_reference(mod, k), k
-        assert got
 
 
 # ---------------------------------------------------------------------------
@@ -551,43 +558,6 @@ def test_schur_exclusion_fires_on_the_definite_only_rows(case):
     assert {cls: c.to_json() for cls, c in rep["certificate"].items()} == {
         "indefinite": cert}
     assert rep["has_definite"] is True and not rep["has_indefinite"]
-
-
-def _transported(mod, seed):
-    """mod in the V basis P = LU, L and U unit triangular with seeded
-    entries in [-1, 1]: the action P^-1 A P, the gram P^T G P and the
-    generators P^-1 F P, the brackets left out (the scan reads none)."""
-    rng = random.Random(seed)
-    n = mod.dimV
-
-    def unit_triangular(lower):
-        return [[1 if i == j else rng.randint(-1, 1) if (i > j) == lower
-                 else 0 for j in range(n)] for i in range(n)]
-
-    p = mat_mul(unit_triangular(True), unit_triangular(False))
-    pinv = inverse(p)
-
-    def conj(a):
-        return mat_mul(pinv, mat_mul(a, p))
-
-    return dataclasses.replace(
-        mod, action=[conj(a) for a in mod.action], brackets={},
-        gram=mat_mul(transpose(p), mat_mul(mod.gram, p)),
-        generators=[(name, conj(f)) for name, f in mod.generators])
-
-
-def test_a_transported_module_below_its_first_witness_is_undecided():
-    # in this basis 2ci shows an indefinite member at the first grid ray
-    # and a definite one only at the 209th; one ray fewer leaves the
-    # definite class undecided, never False, as no certificate excludes it
-    mod = _transported(build_entry("2ci"), 0)
-    below = invariant_form_types(mod, ScanConfig(grid=208, random=0))
-    at = invariant_form_types(mod, ScanConfig(grid=209, random=0))
-    assert below["certificate"] == at["certificate"] == {}
-    assert (below["has_definite"], below["has_indefinite"]) == (
-        "undecided", True)
-    assert (at["has_definite"], at["has_indefinite"]) == (True, True)
-    assert (below["samples"], at["samples"]) == (208, 209)
 
 
 def _monomial_matrices(hitchin):
