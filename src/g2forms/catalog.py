@@ -29,9 +29,9 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from .linalg import (ZERO, Basis, adjugate, block_diag, cleared, det,
-                     embed_block, frac, identity, mat, mat_vec, nullspace,
-                     rank, sparse_vector, transpose, zeros)
+from .linalg import (ZERO, Basis, block_diag, cleared, det, embed_block,
+                     frac, identity, inverse, mat, mat_vec, nullspace, rank,
+                     sparse_vector, transpose, zeros)
 from .isotropy import (IsotropyModule, basis_coordinates, invariant_dims,
                        invariant_form_types, invariant_inner_product,
                        invariant_kform_basis, irreducible_dims,
@@ -122,13 +122,11 @@ def orthogonal_algebra_of_form(d):
 
     This is a compact realization of so(n) adapted to a representation whose
     invariant inner product D is rational but not the standard one; the
-    basis is D^{-1} (E_ij - E_ji): column i of D^{-1} in column j, minus
-    column j in column i, with D^{-1} = L adj(D') / det D' for D' = L D.
+    basis is D^{-1} (E_ij - E_ji): column i of D^{-1} = `inverse(d)` in
+    column j, minus column j in column i.
     """
     n = len(d)
-    ints, den = cleared(d)
-    detd, adj = adjugate(ints)
-    dinv = [[Fraction(den * a, detd) for a in row] for row in adj]
+    dinv = inverse(d)
     return MatrixLieAlgebra.from_basis(f"so({n};form)", [
         [[row[i] if c == j else -row[j] if c == i else ZERO
           for c in range(n)] for row in dinv]

@@ -133,7 +133,7 @@ def complex_ranks(c: InvariantComplex):
     """Per degree: (dim, rank of d, dim ker d = dim - rank), exact."""
     out = []
     for basis, d in zip(c.bases, c.diffs):
-        r = rank(d) if d and d[0] else 0
+        r = rank(d)
         out.append((len(basis), r, len(basis) - r))
     return out
 
@@ -232,8 +232,9 @@ def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
 
 def exact_primitive(c: InvariantComplex, target: KForm):
     """Some invariant (k-1)-form a with d a = target, a k-form, or None:
-    `basis_coordinates` of the target, then one `solve` against d.  A
-    ValueError refuses another dim or a degree outside 1..dimV."""
+    `basis_coordinates` of the target t, then one `solve` against d, the
+    `kernel` of [d | -t] read at t's column.  A ValueError refuses another
+    dim or a degree outside 1..dimV."""
     n = c.module.dimV
     if target.dim != n:
         raise ValueError(f"target has dim {target.dim}, the complex dim {n}")

@@ -6,16 +6,16 @@ rows {col: int}, `_echelon`, runs under every elimination, and only `rref`
 builds the Fraction RREF: `kernel` reads a null space basis straight off
 the integer echelon rows of a sparse integer system, and `nullspace` is
 `kernel` of the cleared rows of a matrix.  The reduced row echelon form is
-unique, so no output depends on the pivot order.  `Basis` is the one
-reader of coordinates in a basis, each answer checked by one exact
-recombination; `solve` stays for systems with free variables (the
-primitive of an exact form) and for `inverse`.
+unique, so no output depends on the pivot order.  Beside `rref`, three
+readers sit on it: `rank`, `kernel` (also `nullspace` and `solve`) and
+`Basis.from_echelon`, the one reader of coordinates in a basis, each
+answer checked by one exact recombination.
 The fraction-free routines `adjugate`, `charpoly` and `inertia` run one
 integer recursion each, dividing exactly with `//` (`charpoly`,
-Berkowitz's, divides not at all); `det` is read off `adjugate`, and
-`leading_principal_minors` is the `det` of each leading block.  An all-int
-matrix is read as it is and gives ints, and a rational one is cleared once
-to L a and gives the rescaled Fractions.
+Berkowitz's, divides not at all); `det` and `inverse` are read off
+`adjugate`, and `leading_principal_minors` is the `det` of each leading
+block.  An all-int matrix is read as it is and gives ints, and a rational
+one is cleared once to L a and gives the rescaled Fractions.
 Signatures of symmetric matrices come from `inertia`, one symmetric
 fraction-free elimination read by Jacobi's rule, which gives the
 determinant as well.  No floating point.
@@ -287,34 +287,34 @@ def nullspace(a):
 
 
 def solve(a, bs):
-    """One solution x of a x = b for each right-hand side b in bs.
-
-    [a | b_1 ... b_m] is reduced once by `_echelon`; free variables are set
-    to zero.  Entries of a and of the b are taken as they are, int or
-    Fraction: each row is cleared to integers, so an int right-hand side
-    needs no promotion.  Returns the list of solutions (Fractions), or None
-    if any b is inconsistent.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i] for b in bs] for i in range(rows)]
-    done = _echelon(map(_int_row, aug))
-    if done and done[-1][0] >= cols:
+    """One solution x of a x = b for each b in bs, free variables zero: the
+    `kernel` of [a | -b_1 ... -b_m], rows cleared to integers, read at the
+    b columns.  With every b before it consistent, a b column is free (its
+    kernel vector 1 there) exactly when its b is, and a pivot column reads
+    0.  Returns the Fraction solutions, or None if any b is inconsistent; a
+    ValueError refuses a b whose length is not the row count of a."""
+    if any(len(b) != len(a) for b in bs):
+        raise ValueError(f"every right-hand side needs {len(a)} entries, "
+                         "one per row")
+    cols, m = (len(a[0]) if a else 0), len(bs)
+    xs = kernel(map(_int_row, ([*row, *(-b[i] for b in bs)]
+                               for i, row in enumerate(a))), cols + m)
+    xs = xs[-m:] if m else []
+    if len(xs) < m or any(x[c] != 1 for c, x in enumerate(xs, cols)):
         return None
-    xs = [[ZERO] * cols for _ in bs]
-    for pc, r in done:
-        p = r[pc]
-        for m, x in enumerate(xs, cols):
-            if m in r:
-                x[pc] = Fraction(r[m], p)
-    return xs
+    return [x[:cols] for x in xs]
 
 
 def inverse(a):
-    x = solve(a, identity(len(a)))
-    if x is None:
+    """a^-1 = L adj(A) / det A for the cleared A = L a (`adjugate`), as
+    Fractions; a ValueError refuses a non-square or singular a."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix is not square")
+    ints, den = cleared(a)
+    d, adj = adjugate(ints)
+    if adj is None:
         raise ValueError("matrix is singular")
-    return transpose(x)
+    return [[Fraction(den * x, d) for x in row] for row in adj]
 
 
 def _integral(a):

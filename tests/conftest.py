@@ -8,6 +8,7 @@ from g2forms.isotropy import invariant_3forms
 from g2forms.liealg import build_algebra
 from g2forms.section5 import NAMED_ALGEBRAS, _so4_module
 from g2forms.stable_forms import primitive_int_vector
+from references import _family
 
 
 @pytest.fixture(scope="session")
@@ -42,4 +43,20 @@ def scanned_families():
                 f.coefficient_vector()) for f in basis]))
     assert {label for label, _, _ in out} >= {
         "4ii(0, 0)+B23-swap", "6ii+R5-fixing-rotation"}
+    return out
+
+
+@pytest.fixture(scope="session")
+def degenerate_families():
+    """label -> (module, family map, monomials, kernel dim) of the families
+    whose members are all degenerate."""
+    out = {}
+    for case, params, n_monomials, kernel_dim in (
+            ("4ii", (0, 0), 1, 3), ("6ii", (), 75, 2),
+            ("3biii", (1, 1), 1, 6)):
+        mod = build_entry(case, params)
+        for name, fmat, expect in mod.pending_generators:
+            assert expect == "rejected"
+            mod = candidate_module(mod, name, fmat)
+        out[mod.label] = (mod, _family(mod), n_monomials, kernel_dim)
     return out

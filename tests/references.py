@@ -23,6 +23,9 @@ package's, only `kernel` and `inertia`.
 `_scan_samples` and `_sample_vec`: the sample order of a family scan (the
 rays of `scan._ray_grid`, then the seeded draws) and the coefficient
 vector of a sample, for the tests of the scan and of the family map.
+`_family` and `_monomial_matrices`: the family Hitchin map of a module's
+invariant 3-forms, and its dense integer matrices M_abc in monomial order,
+for the tests of the scan's kernel and isotropic certificates.
 
 `metric_from_4form`: the exact covector metric of a 4-form, gdual(p) as
 the Hitchin matrix of star_euclidean(p).  `section5.example_429_report`
@@ -95,7 +98,7 @@ from math import prod
 
 from g2forms.catalog import orthogonal_algebra_of_form
 from g2forms.homogeneous import ce_differential
-from g2forms.isotropy import invariant_kforms
+from g2forms.isotropy import invariant_3forms, invariant_kforms
 from g2forms.linalg import (ZERO, adjugate, cleared, det, identity, inertia,
                             intersect_nullspaces, inverse, mat, mat_mul,
                             mat_vec, nullspace, rref, solve, transpose)
@@ -103,7 +106,8 @@ from g2forms.multilinear import (KForm, annihilator_of_form, complement,
                                  minors, pullback, sort_index)
 from g2forms.scan import _ray_grid
 from g2forms.stable_forms import (DIM, IDX3, FamilyHitchinMap, Orbit3Class,
-                                  classify_coeffs, hitchin_matrix,
+                                  classify_coeffs, family_hitchin_map,
+                                  hitchin_matrix, primitive_int_vector,
                                   primitive_ray, star_euclidean)
 
 IDX3_POS = {idx: p for p, idx in enumerate(IDX3)}
@@ -213,6 +217,23 @@ def _scan_samples(d, config):
 
 def _sample_vec(coeffs, bvecs):
     return [sum(c * bv[k] for c, bv in zip(coeffs, bvecs)) for k in range(35)]
+
+
+def _monomial_matrices(hitchin):
+    """The dense integer matrices M_abc of a family map, in monomial order."""
+    out = []
+    for *_, terms in hitchin.monomials:
+        m = [[0] * 7 for _ in range(7)]
+        for e, coef in terms:
+            i, j = hitchin.cells[e]
+            m[i][j] = m[j][i] = coef
+        out.append(m)
+    return out
+
+
+def _family(mod):
+    return family_hitchin_map([primitive_int_vector(f.coefficient_vector())
+                               for f in invariant_3forms(mod)])
 
 
 def metric_from_4form(p: KForm) -> list:

@@ -1,9 +1,12 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import g2forms
 from g2forms.linalg import (Basis, _echelon, adjugate, charpoly, cleared, det,
                             identity, inertia, inverse, kernel,
                             leading_principal_minors, mat, mat_mul, nullspace,
@@ -183,6 +186,12 @@ def test_solve_inconsistent():
     assert solve(mat([[1, 1], [1, 1]]), [[1, 2]]) is None
 
 
+def test_solve_refuses_a_right_hand_side_of_another_length():
+    # one entry per row of a: a third entry was silently dropped
+    with pytest.raises(ValueError, match="needs 2 entries, one per row"):
+        solve(mat([[1, 2], [3, 4]]), [[1, 2, 3]])
+
+
 def _solve_one(a, b):
     """Reference: reduce [a | b] for a single right-hand side."""
     cols = len(a[0])
@@ -322,6 +331,12 @@ def test_a_kernel_basis_is_read_at_its_last_keys_and_no_other_is_read():
     for bad in (doubled, shared, crossing, rows + [{}]):
         with pytest.raises(ValueError, match="not a kernel basis"):
             Basis.from_kernel(bad)
+
+
+def test_inverse_refuses_a_non_square_matrix():
+    # a 1 x 2 matrix has no inverse, though [[1], [0]] is a right inverse
+    with pytest.raises(ValueError, match="not square"):
+        inverse(mat([[1, 2]]))
 
 
 def test_inverse_raises_on_a_singular_matrix():
@@ -709,3 +724,36 @@ def test_adjugate_agrees_with_det_and_inverse_on_random_matrices():
             else:
                 assert adj is None
 
+
+def _package_functions():
+    """(module, qualified name, names referred to) of every top-level
+    function and method of the package; nested functions count for the
+    function that holds them."""
+    for path in sorted(Path(g2forms.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                fns = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                       if isinstance(fn, ast.FunctionDef)]
+            else:
+                fns = ([(node.name, node)]
+                       if isinstance(node, ast.FunctionDef) else [])
+            for name, fn in fns:
+                yield path.stem, name, {
+                    sub.id if isinstance(sub, ast.Name) else sub.attr
+                    for sub in ast.walk(fn)
+                    if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def test_echelon_has_three_readers_and_every_inverse_is_read_off_adjugate():
+    functions = list(_package_functions())
+    assert {(mod, name) for mod, name, names in functions
+            if "_echelon" in names} == {
+        ("linalg", "rank"), ("linalg", "kernel"),
+        ("linalg", "Basis.from_echelon"), ("linalg", "rref")}
+    linalg = {name: names for mod, name, names in functions
+              if mod == "linalg"}
+    assert "kernel" in linalg["solve"] and "adjugate" in linalg["inverse"]
+    # outside linalg an adjugate stays an integer matrix: no function that
+    # takes one divides it into Fractions
+    assert not [(mod, name) for mod, name, names in functions
+                if mod != "linalg" and {"adjugate", "Fraction"} <= names]
