@@ -30,7 +30,7 @@ from importlib import resources
 from itertools import combinations
 
 from .linalg import (ZERO, Basis, block_diag, cleared, det, embed_block,
-                     frac, identity, inverse, mat, mat_vec, nullspace, rank,
+                     frac, identity, inverse, kernel, mat, mat_vec, rank,
                      sparse_vector, transpose, zeros)
 from .isotropy import (IsotropyModule, basis_coordinates, invariant_dims,
                        invariant_form_types, invariant_inner_product,
@@ -111,7 +111,7 @@ def so3_irrep(dim):
                 e = list(m)
                 e[ax] -= 2
                 lap[tpos[tuple(e)]][col] += m[ax] * (m[ax] - 1)
-    harm = nullspace(lap) if tgt else identity(len(monos))
+    harm = kernel(map(sparse_vector, lap), len(monos))
     if len(harm) != dim:
         raise AssertionError("harmonic space has unexpected dimension")
     return _restrict(acts, harm)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, combinations, count
 from typing import NamedTuple
 
-from .linalg import (Basis, cleared, identity, inertia, mat_mul, nullspace,
+from .linalg import (Basis, cleared, identity, inertia, kernel, mat_mul,
                      rank, solve, sparse, sparse_mul, sparse_vector)
 from .isotropy import (IsotropyModule, basis_coordinates, invariant_3forms,
                        invariant_kforms)
@@ -219,8 +219,7 @@ def closed_stable_scan(c: InvariantComplex, config: ScanConfig = None):
     """
     basis3 = c.bases[3]
     d3mat = c.diffs[3]
-    closed_coeff = nullspace(d3mat) if d3mat and d3mat[0] else \
-        identity(len(basis3))
+    closed_coeff = kernel(map(sparse_vector, cleared(d3mat)[0]), len(basis3))
     closed_vecs = mat_mul(closed_coeff,
                           [f.coefficient_vector() for f in basis3])
     rep = scan_family(cleared(closed_vecs)[0], config)

@@ -32,7 +32,7 @@ from .isotropy import IsotropyModule
 from .isotropy import (ScanConfig, invariant_3forms, invariant_dims,
                        invariant_form_types, irreducible_dims)
 from .linalg import (ZERO, Basis, adjugate, cleared, embed_block, frac,
-                     identity, inertia, mat_mul, nullspace, sparse,
+                     identity, inertia, kernel, mat_mul, sparse,
                      sparse_mul, sparse_vector, transpose, zeros)
 
 
@@ -402,8 +402,8 @@ def reductive_complement(g: MatrixLieAlgebra, h_elements,
         raise ValueError("subalgebra element outside the ambient algebra")
     hdim = len(hmat)
     # V = trace-form orthogonal complement of h
-    vvecs = (nullspace(mat_mul(cleared(hmat)[0], gram_g))
-             if hmat else identity(g.dim))
+    vvecs = kernel(map(sparse_vector, mat_mul(cleared(hmat)[0], gram_g)),
+                   g.dim)
     dimv = len(vvecs)
     reader, ws, s = _split_reader(hmat + vvecs)
     # read(D [w_i, w_j]) = y has sum_k y_k w_k = d D s^2 [u_i, u_j], so the

@@ -2,14 +2,13 @@
 
 Matrices are lists of lists of rationals (Fraction or int; `mat` promotes
 to Fraction).  One fraction-free Gauss-Jordan on sparse primitive integer
-rows {col: int}, `_echelon`, runs under every elimination, and only `rref`
-builds the Fraction RREF: `kernel` reads a null space basis straight off
-the integer echelon rows of a sparse integer system, and `nullspace` is
-`kernel` of the cleared rows of a matrix.  The reduced row echelon form is
-unique, so no output depends on the pivot order.  Beside `rref`, three
-readers sit on it: `rank`, `kernel` (also `nullspace` and `solve`) and
-`Basis.from_echelon`, the one reader of coordinates in a basis, each
-answer checked by one exact recombination.
+rows {col: int}, `_echelon`, runs under every elimination.  The reduced
+row echelon form is unique, so no output depends on the pivot order.
+Three readers sit on it: `rank`; `kernel`, which reads a null space basis
+straight off the integer echelon rows of a sparse integer system, and off
+which `nullspace` (the cleared rows of a matrix), `rref` and `solve` are
+read; and `Basis.from_echelon`, the one reader of coordinates in a basis,
+each answer checked by one exact recombination.
 The fraction-free routines `adjugate`, `charpoly` and `inertia` run one
 integer recursion each, dividing exactly with `//` (`charpoly`,
 Berkowitz's, divides not at all); `det` and `inverse` are read off
@@ -170,22 +169,19 @@ def _echelon(rows):
 def rref(a):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
-    The `_echelon` rows of the rows of a, each cleared to integers, divided
-    by their pivots: every entry of R is a Fraction, and R keeps the row
-    count of a, padded with zero rows.
+    Read off the `kernel` of the rows of a, each cleared to integers: a
+    free column fc's kernel vector v is 1 at fc, its last nonzero entry,
+    and R[pc][fc] = -v[pc] at every other column pc, a pivot.  R, all
+    Fractions, keeps the row count of a, padded with zero rows.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    done = _echelon(map(_int_row, a))
-    out = []
-    for c, r in done:
-        p = r[c]
-        row = [ZERO] * ncols
-        for k, v in r.items():
-            row[k] = Fraction(v, p)
-        out.append(row)
-    out += [[ZERO] * ncols for _ in range(nrows - len(done))]
-    return out, [c for c, _ in done]
+    ncols = len(a[0]) if a else 0
+    free = {max(c for c, x in enumerate(v) if x): v
+            for v in kernel(map(_int_row, a), ncols)}
+    pivots = [c for c in range(ncols) if c not in free]
+    out = [[-free[c][pc] if c in free else ONE if c == pc else ZERO
+            for c in range(ncols)] for pc in pivots]
+    out += [[ZERO] * ncols for _ in range(len(a) - len(pivots))]
+    return out, pivots
 
 
 def rank(a):
@@ -197,9 +193,10 @@ def kernel(rows, ncols):
     rows {col: v} (zero entries allowed) over ncols columns, ordered as
     `nullspace` orders it: one vector per free column fc, v[fc] = 1 and
     v[pc] = -r[fc] / r[pc] for the `_echelon` row r of pivot column pc.
-    No rows give the identity basis.
+    No rows give the identity basis and run no elimination.
     """
-    done = _echelon(rows)
+    rows = list(rows)
+    done = _echelon(rows) if rows else []
     pivots = {c for c, _ in done}
     basis = {fc: v for fc, v in enumerate(identity(ncols)) if fc not in pivots}
     for pc, r in done:
@@ -281,9 +278,7 @@ class Basis:
 def nullspace(a):
     """Basis of {x : a x = 0}, echelonized, deterministic ordering: the
     `kernel` of the rows of a, each cleared to integers."""
-    if not a:
-        return []
-    return kernel(map(_int_row, a), len(a[0]))
+    return kernel(map(_int_row, a), len(a[0]) if a else 0)
 
 
 def solve(a, bs):
@@ -306,10 +301,8 @@ def solve(a, bs):
 
 
 def inverse(a):
-    """a^-1 = L adj(A) / det A for the cleared A = L a (`adjugate`), as
-    Fractions; a ValueError refuses a non-square or singular a."""
-    if any(len(row) != len(a) for row in a):
-        raise ValueError("matrix is not square")
+    """a^-1 = L adj(A) / det A for the cleared A = L a (`adjugate`, which
+    refuses a non-square a), as Fractions; a singular a is refused."""
     ints, den = cleared(a)
     d, adj = adjugate(ints)
     if adj is None:
@@ -331,9 +324,12 @@ def adjugate(b):
     One fraction-free Gauss-Jordan on [b | I]: each step replaces every
     other row by (p * row - f * pivot_row) / previous pivot, an exact
     division.  The row operations R bring b to d I, d = +-det b (the sign
-    of the row swaps), so R = d b^-1 = +-adj b.  Integer in, integer out.
+    of the row swaps), so R = d b^-1 = +-adj b.  Integer in, integer out;
+    a ValueError refuses a non-square b, so `det` and `inverse` do too.
     """
     n = len(b)
+    if any(len(row) != n for row in b):
+        raise ValueError("matrix is not square")
     m = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(b)]
     sign = 1
@@ -375,9 +371,11 @@ def charpoly(a):
     inner product is one `sum(map(mul, ...))`, and the Toeplitz product
     runs over the nonzero entries of that column only.  Integer input
     returns ints; a rational a = A / L returns the Fractions
-    c_k / L^(n-k), c_k the coefficients of A.
+    c_k / L^(n-k), c_k the coefficients of A.  A non-square a is refused.
     """
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     ints, den = _integral(a)
     poly = [1]  # of the leading r x r block, highest degree first
     for r in range(n):

@@ -76,7 +76,7 @@ def test_su3_block_intersection():
 
 
 def test_so3_irreps():
-    for dim in (5, 7):
+    for dim in (3, 5, 7):
         acts = so3_irrep(dim)
         assert len(acts) == 3 and len(acts[0]) == dim
         # representation property: [a0, a1] proportional to a2Z-direction

@@ -398,3 +398,31 @@ def test_a_transported_module_below_its_first_witness_is_undecided():
         "undecided", True)
     assert (at["has_definite"], at["has_indefinite"]) == (True, True)
     assert (below["samples"], at["samples"]) == (208, 209)
+
+
+def test_built_module_is_frozen():
+    import dataclasses
+
+    mod = build_entry("2ai")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mod.label = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mod.pending_generators = ()
+    assert mod.h_dim == len(mod.action) == len(mod.h_coords) == 3
+
+
+def test_built_module_is_a_deep_value():
+    mod = build_entry("2d")
+    mod.d_one_forms  # cached; mutating brackets would leave it stale
+    with pytest.raises(TypeError):
+        mod.brackets[(0, 1)][0] += 1
+    with pytest.raises(TypeError):
+        mod.brackets[(0, 1)] = ()
+    with pytest.raises(TypeError):
+        mod.action[0][0][0] = 1
+    for name in ("gram", "h_coords", "V_coords"):
+        with pytest.raises(TypeError):
+            getattr(mod, name)[0][0] = 1
+    gens = build_entry("2ai").generators
+    with pytest.raises(TypeError):
+        gens[0][1][0][0] = 1

@@ -174,6 +174,15 @@ def test_kernel_of_no_rows_is_the_identity_basis(n):
     assert kernel([{}, {0: 0}] if n else [{}], n) == identity(n)
 
 
+def test_a_system_with_no_rows_runs_no_elimination(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("an empty system was eliminated")
+
+    monkeypatch.setattr("g2forms.linalg._echelon", refuse)
+    assert kernel([], 4) == identity(4)
+    assert kernel(iter(()), 0) == []
+
+
 def test_nullspace_known():
     a = mat([[1, 2, 3], [2, 4, 6]])
     ns = nullspace(a)
@@ -337,6 +346,20 @@ def test_inverse_refuses_a_non_square_matrix():
     # a 1 x 2 matrix has no inverse, though [[1], [0]] is a right inverse
     with pytest.raises(ValueError, match="not square"):
         inverse(mat([[1, 2]]))
+
+
+def test_det_refuses_a_non_square_matrix():
+    # the elimination read 2 x 3 as -3 and 3 x 2 as -2, dropping a row
+    with pytest.raises(ValueError, match="not square"):
+        det(mat([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(ValueError, match="not square"):
+        det([[1, 2], [3, 4], [5, 6]])
+
+
+def test_charpoly_refuses_a_non_square_matrix():
+    # Berkowitz's recursion read 2 x 3 as [-3, -6, 1]
+    with pytest.raises(ValueError, match="not square"):
+        charpoly([[1, 2, 3], [4, 5, 6]])
 
 
 def test_inverse_raises_on_a_singular_matrix():
@@ -749,10 +772,11 @@ def test_echelon_has_three_readers_and_every_inverse_is_read_off_adjugate():
     assert {(mod, name) for mod, name, names in functions
             if "_echelon" in names} == {
         ("linalg", "rank"), ("linalg", "kernel"),
-        ("linalg", "Basis.from_echelon"), ("linalg", "rref")}
+        ("linalg", "Basis.from_echelon")}
     linalg = {name: names for mod, name, names in functions
               if mod == "linalg"}
     assert "kernel" in linalg["solve"] and "adjugate" in linalg["inverse"]
+    assert {"kernel", "nullspace"} & linalg["rref"]
     # outside linalg an adjugate stays an integer matrix: no function that
     # takes one divides it into Fractions
     assert not [(mod, name) for mod, name, names in functions

@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from g2forms.linalg import (adjugate, charpoly, det, mat, mat_mul, nullspace,
-                            rank, transpose)
+from g2forms.linalg import (adjugate, charpoly, det, mat, mat_mul, mat_vec,
+                            nullspace, rank, transpose)
 from g2forms.multilinear import (KForm, _moves, algebra_action, basis_vector,
                                  interior, pullback, sort_index, wedge)
 from g2forms.scan import ScanConfig
@@ -20,8 +20,8 @@ from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   metric_from_3form, primitive_int_vector,
                                   primitive_ray, star_euclidean,
                                   traceless_to_27)
-from references import (_hitchin_table, _sample_vec, _scan_samples,
-                        classify3, coeff, cofactor_adjugate,
+from references import (_hitchin_table, _monomial_matrices, _sample_vec,
+                        _scan_samples, classify3, coeff, cofactor_adjugate,
                         dual_coefficients, metric_from_4form, reference_action,
                         reference_family_hitchin_map, reference_hitchin_matrix,
                         stabilizer_class)
@@ -1034,3 +1034,29 @@ def test_integer_metric_is_bit_identical_to_the_fraction_metric(den):
             assert vol == vol_ref
             checked += 1
     assert checked >= 60
+
+
+def test_sparse_rechecks_match_the_dense_monomial_matrices(
+        scanned_families, degenerate_families):
+    # kills and isotropic read the sparse terms; the dense products decide
+    # the same on seeded small vectors, unit vectors and the certificates
+    rng = random.Random(5)
+    units = [[int(i == j) for j in range(7)] for i in range(7)]
+    maps = [family_hitchin_map(bvecs) for _, _, bvecs in scanned_families]
+    maps += [hitchin for _, hitchin, _, _ in degenerate_families.values()]
+    for hitchin in maps:
+        mats = _monomial_matrices(hitchin)
+        vecs = units + [[rng.randint(-1, 1) for _ in range(7)]
+                        for _ in range(20)]
+        vecs += hitchin.common_kernel()
+        for v in vecs:
+            assert hitchin.kills(v) == all(
+                mat_vec(m, v) == [0] * 7 for m in mats)
+        # w^T M u for every monomial, on the units and six seeded vectors
+        ws = vecs[:13]
+        zero = [[all(sum(x * y for x, y in zip(w, mat_vec(m, u))) == 0
+                     for m in mats) for u in ws] for w in ws]
+        for k in range(1, 4):
+            for sub in combinations(range(len(ws)), k):
+                assert hitchin.isotropic([ws[a] for a in sub]) == all(
+                    zero[a][b] for a in sub for b in sub)
