@@ -312,7 +312,11 @@ def inverse(a):
 
 def _integral(a):
     """(A, L) with a == A / L, A integer: an all-int matrix as it is, with
-    L None; any other cleared once."""
+    L None; any other cleared once.  A non-square a is refused here for
+    `det`, `charpoly`, `inertia` and `leading_principal_minors`."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     if all(isinstance(x, int) for row in a for x in row):
         return a, None
     return cleared(a)
@@ -374,8 +378,6 @@ def charpoly(a):
     c_k / L^(n-k), c_k the coefficients of A.  A non-square a is refused.
     """
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
     ints, den = _integral(a)
     poly = [1]  # of the leading r x r block, highest degree first
     for r in range(n):
@@ -458,6 +460,7 @@ def inertia(a):
     when r = n and 0 otherwise.  Only the cells j >= i are eliminated, and
     mirrored.  Integer input gives an int det; a rational a = A / L is
     cleared once and gives the Fraction det A / L^n (L > 0 keeps the signs).
+    A non-square a is refused.
     """
     n = len(a)
     ints, den = _integral(a)
@@ -501,7 +504,7 @@ def leading_principal_minors(b):
     """Leading principal minors d_1..d_n, the `det` of each leading block
     of the cleared matrix, or None when one vanishes before the last (b is
     then not definite).  Integer input returns ints; a rational b = B / L
-    returns the Fractions d_k(B) / L^k.
+    returns the Fractions d_k(B) / L^k.  A non-square b is refused.
     """
     ints, den = _integral(b)
     minors = []

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .isotropy import invariant_kform_basis
-from .linalg import frac, inverse, kernel, mat_mul
+from .linalg import frac, kernel, mat_mul, transpose
 from .multilinear import KForm, pullback
 from .stable_forms import PHI, PHITILDE
 
@@ -283,12 +283,13 @@ def chi_embedding(q1: UnitQuaternion, q2: UnitQuaternion):
     """The SO(4) element of the split form acting on R^7, aligned basis.
 
     Exact 7x7 rational matrix; an automorphism of the split octonions that
-    preserves PHITILDE.  chi(-q1, -q2) = chi(q1, q2).
+    preserves PHITILDE.  chi(-q1, -q2) = chi(q1, q2).  The alignment T is
+    a signed permutation, so T^-1 = T^T.
     """
     sigma, signs = FROZEN_ALIGNMENTS["split"]
     t = _signed_perm_matrix(sigma, signs)
     raw = _chi_raw(q1, q2)
-    return mat_mul(mat_mul(inverse(t), raw), t)
+    return mat_mul(mat_mul(transpose(t), raw), t)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby
 from operator import itemgetter
 
-from .linalg import (charpoly, frac, inertia, inverse, kernel, mat, mat_vec,
-                     nullspace, transpose)
+from .linalg import charpoly, frac, inertia, kernel
 from .multilinear import (KForm, annihilator_of_form, basis_vector,
                           complement, interior, minors, wedge)
 
@@ -465,7 +464,8 @@ def classification_report(t: KForm) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# module decompositions under the annihilator algebra of PHI
+# module decompositions under the annihilator algebra of PHI, read as
+# orthogonal projections onto one table of 7-parts (`_seven`)
 # ---------------------------------------------------------------------------
 
 @cache
@@ -478,84 +478,59 @@ def annihilator_g2():
     return annihilator_of_form(PHI)
 
 
-def _two_form_of_matrix(a):
-    """2-form alpha(u, v) = <A u, v> for the identity metric."""
-    items = []
-    for i in range(1, 8):
-        for j in range(i + 1, 8):
-            c = a[j - 1][i - 1]  # alpha(e_i, e_j) = (A e_i)_j
-            if c != 0:
-                items.append(((i, j), c))
-    return KForm.make(7, 2, items)
-
-
 @cache
-def _decomp2_setup():
-    basis14 = [_two_form_of_matrix(a) for a in annihilator_g2()]
-    basis7 = [interior(basis_vector(7, i), PHI) for i in range(1, 8)]
-    cols = [f.coefficient_vector() for f in basis14 + basis7]
-    minv = inverse(transpose(mat(cols)))
-    return basis14, basis7, minv
+def _seven(k):
+    """The 7-part of Lambda^k (k = 2, 3) as seven mutually orthogonal
+    forms: e_i ⌟ PHI, |.|^2 = 3, or star_euclidean(PHI ^ e^i), |.|^2 = 4."""
+    return tuple(interior(basis_vector(DIM, i), PHI) if k == 2 else
+                 star_euclidean(wedge(PHI, KForm.basis(DIM, i)))
+                 for i in range(1, 8))
+
+
+def _project(a, basis):
+    """sum (a.b / b.b) b, the projection of a onto orthogonal forms."""
+    return sum(((a.dot(b) / b.dot(b)) * b for b in basis),
+               KForm.zero(a.dim, a.degree))
 
 
 def decompose2(a: KForm):
     """Split a 2-form into its 14- and 7-dimensional isotypic parts.
 
-    part14 is the image of the annihilator algebra under the metric
-    identification; part7 is spanned by the e_i ⌟ PHI.  Exact.
+    The coefficient dot product is SO(7)-invariant, so the parts are
+    orthogonal: part7 is the projection onto `_seven`(2) and part14, the
+    metric image of the annihilator algebra, the rest.  Exact.
     """
     if a.dim != DIM or a.degree != 2:
         raise ValueError("expected a 2-form on R^7")
-    basis14, basis7, minv = _decomp2_setup()
-    x = mat_vec(minv, a.coefficient_vector())
-    part14 = KForm.zero(7, 2)
-    for c, f in zip(x[:14], basis14):
-        part14 = part14 + c * f
-    part7 = a - part14
-    return part14, part7
-
-
-@cache
-def _decomp3_setup():
-    basis1 = [PHI]
-    basis7 = [star_euclidean(wedge(PHI, KForm.basis(7, i)))
-              for i in range(1, 8)]
-    span8 = [f.coefficient_vector() for f in basis1 + basis7]
-    basis27_vecs = nullspace(span8)  # orthocomplement via coefficient dot
-    basis27 = [KForm.from_coefficient_vector(7, 3, v) for v in basis27_vecs]
-    cols = [f.coefficient_vector() for f in basis1 + basis7 + basis27]
-    minv = inverse(transpose(mat(cols)))
-    return basis1, basis7, basis27, minv
+    part7 = _project(a, _seven(2))
+    return a - part7, part7
 
 
 def decompose3(a: KForm):
-    """Split a 3-form into the 1-, 7-, and 27-dimensional isotypic parts."""
+    """Split a 3-form into the 1-, 7-, and 27-dimensional isotypic parts:
+    the orthogonal projections onto PHI and onto `_seven`(3), and the rest.
+    """
     if a.dim != DIM or a.degree != 3:
         raise ValueError("expected a 3-form on R^7")
-    basis1, basis7, basis27, minv = _decomp3_setup()
-    x = mat_vec(minv, a.coefficient_vector())
-    part1 = x[0] * PHI
-    part7 = KForm.zero(7, 3)
-    for c, f in zip(x[1:8], basis7):
-        part7 = part7 + c * f
-    part27 = a - part1 - part7
-    return part1, part7, part27
+    part1 = _project(a, [PHI])
+    part7 = _project(a, _seven(3))
+    return part1, part7, a - part1 - part7
 
 
 def traceless_to_27(s):
     """Map a traceless symmetric matrix into the 27-part of Lambda^3.
 
-    The symmetrized version of S |-> sum_ij S_ij e^i ^ star(e^j ^ star phi);
+    The symmetrized version of S |-> sum_ij S_ij e^i ^ star(e^j ^ star phi),
+    where star(e^j ^ star phi) = e_j ⌟ phi is read off `_seven`(2);
     injective on traceless symmetric input, with image the 27-dimensional
     isotypic component.
     """
     acc = KForm.zero(7, 3)
     for i in range(1, 8):
         ei = KForm.basis(7, i)
-        for j in range(1, 8):
+        for j, contraction in enumerate(_seven(2), 1):
             c = frac(s[i - 1][j - 1])
             if c == 0:
                 continue
-            acc = acc + c * wedge(ei, star_euclidean(
-                wedge(KForm.basis(7, j), PSI4)))
+            acc = acc + c * wedge(ei, contraction)
     return acc

@@ -73,6 +73,12 @@ by star x, of which the record and the pencil read only the latter.
 `cofactor_adjugate` is adj B by its 6 x 6 cofactors, also for a singular
 B, where `linalg.adjugate` gives None.
 
+`_two_form_of_matrix`: the 2-form alpha(u, v) = <A u, v> of a matrix A
+under the identity metric, the metric image of the annihilator algebra of
+PHI that `stable_forms.decompose2` must read as all 14-part; the package
+reads that part as what is left after the orthogonal projection onto the
+7-part.
+
 `classify3`: the orbit class of a 3-form by `classify_coeffs` on its
 coefficient vector; the package reads a form's class off its one record,
 `hitchin_bilinear(t).orbit`, beside the record's dual.
@@ -521,6 +527,17 @@ def cofactor_adjugate(b):
     return [[(-1) ** (i + j) * det([[v for c, v in enumerate(row) if c != i]
                                      for r, row in enumerate(b) if r != j])
              for j in range(n)] for i in range(n)]
+
+
+def _two_form_of_matrix(a):
+    """2-form alpha(u, v) = <A u, v> for the identity metric."""
+    items = []
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            c = a[j - 1][i - 1]  # alpha(e_i, e_j) = (A e_i)_j
+            if c != 0:
+                items.append(((i, j), c))
+    return KForm.make(7, 2, items)
 
 
 def classify3(t: KForm) -> Orbit3Class:

@@ -362,6 +362,20 @@ def test_charpoly_refuses_a_non_square_matrix():
         charpoly([[1, 2, 3], [4, 5, 6]])
 
 
+def test_inertia_refuses_a_non_square_matrix():
+    # the elimination read 2 x 3 as (2, 0, 1), and 3 x 2 raised IndexError
+    with pytest.raises(ValueError, match="not square"):
+        inertia([[1, 2, 3], [2, 5, 6]])
+    with pytest.raises(ValueError, match="not square"):
+        inertia(mat([[1, 2], [2, 5], [3, 6]]))
+
+
+def test_leading_principal_minors_refuses_a_non_square_matrix():
+    # 2 x 3 was read as its leading 2 x 2 block, [1, -3]
+    with pytest.raises(ValueError, match="not square"):
+        leading_principal_minors([[1, 2, 3], [4, 5, 6]])
+
+
 def test_inverse_raises_on_a_singular_matrix():
     with pytest.raises(ValueError, match="singular"):
         inverse(mat([[1, 2], [2, 4]]))
@@ -781,3 +795,10 @@ def test_echelon_has_three_readers_and_every_inverse_is_read_off_adjugate():
     # takes one divides it into Fractions
     assert not [(mod, name) for mod, name, names in functions
                 if mod != "linalg" and {"adjugate", "Fraction"} <= names]
+    # outside linalg only the orthogonal algebra of a form takes a Fraction
+    # inverse, and no function takes a Fraction null space
+    assert {(mod, name) for mod, name, names in functions
+            if mod != "linalg" and "inverse" in names} == {
+        ("catalog", "orthogonal_algebra_of_form")}
+    assert not [(mod, name) for mod, name, names in functions
+                if mod != "linalg" and "nullspace" in names]

@@ -8,7 +8,8 @@ import pytest
 from g2forms.linalg import (adjugate, charpoly, det, mat, mat_mul, mat_vec,
                             nullspace, rank, transpose)
 from g2forms.multilinear import (KForm, _moves, algebra_action, basis_vector,
-                                 interior, pullback, sort_index, wedge)
+                                 interior, lambda_k_action_matrix, pullback,
+                                 sort_index, wedge)
 from g2forms.scan import ScanConfig
 from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   annihilator_g2, annihilator_of_form,
@@ -21,7 +22,8 @@ from g2forms.stable_forms import (PHI, PHITILDE, PSI4, Orbit3Class,
                                   primitive_ray, star_euclidean,
                                   traceless_to_27)
 from references import (_hitchin_table, _monomial_matrices, _sample_vec,
-                        _scan_samples, classify3, coeff, cofactor_adjugate,
+                        _scan_samples, _two_form_of_matrix, classify3, coeff,
+                        cofactor_adjugate,
                         dual_coefficients, metric_from_4form, reference_action,
                         reference_family_hitchin_map, reference_hitchin_matrix,
                         stabilizer_class)
@@ -709,8 +711,8 @@ def test_constant_tables_are_built_once():
     from g2forms import stable_forms
 
     for build in (stable_forms._hitchin_cubic, annihilator_g2,
-                  stable_forms._decomp2_setup, stable_forms._decomp3_setup,
-                  lambda: _moves(7, 3)):
+                  lambda: stable_forms._seven(2),
+                  lambda: stable_forms._seven(3), lambda: _moves(7, 3)):
         assert build() is build()
 
 
@@ -806,6 +808,37 @@ def test_traceless_symmetric_map_injective_on_basis():
     assert len(basis) == 27
     images = [traceless_to_27(s).coefficient_vector() for s in basis]
     assert rank(images) == 27
+
+
+def test_the_seven_parts_are_orthogonal_and_the_14_part_is_g2():
+    # the facts that make decompose2 and decompose3 orthogonal projections
+    # onto `_seven`.  Each E_ij - E_ji of so(7) acts on the Lambda^2 and
+    # Lambda^3 coefficients by an antisymmetric matrix, so the coefficient
+    # dot product is invariant and the isotypic parts are orthogonal
+    from g2forms.stable_forms import _seven
+
+    for i, j in combinations(range(7), 2):
+        a = [[0] * 7 for _ in range(7)]
+        a[i][j], a[j][i] = 1, -1
+        for k in (2, 3):
+            rows = lambda_k_action_matrix(a, k)
+            assert all(rows[c].get(r, 0) == -x
+                       for r, row in enumerate(rows) for c, x in row.items())
+    # the seven e_i ⌟ PHI and the seven star_euclidean(PHI ^ e^i) are
+    # orthogonal, of |.|^2 3 and 4, and the latter are orthogonal to PHI
+    for k, norm in ((2, 3), (3, 4)):
+        assert [[f.dot(g) for g in _seven(k)] for f in _seven(k)] == [
+            [norm * (i == j) for j in range(7)] for i in range(7)]
+    assert [f.dot(PHI) for f in _seven(3)] == [0] * 7
+    assert list(_seven(2)) == [interior(basis_vector(7, i), PHI)
+                               for i in range(1, 8)]
+    # star_euclidean(e^j ^ PSI4) = e_j ⌟ PHI, which traceless_to_27 reads
+    assert [star_euclidean(wedge(w(7, j), PSI4))
+            for j in range(1, 8)] == list(_seven(2))
+    # the 14-part is the metric image of the annihilator algebra
+    for a in annihilator_g2():
+        alpha = _two_form_of_matrix(a)
+        assert decompose2(alpha) == (alpha, KForm.zero(7, 2))
 
 
 def test_det_gdual_degree_21_scaling():
